@@ -24,13 +24,11 @@ from .detect import (DEFAULT_K, DEFAULT_PRE, WINDOW_LEN, FeatureSpec,
                      load_tokens, load_windows, store_tokens, store_windows)
 from .patterns import SegmentationPattern, enumerate_patterns
 from .opcount import OpCounts, SingularMatrixError
-from .sort_online import (OnlineSorter, OnlineSorterModel, load_online_models,
-                          store_online_models, train_online)
+from .sort_online import OnlineSorter, OnlineSorterModel, train_online
 from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS,
                            ChannelSorterModel, L1TemplateModel, classify_spike,
-                           l1_classify, load_l1_models, load_tree_models,
-                           model_footprint, pack_model, select_feature_pair,
-                           store_l1_models, store_tree_models,
+                           l1_classify, load_models, model_footprint,
+                           pack_model, select_feature_pair, store_models,
                            train_channel_model, train_l1, unpack_model)
 from .decode import (DecoderBundle, EnsembleModel, FilterState,
                      FixedPointFormat, ImplantAccumulator,
@@ -67,12 +65,11 @@ __all__ = [
     "store_windows", "load_windows",
     # sorting
     "SegmentationPattern", "enumerate_patterns", "OnlineSorter",
-    "OnlineSorterModel", "train_online", "store_online_models",
-    "load_online_models", "ChannelSorterModel", "L1TemplateModel",
-    "train_channel_model", "train_l1", "classify_spike", "l1_classify",
-    "select_feature_pair", "model_footprint", "pack_model", "unpack_model",
-    "TREE_MODEL_BITS", "L1_BITS_PER_TEMPLATE", "store_tree_models",
-    "load_tree_models", "store_l1_models", "load_l1_models",
+    "OnlineSorterModel", "train_online", "ChannelSorterModel",
+    "L1TemplateModel", "train_channel_model", "train_l1", "classify_spike",
+    "l1_classify", "select_feature_pair", "model_footprint", "pack_model",
+    "unpack_model", "TREE_MODEL_BITS", "L1_BITS_PER_TEMPLATE", "store_models",
+    "load_models",
     # decoding
     "StateTransitionModel", "StandardObservationModel", "EnsembleModel",
     "FilterState", "StepOps", "OpCounts", "SingularMatrixError",

@@ -25,18 +25,15 @@ from .decode import (DecoderBundle, FilterState, FixedPointFormat, StepOps,
                      train_ensemble, train_observation_standard,
                      train_transition)
 from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, detect_trace,
-                     estimate_threshold, extract_features, load_tokens,
+                     estimate_threshold, load_tokens, load_windows,
                      store_tokens, store_windows)
-from .evaluation import (channel_feature_dataset, match_events,
+from .evaluation import (channel_feature_dataset, matched_features,
                          permutation_accuracy)
 from .opcount import SingularMatrixError
-from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS,
-                           ChannelSorterModel, L1TemplateModel, classify_spike,
-                           l1_classify, load_l1_models, load_tree_models,
-                           model_footprint, store_l1_models, store_tree_models,
-                           train_channel_model, train_l1)
-from .sort_online import (OnlineSorterModel, load_online_models,
-                          store_online_models, train_online)
+from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS, load_models,
+                           model_footprint, store_models, train_channel_model,
+                           train_l1)
+from .sort_online import train_online
 from .sim import SimConfig, parse_sim_config, run_simulation
 from .synthdata import (ClippingError, DatasetFormatError, SessionConfig,
                         TraceConfig, gen_reach_session, gen_spike_trace,
@@ -108,42 +105,6 @@ def _n_workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# sorter model sets (kind-dispatched)
-# ---------------------------------------------------------------------------
-
-
-def load_sorter_models(path: str) -> dict:
-    """Load any sorter model set; dispatches on the file's "kind" field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            kind = json.load(fh).get("kind")
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: {exc}") from exc
-    loaders = {"tree-set": load_tree_models, "online-set": load_online_models,
-               "l1-set": load_l1_models}
-    if kind not in loaders:
-        raise DatasetFormatError(f"{path}: unknown sorter model set kind {kind!r}")
-    return loaders[kind](path)
-
-
-def model_classifier(model):
-    """(f1, f2) -> label callable for any sorter model type."""
-    if isinstance(model, ChannelSorterModel):
-        return lambda f1, f2: classify_spike(model, f1, f2)
-    if isinstance(model, L1TemplateModel):
-        return lambda f1, f2: l1_classify(model, f1, f2)
-    return model.classify
-
-
-def _model_kind(model) -> str:
-    if isinstance(model, ChannelSorterModel):
-        return "tree"
-    if isinstance(model, L1TemplateModel):
-        return "l1"
-    return "online"
-
-
-# ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
 
@@ -208,11 +169,16 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _detect(trace, k: float, pre: int) -> tuple:
+    """(per-channel thresholds, windows, tokens) for a whole trace."""
+    thresholds = np.array([estimate_threshold(trace.data[ch], k)
+                           for ch in range(trace.n_channels)])
+    return (thresholds, *detect_trace(trace, thresholds, pre))
+
+
 def cmd_detect(args) -> int:
     trace = load_trace(args.trace)
-    thresholds = np.array([estimate_threshold(trace.data[ch], args.k)
-                           for ch in range(trace.n_channels)])
-    windows, tokens = detect_trace(trace, thresholds, args.pre)
+    thresholds, windows, tokens = _detect(trace, args.k, args.pre)
     store_tokens(tokens, args.out)
     _write_meta(args.out, vars(args),
                 extra={"thresholds": [float(t) for t in thresholds],
@@ -229,34 +195,17 @@ def cmd_detect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _matched_features(trace, labels, spec: FeatureSpec, k: float, pre: int) -> dict:
+def _matched_features(windows, labels, spec: FeatureSpec) -> dict:
     """channel -> (features, unit labels) for every channel with enough events."""
-    out = {}
-    for ch in range(trace.n_channels):
-        feats, labs, _, _ = channel_feature_dataset(trace, labels, ch, spec,
-                                                    k=k, pre_samples=pre)
-        if feats.shape[0] >= 2:
-            out[ch] = (feats, labs)
-    return out
-
-
-def _matched_features_from_windows(windows, labels, spec: FeatureSpec) -> dict:
     by_ch = {}
     for w in windows:
         by_ch.setdefault(w.channel, []).append(w)
     out = {}
-    ev = labels.events
     for ch, ws in sorted(by_ch.items()):
         ws.sort(key=lambda w: w.t0)
-        truth = ev[ev[:, 1] == ch]
-        tok_t = np.array([w.t0 for w in ws], dtype=np.int64)
-        pairs = match_events(tok_t, truth[:, 0])
-        if pairs.shape[0] < 2:
-            continue
-        toks = [extract_features(ws[i], spec) for i in pairs[:, 0]]
-        feats = np.array([[t.f1, t.f2] for t in toks], dtype=np.int64)
-        labs = truth[pairs[:, 1], 2]
-        out[ch] = (feats, labs)
+        feats, labs = matched_features(ws, labels.for_channel(ch), spec)
+        if feats.shape[0] >= 2:
+            out[ch] = (feats, labs)
     return out
 
 
@@ -265,34 +214,24 @@ def cmd_train_sorter(args) -> int:
     if args.mode == "online":
         if not args.tokens:
             raise ValueError("train-sorter --mode online needs --tokens")
-        tokens = load_tokens(args.tokens)
-        models = train_online(tokens)
-        store_online_models(models, args.out)
+        models = train_online(load_tokens(args.tokens))
     else:
+        if not args.labels or not (args.windows or args.trace):
+            raise ValueError("train-sorter --mode offline/l1 needs --labels and "
+                             "--trace or --windows")
         if args.windows:
-            if not args.labels:
-                raise ValueError("train-sorter with --windows also needs --labels")
-            from .detect import load_windows
-
-            datasets = _matched_features_from_windows(
-                load_windows(args.windows), load_labels(args.labels), spec)
+            windows = load_windows(args.windows)
         else:
-            if not args.trace or not args.labels:
-                raise ValueError(
-                    "train-sorter --mode offline/l1 needs --trace and --labels "
-                    "(or --windows and --labels)")
-            datasets = _matched_features(load_trace(args.trace),
-                                         load_labels(args.labels), spec,
-                                         args.k, args.pre)
-        if not datasets:
-            raise ValueError("no channel produced enough matched events to train on")
+            _, windows, _ = _detect(load_trace(args.trace), args.k, args.pre)
+        datasets = _matched_features(windows, load_labels(args.labels), spec)
         if args.mode == "offline":
             models = {ch: train_channel_model(f, l, feature_spec=spec)
                       for ch, (f, l) in datasets.items()}
-            store_tree_models(models, args.out)
         else:
             models = {ch: train_l1(f, l) for ch, (f, l) in datasets.items()}
-            store_l1_models(models, args.out)
+    if not models:
+        raise ValueError("no channel produced enough events to train on")
+    store_models(models, args.out)
     _write_meta(args.out, vars(args), seed=getattr(args, "seed", None),
                 extra={"n_channels": len(models)})
     print(f"wrote {args.out} ({len(models)} channel models, mode={args.mode})")
@@ -306,15 +245,14 @@ def cmd_train_sorter(args) -> int:
 
 def cmd_sort(args) -> int:
     tokens = load_tokens(args.tokens)
-    models = load_sorter_models(args.models)
-    classifiers = {ch: model_classifier(m) for ch, m in models.items()}
+    models = load_models(args.models)
     lines, skipped = [], 0
     for tok in tokens:
-        clf = classifiers.get(tok.channel)
-        if clf is None:
+        model = models.get(tok.channel)
+        if model is None:
             skipped += 1
             continue
-        label = int(clf(tok.f1, tok.f2))
+        label = int(model.classify(tok.f1, tok.f2))
         lines.append(canonical_json({"t": tok.t, "ch": tok.channel, "label": label}))
     atomic_write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     _write_meta(args.out, vars(args),
@@ -326,22 +264,21 @@ def cmd_sort(args) -> int:
 def cmd_eval_sort(args) -> int:
     trace = load_trace(args.trace)
     labels = load_labels(args.labels)
-    models = load_sorter_models(args.models)
+    models = load_models(args.models)
 
     def eval_channel(ch):
         model = models[ch]
         spec = getattr(model, "feature_spec", None) or FeatureSpec()
         feats, labs, n_det, n_truth = channel_feature_dataset(
             trace, labels, ch, spec, k=args.k, pre_samples=args.pre)
-        clf = model_classifier(model)
-        pred = [int(clf(int(f1), int(f2))) for f1, f2 in feats]
-        row = {"channel": ch, "model": _model_kind(model),
+        pred = [int(model.classify(int(f1), int(f2))) for f1, f2 in feats]
+        row = {"channel": ch, "model": model.kind,
                "n_detected": n_det, "n_truth": n_truth,
                "n_scored": len(pred),
                "accuracy": permutation_accuracy(pred, labs)}
-        if isinstance(model, (ChannelSorterModel, L1TemplateModel)):
+        if model.kind != "online":
             row["footprint_bits"] = model_footprint(model)
-        if isinstance(model, L1TemplateModel):
+        if model.kind == "l1":
             row["n_templates"] = len(model.templates)
         return row
 
@@ -504,7 +441,7 @@ def cmd_simulate(args) -> int:
     trace = load_trace(args.trace)
     sorters_path = os.path.join(args.models, "sorters.json")
     decoder_path = os.path.join(args.models, "decoder.json")
-    models = load_sorter_models(sorters_path)
+    models = load_models(sorters_path)
     bundle = load_decoder(decoder_path)
     if bundle.kind != "eokf" or bundle.ensemble is None:
         raise DatasetFormatError("simulate needs an ensemble (eokf) decoder")

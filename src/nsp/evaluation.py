@@ -39,6 +39,22 @@ def match_events(token_times, truth_times, tolerance: int = MATCH_TOLERANCE) -> 
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def matched_features(windows, truth: np.ndarray,
+                     spec: FeatureSpec = FeatureSpec()) -> tuple:
+    """Features and true unit ids of the windows matched to ground truth.
+
+    *windows* are one channel's detections in ascending start time, *truth*
+    that channel's (t, channel, unit) label rows. Returns (features (m, 2)
+    int64, unit ids (m,) int64); unmatched windows are left out.
+    """
+    pairs = match_events([w.t0 for w in windows], truth[:, 0])
+    feats = np.zeros((pairs.shape[0], 2), dtype=np.int64)
+    for row, i in enumerate(pairs[:, 0]):
+        tok = extract_features(windows[i], spec)
+        feats[row] = (tok.f1, tok.f2)
+    return feats, truth[pairs[:, 1], 2].astype(np.int64)
+
+
 def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels, channel: int,
                             spec: FeatureSpec = FeatureSpec(), k: float = DEFAULT_K,
                             pre_samples: int = DEFAULT_PRE) -> tuple:
@@ -51,13 +67,7 @@ def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels, channel:
     thr = estimate_threshold(ch_trace, k)
     windows = detect_spikes(ch_trace, thr, pre_samples, channel=channel)
     truth = labels.for_channel(channel)
-    pairs = match_events([w.t0 for w in windows], truth[:, 0])
-    feats = np.zeros((pairs.shape[0], 2), dtype=np.int64)
-    labs = np.zeros(pairs.shape[0], dtype=np.int64)
-    for row, (i, j) in enumerate(pairs):
-        tok = extract_features(windows[i], spec)
-        feats[row] = (tok.f1, tok.f2)
-        labs[row] = truth[j, 2]
+    feats, labs = matched_features(windows, truth, spec)
     return feats, labs, len(windows), truth.shape[0]
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .decode import EnsembleModel
 from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, detect_spikes,
                      estimate_threshold, extract_features)
-from .sort_offline import ChannelSorterModel, classify_spike
 from .synthdata import PayloadError, RawTrace, WINDOW_LEN
 
 SAMPLE_BITS = 8
@@ -363,17 +362,6 @@ class SimResult:
         return self.ez.shape[0]
 
 
-def _classifier_for(model):
-    """Adapt a sorter model to a plain (f1, f2) -> label callable."""
-    if isinstance(model, ChannelSorterModel):
-        return lambda f1, f2: classify_spike(model, f1, f2)
-    if hasattr(model, "classify"):
-        return model.classify
-    if callable(model):
-        return model
-    raise TypeError(f"cannot use {type(model).__name__} as a channel sorter")
-
-
 def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
                    thresholds: dict | None = None) -> list:
     """Detect every modeled channel of *trace* into a completion schedule.
@@ -399,6 +387,9 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
                    thresholds: dict | None = None) -> SimResult:
     """Drive the fabric over a full trace and return outputs plus counters.
 
+    *models* maps channel -> sorter model (anything with ``classify(f1, f2)``)
+    or a plain (f1, f2) -> label callable.
+
     Whenever ``tokens_lost == 0`` and no token was flagged late, the per-bin
     ``ez`` equals the reference computed outside the simulator (count the
     sorted events into bins, multiply by the ensemble matrix once per bin).
@@ -412,7 +403,7 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
     n_samples = trace.data.shape[1]
     n_bins = max(1, math.ceil(n_samples / config.bin_len))
     schedule = build_schedule(trace, models, config, thresholds)
-    classifiers = {ch: _classifier_for(m) for ch, m in models.items()}
+    classifiers = {ch: getattr(m, "classify", m) for ch, m in models.items()}
     sim = Simulator(config, ensemble, classifiers, schedule, n_bins).run()
     sim.counters.input_bits = config.n_channels * n_samples * SAMPLE_BITS
     return SimResult(ez=sim._ez, counts=sim._banks, counters=sim.counters,

@@ -9,6 +9,12 @@ comparisons and one table lookup, and the whole model packs into 28 bits
 
 The baseline assigns a spike to the nearest of up to four stored feature
 templates in L1 distance, costing 3 add/sub per template and n-1 comparisons.
+
+Every sorter model kind (this module's tree and L1 models and the online
+model of ``sort_online``) carries a ``kind`` name, ``classify(f1, f2)`` and a
+``to_json``/``from_json`` pair. ``MODEL_KINDS`` maps each kind name to its
+class, and ``store_models``/``load_models`` read and write per-channel model
+sets of any one kind through it.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from ._util import atomic_write_text
 from .detect import FeatureSpec
 from .patterns import N_LEAVES, N_SPLITS, SegmentationPattern, enumerate_patterns, pattern_by_id
-from .sort_online import OUTLIER, _valley_runs
+from .sort_online import OUTLIER, OnlineSorterModel, _valley_runs
 from .synthdata import PayloadError
 
 GRID_STEP = 8          # LSB pitch of the uniform boundary-candidate grid
@@ -45,6 +51,8 @@ class SortOpCounts:
 class ChannelSorterModel:
     """Trained tree sorter for one channel."""
 
+    kind = "tree"
+
     feature_spec: FeatureSpec
     pattern_id: int
     boundaries: tuple          # (B0, B1, B2) int8 values, one per comparison slot
@@ -54,8 +62,11 @@ class ChannelSorterModel:
     def pattern(self) -> SegmentationPattern:
         return pattern_by_id(self.pattern_id)
 
+    def classify(self, f1: int, f2: int) -> int:
+        return classify_spike(self, f1, f2)
+
     def to_json(self) -> dict:
-        return {"kind": "tree", "feature_spec": self.feature_spec.to_json(),
+        return {"kind": self.kind, "feature_spec": self.feature_spec.to_json(),
                 "pattern_id": self.pattern_id,
                 "boundaries": [int(b) for b in self.boundaries],
                 "valid_mask": int(self.valid_mask),
@@ -64,7 +75,7 @@ class ChannelSorterModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChannelSorterModel":
-        if obj.get("kind") != "tree":
+        if obj.get("kind") != cls.kind:
             raise PayloadError(f"not a tree sorter model: kind={obj.get('kind')!r}")
         return cls(feature_spec=FeatureSpec.from_json(obj["feature_spec"]),
                    pattern_id=int(obj["pattern_id"]),
@@ -77,6 +88,8 @@ class ChannelSorterModel:
 class L1TemplateModel:
     """Baseline: up to four stored (f1, f2) templates, nearest-in-L1 wins."""
 
+    kind = "l1"
+
     templates: tuple           # ((t1, t2), ...) int8 pairs
     labels: tuple              # unit id emitted per template
 
@@ -84,14 +97,17 @@ class L1TemplateModel:
         if not (1 <= len(self.templates) <= N_LEAVES):
             raise ValueError("L1 model holds 1..4 templates")
 
+    def classify(self, f1: int, f2: int) -> int:
+        return l1_classify(self, f1, f2)
+
     def to_json(self) -> dict:
-        return {"kind": "l1",
+        return {"kind": self.kind,
                 "templates": [[int(a), int(b)] for a, b in self.templates],
                 "labels": [int(l) for l in self.labels]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "L1TemplateModel":
-        if obj.get("kind") != "l1":
+        if obj.get("kind") != cls.kind:
             raise PayloadError(f"not an L1 sorter model: kind={obj.get('kind')!r}")
         return cls(templates=tuple((int(a), int(b)) for a, b in obj["templates"]),
                    labels=tuple(int(l) for l in obj["labels"]))
@@ -378,37 +394,35 @@ def select_feature_pair(windows: np.ndarray, labels: np.ndarray,
 # --- model set files --------------------------------------------------------
 
 
-def store_tree_models(models: dict, path: str) -> None:
-    obj = {"kind": "tree-set",
+MODEL_KINDS = {cls.kind: cls for cls in
+               (ChannelSorterModel, L1TemplateModel, OnlineSorterModel)}
+
+
+def store_models(models: dict, path: str) -> None:
+    """Write a channel -> model set; every model must be of the same kind."""
+    kinds = {m.kind for m in models.values()}
+    if len(kinds) != 1:
+        raise ValueError("a model set holds models of exactly one kind, "
+                         f"got {sorted(kinds)}")
+    obj = {"kind": f"{kinds.pop()}-set",
            "channels": {str(ch): m.to_json() for ch, m in sorted(models.items())}}
     atomic_write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def load_tree_models(path: str) -> dict:
+def load_models(path: str) -> dict:
+    """Read a set written by store_models; malformed files raise PayloadError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise PayloadError(f"{path}: {exc}") from exc
-    if obj.get("kind") != "tree-set":
-        raise PayloadError(f"{path}: not a tree sorter model set")
-    return {int(ch): ChannelSorterModel.from_json(m)
-            for ch, m in obj["channels"].items()}
-
-
-def store_l1_models(models: dict, path: str) -> None:
-    obj = {"kind": "l1-set",
-           "channels": {str(ch): m.to_json() for ch, m in sorted(models.items())}}
-    atomic_write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
-
-
-def load_l1_models(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PayloadError(f"{path}: {exc}") from exc
-    if obj.get("kind") != "l1-set":
-        raise PayloadError(f"{path}: not an L1 template model set")
-    return {int(ch): L1TemplateModel.from_json(m)
-            for ch, m in obj["channels"].items()}
+    if not isinstance(obj, dict) or not isinstance(obj.get("channels"), dict):
+        raise PayloadError(f"{path}: not a sorter model set")
+    cls = next((c for c in MODEL_KINDS.values() if obj.get("kind") == f"{c.kind}-set"),
+               None)
+    if cls is None:
+        raise PayloadError(f"{path}: unknown sorter model set kind {obj.get('kind')!r}")
+    try:
+        return {int(ch): cls.from_json(m) for ch, m in obj["channels"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PayloadError(f"{path}: malformed {cls.kind} model: {exc!r}") from exc

@@ -4,19 +4,19 @@ Training is streaming and per channel: per-feature histograms accumulate until
 a spike budget is reached, smoothed local minima become axis boundaries, the
 boundaries induce a small grid of feature-space partitions, and a 16-entry
 content-addressable memory (CAM) tracks a 2-bit confidence status per occupied
-partition (00 vacant, 01 outlier, 10 weak, 11 strong). After training the
-frozen model assigns each spike to the nearest valid partition.
+partition (00 vacant, 01 outlier, 10 weak, 11 strong). Freezing the model
+applies the nearest-valid-partition rule once per grid cell: at most three
+cuts per axis give a partition -> cluster table of at most 16 cells, so
+classifying a spike is a partition lookup plus one table read, as in the CAM.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from ._util import atomic_write_text
 from .synthdata import PayloadError
 
 BIN_WIDTH = 2            # LSB per histogram bin
@@ -202,7 +202,11 @@ def assign_cluster(idx: tuple, cam: CamState) -> int:
     indices, ties to the lexicographically smallest partition); OUTLIER when
     no partition is valid.
     """
-    valid = valid_partitions(cam)
+    return _nearest_valid(idx, valid_partitions(cam))
+
+
+def _nearest_valid(idx: tuple, valid: list) -> int:
+    """Rank in the ascending list *valid* of the partition nearest to *idx*."""
     if not valid:
         return OUTLIER
     best = min(valid, key=lambda key: (abs(key[0] - idx[0]) + abs(key[1] - idx[1]), key))
@@ -216,30 +220,38 @@ def assign_cluster(idx: tuple, cam: CamState) -> int:
 
 @dataclass
 class OnlineSorterModel:
-    """Frozen per-channel model: boundaries plus the CAM snapshot."""
+    """Frozen per-channel model: boundaries plus the CAM snapshot.
+
+    Construction derives the partition -> cluster table that ``classify``
+    reads; the table is not serialized.
+    """
+
+    kind = "online"
 
     boundaries: tuple            # ([f1 cuts], [f2 cuts])
     cam_snapshot: list           # [(i, j, status)] for occupied entries
     lo: int = -128
     hi: int = 127
 
+    def __post_init__(self):
+        valid = self.valid()
+        self._table = [[_nearest_valid((i, j), valid)
+                        for j in range(len(self.boundaries[1]) + 1)]
+                       for i in range(len(self.boundaries[0]) + 1)]
+
     def valid(self) -> list:
         return sorted((i, j) for i, j, s in self.cam_snapshot if s >= STATUS_WEAK)
 
     def classify(self, f1: int, f2: int) -> int:
-        idx = locate_partition(f1, f2, self.boundaries)
-        valid = self.valid()
-        if not valid:
-            return OUTLIER
-        best = min(valid, key=lambda key: (abs(key[0] - idx[0]) + abs(key[1] - idx[1]), key))
-        return valid.index(best)
+        i, j = locate_partition(f1, f2, self.boundaries)
+        return self._table[i][j]
 
     @property
     def n_clusters(self) -> int:
         return len(self.valid())
 
     def to_json(self) -> dict:
-        return {"kind": "online",
+        return {"kind": self.kind,
                 "boundaries": [list(map(int, self.boundaries[0])),
                                list(map(int, self.boundaries[1]))],
                 "cam": [{"i": int(i), "j": int(j), "status": int(s)}
@@ -247,7 +259,7 @@ class OnlineSorterModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OnlineSorterModel":
-        if obj.get("kind") != "online":
+        if obj.get("kind") != cls.kind:
             raise PayloadError(f"not an online sorter model: kind={obj.get('kind')!r}")
         return cls(boundaries=(list(obj["boundaries"][0]), list(obj["boundaries"][1])),
                    cam_snapshot=[(e["i"], e["j"], e["status"]) for e in obj["cam"]])
@@ -305,21 +317,3 @@ def train_online(tokens, budget: int = SPIKE_BUDGET,
                 decay_period=decay_period)
         sorter.observe(tok.f1, tok.f2)
     return {ch: sorter.finalize() for ch, sorter in sorted(sorters.items())}
-
-
-def store_online_models(models: dict, path: str) -> None:
-    obj = {"kind": "online-set",
-           "channels": {str(ch): m.to_json() for ch, m in sorted(models.items())}}
-    atomic_write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
-
-
-def load_online_models(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PayloadError(f"{path}: {exc}") from exc
-    if obj.get("kind") != "online-set":
-        raise PayloadError(f"{path}: not an online sorter model set")
-    return {int(ch): OnlineSorterModel.from_json(m)
-            for ch, m in obj["channels"].items()}

@@ -1,13 +1,17 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                     EXIT_USAGE, ExperimentConfig, load_sorter_models, main)
-from nsp.decode import load_decoded, load_decoder
-from nsp.sort_offline import TREE_MODEL_BITS
+                     EXIT_USAGE, ExperimentConfig, main)
+from nsp.decode import (FilterState, eokf_step, load_decoded, load_decoder,
+                        store_decoded)
+from nsp.sim import parse_sim_config, reference_ez, run_simulation
+from nsp.sort_offline import TREE_MODEL_BITS, load_models
+from nsp.synthdata import PayloadError, load_trace
 
 
 def run(*argv) -> int:
@@ -134,6 +138,57 @@ def test_report_aggregates_and_cross_checks(pipeline):
                for line in csv)
 
 
+@pytest.fixture(scope="module")
+def windows(pipeline, tmp_path_factory):
+    d = tmp_path_factory.mktemp("windows")
+    assert run("detect", "--trace", pipeline / "trace.bin", "--out", d / "tokens.jsonl",
+               "--windows", d / "windows.jsonl") == EXIT_OK
+    return d / "windows.jsonl"
+
+
+@pytest.mark.parametrize("mode", ["offline", "l1", "online"])
+def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
+    d, m = pipeline, tmp_path
+    if mode == "online":
+        train = ("--tokens", d / "tokens.jsonl")
+    else:
+        train = ("--trace", d / "trace.bin", "--labels", d / "labels.jsonl")
+    assert run("train-sorter", "--mode", mode, *train,
+               "--out", m / "sorters.json") == EXIT_OK
+    if mode != "online":
+        # training from stored windows is the same computation as from the trace
+        assert run("train-sorter", "--mode", mode, "--windows", windows,
+                   "--labels", d / "labels.jsonl",
+                   "--out", m / "sorters_w.json") == EXIT_OK
+        assert (m / "sorters_w.json").read_bytes() == (m / "sorters.json").read_bytes()
+    assert run("sort", "--tokens", d / "tokens.jsonl", "--models", m / "sorters.json",
+               "--out", m / "sorted.jsonl") == EXIT_OK
+    assert run("eval-sort", "--trace", d / "trace.bin", "--labels", d / "labels.jsonl",
+               "--models", m / "sorters.json", "--out", m / "eval.json") == EXIT_OK
+    shutil.copy(d / "decoder.json", m / "decoder.json")
+    assert run("simulate", "--trace", d / "trace.bin", "--models", m,
+               "--config", d / "sim.cfg", "--counters", m / "sim.json",
+               "--decoded", m / "sim_decoded.csv") == EXIT_OK
+
+    counters = json.loads((m / "sim.json").read_text())["counters"]
+    assert counters["decoder_accepts"] > 0
+    assert counters["tokens_lost"] == 0 and counters["late_tokens"] == 0
+    # lossless run: the decoded output is the filter over the reference ez
+    bundle = load_decoder(str(m / "decoder.json"))
+    cfg = parse_sim_config((d / "sim.cfg").read_text())
+    res = run_simulation(load_trace(str(d / "trace.bin")),
+                         load_models(str(m / "sorters.json")), bundle.ensemble, cfg)
+    assert res.counters.as_dict() == counters
+    ez = reference_ez(res.accepted_events, bundle.ensemble, res.n_bins, cfg.bin_len)
+    fs = FilterState(x=bundle.x0.copy(), P=bundle.P0.copy())
+    states = np.empty_like(ez)
+    for k in range(ez.shape[0]):
+        fs = eokf_step(fs, bundle.transition, bundle.ensemble, ez[k])
+        states[k] = fs.x
+    store_decoded(str(m / "ref_decoded.csv"), states)
+    assert (m / "ref_decoded.csv").read_bytes() == (m / "sim_decoded.csv").read_bytes()
+
+
 # --- determinism ------------------------------------------------------------------
 
 
@@ -228,6 +283,24 @@ def test_unknown_model_set_kind_exits_4(tmp_path, pipeline):
                "--models", bogus, "--out", tmp_path / "s.jsonl") == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"kind": "tree-set"}',
+    '{"kind": "l1-set", "channels": {"0": {"kind": "l1", "templates": [[0, 0]]}}}',
+    '{"kind": "l1-set", "channels": {"0": 5}}',
+    '{"kind": "tree-set", "channels": '
+    '{"0": {"kind": "l1", "templates": [[0, 0]], "labels": [1]}}}',
+])
+def test_malformed_model_set_is_a_typed_error(tmp_path, pipeline, capfd, text):
+    bad = tmp_path / "sorters.json"
+    bad.write_text(text)
+    with pytest.raises(PayloadError):
+        load_models(str(bad))
+    assert run("sort", "--tokens", pipeline / "tokens.jsonl",
+               "--models", bad, "--out", tmp_path / "s.jsonl") == EXIT_SCHEMA
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_numerical_failure_exits_5_without_partial_outputs(tmp_path):
     trace = tmp_path / "clip.bin"
     rc = run("gen", "--kind", "trace", "--channels", 1, "--duration", 1.0,
@@ -275,5 +348,5 @@ def test_experiment_config_validation():
 
 
 def test_sorter_set_loader_dispatches_on_kind(pipeline):
-    models = load_sorter_models(str(pipeline / "sorters.json"))
+    models = load_models(str(pipeline / "sorters.json"))
     assert set(models) == {0, 1}

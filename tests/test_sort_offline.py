@@ -6,11 +6,9 @@ from nsp.patterns import enumerate_patterns
 from nsp.sort_offline import (L1_BITS_PER_TEMPLATE, OUTLIER, TREE_MODEL_BITS,
                               ChannelSorterModel, L1TemplateModel,
                               SortOpCounts, boundary_candidates,
-                              classify_spike, l1_classify, load_l1_models,
-                              load_tree_models, model_footprint, pack_model,
-                              store_l1_models, store_tree_models, train_channel_model,
-                              train_l1, unpack_model)
-from nsp.synthdata import PayloadError
+                              classify_spike, l1_classify, load_models,
+                              model_footprint, pack_model, store_models,
+                              train_channel_model, train_l1, unpack_model)
 
 
 def _clusters(rng, centers, n_per, sigma=3.0):
@@ -238,26 +236,38 @@ def test_tree_model_set_round_trip(tmp_path):
         feats, labs = _clusters(rng, [(-60, -60), (60, 60)], n_per=30)
         models[ch] = train_channel_model(feats, labs)
     p = str(tmp_path / "trees.json")
-    store_tree_models(models, p)
-    back = load_tree_models(p)
+    store_models(models, p)
+    back = load_models(p)
     assert sorted(back) == [0, 3]
     for ch in back:
+        assert back[ch].kind == "tree"
         assert back[ch].pattern_id == models[ch].pattern_id
         assert back[ch].boundaries == models[ch].boundaries
         assert back[ch].valid_mask == models[ch].valid_mask
-    with pytest.raises(PayloadError):
-        load_l1_models(p)  # wrong kind
+        for f1, f2 in ((-60, -60), (60, 60), (0, 0)):
+            assert back[ch].classify(f1, f2) == classify_spike(models[ch], f1, f2)
 
 
 def test_l1_model_set_round_trip(tmp_path):
     models = {1: L1TemplateModel(templates=((0, 0), (50, -50)), labels=(2, 0))}
     p = str(tmp_path / "l1.json")
-    store_l1_models(models, p)
-    back = load_l1_models(p)
+    store_models(models, p)
+    back = load_models(p)
+    assert back[1].kind == "l1"
     assert back[1].templates == models[1].templates
     assert back[1].labels == models[1].labels
-    with pytest.raises(PayloadError):
-        load_tree_models(p)
+    for f1, f2 in ((0, 0), (50, -50), (20, -30)):
+        assert back[1].classify(f1, f2) == l1_classify(models[1], f1, f2)
+
+
+def test_model_set_holds_exactly_one_kind(tmp_path):
+    tree = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=2,
+                              boundaries=(-5, 10, 100), valid_mask=0b111)
+    l1 = L1TemplateModel(templates=((0, 0),), labels=(1,))
+    for models in ({}, {0: tree, 1: l1}):
+        with pytest.raises(ValueError):
+            store_models(models, str(tmp_path / "set.json"))
+    assert not (tmp_path / "set.json").exists()
 
 
 def test_model_json_embeds_packed_form():

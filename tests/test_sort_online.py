@@ -6,10 +6,10 @@ from nsp.sort_online import (CAM_CAPACITY, OUTLIER, STATUS_OUTLIER,
                              STATUS_STRONG, STATUS_VACANT, STATUS_WEAK,
                              CamState, FeatureHistograms, OnlineSorter,
                              OnlineSorterModel, assign_cluster, cam_update,
-                             find_boundaries, load_online_models,
-                             locate_partition, store_online_models,
+                             find_boundaries, locate_partition,
                              train_online, update_histograms,
                              valid_partitions)
+from nsp.sort_offline import load_models, store_models
 
 
 def _cluster_tokens(rng, centers, n_per, channel=0):
@@ -194,6 +194,45 @@ def test_train_online_keys_by_channel():
     assert sorted(models) == [0, 2]
 
 
+def _brute_force_labels(model) -> np.ndarray:
+    """Nearest-valid-partition cluster of every int8 (f1, f2) pair, as a
+    (256, 256) array indexed [f1 + 128, f2 + 128], computed directly from the
+    boundaries and the CAM snapshot."""
+    values = np.arange(-128, 128)
+    i = np.array([sum(v >= b for b in model.boundaries[0]) for v in values])
+    j = np.array([sum(v >= b for b in model.boundaries[1]) for v in values])
+    valid = sorted((a, b) for a, b, status in model.cam_snapshot
+                   if status >= STATUS_WEAK)
+    if not valid:
+        return np.full((256, 256), OUTLIER)
+    keys = np.array(valid)
+    dist = (np.abs(i[:, None, None] - keys[None, None, :, 0])
+            + np.abs(j[None, :, None] - keys[None, None, :, 1]))
+    return np.argmin(dist, axis=2)   # first minimum = lexicographically smallest
+
+
+@pytest.mark.parametrize("centers,decay_period", [
+    ([(-60, 50), (40, -40)], 64),
+    ([(-70, 60), (10, 0), (70, -60)], 64),
+    ([(-90, -90), (-30, 30), (30, -30), (90, 90)], 64),
+    ([(-60, 50), (40, -40)], 1),     # every entry decays to vacant: no valid partition
+])
+def test_table_classify_equals_brute_force(centers, decay_period):
+    rng = np.random.default_rng(12)
+    toks = _cluster_tokens(rng, centers, n_per=400)
+    model = train_online(toks, decay_period=decay_period)[0]
+    if decay_period == 1:
+        assert model.valid() == []
+    want = _brute_force_labels(model)
+    got = np.array([[model.classify(f1, f2) for f2 in range(-128, 128)]
+                    for f1 in range(-128, 128)])
+    np.testing.assert_array_equal(got, want)
+    # the table is derived state: the serialized form carries only the model
+    obj = model.to_json()
+    assert set(obj) == {"kind", "boundaries", "cam"}
+    assert OnlineSorterModel.from_json(obj).to_json() == obj
+
+
 # --- persistence --------------------------------------------------------------
 
 
@@ -202,8 +241,8 @@ def test_model_round_trip(tmp_path):
     toks = _cluster_tokens(rng, [(-60, 50), (40, -40)], n_per=600)
     models = train_online(toks)
     p = str(tmp_path / "online.json")
-    store_online_models(models, p)
-    back = load_online_models(p)
+    store_models(models, p)
+    back = load_models(p)
     assert sorted(back) == sorted(models)
     m0, b0 = models[0], back[0]
     assert [list(b) for b in b0.boundaries] == [list(b) for b in m0.boundaries]
