@@ -449,7 +449,8 @@ def cmd_simulate(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             sim_cfg = parse_sim_config(fh.read())
     else:
-        sim_cfg = SimConfig(n_channels=trace.n_channels)
+        sim_cfg = SimConfig(n_channels=trace.n_channels,
+                            clock_hz=trace.sample_rate)
     result = run_simulation(trace, models, bundle.ensemble, sim_cfg)
     counters = result.counters.as_dict()
     _write_json(args.counters, {

@@ -8,6 +8,7 @@ samples: the detector compares |v| against the threshold, cuts a fixed
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,36 +94,63 @@ def estimate_threshold(segment: np.ndarray, k: float = DEFAULT_K) -> float:
     return max(1.0, k * MAD_SCALE * mad)
 
 
-def detect_spikes(channel_trace: np.ndarray, threshold: float,
-                  pre_samples: int = DEFAULT_PRE, channel: int = 0) -> list:
-    """Scan one channel and return the list of SpikeWindow detections.
+def window_starts(channel_trace: np.ndarray, threshold: float,
+                  pre_samples: int = DEFAULT_PRE) -> list:
+    """Start samples of the windows the detector cuts from one channel.
 
     A window opens at the first sample with |v| >= threshold while the
     detector is idle and spans [t - pre_samples, t - pre_samples + 31]; the
     detector then stays busy for 32 samples, so window starts are always at
     least 32 samples apart. A crossing earlier than pre_samples clamps the
     window start to sample 0; a window that cannot complete before the end of
-    the trace is dropped.
+    the trace is dropped. The next crossing past each re-arm point is found
+    by bisection, so the scan costs one step per window, not per hot sample.
     """
     if not (0 <= pre_samples <= 8):
         raise ValueError("pre_samples must be in 0..8")
     trace = np.asarray(channel_trace, dtype=np.int8)
-    n = trace.size
-    out = []
-    hot = np.flatnonzero(np.abs(trace.astype(np.int16)) >= threshold)
-    rearm = 0  # first sample index at which the detector is idle again
-    for t in hot:
-        if t < rearm:
-            continue
-        t0 = max(0, int(t) - pre_samples)
-        if t0 + WINDOW_LEN > n:
+    last = trace.size - WINDOW_LEN   # latest start whose window completes
+    hot = np.flatnonzero(np.abs(trace.astype(np.int16)) >= threshold).tolist()
+    starts = []
+    i = 0
+    while i < len(hot):
+        t0 = max(0, hot[i] - pre_samples)
+        if t0 > last:
             break  # window cannot complete; drop and stop (detector stays busy past EOT)
-        out.append(SpikeWindow(t0=t0, channel=channel,
-                               samples=trace[t0:t0 + WINDOW_LEN].copy()))
+        starts.append(t0)
         # busy until a new crossing could not produce an overlapping window;
         # equals t + 32 except when the window start was clamped to 0
-        rearm = t0 + WINDOW_LEN + pre_samples
-    return out
+        i = bisect_left(hot, t0 + WINDOW_LEN + pre_samples, i + 1)
+    return starts
+
+
+def detect_spikes(channel_trace: np.ndarray, threshold: float,
+                  pre_samples: int = DEFAULT_PRE, channel: int = 0) -> list:
+    """Scan one channel and return the list of SpikeWindow detections.
+
+    Windows start where :func:`window_starts` says.
+    """
+    trace = np.asarray(channel_trace, dtype=np.int8)
+    return [SpikeWindow(t0=t0, channel=channel,
+                        samples=trace[t0:t0 + WINDOW_LEN].copy())
+            for t0 in window_starts(trace, threshold, pre_samples)]
+
+
+def gather_windows(channel_trace: np.ndarray, starts) -> np.ndarray:
+    """The (len(starts), 32) int8 array of the windows starting at *starts*."""
+    trace = np.asarray(channel_trace, dtype=np.int8)
+    starts = np.asarray(starts, dtype=np.intp).reshape(-1, 1)
+    return trace[starts + np.arange(WINDOW_LEN)]
+
+
+def window_features(windows: np.ndarray, spec: FeatureSpec = FeatureSpec()) -> tuple:
+    """Both features of every row of a (n, 32) window array, as int8 arrays.
+
+    Row by row this equals :func:`extract_features`.
+    """
+    if spec.mode == "peak-trough":
+        return windows.max(axis=1), windows.min(axis=1)
+    return windows[:, spec.idx_a], windows[:, spec.idx_b]
 
 
 def extract_features(window: SpikeWindow, spec: FeatureSpec = FeatureSpec()) -> SpikeToken:

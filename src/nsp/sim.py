@@ -5,10 +5,14 @@ to a per-group conveyor ring; one sorter per group classifies at most one
 token per cycle; sorted events contend for a single bounded decoder buffer
 feeding the per-bin ensemble accumulator. Everything is a deterministic state
 machine: identical inputs give identical counters and outputs.
+``Simulator.run`` advances from event to event and skips the cycles in which
+tokens only travel; ``Simulator.step`` advances one cycle and is the
+reference that ``run`` must match.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -16,8 +20,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .decode import EnsembleModel
-from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, detect_spikes,
-                     estimate_threshold, extract_features)
+from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, estimate_threshold,
+                     gather_windows, window_features, window_starts)
 from .synthdata import PayloadError, RawTrace, WINDOW_LEN
 
 SAMPLE_BITS = 8
@@ -163,6 +167,16 @@ class Simulator:
     *ensemble* defines the accumulated (channel, cluster) columns. Channels
     absent from the ensemble selection are gated out after detection when
     ``config.channel_gating`` is set.
+
+    Conveyor rings are indexed by absolute cycle: slot ``e % conveyor_slots``
+    of a group's ring holds the token that reaches the group's sorter in
+    cycle ``e``. A token inserted at tap ``tap`` in cycle ``c`` takes slot
+    ``(c + tap) % conveyor_slots`` and the head in cycle ``c`` is slot
+    ``c % conveyor_slots``, so advancing a conveyor moves no data. Because
+    every tap lies less than ``group_size <= conveyor_slots`` slots from the
+    head, two pending tokens of one ring never share a slot. The exit cycles
+    of all ring tokens are kept in a min-heap, which tells :meth:`run` when
+    the next token reaches a sorter.
     """
 
     def __init__(self, config: SimConfig, ensemble: EnsembleModel,
@@ -182,7 +196,7 @@ class Simulator:
         self.cycle = 0
         self._next_comp = 0
         self._rings = [[None] * config.conveyor_slots for _ in range(config.n_groups)]
-        self._ring_count = 0
+        self._exits = []          # min-heap: exit cycle of every ring token
         self._held = {}
         self._fifo = deque()
         self._selected_channels = {ch for ch, _ in ensemble.selected}
@@ -190,7 +204,9 @@ class Simulator:
         d = ensemble.E.shape[0]
         self._banks = np.zeros((n_bins, len(ensemble.selected)), dtype=np.int64)
         self._ez = np.zeros((n_bins, d), dtype=np.float64)
+        self._bin_len = config.bin_len
         self._next_emit = 0
+        self._next_close = self._close_cycle(0)
         self.sorts_by_channel = np.zeros(config.n_channels, dtype=np.int64)
         self.accepted_events = []
 
@@ -198,18 +214,21 @@ class Simulator:
 
     @property
     def pipeline_empty(self) -> bool:
-        return not self._held and self._ring_count == 0 and not self._fifo
+        return not self._held and not self._exits and not self._fifo
 
     @property
     def done(self) -> bool:
         return (self._next_comp >= len(self.schedule) and self.pipeline_empty
                 and self._next_emit >= self.n_bins)
 
-    def _bank_close_cycle(self, k: int) -> int:
-        return (k + 1) * self.config.bin_len + self.config.grace_cycles
+    def _close_cycle(self, k: int) -> float:
+        """Cycle in which bank *k* closes; infinite past the last bank."""
+        if k >= self.n_bins:
+            return math.inf
+        return (k + 1) * self._bin_len + self.config.grace_cycles
 
     def in_flight(self) -> int:
-        return len(self._held) + self._ring_count + len(self._fifo)
+        return len(self._held) + len(self._exits) + len(self._fifo)
 
     def check_conservation(self) -> None:
         c = self.counters
@@ -223,7 +242,11 @@ class Simulator:
     # -- the clock ----------------------------------------------------------
 
     def step(self) -> "Simulator":
-        """Advance one clock cycle through all pipeline stages."""
+        """Advance one clock cycle through all pipeline stages.
+
+        This is the per-cycle oracle that :meth:`run` must match: every call
+        advances exactly one cycle and checks token conservation at its end.
+        """
         cfg = self.config
         cyc = self.cycle
 
@@ -247,25 +270,29 @@ class Simulator:
         # taps are distinct per channel so same-cycle inserters never conflict
         waiting = sorted(self._held.values(), key=lambda c: c.channel) + fresh
         self._held = {}
+        slots = cfg.conveyor_slots
         for comp in waiting:
-            group = comp.channel // cfg.group_size
-            tap = comp.channel % cfg.group_size
-            if self._rings[group][tap] is None:
-                self._rings[group][tap] = comp
-                self._ring_count += 1
+            group, tap = divmod(comp.channel, cfg.group_size)
+            ring = self._rings[group]
+            slot = (cyc + tap) % slots
+            if ring[slot] is None:
+                ring[slot] = comp
+                heapq.heappush(self._exits, cyc + tap)
             else:
                 self._held[comp.channel] = comp
                 self.counters.stall_cycles += 1
 
-        # (c) each conveyor advances one slot toward its sorter
+        # (c) each conveyor advances one slot: its head reaches the sorter
         heads = []
-        for ring in self._rings:
-            out = ring[0]
-            ring[0:-1] = ring[1:]
-            ring[-1] = None
-            if out is not None:
-                self._ring_count -= 1
-                heads.append(out)
+        exits = self._exits
+        if exits and exits[0] == cyc:
+            head = cyc % slots
+            for ring in self._rings:
+                out = ring[head]
+                if out is not None:
+                    ring[head] = None
+                    heapq.heappop(exits)
+                    heads.append(out)
 
         # (d) one sort per group per cycle
         arrivals = []
@@ -288,8 +315,7 @@ class Simulator:
                 self.counters.tokens_lost += 1
 
         # (f) close any accumulator bank whose grace window ends this cycle
-        while (self._next_emit < self.n_bins
-               and self._bank_close_cycle(self._next_emit) <= cyc):
+        while self._next_close <= cyc:
             self._emit_bank()
 
         self.cycle = cyc + 1
@@ -298,10 +324,9 @@ class Simulator:
         return self
 
     def _accept(self, comp: Completion, label: int) -> None:
-        cfg = self.config
         self.counters.decoder_accepts += 1
-        k = comp.t // cfg.bin_len
-        if self.cycle > (k + 1) * cfg.bin_len:
+        k = comp.t // self._bin_len
+        if self.cycle > (k + 1) * self._bin_len:
             self.counters.edge_crossings += 1
         if k >= self.n_bins:
             k = self.n_bins - 1          # tail event of a truncated final bin
@@ -321,24 +346,35 @@ class Simulator:
         k = self._next_emit
         self._ez[k] = self.ensemble.E @ self._banks[k].astype(np.float64)
         self._next_emit = k + 1
+        self._next_close = self._close_cycle(k + 1)
         self.counters.bins_emitted += 1
         self.counters.output_bits += self.ensemble.E.shape[0] * self.config.output_width_bits
 
     def run(self) -> "Simulator":
-        """Step until the schedule is drained and every bank has been emitted."""
+        """Step until the schedule is drained and every bank has been emitted.
+
+        Next-event rule: while no token is held for insertion and the
+        decoder buffer is empty, the clock jumps straight to the earliest of
+        the next detector completion, the next conveyor exit (the top of the
+        exit heap) and the next bank close, and :meth:`step` runs only
+        there. A skipped cycle only carries tokens along their rings, which
+        absolute slot indexing does without touching them, so no counter,
+        bank, output or conservation term changes in it. Counters, banks,
+        outputs and raised errors equal those of calling :meth:`step` once
+        per cycle until :attr:`done`.
+        """
+        schedule = self.schedule
+        exits = self._exits
         while not self.done:
-            if (self.pipeline_empty
-                    and (self._next_comp >= len(self.schedule)
-                         or self.schedule[self._next_comp].cycle > self.cycle)):
-                jumps = []
-                if self._next_comp < len(self.schedule):
-                    jumps.append(self.schedule[self._next_comp].cycle)
-                if self._next_emit < self.n_bins:
-                    jumps.append(self._bank_close_cycle(self._next_emit))
-                nxt = min(jumps)
+            if not self._held and not self._fifo:
+                nxt = self._next_close
+                if self._next_comp < len(schedule):
+                    nxt = min(nxt, schedule[self._next_comp].cycle)
+                if exits:
+                    nxt = min(nxt, exits[0])
                 if nxt > self.cycle:
                     self.cycle = nxt
-                    self.counters.cycles = max(self.counters.cycles, self.cycle)
+                    self.counters.cycles = max(self.counters.cycles, nxt)
             self.step()
         return self
 
@@ -375,10 +411,13 @@ def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
         thr = (thresholds[ch] if thresholds is not None
                else estimate_threshold(row, DEFAULT_K))
         spec = getattr(models[ch], "feature_spec", None) or FeatureSpec()
-        for w in detect_spikes(row, thr, config.pre_samples, channel=ch):
-            tok = extract_features(w, spec)
-            schedule.append(Completion(cycle=w.t0 + WINDOW_LEN - 1, channel=ch,
-                                       t=tok.t, f1=tok.f1, f2=tok.f2))
+        starts = window_starts(row, thr, config.pre_samples)
+        if not starts:
+            continue
+        f1, f2 = window_features(gather_windows(row, starts), spec)
+        schedule.extend(Completion(cycle=t0 + WINDOW_LEN - 1, channel=ch,
+                                   t=t0, f1=a, f2=b)
+                        for t0, a, b in zip(starts, f1.tolist(), f2.tolist()))
     return schedule
 
 
@@ -388,7 +427,9 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
     """Drive the fabric over a full trace and return outputs plus counters.
 
     *models* maps channel -> sorter model (anything with ``classify(f1, f2)``)
-    or a plain (f1, f2) -> label callable.
+    or a plain (f1, f2) -> label callable. The fabric takes one sample per
+    channel per cycle, so ``trace.sample_rate`` must equal ``config.clock_hz``;
+    a mismatch raises ConfigMismatchError instead of binning at the wrong rate.
 
     Whenever ``tokens_lost == 0`` and no token was flagged late, the per-bin
     ``ez`` equals the reference computed outside the simulator (count the
@@ -400,6 +441,10 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
         raise ConfigMismatchError(
             f"trace has {trace.data.shape[0]} channels but the config "
             f"expects {config.n_channels}")
+    if trace.sample_rate != config.clock_hz:
+        raise ConfigMismatchError(
+            f"trace is sampled at {trace.sample_rate} Hz but the fabric clock "
+            f"is {config.clock_hz} Hz; one sample per cycle needs them equal")
     n_samples = trace.data.shape[1]
     n_bins = max(1, math.ceil(n_samples / config.bin_len))
     schedule = build_schedule(trace, models, config, thresholds)

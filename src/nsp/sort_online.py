@@ -261,8 +261,36 @@ class OnlineSorterModel:
     def from_json(cls, obj: dict) -> "OnlineSorterModel":
         if obj.get("kind") != cls.kind:
             raise PayloadError(f"not an online sorter model: kind={obj.get('kind')!r}")
-        return cls(boundaries=(list(obj["boundaries"][0]), list(obj["boundaries"][1])),
-                   cam_snapshot=[(e["i"], e["j"], e["status"]) for e in obj["cam"]])
+        cuts = obj["boundaries"]
+        if not isinstance(cuts, list) or len(cuts) != 2:
+            raise PayloadError("boundaries must be a pair of cut lists")
+        for axis, axis_cuts in enumerate(cuts):
+            _check_cuts(axis, axis_cuts)
+        cam = [(e["i"], e["j"], e["status"]) for e in obj["cam"]]
+        for i, j, _ in cam:
+            if not (_is_int(i) and _is_int(j) and 0 <= i <= len(cuts[0])
+                    and 0 <= j <= len(cuts[1])):
+                raise PayloadError(
+                    f"CAM entry ({i!r}, {j!r}) lies outside the "
+                    f"{len(cuts[0]) + 1}x{len(cuts[1]) + 1} partition grid")
+        return cls(boundaries=(list(cuts[0]), list(cuts[1])), cam_snapshot=cam)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_cuts(axis: int, cuts) -> None:
+    """Reject a cut list that classify could not use: PayloadError at load."""
+    where = f"boundaries of feature {axis + 1}"
+    if not isinstance(cuts, list):
+        raise PayloadError(f"{where}: expected a list, got {cuts!r}")
+    if len(cuts) > MAX_BOUNDARIES:
+        raise PayloadError(f"{where}: {len(cuts)} cuts, at most {MAX_BOUNDARIES} allowed")
+    if not all(_is_int(c) and -128 <= c <= 127 for c in cuts):
+        raise PayloadError(f"{where}: cuts must be int8 integers, got {cuts!r}")
+    if any(a >= b for a, b in zip(cuts, cuts[1:])):
+        raise PayloadError(f"{where}: cuts must be strictly ascending, got {cuts!r}")
 
 
 class OnlineSorter:

@@ -11,7 +11,8 @@ from nsp.decode import (FilterState, eokf_step, load_decoded, load_decoder,
                         store_decoded)
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
 from nsp.sort_offline import TREE_MODEL_BITS, load_models
-from nsp.synthdata import PayloadError, load_trace
+from nsp.synthdata import (PayloadError, TraceConfig, gen_spike_trace,
+                           load_trace, store_trace)
 
 
 def run(*argv) -> int:
@@ -283,6 +284,11 @@ def test_unknown_model_set_kind_exits_4(tmp_path, pipeline):
                "--models", bogus, "--out", tmp_path / "s.jsonl") == EXIT_SCHEMA
 
 
+def _online_set(cuts: str, cam: str) -> str:
+    return ('{"kind": "online-set", "channels": {"0": '
+            f'{{"kind": "online", "boundaries": {cuts}, "cam": {cam}}}}}}}')
+
+
 @pytest.mark.parametrize("text", [
     "[1]",
     '{"kind": "tree-set"}',
@@ -290,6 +296,20 @@ def test_unknown_model_set_kind_exits_4(tmp_path, pipeline):
     '{"kind": "l1-set", "channels": {"0": 5}}',
     '{"kind": "tree-set", "channels": '
     '{"0": {"kind": "l1", "templates": [[0, 0]], "labels": [1]}}}',
+    *(_online_set(cuts, cam) for cuts, cam in [
+        ('[["a"], []]', '[]'),                  # a cut that is not an int
+        ('[[1.5], []]', '[]'),
+        ('[[true], []]', '[]'),
+        ('[[0], [200]]', '[]'),                 # outside int8
+        ('[[-129], []]', '[]'),
+        ('[[5, 3], []]', '[]'),                 # not ascending
+        ('[[4, 4], []]', '[]'),
+        ('[[1, 2, 3, 4], []]', '[]'),           # more than MAX_BOUNDARIES
+        ('[[0]]', '[]'),                        # one axis only
+        ('[[0], []]', '[{"i": 2, "j": 0, "status": 3}]'),   # CAM cell off the grid
+        ('[[0], []]', '[{"i": 0, "j": -1, "status": 3}]'),
+        ('[[0], []]', '[{"i": "0", "j": 0, "status": 3}]'),
+    ]),
 ])
 def test_malformed_model_set_is_a_typed_error(tmp_path, pipeline, capfd, text):
     bad = tmp_path / "sorters.json"
@@ -299,6 +319,26 @@ def test_malformed_model_set_is_a_typed_error(tmp_path, pipeline, capfd, text):
     assert run("sort", "--tokens", pipeline / "tokens.jsonl",
                "--models", bad, "--out", tmp_path / "s.jsonl") == EXIT_SCHEMA
     assert "Traceback" not in capfd.readouterr().err
+
+
+def test_simulate_clocks_the_fabric_at_the_trace_rate(tmp_path, pipeline):
+    d = pipeline
+    trace, _ = gen_spike_trace(TraceConfig(n_channels=32, duration_s=1.0,
+                                           sample_rate=20000), seed=3)
+    store_trace(trace, str(tmp_path / "t20k.bin"))
+    assert run("simulate", "--trace", tmp_path / "t20k.bin", "--models", d,
+               "--counters", tmp_path / "sim.json",
+               "--decoded", tmp_path / "sim.csv") == EXIT_OK
+    out = json.loads((tmp_path / "sim.json").read_text())
+    assert out["config"]["clock_hz"] == 20000
+    assert out["counters"]["bins_emitted"] == 10          # 2000-cycle bins
+    meta = json.loads((tmp_path / "sim.csv.meta.json").read_text())
+    assert meta["n_bins"] == 10
+    (tmp_path / "30k.cfg").write_text("n_channels = 32\nclock_hz = 30000\n")
+    assert run("simulate", "--trace", tmp_path / "t20k.bin", "--models", d,
+               "--config", tmp_path / "30k.cfg",
+               "--counters", tmp_path / "sim30.json") == EXIT_SCHEMA
+    assert not (tmp_path / "sim30.json").exists()
 
 
 def test_numerical_failure_exits_5_without_partial_outputs(tmp_path):

@@ -3,8 +3,9 @@ import pytest
 
 from nsp.detect import (DEFAULT_K, FeatureSpec, SegmentTooShort, SpikeWindow,
                         detect_spikes, detect_trace, estimate_threshold,
-                        extract_features, load_tokens, load_windows,
-                        store_tokens, store_windows)
+                        extract_features, gather_windows, load_tokens,
+                        load_windows, store_tokens, store_windows,
+                        window_features, window_starts)
 
 WINDOW_LEN = 32
 
@@ -107,6 +108,47 @@ def test_window_starts_at_least_window_len_apart():
     starts = np.array([w.t0 for w in ws])
     assert len(starts) > 10
     assert np.diff(starts).min() >= WINDOW_LEN
+
+
+def _scan_starts(trace, threshold, pre):
+    """Sample-by-sample detector: the plain form of the re-arm rule."""
+    trace = np.asarray(trace, dtype=np.int8)
+    starts, rearm = [], 0
+    for t in range(trace.size):
+        if t < rearm or abs(int(trace[t])) < threshold:
+            continue
+        t0 = max(0, t - pre)
+        if t0 + WINDOW_LEN > trace.size:
+            break
+        starts.append(t0)
+        rearm = t0 + WINDOW_LEN + pre
+    return starts
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_window_starts_equal_the_sample_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 3000))
+    trace = _quiet_trace(n, noise=float(rng.uniform(2.0, 30.0)), seed=seed)
+    trace[:3] = rng.integers(-100, 100, 3)        # crossings near the start
+    trace[-20:] = rng.integers(-100, 100, 20)     # and near the end
+    threshold = float(rng.uniform(1.0, 60.0))
+    pre = int(rng.integers(0, 9))
+    assert window_starts(trace, threshold, pre) == _scan_starts(trace, threshold, pre)
+
+
+@pytest.mark.parametrize("spec", [FeatureSpec(), FeatureSpec("indexed", 3, 29)])
+def test_window_array_features_equal_extract_features(spec):
+    trace = _quiet_trace(5000, noise=12.0, seed=5)
+    ws = detect_spikes(trace, threshold=25.0, pre_samples=4)
+    assert len(ws) > 5
+    windows = gather_windows(trace, [w.t0 for w in ws])
+    assert windows.dtype == np.int8
+    assert np.array_equal(windows, np.stack([w.samples for w in ws]))
+    f1, f2 = window_features(windows, spec)
+    toks = [extract_features(w, spec) for w in ws]
+    assert f1.tolist() == [tok.f1 for tok in toks]
+    assert f2.tolist() == [tok.f2 for tok in toks]
 
 
 def test_pre_samples_bounds():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from nsp.sim import (Completion, ConfigMismatchError, SimConfig, Simulator,
                      build_schedule, linear_fit_r2, parse_sim_config,
                      reference_ez, run_simulation, serialize_sim_config,
                      sweep_spike_rate)
-from nsp.synthdata import PayloadError, gen_spike_trace, tier_config
+from nsp.detect import FeatureSpec, detect_spikes, extract_features
+from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
+                           tier_config)
 
 
 def _ensemble(channels, units=1, d=2, seed=0):
@@ -220,6 +224,125 @@ def test_hopelessly_delayed_token_spills_into_oldest_open_bank():
     assert sim._banks[1].sum() == 1   # oldest bank still open when it landed
 
 
+# --- next-event run() vs the per-cycle step() oracle -----------------------------
+
+
+def _random_fabric(seed):
+    """A small fabric with a random schedule: bursts, short re-arm gaps, late tokens."""
+    rng = np.random.default_rng(seed)
+    group_size = int(rng.choice([1, 2, 4, 8]))
+    n = group_size * int(rng.integers(1, 4))
+    cfg = SimConfig(n_channels=n, group_size=group_size,
+                    conveyor_slots=group_size + int(rng.integers(0, 5)),
+                    decoder_buffer_depth=int(rng.integers(1, 5)),
+                    clock_hz=1000, bin_ms=100,
+                    channel_gating=bool(rng.integers(2)))
+    n_bins = int(rng.integers(1, 5))
+    pairs = [(ch, u) for ch in range(n) for u in range(3)]
+    keep = rng.random(len(pairs)) < 0.5
+    keep[0] = True
+    selected = tuple(p for p, k in zip(pairs, keep) if k)
+    ens = EnsembleModel(E=rng.normal(0.0, 0.1, size=(2, len(selected))),
+                        Qe=0.1 * np.eye(2), selected=selected)
+    classifiers = {ch: (lambda f1, f2, ch=ch: (f1 - f2 + ch) % 3) for ch in range(n)}
+    grid = int(rng.integers(1, 40))     # a coarse grid lines channels up in bursts
+    schedule = []
+    for ch in range(n):
+        t = grid * int(rng.integers(0, 3))
+        while t + 31 < n_bins * cfg.bin_len:
+            cycle = t + 31
+            if rng.random() < 0.02:
+                cycle += int(rng.integers(100, 300))   # queued long after detection
+            schedule.append(Completion(cycle=cycle, channel=ch, t=t,
+                                       f1=int(rng.integers(-128, 128)),
+                                       f2=int(rng.integers(-128, 128))))
+            gap = (int(rng.integers(1, 4)) if rng.random() < 0.05
+                   else 32 + grid * int(rng.integers(0, 4)))
+            t += gap
+    return cfg, ens, classifiers, schedule, n_bins
+
+
+def _outcome(sim, drive):
+    try:
+        drive(sim)
+        err = None
+    except AssertionError as exc:
+        err = str(exc)
+    return {"err": err, "cycle": sim.cycle, "counters": sim.counters.as_dict(),
+            "ez": sim._ez.tolist(), "banks": sim._banks.tolist(),
+            "accepted": list(sim.accepted_events),
+            "sorts_by_channel": sim.sorts_by_channel.tolist()}
+
+
+def _step_until_done(sim):
+    while not sim.done:
+        sim.step()
+
+
+def test_run_equals_the_per_cycle_step_loop():
+    seen = dict.fromkeys(("stall_cycles", "decoder_collisions", "tokens_lost",
+                          "gated_tokens", "late_tokens", "rearm", "wide_ring"), 0)
+    for seed in range(300):
+        cfg, ens, classifiers, schedule, n_bins = _random_fabric(seed)
+        fast = _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
+                        Simulator.run)
+        slow = _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
+                        _step_until_done)
+        assert fast == slow, seed
+        for key in seen:
+            if key in fast["counters"]:
+                seen[key] += fast["counters"][key] > 0
+        seen["rearm"] += fast["err"] is not None and "re-arm" in fast["err"]
+        seen["wide_ring"] += cfg.conveyor_slots > cfg.group_size
+    # the random fabrics reach every contention case
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_run_skips_travel_cycles():
+    cfg = SimConfig(n_channels=8, group_size=8, conveyor_slots=12)
+    sched = [Completion(cycle=10, channel=7, t=0, f1=0, f2=0)]
+    sim = _sim(cfg, range(8), sched, n_bins=2)
+    steps = []
+    step = sim.step
+    sim.step = lambda: steps.append(sim.cycle) or step()
+    sim.run()
+    # completion and insertion, head arrival, decoder accept, two bank closes
+    assert steps == [10, 17, 18, cfg.bin_len + cfg.grace_cycles,
+                     2 * cfg.bin_len + cfg.grace_cycles]
+    assert sim.counters.sorts == sim.counters.decoder_accepts == 1
+
+
+# --- schedule building ------------------------------------------------------------
+
+
+def test_build_schedule_equals_per_window_detection():
+    rng = np.random.default_rng(8)
+    n_samples = 3000
+    data = np.clip(np.round(rng.normal(0, 10.0, (4, n_samples))),
+                   -128, 127).astype(np.int8)
+    data[0, 1] = -100                  # crossing before pre_samples: start clamps to 0
+    data[1, n_samples - 5] = 110       # crossing whose window cannot complete
+    trace = RawTrace(data=data, sample_rate=30000)
+    cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
+    specs = {0: FeatureSpec(), 1: FeatureSpec("indexed", 2, 30),
+             3: FeatureSpec("indexed", 31, 0)}
+    models = {ch: SimpleNamespace(feature_spec=spec) for ch, spec in specs.items()}
+    thresholds = {0: 30.0, 1: 28.0, 3: 35.0}
+    schedule = build_schedule(trace, models, cfg, thresholds)
+
+    expected = []
+    for ch in sorted(models):
+        for w in detect_spikes(data[ch], thresholds[ch], cfg.pre_samples, channel=ch):
+            tok = extract_features(w, specs[ch])
+            expected.append((w.t0 + 31, ch, tok.t, tok.f1, tok.f2))
+    got = [(c.cycle, c.channel, c.t, c.f1, c.f2) for c in schedule]
+    assert got == expected
+    assert all(type(v) is int for row in got for v in row)
+    assert got[0][2] == 0                                  # the clamped window
+    assert max(t for _, ch, t, _, _ in got if ch == 1) < n_samples - 32
+    assert {ch for _, ch, _, _, _ in got} == {0, 1, 3}     # unmodeled channel stays silent
+
+
 # --- whole-trace runs -------------------------------------------------------------
 
 
@@ -288,6 +411,18 @@ def test_channel_count_mismatch_is_rejected(sim_setup):
     _, trace, models, ens = sim_setup
     with pytest.raises(ConfigMismatchError):
         run_simulation(trace, models, ens, SimConfig(n_channels=4, group_size=4))
+
+
+def test_sample_rate_must_equal_the_fabric_clock():
+    trace, _ = gen_spike_trace(TraceConfig(n_channels=4, duration_s=0.5,
+                                           sample_rate=20000), seed=5)
+    ens = _ensemble(range(4))
+    models = {ch: (lambda f1, f2: 0) for ch in range(4)}
+    with pytest.raises(ConfigMismatchError, match="20000 Hz"):
+        run_simulation(trace, models, ens, SimConfig(n_channels=4, group_size=4))
+    res = run_simulation(trace, models, ens,
+                         SimConfig(n_channels=4, group_size=4, clock_hz=20000))
+    assert res.config.bin_len == 2000 and res.n_bins == 5
 
 
 def test_foreign_channel_in_schedule_is_rejected():
