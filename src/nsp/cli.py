@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -330,13 +331,17 @@ def cmd_train_decoder(args) -> int:
 
 def _counts_to_events(counts_selected: np.ndarray, bin_len: int,
                       selected) -> np.ndarray:
-    """Expand per-bin selected-unit counts into (t, ch, unit) event rows."""
-    rows = []
-    for k in range(counts_selected.shape[0]):
-        t = k * bin_len
-        for j, (ch, un) in enumerate(selected):
-            rows.extend([(t, ch, un)] * int(counts_selected[k, j]))
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    """Expand per-bin selected-unit counts into (t, ch, unit) event rows.
+
+    Rows come bin-major, then in *selected* column order; each bin's events
+    sit at the bin's first sample, and a count below zero gives no event.
+    """
+    counts = np.asarray(counts_selected, dtype=np.int64)
+    n_bins, s = counts.shape
+    pairs = np.asarray(selected, dtype=np.int64).reshape(s, 2)
+    rows = np.column_stack([np.repeat(np.arange(n_bins, dtype=np.int64) * bin_len, s),
+                            np.tile(pairs, (n_bins, 1))])
+    return np.repeat(rows, np.maximum(counts.ravel(), 0), axis=0)
 
 
 def _load_sorted_events(path: str) -> np.ndarray:
@@ -450,6 +455,8 @@ def cmd_simulate(args) -> int:
             sim_cfg = parse_sim_config(fh.read())
     else:
         sim_cfg = SimConfig(n_channels=trace.n_channels,
+                            group_size=math.gcd(SimConfig.group_size,
+                                               trace.n_channels),
                             clock_hz=trace.sample_rate)
     result = run_simulation(trace, models, bundle.ensemble, sim_cfg)
     counters = result.counters.as_dict()

@@ -380,6 +380,55 @@ def run_eokf(trans: StateTransitionModel, ens: EnsembleModel,
 # ---------------------------------------------------------------------------
 
 
+def _pair_columns(selected, channel, unit) -> np.ndarray:
+    """Column of each (channel, unit) pair in *selected*; -1 if unselected.
+
+    The rule of a ``{pair: column}`` dict over *selected* (a repeated pair
+    maps to its last column), for any integer channel and unit ids: pairs are
+    looked up by channel with ``searchsorted``, then by unit among that
+    channel's few selected units.
+    """
+    index = {(int(c), int(u)): j for j, (c, u) in enumerate(selected)}
+    ch = np.asarray(channel, dtype=np.int64)
+    un = np.asarray(unit, dtype=np.int64)
+    col = np.full(ch.shape, -1, dtype=np.int64)
+    if not index:
+        return col
+    pairs = sorted(index)
+    key_ch = np.array([c for c, _ in pairs], dtype=np.int64)
+    key_un = np.array([u for _, u in pairs], dtype=np.int64)
+    key_col = np.array([index[p] for p in pairs], dtype=np.int64)
+    lo = np.searchsorted(key_ch, ch, side="left")
+    hi = np.searchsorted(key_ch, ch, side="right")
+    for o in range(int((hi - lo).max(initial=0))):
+        at = np.minimum(lo + o, len(pairs) - 1)
+        hit = (lo + o < hi) & (key_un[at] == un)
+        col[hit] = key_col[at[hit]]
+    return col
+
+
+def _bin_columns(events, n_bins: int, bin_len: int, selected) -> tuple:
+    """(bin, column) of every (t, channel, unit) event row.
+
+    The column is -1 for an unselected pair and for a time outside the binned
+    span [0, n_bins*bin_len).
+    """
+    if bin_len < 1:
+        raise ValueError("bin_len must be positive")
+    ev = np.asarray(events, dtype=np.int64).reshape(-1, 3)
+    b = ev[:, 0] // bin_len
+    col = _pair_columns(selected, ev[:, 1], ev[:, 2])
+    col[(b < 0) | (b >= n_bins)] = -1
+    return b, col
+
+
+def _bin_counts(b: np.ndarray, col: np.ndarray, n_bins: int, s: int) -> np.ndarray:
+    """(n_bins, s) int64 event counts of the rows with a column."""
+    keep = col >= 0
+    flat = np.bincount(b[keep] * s + col[keep], minlength=n_bins * s)
+    return flat.astype(np.int64, copy=False).reshape(n_bins, s)
+
+
 def bin_spikes(events, n_bins: int, bin_len: int, selected) -> np.ndarray:
     """Count sorted events into half-open bins [k*bin_len, (k+1)*bin_len).
 
@@ -387,24 +436,8 @@ def bin_spikes(events, n_bins: int, bin_len: int, selected) -> np.ndarray:
     *selected* are counted, in the column order of *selected*. Event order is
     irrelevant. Events outside the binned span are dropped.
     """
-    ev = np.asarray(events, dtype=np.int64).reshape(-1, 3)
-    out = np.zeros((n_bins, len(selected)), dtype=np.int64)
-    if ev.shape[0] == 0:
-        return out
-    t, ch, un = ev[:, 0], ev[:, 1], ev[:, 2]
-    key_of = {(c, u): j for j, (c, u) in enumerate(selected)}
-    max_ch = int(ch.max())
-    lut = np.full((max(max_ch + 1, 1) * 4,), -1, dtype=np.int64)
-    for (c, u), j in key_of.items():
-        if 0 <= u < 4 and c <= max_ch:
-            lut[c * 4 + u] = j
-    b = t // bin_len
-    ok = (t >= 0) & (b < n_bins) & (ch >= 0) & (un >= 0) & (un < 4)
-    col = np.full(ev.shape[0], -1, dtype=np.int64)
-    col[ok] = lut[ch[ok] * 4 + un[ok]]
-    ok &= col >= 0
-    np.add.at(out, (b[ok], col[ok]), 1)
-    return out
+    b, col = _bin_columns(events, n_bins, bin_len, selected)
+    return _bin_counts(b, col, n_bins, len(selected))
 
 
 @dataclass(frozen=True)
@@ -460,6 +493,10 @@ class ImplantAccumulator:
     it adds the quantized 16-bit E column into a 32-bit accumulator on every
     event — the literal hardware datapath — and emission rescales by the
     format's LSB.
+
+    ``accumulate`` and ``emit_bin`` model that datapath one event and one bin
+    at a time; they are the oracle of ``accumulate_bins``, which takes a whole
+    event stream at once and gives the same bits.
     """
 
     def __init__(self, ens: EnsembleModel, mode: str = "float",
@@ -505,34 +542,65 @@ class ImplantAccumulator:
             self._counts[:] = 0
         return ez
 
+    def accumulate_bins(self, events, n_bins: int, bin_len: int) -> np.ndarray:
+        """Accumulate a whole (t, channel, unit) stream; (n_bins, d) ez per bin.
+
+        Gives the bits of ``accumulate`` on every event in bin order (stable:
+        by bin, then input order) with ``emit_bin`` at each bin's end. An
+        event whose pair is unselected or whose time lies outside
+        [0, n_bins*bin_len) counts as dropped, as ``bin_spikes`` drops it.
+        Float mode emits ``E @ counts[k]`` per bin, the expression of
+        ``emit_bin``. Fixed mode sums the quantized columns exactly in int64
+        and raises ``ArithmeticError`` if any per-event running sum inside a
+        bin leaves the 32-bit range, even one that is back in range by the
+        bin's end; the counters are then left unchanged. A bin in progress
+        from ``accumulate`` is neither read nor reset.
+        """
+        b, col = _bin_columns(events, n_bins, bin_len, self.ens.selected)
+        d, s = self.ens.E.shape
+        counts = _bin_counts(b, col, n_bins, s)
+        per_bin = counts.sum(axis=1)
+        if self.mode == "fixed":
+            sums = counts @ self._eq.T
+            # running sums over the whole stream in accumulate order, less
+            # the sum of the earlier bins: the accumulator within each bin
+            keep = col >= 0
+            run = self._eq.T[col[keep][np.argsort(b[keep], kind="stable")]]
+            np.cumsum(run, axis=0, out=run)
+            run -= np.repeat(np.cumsum(sums, axis=0) - sums, per_bin, axis=0)
+            if run.max(initial=0) > INT32_MAX or run.min(initial=0) < -INT32_MAX:
+                raise ArithmeticError("implant accumulator exceeded 32-bit range")
+            ez = self.fmt.dequantize(sums)
+        else:
+            ez = np.empty((n_bins, d))
+            for k in range(n_bins):
+                ez[k] = self.ens.E @ counts[k].astype(np.float64)
+        n_kept = int(per_bin.sum())
+        self.events_accumulated += n_kept
+        self.dropped += b.size - n_kept
+        return ez
+
 
 def run_eokf_split(trans: StateTransitionModel, ens: EnsembleModel, events,
                    n_bins: int, bin_len: int, mode: str = "float",
                    fmt: FixedPointFormat | None = None,
                    x0=None, P0=None) -> tuple:
-    """Event-driven implant accumulation feeding the prosthesis-side filter.
+    """Implant accumulation of an event stream feeding the prosthesis filter.
 
+    The accumulator bins the whole stream at once (``accumulate_bins``, bit
+    for bit the per-event datapath), then one filter step runs per bin.
     Returns (states, emitted ez per bin, StepOps, accumulator). Functionally
-    interchangeable with run_eokf over bin_spikes of the same events.
+    interchangeable with run_eokf over bin_spikes of the same events: both
+    drop unselected pairs and times outside [0, n_bins*bin_len), and
+    ``acc.events_accumulated + acc.dropped`` is the number of events.
     """
-    ev = np.asarray(events, dtype=np.int64).reshape(-1, 3)
     acc = ImplantAccumulator(ens, mode=mode, fmt=fmt)
+    ez_stream = acc.accumulate_bins(events, n_bins, bin_len)
     fs = _start(trans.A.shape[0], x0, P0)
     ops = StepOps()
-    d = trans.A.shape[0]
-    out = np.empty((n_bins, d))
-    ez_stream = np.empty((n_bins, d))
-    b = ev[:, 0] // bin_len if ev.shape[0] else np.zeros(0, dtype=np.int64)
-    order = np.argsort(b, kind="stable")
-    pos = 0
+    out = np.empty((n_bins, trans.A.shape[0]))
     for k in range(n_bins):
-        while pos < order.size and b[order[pos]] == k:
-            _, ch, un = ev[order[pos]]
-            acc.accumulate(int(ch), int(un))
-            pos += 1
-        ez = acc.emit_bin()
-        fs = eokf_step(fs, trans, ens, ez, ops)
-        ez_stream[k] = ez
+        fs = eokf_step(fs, trans, ens, ez_stream[k], ops)
         out[k] = fs.x
     return out, ez_stream, ops, acc
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                     EXIT_USAGE, ExperimentConfig, main)
+                     EXIT_USAGE, ExperimentConfig, _counts_to_events, main)
 from nsp.decode import (FilterState, eokf_step, load_decoded, load_decoder,
                         store_decoded)
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
@@ -339,6 +339,32 @@ def test_simulate_clocks_the_fabric_at_the_trace_rate(tmp_path, pipeline):
                "--config", tmp_path / "30k.cfg",
                "--counters", tmp_path / "sim30.json") == EXIT_SCHEMA
     assert not (tmp_path / "sim30.json").exists()
+
+
+def test_simulate_without_config_groups_a_small_trace(tmp_path, pipeline):
+    # the default group of 32 channels does not divide a 2-channel trace
+    d = pipeline
+    assert run("simulate", "--trace", d / "trace.bin", "--models", d,
+               "--counters", tmp_path / "sim.json",
+               "--decoded", tmp_path / "sim.csv") == EXIT_OK
+    out = json.loads((tmp_path / "sim.json").read_text())
+    assert (out["config"]["n_channels"], out["config"]["group_size"]) == (2, 2)
+    assert out["counters"]["decoder_accepts"] > 0
+
+
+def test_counts_expand_to_bin_major_event_rows():
+    rng = np.random.default_rng(4)
+    counts = rng.poisson(1.5, size=(7, 5))
+    counts[2] = 0
+    selected = [(0, 0), (0, 2), (3, 1), (9, 4), (11, 0)]
+    rows = []
+    for k in range(counts.shape[0]):
+        for j, (ch, un) in enumerate(selected):
+            rows.extend([[k * 300, ch, un]] * int(counts[k, j]))
+    events = _counts_to_events(counts, 300, selected)
+    assert events.dtype == np.int64
+    assert events.tolist() == rows
+    assert _counts_to_events(counts[:, :0], 300, []).shape == (0, 3)
 
 
 def test_numerical_failure_exits_5_without_partial_outputs(tmp_path):

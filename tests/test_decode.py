@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nsp.decode import (DecoderBundle, EnsembleModel, FilterState,
+from nsp.decode import (INT32_MAX, DecoderBundle, EnsembleModel, FilterState,
                         FixedPointFormat, ImplantAccumulator,
                         StandardObservationModel, StateTransitionModel,
                         best_single_neuron_decoder, bin_spikes, count_ops,
@@ -66,6 +68,29 @@ def test_bin_spikes_order_invariant():
     a = bin_spikes(ev, 50, 3000, sel)
     b = bin_spikes(ev[rng.permutation(len(ev))], 50, 3000, sel)
     assert np.array_equal(a, b)
+
+
+def test_bin_spikes_counts_any_selected_unit_id():
+    # unit ids are not limited to the tree sorter's four leaves
+    sel = [(1, 5), (0, 0), (-2, 7), (3, 2 ** 40)]
+    events = np.array([[10, 1, 5], [20, 0, 0], [30, -2, 7], [40, 3, 2 ** 40],
+                       [50, 1, 4], [60, 5, 1]])
+    assert bin_spikes(events, 1, 100, sel).tolist() == [[1, 1, 1, 1]]
+
+
+def test_bin_spikes_column_rule_is_the_dict_lookup():
+    rng = np.random.default_rng(3)
+    sel = [(int(c), int(u)) for c, u in rng.integers(-3, 6, size=(15, 2))]
+    sel.append(sel[0])  # a repeated pair maps to its last column
+    index = {pair: j for j, pair in enumerate(sel)}
+    ev = np.column_stack([rng.integers(0, 400, 2000),
+                          rng.integers(-4, 7, 2000), rng.integers(-4, 7, 2000)])
+    want = np.zeros((4, len(sel)), dtype=np.int64)
+    for t, c, u in ev.tolist():
+        j = index.get((c, u))
+        if j is not None:
+            want[t // 100, j] += 1
+    assert np.array_equal(bin_spikes(ev, 4, 100, sel), want)
 
 
 # --- training ------------------------------------------------------------
@@ -380,6 +405,133 @@ def test_split_decode_order_invariant():
     b, _, _, _ = run_eokf_split(TRANS_2D, ens, ev[rng.permutation(len(ev))],
                                 50, 3000)
     assert np.array_equal(a, b)
+
+
+def test_split_drops_events_outside_the_binned_span():
+    ens = EnsembleModel(E=[[1.0, 2.0], [0.5, -1.0]], Qe=0.05 * np.eye(2),
+                        selected=((0, 0), (0, 1)))
+    # an event before t = 0 once stopped all accumulation; one past the last
+    # bin was neither accumulated nor dropped
+    ev = np.array([[-5, 0, 0], [10, 0, 0], [20, 0, 1], [3500, 0, 1],
+                   [6000, 0, 0], [10 ** 9, 0, 1]])
+    counts = bin_spikes(ev, 2, 3000, ens.selected)
+    mono, _, _ = run_eokf(TRANS_2D, ens, counts)
+    for mode in ("float", "fixed"):
+        states, ez, _, acc = run_eokf_split(TRANS_2D, ens, ev, 2, 3000, mode=mode)
+        assert np.array_equal(ez, [[3.0, -0.5], [2.0, -1.0]])
+        assert (acc.events_accumulated, acc.dropped) == (3, 3)
+        assert np.array_equal(states, mono)
+    with pytest.raises(ValueError, match="bin_len"):
+        run_eokf_split(TRANS_2D, ens, ev, 2, 0)
+
+
+def test_split_counts_a_selected_unit_above_three():
+    ens = EnsembleModel(E=[[1.0, 2.0], [0.5, -1.0]], Qe=0.05 * np.eye(2),
+                        selected=((0, 0), (1, 5)))
+    ev = np.array([[10, 0, 0], [20, 1, 5]])
+    counts = bin_spikes(ev, 1, 100, ens.selected)
+    assert counts.tolist() == [[1, 1]]
+    mono, ez_mono, _ = run_eokf(TRANS_2D, ens, counts)
+    split, ez_split, _, acc = run_eokf_split(TRANS_2D, ens, ev, 1, 100)
+    assert np.array_equal(mono, split)
+    assert np.array_equal(ez_mono, ez_split)
+    assert acc.events_accumulated == 2
+
+
+# The per-event datapath is the oracle of the batched one: accumulate() on
+# every event in bin order (stable, so input order within a bin), emit_bin()
+# at each bin's end, and events outside the binned span dropped.
+
+
+def _per_event(ens, events, n_bins, bin_len, mode, fmt=None) -> tuple:
+    acc = ImplantAccumulator(ens, mode=mode, fmt=fmt)
+    ev = np.asarray(events, dtype=np.int64).reshape(-1, 3)
+    b = ev[:, 0] // bin_len
+    ez = np.empty((n_bins, ens.E.shape[0]))
+    for k in range(n_bins):
+        for _, ch, un in ev[b == k].tolist():
+            acc.accumulate(ch, un)
+        ez[k] = acc.emit_bin()
+    acc.dropped += int(np.count_nonzero((b < 0) | (b >= n_bins)))
+    return ez, acc
+
+
+@st.composite
+def _streams(draw) -> tuple:
+    """(events, n_bins, bin_len, ensemble): unselected pairs, empty bins,
+    times outside the span and any event order."""
+    n_bins = draw(st.integers(0, 6))
+    bin_len = draw(st.integers(1, 40))
+    span = n_bins * bin_len
+    rows = draw(st.lists(st.tuples(st.integers(-bin_len - 3, span + bin_len + 3),
+                                   st.integers(-1, 4), st.integers(-1, 6)),
+                         max_size=150))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    selected = ((0, 0), (0, 2), (1, 1), (1, 5), (3, 0), (3, 6), (-1, 3))
+    ens = EnsembleModel(E=rng.standard_normal((2, len(selected))),
+                        Qe=0.05 * np.eye(2), selected=selected)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3), n_bins, bin_len, ens
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=_streams(), mode=st.sampled_from(["float", "fixed"]))
+def test_accumulate_bins_equals_the_per_event_oracle(stream, mode):
+    events, n_bins, bin_len, ens = stream
+    fmt = FixedPointFormat.for_matrix(ens.E) if mode == "fixed" else None
+    want, oracle = _per_event(ens, events, n_bins, bin_len, mode, fmt)
+    acc = ImplantAccumulator(ens, mode=mode, fmt=fmt)
+    got = acc.accumulate_bins(events, n_bins, bin_len)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert ((acc.events_accumulated, acc.dropped)
+            == (oracle.events_accumulated, oracle.dropped))
+    assert acc.events_accumulated + acc.dropped == len(events)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=_streams())
+def test_split_equals_monolithic_on_random_streams(stream):
+    events, n_bins, bin_len, ens = stream
+    counts = bin_spikes(events, n_bins, bin_len, ens.selected)
+    mono, ez_mono, ops_mono = run_eokf(TRANS_2D, ens, counts)
+    split, ez_split, ops_split, _ = run_eokf_split(TRANS_2D, ens, events,
+                                                   n_bins, bin_len)
+    assert mono.tobytes() == split.tobytes()
+    assert ez_mono.tobytes() == ez_split.tobytes()
+    assert (ops_mono.step_total().as_dict()
+            == ops_split.step_total().as_dict())
+    fmt = FixedPointFormat.for_matrix(ens.E)
+    _, ezq_mono, _ = run_eokf(TRANS_2D, ens, counts, fmt=fmt)
+    _, ezq_split, _, _ = run_eokf_split(TRANS_2D, ens, events, n_bins, bin_len,
+                                        mode="fixed", fmt=fmt)
+    assert np.array_equal(ezq_mono, ezq_split)
+
+
+def test_fixed_overflow_is_checked_on_running_sums_not_bin_totals():
+    ens = EnsembleModel(E=[[1.0, -1.0], [0.0, 0.0]], Qe=0.05 * np.eye(2),
+                        selected=((0, 0), (0, 1)))
+    fmt = FixedPointFormat.for_matrix(ens.E, bits=24)
+    qmax = int(fmt.quantize(ens.E)[0, 0])
+    n = INT32_MAX // qmax + 1           # n adds of +qmax pass INT32_MAX
+    up, down = [[5, 0, 0]] * n, [[7, 0, 1]] * n
+    # peaks above INT32_MAX mid-bin, ends the bin at zero
+    rising = np.array(up + down)
+    with pytest.raises(ArithmeticError, match="32-bit"):
+        _per_event(ens, rising, 1, 100, "fixed", fmt)
+    with pytest.raises(ArithmeticError, match="32-bit"):
+        ImplantAccumulator(ens, mode="fixed", fmt=fmt).accumulate_bins(rising, 1, 100)
+    with pytest.raises(ArithmeticError, match="32-bit"):
+        run_eokf_split(TRANS_2D, ens, rising, 1, 100, mode="fixed", fmt=fmt)
+    # the same adds interleaved never leave [-qmax, qmax]; falling first
+    # peaks at (n - 1)*qmax only in input order; and n - 1 adds in each of
+    # two bins stay in range per bin, though not summed over both
+    interleaved = np.array([row for pair in zip(up, down) for row in pair])
+    falling_first = np.array(down[1:] + up[1:] + up[1:])
+    two_bins = np.array(up[1:] + [[105, 0, 0]] * (n - 1))
+    for events, n_bins in ((interleaved, 1), (falling_first, 1), (two_bins, 2)):
+        want, _ = _per_event(ens, events, n_bins, 100, "fixed", fmt)
+        got = ImplantAccumulator(ens, mode="fixed", fmt=fmt).accumulate_bins(
+            events, n_bins, 100)
+        assert np.array_equal(got, want)
 
 
 def test_accumulator_drops_unselected_and_emits_zero():
