@@ -34,11 +34,11 @@ from .decode import (DecoderBundle, EnsembleModel, FilterState,
                      FixedPointFormat, ImplantAccumulator,
                      StandardObservationModel, StateTransitionModel, StepOps,
                      best_single_neuron_decoder, bin_spikes, count_ops,
-                     eokf_step, evaluate_reconstruction, kf_step, load_decoded,
-                     load_decoder, per_direction_stats, reduce_observation,
-                     run_eokf, run_eokf_split, run_kf, select_neurons,
-                     selection_columns, store_decoded, store_decoder,
-                     train_ensemble, train_observation_standard,
+                     ensemble_ez, eokf_step, evaluate_reconstruction, kf_step,
+                     load_decoded, load_decoder, per_direction_stats,
+                     reduce_observation, run_eokf, run_eokf_split, run_filter,
+                     run_kf, select_neurons, selection_columns, store_decoded,
+                     store_decoder, train_ensemble, train_observation_standard,
                      train_transition)
 from .sim import (ConfigMismatchError, SimConfig, SimCounters, SimResult,
                   Simulator, build_schedule, parse_sim_config, reference_ez,
@@ -74,9 +74,9 @@ __all__ = [
     "StateTransitionModel", "StandardObservationModel", "EnsembleModel",
     "FilterState", "StepOps", "OpCounts", "SingularMatrixError",
     "train_transition", "train_observation_standard", "train_ensemble",
-    "select_neurons", "selection_columns", "kf_step", "eokf_step", "run_kf",
-    "run_eokf", "run_eokf_split", "reduce_observation", "bin_spikes",
-    "FixedPointFormat", "ImplantAccumulator", "count_ops",
+    "select_neurons", "selection_columns", "kf_step", "eokf_step", "run_filter",
+    "run_kf", "run_eokf", "run_eokf_split", "reduce_observation", "ensemble_ez",
+    "bin_spikes", "FixedPointFormat", "ImplantAccumulator", "count_ops",
     "evaluate_reconstruction", "per_direction_stats",
     "best_single_neuron_decoder", "DecoderBundle", "store_decoder",
     "load_decoder", "store_decoded", "load_decoded",

@@ -19,12 +19,11 @@ import numpy as np
 
 from . import __version__
 from ._util import atomic_write_text, canonical_json, config_hash
-from .decode import (DecoderBundle, FilterState, FixedPointFormat, StepOps,
-                     bin_spikes, count_ops, eokf_step, evaluate_reconstruction,
-                     load_decoder, run_eokf, run_eokf_split, run_kf,
-                     selection_columns, store_decoded, store_decoder,
-                     train_ensemble, train_observation_standard,
-                     train_transition)
+from .decode import (DecoderBundle, FixedPointFormat, bin_spikes, count_ops,
+                     evaluate_reconstruction, load_decoder, run_eokf,
+                     run_eokf_split, run_filter, run_kf, selection_columns,
+                     store_decoded, store_decoder, train_ensemble,
+                     train_observation_standard, train_transition)
 from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, detect_trace,
                      estimate_threshold, load_tokens, load_windows,
                      store_tokens, store_windows)
@@ -334,14 +333,14 @@ def _counts_to_events(counts_selected: np.ndarray, bin_len: int,
     """Expand per-bin selected-unit counts into (t, ch, unit) event rows.
 
     Rows come bin-major, then in *selected* column order; each bin's events
-    sit at the bin's first sample, and a count below zero gives no event.
+    sit at the bin's first sample.
     """
     counts = np.asarray(counts_selected, dtype=np.int64)
     n_bins, s = counts.shape
     pairs = np.asarray(selected, dtype=np.int64).reshape(s, 2)
     rows = np.column_stack([np.repeat(np.arange(n_bins, dtype=np.int64) * bin_len, s),
                             np.tile(pairs, (n_bins, 1))])
-    return np.repeat(rows, np.maximum(counts.ravel(), 0), axis=0)
+    return np.repeat(rows, counts.ravel(), axis=0)
 
 
 def _load_sorted_events(path: str) -> np.ndarray:
@@ -363,7 +362,8 @@ def cmd_decode(args) -> int:
     if (args.session is None) == (args.events is None):
         raise ValueError("decode needs exactly one of --session or --events")
     bundle = load_decoder(args.model)
-
+    ens, bin_len = bundle.ensemble, bundle.bin_ms * 30000 // 1000
+    events = counts = bins = session = None
     if args.events is not None:
         if bundle.kind != "eokf":
             raise ValueError("decoding a sorted event stream needs an "
@@ -371,19 +371,7 @@ def cmd_decode(args) -> int:
         if args.trials != "all" or args.metrics:
             raise ValueError("--trials/--metrics need --session ground truth")
         events = _load_sorted_events(args.events)
-        bin_len = bundle.bin_ms * 30000 // 1000
         n_bins = max(1, -(-int(events[:, 0].max() + 1) // bin_len)) if events.size else 1
-        if args.split == "implant":
-            mode = "fixed" if bundle.fixed is not None else "float"
-            states, _, ops, _ = run_eokf_split(bundle.transition, bundle.ensemble,
-                                               events, n_bins, bin_len, mode=mode,
-                                               fmt=bundle.fixed,
-                                               x0=bundle.x0, P0=bundle.P0)
-        else:
-            counts = bin_spikes(events, n_bins, bin_len, bundle.ensemble.selected)
-            states, _, ops = run_eokf(bundle.transition, bundle.ensemble, counts,
-                                      x0=bundle.x0, P0=bundle.P0, fmt=bundle.fixed)
-        n_steps, bins, session = n_bins, None, None
     else:
         session = load_session(args.session)
         if args.trials == "all":
@@ -395,26 +383,24 @@ def cmd_decode(args) -> int:
                 raise DatasetFormatError(
                     f"decoder has no recorded {key}; retrain or use --trials all")
             bins = trials_to_bins(session, ids)
-        counts = session.counts[bins]
-        n_steps = counts.shape[0]
-        if bundle.kind == "kf":
-            states, ops = run_kf(bundle.transition, bundle.observation, counts,
-                                 x0=bundle.x0, P0=bundle.P0)
-        elif args.split == "implant":
-            cols = selection_columns(bundle.ensemble.selected, session.unit_channels)
-            bin_len = bundle.bin_ms * 30  # synthesized times, consistent base
-            events = _counts_to_events(counts[:, cols], bin_len,
-                                       bundle.ensemble.selected)
-            mode = "fixed" if bundle.fixed is not None else "float"
-            states, _, ops, _ = run_eokf_split(bundle.transition, bundle.ensemble,
-                                               events, counts.shape[0], bin_len,
-                                               mode=mode, fmt=bundle.fixed,
-                                               x0=bundle.x0, P0=bundle.P0)
-        else:
-            cols = selection_columns(bundle.ensemble.selected, session.unit_channels)
-            states, _, ops = run_eokf(bundle.transition, bundle.ensemble,
-                                      counts[:, cols], x0=bundle.x0, P0=bundle.P0,
-                                      fmt=bundle.fixed)
+        counts, n_bins = session.counts[bins], len(bins)
+        if bundle.kind == "eokf":
+            counts = counts[:, selection_columns(ens.selected, session.unit_channels)]
+    if bundle.kind == "kf":
+        states, ops = run_kf(bundle.transition, bundle.observation, counts,
+                             x0=bundle.x0, P0=bundle.P0)
+    elif args.split == "implant":
+        if events is None:
+            events = _counts_to_events(counts, bin_len, ens.selected)
+        mode = "fixed" if bundle.fixed is not None else "float"
+        states, _, ops, _ = run_eokf_split(bundle.transition, ens, events, n_bins,
+                                           bin_len, mode=mode, fmt=bundle.fixed,
+                                           x0=bundle.x0, P0=bundle.P0)
+    else:
+        if counts is None:
+            counts = bin_spikes(events, n_bins, bin_len, ens.selected)
+        states, _, ops = run_eokf(bundle.transition, ens, counts,
+                                  x0=bundle.x0, P0=bundle.P0, fmt=bundle.fixed)
     store_decoded(args.out, states)
     _write_meta(args.out, vars(args), seed=bundle.meta.get("seed"),
                 extra={"bins": None if bins is None else [int(b) for b in bins],
@@ -422,7 +408,7 @@ def cmd_decode(args) -> int:
                        "split": args.split if bundle.kind == "eokf" else None})
     if args.ops:
         _write_json(args.ops, {"kind": "decode-ops", "filter": bundle.kind,
-                               "n_steps": int(n_steps),
+                               "n_steps": int(states.shape[0]),
                                "ops": ops.as_dict(),
                                "provenance": provenance(vars(args))})
     if args.metrics:
@@ -468,13 +454,8 @@ def cmd_simulate(args) -> int:
                     "output_width_bits", "channel_gating", "pre_samples")},
         "provenance": provenance(vars(args))})
     if args.decoded:
-        fs = FilterState(x=bundle.x0.copy(), P=bundle.P0.copy())
-        ops = StepOps()
-        states = np.empty_like(result.ez)
-        for k in range(result.ez.shape[0]):
-            fs = eokf_step(fs, bundle.transition, bundle.ensemble,
-                           result.ez[k], ops)
-            states[k] = fs.x
+        states, _ = run_filter(bundle.transition, bundle.ensemble, result.ez,
+                               x0=bundle.x0, P0=bundle.P0)
         store_decoded(args.decoded, states)
         _write_meta(args.decoded, vars(args), extra={"n_bins": int(result.n_bins)})
     print(f"wrote {args.counters} (loss={counters['tokens_lost']}, "

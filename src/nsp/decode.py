@@ -17,6 +17,9 @@ named phases (state_predict, cov_predict, gain, state_update, cov_update,
 plus the event-driven observe reduction), so complexity claims are measured,
 not estimated. The explicit re-symmetrization of P after the covariance
 update is numerical hygiene and is excluded from the counters.
+
+Every decode path feeds one runner, ``run_filter``, and every per-bin E z
+reduction, float or fixed point, is one function, ``ensemble_ez``.
 """
 
 from __future__ import annotations
@@ -330,23 +333,55 @@ def reduce_observation(ens: EnsembleModel, z: np.ndarray,
     return mat_mul(ens.E, np.asarray(z, dtype=np.float64), ops)
 
 
-def _start(state_dim: int, x0, P0) -> FilterState:
-    x = np.zeros(state_dim) if x0 is None else np.asarray(x0, dtype=np.float64)
-    P = np.eye(state_dim) if P0 is None else np.asarray(P0, dtype=np.float64)
-    return FilterState(x=x.copy(), P=P.copy())
+def ensemble_ez(ens: EnsembleModel, counts: np.ndarray,
+                fmt: "FixedPointFormat | None" = None,
+                ops: OpCounts | None = None) -> np.ndarray:
+    """Per-bin E z of an (n_bins, n_selected) count stream.
+
+    Float mode is ``E @ counts[k]`` bin by bin, the expression of ``emit_bin``
+    (one product over all bins could sum in another order). With *fmt*, each
+    bin is an exact integer sum of quantized columns scaled by the LSB, the
+    fixed-point implant datapath. *ops* gets the ``mat_mul`` cost of every bin.
+    """
+    Z = np.asarray(counts, dtype=np.int64)
+    (n, _), (d, s) = Z.shape, ens.E.shape
+    if ops is not None:
+        ops.mult += n * d * s
+        ops.add += n * d * (s - 1)
+    if fmt is not None:
+        return fmt.dequantize(Z @ fmt.quantize(ens.E).T)
+    ez = np.empty((n, d))
+    for k in range(n):
+        ez[k] = ens.E @ Z[k].astype(np.float64)
+    return ez
+
+
+def run_filter(trans: StateTransitionModel, model, stream: np.ndarray,
+               x0=None, P0=None) -> tuple:
+    """One filter step per row of *stream*; returns (states, StepOps).
+
+    The observation model picks the step: ``kf_step`` on raw rate vectors for
+    a ``StandardObservationModel``, ``eokf_step`` on E z for an ``EnsembleModel``.
+    """
+    step = {StandardObservationModel: kf_step, EnsembleModel: eokf_step}.get(type(model))
+    if step is None:
+        raise TypeError(f"no filter step for a {type(model).__name__}")
+    d = trans.A.shape[0]
+    fs = FilterState(x=np.zeros(d) if x0 is None else np.array(x0, dtype=np.float64),
+                     P=np.eye(d) if P0 is None else np.array(P0, dtype=np.float64))
+    Z = np.asarray(stream, dtype=np.float64)
+    ops = StepOps()
+    out = np.empty((Z.shape[0], d))
+    for k in range(Z.shape[0]):
+        fs = step(fs, trans, model, Z[k], ops)
+        out[k] = fs.x
+    return out, ops
 
 
 def run_kf(trans: StateTransitionModel, obs: StandardObservationModel,
            counts: np.ndarray, x0=None, P0=None) -> tuple:
     """Filter a whole session of raw rate vectors; returns (states, StepOps)."""
-    Z = np.asarray(counts, dtype=np.float64)
-    fs = _start(trans.A.shape[0], x0, P0)
-    ops = StepOps()
-    out = np.empty((Z.shape[0], trans.A.shape[0]))
-    for k in range(Z.shape[0]):
-        fs = kf_step(fs, trans, obs, Z[k], ops)
-        out[k] = fs.x
-    return out, ops
+    return run_filter(trans, obs, counts, x0, P0)
 
 
 def run_eokf(trans: StateTransitionModel, ens: EnsembleModel,
@@ -356,23 +391,13 @@ def run_eokf(trans: StateTransitionModel, ens: EnsembleModel,
 
     With *fmt* given, the reduction uses the quantized weights (integer
     column sums scaled back by the format's LSB), mirroring the fixed-point
-    implant datapath.
+    implant datapath. Both modes tally the reduction in the ``observe`` phase.
     """
-    Z = np.asarray(counts_selected, dtype=np.int64)
-    fs = _start(trans.A.shape[0], x0, P0)
-    ops = StepOps()
-    eq = fmt.quantize(ens.E) if fmt is not None else None
-    out = np.empty((Z.shape[0], trans.A.shape[0]))
-    ez_stream = np.empty_like(out)
-    for k in range(Z.shape[0]):
-        if fmt is None:
-            ez = reduce_observation(ens, Z[k], ops.phase("observe"))
-        else:
-            ez = fmt.dequantize(eq @ Z[k])
-        fs = eokf_step(fs, trans, ens, ez, ops)
-        ez_stream[k] = ez
-        out[k] = fs.x
-    return out, ez_stream, ops
+    observe = OpCounts()
+    ez = ensemble_ez(ens, counts_selected, fmt, observe)
+    states, ops = run_filter(trans, ens, ez, x0, P0)
+    ops.phases["observe"] += observe
+    return states, ez, ops
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +574,8 @@ class ImplantAccumulator:
         by bin, then input order) with ``emit_bin`` at each bin's end. An
         event whose pair is unselected or whose time lies outside
         [0, n_bins*bin_len) counts as dropped, as ``bin_spikes`` drops it.
-        Float mode emits ``E @ counts[k]`` per bin, the expression of
-        ``emit_bin``. Fixed mode sums the quantized columns exactly in int64
-        and raises ``ArithmeticError`` if any per-event running sum inside a
+        The emission is ``ensemble_ez`` of the bin counts. Fixed mode also
+        raises ``ArithmeticError`` if any per-event running sum inside a
         bin leaves the 32-bit range, even one that is back in range by the
         bin's end; the counters are then left unchanged. A bin in progress
         from ``accumulate`` is neither read nor reset.
@@ -561,20 +585,17 @@ class ImplantAccumulator:
         counts = _bin_counts(b, col, n_bins, s)
         per_bin = counts.sum(axis=1)
         if self.mode == "fixed":
-            sums = counts @ self._eq.T
             # running sums over the whole stream in accumulate order, less
-            # the sum of the earlier bins: the accumulator within each bin
+            # the running sum at each bin's start: the accumulator in each bin
             keep = col >= 0
             run = self._eq.T[col[keep][np.argsort(b[keep], kind="stable")]]
             np.cumsum(run, axis=0, out=run)
-            run -= np.repeat(np.cumsum(sums, axis=0) - sums, per_bin, axis=0)
+            start = np.cumsum(per_bin) - per_bin
+            run -= np.repeat(np.vstack([np.zeros((1, d), np.int64), run])[start],
+                             per_bin, axis=0)
             if run.max(initial=0) > INT32_MAX or run.min(initial=0) < -INT32_MAX:
                 raise ArithmeticError("implant accumulator exceeded 32-bit range")
-            ez = self.fmt.dequantize(sums)
-        else:
-            ez = np.empty((n_bins, d))
-            for k in range(n_bins):
-                ez[k] = self.ens.E @ counts[k].astype(np.float64)
+        ez = ensemble_ez(self.ens, counts, self.fmt)
         n_kept = int(per_bin.sum())
         self.events_accumulated += n_kept
         self.dropped += b.size - n_kept
@@ -596,13 +617,8 @@ def run_eokf_split(trans: StateTransitionModel, ens: EnsembleModel, events,
     """
     acc = ImplantAccumulator(ens, mode=mode, fmt=fmt)
     ez_stream = acc.accumulate_bins(events, n_bins, bin_len)
-    fs = _start(trans.A.shape[0], x0, P0)
-    ops = StepOps()
-    out = np.empty((n_bins, trans.A.shape[0]))
-    for k in range(n_bins):
-        fs = eokf_step(fs, trans, ens, ez_stream[k], ops)
-        out[k] = fs.x
-    return out, ez_stream, ops, acc
+    states, ops = run_filter(trans, ens, ez_stream, x0, P0)
+    return states, ez_stream, ops, acc
 
 
 # ---------------------------------------------------------------------------
@@ -613,27 +629,24 @@ def run_eokf_split(trans: StateTransitionModel, ens: EnsembleModel, events,
 def count_ops(kind: str, n_neurons: int, state_dim: int = DEFAULT_STATE_DIM) -> dict:
     """Measured per-step operation counts for one filter at given sizes.
 
-    Builds well-conditioned synthetic models, runs exactly one step through
-    the counted kernels, and reports per-phase and total counts.
+    Builds well-conditioned synthetic models, runs one bin through ``run_kf``
+    or ``run_eokf``, and reports per-phase and total counts.
     """
     if kind not in ("kf", "eokf"):
         raise ValueError(f"unknown filter kind {kind!r}")
     rng = np.random.default_rng(12345)
     d, n = state_dim, n_neurons
     trans = StateTransitionModel(A=0.9 * np.eye(d), W=0.1 * np.eye(d))
-    fs = FilterState(x=np.zeros(d), P=np.eye(d))
-    z = rng.poisson(3.0, size=n).astype(np.float64)
-    ops = StepOps()
+    z = rng.poisson(3.0, size=(1, n))
     if kind == "kf":
         obs = StandardObservationModel(H=rng.standard_normal((n, d)), Q=np.eye(n))
-        kf_step(fs, trans, obs, z, ops)
+        _, ops = run_kf(trans, obs, z)
     else:
         ranks = [(j // MAX_UNITS_PER_CHANNEL, j % MAX_UNITS_PER_CHANNEL)
                  for j in range(n)]
         ens = EnsembleModel(E=0.1 * rng.standard_normal((d, n)),
                             Qe=0.1 * np.eye(d), selected=tuple(ranks))
-        ez = reduce_observation(ens, z, ops.phase("observe"))
-        eokf_step(fs, trans, ens, ez, ops)
+        _, _, ops = run_eokf(trans, ens, z)
     return {"kind": kind, "n_neurons": int(n), "state_dim": int(d),
             **ops.as_dict()}
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .decode import EnsembleModel
+from .decode import EnsembleModel, bin_spikes, ensemble_ez
 from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, estimate_threshold,
                      gather_windows, window_features, window_starts)
 from .synthdata import PayloadError, RawTrace, WINDOW_LEN
@@ -464,10 +464,8 @@ def reference_ez(events, ensemble: EnsembleModel, n_bins: int, bin_len: int) -> 
     Computed with the same per-bin matrix-vector product the simulator uses,
     so equality with a lossless run is bit-exact, not approximate.
     """
-    from .decode import bin_spikes
-
-    counts = bin_spikes(events, n_bins, bin_len, ensemble.selected)
-    return np.stack([ensemble.E @ row.astype(np.float64) for row in counts])
+    return ensemble_ez(ensemble, bin_spikes(events, n_bins, bin_len,
+                                            ensemble.selected))
 
 
 def linear_fit_r2(x, y) -> float:

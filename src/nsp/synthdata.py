@@ -582,6 +582,8 @@ def load_session(path: str) -> ReachSession:
             counts.append([int(c) for c in parts[3:]])
         except ValueError as exc:
             raise PayloadError(f"{path}:{lineno}: {exc}") from exc
+        if min(counts[-1], default=0) < 0:
+            raise PayloadError(f"{path}:{lineno}: negative unit count")
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)

@@ -7,12 +7,11 @@ import pytest
 
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                      EXIT_USAGE, ExperimentConfig, _counts_to_events, main)
-from nsp.decode import (FilterState, eokf_step, load_decoded, load_decoder,
-                        store_decoded)
+from nsp.decode import load_decoded, load_decoder, run_filter, store_decoded
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
 from nsp.sort_offline import TREE_MODEL_BITS, load_models
 from nsp.synthdata import (PayloadError, TraceConfig, gen_spike_trace,
-                           load_trace, store_trace)
+                           load_session, load_trace, store_trace)
 
 
 def run(*argv) -> int:
@@ -181,11 +180,8 @@ def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
                          load_models(str(m / "sorters.json")), bundle.ensemble, cfg)
     assert res.counters.as_dict() == counters
     ez = reference_ez(res.accepted_events, bundle.ensemble, res.n_bins, cfg.bin_len)
-    fs = FilterState(x=bundle.x0.copy(), P=bundle.P0.copy())
-    states = np.empty_like(ez)
-    for k in range(ez.shape[0]):
-        fs = eokf_step(fs, bundle.transition, bundle.ensemble, ez[k])
-        states[k] = fs.x
+    states, _ = run_filter(bundle.transition, bundle.ensemble, ez,
+                           x0=bundle.x0, P0=bundle.P0)
     store_decoded(str(m / "ref_decoded.csv"), states)
     assert (m / "ref_decoded.csv").read_bytes() == (m / "sim_decoded.csv").read_bytes()
 
@@ -236,6 +232,24 @@ def test_events_decode_accepts_the_sorted_stream(pipeline, tmp_path):
                "--out", tmp_path / "ev.csv") == EXIT_OK
     states = load_decoded(str(tmp_path / "ev.csv"))
     assert states.shape[1] == 2 and np.isfinite(states).all()
+
+
+@pytest.mark.parametrize("split", ["monolithic", "implant"])
+def test_negative_session_count_exits_4(pipeline, tmp_path, capfd, split):
+    d = pipeline
+    lines = (d / "session.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[3] = "-3"
+    lines[5] = ",".join(cells)
+    (tmp_path / "session.csv").write_text("\n".join(lines) + "\n")
+    shutil.copy(d / "session.csv.json", tmp_path / "session.csv.json")
+    with pytest.raises(PayloadError, match="negative unit count"):
+        load_session(str(tmp_path / "session.csv"))
+    assert run("decode", "--model", d / "decoder.json",
+               "--session", tmp_path / "session.csv", "--split", split,
+               "--out", tmp_path / "decoded.csv") == EXIT_SCHEMA
+    assert not (tmp_path / "decoded.csv").exists()
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_worker_fanout_does_not_change_results(pipeline, tmp_path, monkeypatch):

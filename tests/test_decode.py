@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsp.decode import (INT32_MAX, DecoderBundle, EnsembleModel, FilterState,
-                        FixedPointFormat, ImplantAccumulator,
+from nsp.decode import (INT32_MAX, PHASES, DecoderBundle, EnsembleModel,
+                        FilterState, FixedPointFormat, ImplantAccumulator,
                         StandardObservationModel, StateTransitionModel,
-                        best_single_neuron_decoder, bin_spikes, count_ops,
-                        eokf_step, evaluate_reconstruction, kf_step,
-                        load_decoded, load_decoder, neuron_scores,
-                        per_direction_stats, reduce_observation, run_eokf,
-                        run_eokf_split, run_kf, select_neurons,
-                        selection_columns, store_decoded, store_decoder,
-                        train_ensemble, train_observation_standard,
-                        train_transition)
-from nsp.opcount import SingularMatrixError
+                        StepOps, best_single_neuron_decoder, bin_spikes,
+                        count_ops, ensemble_ez, eokf_step,
+                        evaluate_reconstruction, kf_step, load_decoded,
+                        load_decoder, neuron_scores, per_direction_stats,
+                        reduce_observation, run_eokf, run_eokf_split,
+                        run_filter, run_kf, select_neurons, selection_columns,
+                        store_decoded, store_decoder, train_ensemble,
+                        train_observation_standard, train_transition)
+from nsp.opcount import OpCounts, SingularMatrixError
 from nsp.synthdata import PayloadError
 
 
@@ -373,6 +373,76 @@ def test_run_kf_shapes_and_monotone_ops():
     assert ops.step_total().total() == 30 * count_ops("kf", 6)["step_total"]["total"]
 
 
+def _step_loop(step, model, stream, x0, P0) -> tuple:
+    fs = FilterState(x=x0, P=P0)
+    ops = StepOps()
+    states = np.empty((len(stream), 2))
+    for k, row in enumerate(stream):
+        fs = step(fs, TRANS_2D, model, row, ops)
+        states[k] = fs.x
+    return states, ops
+
+
+@pytest.mark.parametrize("kind", ["kf", "eokf"])
+def test_run_filter_equals_the_per_step_loop(kind):
+    rng = np.random.default_rng(20)
+    x0, P0 = rng.normal(size=2), 0.5 * np.eye(2)
+    if kind == "kf":
+        model = StandardObservationModel(H=rng.normal(size=(6, 2)), Q=np.eye(6))
+        step, stream = kf_step, rng.poisson(3.0, size=(40, 6))
+    else:
+        model = _toy_ensemble(rng, n=9)
+        step, stream = eokf_step, rng.normal(size=(40, 2))
+    states, ops = run_filter(TRANS_2D, model, stream, x0=x0, P0=P0)
+    want, want_ops = _step_loop(step, model, stream.astype(np.float64), x0, P0)
+    assert np.array_equal(states, want)
+    for phase in PHASES:
+        assert ops.phase(phase) == want_ops.phase(phase), phase
+    assert ops.step_total().total() > 0
+    empty, no_ops = run_filter(TRANS_2D, model, stream[:0])
+    assert empty.shape == (0, 2) and no_ops.total_with_observe().total() == 0
+
+
+def test_run_filter_needs_an_observation_model():
+    with pytest.raises(TypeError, match="no filter step"):
+        run_filter(TRANS_2D, np.eye(2), np.zeros((3, 2)))
+
+
+def test_ensemble_ez_is_the_per_bin_emission():
+    rng = np.random.default_rng(21)
+    ens = _toy_ensemble(rng, n=12)
+    counts = rng.poisson(2.0, size=(30, 12))
+    ops, want_ops = OpCounts(), OpCounts()
+    ez = ensemble_ez(ens, counts, ops=ops)
+    for k, row in enumerate(counts):
+        assert ez[k].tobytes() == (ens.E @ row.astype(np.float64)).tobytes()
+        reduce_observation(ens, row, want_ops)      # the textbook mat_mul cost
+    assert ops == want_ops
+    fmt = FixedPointFormat.for_matrix(ens.E)
+    eq = fmt.quantize(ens.E)
+    assert np.array_equal(ensemble_ez(ens, counts, fmt),
+                          fmt.dequantize(np.stack([eq @ row for row in counts])))
+    assert ensemble_ez(ens, counts[:0]).shape == (0, 2)
+
+
+def test_run_eokf_tallies_observe_in_both_modes():
+    rng = np.random.default_rng(22)
+    ens = _toy_ensemble(rng, n=12)
+    counts = rng.poisson(2.0, size=(25, 12))
+    fmt = FixedPointFormat.for_matrix(ens.E)
+    _, _, ops = run_eokf(TRANS_2D, ens, counts)
+    _, _, ops_fixed = run_eokf(TRANS_2D, ens, counts, fmt=fmt)
+    d, s = ens.E.shape
+    assert ops.phase("observe") == OpCounts(mult=25 * d * s, add=25 * d * (s - 1))
+    assert ops_fixed.phase("observe") == ops.phase("observe")
+    assert ops_fixed.step_total() == ops.step_total()
+    # the implant does the reduction in the split: no observe tally there
+    ev = _random_events(rng, 500, n_channels=4, n_bins=25)
+    _, _, ops_split, _ = run_eokf_split(TRANS_2D, ens, ev, 25, 3000,
+                                        mode="fixed", fmt=fmt)
+    assert ops_split.phase("observe").total() == 0
+
+
 def test_partition_equivalence_float_bit_exact():
     rng = np.random.default_rng(12)
     ens = _toy_ensemble(rng, n=12)
@@ -395,6 +465,19 @@ def test_partition_equivalence_fixed_within_one_lsb():
     _, ez_split, _, _ = run_eokf_split(TRANS_2D, ens, ev, 50, 3000,
                                        mode="fixed", fmt=fmt)
     assert np.abs(ez_mono - ez_split).max() <= fmt.lsb
+
+
+def test_partition_equivalence_fixed_bit_exact():
+    rng = np.random.default_rng(13)
+    ens = _toy_ensemble(rng, n=12)
+    fmt = FixedPointFormat.for_matrix(ens.E)
+    ev = _random_events(rng, 4000, n_channels=4)
+    counts = bin_spikes(ev, 50, 3000, ens.selected)
+    mono, ez_mono, _ = run_eokf(TRANS_2D, ens, counts, fmt=fmt)
+    split, ez_split, _, _ = run_eokf_split(TRANS_2D, ens, ev, 50, 3000,
+                                           mode="fixed", fmt=fmt)
+    assert np.array_equal(ez_mono, ez_split)
+    assert np.array_equal(mono, split)
 
 
 def test_split_decode_order_invariant():
