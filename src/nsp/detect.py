@@ -20,6 +20,7 @@ MAD_SCALE = 1.4826  # MAD -> sigma for Gaussian noise
 DEFAULT_K = 4.0
 DEFAULT_PRE = 4
 MIN_SEGMENT = 1000
+_INT8_VALUES = np.arange(-128.0, 128.0)   # every int8 value, ascending, as float64
 
 
 class SegmentTooShort(ValueError):
@@ -83,15 +84,38 @@ def estimate_threshold(segment: np.ndarray, k: float = DEFAULT_K) -> float:
     """Noise-robust threshold: k * 1.4826 * median(|v - median(v)|), floored at 1 LSB.
 
     The median absolute deviation ignores the sparse spike samples that would
-    inflate a plain standard deviation estimate.
+    inflate a plain standard deviation estimate. An int8 segment takes both
+    medians exactly from its 256-bin histogram; any other dtype goes through
+    the float ``np.median`` expression, which the int8 path equals bit for bit.
     """
     segment = np.asarray(segment)
     if segment.size < MIN_SEGMENT:
         raise SegmentTooShort(
             f"need >= {MIN_SEGMENT} samples to estimate noise, got {segment.size}")
-    v = segment.astype(np.float64)
-    mad = np.median(np.abs(v - np.median(v)))
+    if segment.dtype == np.int8:
+        # bin b counts the value b - 128: flipping the sign bit of the
+        # two's-complement byte adds 128
+        counts = np.bincount(segment.reshape(-1).view(np.uint8) ^ 0x80, minlength=256)
+        med = _histogram_median(_INT8_VALUES, counts)
+        dev = np.abs(_INT8_VALUES - med)
+        order = np.argsort(dev, kind="stable")
+        mad = _histogram_median(dev[order], counts[order])
+    else:
+        v = segment.astype(np.float64)
+        mad = np.median(np.abs(v - np.median(v)))
     return max(1.0, k * MAD_SCALE * mad)
+
+
+def _histogram_median(values: np.ndarray, counts: np.ndarray) -> np.float64:
+    """Median of a sample given as *counts* of ascending float *values*.
+
+    Averages the lower and upper middle order statistics, as ``np.median``
+    does; both are integers or half-integers here, so the mean is exact.
+    """
+    cum = np.cumsum(counts)
+    n = int(cum[-1])
+    lo, hi = np.searchsorted(cum, [(n - 1) // 2, n // 2], side="right")
+    return (values[lo] + values[hi]) / 2
 
 
 def window_starts(channel_trace: np.ndarray, threshold: float,
@@ -168,15 +192,22 @@ def detect_trace(trace, thresholds, pre_samples: int = DEFAULT_PRE,
     """Run detection + feature extraction over all channels of a RawTrace.
 
     *thresholds* is a scalar or a per-channel sequence. Returns (windows,
-    tokens) with both lists ordered by (channel, time).
+    tokens) with both lists ordered by (channel, time). Each channel's windows
+    are cut as one array and reduced with :func:`window_features`; per
+    channel this equals :func:`detect_spikes` then :func:`extract_features`.
     """
     thr = np.broadcast_to(np.asarray(thresholds, dtype=np.float64),
                           (trace.n_channels,))
     windows, tokens = [], []
     for ch in range(trace.n_channels):
-        ws = detect_spikes(trace.data[ch], float(thr[ch]), pre_samples, channel=ch)
-        windows.extend(ws)
-        tokens.extend(extract_features(w, spec) for w in ws)
+        row = trace.data[ch]
+        starts = window_starts(row, float(thr[ch]), pre_samples)
+        rows = gather_windows(row, starts)
+        f1, f2 = window_features(rows, spec)
+        windows.extend(SpikeWindow(t0=t0, channel=ch, samples=w)
+                       for t0, w in zip(starts, rows))
+        tokens.extend(SpikeToken(t=t0, channel=ch, f1=a, f2=b)
+                      for t0, a, b in zip(starts, f1.tolist(), f2.tolist()))
     return windows, tokens
 
 

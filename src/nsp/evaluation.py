@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detect import DEFAULT_K, DEFAULT_PRE, FeatureSpec, detect_spikes, estimate_threshold, extract_features
+from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, estimate_threshold, gather_windows,
+                     window_features, window_starts)
 from .sort_offline import ChannelSorterModel, L1TemplateModel, classify_spike, l1_classify, train_channel_model, train_l1
 from .sort_online import OUTLIER, OnlineSorter
 from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN
@@ -48,11 +49,14 @@ def matched_features(windows, truth: np.ndarray,
     int64, unit ids (m,) int64); unmatched windows are left out.
     """
     pairs = match_events([w.t0 for w in windows], truth[:, 0])
-    feats = np.zeros((pairs.shape[0], 2), dtype=np.int64)
-    for row, i in enumerate(pairs[:, 0]):
-        tok = extract_features(windows[i], spec)
-        feats[row] = (tok.f1, tok.f2)
-    return feats, truth[pairs[:, 1], 2].astype(np.int64)
+    rows = np.array([windows[i].samples for i in pairs[:, 0]],
+                    dtype=np.int8).reshape(-1, WINDOW_LEN)
+    return _feature_rows(rows, spec), truth[pairs[:, 1], 2].astype(np.int64)
+
+
+def _feature_rows(windows: np.ndarray, spec: FeatureSpec) -> np.ndarray:
+    """(n, 2) int64 features of a (n, 32) int8 window array."""
+    return np.column_stack(window_features(windows, spec)).astype(np.int64)
 
 
 def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels, channel: int,
@@ -61,14 +65,16 @@ def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels, channel:
     """Detected features with matched true unit ids for one channel.
 
     Returns (features (m, 2) int64, unit ids (m,) int64, n_detected,
-    n_truth). Unmatched detections (noise crossings) are excluded.
+    n_truth). Unmatched detections (noise crossings) are excluded, and only
+    the matched windows are cut from the trace.
     """
     ch_trace = trace.data[channel]
-    thr = estimate_threshold(ch_trace, k)
-    windows = detect_spikes(ch_trace, thr, pre_samples, channel=channel)
+    starts = window_starts(ch_trace, estimate_threshold(ch_trace, k), pre_samples)
     truth = labels.for_channel(channel)
-    feats, labs = matched_features(windows, truth, spec)
-    return feats, labs, len(windows), truth.shape[0]
+    pairs = match_events(starts, truth[:, 0])
+    matched = np.asarray(starts, dtype=np.intp)[pairs[:, 0]]
+    feats = _feature_rows(gather_windows(ch_trace, matched), spec)
+    return feats, truth[pairs[:, 1], 2].astype(np.int64), len(starts), truth.shape[0]
 
 
 def confusion_matrix(pred, truth) -> tuple:

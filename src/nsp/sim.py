@@ -379,11 +379,6 @@ class Simulator:
         return self
 
 
-def step(sim: Simulator) -> Simulator:
-    """Advance the simulator one clock cycle (module-level convenience)."""
-    return sim.step()
-
-
 @dataclass
 class SimResult:
     ez: np.ndarray                 # (n_bins, state_dim) per-bin reduced observation

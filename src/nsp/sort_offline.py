@@ -148,21 +148,22 @@ def unpack_model(packed: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def fit_kde(features: np.ndarray, bandwidth: float = KDE_BANDWIDTH) -> np.ndarray:
-    """Gaussian KDE of an (n, 2) int8 feature cloud on the 256x256 value grid.
+def kde_marginals(features: np.ndarray, bandwidth: float = KDE_BANDWIDTH) -> tuple:
+    """Both marginals of a Gaussian KDE of an (n, 2) int8 feature cloud.
 
-    Returns a (256, 256) float64 array indexed [f1 + 128, f2 + 128] that sums
-    to 1 (up to float rounding).
+    Each is a length-256 float64 array indexed by feature value + 128, left
+    unnormalised. The 2-D density on the 256x256 value grid is Ax^T @ Ay for
+    the per-point Gaussian rows Ax, Ay (a separable kernel), so its row sums
+    are Ax^T @ (Ay summed over the grid) and its column sums likewise; this
+    costs O(n * 256) instead of the density's O(n * 256^2).
     """
     pts = np.asarray(features, dtype=np.float64).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("need at least one point for a density estimate")
     grid = np.arange(KDE_GRID, dtype=np.float64) - 128.0
-    # separable kernels: density = Ax^T @ Ay with per-point Gaussian rows
     ax = np.exp(-0.5 * ((grid[None, :] - pts[:, 0:1]) / bandwidth) ** 2)
     ay = np.exp(-0.5 * ((grid[None, :] - pts[:, 1:2]) / bandwidth) ** 2)
-    density = ax.T @ ay
-    return density / density.sum()
+    return ax.T @ ay.sum(axis=1), ay.T @ ax.sum(axis=1)
 
 
 def kde_valleys(marginal: np.ndarray) -> list:
@@ -180,8 +181,7 @@ def boundary_candidates(features: np.ndarray, grid_step: int = GRID_STEP,
     and the range minimum itself is always included.
     """
     pts = np.asarray(features, dtype=np.int64).reshape(-1, 2)
-    density = fit_kde(pts, bandwidth)
-    marginals = (density.sum(axis=1), density.sum(axis=0))
+    marginals = kde_marginals(pts, bandwidth)
     out = []
     for axis in (0, 1):
         lo, hi = int(pts[:, axis].min()), int(pts[:, axis].max())
@@ -236,40 +236,39 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray,
     # becomes "interval index >= pos(b) + 1"
     ix = np.searchsorted(cand_x, feats[:, 0], side="right")
     iy = np.searchsorted(cand_y, feats[:, 1], side="right")
-    counts = np.zeros((len(uniq), mx + 1, my + 1), dtype=np.int64)
-    np.add.at(counts, (lab_idx, ix, iy), 1)
-    prefix = np.zeros((len(uniq), mx + 2, my + 2), dtype=np.int64)
-    prefix[:, 1:, 1:] = counts.cumsum(axis=1).cumsum(axis=2)
+    # prefix[i, j, l]: label-l spikes with x interval < i and y interval < j,
+    # so one fancy index gathers a corner's counts for every label at once
+    counts = np.zeros((mx + 1, my + 1, len(uniq)), dtype=np.int64)
+    np.add.at(counts, (ix, iy, lab_idx), 1)
+    prefix = np.zeros((mx + 2, my + 2, len(uniq)), dtype=np.int64)
+    prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
 
-    def rect(l, xlo, xhi, ylo, yhi):
-        return (prefix[l][xhi, yhi] - prefix[l][xlo, yhi]
-                - prefix[l][xhi, ylo] + prefix[l][xlo, ylo])
+    def combo_array(m, k):
+        if k == 0:
+            return np.zeros((1, 0), dtype=np.int64)
+        return np.array(list(combinations(range(m), k)), dtype=np.int64)
+
+    def bound(cut, m, sel, ranks, upper):
+        # interval-index bound of one leaf side: (nx, 1) over x combinations,
+        # (1, ny) over y combinations, or a scalar for an open side
+        if cut is None:
+            return m + 1 if upper else 0
+        return sel[..., ranks[cut]] + 1
 
     best = None  # (accuracy, pattern_id, boundaries)
     for pat in enumerate_patterns():
         kx, ky = pat.n_x, pat.n_y
         if kx > mx or ky > my:
             continue
-        def combo_array(m, k):
-            if k == 0:
-                return np.zeros((1, 0), dtype=np.int64)
-            return np.array(list(combinations(range(m), k)), dtype=np.int64)
-
         xcombos = combo_array(mx, kx)
         ycombos = combo_array(my, ky)
         XI = xcombos[:, None, :]   # (nx, 1, kx) candidate indices, ascending
         YI = ycombos[None, :, :]   # (1, ny, ky)
         shape = (xcombos.shape[0], ycombos.shape[0])
-        zeros = np.zeros(shape, dtype=np.int64)
         for xord in pat.x_orderings:
             rank_x = {cid: r for r, cid in enumerate(xord)}
             for yord in pat.y_orderings:
                 rank_y = {cid: r for r, cid in enumerate(yord)}
-
-                def bound(cut, cands_len, sel, ranks, upper):
-                    if cut is None:
-                        return zeros + (cands_len + 1 if upper else 0)
-                    return np.broadcast_to(sel[..., ranks[cut]] + 1, shape)
 
                 correct = np.zeros(shape, dtype=np.int64)
                 for leaf in range(N_LEAVES):
@@ -278,9 +277,9 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray,
                     xhi = bound(xhi_c, mx, XI, rank_x, True)
                     ylo = bound(ylo_c, my, YI, rank_y, False)
                     yhi = bound(yhi_c, my, YI, rank_y, True)
-                    leaf_counts = np.stack([rect(l, xlo, xhi, ylo, yhi)
-                                            for l in range(len(uniq))])
-                    correct += leaf_counts.max(axis=0)
+                    leaf_counts = (prefix[xhi, yhi] - prefix[xlo, yhi]
+                                   - prefix[xhi, ylo] + prefix[xlo, ylo])
+                    correct += leaf_counts.max(axis=-1)
                 flat = int(np.argmax(correct))
                 acc = float(correct.flat[flat]) / n
                 if best is None or acc > best[0] + 1e-12:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nsp.detect import (DEFAULT_K, FeatureSpec, SegmentTooShort, SpikeWindow,
-                        detect_spikes, detect_trace, estimate_threshold,
+from nsp.detect import (DEFAULT_K, MIN_SEGMENT, FeatureSpec, SegmentTooShort,
+                        SpikeWindow, detect_spikes, detect_trace, estimate_threshold,
                         extract_features, gather_windows, load_tokens,
                         load_windows, store_tokens, store_windows,
                         window_features, window_starts)
+from nsp.synthdata import gen_spike_trace, tier_config
 
 WINDOW_LEN = 32
 
@@ -62,6 +65,49 @@ def test_threshold_floor_and_short_segment():
     assert estimate_threshold(np.zeros(2000)) == 1.0
     with pytest.raises(SegmentTooShort):
         estimate_threshold(np.zeros(999))
+
+
+def _int8_segment(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        seg = rng.integers(-128, 128, n)
+    elif kind == "gauss":
+        seg = np.clip(np.round(rng.normal(rng.uniform(-20, 20), rng.uniform(0.2, 40), n)),
+                      -128, 127)
+    elif kind == "constant":
+        seg = np.full(n, rng.integers(-128, 128))
+    elif kind == "extremes":
+        seg = rng.choice([-128, -127, 126, 127], n)
+    else:  # sparse outliers at both rails over low noise
+        seg = np.clip(np.round(rng.normal(0, 2.0, n)), -128, 127)
+        hit = rng.choice(n, size=max(1, n // 200), replace=False)
+        seg[hit] = rng.choice([-128, 127], hit.size)
+    return seg.astype(np.int8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half=st.integers(MIN_SEGMENT // 2, 2500), odd=st.booleans(),
+       kind=st.sampled_from(["uniform", "gauss", "constant", "extremes", "outliers"]),
+       seed=st.integers(0, 2**32 - 1), k=st.sampled_from([DEFAULT_K, 0.3, 3.0, 5.5]))
+@example(half=500, odd=False, kind="constant", seed=0, k=DEFAULT_K)
+@example(half=500, odd=True, kind="extremes", seed=1, k=DEFAULT_K)
+def test_int8_threshold_equals_the_float_median_expression(half, odd, kind, seed, k):
+    """The int8 histogram path is exact: == against the float np.median oracle."""
+    n = min(2 * half + odd, 5000)
+    seg = _int8_segment(n, kind, seed)
+    v = seg.astype(np.float64)
+    oracle = max(1.0, k * 1.4826 * np.median(np.abs(v - np.median(v))))
+    assert estimate_threshold(seg, k) == oracle
+
+
+def test_int8_threshold_floor_and_short_segment():
+    assert estimate_threshold(np.zeros(2000, dtype=np.int8)) == 1.0
+    # MAD 1 with k = 0.5 gives 0.74 LSB, floored to 1
+    seg = np.tile(np.array([-1, 0, 1], dtype=np.int8), 1000)
+    assert estimate_threshold(seg, k=0.5) == 1.0
+    assert estimate_threshold(seg, k=4.0) == 4.0 * 1.4826
+    with pytest.raises(SegmentTooShort):
+        estimate_threshold(np.zeros(MIN_SEGMENT - 1, dtype=np.int8))
 
 
 # --- detection ------------------------------------------------------------
@@ -168,6 +214,23 @@ def test_detect_trace_finds_most_truth_events(easy_trace):
     # ordered by (channel, time)
     keys = [(t.channel, t.t) for t in tokens]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("spec", [FeatureSpec(),
+                                  FeatureSpec(mode="indexed", idx_a=3, idx_b=17)])
+@pytest.mark.parametrize("rate_hz", [30.0, 150.0])
+def test_detect_trace_equals_per_window_detection(spec, rate_hz):
+    trace, _ = gen_spike_trace(tier_config("medium", n_channels=3, duration_s=4.0,
+                                           firing_rate_hz=rate_hz), seed=13)
+    thr = [estimate_threshold(trace.data[ch]) for ch in range(trace.n_channels)]
+    windows, tokens = detect_trace(trace, thr, spec=spec)
+    ref_windows = [w for ch in range(trace.n_channels)
+                   for w in detect_spikes(trace.data[ch], thr[ch], channel=ch)]
+    assert [(w.t0, w.channel) for w in windows] == [(w.t0, w.channel) for w in ref_windows]
+    assert all(np.array_equal(w.samples, r.samples) and w.samples.dtype == np.int8
+               for w, r in zip(windows, ref_windows))
+    assert tokens == [extract_features(w, spec) for w in ref_windows]
+    assert all(type(tok.f1) is int and type(tok.f2) is int for tok in tokens)
 
 
 # --- feature extraction -----------------------------------------------------

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from nsp.detect import FeatureSpec, detect_spikes, estimate_threshold, extract_features
 from nsp.evaluation import (DECODER_BENCHMARK, MATCH_TOLERANCE,
                             channel_feature_dataset, confusion_matrix,
                             evaluate_channel_sorters, evaluate_online_sorter,
                             majority_leaf_labels, mapped_accuracy,
-                            match_events, parity_benchmark_configs,
+                            match_events, matched_features,
+                            parity_benchmark_configs,
                             permutation_accuracy, run_decoder_benchmark,
                             run_parity_benchmark, split_indices)
 from nsp.sort_offline import ChannelSorterModel, L1TemplateModel
-from nsp.synthdata import TraceConfig, gen_spike_trace
+from nsp.synthdata import TraceConfig, gen_spike_trace, tier_config
 
 
 # --- event matching ---------------------------------------------------------
@@ -110,6 +112,50 @@ def test_channel_feature_dataset_matches_truth(easy_trace):
     assert n_truth == labels.for_channel(0).shape[0]
     assert set(np.unique(labs)) <= {0, 1}  # easy tier carries two units
     assert labs.size >= 0.8 * n_truth
+
+
+def _per_window_dataset(trace, labels, ch, spec):
+    """channel_feature_dataset's oracle: float threshold, one SpikeWindow and
+    one extract_features call per matched detection."""
+    thr = estimate_threshold(trace.data[ch].astype(np.float64))
+    windows = detect_spikes(trace.data[ch], thr, channel=ch)
+    truth = labels.for_channel(ch)
+    pairs = match_events([w.t0 for w in windows], truth[:, 0])
+    toks = [extract_features(windows[i], spec) for i in pairs[:, 0]]
+    feats = np.array([(t.f1, t.f2) for t in toks], dtype=np.int64).reshape(-1, 2)
+    return feats, truth[pairs[:, 1], 2].astype(np.int64), len(windows), truth.shape[0]
+
+
+@pytest.fixture(scope="module")
+def medium_trace():
+    return gen_spike_trace(tier_config("medium", n_channels=3, duration_s=8.0), seed=29)
+
+
+@pytest.mark.parametrize("spec", [FeatureSpec(),
+                                  FeatureSpec(mode="indexed", idx_a=2, idx_b=21)])
+@pytest.mark.parametrize("which", ["easy_trace", "medium_trace"])
+def test_feature_dataset_equals_the_per_window_path(which, spec, request):
+    trace, labels = request.getfixturevalue(which)
+    for ch in range(trace.n_channels):
+        feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch, spec)
+        ref_feats, ref_labs, ref_det, ref_truth = _per_window_dataset(trace, labels, ch, spec)
+        assert feats.dtype == labs.dtype == np.int64
+        assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
+        assert (n_det, n_truth) == (ref_det, ref_truth)
+        windows = detect_spikes(trace.data[ch], estimate_threshold(trace.data[ch]),
+                                channel=ch)
+        feats, labs = matched_features(windows, labels.for_channel(ch), spec)
+        assert feats.dtype == np.int64
+        assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
+
+
+def test_feature_dataset_without_matches():
+    cfg = TraceConfig(n_channels=1, duration_s=1.0, firing_rate_hz=0.0)
+    trace, labels = gen_spike_trace(cfg, seed=0)
+    feats, labs, _, n_truth = channel_feature_dataset(trace, labels, 0)
+    assert feats.shape == (0, 2) and labs.shape == (0,) and n_truth == 0
+    feats, labs = matched_features([], labels.for_channel(0))
+    assert feats.shape == (0, 2) and feats.dtype == np.int64
 
 
 def test_evaluate_channel_sorters_easy_channel(easy_trace):

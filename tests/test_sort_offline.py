@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from nsp.detect import FeatureSpec
+from nsp.evaluation import channel_feature_dataset
 from nsp.patterns import enumerate_patterns
-from nsp.sort_offline import (L1_BITS_PER_TEMPLATE, OUTLIER, TREE_MODEL_BITS,
-                              ChannelSorterModel, L1TemplateModel,
-                              SortOpCounts, boundary_candidates,
-                              classify_spike, l1_classify, load_models,
+from nsp.sort_offline import (KDE_BANDWIDTH, L1_BITS_PER_TEMPLATE, OUTLIER,
+                              TREE_MODEL_BITS, ChannelSorterModel,
+                              L1TemplateModel, SortOpCounts,
+                              boundary_candidates, classify_spike,
+                              kde_marginals, kde_valleys, l1_classify, load_models,
                               model_footprint, pack_model, store_models,
                               train_channel_model, train_l1, unpack_model)
+from nsp.synthdata import gen_spike_trace, tier_config
 
 
 def _clusters(rng, centers, n_per, sigma=3.0):
@@ -224,6 +227,54 @@ def test_boundary_candidates_cover_range():
     assert all(-40 <= v <= 33 for v in cx)
     assert all(10 <= v <= 90 for v in cy)
     assert cx == sorted(cx)
+
+
+def _full_kde(features, bandwidth=KDE_BANDWIDTH):
+    """Normalised 256x256 Gaussian KDE on the int8 value grid, [f1+128, f2+128]."""
+    pts = np.asarray(features, dtype=np.float64).reshape(-1, 2)
+    grid = np.arange(256, dtype=np.float64) - 128.0
+    ax = np.exp(-0.5 * ((grid[None, :] - pts[:, 0:1]) / bandwidth) ** 2)
+    ay = np.exp(-0.5 * ((grid[None, :] - pts[:, 1:2]) / bandwidth) ** 2)
+    density = ax.T @ ay
+    return density / density.sum()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_marginal_valleys_equal_full_density_valleys(seed):
+    rng = np.random.default_rng(seed)
+    n_units = 2 + seed % 3
+    centers = rng.integers(-90, 90, size=(n_units, 2))
+    feats, _ = _clusters(rng, centers, n_per=int(rng.integers(15, 80)),
+                         sigma=float(rng.uniform(3.0, 10.0)))
+    mx, my = kde_marginals(feats)
+    density = _full_kde(feats)
+    assert kde_valleys(mx) == kde_valleys(density.sum(axis=1))
+    assert kde_valleys(my) == kde_valleys(density.sum(axis=0))
+    # the marginals are the density's, up to normalisation and rounding
+    assert np.allclose(mx / mx.sum(), density.sum(axis=1), rtol=1e-9, atol=1e-300)
+    assert np.allclose(my / my.sum(), density.sum(axis=0), rtol=1e-9, atol=1e-300)
+
+
+# Models trained on three medium-tier channels (seed 41, 10 s), recorded
+# before the sweep and the density estimate were vectorised: training must
+# keep reproducing them exactly.
+PINNED_TREE_MODELS = [
+    {"boundaries": [18, -64, 45], "pattern_id": 3, "packed": "12c02d3",
+     "train_accuracy": 0.9936305732484076, "valid_mask": 14},
+    {"boundaries": [44, -65, -88], "pattern_id": 6, "packed": "2cbfa86",
+     "train_accuracy": 1.0, "valid_mask": 15},
+    {"boundaries": [64, -90, -65], "pattern_id": 8, "packed": "40a6bf8",
+     "train_accuracy": 0.989010989010989, "valid_mask": 15},
+]
+
+
+def test_tree_models_are_pinned():
+    trace, labels = gen_spike_trace(tier_config("medium", n_channels=3, duration_s=10.0),
+                                    seed=41)
+    for ch, pinned in enumerate(PINNED_TREE_MODELS):
+        feats, labs, _, _ = channel_feature_dataset(trace, labels, ch)
+        expected = {"kind": "tree", "feature_spec": FeatureSpec().to_json(), **pinned}
+        assert train_channel_model(feats, labs).to_json() == expected
 
 
 # --- persistence ----------------------------------------------------------
