@@ -33,7 +33,7 @@ from .opcount import SingularMatrixError
 from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS, load_models,
                            model_footprint, store_models, train_channel_model,
                            train_l1)
-from .sort_online import train_online
+from .sort_online import online_footprint, train_online
 from .sim import SimConfig, parse_sim_config, run_simulation
 from .synthdata import (ClippingError, DatasetFormatError, SessionConfig,
                         TraceConfig, gen_reach_session, gen_spike_trace,
@@ -275,11 +275,12 @@ def cmd_eval_sort(args) -> int:
         row = {"channel": ch, "model": model.kind,
                "n_detected": n_det, "n_truth": n_truth,
                "n_scored": len(pred),
-               "accuracy": permutation_accuracy(pred, labs)}
-        if model.kind != "online":
-            row["footprint_bits"] = model_footprint(model)
+               "accuracy": permutation_accuracy(pred, labs),
+               "footprint_bits": model_footprint(model)}
         if model.kind == "l1":
             row["n_templates"] = len(model.templates)
+        if model.kind == "online":
+            row["n_cuts"] = [len(cuts) for cuts in model.boundaries]
         return row
 
     channels = sorted(models)
@@ -560,6 +561,13 @@ def _crosscheck_footprints(name: str, rows) -> None:
                 raise ArithmeticError(
                     f"{name}: channel {row.get('channel')} reports {bits} "
                     f"L1 bits; templates say {want}")
+        if row.get("model") == "online":
+            n1, n2 = row.get("n_cuts", (0, 0))
+            want = online_footprint(int(n1), int(n2))
+            if bits != want:
+                raise ArithmeticError(
+                    f"{name}: channel {row.get('channel')} reports {bits} "
+                    f"online bits; its cuts say {want}")
 
 
 def _crosscheck_opcounts(name: str, rows) -> None:

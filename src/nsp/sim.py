@@ -1,13 +1,16 @@
-"""Cycle-driven simulator of the 96-channel processing fabric.
+"""Cycle-accurate simulator of the 96-channel processing fabric.
 
 Per-channel detectors complete one 32-sample window at a time and hand tokens
 to a per-group conveyor ring; one sorter per group classifies at most one
 token per cycle; sorted events contend for a single bounded decoder buffer
 feeding the per-bin ensemble accumulator. Everything is a deterministic state
 machine: identical inputs give identical counters and outputs.
-``Simulator.run`` advances from event to event and skips the cycles in which
-tokens only travel; ``Simulator.step`` advances one cycle and is the
-reference that ``run`` must match.
+
+``Simulator.step`` advances one clock cycle through every stage and is the
+reference. ``Simulator.run`` reaches the same end state stage by stage, token
+by token: ring insertion in cycle order, then one sort per token in exit
+order, then the decoder buffer in arrival order, then the accumulator banks
+in numpy. Each stage only feeds the next, so no stage loops over cycles.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,8 +155,7 @@ class SimCounters:
         return {f.name: int(getattr(self, f.name)) for f in fields(self)}
 
 
-@dataclass
-class Completion:
+class Completion(NamedTuple):
     """A detector finishing its window: ready for queue insertion this cycle."""
 
     cycle: int
@@ -175,8 +180,8 @@ class Simulator:
     ``c % conveyor_slots``, so advancing a conveyor moves no data. Because
     every tap lies less than ``group_size <= conveyor_slots`` slots from the
     head, two pending tokens of one ring never share a slot. The exit cycles
-    of all ring tokens are kept in a min-heap, which tells :meth:`run` when
-    the next token reaches a sorter.
+    of all ring tokens are kept in a min-heap, which tells :meth:`step` when
+    a token reaches a sorter.
     """
 
     def __init__(self, config: SimConfig, ensemble: EnsembleModel,
@@ -186,7 +191,7 @@ class Simulator:
         self.counters = SimCounters()
         self.ensemble = ensemble
         self.classifiers = classifiers
-        self.schedule = sorted(schedule, key=lambda c: (c.cycle, c.channel))
+        self.schedule = sorted(schedule, key=attrgetter("cycle", "channel"))
         for comp in self.schedule:
             if not 0 <= comp.channel < config.n_channels:
                 raise ConfigMismatchError(
@@ -351,32 +356,202 @@ class Simulator:
         self.counters.output_bits += self.ensemble.E.shape[0] * self.config.output_width_bits
 
     def run(self) -> "Simulator":
-        """Step until the schedule is drained and every bank has been emitted.
+        """Drain the schedule and emit every bank, stage by stage.
 
-        Next-event rule: while no token is held for insertion and the
-        decoder buffer is empty, the clock jumps straight to the earliest of
-        the next detector completion, the next conveyor exit (the top of the
-        exit heap) and the next bank close, and :meth:`step` runs only
-        there. A skipped cycle only carries tokens along their rings, which
-        absolute slot indexing does without touching them, so no counter,
-        bank, output or conservation term changes in it. Counters, banks,
-        outputs and raised errors equal those of calling :meth:`step` once
-        per cycle until :attr:`done`.
+        Starts from whatever state :meth:`step` left (held tokens, ring
+        tokens, the decoder buffer, emitted banks) and ends in the state,
+        counters and outputs of calling :meth:`step` once per cycle until
+        :attr:`done`, without stepping:
+
+        (A) Insertion. Slots are indexed by absolute cycle, so a token at tap
+            ``t`` inserting in cycle ``c`` is blocked exactly when its group
+            already holds a token leaving the ring in cycle ``c + t``. Tokens
+            claim (group, exit cycle) pairs in cycle order; a blocked token
+            retries the next cycle, and each retry is one stall cycle.
+        (B) Sorter. One classifier call per token, in (exit cycle, group)
+            order, as the sorters meet them.
+        (C) Decoder buffer. Per arrival cycle: the buffer pops one item,
+            then admits that cycle's arrivals up to its depth. An item is
+            accepted one cycle after its arrival or after its predecessor,
+            whichever is later.
+        (D) Banks. A bank closes ``grace_cycles`` after its edge, so the
+            accept cycle fixes which banks are still open; binning, edge
+            crossings and late spills follow in numpy, and every bank is
+            then emitted by :meth:`_emit_bank`.
+
+        A schedule that breaks the detector re-arm rule (a channel completing
+        while its previous token is held) makes stage A give up, and ``run``
+        then steps from its entry state, so the error raised and the state
+        left behind are exactly those of :meth:`step`.
         """
-        schedule = self.schedule
-        exits = self._exits
-        while not self.done:
-            if not self._held and not self._fifo:
-                nxt = self._next_close
-                if self._next_comp < len(schedule):
-                    nxt = min(nxt, schedule[self._next_comp].cycle)
-                if exits:
-                    nxt = min(nxt, exits[0])
-                if nxt > self.cycle:
-                    self.cycle = nxt
-                    self.counters.cycles = max(self.counters.cycles, nxt)
-            self.step()
+        if self.done:
+            return self
+        staged = self._insert_tokens()
+        if staged is None:
+            while not self.done:
+                self.step()
+            return self
+        detections, gated, stalls, last, inserted = staged
+
+        # (B) one sort per token, in the order tokens reach the sorters
+        inserted.sort()
+        classify = self.classifiers
+        labels = [int(classify[comp.channel](comp.f1, comp.f2))
+                  for _, comp in inserted]
+
+        # (C) the decoder buffer, one arrival cycle at a time; the items left
+        # in it by step() go first, popping one per cycle from now on
+        n_groups = self.config.n_groups
+        depth = self.config.decoder_buffer_depth
+        accepts = list(range(self.cycle, self.cycle + len(self._fifo)))
+        taken = [comp for comp, _ in self._fifo]
+        taken_labels = [label for _, label in self._fifo]
+        head = 0                 # accepts[head:] are still in the buffer
+        acc = accepts[-1] if accepts else self.cycle - 1
+        collisions = lost = 0
+        arrival = None
+        for (key, comp), label in zip(inserted, labels):
+            cyc = key // n_groups
+            if cyc == arrival:
+                collisions += 1
+            else:
+                arrival = cyc
+                while head < len(accepts) and accepts[head] <= cyc:
+                    head += 1
+            if len(accepts) - head < depth:
+                acc = (acc if acc > cyc else cyc) + 1
+                accepts.append(acc)
+                taken.append(comp)
+                taken_labels.append(label)
+            else:
+                lost += 1
+
+        c = self.counters
+        c.detections += detections
+        c.gated_tokens += gated
+        c.stall_cycles += stalls
+        c.sorts += len(inserted)
+        c.decoder_collisions += collisions
+        c.tokens_lost += lost
+        self.sorts_by_channel += np.bincount(
+            np.array([comp.channel for _, comp in inserted], dtype=np.int64),
+            minlength=self.config.n_channels)
+
+        # (D) bin the accepted tokens, then close every remaining bank
+        self._accept_all(accepts, taken, taken_labels)
+        # step() would stop after the last cycle with a detection, insertion,
+        # ring exit, accept or bank close
+        if inserted:
+            last = max(last, inserted[-1][0] // n_groups)
+        last = max(last, acc)
+        if self._next_emit < self.n_bins:
+            last = max(last, self._close_cycle(self.n_bins - 1))
+        while self._next_emit < self.n_bins:
+            self._emit_bank()
+        self._next_comp = len(self.schedule)
+        self._held = {}
+        self._rings = [[None] * self.config.conveyor_slots for _ in self._rings]
+        self._exits = []
+        self._fifo.clear()
+        self.cycle = last + 1
+        c.cycles = max(c.cycles, self.cycle)
         return self
+
+    def _insert_tokens(self):
+        """Stage A of :meth:`run`: gate and insert every pending token.
+
+        Returns ``(detections, gated, stall cycles, last cycle, inserted)``,
+        where *inserted* lists ``(exit cycle * n_groups + group, token)`` for
+        every ring token, those already on a ring included, and *last cycle*
+        is the last cycle in which a token was detected or inserted. Returns
+        None when the schedule breaks the detector re-arm rule. Changes
+        nothing on the simulator.
+        """
+        cfg = self.config
+        n_groups, group_size = cfg.n_groups, cfg.group_size
+        # a token of channel ch inserting in cycle c leaves the ring in cycle
+        # c + tap: its (group, exit cycle) key is c * n_groups + offset[ch]
+        offset = [(ch % group_size) * n_groups + ch // group_size
+                  for ch in range(cfg.n_channels)]
+        gated_out = [cfg.channel_gating and ch not in self._selected_channels
+                     for ch in range(cfg.n_channels)]
+        start = self.cycle
+        inserted = [((start + (slot - start) % cfg.conveyor_slots) * n_groups + g, comp)
+                    for g, ring in enumerate(self._rings)
+                    for slot, comp in enumerate(ring) if comp is not None]
+        claimed = {key for key, _ in inserted}
+        schedule, i, n = self.schedule, self._next_comp, len(self.schedule)
+        held = list(self._held.values())
+        gated = stalls = 0
+        cyc = start - 1
+        while held or i < n:
+            # one cycle: held tokens retry, then this cycle's completions
+            # join them; distinct channels never contend for one key
+            waiting, held = held, []
+            if waiting:
+                cyc += 1
+                held_channels = {comp.channel for comp in waiting}
+            else:
+                cyc = max(schedule[i].cycle, start)
+                held_channels = ()
+            while i < n and schedule[i].cycle <= cyc:
+                comp = schedule[i]
+                i += 1
+                if gated_out[comp.channel]:
+                    gated += 1
+                elif comp.channel in held_channels:
+                    return None
+                else:
+                    waiting.append(comp)
+            base = cyc * n_groups
+            for comp in waiting:
+                key = base + offset[comp.channel]
+                if key in claimed:
+                    held.append(comp)
+                else:
+                    claimed.add(key)
+                    inserted.append((key, comp))
+            if held:
+                stalls += len(held)
+                if len({comp.channel for comp in held}) < len(held):
+                    return None      # two tokens of one channel blocked at once
+        return i - self._next_comp, gated, stalls, cyc, inserted
+
+    def _accept_all(self, accepts: list, comps: list, labels: list) -> None:
+        """Stage D of :meth:`run`: :meth:`_accept` for every token in *comps*,
+        sorted as *labels* and accepted in the cycles *accepts*.
+
+        Bank ``j`` closes in cycle ``(j + 1) * bin_len + grace_cycles``, after
+        that cycle's accept, so at accept cycle ``x`` the oldest open bank is
+        the number of banks that closed before ``x``.
+        """
+        if not comps:
+            return
+        ts = [comp.t for comp in comps]
+        channels = [comp.channel for comp in comps]
+        cyc, t = np.array(accepts, dtype=np.int64), np.array(ts, dtype=np.int64)
+        bin_len, n_bins = self._bin_len, self.n_bins
+        k = t // bin_len
+        edge = cyc > (k + 1) * bin_len
+        k = np.minimum(k, n_bins - 1)
+        oldest_open = np.clip((cyc - 1 - self.config.grace_cycles) // bin_len,
+                              self._next_emit, n_bins)
+        late = k < oldest_open
+        k = np.where(late, oldest_open, k)
+        kept = ~late | (oldest_open < n_bins)
+        colmap = self._colmap
+        cols = np.array([colmap.get(pair, -1) for pair in zip(channels, labels)],
+                        dtype=np.int64)
+        into = kept & (cols >= 0)
+        np.add.at(self._banks, (k[into], cols[into]), 1)
+        c = self.counters
+        c.decoder_accepts += len(comps)
+        c.edge_crossings += int(edge.sum())
+        c.late_tokens += int(late.sum())
+        events = zip(ts, channels, labels)
+        self.accepted_events.extend(
+            events if kept.all()
+            else (ev for ev, keep in zip(events, kept.tolist()) if keep))
 
 
 @dataclass
@@ -410,9 +585,9 @@ def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
         if not starts:
             continue
         f1, f2 = window_features(gather_windows(row, starts), spec)
-        schedule.extend(Completion(cycle=t0 + WINDOW_LEN - 1, channel=ch,
-                                   t=t0, f1=a, f2=b)
-                        for t0, a, b in zip(starts, f1.tolist(), f2.tolist()))
+        cycles = [t0 + WINDOW_LEN - 1 for t0 in starts]
+        schedule.extend(map(Completion, cycles, repeat(ch), starts,
+                            f1.tolist(), f2.tolist()))
     return schedule
 
 

@@ -11,10 +11,10 @@ The baseline assigns a spike to the nearest of up to four stored feature
 templates in L1 distance, costing 3 add/sub per template and n-1 comparisons.
 
 Every sorter model kind (this module's tree and L1 models and the online
-model of ``sort_online``) carries a ``kind`` name, ``classify(f1, f2)`` and a
-``to_json``/``from_json`` pair. ``MODEL_KINDS`` maps each kind name to its
-class, and ``store_models``/``load_models`` read and write per-channel model
-sets of any one kind through it.
+model of ``sort_online``) carries a ``kind`` name, ``classify(f1, f2)``,
+``footprint_bits()`` and a ``to_json``/``from_json`` pair. ``MODEL_KINDS``
+maps each kind name to its class, and ``store_models``/``load_models`` read
+and write per-channel model sets of any one kind through it.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class ChannelSorterModel:
     def classify(self, f1: int, f2: int) -> int:
         return classify_spike(self, f1, f2)
 
+    def footprint_bits(self) -> int:
+        """Deployed size in bits: three boundary bytes and a 4-bit pattern id."""
+        return TREE_MODEL_BITS
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "feature_spec": self.feature_spec.to_json(),
                 "pattern_id": self.pattern_id,
@@ -100,6 +104,10 @@ class L1TemplateModel:
     def classify(self, f1: int, f2: int) -> int:
         return l1_classify(self, f1, f2)
 
+    def footprint_bits(self) -> int:
+        """Deployed size in bits: one int8 (f1, f2) pair per template."""
+        return L1_BITS_PER_TEMPLATE * len(self.templates)
+
     def to_json(self) -> dict:
         return {"kind": self.kind,
                 "templates": [[int(a), int(b)] for a, b in self.templates],
@@ -114,12 +122,11 @@ class L1TemplateModel:
 
 
 def model_footprint(model) -> int:
-    """Deployed model size in bits."""
-    if isinstance(model, ChannelSorterModel):
-        return TREE_MODEL_BITS
-    if isinstance(model, L1TemplateModel):
-        return L1_BITS_PER_TEMPLATE * len(model.templates)
-    raise TypeError(f"no footprint rule for {type(model).__name__}")
+    """Deployed model size in bits, by the model kind's ``footprint_bits()``."""
+    footprint = getattr(model, "footprint_bits", None)
+    if footprint is None:
+        raise TypeError(f"no footprint rule for {type(model).__name__}")
+    return footprint()
 
 
 def pack_model(model: ChannelSorterModel) -> str:

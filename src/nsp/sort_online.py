@@ -27,6 +27,8 @@ CAM_CAPACITY = 16
 DECAY_PERIOD = 64        # processed spikes per channel between global decrements
 STATUS_VACANT, STATUS_OUTLIER, STATUS_WEAK, STATUS_STRONG = 0, 1, 2, 3
 OUTLIER = -1
+CUT_BITS = 8                            # one int8 register per cut
+CELL_BITS = CAM_CAPACITY.bit_length()   # cluster ids 0..15 plus the outlier code
 
 
 @dataclass
@@ -250,6 +252,11 @@ class OnlineSorterModel:
     def n_clusters(self) -> int:
         return len(self.valid())
 
+    def footprint_bits(self) -> int:
+        """Deployed size in bits: the cut registers plus the partition
+        table of at most 16 cells, counted by :func:`online_footprint`."""
+        return online_footprint(len(self.boundaries[0]), len(self.boundaries[1]))
+
     def to_json(self) -> dict:
         return {"kind": self.kind,
                 "boundaries": [list(map(int, self.boundaries[0])),
@@ -274,6 +281,18 @@ class OnlineSorterModel:
                     f"CAM entry ({i!r}, {j!r}) lies outside the "
                     f"{len(cuts[0]) + 1}x{len(cuts[1]) + 1} partition grid")
         return cls(boundaries=(list(cuts[0]), list(cuts[1])), cam_snapshot=cam)
+
+
+def online_footprint(n_cuts_f1: int, n_cuts_f2: int) -> int:
+    """Deployed size in bits of a frozen online model with these cut counts.
+
+    Each cut is one int8 register (CUT_BITS). The frozen table has one cell
+    per grid partition, (n_cuts_f1 + 1) * (n_cuts_f2 + 1) <= 16 of them, and a
+    cell holds the rank of a valid partition (0..15) or the outlier code,
+    CELL_BITS = 5 bits. With three cuts per axis that is 6 * 8 + 16 * 5 = 128.
+    """
+    return (CUT_BITS * (n_cuts_f1 + n_cuts_f2)
+            + CELL_BITS * (n_cuts_f1 + 1) * (n_cuts_f2 + 1))
 
 
 def _is_int(x) -> bool:

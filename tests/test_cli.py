@@ -9,7 +9,7 @@ from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                      EXIT_USAGE, ExperimentConfig, _counts_to_events, main)
 from nsp.decode import load_decoded, load_decoder, run_filter, store_decoded
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
-from nsp.sort_offline import TREE_MODEL_BITS, load_models
+from nsp.sort_offline import TREE_MODEL_BITS, load_models, model_footprint
 from nsp.synthdata import (PayloadError, TraceConfig, gen_spike_trace,
                            load_session, load_trace, store_trace)
 
@@ -165,6 +165,10 @@ def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
                "--out", m / "sorted.jsonl") == EXIT_OK
     assert run("eval-sort", "--trace", d / "trace.bin", "--labels", d / "labels.jsonl",
                "--models", m / "sorters.json", "--out", m / "eval.json") == EXIT_OK
+    models = load_models(str(m / "sorters.json"))
+    rows = json.loads((m / "eval.json").read_text())["rows"]
+    assert [r["footprint_bits"] for r in rows] == [model_footprint(models[r["channel"]])
+                                                   for r in rows]
     shutil.copy(d / "decoder.json", m / "decoder.json")
     assert run("simulate", "--trace", d / "trace.bin", "--models", m,
                "--config", d / "sim.cfg", "--counters", m / "sim.json",
@@ -184,6 +188,14 @@ def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
                            x0=bundle.x0, P0=bundle.P0)
     store_decoded(str(m / "ref_decoded.csv"), states)
     assert (m / "ref_decoded.csv").read_bytes() == (m / "sim_decoded.csv").read_bytes()
+
+    # the report re-derives every kind's footprint and rejects a tampered one
+    report = ("report", "--dir", m, "--out", m / "report.json", "--csv", m / "report.csv")
+    assert run(*report) == EXIT_OK
+    tampered = json.loads((m / "eval.json").read_text())
+    tampered["rows"][0]["footprint_bits"] += 1
+    (m / "eval.json").write_text(json.dumps(tampered))
+    assert run(*report) == EXIT_NUMERICAL
 
 
 # --- determinism ------------------------------------------------------------------

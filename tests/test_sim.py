@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsp.decode import EnsembleModel
 from nsp.sim import (Completion, ConfigMismatchError, SimConfig, Simulator,
@@ -224,7 +226,7 @@ def test_hopelessly_delayed_token_spills_into_oldest_open_bank():
     assert sim._banks[1].sum() == 1   # oldest bank still open when it landed
 
 
-# --- next-event run() vs the per-cycle step() oracle -----------------------------
+# --- staged run() vs the per-cycle step() oracle ----------------------------------
 
 
 def _random_fabric(seed):
@@ -279,9 +281,23 @@ def _step_until_done(sim):
         sim.step()
 
 
+def _step_then_run(n_steps):
+    def drive(sim):
+        for _ in range(n_steps):
+            if sim.done:
+                break
+            sim.step()
+        drive.resumed = {"held": bool(sim._held), "ring": bool(sim._exits),
+                         "fifo": bool(sim._fifo)}
+        sim.run()
+    drive.resumed = {}
+    return drive
+
+
 def test_run_equals_the_per_cycle_step_loop():
     seen = dict.fromkeys(("stall_cycles", "decoder_collisions", "tokens_lost",
                           "gated_tokens", "late_tokens", "rearm", "wide_ring"), 0)
+    resumed = dict.fromkeys(("held", "ring", "fifo"), 0)
     for seed in range(300):
         cfg, ens, classifiers, schedule, n_bins = _random_fabric(seed)
         fast = _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
@@ -289,27 +305,118 @@ def test_run_equals_the_per_cycle_step_loop():
         slow = _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
                         _step_until_done)
         assert fast == slow, seed
+        # run() also finishes whatever state step() leaves behind: step
+        # through the cycle of a random completion, then run
+        pick = np.random.default_rng(seed).integers(max(len(schedule), 1))
+        drive = _step_then_run(schedule[pick].cycle + 1 if schedule else 0)
+        assert _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
+                        drive) == slow, seed
+        for key, state in drive.resumed.items():
+            resumed[key] += state
         for key in seen:
             if key in fast["counters"]:
                 seen[key] += fast["counters"][key] > 0
         seen["rearm"] += fast["err"] is not None and "re-arm" in fast["err"]
         seen["wide_ring"] += cfg.conveyor_slots > cfg.group_size
-    # the random fabrics reach every contention case
+    # the random fabrics reach every contention case, and run() resumes from
+    # held tokens, ring tokens and a non-empty decoder buffer
     assert all(count >= 5 for count in seen.values()), seen
+    assert all(count >= 5 for count in resumed.values()), resumed
 
 
-def test_run_skips_travel_cycles():
+def test_run_reports_a_doubly_blocked_channel_like_step():
+    # channel 1's token leaves the ring in cycle 1, so both cycle-1 tokens of
+    # channel 0 are blocked at once; the held store keeps only one of them
+    cfg = SimConfig(n_channels=2, group_size=2, conveyor_slots=2)
+    sched = [Completion(cycle=0, channel=1, t=0, f1=0, f2=0),
+             Completion(cycle=1, channel=0, t=1, f1=0, f2=0),
+             Completion(cycle=1, channel=0, t=1, f1=1, f2=1)]
+    fast = _outcome(_sim(cfg, range(2), sched), Simulator.run)
+    assert "conservation" in fast["err"]
+    assert fast == _outcome(_sim(cfg, range(2), sched), _step_until_done)
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_a_bank_still_accepts_in_its_close_cycle(late):
+    cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
+    close = cfg.bin_len + cfg.grace_cycles
+    # tap 0 exits in its completion cycle and is accepted one cycle later
+    sched = [Completion(cycle=close - 1 + late, channel=0, t=10, f1=0, f2=0)]
+    fast = _sim(cfg, range(4), sched, n_bins=2).run()
+    slow = _sim(cfg, range(4), sched, n_bins=2)
+    _step_until_done(slow)
+    assert fast.counters == slow.counters
+    assert fast.counters.late_tokens == late
+    assert fast._banks[:, 0].tolist() == ([0, 1] if late else [1, 0])
+
+
+def test_run_makes_no_step_calls():
     cfg = SimConfig(n_channels=8, group_size=8, conveyor_slots=12)
     sched = [Completion(cycle=10, channel=7, t=0, f1=0, f2=0)]
     sim = _sim(cfg, range(8), sched, n_bins=2)
-    steps = []
-    step = sim.step
-    sim.step = lambda: steps.append(sim.cycle) or step()
+    oracle = _sim(cfg, range(8), sched, n_bins=2)
+    sim.step = lambda: pytest.fail("run() stepped a valid schedule")
     sim.run()
-    # completion and insertion, head arrival, decoder accept, two bank closes
-    assert steps == [10, 17, 18, cfg.bin_len + cfg.grace_cycles,
-                     2 * cfg.bin_len + cfg.grace_cycles]
+    _step_until_done(oracle)
+    assert sim.counters == oracle.counters and sim.cycle == oracle.cycle
     assert sim.counters.sorts == sim.counters.decoder_accepts == 1
+
+
+@st.composite
+def _fabrics(draw):
+    """A small fabric and a schedule that mostly keeps the re-arm rule.
+
+    Windows of one channel start 32 or more samples apart, inside the binned
+    span, and channels start close enough together to contend for slots. Now
+    and then a completion is queued long after its detection, which can make
+    it late or break the re-arm rule.
+    """
+    group_size = draw(st.sampled_from([1, 2, 4]))
+    n = group_size * draw(st.integers(1, 3))
+    cfg = SimConfig(n_channels=n, group_size=group_size,
+                    conveyor_slots=group_size + draw(st.integers(0, 3)),
+                    decoder_buffer_depth=draw(st.integers(1, 4)),
+                    clock_hz=1000, bin_ms=100, channel_gating=draw(st.booleans()))
+    n_bins = draw(st.integers(1, 3))
+    pairs = [(ch, u) for ch in range(n) for u in range(2)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    selected = tuple(p for p, k in zip(pairs, keep) if k) or (pairs[0],)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ens = EnsembleModel(E=rng.normal(0.0, 0.1, size=(2, len(selected))),
+                        Qe=0.1 * np.eye(2), selected=selected)
+    schedule = []
+    for ch in range(n):
+        t = draw(st.integers(0, 6))
+        for gap in draw(st.lists(st.sampled_from([32, 33, 34, 35, 40, 48]),
+                                 max_size=8)):
+            if t + 31 >= n_bins * cfg.bin_len:
+                break
+            delay = draw(st.sampled_from([0, 0, 0, 0, 0, 0, 0, 0, 0, 150]))
+            schedule.append(Completion(cycle=t + 31 + delay, channel=ch, t=t,
+                                       f1=draw(st.integers(-128, 127)),
+                                       f2=draw(st.integers(-128, 127))))
+            t += gap
+    return cfg, ens, schedule, n_bins
+
+
+@settings(max_examples=200, deadline=None)
+@given(fabric=_fabrics())
+def test_random_fabrics_conserve_tokens_and_match_the_oracle(fabric):
+    cfg, ens, schedule, n_bins = fabric
+    classifiers = {ch: (lambda f1, f2, ch=ch: (f1 + f2 + ch) % 3)
+                   for ch in range(cfg.n_channels)}
+    sim = Simulator(cfg, ens, classifiers, schedule, n_bins)
+    fast = _outcome(sim, Simulator.run)
+    assert fast == _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
+                            _step_until_done)
+    if fast["err"] is not None:
+        return
+    c = sim.counters
+    assert c.detections == len(schedule)
+    assert c.detections == c.gated_tokens + c.decoder_accepts + c.tokens_lost
+    if c.late_tokens == 0:
+        events = np.array(sim.accepted_events, dtype=np.int64).reshape(-1, 3)
+        assert np.array_equal(sim._ez, reference_ez(events, ens, n_bins, cfg.bin_len))
 
 
 # --- schedule building ------------------------------------------------------------

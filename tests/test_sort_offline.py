@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nsp.detect import FeatureSpec
 from nsp.evaluation import channel_feature_dataset
@@ -69,6 +71,22 @@ def test_pack_unpack_round_trip():
     bounds, pid = unpack_model(packed)
     assert bounds == (-128, 0, 127)
     assert pid == 7
+
+
+_INT8 = st.integers(-128, 127)
+
+
+@settings(max_examples=500, deadline=None)
+@given(boundaries=st.tuples(_INT8, _INT8, _INT8), pattern_id=st.integers(0, 15))
+@example(boundaries=(-128, -128, -128), pattern_id=0)
+@example(boundaries=(127, 127, 127), pattern_id=15)
+@example(boundaries=(-1, 0, 1), pattern_id=10)
+def test_pack_unpack_round_trips_every_model(boundaries, pattern_id):
+    model = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=pattern_id,
+                               boundaries=boundaries, valid_mask=0b1111)
+    packed = pack_model(model)
+    assert len(packed) == 7 and int(packed, 16) < 1 << TREE_MODEL_BITS
+    assert unpack_model(packed) == (boundaries, pattern_id)
 
 
 def test_unpack_rejects_oversized():

@@ -9,7 +9,7 @@ from nsp.sort_online import (CAM_CAPACITY, OUTLIER, STATUS_OUTLIER,
                              find_boundaries, locate_partition,
                              train_online, update_histograms,
                              valid_partitions)
-from nsp.sort_offline import load_models, store_models
+from nsp.sort_offline import load_models, model_footprint, store_models
 
 
 def _cluster_tokens(rng, centers, n_per, channel=0):
@@ -249,6 +249,17 @@ def test_model_round_trip(tmp_path):
     assert sorted(b0.cam_snapshot) == sorted(m0.cam_snapshot)
     for f1, f2 in ((-60, 50), (40, -40), (0, 0), (127, -128)):
         assert b0.classify(f1, f2) == m0.classify(f1, f2)
+
+
+def test_footprint_counts_cut_registers_and_table_cells():
+    full = OnlineSorterModel(boundaries=([-40, 0, 40], [-10, 10, 30]),
+                             cam_snapshot=[(0, 0, STATUS_STRONG)])
+    # six int8 cut registers plus sixteen 5-bit cells (ranks 0..15 + outlier)
+    assert model_footprint(full) == full.footprint_bits() == 6 * 8 + 16 * 5
+    one_cut = OnlineSorterModel(boundaries=([0], []), cam_snapshot=[])
+    assert model_footprint(one_cut) == 8 + 2 * 5
+    bare = OnlineSorterModel(boundaries=([], []), cam_snapshot=[])
+    assert model_footprint(bare) == 5
 
 
 def test_from_json_rejects_other_kinds():
