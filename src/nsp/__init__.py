@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 from .synthdata import (ClippingError, DatasetFormatError, GroundTruthLabels,
                         HeaderError, PayloadError, RawTrace, ReachSession,
                         SessionConfig, TraceConfig, VersionError,
-                        gen_reach_session, gen_spike_trace, load_dataset,
-                        load_labels, load_session, load_trace, split_trials,
-                        store_dataset, store_labels, store_session,
-                        store_trace, tier_config, trials_to_bins)
+                        gen_reach_session, gen_spike_trace, load_labels,
+                        load_session, load_trace, split_trials, store_labels,
+                        store_session, store_trace, tier_config,
+                        trials_to_bins)
 from .detect import (DEFAULT_K, DEFAULT_PRE, WINDOW_LEN, FeatureSpec,
                      SegmentTooShort, SpikeToken, SpikeWindow, detect_spikes,
                      detect_trace, estimate_threshold, extract_features,
@@ -54,7 +54,7 @@ __all__ = [
     "RawTrace", "GroundTruthLabels", "ReachSession", "TraceConfig",
     "SessionConfig", "gen_spike_trace", "gen_reach_session", "tier_config",
     "store_trace", "load_trace", "store_labels", "load_labels",
-    "store_session", "load_session", "store_dataset", "load_dataset",
+    "store_session", "load_session",
     "split_trials", "trials_to_bins",
     "DatasetFormatError", "HeaderError", "VersionError", "PayloadError",
     "ClippingError",

@@ -8,12 +8,10 @@ outputs. Exit codes: 0 ok, 2 usage, 3 I/O, 4 schema/format, 5 numerical.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,10 +33,12 @@ from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS, load_models,
                            train_l1)
 from .sort_online import online_footprint, train_online
 from .sim import SimConfig, parse_sim_config, run_simulation
-from .synthdata import (ClippingError, DatasetFormatError, SessionConfig,
-                        TraceConfig, gen_reach_session, gen_spike_trace,
-                        load_labels, load_session, load_trace, split_trials,
-                        store_labels, store_session, store_trace, tier_config,
+from .synthdata import (ClippingError, DatasetFormatError, PayloadError,
+                        SessionConfig, TraceConfig, gen_reach_session,
+                        gen_spike_trace, load_document, load_labels,
+                        load_records, load_session, load_trace, read_text,
+                        split_trials, store_labels, store_records,
+                        store_session, store_trace, tier_config,
                         trials_to_bins)
 
 EXIT_OK = 0
@@ -46,35 +46,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SCHEMA = 4
 EXIT_NUMERICAL = 5
-
-
-@dataclass
-class ExperimentConfig:
-    """Resolved knobs shared by pipeline commands, hashed into provenance."""
-
-    seed: int = 0
-    dataset: dict = field(default_factory=dict)
-    sorter_mode: str = "offline"         # online | offline | l1
-    decoder_kind: str = "eokf"           # kf | eokf
-    split: str = "monolithic"            # implant | monolithic
-    train_frac: float = 0.8
-    out_dir: str = "."
-
-    def validate(self) -> None:
-        if not (0.0 < self.train_frac < 1.0):
-            raise ValueError("train fraction must be in (0, 1)")
-        if self.sorter_mode not in ("online", "offline", "l1"):
-            raise ValueError(f"unknown sorter mode {self.sorter_mode!r}")
-        if self.decoder_kind not in ("kf", "eokf"):
-            raise ValueError(f"unknown decoder kind {self.decoder_kind!r}")
-        if self.split not in ("implant", "monolithic"):
-            raise ValueError(f"unknown split {self.split!r}")
-
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "dataset": self.dataset,
-                "sorter_mode": self.sorter_mode, "decoder_kind": self.decoder_kind,
-                "split": self.split, "train_frac": self.train_frac,
-                "out_dir": self.out_dir}
 
 
 def provenance(args_dict: dict, seed: int | None = None) -> dict:
@@ -95,13 +66,6 @@ def _write_meta(path: str, args_dict: dict, seed: int | None = None,
     if extra:
         obj.update(extra)
     _write_json(path + ".meta.json", obj)
-
-
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NSP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +210,15 @@ def cmd_train_sorter(args) -> int:
 def cmd_sort(args) -> int:
     tokens = load_tokens(args.tokens)
     models = load_models(args.models)
-    lines, skipped = [], 0
-    for tok in tokens:
-        model = models.get(tok.channel)
-        if model is None:
-            skipped += 1
-            continue
-        label = int(model.classify(tok.f1, tok.f2))
-        lines.append(canonical_json({"t": tok.t, "ch": tok.channel, "label": label}))
-    atomic_write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    rows = [{"ch": tok.channel,
+             "label": int(models[tok.channel].classify(tok.f1, tok.f2)),
+             "t": tok.t}
+            for tok in tokens if tok.channel in models]
+    skipped = len(tokens) - len(rows)
+    store_records(rows, args.out)
     _write_meta(args.out, vars(args),
-                extra={"n_sorted": len(lines), "n_unmodeled": skipped})
-    print(f"wrote {args.out} ({len(lines)} sorted events, {skipped} skipped)")
+                extra={"n_sorted": len(rows), "n_unmodeled": skipped})
+    print(f"wrote {args.out} ({len(rows)} sorted events, {skipped} skipped)")
     return EXIT_OK
 
 
@@ -283,9 +244,7 @@ def cmd_eval_sort(args) -> int:
             row["n_cuts"] = [len(cuts) for cuts in model.boundaries]
         return row
 
-    channels = sorted(models)
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        rows = list(pool.map(eval_channel, channels))
+    rows = [eval_channel(ch) for ch in sorted(models)]
     mean_acc = float(np.mean([r["accuracy"] for r in rows])) if rows else 0.0
     report = {"kind": "sort-eval", "rows": rows, "mean_accuracy": mean_acc,
               "provenance": provenance(vars(args))}
@@ -300,9 +259,6 @@ def cmd_eval_sort(args) -> int:
 
 
 def cmd_train_decoder(args) -> int:
-    exp = ExperimentConfig(seed=args.seed, decoder_kind=args.filter,
-                           train_frac=args.train_frac)
-    exp.validate()
     session = load_session(args.session)
     train_ids, test_ids = split_trials(session, args.train_frac, args.seed)
     train_bins = trials_to_bins(session, train_ids)
@@ -311,7 +267,9 @@ def cmd_train_decoder(args) -> int:
     trans = train_transition(vel)
     meta = {"seed": args.seed, "train_trials": train_ids, "test_trials": test_ids,
             "train_frac": args.train_frac, "session": os.path.basename(args.session),
-            "config_hash": config_hash(exp.as_dict())}
+            "config_hash": config_hash({"seed": args.seed, "filter": args.filter,
+                                         "train_frac": args.train_frac,
+                                         "fixed": args.fixed})}
     if args.filter == "kf":
         obs = train_observation_standard(counts, vel)
         bundle = DecoderBundle(kind="kf", transition=trans, observation=obs,
@@ -345,17 +303,8 @@ def _counts_to_events(counts_selected: np.ndarray, bin_len: int,
 
 
 def _load_sorted_events(path: str) -> np.ndarray:
-    """Sorted-event JSONL ({"t","ch","label"} rows) as an (n, 3) array."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rows.append((int(obj["t"]), int(obj["ch"]), int(obj["label"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
+    """Sorted-event JSONL ({"ch","label","t"} rows) as an (n, 3) (t, ch, label) array."""
+    rows = load_records(path, "sorted event", {"t": int, "ch": int, "label": int})
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
@@ -438,8 +387,7 @@ def cmd_simulate(args) -> int:
     if bundle.kind != "eokf" or bundle.ensemble is None:
         raise DatasetFormatError("simulate needs an ensemble (eokf) decoder")
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            sim_cfg = parse_sim_config(fh.read())
+        sim_cfg = parse_sim_config(read_text(args.config))
     else:
         sim_cfg = SimConfig(n_channels=trace.n_channels,
                             group_size=math.gcd(SimConfig.group_size,
@@ -449,10 +397,7 @@ def cmd_simulate(args) -> int:
     counters = result.counters.as_dict()
     _write_json(args.counters, {
         "kind": "sim-counters", "counters": counters,
-        "config": {f: getattr(sim_cfg, f) for f in
-                   ("n_channels", "group_size", "conveyor_slots",
-                    "decoder_buffer_depth", "clock_hz", "bin_ms",
-                    "output_width_bits", "channel_gating", "pre_samples")},
+        "config": asdict(sim_cfg),
         "provenance": provenance(vars(args))})
     if args.decoded:
         states, _ = run_filter(bundle.transition, bundle.ensemble, result.ez,
@@ -467,12 +412,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
-
-
-def _bench_rows(kinds, neuron_counts, state_dim) -> list:
-    jobs = [(kind, n) for n in neuron_counts for kind in kinds]
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        return list(pool.map(lambda kn: count_ops(kn[0], kn[1], state_dim), jobs))
 
 
 def _print_bench_table(rows) -> None:
@@ -496,7 +435,7 @@ def cmd_bench(args) -> int:
     neuron_counts = [int(n) for n in str(args.neurons).split(",")]
     if any(n < 1 for n in neuron_counts):
         raise ValueError("neuron counts must be positive")
-    rows = _bench_rows(kinds, neuron_counts, args.state_dim)
+    rows = [count_ops(kind, n, args.state_dim) for n in neuron_counts for kind in kinds]
     out_rows = [{"kind": r["kind"], "n_neurons": r["n_neurons"],
                  "state_dim": r["state_dim"],
                  "ops": {"phases": r["phases"], "step_total": r["step_total"],
@@ -591,11 +530,10 @@ def cmd_report(args) -> int:
             continue
         path = os.path.join(args.dir, name)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError):
+            obj = load_document(path)
+        except PayloadError:
             continue
-        kind = obj.get("kind") if isinstance(obj, dict) else None
+        kind = obj.get("kind")
         if kind == "sort-eval":
             _crosscheck_footprints(name, obj.get("rows", []))
             bundle.accuracy_tables.append({"source": name,

@@ -32,7 +32,7 @@ from scipy import stats
 
 from ._util import atomic_write_text
 from .opcount import OpCounts, inv_small, ldl_solve, mat_add, mat_mul, mat_sub
-from .synthdata import PayloadError
+from .synthdata import PayloadError, load_document, read_text
 
 RIDGE_EPS = 1e-6
 DEFAULT_STATE_DIM = 2
@@ -811,12 +811,7 @@ def store_decoder(bundle: DecoderBundle, path: str) -> None:
 
 
 def load_decoder(path: str) -> DecoderBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PayloadError(f"{path}: {exc}") from exc
-    return DecoderBundle.from_json(obj)
+    return DecoderBundle.from_json(load_document(path))
 
 
 def store_decoded(path: str, states: np.ndarray) -> None:
@@ -830,12 +825,18 @@ def store_decoded(path: str, states: np.ndarray) -> None:
 
 
 def load_decoded(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("bin,"):
         raise PayloadError(f"{path}: not a decoded-kinematics CSV")
-    try:
-        rows = [[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]]
-    except ValueError as exc:
-        raise PayloadError(f"{path}: {exc}") from exc
+    width = len(lines[0].split(","))
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise PayloadError(f"{path}:{lineno}: expected {width} columns, "
+                               f"got {len(parts)}")
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise PayloadError(f"{path}:{lineno}: {exc}") from exc
     return np.array(rows, dtype=np.float64)

@@ -7,14 +7,12 @@ samples: the detector compares |v| against the threshold, cuts a fixed
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text
-from .synthdata import WINDOW_LEN, PayloadError
+from .synthdata import WINDOW_LEN, load_records, store_records
 
 MAD_SCALE = 1.4826  # MAD -> sigma for Gaussian noise
 DEFAULT_K = 4.0
@@ -215,45 +213,26 @@ def detect_trace(trace, thresholds, pre_samples: int = DEFAULT_PRE,
 
 
 def store_tokens(tokens, path: str) -> None:
-    lines = [json.dumps({"t": tok.t, "ch": tok.channel, "f1": tok.f1, "f2": tok.f2},
-                        separators=(",", ":")) for tok in tokens]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    store_records(({"t": tok.t, "ch": tok.channel, "f1": tok.f1, "f2": tok.f2}
+                   for tok in tokens), path)
 
 
 def load_tokens(path: str) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(SpikeToken(t=int(obj["t"]), channel=int(obj["ch"]),
-                                      f1=int(obj["f1"]), f2=int(obj["f2"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise PayloadError(f"{path}:{lineno}: bad token record: {exc}") from exc
-    return out
+    return load_records(path, "token", {"t": int, "ch": int, "f1": int, "f2": int},
+                        SpikeToken)
 
 
 def store_windows(windows, path: str) -> None:
-    lines = [json.dumps({"t": w.t0, "ch": w.channel,
-                         "s": [int(x) for x in w.samples]}, separators=(",", ":"))
-             for w in windows]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    store_records(({"t": w.t0, "ch": w.channel, "s": w.samples.tolist()}
+                   for w in windows), path)
+
+
+def _window_record(t: int, ch: int, samples: list) -> SpikeWindow:
+    if not all(-128 <= x <= 127 for x in samples):
+        raise ValueError("window samples must be int8")
+    return SpikeWindow(t0=t, channel=ch, samples=np.array(samples, dtype=np.int8))
 
 
 def load_windows(path: str) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(SpikeWindow(t0=int(obj["t"]), channel=int(obj["ch"]),
-                                       samples=np.array(obj["s"], dtype=np.int8)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise PayloadError(f"{path}:{lineno}: bad window record: {exc}") from exc
-    return out
+    return load_records(path, "window", {"t": int, "ch": int, "s": list},
+                        _window_record)

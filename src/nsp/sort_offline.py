@@ -29,7 +29,7 @@ from ._util import atomic_write_text
 from .detect import FeatureSpec
 from .patterns import N_LEAVES, N_SPLITS, SegmentationPattern, enumerate_patterns, pattern_by_id
 from .sort_online import OUTLIER, OnlineSorterModel, _valley_runs
-from .synthdata import PayloadError
+from .synthdata import PayloadError, load_document
 
 GRID_STEP = 8          # LSB pitch of the uniform boundary-candidate grid
 KDE_BANDWIDTH = 5.0    # LSB
@@ -417,12 +417,8 @@ def store_models(models: dict, path: str) -> None:
 
 def load_models(path: str) -> dict:
     """Read a set written by store_models; malformed files raise PayloadError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PayloadError(f"{path}: {exc}") from exc
-    if not isinstance(obj, dict) or not isinstance(obj.get("channels"), dict):
+    obj = load_document(path)
+    if not isinstance(obj.get("channels"), dict):
         raise PayloadError(f"{path}: not a sorter model set")
     cls = next((c for c in MODEL_KINDS.values() if obj.get("kind") == f"{c.kind}-set"),
                None)
@@ -430,5 +426,5 @@ def load_models(path: str) -> dict:
         raise PayloadError(f"{path}: unknown sorter model set kind {obj.get('kind')!r}")
     try:
         return {int(ch): cls.from_json(m) for ch, m in obj["channels"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PayloadError(f"{path}: malformed {cls.kind} model: {exc!r}") from exc

@@ -12,6 +12,7 @@ classifying a spike is a partition lookup plus one table read, as in the CAM.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,11 +129,9 @@ def locate_partition(f1: int, f2: int, boundaries: tuple) -> tuple:
     """Grid cell of a feature pair: index = number of boundaries <= feature.
 
     A feature exactly equal to a boundary therefore lands on the upper side.
+    Cut lists are ascending, so each count is one bisection.
     """
-    b1, b2 = boundaries
-    i = sum(1 for b in b1 if f1 >= b)
-    j = sum(1 for b in b2 if f2 >= b)
-    return i, j
+    return bisect_right(boundaries[0], f1), bisect_right(boundaries[1], f2)
 
 
 @dataclass

@@ -8,8 +8,13 @@ Two generator families:
 * center-out reach sessions: binned 2-D hand velocities with cosine-tuned
   Poisson unit counts, used to train and evaluate intention decoders.
 
-The module also owns the on-disk dataset formats (binary trace, JSONL labels,
-CSV session + JSON sidecar) and their loaders.
+The module also owns the on-disk formats and their one codec. The binary
+trace and the CSV session have loaders of their own. Every JSONL stream
+(labels here; tokens, windows and sorted events elsewhere) goes through
+``store_records``/``load_records``: one compact JSON object per line, every
+field a 64-bit JSON integer or a list of them. Every JSON document (model
+sets, decoder bundles, the session sidecar) is read by ``load_document``.
+Malformed files, undecodable bytes included, raise a ``DatasetFormatError``.
 """
 
 from __future__ import annotations
@@ -496,6 +501,69 @@ def trials_to_bins(session: ReachSession, trial_ids) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _is_int64(x) -> bool:
+    return type(x) is int and _INT64_MIN <= x <= _INT64_MAX
+
+
+def read_text(path: str) -> str:
+    """The whole file as text; bytes that are not UTF-8 raise PayloadError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PayloadError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def load_document(path: str) -> dict:
+    """A JSON document whose top level is an object."""
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise PayloadError(f"{path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise PayloadError(f"{path}: top level is not a JSON object")
+    return obj
+
+
+def store_records(rows, path: str) -> None:
+    """JSONL stream: one compact JSON object per row, keys in the row's order."""
+    lines = [json.dumps(row, separators=(",", ":")) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def load_records(path: str, what: str, fields: dict, make=lambda *values: values) -> list:
+    """``make(*values)`` for every non-blank line of a JSONL stream, in order.
+
+    *fields* maps each field name to ``int`` or ``list`` (a list of integers);
+    integers must be JSON integers that fit in 64 bits. A missing or mistyped
+    field, or an error from *make*, raises ``PayloadError("path:line: bad
+    <what> record: ...")``.
+    """
+    out = []
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            values = [obj[name] for name in fields]
+            for (name, kind), value in zip(fields.items(), values):
+                if kind is list:
+                    ok = type(value) is list and all(map(_is_int64, value))
+                else:
+                    ok = _is_int64(value)
+                if not ok:
+                    raise TypeError(f"field {name!r} must be an integer"
+                                    f"{' list' if kind is list else ''}, got {value!r}")
+            out.append(make(*values))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise PayloadError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+    return out
+
+
 def store_trace(trace: RawTrace, path: str) -> None:
     header = _HEADER.pack(TRACE_MAGIC, TRACE_VERSION, trace.n_channels,
                           trace.sample_rate, trace.n_samples)
@@ -524,24 +592,12 @@ def load_trace(path: str) -> RawTrace:
 
 
 def store_labels(labels: GroundTruthLabels, path: str) -> None:
-    lines = [json.dumps({"t": int(t), "ch": int(c), "nid": int(n)},
-                        separators=(",", ":"))
-             for t, c, n in labels.events]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    store_records(({"t": t, "ch": c, "nid": n} for t, c, n in labels.events.tolist()),
+                  path)
 
 
 def load_labels(path: str) -> GroundTruthLabels:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rows.append((int(obj["t"]), int(obj["ch"]), int(obj["nid"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise PayloadError(f"{path}:{lineno}: bad label record: {exc}") from exc
+    rows = load_records(path, "label", {"t": int, "ch": int, "nid": int})
     return GroundTruthLabels(np.array(rows, dtype=np.int64).reshape(-1, 3))
 
 
@@ -566,9 +622,8 @@ def store_session(session: ReachSession, path: str) -> None:
 
 
 def load_session(path: str) -> ReachSession:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("bin,vx,vy"):
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("bin,vx,vy,"):
         raise HeaderError(f"{path}: missing 'bin,vx,vy,...' header row")
     n_units = len(lines[0].split(",")) - 3
     vel, counts = [], []
@@ -582,46 +637,24 @@ def load_session(path: str) -> ReachSession:
             counts.append([int(c) for c in parts[3:]])
         except ValueError as exc:
             raise PayloadError(f"{path}:{lineno}: {exc}") from exc
-        if min(counts[-1], default=0) < 0:
+        if min(counts[-1]) < 0:
             raise PayloadError(f"{path}:{lineno}: negative unit count")
+        if max(counts[-1]) > _INT64_MAX:
+            raise PayloadError(f"{path}:{lineno}: unit count exceeds 64 bits")
     try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        sidecar = load_document(path + ".json")
     except FileNotFoundError:
         raise PayloadError(f"{path}: sidecar {path}.json is missing")
-    except json.JSONDecodeError as exc:
-        raise PayloadError(f"{path}.json: {exc}") from exc
-    trials = [TrialInfo(tr["target_rad"], tr["start_bin"], tr["end_bin"])
-              for tr in sidecar.get("trials", [])]
-    tuning = [TuningCurve(**tc) for tc in sidecar.get("tuning", [])]
-    return ReachSession(
-        velocity=np.array(vel, dtype=np.float64).reshape(-1, 2),
-        counts=np.array(counts, dtype=np.int64).reshape(-1, n_units),
-        bin_ms=int(sidecar["bin_ms"]),
-        trials=trials, tuning=tuning,
-        unit_channels=list(sidecar.get("unit_channels", [])),
-        meta=dict(sidecar.get("meta", {})),
-    )
-
-
-def store_dataset(obj, path: str) -> None:
-    """Type-dispatched store for the three dataset kinds."""
-    if isinstance(obj, RawTrace):
-        store_trace(obj, path)
-    elif isinstance(obj, GroundTruthLabels):
-        store_labels(obj, path)
-    elif isinstance(obj, ReachSession):
-        store_session(obj, path)
-    else:
-        raise TypeError(f"cannot store object of type {type(obj).__name__}")
-
-
-def load_dataset(path: str):
-    """Content-sniffing loader: trace by magic, session by .csv, labels otherwise."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == TRACE_MAGIC:
-        return load_trace(path)
-    if path.endswith(".csv"):
-        return load_session(path)
-    return load_labels(path)
+    try:
+        return ReachSession(
+            velocity=np.array(vel, dtype=np.float64).reshape(-1, 2),
+            counts=np.array(counts, dtype=np.int64).reshape(-1, n_units),
+            bin_ms=int(sidecar["bin_ms"]),
+            trials=[TrialInfo(tr["target_rad"], tr["start_bin"], tr["end_bin"])
+                    for tr in sidecar.get("trials", [])],
+            tuning=[TuningCurve(**tc) for tc in sidecar.get("tuning", [])],
+            unit_channels=list(sidecar.get("unit_channels", [])),
+            meta=dict(sidecar.get("meta", {})),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise PayloadError(f"{path}.json: malformed session sidecar: {exc!r}") from exc

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                     EXIT_USAGE, ExperimentConfig, _counts_to_events, main)
+                     EXIT_USAGE, _counts_to_events, main)
 from nsp.decode import load_decoded, load_decoder, run_filter, store_decoded
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
 from nsp.sort_offline import TREE_MODEL_BITS, load_models, model_footprint
@@ -264,18 +264,6 @@ def test_negative_session_count_exits_4(pipeline, tmp_path, capfd, split):
     assert "Traceback" not in capfd.readouterr().err
 
 
-def test_worker_fanout_does_not_change_results(pipeline, tmp_path, monkeypatch):
-    d = pipeline
-    monkeypatch.setenv("NSP_THREADS", "4")
-    assert run("eval-sort", "--trace", d / "trace.bin",
-               "--labels", d / "labels.jsonl", "--models", d / "sorters.json",
-               "--out", tmp_path / "eval4.json") == EXIT_OK
-    fanned = json.loads((tmp_path / "eval4.json").read_text())
-    serial = json.loads((d / "eval.json").read_text())
-    assert fanned["rows"] == serial["rows"]
-    assert fanned["mean_accuracy"] == serial["mean_accuracy"]
-
-
 # --- exit codes ---------------------------------------------------------------------
 
 
@@ -294,6 +282,18 @@ def test_corrupt_input_exits_4(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a trace at all")
     assert run("detect", "--trace", bad, "--out", tmp_path / "t.jsonl") == EXIT_SCHEMA
+
+
+def test_out_of_range_window_sample_exits_4(tmp_path, pipeline, capfd):
+    windows = tmp_path / "windows.jsonl"
+    windows.write_text(json.dumps({"t": 100, "ch": 0, "s": [300] + [0] * 31}) + "\n")
+    assert run("train-sorter", "--mode", "offline", "--windows", windows,
+               "--labels", pipeline / "labels.jsonl",
+               "--out", tmp_path / "sorters.json") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "windows.jsonl:1: bad window record" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sorters.json").exists()
 
 
 def test_semantic_misuse_exits_4(tmp_path, pipeline):
@@ -425,18 +425,6 @@ def test_tampered_bench_fails_report_crosscheck(pipeline, tmp_path):
 
 def test_version_flag():
     assert run("--version") == EXIT_OK
-
-
-def test_experiment_config_validation():
-    ExperimentConfig().validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(train_frac=1.0).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(sorter_mode="svm").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(decoder_kind="ukf").validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(split="hybrid").validate()
 
 
 def test_sorter_set_loader_dispatches_on_kind(pipeline):

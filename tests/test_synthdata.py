@@ -6,7 +6,7 @@ import pytest
 from nsp.synthdata import (ClippingError, DatasetFormatError, HeaderError,
                            PayloadError, SessionConfig, TraceConfig,
                            VersionError, gen_reach_session, gen_spike_trace,
-                           load_dataset, load_labels, load_session, load_trace,
+                           load_labels, load_session, load_trace,
                            make_channel_templates, poisson_event_times,
                            snr_amplitude_budget, split_trials, store_labels,
                            store_session, store_trace, tier_config,
@@ -256,16 +256,6 @@ def test_session_round_trip_is_exact(tmp_path, small_session):
     assert back.unit_channels == list(small_session.unit_channels)
     assert len(back.trials) == len(small_session.trials)
     assert back.trials[3].target_rad == small_session.trials[3].target_rad
-
-
-def test_load_dataset_sniffs_kind(tmp_path, easy_trace, small_session):
-    trace, labels = easy_trace
-    store_trace(trace, str(tmp_path / "t.nsp"))
-    store_labels(labels, str(tmp_path / "l.jsonl"))
-    store_session(small_session, str(tmp_path / "s.csv"))
-    assert isinstance(load_dataset(str(tmp_path / "t.nsp")).data, np.ndarray)
-    assert len(load_dataset(str(tmp_path / "l.jsonl"))) == len(labels)
-    assert load_dataset(str(tmp_path / "s.csv")).n_units == 24
 
 
 def test_corrupt_files_raise_schema_errors(tmp_path):
