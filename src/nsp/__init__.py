@@ -1,8 +1,8 @@
 """Spike processing for 96-channel motor-cortex recordings.
 
 The package covers the full path from raw int8 traces to decoded cursor
-kinematics: threshold detection with two-feature extraction, hardware-shaped
-spike sorters (a streaming histogram/CAM trainer and an offline
+kinematics: threshold detection that reduces each spike to its peak and
+trough, hardware-shaped spike sorters (a streaming histogram/CAM trainer and an offline
 segmentation-tree fitter with an L1 template baseline), an ensemble-observation
 Kalman filter with an implant/prosthesis split and fixed-point option, a
 cycle-driven simulator of the shared-sorter fabric, and synthetic data
@@ -18,9 +18,8 @@ from .synthdata import (ClippingError, DatasetFormatError, GroundTruthLabels,
                         load_session, load_trace, split_trials, store_labels,
                         store_session, store_trace, tier_config,
                         trials_to_bins)
-from .detect import (DEFAULT_K, DEFAULT_PRE, WINDOW_LEN, FeatureSpec,
-                     SegmentTooShort, SpikeToken, SpikeWindow, detect_spikes,
-                     detect_trace, estimate_threshold, extract_features,
+from .detect import (DEFAULT_K, DEFAULT_PRE, WINDOW_LEN, SegmentTooShort,
+                     SpikeToken, SpikeWindow, detect_spikes, detect_trace, estimate_threshold, extract_features,
                      load_tokens, load_windows, store_tokens, store_windows)
 from .patterns import SegmentationPattern, enumerate_patterns
 from .opcount import OpCounts, SingularMatrixError
@@ -28,8 +27,8 @@ from .sort_online import OnlineSorter, OnlineSorterModel, train_online
 from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS,
                            ChannelSorterModel, L1TemplateModel, classify_spike,
                            l1_classify, load_models, model_footprint,
-                           pack_model, select_feature_pair, store_models,
-                           train_channel_model, train_l1, unpack_model)
+                           pack_model, store_models, train_channel_model,
+                           train_l1, unpack_model)
 from .decode import (DecoderBundle, EnsembleModel, FilterState,
                      FixedPointFormat, ImplantAccumulator,
                      StandardObservationModel, StateTransitionModel, StepOps,
@@ -59,7 +58,7 @@ __all__ = [
     "DatasetFormatError", "HeaderError", "VersionError", "PayloadError",
     "ClippingError",
     # detection
-    "WINDOW_LEN", "DEFAULT_K", "DEFAULT_PRE", "FeatureSpec", "SpikeWindow",
+    "WINDOW_LEN", "DEFAULT_K", "DEFAULT_PRE", "SpikeWindow",
     "SpikeToken", "SegmentTooShort", "estimate_threshold", "detect_spikes",
     "detect_trace", "extract_features", "store_tokens", "load_tokens",
     "store_windows", "load_windows",
@@ -67,7 +66,7 @@ __all__ = [
     "SegmentationPattern", "enumerate_patterns", "OnlineSorter",
     "OnlineSorterModel", "train_online", "ChannelSorterModel",
     "L1TemplateModel", "train_channel_model", "train_l1", "classify_spike",
-    "l1_classify", "select_feature_pair", "model_footprint", "pack_model",
+    "l1_classify", "model_footprint", "pack_model",
     "unpack_model", "TREE_MODEL_BITS", "L1_BITS_PER_TEMPLATE", "store_models",
     "load_models",
     # decoding

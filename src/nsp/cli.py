@@ -22,9 +22,8 @@ from .decode import (DecoderBundle, FixedPointFormat, bin_spikes, count_ops,
                      run_eokf_split, run_filter, run_kf, selection_columns,
                      store_decoded, store_decoder, train_ensemble,
                      train_observation_standard, train_transition)
-from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, detect_trace,
-                     estimate_threshold, load_tokens, load_windows,
-                     store_tokens, store_windows)
+from .detect import (DEFAULT_K, DEFAULT_PRE, detect_trace, estimate_threshold,
+                     load_tokens, load_windows, store_tokens, store_windows)
 from .evaluation import (channel_feature_dataset, matched_features,
                          permutation_accuracy)
 from .opcount import SingularMatrixError
@@ -159,7 +158,7 @@ def cmd_detect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _matched_features(windows, labels, spec: FeatureSpec) -> dict:
+def _matched_features(windows, labels) -> dict:
     """channel -> (features, unit labels) for every channel with enough events."""
     by_ch = {}
     for w in windows:
@@ -167,14 +166,13 @@ def _matched_features(windows, labels, spec: FeatureSpec) -> dict:
     out = {}
     for ch, ws in sorted(by_ch.items()):
         ws.sort(key=lambda w: w.t0)
-        feats, labs = matched_features(ws, labels.for_channel(ch), spec)
+        feats, labs = matched_features(ws, labels.for_channel(ch))
         if feats.shape[0] >= 2:
             out[ch] = (feats, labs)
     return out
 
 
 def cmd_train_sorter(args) -> int:
-    spec = FeatureSpec()
     if args.mode == "online":
         if not args.tokens:
             raise ValueError("train-sorter --mode online needs --tokens")
@@ -187,10 +185,9 @@ def cmd_train_sorter(args) -> int:
             windows = load_windows(args.windows)
         else:
             _, windows, _ = _detect(load_trace(args.trace), args.k, args.pre)
-        datasets = _matched_features(windows, load_labels(args.labels), spec)
+        datasets = _matched_features(windows, load_labels(args.labels))
         if args.mode == "offline":
-            models = {ch: train_channel_model(f, l, feature_spec=spec)
-                      for ch, (f, l) in datasets.items()}
+            models = {ch: train_channel_model(f, l) for ch, (f, l) in datasets.items()}
         else:
             models = {ch: train_l1(f, l) for ch, (f, l) in datasets.items()}
     if not models:
@@ -229,9 +226,8 @@ def cmd_eval_sort(args) -> int:
 
     def eval_channel(ch):
         model = models[ch]
-        spec = getattr(model, "feature_spec", None) or FeatureSpec()
         feats, labs, n_det, n_truth = channel_feature_dataset(
-            trace, labels, ch, spec, k=args.k, pre_samples=args.pre)
+            trace, labels, ch, k=args.k, pre_samples=args.pre)
         pred = [int(model.classify(int(f1), int(f2))) for f1, f2 in feats]
         row = {"channel": ch, "model": model.kind,
                "n_detected": n_det, "n_truth": n_truth,

@@ -1,8 +1,9 @@
-"""Absolute-threshold spike detection and two-sample feature extraction.
+"""Absolute-threshold spike detection and peak/trough feature extraction.
 
 Everything downstream of threshold estimation is integer arithmetic on int8
 samples: the detector compares |v| against the threshold, cuts a fixed
-32-sample window around the crossing, and reduces it to two int8 features.
+32-sample window around the crossing, and reduces it to its peak (max) and
+trough (min), the two int8 features every sorter reads.
 """
 
 from __future__ import annotations
@@ -25,35 +26,6 @@ class SegmentTooShort(ValueError):
     """Threshold estimation needs at least MIN_SEGMENT samples."""
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """How a 32-sample window is reduced to two int8 features.
-
-    mode "peak-trough" takes (max, min) of the window; mode "indexed" takes
-    the samples at two fixed offsets.
-    """
-
-    mode: str = "peak-trough"
-    idx_a: int = 0
-    idx_b: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("peak-trough", "indexed"):
-            raise ValueError(f"unknown feature mode {self.mode!r}")
-        if self.mode == "indexed":
-            for idx in (self.idx_a, self.idx_b):
-                if not (0 <= idx < WINDOW_LEN):
-                    raise ValueError(f"feature index {idx} outside 0..{WINDOW_LEN - 1}")
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "idx_a": self.idx_a, "idx_b": self.idx_b}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FeatureSpec":
-        return cls(mode=obj["mode"], idx_a=int(obj.get("idx_a", 0)),
-                   idx_b=int(obj.get("idx_b", 0)))
-
-
 @dataclass
 class SpikeWindow:
     """One detected spike: window start sample, channel, 32 int8 samples."""
@@ -70,7 +42,7 @@ class SpikeWindow:
 
 @dataclass(frozen=True)
 class SpikeToken:
-    """Detected spike reduced to the pair of features that travel downstream."""
+    """Detected spike reduced to its peak (f1) and trough (f2)."""
 
     t: int
     channel: int
@@ -165,28 +137,21 @@ def gather_windows(channel_trace: np.ndarray, starts) -> np.ndarray:
     return trace[starts + np.arange(WINDOW_LEN)]
 
 
-def window_features(windows: np.ndarray, spec: FeatureSpec = FeatureSpec()) -> tuple:
-    """Both features of every row of a (n, 32) window array, as int8 arrays.
+def window_features(windows: np.ndarray) -> tuple:
+    """Peak and trough of every row of a (n, 32) window array, as int8 arrays.
 
     Row by row this equals :func:`extract_features`.
     """
-    if spec.mode == "peak-trough":
-        return windows.max(axis=1), windows.min(axis=1)
-    return windows[:, spec.idx_a], windows[:, spec.idx_b]
+    return windows.max(axis=1), windows.min(axis=1)
 
 
-def extract_features(window: SpikeWindow, spec: FeatureSpec = FeatureSpec()) -> SpikeToken:
-    """Reduce a window to a SpikeToken carrying two int8 features."""
+def extract_features(window: SpikeWindow) -> SpikeToken:
+    """Reduce a window to a SpikeToken carrying its peak and trough."""
     s = window.samples
-    if spec.mode == "peak-trough":
-        f1, f2 = int(s.max()), int(s.min())
-    else:
-        f1, f2 = int(s[spec.idx_a]), int(s[spec.idx_b])
-    return SpikeToken(t=window.t0, channel=window.channel, f1=f1, f2=f2)
+    return SpikeToken(t=window.t0, channel=window.channel, f1=int(s.max()), f2=int(s.min()))
 
 
-def detect_trace(trace, thresholds, pre_samples: int = DEFAULT_PRE,
-                 spec: FeatureSpec = FeatureSpec()):
+def detect_trace(trace, thresholds, pre_samples: int = DEFAULT_PRE):
     """Run detection + feature extraction over all channels of a RawTrace.
 
     *thresholds* is a scalar or a per-channel sequence. Returns (windows,
@@ -201,7 +166,7 @@ def detect_trace(trace, thresholds, pre_samples: int = DEFAULT_PRE,
         row = trace.data[ch]
         starts = window_starts(row, float(thr[ch]), pre_samples)
         rows = gather_windows(row, starts)
-        f1, f2 = window_features(rows, spec)
+        f1, f2 = window_features(rows)
         windows.extend(SpikeWindow(t0=t0, channel=ch, samples=w)
                        for t0, w in zip(starts, rows))
         tokens.extend(SpikeToken(t=t0, channel=ch, f1=a, f2=b)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, estimate_threshold, gather_windows,
+from .detect import (DEFAULT_K, DEFAULT_PRE, estimate_threshold, gather_windows,
                      window_features, window_starts)
 from .sort_offline import ChannelSorterModel, L1TemplateModel, classify_spike, l1_classify, train_channel_model, train_l1
 from .sort_online import OUTLIER, OnlineSorter
@@ -40,8 +40,7 @@ def match_events(token_times, truth_times, tolerance: int = MATCH_TOLERANCE) -> 
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def matched_features(windows, truth: np.ndarray,
-                     spec: FeatureSpec = FeatureSpec()) -> tuple:
+def matched_features(windows, truth: np.ndarray) -> tuple:
     """Features and true unit ids of the windows matched to ground truth.
 
     *windows* are one channel's detections in ascending start time, *truth*
@@ -51,16 +50,16 @@ def matched_features(windows, truth: np.ndarray,
     pairs = match_events([w.t0 for w in windows], truth[:, 0])
     rows = np.array([windows[i].samples for i in pairs[:, 0]],
                     dtype=np.int8).reshape(-1, WINDOW_LEN)
-    return _feature_rows(rows, spec), truth[pairs[:, 1], 2].astype(np.int64)
+    return _feature_rows(rows), truth[pairs[:, 1], 2].astype(np.int64)
 
 
-def _feature_rows(windows: np.ndarray, spec: FeatureSpec) -> np.ndarray:
+def _feature_rows(windows: np.ndarray) -> np.ndarray:
     """(n, 2) int64 features of a (n, 32) int8 window array."""
-    return np.column_stack(window_features(windows, spec)).astype(np.int64)
+    return np.column_stack(window_features(windows)).astype(np.int64)
 
 
 def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels, channel: int,
-                            spec: FeatureSpec = FeatureSpec(), k: float = DEFAULT_K,
+                            k: float = DEFAULT_K,
                             pre_samples: int = DEFAULT_PRE) -> tuple:
     """Detected features with matched true unit ids for one channel.
 
@@ -73,7 +72,7 @@ def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels, channel:
     truth = labels.for_channel(channel)
     pairs = match_events(starts, truth[:, 0])
     matched = np.asarray(starts, dtype=np.intp)[pairs[:, 0]]
-    feats = _feature_rows(gather_windows(ch_trace, matched), spec)
+    feats = _feature_rows(gather_windows(ch_trace, matched))
     return feats, truth[pairs[:, 1], 2].astype(np.int64), len(starts), truth.shape[0]
 
 
@@ -140,7 +139,6 @@ def split_indices(n: int, train_frac: float, seed: int) -> tuple:
 
 
 def evaluate_channel_sorters(trace: RawTrace, labels: GroundTruthLabels, channel: int,
-                             spec: FeatureSpec = FeatureSpec(),
                              train_frac: float = 0.6, seed: int = 0) -> dict:
     """Train/test comparison of the tree sorter and the L1 baseline.
 
@@ -148,11 +146,11 @@ def evaluate_channel_sorters(trace: RawTrace, labels: GroundTruthLabels, channel
     both models are trained on the train side. The tree's leaves get their
     majority train labels; test accuracy counts exact unit matches.
     """
-    feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, channel, spec)
+    feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, channel)
     if feats.shape[0] < 4:
         raise ValueError(f"channel {channel}: too few matched events ({feats.shape[0]})")
     tr, te = split_indices(feats.shape[0], train_frac, seed)
-    tree = train_channel_model(feats[tr], labs[tr], feature_spec=spec)
+    tree = train_channel_model(feats[tr], labs[tr])
     tree_train_leaves = [classify_spike(tree, f1, f2) for f1, f2 in feats[tr]]
     leaf_map = majority_leaf_labels(tree_train_leaves, labs[tr])
     tree_test_leaves = [classify_spike(tree, f1, f2) for f1, f2 in feats[te]]
@@ -268,12 +266,11 @@ def run_decoder_benchmark(seed_base: int = 100, n_sessions: int = 10,
 
 
 def evaluate_online_sorter(trace: RawTrace, labels: GroundTruthLabels, channel: int,
-                           spec: FeatureSpec = FeatureSpec(),
                            train_frac: float = 0.75) -> dict:
     """Stream a prefix of one channel's detections through the online
     trainer, freeze the model, and score it on the remaining events by
     permutation accuracy."""
-    feats, labs, _, _ = channel_feature_dataset(trace, labels, channel, spec)
+    feats, labs, _, _ = channel_feature_dataset(trace, labels, channel)
     n = feats.shape[0]
     n_train = min(max(int(round(n * train_frac)), 1), max(n - 1, 1))
     sorter = OnlineSorter()

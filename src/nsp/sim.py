@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decode import EnsembleModel, bin_spikes, ensemble_ez
-from .detect import (DEFAULT_K, DEFAULT_PRE, FeatureSpec, estimate_threshold,
+from .decode import EnsembleModel, _pair_columns, bin_spikes, ensemble_ez
+from .detect import (DEFAULT_K, DEFAULT_PRE, estimate_threshold,
                      gather_windows, window_features, window_starts)
 from .synthdata import PayloadError, RawTrace, WINDOW_LEN
 
@@ -539,9 +539,7 @@ class Simulator:
         late = k < oldest_open
         k = np.where(late, oldest_open, k)
         kept = ~late | (oldest_open < n_bins)
-        colmap = self._colmap
-        cols = np.array([colmap.get(pair, -1) for pair in zip(channels, labels)],
-                        dtype=np.int64)
+        cols = _pair_columns(self.ensemble.selected, channels, labels)
         into = kept & (cols >= 0)
         np.add.at(self._banks, (k[into], cols[into]), 1)
         c = self.counters
@@ -580,11 +578,10 @@ def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
         row = trace.data[ch]
         thr = (thresholds[ch] if thresholds is not None
                else estimate_threshold(row, DEFAULT_K))
-        spec = getattr(models[ch], "feature_spec", None) or FeatureSpec()
         starts = window_starts(row, thr, config.pre_samples)
         if not starts:
             continue
-        f1, f2 = window_features(gather_windows(row, starts), spec)
+        f1, f2 = window_features(gather_windows(row, starts))
         cycles = [t0 + WINDOW_LEN - 1 for t0 in starts]
         schedule.extend(map(Completion, cycles, repeat(ch), starts,
                             f1.tolist(), f2.tolist()))

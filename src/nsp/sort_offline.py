@@ -1,7 +1,8 @@
 """Supervised off-line spike sorter and its L1-template baseline.
 
-The sorter fits, per channel, one of the eleven segmentation patterns plus
-three int8 axis boundaries by exhaustively sweeping a candidate boundary set
+Both read a spike's peak and trough as its two features (f1, f2). The
+sorter fits, per channel, one of the eleven segmentation patterns plus three
+int8 axis boundaries by exhaustively sweeping a candidate boundary set
 (kernel-density valleys united with a uniform 8-LSB grid) and maximizing
 training accuracy. Deployment classifies a spike with exactly three scalar
 comparisons and one table lookup, and the whole model packs into 28 bits
@@ -26,7 +27,6 @@ from itertools import combinations
 import numpy as np
 
 from ._util import atomic_write_text
-from .detect import FeatureSpec
 from .patterns import N_LEAVES, N_SPLITS, SegmentationPattern, enumerate_patterns, pattern_by_id
 from .sort_online import OUTLIER, OnlineSorterModel, _valley_runs
 from .synthdata import PayloadError, load_document
@@ -53,7 +53,6 @@ class ChannelSorterModel:
 
     kind = "tree"
 
-    feature_spec: FeatureSpec
     pattern_id: int
     boundaries: tuple          # (B0, B1, B2) int8 values, one per comparison slot
     valid_mask: int            # bit L set when leaf L received training spikes
@@ -70,8 +69,7 @@ class ChannelSorterModel:
         return TREE_MODEL_BITS
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "feature_spec": self.feature_spec.to_json(),
-                "pattern_id": self.pattern_id,
+        return {"kind": self.kind, "pattern_id": self.pattern_id,
                 "boundaries": [int(b) for b in self.boundaries],
                 "valid_mask": int(self.valid_mask),
                 "train_accuracy": float(self.train_accuracy),
@@ -81,8 +79,12 @@ class ChannelSorterModel:
     def from_json(cls, obj: dict) -> "ChannelSorterModel":
         if obj.get("kind") != cls.kind:
             raise PayloadError(f"not a tree sorter model: kind={obj.get('kind')!r}")
-        return cls(feature_spec=FeatureSpec.from_json(obj["feature_spec"]),
-                   pattern_id=int(obj["pattern_id"]),
+        # older sets name their feature rule; peak-trough is the only one sorted
+        spec = obj.get("feature_spec", {"mode": "peak-trough"})
+        if not isinstance(spec, dict) or spec.get("mode") != "peak-trough":
+            raise PayloadError(f"tree model trained on features {spec!r}; "
+                               "only peak-trough features are sorted")
+        return cls(pattern_id=int(obj["pattern_id"]),
                    boundaries=tuple(int(b) for b in obj["boundaries"]),
                    valid_mask=int(obj["valid_mask"]),
                    train_accuracy=float(obj.get("train_accuracy", 0.0)))
@@ -203,17 +205,15 @@ def boundary_candidates(features: np.ndarray, grid_step: int = GRID_STEP,
 # ---------------------------------------------------------------------------
 
 
-def _degenerate_model(feature_spec: FeatureSpec, accuracy: float) -> ChannelSorterModel:
+def _degenerate_model(accuracy: float) -> ChannelSorterModel:
     # group-0 pattern with all boundaries at +127: every feature below 127
     # compares low on all three slots, i.e. lands in leaf 0
     quad = next(p for p in enumerate_patterns() if p.group_id == 0)
-    return ChannelSorterModel(feature_spec=feature_spec, pattern_id=quad.pattern_id,
-                              boundaries=(127, 127, 127), valid_mask=0b0001,
-                              train_accuracy=accuracy)
+    return ChannelSorterModel(pattern_id=quad.pattern_id, boundaries=(127, 127, 127),
+                              valid_mask=0b0001, train_accuracy=accuracy)
 
 
 def train_channel_model(features: np.ndarray, labels: np.ndarray,
-                        feature_spec: FeatureSpec = FeatureSpec(),
                         grid_step: int = GRID_STEP,
                         bandwidth: float = KDE_BANDWIDTH) -> ChannelSorterModel:
     """Fit (pattern, boundaries) by exhaustive sweep of the candidate grid.
@@ -231,7 +231,7 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray,
     if len(uniq) > N_LEAVES:
         raise ValueError(f"more than {N_LEAVES} distinct unit labels")
     if len(uniq) == 1:
-        return _degenerate_model(feature_spec, 1.0)
+        return _degenerate_model(1.0)
 
     lab_idx = np.searchsorted(uniq, labs)
     n = feats.shape[0]
@@ -300,12 +300,11 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray,
 
     if best is None:
         majority = float(np.bincount(lab_idx).max()) / n
-        return _degenerate_model(feature_spec, majority)
+        return _degenerate_model(majority)
 
     acc, pattern_id, boundaries = best
-    model = ChannelSorterModel(feature_spec=feature_spec, pattern_id=pattern_id,
-                               boundaries=boundaries, valid_mask=0,
-                               train_accuracy=acc)
+    model = ChannelSorterModel(pattern_id=pattern_id, boundaries=boundaries,
+                               valid_mask=0, train_accuracy=acc)
     pat = pattern_by_id(pattern_id)
     mask = 0
     for f1, f2 in feats:
@@ -370,31 +369,6 @@ def l1_classify(model: L1TemplateModel, f1: int, f2: int,
         if dist < best_dist:
             best_label, best_dist = model.labels[k], dist
     return best_label
-
-
-def select_feature_pair(windows: np.ndarray, labels: np.ndarray,
-                        grid_step: int = GRID_STEP,
-                        bandwidth: float = KDE_BANDWIDTH) -> tuple:
-    """Sweep all 496 sample-index pairs of the 32-sample window.
-
-    *windows* is (n, 32) int8. Every (i, j) with i < j is scored by training a
-    channel model on features (window[i], window[j]); the argmax wins and ties
-    go to the lexicographically smallest pair. Returns (FeatureSpec, model,
-    accuracy).
-    """
-    win = np.asarray(windows, dtype=np.int64)
-    if win.ndim != 2 or win.shape[1] != 32:
-        raise ValueError("windows must be (n, 32)")
-    best = None
-    for i in range(32):
-        for j in range(i + 1, 32):
-            feats = win[:, (i, j)]
-            spec = FeatureSpec(mode="indexed", idx_a=i, idx_b=j)
-            model = train_channel_model(feats, labels, feature_spec=spec,
-                                        grid_step=grid_step, bandwidth=bandwidth)
-            if best is None or model.train_accuracy > best[2] + 1e-12:
-                best = (spec, model, model.train_accuracy)
-    return best
 
 
 # --- model set files --------------------------------------------------------

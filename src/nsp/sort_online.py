@@ -231,8 +231,6 @@ class OnlineSorterModel:
 
     boundaries: tuple            # ([f1 cuts], [f2 cuts])
     cam_snapshot: list           # [(i, j, status)] for occupied entries
-    lo: int = -128
-    hi: int = 127
 
     def __post_init__(self):
         valid = self.valid()

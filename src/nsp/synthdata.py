@@ -646,14 +646,26 @@ def load_session(path: str) -> ReachSession:
     except FileNotFoundError:
         raise PayloadError(f"{path}: sidecar {path}.json is missing")
     try:
+        trials = [TrialInfo(tr["target_rad"], tr["start_bin"], tr["end_bin"])
+                  for tr in sidecar.get("trials", [])]
+        for i, tr in enumerate(trials):
+            if not (_is_int64(tr.start_bin) and _is_int64(tr.end_bin)
+                    and 0 <= tr.start_bin < tr.end_bin <= len(vel)):
+                raise ValueError(f"trial {i} spans bins [{tr.start_bin!r}, "
+                                 f"{tr.end_bin!r}), not integers with "
+                                 f"0 <= start < end <= {len(vel)}")
+        unit_channels = sidecar.get("unit_channels", [])
+        if not (type(unit_channels) is list and len(unit_channels) == n_units
+                and all(map(_is_int64, unit_channels))):
+            raise ValueError("unit_channels must hold one integer channel for "
+                             f"each of the {n_units} unit columns")
         return ReachSession(
             velocity=np.array(vel, dtype=np.float64).reshape(-1, 2),
             counts=np.array(counts, dtype=np.int64).reshape(-1, n_units),
             bin_ms=int(sidecar["bin_ms"]),
-            trials=[TrialInfo(tr["target_rad"], tr["start_bin"], tr["end_bin"])
-                    for tr in sidecar.get("trials", [])],
+            trials=trials,
             tuning=[TuningCurve(**tc) for tc in sidecar.get("tuning", [])],
-            unit_channels=list(sidecar.get("unit_channels", [])),
+            unit_channels=unit_channels,
             meta=dict(sidecar.get("meta", {})),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

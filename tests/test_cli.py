@@ -347,6 +347,61 @@ def test_malformed_model_set_is_a_typed_error(tmp_path, pipeline, capfd, text):
     assert "Traceback" not in capfd.readouterr().err
 
 
+def _tree_set_with_spec(pipeline, d, spec):
+    """*d* holding the pipeline's tree set with *spec* written into every
+    model, as sets stored before peak-trough was the only feature rule carry
+    it, next to the pipeline's decoder."""
+    obj = json.loads((pipeline / "sorters.json").read_text())
+    assert all("feature_spec" not in m for m in obj["channels"].values())
+    for m in obj["channels"].values():
+        m["feature_spec"] = spec
+    (d / "sorters.json").write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    shutil.copy(pipeline / "decoder.json", d / "decoder.json")
+    return d
+
+
+def test_tree_set_naming_peak_trough_sorts_as_a_fresh_set(tmp_path, pipeline):
+    d = _tree_set_with_spec(pipeline, tmp_path,
+                            {"mode": "peak-trough", "idx_a": 0, "idx_b": 0})
+    assert load_models(str(d / "sorters.json")) == load_models(str(pipeline / "sorters.json"))
+    assert run("sort", "--tokens", pipeline / "tokens.jsonl",
+               "--models", d / "sorters.json", "--out", d / "sorted.jsonl") == EXIT_OK
+    assert (d / "sorted.jsonl").read_bytes() == (pipeline / "sorted.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sort", "eval-sort", "simulate"])
+def test_tree_set_on_indexed_features_exits_4(tmp_path, pipeline, capfd, command):
+    d = _tree_set_with_spec(pipeline, tmp_path, {"mode": "indexed", "idx_a": 3, "idx_b": 17})
+    p = pipeline
+    argv = {"sort": ("--tokens", p / "tokens.jsonl", "--models", d / "sorters.json",
+                     "--out", d / "out"),
+            "eval-sort": ("--trace", p / "trace.bin", "--labels", p / "labels.jsonl",
+                          "--models", d / "sorters.json", "--out", d / "out"),
+            "simulate": ("--trace", p / "trace.bin", "--models", d,
+                         "--config", p / "sim.cfg", "--counters", d / "out")}[command]
+    assert run(command, *argv) == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "peak-trough" in err and "Traceback" not in err
+    assert not (d / "out").exists()
+
+
+@pytest.mark.parametrize("bad", ["fractional start_bin", "short unit_channels"])
+def test_malformed_session_sidecar_exits_4(tmp_path, pipeline, capfd, bad):
+    d = pipeline
+    shutil.copy(d / "session.csv", tmp_path / "session.csv")
+    sidecar = json.loads((d / "session.csv.json").read_text())
+    if bad == "fractional start_bin":
+        sidecar["trials"][0]["start_bin"] = 1.5
+    else:
+        sidecar["unit_channels"].pop()
+    (tmp_path / "session.csv.json").write_text(json.dumps(sidecar))
+    assert run("train-decoder", "--session", tmp_path / "session.csv",
+               "--out", tmp_path / "decoder.json") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "malformed session sidecar" in err and "Traceback" not in err
+    assert not (tmp_path / "decoder.json").exists()
+
+
 def test_simulate_clocks_the_fabric_at_the_trace_rate(tmp_path, pipeline):
     d = pipeline
     trace, _ = gen_spike_trace(TraceConfig(n_channels=32, duration_s=1.0,

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsp.detect import (DEFAULT_K, MIN_SEGMENT, FeatureSpec, SegmentTooShort,
-                        SpikeWindow, detect_spikes, detect_trace, estimate_threshold,
+from nsp.detect import (DEFAULT_K, MIN_SEGMENT, SegmentTooShort, SpikeWindow,
+                        detect_spikes, detect_trace, estimate_threshold,
                         extract_features, gather_windows, load_tokens,
                         load_windows, store_tokens, store_windows,
                         window_features, window_starts)
@@ -183,16 +183,15 @@ def test_window_starts_equal_the_sample_scan(seed):
     assert window_starts(trace, threshold, pre) == _scan_starts(trace, threshold, pre)
 
 
-@pytest.mark.parametrize("spec", [FeatureSpec(), FeatureSpec("indexed", 3, 29)])
-def test_window_array_features_equal_extract_features(spec):
+def test_window_array_features_equal_extract_features():
     trace = _quiet_trace(5000, noise=12.0, seed=5)
     ws = detect_spikes(trace, threshold=25.0, pre_samples=4)
     assert len(ws) > 5
     windows = gather_windows(trace, [w.t0 for w in ws])
     assert windows.dtype == np.int8
     assert np.array_equal(windows, np.stack([w.samples for w in ws]))
-    f1, f2 = window_features(windows, spec)
-    toks = [extract_features(w, spec) for w in ws]
+    f1, f2 = window_features(windows)
+    toks = [extract_features(w) for w in ws]
     assert f1.tolist() == [tok.f1 for tok in toks]
     assert f2.tolist() == [tok.f2 for tok in toks]
 
@@ -216,20 +215,18 @@ def test_detect_trace_finds_most_truth_events(easy_trace):
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("spec", [FeatureSpec(),
-                                  FeatureSpec(mode="indexed", idx_a=3, idx_b=17)])
 @pytest.mark.parametrize("rate_hz", [30.0, 150.0])
-def test_detect_trace_equals_per_window_detection(spec, rate_hz):
+def test_detect_trace_equals_per_window_detection(rate_hz):
     trace, _ = gen_spike_trace(tier_config("medium", n_channels=3, duration_s=4.0,
                                            firing_rate_hz=rate_hz), seed=13)
     thr = [estimate_threshold(trace.data[ch]) for ch in range(trace.n_channels)]
-    windows, tokens = detect_trace(trace, thr, spec=spec)
+    windows, tokens = detect_trace(trace, thr)
     ref_windows = [w for ch in range(trace.n_channels)
                    for w in detect_spikes(trace.data[ch], thr[ch], channel=ch)]
     assert [(w.t0, w.channel) for w in windows] == [(w.t0, w.channel) for w in ref_windows]
     assert all(np.array_equal(w.samples, r.samples) and w.samples.dtype == np.int8
                for w, r in zip(windows, ref_windows))
-    assert tokens == [extract_features(w, spec) for w in ref_windows]
+    assert tokens == [extract_features(w) for w in ref_windows]
     assert all(type(tok.f1) is int and type(tok.f2) is int for tok in tokens)
 
 
@@ -242,22 +239,6 @@ def test_peak_trough_features():
     samples[9] = 23
     tok = extract_features(SpikeWindow(t0=10, channel=3, samples=samples))
     assert (tok.t, tok.channel, tok.f1, tok.f2) == (10, 3, 23, -70)
-
-
-def test_indexed_features():
-    samples = np.arange(WINDOW_LEN, dtype=np.int8)
-    spec = FeatureSpec(mode="indexed", idx_a=4, idx_b=9)
-    tok = extract_features(SpikeWindow(t0=0, channel=0, samples=samples), spec)
-    assert (tok.f1, tok.f2) == (4, 9)
-
-
-def test_feature_spec_validation():
-    with pytest.raises(ValueError):
-        FeatureSpec(mode="wavelet")
-    with pytest.raises(ValueError):
-        FeatureSpec(mode="indexed", idx_a=WINDOW_LEN)
-    spec = FeatureSpec(mode="indexed", idx_a=1, idx_b=2)
-    assert FeatureSpec.from_json(spec.to_json()) == spec
 
 
 def test_window_must_hold_32_samples():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsp.detect import FeatureSpec, detect_spikes, estimate_threshold, extract_features
+from nsp.detect import detect_spikes, estimate_threshold, extract_features
 from nsp.evaluation import (DECODER_BENCHMARK, MATCH_TOLERANCE,
                             channel_feature_dataset, confusion_matrix,
                             evaluate_channel_sorters, evaluate_online_sorter,
@@ -114,14 +114,14 @@ def test_channel_feature_dataset_matches_truth(easy_trace):
     assert labs.size >= 0.8 * n_truth
 
 
-def _per_window_dataset(trace, labels, ch, spec):
+def _per_window_dataset(trace, labels, ch):
     """channel_feature_dataset's oracle: float threshold, one SpikeWindow and
     one extract_features call per matched detection."""
     thr = estimate_threshold(trace.data[ch].astype(np.float64))
     windows = detect_spikes(trace.data[ch], thr, channel=ch)
     truth = labels.for_channel(ch)
     pairs = match_events([w.t0 for w in windows], truth[:, 0])
-    toks = [extract_features(windows[i], spec) for i in pairs[:, 0]]
+    toks = [extract_features(windows[i]) for i in pairs[:, 0]]
     feats = np.array([(t.f1, t.f2) for t in toks], dtype=np.int64).reshape(-1, 2)
     return feats, truth[pairs[:, 1], 2].astype(np.int64), len(windows), truth.shape[0]
 
@@ -131,20 +131,18 @@ def medium_trace():
     return gen_spike_trace(tier_config("medium", n_channels=3, duration_s=8.0), seed=29)
 
 
-@pytest.mark.parametrize("spec", [FeatureSpec(),
-                                  FeatureSpec(mode="indexed", idx_a=2, idx_b=21)])
 @pytest.mark.parametrize("which", ["easy_trace", "medium_trace"])
-def test_feature_dataset_equals_the_per_window_path(which, spec, request):
+def test_feature_dataset_equals_the_per_window_path(which, request):
     trace, labels = request.getfixturevalue(which)
     for ch in range(trace.n_channels):
-        feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch, spec)
-        ref_feats, ref_labs, ref_det, ref_truth = _per_window_dataset(trace, labels, ch, spec)
+        feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch)
+        ref_feats, ref_labs, ref_det, ref_truth = _per_window_dataset(trace, labels, ch)
         assert feats.dtype == labs.dtype == np.int64
         assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
         assert (n_det, n_truth) == (ref_det, ref_truth)
         windows = detect_spikes(trace.data[ch], estimate_threshold(trace.data[ch]),
                                 channel=ch)
-        feats, labs = matched_features(windows, labels.for_channel(ch), spec)
+        feats, labs = matched_features(windows, labels.for_channel(ch))
         assert feats.dtype == np.int64
         assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
 

@@ -19,8 +19,8 @@ from nsp.cli import _load_sorted_events
 from nsp.decode import (DecoderBundle, FixedPointFormat, load_decoded,
                         load_decoder, store_decoded, store_decoder,
                         train_ensemble, train_transition)
-from nsp.detect import (FeatureSpec, SpikeToken, SpikeWindow, load_tokens,
-                        load_windows, store_tokens, store_windows)
+from nsp.detect import (SpikeToken, SpikeWindow, load_tokens, load_windows,
+                        store_tokens, store_windows)
 from nsp.sort_offline import (ChannelSorterModel, L1TemplateModel, load_models,
                               store_models)
 from nsp.sort_online import STATUS_STRONG, STATUS_WEAK, OnlineSorterModel
@@ -161,7 +161,7 @@ def _valid_files(d):
     files["session-sidecar"] = (csv, csv + ".json", load_session)
     store_decoded(add("decoded", "dec.csv", load_decoded),
                   np.array([[0.5, -1.25], [3.0, 1e-3]]))
-    tree = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=2,
+    tree = ChannelSorterModel(pattern_id=2,
                               boundaries=(-5, 10, 100), valid_mask=0b111)
     store_models({0: tree}, add("sorters-tree", "tree.json", load_models))
     store_models({1: L1TemplateModel(templates=((0, 0), (50, -50)), labels=(2, 0))},

@@ -10,7 +10,7 @@ from nsp.sim import (Completion, ConfigMismatchError, SimConfig, Simulator,
                      build_schedule, linear_fit_r2, parse_sim_config,
                      reference_ez, run_simulation, serialize_sim_config,
                      sweep_spike_rate)
-from nsp.detect import FeatureSpec, detect_spikes, extract_features
+from nsp.detect import detect_spikes, extract_features
 from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
                            tier_config)
 
@@ -431,16 +431,14 @@ def test_build_schedule_equals_per_window_detection():
     data[1, n_samples - 5] = 110       # crossing whose window cannot complete
     trace = RawTrace(data=data, sample_rate=30000)
     cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
-    specs = {0: FeatureSpec(), 1: FeatureSpec("indexed", 2, 30),
-             3: FeatureSpec("indexed", 31, 0)}
-    models = {ch: SimpleNamespace(feature_spec=spec) for ch, spec in specs.items()}
+    models = {ch: SimpleNamespace() for ch in (0, 1, 3)}   # only the keys are read
     thresholds = {0: 30.0, 1: 28.0, 3: 35.0}
     schedule = build_schedule(trace, models, cfg, thresholds)
 
     expected = []
     for ch in sorted(models):
         for w in detect_spikes(data[ch], thresholds[ch], cfg.pre_samples, channel=ch):
-            tok = extract_features(w, specs[ch])
+            tok = extract_features(w)
             expected.append((w.t0 + 31, ch, tok.t, tok.f1, tok.f2))
     got = [(c.cycle, c.channel, c.t, c.f1, c.f2) for c in schedule]
     assert got == expected

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsp.detect import FeatureSpec
 from nsp.evaluation import channel_feature_dataset
 from nsp.patterns import enumerate_patterns
 from nsp.sort_offline import (KDE_BANDWIDTH, L1_BITS_PER_TEMPLATE, OUTLIER,
@@ -64,7 +63,7 @@ def brute_force_best_accuracy(feats, labs):
 
 
 def test_pack_unpack_round_trip():
-    model = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=7,
+    model = ChannelSorterModel(pattern_id=7,
                                boundaries=(-128, 0, 127), valid_mask=0b1111)
     packed = pack_model(model)
     assert len(packed) == 7
@@ -82,7 +81,7 @@ _INT8 = st.integers(-128, 127)
 @example(boundaries=(127, 127, 127), pattern_id=15)
 @example(boundaries=(-1, 0, 1), pattern_id=10)
 def test_pack_unpack_round_trips_every_model(boundaries, pattern_id):
-    model = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=pattern_id,
+    model = ChannelSorterModel(pattern_id=pattern_id,
                                boundaries=boundaries, valid_mask=0b1111)
     packed = pack_model(model)
     assert len(packed) == 7 and int(packed, 16) < 1 << TREE_MODEL_BITS
@@ -95,7 +94,7 @@ def test_unpack_rejects_oversized():
 
 
 def test_footprints():
-    tree = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=0,
+    tree = ChannelSorterModel(pattern_id=0,
                               boundaries=(1, 2, 3), valid_mask=1)
     assert model_footprint(tree) == TREE_MODEL_BITS == 28
     l1 = L1TemplateModel(templates=((0, 0), (1, 1), (2, 2), (3, 3)),
@@ -110,7 +109,7 @@ def test_footprints():
 
 
 def test_classify_costs_three_compares_one_lookup():
-    model = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=0,
+    model = ChannelSorterModel(pattern_id=0,
                                boundaries=(-20, 0, 20), valid_mask=0b1111)
     ops = SortOpCounts()
     classify_spike(model, 5, -5, ops)
@@ -120,8 +119,7 @@ def test_classify_costs_three_compares_one_lookup():
 def test_classify_boundary_equality_goes_up():
     pat = enumerate_patterns()[0]  # quad slabs: all three cuts on one axis
     axis = pat.axes[0]
-    model = ChannelSorterModel(feature_spec=FeatureSpec(),
-                               pattern_id=pat.pattern_id,
+    model = ChannelSorterModel(pattern_id=pat.pattern_id,
                                boundaries=(-20, 0, 20), valid_mask=0b1111)
 
     def leaf_for(v):
@@ -138,7 +136,7 @@ def test_classify_boundary_equality_goes_up():
 
 
 def test_classify_invalid_leaf_is_outlier():
-    model = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=0,
+    model = ChannelSorterModel(pattern_id=0,
                                boundaries=(-20, 0, 20), valid_mask=0b0011)
     seen = {classify_spike(model, v, 0) for v in (-50, -10, 10, 50)}
     assert OUTLIER in seen
@@ -291,7 +289,7 @@ def test_tree_models_are_pinned():
                                     seed=41)
     for ch, pinned in enumerate(PINNED_TREE_MODELS):
         feats, labs, _, _ = channel_feature_dataset(trace, labels, ch)
-        expected = {"kind": "tree", "feature_spec": FeatureSpec().to_json(), **pinned}
+        expected = {"kind": "tree", **pinned}
         assert train_channel_model(feats, labs).to_json() == expected
 
 
@@ -330,7 +328,7 @@ def test_l1_model_set_round_trip(tmp_path):
 
 
 def test_model_set_holds_exactly_one_kind(tmp_path):
-    tree = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=2,
+    tree = ChannelSorterModel(pattern_id=2,
                               boundaries=(-5, 10, 100), valid_mask=0b111)
     l1 = L1TemplateModel(templates=((0, 0),), labels=(1,))
     for models in ({}, {0: tree, 1: l1}):
@@ -340,7 +338,7 @@ def test_model_set_holds_exactly_one_kind(tmp_path):
 
 
 def test_model_json_embeds_packed_form():
-    model = ChannelSorterModel(feature_spec=FeatureSpec(), pattern_id=2,
+    model = ChannelSorterModel(pattern_id=2,
                                boundaries=(-5, 10, 100), valid_mask=0b111)
     obj = model.to_json()
     assert obj["packed"] == pack_model(model)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -284,6 +285,36 @@ def test_corrupt_files_raise_schema_errors(tmp_path):
 
     for exc in (HeaderError, VersionError, PayloadError):
         assert issubclass(exc, DatasetFormatError)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda side, n_bins: side["trials"][0].update(start_bin=1.5),
+    lambda side, n_bins: side["trials"][0].update(start_bin=True),
+    lambda side, n_bins: side["trials"][0].update(start_bin="0"),
+    lambda side, n_bins: side["trials"][0].update(start_bin=-1),
+    lambda side, n_bins: side["trials"][0].update(end_bin=side["trials"][0]["start_bin"]),
+    lambda side, n_bins: side["trials"][1].update(end_bin=side["trials"][1]["start_bin"] - 1),
+    lambda side, n_bins: side["trials"][-1].update(end_bin=n_bins + 1),
+    lambda side, n_bins: side["trials"][0].update(end_bin=None),
+    lambda side, n_bins: side.update(unit_channels=side["unit_channels"][:-1]),
+    lambda side, n_bins: side.update(unit_channels=side["unit_channels"] + [0]),
+    lambda side, n_bins: side.update(unit_channels=[1.0] + side["unit_channels"][1:]),
+    lambda side, n_bins: side.update(unit_channels=[False] + side["unit_channels"][1:]),
+    lambda side, n_bins: side.update(unit_channels="0" * len(side["unit_channels"])),
+    lambda side, n_bins: side.pop("unit_channels"),
+], ids=["start-float", "start-bool", "start-str", "start-negative", "empty-trial",
+        "end-before-start", "end-past-last-bin", "end-null", "channels-short",
+        "channels-long", "channel-float", "channel-bool", "channels-str",
+        "channels-missing"])
+def test_session_sidecar_bounds_and_channels_are_checked(tmp_path, small_session, edit):
+    p = tmp_path / "s.csv"
+    store_session(small_session, str(p))
+    side_path = tmp_path / "s.csv.json"
+    side = json.loads(side_path.read_text())
+    edit(side, small_session.n_bins)
+    side_path.write_text(json.dumps(side))
+    with pytest.raises(PayloadError, match="malformed session sidecar"):
+        load_session(str(p))
 
 
 def test_session_missing_sidecar(tmp_path, small_session):
