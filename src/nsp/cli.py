@@ -22,16 +22,15 @@ from .decode import (DecoderBundle, FixedPointFormat, bin_spikes, count_ops,
                      run_eokf_split, run_filter, run_kf, selection_columns,
                      store_decoded, store_decoder, train_ensemble,
                      train_observation_standard, train_transition)
-from .detect import (DEFAULT_K, DEFAULT_PRE, detect_trace, estimate_threshold,
-                     load_tokens, load_windows, store_tokens, store_windows)
+from .detect import (detect_trace, estimate_threshold, load_tokens, load_windows,
+                     store_tokens, store_windows)
 from .evaluation import (channel_feature_dataset, matched_features,
                          permutation_accuracy)
 from .opcount import SingularMatrixError
 from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS, load_models,
-                           model_footprint, store_models, train_channel_model,
-                           train_l1)
+                           store_models, train_channel_model, train_l1)
 from .sort_online import online_footprint, train_online
-from .sim import SimConfig, parse_sim_config, run_simulation
+from .sim import ConfigMismatchError, SimConfig, parse_sim_config, run_simulation
 from .synthdata import (ClippingError, DatasetFormatError, PayloadError,
                         SessionConfig, TraceConfig, gen_reach_session,
                         gen_spike_trace, load_document, load_labels,
@@ -132,16 +131,10 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _detect(trace, k: float, pre: int) -> tuple:
-    """(per-channel thresholds, windows, tokens) for a whole trace."""
-    thresholds = np.array([estimate_threshold(trace.data[ch], k)
-                           for ch in range(trace.n_channels)])
-    return (thresholds, *detect_trace(trace, thresholds, pre))
-
-
 def cmd_detect(args) -> int:
     trace = load_trace(args.trace)
-    thresholds, windows, tokens = _detect(trace, args.k, args.pre)
+    thresholds = [estimate_threshold(row) for row in trace.data]
+    windows, tokens = detect_trace(trace, thresholds)
     store_tokens(tokens, args.out)
     _write_meta(args.out, vars(args),
                 extra={"thresholds": [float(t) for t in thresholds],
@@ -181,11 +174,16 @@ def cmd_train_sorter(args) -> int:
         if not args.labels or not (args.windows or args.trace):
             raise ValueError("train-sorter --mode offline/l1 needs --labels and "
                              "--trace or --windows")
+        labels = load_labels(args.labels)
         if args.windows:
-            windows = load_windows(args.windows)
+            datasets = _matched_features(load_windows(args.windows), labels)
         else:
-            _, windows, _ = _detect(load_trace(args.trace), args.k, args.pre)
-        datasets = _matched_features(windows, load_labels(args.labels))
+            trace = load_trace(args.trace)
+            datasets = {}
+            for ch in range(trace.n_channels):
+                feats, labs, _, _ = channel_feature_dataset(trace, labels, ch)
+                if feats.shape[0] >= 2:
+                    datasets[ch] = (feats, labs)
         if args.mode == "offline":
             models = {ch: train_channel_model(f, l) for ch, (f, l) in datasets.items()}
         else:
@@ -226,14 +224,13 @@ def cmd_eval_sort(args) -> int:
 
     def eval_channel(ch):
         model = models[ch]
-        feats, labs, n_det, n_truth = channel_feature_dataset(
-            trace, labels, ch, k=args.k, pre_samples=args.pre)
+        feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch)
         pred = [int(model.classify(int(f1), int(f2))) for f1, f2 in feats]
         row = {"channel": ch, "model": model.kind,
                "n_detected": n_det, "n_truth": n_truth,
                "n_scored": len(pred),
                "accuracy": permutation_accuracy(pred, labs),
-               "footprint_bits": model_footprint(model)}
+               "footprint_bits": model.footprint_bits()}
         if model.kind == "l1":
             row["n_templates"] = len(model.templates)
         if model.kind == "online":
@@ -384,11 +381,15 @@ def cmd_simulate(args) -> int:
         raise DatasetFormatError("simulate needs an ensemble (eokf) decoder")
     if args.config:
         sim_cfg = parse_sim_config(read_text(args.config))
+        if sim_cfg.bin_ms != bundle.bin_ms:
+            raise ConfigMismatchError(
+                f"config bins at {sim_cfg.bin_ms} ms but the decoder was "
+                f"trained on {bundle.bin_ms} ms bins")
     else:
         sim_cfg = SimConfig(n_channels=trace.n_channels,
                             group_size=math.gcd(SimConfig.group_size,
                                                trace.n_channels),
-                            clock_hz=trace.sample_rate)
+                            clock_hz=trace.sample_rate, bin_ms=bundle.bin_ms)
     result = run_simulation(trace, models, bundle.ensemble, sim_cfg)
     counters = result.counters.as_dict()
     _write_json(args.counters, {
@@ -631,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True, help="output token stream (JSONL)")
     p.add_argument("--windows", help="also write full 32-sample windows (JSONL)")
-    p.add_argument("--k", type=float, default=DEFAULT_K)
-    p.add_argument("--pre", type=int, default=DEFAULT_PRE)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("train-sorter", help="fit per-channel sorter models")
@@ -641,8 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--windows", help="windows JSONL instead of raw trace")
     p.add_argument("--tokens", help="token stream (online mode)")
-    p.add_argument("--k", type=float, default=DEFAULT_K)
-    p.add_argument("--pre", type=int, default=DEFAULT_PRE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_sorter)
 
@@ -656,8 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--models", required=True)
-    p.add_argument("--k", type=float, default=DEFAULT_K)
-    p.add_argument("--pre", type=int, default=DEFAULT_PRE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_sort)
 

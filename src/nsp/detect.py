@@ -1,5 +1,8 @@
 """Absolute-threshold spike detection and peak/trough feature extraction.
 
+The detector has two fixed settings: the threshold is DEFAULT_K = 4 noise
+sigmas (sigma estimated from the median absolute deviation), and a window
+opens DEFAULT_PRE = 4 samples before the crossing.
 Everything downstream of threshold estimation is integer arithmetic on int8
 samples: the detector compares |v| against the threshold, cuts a fixed
 32-sample window around the crossing, and reduces it to its peak (max) and
@@ -50,8 +53,8 @@ class SpikeToken:
     f2: int
 
 
-def estimate_threshold(segment: np.ndarray, k: float = DEFAULT_K) -> float:
-    """Noise-robust threshold: k * 1.4826 * median(|v - median(v)|), floored at 1 LSB.
+def estimate_threshold(segment: np.ndarray) -> float:
+    """Noise-robust threshold: DEFAULT_K * 1.4826 * median(|v - median(v)|), floored at 1 LSB.
 
     The median absolute deviation ignores the sparse spike samples that would
     inflate a plain standard deviation estimate. An int8 segment takes both
@@ -73,7 +76,7 @@ def estimate_threshold(segment: np.ndarray, k: float = DEFAULT_K) -> float:
     else:
         v = segment.astype(np.float64)
         mad = np.median(np.abs(v - np.median(v)))
-    return max(1.0, k * MAD_SCALE * mad)
+    return max(1.0, DEFAULT_K * MAD_SCALE * mad)
 
 
 def _histogram_median(values: np.ndarray, counts: np.ndarray) -> np.float64:
@@ -88,38 +91,35 @@ def _histogram_median(values: np.ndarray, counts: np.ndarray) -> np.float64:
     return (values[lo] + values[hi]) / 2
 
 
-def window_starts(channel_trace: np.ndarray, threshold: float,
-                  pre_samples: int = DEFAULT_PRE) -> list:
+def window_starts(channel_trace: np.ndarray, threshold: float) -> list:
     """Start samples of the windows the detector cuts from one channel.
 
-    A window opens at the first sample with |v| >= threshold while the
-    detector is idle and spans [t - pre_samples, t - pre_samples + 31]; the
-    detector then stays busy for 32 samples, so window starts are always at
-    least 32 samples apart. A crossing earlier than pre_samples clamps the
-    window start to sample 0; a window that cannot complete before the end of
-    the trace is dropped. The next crossing past each re-arm point is found
-    by bisection, so the scan costs one step per window, not per hot sample.
+    A window opens at the first sample t with |v| >= threshold while the
+    detector is idle and spans [t - 4, t + 27]; the detector then stays busy
+    for 32 samples, so window starts are always at least 32 samples apart. A
+    crossing in the first 4 samples clamps the window start to sample 0; a
+    window that cannot complete before the end of the trace is dropped. The
+    next crossing past each re-arm point is found by bisection, so the scan
+    costs one step per window, not per hot sample.
     """
-    if not (0 <= pre_samples <= 8):
-        raise ValueError("pre_samples must be in 0..8")
     trace = np.asarray(channel_trace, dtype=np.int8)
     last = trace.size - WINDOW_LEN   # latest start whose window completes
     hot = np.flatnonzero(np.abs(trace.astype(np.int16)) >= threshold).tolist()
     starts = []
     i = 0
     while i < len(hot):
-        t0 = max(0, hot[i] - pre_samples)
+        t0 = max(0, hot[i] - DEFAULT_PRE)
         if t0 > last:
             break  # window cannot complete; drop and stop (detector stays busy past EOT)
         starts.append(t0)
         # busy until a new crossing could not produce an overlapping window;
         # equals t + 32 except when the window start was clamped to 0
-        i = bisect_left(hot, t0 + WINDOW_LEN + pre_samples, i + 1)
+        i = bisect_left(hot, t0 + WINDOW_LEN + DEFAULT_PRE, i + 1)
     return starts
 
 
 def detect_spikes(channel_trace: np.ndarray, threshold: float,
-                  pre_samples: int = DEFAULT_PRE, channel: int = 0) -> list:
+                  channel: int = 0) -> list:
     """Scan one channel and return the list of SpikeWindow detections.
 
     Windows start where :func:`window_starts` says.
@@ -127,7 +127,7 @@ def detect_spikes(channel_trace: np.ndarray, threshold: float,
     trace = np.asarray(channel_trace, dtype=np.int8)
     return [SpikeWindow(t0=t0, channel=channel,
                         samples=trace[t0:t0 + WINDOW_LEN].copy())
-            for t0 in window_starts(trace, threshold, pre_samples)]
+            for t0 in window_starts(trace, threshold)]
 
 
 def gather_windows(channel_trace: np.ndarray, starts) -> np.ndarray:
@@ -151,7 +151,7 @@ def extract_features(window: SpikeWindow) -> SpikeToken:
     return SpikeToken(t=window.t0, channel=window.channel, f1=int(s.max()), f2=int(s.min()))
 
 
-def detect_trace(trace, thresholds, pre_samples: int = DEFAULT_PRE):
+def detect_trace(trace, thresholds):
     """Run detection + feature extraction over all channels of a RawTrace.
 
     *thresholds* is a scalar or a per-channel sequence. Returns (windows,
@@ -164,7 +164,7 @@ def detect_trace(trace, thresholds, pre_samples: int = DEFAULT_PRE):
     windows, tokens = [], []
     for ch in range(trace.n_channels):
         row = trace.data[ch]
-        starts = window_starts(row, float(thr[ch]), pre_samples)
+        starts = window_starts(row, float(thr[ch]))
         rows = gather_windows(row, starts)
         f1, f2 = window_features(rows)
         windows.extend(SpikeWindow(t0=t0, channel=ch, samples=w)

@@ -6,10 +6,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .detect import (DEFAULT_K, DEFAULT_PRE, estimate_threshold, gather_windows,
-                     window_features, window_starts)
-from .sort_offline import ChannelSorterModel, L1TemplateModel, classify_spike, l1_classify, train_channel_model, train_l1
-from .sort_online import OUTLIER, OnlineSorter
+from .detect import estimate_threshold, gather_windows, window_features, window_starts
+from .sort_offline import classify_spike, l1_classify, train_channel_model, train_l1
+from .sort_online import OnlineSorter
 from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN
 
 MATCH_TOLERANCE = WINDOW_LEN
@@ -58,9 +57,8 @@ def _feature_rows(windows: np.ndarray) -> np.ndarray:
     return np.column_stack(window_features(windows)).astype(np.int64)
 
 
-def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels, channel: int,
-                            k: float = DEFAULT_K,
-                            pre_samples: int = DEFAULT_PRE) -> tuple:
+def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels,
+                            channel: int) -> tuple:
     """Detected features with matched true unit ids for one channel.
 
     Returns (features (m, 2) int64, unit ids (m,) int64, n_detected,
@@ -68,7 +66,7 @@ def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels, channel:
     the matched windows are cut from the trace.
     """
     ch_trace = trace.data[channel]
-    starts = window_starts(ch_trace, estimate_threshold(ch_trace, k), pre_samples)
+    starts = window_starts(ch_trace, estimate_threshold(ch_trace))
     truth = labels.for_channel(channel)
     pairs = match_events(starts, truth[:, 0])
     matched = np.asarray(starts, dtype=np.intp)[pairs[:, 0]]

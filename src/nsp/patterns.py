@@ -204,7 +204,6 @@ class SegmentationPattern:
     group_name: str
     structure: tuple
     axes: tuple          # comparison axis per boundary slot (0 = f1, 1 = f2)
-    splits: tuple        # (axis, ascending rank within axis) per boundary slot
     leaf_map: tuple      # 3-bit comparison code -> leaf index 0..3
     leaf_bounds: tuple   # per leaf: ((x_lo_slot, x_hi_slot), (y_lo_slot, y_hi_slot))
     x_cuts: tuple        # boundary slots that compare f1
@@ -272,11 +271,7 @@ def _build_pattern(structure) -> dict:
         leaf_map.append(node[1])
 
     bounds = _leaf_bounds(tree)
-    rank_of = {cid: r for r, cid in enumerate(x_orderings[0])}
-    rank_of.update({cid: r for r, cid in enumerate(y_orderings[0])})
-    splits = tuple((axis, rank_of[cid]) for cid, axis in sorted(cuts))
-
-    return dict(structure=structure, axes=axes, splits=splits,
+    return dict(structure=structure, axes=axes,
                 leaf_map=tuple(leaf_map),
                 leaf_bounds=tuple(bounds[l] for l in range(N_LEAVES)),
                 x_cuts=x_ids, y_cuts=y_ids,

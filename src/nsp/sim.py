@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .decode import EnsembleModel, _pair_columns, bin_spikes, ensemble_ez
-from .detect import (DEFAULT_K, DEFAULT_PRE, estimate_threshold,
-                     gather_windows, window_features, window_starts)
+from .detect import (DEFAULT_PRE, estimate_threshold, gather_windows,
+                     window_features, window_starts)
 from .synthdata import PayloadError, RawTrace, WINDOW_LEN
 
 SAMPLE_BITS = 8
@@ -47,7 +47,6 @@ class SimConfig:
     bin_ms: int = 100
     output_width_bits: int = 16
     channel_gating: bool = True
-    pre_samples: int = DEFAULT_PRE
 
     def validate(self) -> None:
         if self.n_channels < 1 or self.group_size < 1:
@@ -100,6 +99,8 @@ def parse_sim_config(text: str) -> SimConfig:
     """Parse the flat ``key = value`` simulator config format.
 
     Blank lines and ``#`` comments are ignored; unknown keys are rejected.
+    Older files carry ``pre_samples = 4``, the detector's fixed pre-crossing
+    offset; that line is accepted and any other value rejected.
     """
     known = {f.name: f.type for f in fields(SimConfig)}
     values = {}
@@ -111,6 +112,12 @@ def parse_sim_config(text: str) -> SimConfig:
             raise PayloadError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key == "pre_samples":
+            if val != str(DEFAULT_PRE):
+                raise PayloadError(f"line {lineno}: the detector opens windows "
+                                   f"{DEFAULT_PRE} samples before the crossing; "
+                                   f"pre_samples = {val} cannot be honoured")
+            continue
         if key not in known:
             raise PayloadError(f"line {lineno}: unknown config key {key!r}")
         if key == "channel_gating":
@@ -571,14 +578,14 @@ def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
     """Detect every modeled channel of *trace* into a completion schedule.
 
     A window spanning [t0, t0+31] completes (and may enter the queue) at
-    cycle t0+31. Channels without a model are left silent.
+    cycle t0+31. Channels without a model are left silent. *config* is not
+    read: the detector has no settings.
     """
     schedule = []
     for ch in sorted(models):
         row = trace.data[ch]
-        thr = (thresholds[ch] if thresholds is not None
-               else estimate_threshold(row, DEFAULT_K))
-        starts = window_starts(row, thr, config.pre_samples)
+        thr = thresholds[ch] if thresholds is not None else estimate_threshold(row)
+        starts = window_starts(row, thr)
         if not starts:
             continue
         f1, f2 = window_features(gather_windows(row, starts))
@@ -678,8 +685,7 @@ def sweep_spike_rate(rates, n_channels: int = 8, duration_s: float = 2.0,
     train_trace, train_labels = gen_spike_trace(cfg_for(30.0), seed=seed)
     models = {}
     for ch in range(n_channels):
-        feats, labs, _, _ = channel_feature_dataset(
-            train_trace, train_labels, ch, pre_samples=config.pre_samples)
+        feats, labs, _, _ = channel_feature_dataset(train_trace, train_labels, ch)
         models[ch] = train_channel_model(feats, labs)
 
     selected = [(ch, u) for ch in range(n_channels) for u in range(3)]

@@ -21,7 +21,7 @@ and write per-channel model sets of any one kind through it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np

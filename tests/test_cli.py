@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 
 import numpy as np
@@ -9,7 +8,7 @@ from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                      EXIT_USAGE, _counts_to_events, main)
 from nsp.decode import load_decoded, load_decoder, run_filter, store_decoded
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
-from nsp.sort_offline import TREE_MODEL_BITS, load_models, model_footprint
+from nsp.sort_offline import TREE_MODEL_BITS, load_models
 from nsp.synthdata import (PayloadError, TraceConfig, gen_spike_trace,
                            load_session, load_trace, store_trace)
 
@@ -167,7 +166,7 @@ def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
                "--models", m / "sorters.json", "--out", m / "eval.json") == EXIT_OK
     models = load_models(str(m / "sorters.json"))
     rows = json.loads((m / "eval.json").read_text())["rows"]
-    assert [r["footprint_bits"] for r in rows] == [model_footprint(models[r["channel"]])
+    assert [r["footprint_bits"] for r in rows] == [models[r["channel"]].footprint_bits()
                                                    for r in rows]
     shutil.copy(d / "decoder.json", m / "decoder.json")
     assert run("simulate", "--trace", d / "trace.bin", "--models", m,
@@ -431,6 +430,59 @@ def test_simulate_without_config_groups_a_small_trace(tmp_path, pipeline):
     out = json.loads((tmp_path / "sim.json").read_text())
     assert (out["config"]["n_channels"], out["config"]["group_size"]) == (2, 2)
     assert out["counters"]["decoder_accepts"] > 0
+
+
+def test_simulate_bins_at_the_decoder_bin_width(tmp_path, pipeline):
+    d = pipeline
+    assert run("gen", "--kind", "session", "--units", 30, "--trials-per-target", 3,
+               "--bin-ms", 50, "--seed", 9, "--out", tmp_path / "s50.csv") == EXIT_OK
+    assert run("train-decoder", "--session", tmp_path / "s50.csv", "--seed", 9,
+               "--out", tmp_path / "decoder.json") == EXIT_OK
+    shutil.copy(d / "sorters.json", tmp_path / "sorters.json")
+    assert run("simulate", "--trace", d / "trace.bin", "--models", tmp_path,
+               "--counters", tmp_path / "sim.json",
+               "--decoded", tmp_path / "sim.csv") == EXIT_OK
+    out = json.loads((tmp_path / "sim.json").read_text())
+    assert out["config"]["bin_ms"] == 50
+    assert out["counters"]["bins_emitted"] == 120          # 6 s in 50 ms bins
+    assert json.loads((tmp_path / "sim.csv.meta.json").read_text())["n_bins"] == 120
+
+
+def test_simulate_config_bin_width_must_match_the_decoder(tmp_path, pipeline, capfd):
+    d = pipeline
+    (tmp_path / "sim.cfg").write_text(
+        "n_channels = 2\ngroup_size = 2\nconveyor_slots = 8\nbin_ms = 50\n")
+    assert run("simulate", "--trace", d / "trace.bin", "--models", d,
+               "--config", tmp_path / "sim.cfg",
+               "--counters", tmp_path / "sim.json") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "50 ms" in err and "100 ms" in err and "Traceback" not in err
+    assert not (tmp_path / "sim.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--k", "--pre"])
+@pytest.mark.parametrize("command", ["detect", "train-sorter", "eval-sort"])
+def test_detector_settings_are_not_options(tmp_path, pipeline, command, flag):
+    d = pipeline
+    argv = {"detect": ("detect", "--trace", d / "trace.bin"),
+            "train-sorter": ("train-sorter", "--mode", "offline", "--trace",
+                             d / "trace.bin", "--labels", d / "labels.jsonl"),
+            "eval-sort": ("eval-sort", "--trace", d / "trace.bin", "--labels",
+                          d / "labels.jsonl", "--models", d / "sorters.json")}[command]
+    assert run(*argv, flag, 5, "--out", tmp_path / "out") == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+def test_sim_config_pre_samples_other_than_four_exits_4(tmp_path, pipeline, capfd):
+    d = pipeline
+    (tmp_path / "sim.cfg").write_text(
+        "n_channels = 2\ngroup_size = 2\nconveyor_slots = 8\npre_samples = 6\n")
+    assert run("simulate", "--trace", d / "trace.bin", "--models", d,
+               "--config", tmp_path / "sim.cfg",
+               "--counters", tmp_path / "sim.json") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "pre_samples = 6" in err and "Traceback" not in err
+    assert not (tmp_path / "sim.json").exists()
 
 
 def test_counts_expand_to_bin_major_event_rows():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsp.detect import (DEFAULT_K, MIN_SEGMENT, SegmentTooShort, SpikeWindow,
+from nsp.detect import (DEFAULT_K, DEFAULT_PRE, MIN_SEGMENT, SegmentTooShort, SpikeWindow,
                         detect_spikes, detect_trace, estimate_threshold,
                         extract_features, gather_windows, load_tokens,
                         load_windows, store_tokens, store_windows,
@@ -37,7 +37,7 @@ def test_threshold_matches_mad_by_hand():
     seg = rng.normal(0, 5.0, 20000)
     med = np.median(seg)
     mad = np.median(np.abs(seg - med))
-    assert estimate_threshold(seg, k=4.0) == pytest.approx(4.0 * 1.4826 * mad)
+    assert estimate_threshold(seg) == pytest.approx(4.0 * 1.4826 * mad)
 
 
 def test_threshold_tracks_sigma():
@@ -88,24 +88,24 @@ def _int8_segment(n, kind, seed):
 @settings(max_examples=300, deadline=None)
 @given(half=st.integers(MIN_SEGMENT // 2, 2500), odd=st.booleans(),
        kind=st.sampled_from(["uniform", "gauss", "constant", "extremes", "outliers"]),
-       seed=st.integers(0, 2**32 - 1), k=st.sampled_from([DEFAULT_K, 0.3, 3.0, 5.5]))
-@example(half=500, odd=False, kind="constant", seed=0, k=DEFAULT_K)
-@example(half=500, odd=True, kind="extremes", seed=1, k=DEFAULT_K)
-def test_int8_threshold_equals_the_float_median_expression(half, odd, kind, seed, k):
+       seed=st.integers(0, 2**32 - 1))
+@example(half=500, odd=False, kind="constant", seed=0)
+@example(half=500, odd=True, kind="extremes", seed=1)
+def test_int8_threshold_equals_the_float_median_expression(half, odd, kind, seed):
     """The int8 histogram path is exact: == against the float np.median oracle."""
     n = min(2 * half + odd, 5000)
     seg = _int8_segment(n, kind, seed)
     v = seg.astype(np.float64)
-    oracle = max(1.0, k * 1.4826 * np.median(np.abs(v - np.median(v))))
-    assert estimate_threshold(seg, k) == oracle
+    oracle = max(1.0, DEFAULT_K * 1.4826 * np.median(np.abs(v - np.median(v))))
+    assert estimate_threshold(seg) == oracle
 
 
 def test_int8_threshold_floor_and_short_segment():
     assert estimate_threshold(np.zeros(2000, dtype=np.int8)) == 1.0
-    # MAD 1 with k = 0.5 gives 0.74 LSB, floored to 1
     seg = np.tile(np.array([-1, 0, 1], dtype=np.int8), 1000)
-    assert estimate_threshold(seg, k=0.5) == 1.0
-    assert estimate_threshold(seg, k=4.0) == 4.0 * 1.4826
+    assert estimate_threshold(seg) == 4.0 * 1.4826
+    # MAD 0.1 gives 0.59 LSB, floored to 1
+    assert estimate_threshold(seg / 10.0) == 1.0
     with pytest.raises(SegmentTooShort):
         estimate_threshold(np.zeros(MIN_SEGMENT - 1, dtype=np.int8))
 
@@ -115,7 +115,7 @@ def test_int8_threshold_floor_and_short_segment():
 
 def test_single_spike_window_placement():
     trace = _drop_pulse(_quiet_trace(), 100)
-    ws = detect_spikes(trace, threshold=30.0, pre_samples=4)
+    ws = detect_spikes(trace, threshold=30.0)
     assert len(ws) == 1
     assert ws[0].t0 == 96  # crossing at 100 minus 4 pre-samples
     assert ws[0].samples.shape == (WINDOW_LEN,)
@@ -124,7 +124,7 @@ def test_single_spike_window_placement():
 
 def test_early_spike_clamps_to_start():
     trace = _drop_pulse(_quiet_trace(), 2)
-    ws = detect_spikes(trace, threshold=30.0, pre_samples=4)
+    ws = detect_spikes(trace, threshold=30.0)
     assert len(ws) == 1
     assert ws[0].t0 == 0
 
@@ -132,7 +132,7 @@ def test_early_spike_clamps_to_start():
 def test_spike_too_close_to_end_is_dropped():
     trace = _quiet_trace(n=200)
     trace[195] = -90
-    ws = detect_spikes(trace, threshold=30.0, pre_samples=4)
+    ws = detect_spikes(trace, threshold=30.0)
     assert ws == []
 
 
@@ -141,7 +141,7 @@ def test_busy_period_blocks_overlapping_detections():
     _drop_pulse(trace, 100)
     _drop_pulse(trace, 120)  # inside the 32-sample busy window
     _drop_pulse(trace, 200)
-    ws = detect_spikes(trace, threshold=30.0, pre_samples=4)
+    ws = detect_spikes(trace, threshold=30.0)
     assert [w.t0 for w in ws] == [96, 196]
 
 
@@ -150,24 +150,24 @@ def test_window_starts_at_least_window_len_apart():
     trace = _quiet_trace(30000, noise=5.0, seed=4)
     for t in rng.integers(50, 29900, size=60):
         _drop_pulse(trace, int(t), amp=-80)
-    ws = detect_spikes(trace, threshold=40.0, pre_samples=4)
+    ws = detect_spikes(trace, threshold=40.0)
     starts = np.array([w.t0 for w in ws])
     assert len(starts) > 10
     assert np.diff(starts).min() >= WINDOW_LEN
 
 
-def _scan_starts(trace, threshold, pre):
+def _scan_starts(trace, threshold):
     """Sample-by-sample detector: the plain form of the re-arm rule."""
     trace = np.asarray(trace, dtype=np.int8)
     starts, rearm = [], 0
     for t in range(trace.size):
         if t < rearm or abs(int(trace[t])) < threshold:
             continue
-        t0 = max(0, t - pre)
+        t0 = max(0, t - DEFAULT_PRE)
         if t0 + WINDOW_LEN > trace.size:
             break
         starts.append(t0)
-        rearm = t0 + WINDOW_LEN + pre
+        rearm = t0 + WINDOW_LEN + DEFAULT_PRE
     return starts
 
 
@@ -179,13 +179,12 @@ def test_window_starts_equal_the_sample_scan(seed):
     trace[:3] = rng.integers(-100, 100, 3)        # crossings near the start
     trace[-20:] = rng.integers(-100, 100, 20)     # and near the end
     threshold = float(rng.uniform(1.0, 60.0))
-    pre = int(rng.integers(0, 9))
-    assert window_starts(trace, threshold, pre) == _scan_starts(trace, threshold, pre)
+    assert window_starts(trace, threshold) == _scan_starts(trace, threshold)
 
 
 def test_window_array_features_equal_extract_features():
     trace = _quiet_trace(5000, noise=12.0, seed=5)
-    ws = detect_spikes(trace, threshold=25.0, pre_samples=4)
+    ws = detect_spikes(trace, threshold=25.0)
     assert len(ws) > 5
     windows = gather_windows(trace, [w.t0 for w in ws])
     assert windows.dtype == np.int8
@@ -195,12 +194,6 @@ def test_window_array_features_equal_extract_features():
     assert f1.tolist() == [tok.f1 for tok in toks]
     assert f2.tolist() == [tok.f2 for tok in toks]
 
-
-def test_pre_samples_bounds():
-    with pytest.raises(ValueError):
-        detect_spikes(np.zeros(100, dtype=np.int8), 10.0, pre_samples=9)
-    with pytest.raises(ValueError):
-        detect_spikes(np.zeros(100, dtype=np.int8), 10.0, pre_samples=-1)
 
 
 def test_detect_trace_finds_most_truth_events(easy_trace):

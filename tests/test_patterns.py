@@ -3,8 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import (grid_signature, library_pattern_classes,
-                      oracle_pattern_classes)
+from conftest import library_pattern_classes, oracle_pattern_classes
 from nsp.patterns import (N_LEAVES, N_SPLITS, enumerate_patterns, n_groups,
                           pattern_by_id)
 

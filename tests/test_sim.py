@@ -71,11 +71,21 @@ conveyor_slots = 8
     assert cfg.n_channels == 8 and cfg.conveyor_slots == 8
 
 
+def test_config_parser_reads_files_that_name_the_fixed_pre_offset():
+    # older serialized configs end with the detector's pre offset
+    text = serialize_sim_config(SimConfig(n_channels=8, group_size=4, conveyor_slots=8))
+    assert "pre_samples" not in text
+    assert parse_sim_config(text + "pre_samples = 4\n") == parse_sim_config(text)
+
+
 @pytest.mark.parametrize("text", [
     "n_chans = 96",                 # unknown key
     "n_channels: 96",               # missing '='
     "n_channels = ninety-six",      # not an integer
     "channel_gating = maybe",       # not a boolean
+    "pre_samples = 0",              # not the detector's fixed offset
+    "pre_samples = 5",
+    "pre_samples = four",
 ])
 def test_config_parser_rejects_malformed_lines(text):
     with pytest.raises(PayloadError):
@@ -427,7 +437,7 @@ def test_build_schedule_equals_per_window_detection():
     n_samples = 3000
     data = np.clip(np.round(rng.normal(0, 10.0, (4, n_samples))),
                    -128, 127).astype(np.int8)
-    data[0, 1] = -100                  # crossing before pre_samples: start clamps to 0
+    data[0, 1] = -100                  # crossing in the first 4 samples: start clamps to 0
     data[1, n_samples - 5] = 110       # crossing whose window cannot complete
     trace = RawTrace(data=data, sample_rate=30000)
     cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
@@ -437,7 +447,7 @@ def test_build_schedule_equals_per_window_detection():
 
     expected = []
     for ch in sorted(models):
-        for w in detect_spikes(data[ch], thresholds[ch], cfg.pre_samples, channel=ch):
+        for w in detect_spikes(data[ch], thresholds[ch], channel=ch):
             tok = extract_features(w)
             expected.append((w.t0 + 31, ch, tok.t, tok.f1, tok.f2))
     got = [(c.cycle, c.channel, c.t, c.f1, c.f2) for c in schedule]
@@ -451,14 +461,13 @@ def test_build_schedule_equals_per_window_detection():
 # --- whole-trace runs -------------------------------------------------------------
 
 
-def _small_models(trace, labels, channels, pre):
+def _small_models(trace, labels, channels):
     from nsp.evaluation import channel_feature_dataset
     from nsp.sort_offline import train_channel_model
 
     models = {}
     for ch in channels:
-        feats, labs, _, _ = channel_feature_dataset(trace, labels, ch,
-                                                    pre_samples=pre)
+        feats, labs, _, _ = channel_feature_dataset(trace, labels, ch)
         models[ch] = train_channel_model(feats, labs)
     return models
 
@@ -468,7 +477,7 @@ def sim_setup():
     cfg = SimConfig(n_channels=8, group_size=4, conveyor_slots=8)
     trace, labels = gen_spike_trace(
         tier_config("easy", n_channels=8, duration_s=2.0), seed=77)
-    models = _small_models(trace, labels, range(8), cfg.pre_samples)
+    models = _small_models(trace, labels, range(8))
     ens = _ensemble(range(8), units=2, seed=3)
     return cfg, trace, models, ens
 

@@ -143,6 +143,49 @@ def test_classify_invalid_leaf_is_outlier():
     assert seen & {0, 1}
 
 
+def _leaf_holding(pat, boundaries, f1, f2) -> int:
+    """The one leaf whose rectangle holds (f1, f2): b[lo] <= f < b[hi] per axis."""
+    point = (f1, f2)
+    hits = [leaf for leaf, rect in enumerate(pat.leaf_bounds)
+            if all((lo is None or boundaries[lo] <= point[axis])
+                   and (hi is None or point[axis] < boundaries[hi])
+                   for axis, (lo, hi) in enumerate(rect))]
+    assert len(hits) == 1, (pat.pattern_id, boundaries, point, hits)
+    return hits[0]
+
+
+@st.composite
+def _tree_and_point(draw):
+    """A tree model with distinct per-axis boundaries in an admissible order,
+    and a point whose coordinates often sit on or next to a boundary."""
+    pat = draw(st.sampled_from(enumerate_patterns()))
+    boundaries = [0] * 3
+    coords = []
+    for orderings in (pat.x_orderings, pat.y_orderings):
+        order = draw(st.sampled_from(orderings))
+        values = sorted(draw(st.lists(st.integers(-128, 127), min_size=len(order),
+                                      max_size=len(order), unique=True)))
+        for slot, v in zip(order, values):
+            boundaries[slot] = v
+        near = sorted({min(127, max(-128, v + d)) for v in values for d in (-1, 0, 1)})
+        coords.append(draw(st.sampled_from(near) | st.integers(-128, 127)
+                           if near else st.integers(-128, 127)))
+    model = ChannelSorterModel(pattern_id=pat.pattern_id, boundaries=tuple(boundaries),
+                               valid_mask=draw(st.integers(0, 15)))
+    return model, coords[0], coords[1]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_tree_and_point())
+def test_classify_spike_returns_the_leaf_rectangle_holding_the_point(case):
+    """Deployment (comparison code -> leaf_map) agrees with the leaf rectangles
+    the training sweep scores; a leaf without its mask bit is OUTLIER."""
+    model, f1, f2 = case
+    leaf = _leaf_holding(model.pattern(), model.boundaries, f1, f2)
+    want = leaf if (model.valid_mask >> leaf) & 1 else OUTLIER
+    assert classify_spike(model, f1, f2) == want
+
+
 def test_l1_classify_costs_and_ties():
     model = L1TemplateModel(templates=((-10, 0), (10, 0), (0, 30), (0, -30)),
                             labels=(3, 5, 7, 9))

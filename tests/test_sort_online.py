@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from nsp.detect import SpikeToken
-from nsp.sort_online import (CAM_CAPACITY, OUTLIER, STATUS_OUTLIER,
-                             STATUS_STRONG, STATUS_VACANT, STATUS_WEAK,
-                             CamState, FeatureHistograms, OnlineSorter,
+from nsp.sort_online import (OUTLIER, STATUS_OUTLIER, STATUS_STRONG,
+                             STATUS_WEAK, CamState, FeatureHistograms, OnlineSorter,
                              OnlineSorterModel, assign_cluster, cam_update,
                              find_boundaries, locate_partition,
                              train_online, update_histograms,
