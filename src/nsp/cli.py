@@ -11,7 +11,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .opcount import SingularMatrixError
 from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS, load_models,
                            store_models, train_channel_model, train_l1)
 from .sort_online import online_footprint, train_online
-from .sim import ConfigMismatchError, SimConfig, parse_sim_config, run_simulation
+from .sim import (ConfigMismatchError, SimConfig, check_model_channels,
+                  parse_sim_config, run_simulation)
 from .synthdata import (ClippingError, DatasetFormatError, PayloadError,
                         SessionConfig, TraceConfig, gen_reach_session,
                         gen_spike_trace, load_document, load_labels,
@@ -221,6 +222,7 @@ def cmd_eval_sort(args) -> int:
     trace = load_trace(args.trace)
     labels = load_labels(args.labels)
     models = load_models(args.models)
+    check_model_channels(models, trace.n_channels)
 
     def eval_channel(ch):
         model = models[ch]
@@ -460,27 +462,6 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReportBundle:
-    """Aggregated tables from one experiment directory."""
-
-    accuracy_tables: list = field(default_factory=list)
-    op_tables: list = field(default_factory=list)
-    footprints: list = field(default_factory=list)
-    reconstruction: list = field(default_factory=list)
-    sim_counters: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"kind": "report",
-                "accuracy_tables": self.accuracy_tables,
-                "op_tables": self.op_tables,
-                "footprints": self.footprints,
-                "reconstruction": self.reconstruction,
-                "sim_counters": self.sim_counters,
-                "provenance": self.provenance}
-
-
 def _crosscheck_footprints(name: str, rows) -> None:
     """Reported footprints must equal what the model rules give."""
     for row in rows:
@@ -520,7 +501,8 @@ def _crosscheck_opcounts(name: str, rows) -> None:
 def cmd_report(args) -> int:
     if not os.path.isdir(args.dir):
         raise FileNotFoundError(f"{args.dir}: not a directory")
-    bundle = ReportBundle()
+    report = {"kind": "report", "accuracy_tables": [], "op_tables": [],
+              "footprints": [], "reconstruction": [], "sim_counters": []}
     inputs = {}
     for name in sorted(os.listdir(args.dir)):
         if not name.endswith(".json") or name.endswith(".meta.json"):
@@ -533,28 +515,28 @@ def cmd_report(args) -> int:
         kind = obj.get("kind")
         if kind == "sort-eval":
             _crosscheck_footprints(name, obj.get("rows", []))
-            bundle.accuracy_tables.append({"source": name,
-                                           "mean_accuracy": obj.get("mean_accuracy"),
-                                           "rows": obj.get("rows", [])})
-            bundle.footprints.extend(
+            report["accuracy_tables"].append({"source": name,
+                                              "mean_accuracy": obj.get("mean_accuracy"),
+                                              "rows": obj.get("rows", [])})
+            report["footprints"].extend(
                 {"source": name, "channel": r.get("channel"),
                  "model": r.get("model"), "footprint_bits": r["footprint_bits"]}
                 for r in obj.get("rows", []) if "footprint_bits" in r)
         elif kind == "op-bench":
             _crosscheck_opcounts(name, obj.get("rows", []))
-            bundle.op_tables.append({"source": name, "rows": obj.get("rows", [])})
+            report["op_tables"].append({"source": name, "rows": obj.get("rows", [])})
         elif kind == "decode-ops":
-            bundle.op_tables.append({"source": name, "filter": obj.get("filter"),
-                                     "n_steps": obj.get("n_steps"),
-                                     "ops": obj.get("ops")})
+            report["op_tables"].append({"source": name, "filter": obj.get("filter"),
+                                        "n_steps": obj.get("n_steps"),
+                                        "ops": obj.get("ops")})
         elif kind == "reconstruction":
-            bundle.reconstruction.append({"source": name,
-                                          "filter": obj.get("filter"),
-                                          "metrics": obj.get("metrics")})
+            report["reconstruction"].append({"source": name,
+                                             "filter": obj.get("filter"),
+                                             "metrics": obj.get("metrics")})
         elif kind == "sim-counters":
-            bundle.sim_counters.append({"source": name,
-                                        "counters": obj.get("counters"),
-                                        "config": obj.get("config")})
+            report["sim_counters"].append({"source": name,
+                                           "counters": obj.get("counters"),
+                                           "config": obj.get("config")})
         else:
             continue
         inputs[name] = kind
@@ -562,16 +544,16 @@ def cmd_report(args) -> int:
         raise FileNotFoundError(
             f"{args.dir}: no report-able artifacts (sort-eval, op-bench, "
             "decode-ops, reconstruction, sim-counters)")
-    bundle.provenance = {"inputs": inputs, "config_hash": config_hash(inputs),
-                         "tool": f"nsp {__version__}"}
-    _write_json(args.out, bundle.as_dict())
+    report["provenance"] = {"inputs": inputs, "config_hash": config_hash(inputs),
+                            "tool": f"nsp {__version__}"}
+    _write_json(args.out, report)
     csv_lines = ["table,source,key,value"]
-    for tab in bundle.accuracy_tables:
+    for tab in report["accuracy_tables"]:
         csv_lines.append(f"accuracy,{tab['source']},mean_accuracy,{tab['mean_accuracy']!r}")
         for r in tab["rows"]:
             csv_lines.append(f"accuracy,{tab['source']},"
                              f"channel_{r['channel']},{r['accuracy']!r}")
-    for tab in bundle.op_tables:
+    for tab in report["op_tables"]:
         if "rows" in tab:
             for r in tab["rows"]:
                 t = r["ops"]["step_total"]
@@ -582,11 +564,11 @@ def cmd_report(args) -> int:
             t = tab["ops"]["step_total"]
             csv_lines.append(f"ops,{tab['source']},{tab['filter']}_step_total,"
                              f"{t['mult']}+{t['add']}+{t['div']}")
-    for rec in bundle.reconstruction:
+    for rec in report["reconstruction"]:
         for key, val in rec["metrics"].items():
             if isinstance(val, (int, float)):
                 csv_lines.append(f"reconstruction,{rec['source']},{key},{val!r}")
-    for sc in bundle.sim_counters:
+    for sc in report["sim_counters"]:
         for key, val in sc["counters"].items():
             csv_lines.append(f"sim,{sc['source']},{key},{val}")
     atomic_write_text(args.csv, "\n".join(csv_lines) + "\n")

@@ -7,12 +7,18 @@ Everything downstream of threshold estimation is integer arithmetic on int8
 samples: the detector compares |v| against the threshold, cuts a fixed
 32-sample window around the crossing, and reduces it to its peak (max) and
 trough (min), the two int8 features every sorter reads.
+
+Each window becomes one :class:`Completion` token, emitted in the cycle the
+window's last sample arrives. The same token feeds the sorters, the token
+stream files and the fabric simulator.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +49,16 @@ class SpikeWindow:
             raise ValueError(f"window must hold exactly {WINDOW_LEN} samples")
 
 
-@dataclass(frozen=True)
-class SpikeToken:
-    """Detected spike reduced to its peak (f1) and trough (f2)."""
+class Completion(NamedTuple):
+    """A detector finishing its window: one spike reduced to peak and trough.
 
-    t: int
+    *cycle* is when the window's last sample arrives, ``t + WINDOW_LEN - 1``
+    for every detector token, and the cycle in which it may enter the fabric.
+    """
+
+    cycle: int
     channel: int
+    t: int          # window start sample; travels with the token for binning
     f1: int
     f2: int
 
@@ -145,32 +155,43 @@ def window_features(windows: np.ndarray) -> tuple:
     return windows.max(axis=1), windows.min(axis=1)
 
 
-def extract_features(window: SpikeWindow) -> SpikeToken:
-    """Reduce a window to a SpikeToken carrying its peak and trough."""
+def extract_features(window: SpikeWindow) -> Completion:
+    """Reduce a window to the token carrying its peak and trough."""
     s = window.samples
-    return SpikeToken(t=window.t0, channel=window.channel, f1=int(s.max()), f2=int(s.min()))
+    return Completion(cycle=window.t0 + WINDOW_LEN - 1, channel=window.channel,
+                      t=window.t0, f1=int(s.max()), f2=int(s.min()))
+
+
+def channel_tokens(channel_trace: np.ndarray, threshold: float, channel: int) -> tuple:
+    """Detect one channel: its (n, 32) window array and its n tokens.
+
+    The windows are cut as one array and reduced with
+    :func:`window_features`; token by token this equals :func:`detect_spikes`
+    then :func:`extract_features`.
+    """
+    starts = window_starts(channel_trace, threshold)
+    rows = gather_windows(channel_trace, starts)
+    f1, f2 = window_features(rows)
+    cycles = [t0 + WINDOW_LEN - 1 for t0 in starts]
+    return rows, list(map(Completion, cycles, repeat(channel), starts,
+                          f1.tolist(), f2.tolist()))
 
 
 def detect_trace(trace, thresholds):
     """Run detection + feature extraction over all channels of a RawTrace.
 
     *thresholds* is a scalar or a per-channel sequence. Returns (windows,
-    tokens) with both lists ordered by (channel, time). Each channel's windows
-    are cut as one array and reduced with :func:`window_features`; per
-    channel this equals :func:`detect_spikes` then :func:`extract_features`.
+    tokens) with both lists ordered by (channel, time); each channel comes
+    from :func:`channel_tokens`.
     """
     thr = np.broadcast_to(np.asarray(thresholds, dtype=np.float64),
                           (trace.n_channels,))
     windows, tokens = [], []
     for ch in range(trace.n_channels):
-        row = trace.data[ch]
-        starts = window_starts(row, float(thr[ch]))
-        rows = gather_windows(row, starts)
-        f1, f2 = window_features(rows)
-        windows.extend(SpikeWindow(t0=t0, channel=ch, samples=w)
-                       for t0, w in zip(starts, rows))
-        tokens.extend(SpikeToken(t=t0, channel=ch, f1=a, f2=b)
-                      for t0, a, b in zip(starts, f1.tolist(), f2.tolist()))
+        rows, toks = channel_tokens(trace.data[ch], float(thr[ch]), ch)
+        windows.extend(SpikeWindow(t0=tok.t, channel=ch, samples=w)
+                       for tok, w in zip(toks, rows))
+        tokens.extend(toks)
     return windows, tokens
 
 
@@ -182,9 +203,13 @@ def store_tokens(tokens, path: str) -> None:
                    for tok in tokens), path)
 
 
+def _token_record(t: int, ch: int, f1: int, f2: int) -> Completion:
+    return Completion(t + WINDOW_LEN - 1, ch, t, f1, f2)
+
+
 def load_tokens(path: str) -> list:
     return load_records(path, "token", {"t": int, "ch": int, "f1": int, "f2": int},
-                        SpikeToken)
+                        _token_record)
 
 
 def store_windows(windows, path: str) -> None:

@@ -7,10 +7,14 @@ feeding the per-bin ensemble accumulator. Everything is a deterministic state
 machine: identical inputs give identical counters and outputs.
 
 ``Simulator.step`` advances one clock cycle through every stage and is the
-reference. ``Simulator.run`` reaches the same end state stage by stage, token
-by token: ring insertion in cycle order, then one sort per token in exit
-order, then the decoder buffer in arrival order, then the accumulator banks
-in numpy. Each stage only feeds the next, so no stage loops over cycles.
+reference. ``Simulator.run`` takes a fresh simulator to the same end state
+stage by stage, token by token: ring insertion in cycle order, then one sort
+per token in exit order, then the decoder buffer in arrival order, then the
+accumulator banks in numpy. Each stage only feeds the next, so no stage loops
+over cycles. A simulator that ``step`` has already advanced finishes by
+stepping.
+
+The schedule is a list of detector tokens, :class:`~nsp.detect.Completion`.
 """
 
 from __future__ import annotations
@@ -19,15 +23,12 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from .decode import EnsembleModel, _pair_columns, bin_spikes, ensemble_ez
-from .detect import (DEFAULT_PRE, estimate_threshold, gather_windows,
-                     window_features, window_starts)
+from .detect import DEFAULT_PRE, Completion, channel_tokens, estimate_threshold
 from .synthdata import PayloadError, RawTrace, WINDOW_LEN
 
 SAMPLE_BITS = 8
@@ -162,18 +163,9 @@ class SimCounters:
         return {f.name: int(getattr(self, f.name)) for f in fields(self)}
 
 
-class Completion(NamedTuple):
-    """A detector finishing its window: ready for queue insertion this cycle."""
-
-    cycle: int
-    channel: int
-    t: int          # window start sample; travels with the token for binning
-    f1: int
-    f2: int
-
-
 class Simulator:
-    """One fabric instance. Feed it a completion schedule, then step cycles.
+    """One fabric instance. Feed it a schedule of detector tokens, then either
+    step cycles or :meth:`run` it from fresh.
 
     *classifiers* maps channel -> callable(f1, f2) -> cluster label;
     *ensemble* defines the accumulated (channel, cluster) columns. Channels
@@ -365,10 +357,8 @@ class Simulator:
     def run(self) -> "Simulator":
         """Drain the schedule and emit every bank, stage by stage.
 
-        Starts from whatever state :meth:`step` left (held tokens, ring
-        tokens, the decoder buffer, emitted banks) and ends in the state,
-        counters and outputs of calling :meth:`step` once per cycle until
-        :attr:`done`, without stepping:
+        Takes a fresh simulator to the state, counters and outputs of calling
+        :meth:`step` once per cycle until :attr:`done`, without stepping:
 
         (A) Insertion. Slots are indexed by absolute cycle, so a token at tap
             ``t`` inserting in cycle ``c`` is blocked exactly when its group
@@ -386,19 +376,18 @@ class Simulator:
             crossings and late spills follow in numpy, and every bank is
             then emitted by :meth:`_emit_bank`.
 
-        A schedule that breaks the detector re-arm rule (a channel completing
-        while its previous token is held) makes stage A give up, and ``run``
-        then steps from its entry state, so the error raised and the state
-        left behind are exactly those of :meth:`step`.
+        A simulator that :meth:`step` has already advanced finishes by
+        stepping. So does a schedule that breaks the detector re-arm rule (a
+        channel completing while its previous token is held): stage A gives
+        up, and the error raised and the state left behind are exactly those
+        of :meth:`step`.
         """
-        if self.done:
-            return self
-        staged = self._insert_tokens()
+        staged = None if self.cycle else self._insert_tokens()
         if staged is None:
             while not self.done:
                 self.step()
             return self
-        detections, gated, stalls, last, inserted = staged
+        gated, stalls, last, inserted = staged
 
         # (B) one sort per token, in the order tokens reach the sorters
         inserted.sort()
@@ -406,15 +395,12 @@ class Simulator:
         labels = [int(classify[comp.channel](comp.f1, comp.f2))
                   for _, comp in inserted]
 
-        # (C) the decoder buffer, one arrival cycle at a time; the items left
-        # in it by step() go first, popping one per cycle from now on
+        # (C) the decoder buffer, one arrival cycle at a time
         n_groups = self.config.n_groups
         depth = self.config.decoder_buffer_depth
-        accepts = list(range(self.cycle, self.cycle + len(self._fifo)))
-        taken = [comp for comp, _ in self._fifo]
-        taken_labels = [label for _, label in self._fifo]
+        accepts, taken, taken_labels = [], [], []
         head = 0                 # accepts[head:] are still in the buffer
-        acc = accepts[-1] if accepts else self.cycle - 1
+        acc = -1                 # the cycle of the latest accept
         collisions = lost = 0
         arrival = None
         for (key, comp), label in zip(inserted, labels):
@@ -434,7 +420,7 @@ class Simulator:
                 lost += 1
 
         c = self.counters
-        c.detections += detections
+        c.detections += len(self.schedule)
         c.gated_tokens += gated
         c.stall_cycles += stalls
         c.sorts += len(inserted)
@@ -451,28 +437,22 @@ class Simulator:
         if inserted:
             last = max(last, inserted[-1][0] // n_groups)
         last = max(last, acc)
-        if self._next_emit < self.n_bins:
+        if self.n_bins:
             last = max(last, self._close_cycle(self.n_bins - 1))
         while self._next_emit < self.n_bins:
             self._emit_bank()
         self._next_comp = len(self.schedule)
-        self._held = {}
-        self._rings = [[None] * self.config.conveyor_slots for _ in self._rings]
-        self._exits = []
-        self._fifo.clear()
-        self.cycle = last + 1
-        c.cycles = max(c.cycles, self.cycle)
+        self.cycle = c.cycles = last + 1
         return self
 
     def _insert_tokens(self):
-        """Stage A of :meth:`run`: gate and insert every pending token.
+        """Stage A of :meth:`run`: gate and insert every token of the schedule.
 
-        Returns ``(detections, gated, stall cycles, last cycle, inserted)``,
-        where *inserted* lists ``(exit cycle * n_groups + group, token)`` for
-        every ring token, those already on a ring included, and *last cycle*
-        is the last cycle in which a token was detected or inserted. Returns
-        None when the schedule breaks the detector re-arm rule. Changes
-        nothing on the simulator.
+        Returns ``(gated, stall cycles, last cycle, inserted)``, where
+        *inserted* lists ``(exit cycle * n_groups + group, token)`` for every
+        ring token and *last cycle* is the last cycle in which a token was
+        detected or inserted. Returns None when the schedule breaks the
+        detector re-arm rule. Changes nothing on the simulator.
         """
         cfg = self.config
         n_groups, group_size = cfg.n_groups, cfg.group_size
@@ -482,15 +462,10 @@ class Simulator:
                   for ch in range(cfg.n_channels)]
         gated_out = [cfg.channel_gating and ch not in self._selected_channels
                      for ch in range(cfg.n_channels)]
-        start = self.cycle
-        inserted = [((start + (slot - start) % cfg.conveyor_slots) * n_groups + g, comp)
-                    for g, ring in enumerate(self._rings)
-                    for slot, comp in enumerate(ring) if comp is not None]
-        claimed = {key for key, _ in inserted}
-        schedule, i, n = self.schedule, self._next_comp, len(self.schedule)
-        held = list(self._held.values())
+        inserted, claimed, held = [], set(), []
+        schedule, i, n = self.schedule, 0, len(self.schedule)
         gated = stalls = 0
-        cyc = start - 1
+        cyc = -1
         while held or i < n:
             # one cycle: held tokens retry, then this cycle's completions
             # join them; distinct channels never contend for one key
@@ -499,7 +474,7 @@ class Simulator:
                 cyc += 1
                 held_channels = {comp.channel for comp in waiting}
             else:
-                cyc = max(schedule[i].cycle, start)
+                cyc = max(schedule[i].cycle, 0)
                 held_channels = ()
             while i < n and schedule[i].cycle <= cyc:
                 comp = schedule[i]
@@ -522,7 +497,7 @@ class Simulator:
                 stalls += len(held)
                 if len({comp.channel for comp in held}) < len(held):
                     return None      # two tokens of one channel blocked at once
-        return i - self._next_comp, gated, stalls, cyc, inserted
+        return gated, stalls, cyc, inserted
 
     def _accept_all(self, accepts: list, comps: list, labels: list) -> None:
         """Stage D of :meth:`run`: :meth:`_accept` for every token in *comps*,
@@ -578,21 +553,24 @@ def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
     """Detect every modeled channel of *trace* into a completion schedule.
 
     A window spanning [t0, t0+31] completes (and may enter the queue) at
-    cycle t0+31. Channels without a model are left silent. *config* is not
-    read: the detector has no settings.
+    cycle t0+31. Channels without a model are left silent. The tokens are
+    those of :func:`~nsp.detect.detect_trace` on the modeled channels.
+    *config* is not read: the detector has no settings.
     """
     schedule = []
     for ch in sorted(models):
         row = trace.data[ch]
         thr = thresholds[ch] if thresholds is not None else estimate_threshold(row)
-        starts = window_starts(row, thr)
-        if not starts:
-            continue
-        f1, f2 = window_features(gather_windows(row, starts))
-        cycles = [t0 + WINDOW_LEN - 1 for t0 in starts]
-        schedule.extend(map(Completion, cycles, repeat(ch), starts,
-                            f1.tolist(), f2.tolist()))
+        schedule.extend(channel_tokens(row, thr, ch)[1])
     return schedule
+
+
+def check_model_channels(models, n_channels: int) -> None:
+    """Raise ConfigMismatchError unless every model names one of *n_channels* channels."""
+    foreign = sorted(ch for ch in models if not 0 <= ch < n_channels)
+    if foreign:
+        raise ConfigMismatchError(f"sorter models name channels {foreign} but "
+                                  f"the trace has {n_channels} channels")
 
 
 def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
@@ -601,7 +579,8 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
     """Drive the fabric over a full trace and return outputs plus counters.
 
     *models* maps channel -> sorter model (anything with ``classify(f1, f2)``)
-    or a plain (f1, f2) -> label callable. The fabric takes one sample per
+    or a plain (f1, f2) -> label callable; a model on a channel the trace
+    lacks raises ConfigMismatchError. The fabric takes one sample per
     channel per cycle, so ``trace.sample_rate`` must equal ``config.clock_hz``;
     a mismatch raises ConfigMismatchError instead of binning at the wrong rate.
 
@@ -619,6 +598,7 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
         raise ConfigMismatchError(
             f"trace is sampled at {trace.sample_rate} Hz but the fabric clock "
             f"is {config.clock_hz} Hz; one sample per cycle needs them equal")
+    check_model_channels(models, config.n_channels)
     n_samples = trace.data.shape[1]
     n_bins = max(1, math.ceil(n_samples / config.bin_len))
     schedule = build_schedule(trace, models, config, thresholds)

@@ -399,6 +399,9 @@ def load_models(path: str) -> dict:
     if cls is None:
         raise PayloadError(f"{path}: unknown sorter model set kind {obj.get('kind')!r}")
     try:
-        return {int(ch): cls.from_json(m) for ch, m in obj["channels"].items()}
+        models = {int(ch): cls.from_json(m) for ch, m in obj["channels"].items()}
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PayloadError(f"{path}: malformed {cls.kind} model: {exc!r}") from exc
+    if any(ch < 0 for ch in models):
+        raise PayloadError(f"{path}: negative channel in {sorted(models)}")
+    return models

@@ -384,6 +384,41 @@ def test_tree_set_on_indexed_features_exits_4(tmp_path, pipeline, capfd, command
     assert not (d / "out").exists()
 
 
+def _tree_set_on_channel(pipeline, d, channel):
+    """*d* holding the pipeline's tree set with channel 0's model moved to
+    *channel*, next to the pipeline's decoder."""
+    obj = json.loads((pipeline / "sorters.json").read_text())
+    obj["channels"][str(channel)] = obj["channels"].pop("0")
+    (d / "sorters.json").write_text(json.dumps(obj, sort_keys=True))
+    shutil.copy(pipeline / "decoder.json", d / "decoder.json")
+    return d
+
+
+@pytest.mark.parametrize("command", ["eval-sort", "simulate"])
+def test_model_on_a_channel_the_trace_lacks_exits_4(tmp_path, pipeline, capfd, command):
+    d = _tree_set_on_channel(pipeline, tmp_path, 7)     # the trace has 2 channels
+    p = pipeline
+    argv = {"eval-sort": ("--trace", p / "trace.bin", "--labels", p / "labels.jsonl",
+                          "--models", d / "sorters.json", "--out", d / "out"),
+            "simulate": ("--trace", p / "trace.bin", "--models", d,
+                         "--config", p / "sim.cfg", "--counters", d / "out")}[command]
+    assert run(command, *argv) == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "[7]" in err and "2 channels" in err and "Traceback" not in err
+    assert not (d / "out").exists()
+
+
+def test_negative_model_channel_is_a_typed_error(tmp_path, pipeline, capfd):
+    d = _tree_set_on_channel(pipeline, tmp_path, -1)
+    with pytest.raises(PayloadError, match="negative channel"):
+        load_models(str(d / "sorters.json"))
+    assert run("eval-sort", "--trace", pipeline / "trace.bin",
+               "--labels", pipeline / "labels.jsonl",
+               "--models", d / "sorters.json", "--out", d / "out") == EXIT_SCHEMA
+    assert "Traceback" not in capfd.readouterr().err
+    assert not (d / "out").exists()
+
+
 @pytest.mark.parametrize("bad", ["fractional start_bin", "short unit_channels"])
 def test_malformed_session_sidecar_exits_4(tmp_path, pipeline, capfd, bad):
     d = pipeline

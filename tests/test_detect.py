@@ -232,6 +232,7 @@ def test_peak_trough_features():
     samples[9] = 23
     tok = extract_features(SpikeWindow(t0=10, channel=3, samples=samples))
     assert (tok.t, tok.channel, tok.f1, tok.f2) == (10, 3, 23, -70)
+    assert tok.cycle == 10 + WINDOW_LEN - 1    # the window's last sample
 
 
 def test_window_must_hold_32_samples():

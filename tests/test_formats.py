@@ -19,7 +19,7 @@ from nsp.cli import _load_sorted_events
 from nsp.decode import (DecoderBundle, FixedPointFormat, load_decoded,
                         load_decoder, store_decoded, store_decoder,
                         train_ensemble, train_transition)
-from nsp.detect import (SpikeToken, SpikeWindow, load_tokens, load_windows,
+from nsp.detect import (Completion, SpikeWindow, load_tokens, load_windows,
                         store_tokens, store_windows)
 from nsp.sort_offline import (ChannelSorterModel, L1TemplateModel, load_models,
                               store_models)
@@ -150,7 +150,7 @@ def _valid_files(d):
     store_trace(RawTrace(np.arange(-8, 8).reshape(2, 8)), add("trace", "t.nsp", load_trace))
     store_labels(GroundTruthLabels([[5, 0, 1], [40, 1, 0], [90, 0, 2]]),
                  add("labels", "l.jsonl", load_labels))
-    store_tokens([SpikeToken(5, 0, 12, -40), SpikeToken(50, 1, -3, 7)],
+    store_tokens([Completion(36, 0, 5, 12, -40), Completion(81, 1, 50, -3, 7)],
                  add("tokens", "k.jsonl", load_tokens))
     store_windows([SpikeWindow(5, 0, np.arange(-16, 16))],
                   add("windows", "w.jsonl", load_windows))

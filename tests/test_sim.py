@@ -10,7 +10,7 @@ from nsp.sim import (Completion, ConfigMismatchError, SimConfig, Simulator,
                      build_schedule, linear_fit_r2, parse_sim_config,
                      reference_ez, run_simulation, serialize_sim_config,
                      sweep_spike_rate)
-from nsp.detect import detect_spikes, extract_features
+from nsp.detect import detect_spikes, detect_trace, extract_features
 from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
                            tier_config)
 
@@ -315,8 +315,8 @@ def test_run_equals_the_per_cycle_step_loop():
         slow = _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
                         _step_until_done)
         assert fast == slow, seed
-        # run() also finishes whatever state step() leaves behind: step
-        # through the cycle of a random completion, then run
+        # run() on a simulator that step() has advanced finishes by stepping:
+        # step through the cycle of a random completion, then run
         pick = np.random.default_rng(seed).integers(max(len(schedule), 1))
         drive = _step_then_run(schedule[pick].cycle + 1 if schedule else 0)
         assert _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
@@ -328,8 +328,8 @@ def test_run_equals_the_per_cycle_step_loop():
                 seen[key] += fast["counters"][key] > 0
         seen["rearm"] += fast["err"] is not None and "re-arm" in fast["err"]
         seen["wide_ring"] += cfg.conveyor_slots > cfg.group_size
-    # the random fabrics reach every contention case, and run() resumes from
-    # held tokens, ring tokens and a non-empty decoder buffer
+    # the random fabrics reach every contention case, and run() takes over
+    # from held tokens, ring tokens and a non-empty decoder buffer
     assert all(count >= 5 for count in seen.values()), seen
     assert all(count >= 5 for count in resumed.values()), resumed
 
@@ -370,6 +370,15 @@ def test_run_makes_no_step_calls():
     _step_until_done(oracle)
     assert sim.counters == oracle.counters and sim.cycle == oracle.cycle
     assert sim.counters.sorts == sim.counters.decoder_accepts == 1
+
+    # a simulator that step() has advanced finishes by stepping
+    stepped = _sim(cfg, range(8), sched, n_bins=2)
+    stepped.step()
+    step_once, calls = stepped.step, []
+    stepped.step = lambda: calls.append(stepped.cycle) or step_once()
+    stepped.run()
+    assert calls == list(range(1, oracle.cycle))
+    assert stepped.counters == oracle.counters and stepped.cycle == oracle.cycle
 
 
 @st.composite
@@ -445,17 +454,29 @@ def test_build_schedule_equals_per_window_detection():
     thresholds = {0: 30.0, 1: 28.0, 3: 35.0}
     schedule = build_schedule(trace, models, cfg, thresholds)
 
-    expected = []
-    for ch in sorted(models):
-        for w in detect_spikes(data[ch], thresholds[ch], channel=ch):
-            tok = extract_features(w)
-            expected.append((w.t0 + 31, ch, tok.t, tok.f1, tok.f2))
-    got = [(c.cycle, c.channel, c.t, c.f1, c.f2) for c in schedule]
-    assert got == expected
-    assert all(type(v) is int for row in got for v in row)
-    assert got[0][2] == 0                                  # the clamped window
-    assert max(t for _, ch, t, _, _ in got if ch == 1) < n_samples - 32
-    assert {ch for _, ch, _, _, _ in got} == {0, 1, 3}     # unmodeled channel stays silent
+    assert schedule == [extract_features(w) for ch in sorted(models)
+                        for w in detect_spikes(data[ch], thresholds[ch], channel=ch)]
+    assert all(type(v) is int for tok in schedule for v in tok)
+    assert schedule[0].t == 0                              # the clamped window
+    assert max(tok.t for tok in schedule if tok.channel == 1) < n_samples - 32
+    assert {tok.channel for tok in schedule} == {0, 1, 3}  # unmodeled channel stays silent
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_channels=st.integers(1, 4), n_samples=st.integers(32, 400),
+       seed=st.integers(0, 2 ** 32 - 1), modeled=st.sets(st.integers(0, 3)),
+       threshold=st.floats(1.0, 130.0))
+def test_build_schedule_equals_detect_trace_on_modeled_channels(
+        n_channels, n_samples, seed, modeled, threshold):
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-128, 128, (n_channels, n_samples)).astype(np.int8)
+    data[rng.random(data.shape) < 0.8] //= 8        # mostly quiet, some crossings
+    trace = RawTrace(data=data, sample_rate=30000)
+    models = {ch: None for ch in modeled if ch < n_channels}
+    _, tokens = detect_trace(trace, threshold)
+    schedule = build_schedule(trace, models, SimConfig(),
+                              dict.fromkeys(models, threshold))
+    assert schedule == [tok for tok in tokens if tok.channel in models]
 
 
 # --- whole-trace runs -------------------------------------------------------------

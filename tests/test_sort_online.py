@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsp.detect import SpikeToken
+from nsp.detect import Completion
 from nsp.sort_online import (OUTLIER, STATUS_OUTLIER, STATUS_STRONG,
                              STATUS_WEAK, CamState, FeatureHistograms, OnlineSorter,
                              OnlineSorterModel, assign_cluster, cam_update,
@@ -18,7 +18,8 @@ def _cluster_tokens(rng, centers, n_per, channel=0):
         for f1c, f2c in centers:
             f1 = int(np.clip(round(rng.normal(f1c, 4)), -128, 127))
             f2 = int(np.clip(round(rng.normal(f2c, 4)), -128, 127))
-            toks.append(SpikeToken(t=len(toks) * 40, channel=channel, f1=f1, f2=f2))
+            t = len(toks) * 40
+            toks.append(Completion(cycle=t + 31, channel=channel, t=t, f1=f1, f2=f2))
     return toks
 
 
