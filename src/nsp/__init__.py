@@ -19,9 +19,9 @@ from .synthdata import (ClippingError, DatasetFormatError, GroundTruthLabels,
                         store_session, store_trace, tier_config,
                         trials_to_bins)
 from .detect import (DEFAULT_K, DEFAULT_PRE, WINDOW_LEN, Completion,
-                     SegmentTooShort, SpikeWindow, detect_spikes, detect_trace,
-                     estimate_threshold, extract_features, load_tokens,
-                     load_windows, store_tokens, store_windows)
+                     SegmentTooShort, SpikeWindow, Tokens, detect_spikes,
+                     detect_trace, estimate_threshold, extract_features,
+                     load_tokens, load_windows, store_tokens, store_windows)
 from .patterns import SegmentationPattern, enumerate_patterns
 from .opcount import OpCounts, SingularMatrixError
 from .sort_online import OnlineSorter, OnlineSorterModel, train_online
@@ -60,7 +60,7 @@ __all__ = [
     "ClippingError",
     # detection
     "WINDOW_LEN", "DEFAULT_K", "DEFAULT_PRE", "SpikeWindow",
-    "Completion", "SegmentTooShort", "estimate_threshold", "detect_spikes",
+    "Completion", "Tokens", "SegmentTooShort", "estimate_threshold", "detect_spikes",
     "detect_trace", "extract_features", "store_tokens", "load_tokens",
     "store_windows", "load_windows",
     # sorting

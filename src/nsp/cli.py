@@ -27,15 +27,16 @@ from .detect import (detect_trace, estimate_threshold, load_tokens, load_windows
 from .evaluation import (channel_feature_dataset, matched_features,
                          permutation_accuracy)
 from .opcount import SingularMatrixError
-from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS, load_models,
-                           store_models, train_channel_model, train_l1)
+from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS,
+                           classify_by_channel, load_models, store_models,
+                           train_channel_model, train_l1)
 from .sort_online import online_footprint, train_online
 from .sim import (ConfigMismatchError, SimConfig, check_model_channels,
                   parse_sim_config, run_simulation)
 from .synthdata import (ClippingError, DatasetFormatError, PayloadError,
                         SessionConfig, TraceConfig, gen_reach_session,
-                        gen_spike_trace, load_document, load_labels,
-                        load_records, load_session, load_trace, read_text,
+                        gen_spike_trace, load_channel_records, load_document,
+                        load_labels, load_session, load_trace, read_text,
                         split_trials, store_labels, store_records,
                         store_session, store_trace, tier_config,
                         trials_to_bins)
@@ -141,7 +142,7 @@ def cmd_detect(args) -> int:
                 extra={"thresholds": [float(t) for t in thresholds],
                        "n_tokens": len(tokens)})
     if args.windows:
-        store_windows(windows, args.windows)
+        store_windows(tokens, windows, args.windows)
         _write_meta(args.windows, vars(args))
     print(f"wrote {args.out} ({len(tokens)} tokens from {trace.n_channels} channels)")
     return EXIT_OK
@@ -206,10 +207,12 @@ def cmd_train_sorter(args) -> int:
 def cmd_sort(args) -> int:
     tokens = load_tokens(args.tokens)
     models = load_models(args.models)
-    rows = [{"ch": tok.channel,
-             "label": int(models[tok.channel].classify(tok.f1, tok.f2)),
-             "t": tok.t}
-            for tok in tokens if tok.channel in models]
+    modeled = np.isin(tokens.channel, list(models))
+    channel = tokens.channel[modeled]
+    labels = classify_by_channel(models, channel, tokens.f1[modeled],
+                                 tokens.f2[modeled])
+    rows = [{"ch": ch, "label": label, "t": t} for ch, label, t in
+            zip(channel.tolist(), labels.tolist(), tokens.t[modeled].tolist())]
     skipped = len(tokens) - len(rows)
     store_records(rows, args.out)
     _write_meta(args.out, vars(args),
@@ -299,8 +302,7 @@ def _counts_to_events(counts_selected: np.ndarray, bin_len: int,
 
 def _load_sorted_events(path: str) -> np.ndarray:
     """Sorted-event JSONL ({"ch","label","t"} rows) as an (n, 3) (t, ch, label) array."""
-    rows = load_records(path, "sorted event", {"t": int, "ch": int, "label": int})
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return load_channel_records(path, "sorted event", {"t": int, "ch": int, "label": int})
 
 
 def cmd_decode(args) -> int:

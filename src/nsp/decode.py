@@ -409,9 +409,10 @@ def _pair_columns(selected, channel, unit) -> np.ndarray:
     """Column of each (channel, unit) pair in *selected*; -1 if unselected.
 
     The rule of a ``{pair: column}`` dict over *selected* (a repeated pair
-    maps to its last column), for any integer channel and unit ids: pairs are
-    looked up by channel with ``searchsorted``, then by unit among that
-    channel's few selected units.
+    maps to its last column), for any integer channel and unit ids. Each
+    pair inside the bounding box of the selected pairs is numbered row by
+    row, and one ``searchsorted`` over the sorted numbers of the selected
+    pairs finds it.
     """
     index = {(int(c), int(u)): j for j, (c, u) in enumerate(selected)}
     ch = np.asarray(channel, dtype=np.int64)
@@ -420,15 +421,19 @@ def _pair_columns(selected, channel, unit) -> np.ndarray:
     if not index:
         return col
     pairs = sorted(index)
-    key_ch = np.array([c for c, _ in pairs], dtype=np.int64)
-    key_un = np.array([u for _, u in pairs], dtype=np.int64)
-    key_col = np.array([index[p] for p in pairs], dtype=np.int64)
-    lo = np.searchsorted(key_ch, ch, side="left")
-    hi = np.searchsorted(key_ch, ch, side="right")
-    for o in range(int((hi - lo).max(initial=0))):
-        at = np.minimum(lo + o, len(pairs) - 1)
-        hit = (lo + o < hi) & (key_un[at] == un)
-        col[hit] = key_col[at[hit]]
+    c0, c1 = pairs[0][0], pairs[-1][0]
+    u0, u1 = min(u for _, u in pairs), max(u for _, u in pairs)
+    width = u1 - u0 + 1
+    if (c1 - c0 + 1) * width >= 2 ** 63:   # the numbers would overflow int64
+        col.flat[:] = [index.get(p, -1) for p in zip(ch.flat, un.flat)]
+        return col
+    inside = (ch >= c0) & (ch <= c1) & (un >= u0) & (un <= u1)
+    number = (ch[inside] - c0) * width + (un[inside] - u0)
+    numbers = np.array([(c - c0) * width + (u - u0) for c, u in pairs], dtype=np.int64)
+    at = np.minimum(np.searchsorted(numbers, number), len(pairs) - 1)
+    hit = numbers[at] == number
+    cols = np.array([index[p] for p in pairs], dtype=np.int64)
+    col[inside] = np.where(hit, cols[at], -1)
     return col
 
 

@@ -8,21 +8,25 @@ samples: the detector compares |v| against the threshold, cuts a fixed
 32-sample window around the crossing, and reduces it to its peak (max) and
 trough (min), the two int8 features every sorter reads.
 
-Each window becomes one :class:`Completion` token, emitted in the cycle the
-window's last sample arrives. The same token feeds the sorters, the token
-stream files and the fabric simulator.
+The stream from detector to fabric is columnar. :func:`detect_rows` finds
+the windows of every channel at once, and each window becomes one row of a
+:class:`Tokens`: int64 columns ``t``, ``channel``, ``f1`` and ``f2``, emitted
+in the cycle ``t + WINDOW_LEN - 1`` when the window's last sample arrives.
+The same columns feed the sorters, the token stream files and the fabric
+simulator. :class:`Completion` is the row type, one token as a tuple;
+:func:`detect_spikes` and :func:`extract_features` are the per-window
+reference the array path equals.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .synthdata import WINDOW_LEN, load_records, store_records
+from .synthdata import WINDOW_LEN, load_channel_records, load_records, store_records
 
 MAD_SCALE = 1.4826  # MAD -> sigma for Gaussian noise
 DEFAULT_K = 4.0
@@ -47,6 +51,8 @@ class SpikeWindow:
         self.samples = np.asarray(self.samples, dtype=np.int8)
         if self.samples.shape != (WINDOW_LEN,):
             raise ValueError(f"window must hold exactly {WINDOW_LEN} samples")
+        if self.channel < 0:
+            raise ValueError(f"negative channel {self.channel}")
 
 
 class Completion(NamedTuple):
@@ -61,6 +67,49 @@ class Completion(NamedTuple):
     t: int          # window start sample; travels with the token for binning
     f1: int
     f2: int
+
+
+class Tokens:
+    """Detector tokens as four int64 columns of equal length.
+
+    Row i is one window: its start sample ``t[i]``, its ``channel[i]`` and
+    its peak and trough ``f1[i]``, ``f2[i]``. Its cycle is
+    ``t[i] + WINDOW_LEN - 1``. ``len()`` counts the tokens and iterating
+    yields them as :class:`Completion` rows. A negative channel raises
+    ValueError.
+    """
+
+    __slots__ = ("t", "channel", "f1", "f2")
+
+    def __init__(self, t, channel, f1, f2):
+        cols = [np.asarray(c, dtype=np.int64).reshape(-1) for c in (t, channel, f1, f2)]
+        if len({c.size for c in cols}) != 1:
+            raise ValueError("token columns differ in length")
+        if cols[1].size and cols[1].min() < 0:
+            raise ValueError(f"negative channel {int(cols[1].min())}")
+        self.t, self.channel, self.f1, self.f2 = cols
+
+    @classmethod
+    def of(cls, tokens) -> "Tokens":
+        """*tokens* as columns: a Tokens as it is, or stacked Completion rows.
+
+        A row's cycle is not kept; a Tokens derives it from ``t``.
+        """
+        if isinstance(tokens, cls):
+            return tokens
+        rows = np.array(list(tokens), dtype=np.int64).reshape(-1, len(Completion._fields))
+        return cls(rows[:, 2], rows[:, 1], rows[:, 3], rows[:, 4])
+
+    @property
+    def cycle(self) -> np.ndarray:
+        return self.t + (WINDOW_LEN - 1)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __iter__(self):
+        return map(Completion, self.cycle.tolist(), self.channel.tolist(),
+                   self.t.tolist(), self.f1.tolist(), self.f2.tolist())
 
 
 def estimate_threshold(segment: np.ndarray) -> float:
@@ -101,31 +150,65 @@ def _histogram_median(values: np.ndarray, counts: np.ndarray) -> np.float64:
     return (values[lo] + values[hi]) / 2
 
 
+def detect_rows(data: np.ndarray, thresholds) -> tuple:
+    """Row index and start sample of every window cut from the rows of *data*.
+
+    *data* is a (rows, samples) int8 array and *thresholds* holds one
+    threshold per row. A window opens at the first sample t with
+    |v| >= threshold while the detector is idle and spans [t - 4, t + 27];
+    the detector then stays busy for 32 samples, so the window starts of one
+    row are always at least 32 samples apart. A crossing in the first 4
+    samples clamps the window start to sample 0; a window that cannot
+    complete before the end of its row is dropped (so is every later one:
+    their starts are later still).
+
+    The hot samples of all rows come from one ``flatnonzero`` over the
+    flattened array. A hot sample that no earlier crossing of its row could
+    mask opens a cluster, and always fires. Most clusters end before their
+    first window re-arms the detector; in the rest, one ``searchsorted``
+    links each hot sample to the next crossing past the re-arm point it
+    would set, and the only Python loop walks those links from window to
+    window. Windows come out ordered by (row, start).
+    """
+    data = np.asarray(data, dtype=np.int8)
+    n = data.shape[1]
+    # |v| is an integer in 0..128, so |v| >= thr exactly when |v| >= ceil(thr)
+    lim = np.ceil(np.asarray(thresholds, dtype=np.float64).reshape(-1, 1))
+    lim = np.clip(np.nan_to_num(lim, nan=129.0), 0, 129).astype(np.int16)
+    hot = np.flatnonzero(np.abs(data, dtype=np.int16) >= lim)
+    row, col = np.divmod(hot, n)
+    t0 = np.maximum(col - DEFAULT_PRE, 0)
+    # where the detector re-arms after firing at each hot sample, as a flat
+    # index: t + 32 unless the start was clamped to 0
+    rearm = hot - col + t0 + WINDOW_LEN + DEFAULT_PRE
+    fires = np.ones(hot.size, dtype=bool)
+    fires[1:] = (row[1:] != row[:-1]) | (hot[1:] >= rearm[:-1])
+    first = np.flatnonzero(fires)
+    last = np.append(first[1:], hot.size)[:first.size] - 1
+    crowded = hot[last] >= rearm[first]      # clusters that fire again
+    if crowded.any():
+        sizes = last[crowded] - first[crowded] + 1
+        ends = np.cumsum(sizes)
+        inside = np.arange(ends[-1]) + np.repeat(first[crowded] - (ends - sizes), sizes)
+        following = np.searchsorted(hot[inside], rearm[inside]).tolist()
+        again = []
+        for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+            j = following[lo]
+            while j < hi:
+                again.append(j)
+                j = following[j]
+        fires[inside[again]] = True
+    fired = np.flatnonzero(fires & (t0 <= n - WINDOW_LEN))
+    return row[fired], t0[fired]
+
+
 def window_starts(channel_trace: np.ndarray, threshold: float) -> list:
     """Start samples of the windows the detector cuts from one channel.
 
-    A window opens at the first sample t with |v| >= threshold while the
-    detector is idle and spans [t - 4, t + 27]; the detector then stays busy
-    for 32 samples, so window starts are always at least 32 samples apart. A
-    crossing in the first 4 samples clamps the window start to sample 0; a
-    window that cannot complete before the end of the trace is dropped. The
-    next crossing past each re-arm point is found by bisection, so the scan
-    costs one step per window, not per hot sample.
+    The one-row case of :func:`detect_rows`.
     """
-    trace = np.asarray(channel_trace, dtype=np.int8)
-    last = trace.size - WINDOW_LEN   # latest start whose window completes
-    hot = np.flatnonzero(np.abs(trace.astype(np.int16)) >= threshold).tolist()
-    starts = []
-    i = 0
-    while i < len(hot):
-        t0 = max(0, hot[i] - DEFAULT_PRE)
-        if t0 > last:
-            break  # window cannot complete; drop and stop (detector stays busy past EOT)
-        starts.append(t0)
-        # busy until a new crossing could not produce an overlapping window;
-        # equals t + 32 except when the window start was clamped to 0
-        i = bisect_left(hot, t0 + WINDOW_LEN + DEFAULT_PRE, i + 1)
-    return starts
+    trace = np.asarray(channel_trace, dtype=np.int8).reshape(1, -1)
+    return detect_rows(trace, [threshold])[1].tolist()
 
 
 def detect_spikes(channel_trace: np.ndarray, threshold: float,
@@ -162,59 +245,50 @@ def extract_features(window: SpikeWindow) -> Completion:
                       t=window.t0, f1=int(s.max()), f2=int(s.min()))
 
 
-def channel_tokens(channel_trace: np.ndarray, threshold: float, channel: int) -> tuple:
-    """Detect one channel: its (n, 32) window array and its n tokens.
-
-    The windows are cut as one array and reduced with
-    :func:`window_features`; token by token this equals :func:`detect_spikes`
-    then :func:`extract_features`.
-    """
-    starts = window_starts(channel_trace, threshold)
-    rows = gather_windows(channel_trace, starts)
-    f1, f2 = window_features(rows)
-    cycles = [t0 + WINDOW_LEN - 1 for t0 in starts]
-    return rows, list(map(Completion, cycles, repeat(channel), starts,
-                          f1.tolist(), f2.tolist()))
-
-
-def detect_trace(trace, thresholds):
+def detect_trace(trace, thresholds) -> tuple:
     """Run detection + feature extraction over all channels of a RawTrace.
 
     *thresholds* is a scalar or a per-channel sequence. Returns (windows,
-    tokens) with both lists ordered by (channel, time); each channel comes
-    from :func:`channel_tokens`.
+    tokens): the (n, 32) int8 array of the detected windows and their n
+    :class:`Tokens`, both ordered by (channel, time). Token by token this
+    equals :func:`detect_spikes` then :func:`extract_features`.
     """
     thr = np.broadcast_to(np.asarray(thresholds, dtype=np.float64),
                           (trace.n_channels,))
-    windows, tokens = [], []
-    for ch in range(trace.n_channels):
-        rows, toks = channel_tokens(trace.data[ch], float(thr[ch]), ch)
-        windows.extend(SpikeWindow(t0=tok.t, channel=ch, samples=w)
-                       for tok, w in zip(toks, rows))
-        tokens.extend(toks)
-    return windows, tokens
+    channel, t0 = detect_rows(trace.data, thr)
+    windows = sliding_window_view(trace.data, WINDOW_LEN, axis=1)[channel, t0]
+    f1, f2 = window_features(windows)
+    return windows, Tokens(t0, channel, f1, f2)
 
 
 # --- token / window stream files (JSONL) -----------------------------------
 
 
 def store_tokens(tokens, path: str) -> None:
-    store_records(({"t": tok.t, "ch": tok.channel, "f1": tok.f1, "f2": tok.f2}
-                   for tok in tokens), path)
+    """Write *tokens* (a Tokens or Completion rows) as ``{t, ch, f1, f2}`` records."""
+    tok = Tokens.of(tokens)
+    store_records(({"t": t, "ch": ch, "f1": f1, "f2": f2} for t, ch, f1, f2 in
+                   zip(tok.t.tolist(), tok.channel.tolist(), tok.f1.tolist(),
+                       tok.f2.tolist())), path)
 
 
-def _token_record(t: int, ch: int, f1: int, f2: int) -> Completion:
-    return Completion(t + WINDOW_LEN - 1, ch, t, f1, f2)
+def load_tokens(path: str) -> Tokens:
+    return Tokens(*load_channel_records(path, "token", {"t": int, "ch": int,
+                                                        "f1": int, "f2": int}).T)
 
 
-def load_tokens(path: str) -> list:
-    return load_records(path, "token", {"t": int, "ch": int, "f1": int, "f2": int},
-                        _token_record)
+def store_windows(tokens, windows: np.ndarray, path: str) -> None:
+    """Write each token's window as a ``{t, ch, s}`` record.
 
-
-def store_windows(windows, path: str) -> None:
-    store_records(({"t": w.t0, "ch": w.channel, "s": w.samples.tolist()}
-                   for w in windows), path)
+    *windows* is the (len(tokens), 32) int8 array that :func:`detect_trace`
+    returns beside *tokens*.
+    """
+    tok = Tokens.of(tokens)
+    windows = np.asarray(windows).reshape(-1, WINDOW_LEN)
+    if windows.shape[0] != len(tok):
+        raise ValueError(f"{windows.shape[0]} windows for {len(tok)} tokens")
+    store_records(({"t": t, "ch": ch, "s": s} for t, ch, s in
+                   zip(tok.t.tolist(), tok.channel.tolist(), windows.tolist())), path)
 
 
 def _window_record(t: int, ch: int, samples: list) -> SpikeWindow:

@@ -6,15 +6,19 @@ token per cycle; sorted events contend for a single bounded decoder buffer
 feeding the per-bin ensemble accumulator. Everything is a deterministic state
 machine: identical inputs give identical counters and outputs.
 
-``Simulator.step`` advances one clock cycle through every stage and is the
-reference. ``Simulator.run`` takes a fresh simulator to the same end state
-stage by stage, token by token: ring insertion in cycle order, then one sort
-per token in exit order, then the decoder buffer in arrival order, then the
-accumulator banks in numpy. Each stage only feeds the next, so no stage loops
-over cycles. A simulator that ``step`` has already advanced finishes by
-stepping.
+The schedule is the detector's token stream, a :class:`~nsp.detect.Tokens`
+(int columns, as :func:`build_schedule` returns it) or a list of
+:class:`~nsp.detect.Completion` rows, which may carry any completion cycle.
+The simulator keeps it as int arrays sorted by (cycle, channel).
 
-The schedule is a list of detector tokens, :class:`~nsp.detect.Completion`.
+``Simulator.step`` advances one clock cycle through every stage and is the
+reference; it reads the schedule one row at a time. ``Simulator.run`` takes
+a fresh simulator to the same end state stage by stage on the arrays: ring
+insertion, where only tokens that contend for a conveyor slot go through a
+loop; one ``classify_many`` call per channel; the decoder buffer, a loop
+over int arrival cycles; and the accumulator banks in numpy. Each stage only
+feeds the next, so no stage loops over cycles. A simulator that ``step`` has
+already advanced finishes by stepping.
 """
 
 from __future__ import annotations
@@ -23,12 +27,14 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from functools import cached_property
 
 import numpy as np
 
 from .decode import EnsembleModel, _pair_columns, bin_spikes, ensemble_ez
-from .detect import DEFAULT_PRE, Completion, channel_tokens, estimate_threshold
+from .detect import (DEFAULT_PRE, Completion, Tokens, detect_trace,
+                     estimate_threshold)
+from .sort_offline import classify_by_channel
 from .synthdata import PayloadError, RawTrace, WINDOW_LEN
 
 SAMPLE_BITS = 8
@@ -167,10 +173,12 @@ class Simulator:
     """One fabric instance. Feed it a schedule of detector tokens, then either
     step cycles or :meth:`run` it from fresh.
 
-    *classifiers* maps channel -> callable(f1, f2) -> cluster label;
-    *ensemble* defines the accumulated (channel, cluster) columns. Channels
-    absent from the ensemble selection are gated out after detection when
-    ``config.channel_gating`` is set.
+    *classifiers* maps channel -> sorter model (anything with
+    ``classify_many`` and ``classify``) or a plain (f1, f2) -> label
+    callable; *ensemble* defines the accumulated (channel, cluster) columns.
+    Channels absent from the ensemble selection are gated out after
+    detection when ``config.channel_gating`` is set. *schedule* is a
+    :class:`~nsp.detect.Tokens` or a list of ``Completion`` rows.
 
     Conveyor rings are indexed by absolute cycle: slot ``e % conveyor_slots``
     of a group's ring holds the token that reaches the group's sorter in
@@ -184,18 +192,27 @@ class Simulator:
     """
 
     def __init__(self, config: SimConfig, ensemble: EnsembleModel,
-                 classifiers: dict, schedule: list, n_bins: int):
+                 classifiers: dict, schedule, n_bins: int):
         config.validate()
         self.config = config
         self.counters = SimCounters()
         self.ensemble = ensemble
         self.classifiers = classifiers
-        self.schedule = sorted(schedule, key=attrgetter("cycle", "channel"))
-        for comp in self.schedule:
-            if not 0 <= comp.channel < config.n_channels:
-                raise ConfigMismatchError(
-                    f"completion on channel {comp.channel} outside the "
-                    f"configured {config.n_channels} channels")
+        self._classify = {ch: getattr(m, "classify", m) for ch, m in classifiers.items()}
+        if isinstance(schedule, Tokens):
+            cols = (schedule.cycle, schedule.channel, schedule.t, schedule.f1,
+                    schedule.f2)
+        else:
+            cols = np.array(schedule, dtype=np.int64).reshape(-1, len(Completion._fields)).T
+        # the schedule as (cycle, channel, t, f1, f2) columns in (cycle, channel) order
+        order = np.lexsort((cols[1], cols[0]))
+        self._cols = tuple(c[order] for c in cols)
+        channel = self._cols[1]
+        foreign = channel[(channel < 0) | (channel >= config.n_channels)]
+        if foreign.size:
+            raise ConfigMismatchError(
+                f"completion on channel {foreign[0]} outside the "
+                f"configured {config.n_channels} channels")
         self.n_bins = n_bins
         self.cycle = 0
         self._next_comp = 0
@@ -212,9 +229,20 @@ class Simulator:
         self._next_emit = 0
         self._next_close = self._close_cycle(0)
         self.sorts_by_channel = np.zeros(config.n_channels, dtype=np.int64)
-        self.accepted_events = []
+        self._accepted = []       # (t, channel, label) per accept
 
     # -- state inspection ---------------------------------------------------
+
+    @property
+    def accepted_events(self) -> np.ndarray:
+        """(n, 3) int64 rows (t, channel, label) of the accepted events, in
+        accept order."""
+        return np.asarray(self._accepted, dtype=np.int64).reshape(-1, 3)
+
+    @cached_property
+    def _rows(self) -> list:
+        """The sorted schedule as Completion rows, which :meth:`step` reads."""
+        return list(map(Completion, *(c.tolist() for c in self._cols)))
 
     @property
     def pipeline_empty(self) -> bool:
@@ -222,7 +250,7 @@ class Simulator:
 
     @property
     def done(self) -> bool:
-        return (self._next_comp >= len(self.schedule) and self.pipeline_empty
+        return (self._next_comp >= self._cols[0].size and self.pipeline_empty
                 and self._next_emit >= self.n_bins)
 
     def _close_cycle(self, k: int) -> float:
@@ -253,12 +281,12 @@ class Simulator:
         """
         cfg = self.config
         cyc = self.cycle
+        rows = self._rows
 
         # (a) detector completions for this cycle
         fresh = []
-        while (self._next_comp < len(self.schedule)
-               and self.schedule[self._next_comp].cycle <= cyc):
-            comp = self.schedule[self._next_comp]
+        while self._next_comp < len(rows) and rows[self._next_comp].cycle <= cyc:
+            comp = rows[self._next_comp]
             self._next_comp += 1
             self.counters.detections += 1
             if cfg.channel_gating and comp.channel not in self._selected_channels:
@@ -301,7 +329,7 @@ class Simulator:
         # (d) one sort per group per cycle
         arrivals = []
         for comp in heads:
-            label = self.classifiers[comp.channel](comp.f1, comp.f2)
+            label = self._classify[comp.channel](comp.f1, comp.f2)
             self.counters.sorts += 1
             self.sorts_by_channel[comp.channel] += 1
             arrivals.append((comp, int(label)))
@@ -344,7 +372,7 @@ class Simulator:
         col = self._colmap.get((comp.channel, label))
         if col is not None:
             self._banks[k, col] += 1
-        self.accepted_events.append((comp.t, comp.channel, label))
+        self._accepted.append((comp.t, comp.channel, label))
 
     def _emit_bank(self) -> None:
         k = self._next_emit
@@ -364,13 +392,23 @@ class Simulator:
             ``t`` inserting in cycle ``c`` is blocked exactly when its group
             already holds a token leaving the ring in cycle ``c + t``. Tokens
             claim (group, exit cycle) pairs in cycle order; a blocked token
-            retries the next cycle, and each retry is one stall cycle.
-        (B) Sorter. One classifier call per token, in (exit cycle, group)
-            order, as the sorters meet them.
+            retries the next cycle, and each retry is one stall cycle. So a
+            group's ring acts as one server that hands out one exit per
+            cycle, and each token queues for it from its first-choice exit
+            ``max(cycle, 0) + tap``. Sorted by first-choice exit, a group's
+            tokens fall into busy periods (one cumulative max finds them),
+            and no exit is ever claimed by tokens of two periods. A token
+            alone in its period takes its first-choice exit without a
+            stall; only the tokens of longer periods go through the greedy
+            claim loop, which also checks the detector re-arm rule.
+        (B) Sorter. Every ring token is labelled by its channel's
+            classifier, one ``classify_many`` call per channel; a plain
+            callable is called once per token, in the order tokens reach
+            that channel's sorter.
         (C) Decoder buffer. Per arrival cycle: the buffer pops one item,
-            then admits that cycle's arrivals up to its depth. An item is
-            accepted one cycle after its arrival or after its predecessor,
-            whichever is later.
+            then admits that cycle's arrivals, in group order, up to its
+            depth. An item is accepted one cycle after its arrival or after
+            its predecessor, whichever is later.
         (D) Banks. A bank closes ``grace_cycles`` after its edge, so the
             accept cycle fixes which banks are still open; binning, edge
             crossings and late spills follow in numpy, and every bank is
@@ -387,151 +425,171 @@ class Simulator:
             while not self.done:
                 self.step()
             return self
-        gated, stalls, last, inserted = staged
+        ring, key, stalls = staged
+        cfg = self.config
+        n_groups = cfg.n_groups
+        cycle, channel, t, f1, f2 = self._cols
 
-        # (B) one sort per token, in the order tokens reach the sorters
-        inserted.sort()
-        classify = self.classifiers
-        labels = [int(classify[comp.channel](comp.f1, comp.f2))
-                  for _, comp in inserted]
+        # (B) the ring tokens in the order they reach the sorters
+        by_key = np.argsort(key)
+        ring = ring[by_key]
+        arrival = key[by_key] // n_groups
+        channel, t = channel[ring], t[ring]
+        labels = classify_by_channel(self.classifiers, channel, f1[ring], f2[ring])
 
         # (C) the decoder buffer, one arrival cycle at a time
-        n_groups = self.config.n_groups
-        depth = self.config.decoder_buffer_depth
-        accepts, taken, taken_labels = [], [], []
-        head = 0                 # accepts[head:] are still in the buffer
+        depth = cfg.decoder_buffer_depth
+        accepts, taken = [], []
+        head = n_accepts = 0     # accepts[head:] are still in the buffer
         acc = -1                 # the cycle of the latest accept
-        collisions = lost = 0
-        arrival = None
-        for (key, comp), label in zip(inserted, labels):
-            cyc = key // n_groups
-            if cyc == arrival:
-                collisions += 1
-            else:
-                arrival = cyc
-                while head < len(accepts) and accepts[head] <= cyc:
+        previous = None
+        for i, cyc in enumerate(arrival.tolist()):
+            if cyc != previous:
+                previous = cyc
+                while head < n_accepts and accepts[head] <= cyc:
                     head += 1
-            if len(accepts) - head < depth:
+            if n_accepts - head < depth:
                 acc = (acc if acc > cyc else cyc) + 1
                 accepts.append(acc)
-                taken.append(comp)
-                taken_labels.append(label)
-            else:
-                lost += 1
+                taken.append(i)
+                n_accepts += 1
 
         c = self.counters
-        c.detections += len(self.schedule)
-        c.gated_tokens += gated
+        c.detections += cycle.size
+        c.gated_tokens += cycle.size - ring.size
         c.stall_cycles += stalls
-        c.sorts += len(inserted)
-        c.decoder_collisions += collisions
-        c.tokens_lost += lost
-        self.sorts_by_channel += np.bincount(
-            np.array([comp.channel for _, comp in inserted], dtype=np.int64),
-            minlength=self.config.n_channels)
+        c.sorts += ring.size
+        c.decoder_collisions += int(np.count_nonzero(np.diff(arrival) == 0))
+        c.tokens_lost += ring.size - n_accepts
+        self.sorts_by_channel += np.bincount(channel, minlength=cfg.n_channels)
 
         # (D) bin the accepted tokens, then close every remaining bank
-        self._accept_all(accepts, taken, taken_labels)
+        self._accept_all(np.array(accepts, dtype=np.int64), t[taken],
+                         channel[taken], labels[taken])
         # step() would stop after the last cycle with a detection, insertion,
-        # ring exit, accept or bank close
-        if inserted:
-            last = max(last, inserted[-1][0] // n_groups)
-        last = max(last, acc)
+        # ring exit, accept or bank close; a ring token leaves no earlier
+        # than it is inserted
+        last = max(max(int(cycle[-1]), 0) if cycle.size else -1,
+                   int(arrival[-1]) if ring.size else -1, acc)
         if self.n_bins:
             last = max(last, self._close_cycle(self.n_bins - 1))
         while self._next_emit < self.n_bins:
             self._emit_bank()
-        self._next_comp = len(self.schedule)
+        self._next_comp = cycle.size
         self.cycle = c.cycles = last + 1
         return self
 
     def _insert_tokens(self):
         """Stage A of :meth:`run`: gate and insert every token of the schedule.
 
-        Returns ``(gated, stall cycles, last cycle, inserted)``, where
-        *inserted* lists ``(exit cycle * n_groups + group, token)`` for every
-        ring token and *last cycle* is the last cycle in which a token was
-        detected or inserted. Returns None when the schedule breaks the
-        detector re-arm rule. Changes nothing on the simulator.
+        Returns ``(ring, key, stall cycles)``: *ring* holds the schedule
+        positions of the tokens that enter a ring and *key* their
+        ``exit cycle * n_groups + group``. Returns None when the schedule
+        breaks the detector re-arm rule. Changes nothing on the simulator.
         """
         cfg = self.config
-        n_groups, group_size = cfg.n_groups, cfg.group_size
-        # a token of channel ch inserting in cycle c leaves the ring in cycle
-        # c + tap: its (group, exit cycle) key is c * n_groups + offset[ch]
-        offset = [(ch % group_size) * n_groups + ch // group_size
-                  for ch in range(cfg.n_channels)]
-        gated_out = [cfg.channel_gating and ch not in self._selected_channels
-                     for ch in range(cfg.n_channels)]
-        inserted, claimed, held = [], set(), []
-        schedule, i, n = self.schedule, 0, len(self.schedule)
-        gated = stalls = 0
-        cyc = -1
+        n_groups = cfg.n_groups
+        cycle, channel = self._cols[0], self._cols[1]
+        gated_out = np.array([cfg.channel_gating and ch not in self._selected_channels
+                              for ch in range(cfg.n_channels)], dtype=bool)
+        ring = np.flatnonzero(~gated_out[channel])
+        start = np.maximum(cycle[ring], 0)          # the first insertion attempt
+        group, tap = np.divmod(channel[ring], cfg.group_size)
+        first = start + tap                          # the first-choice exit
+        # busy periods: sorted by (group, first-choice exit), a group's first
+        # k + 1 tokens fill the exits up to leave[k] = max over j <= k of
+        # first[j] + (k - j), and a token whose first choice lies past its
+        # predecessor's leave opens a new period; the offset per group
+        # restarts the cumulative max at each group
+        by_exit = np.lexsort((first, group))
+        g, e = group[by_exit], first[by_exit]
+        k = np.arange(ring.size)
+        span = int(e.max()) + ring.size + 1 if ring.size else 0
+        leave = np.maximum.accumulate(e - k + g * span) - g * span + k
+        opens = np.ones(ring.size, dtype=bool)    # token opens a busy period
+        opens[1:] = (g[1:] != g[:-1]) | (e[1:] > leave[:-1])
+        alone = np.empty(ring.size, dtype=bool)
+        alone[by_exit] = opens & np.append(opens[1:], True)
+
+        key = first * n_groups + group
+        busy = np.flatnonzero(~alone)
+        claims = self._claim(n_groups, start[busy].tolist(), channel[ring[busy]].tolist(),
+                             (tap[busy] * n_groups + group[busy]).tolist())
+        if claims is None:
+            return None
+        key[busy] = claims
+        stalls = int((key[busy] // n_groups - first[busy]).sum())
+        return ring, key, stalls
+
+    @staticmethod
+    def _claim(n_groups: int, starts: list, channels: list, offsets: list):
+        """The greedy claim loop of stage A over tokens in schedule order.
+
+        A token of channel ``channels[i]`` first tries to insert in cycle
+        ``starts[i]``; inserting in cycle ``c`` claims the key
+        ``c * n_groups + offsets[i]``, and a claimed key blocks the token
+        until the next cycle. Returns every token's claimed key, or None
+        when a channel completes while its previous token is held or two of
+        its tokens are held at once.
+        """
+        n = len(starts)
+        keys = [0] * n
+        claimed, held = set(), []
+        i, cyc = 0, -1
         while held or i < n:
             # one cycle: held tokens retry, then this cycle's completions
             # join them; distinct channels never contend for one key
             waiting, held = held, []
             if waiting:
                 cyc += 1
-                held_channels = {comp.channel for comp in waiting}
+                held_channels = {channels[j] for j in waiting}
             else:
-                cyc = max(schedule[i].cycle, 0)
+                cyc = starts[i]
                 held_channels = ()
-            while i < n and schedule[i].cycle <= cyc:
-                comp = schedule[i]
-                i += 1
-                if gated_out[comp.channel]:
-                    gated += 1
-                elif comp.channel in held_channels:
+            while i < n and starts[i] <= cyc:
+                if channels[i] in held_channels:
                     return None
-                else:
-                    waiting.append(comp)
+                waiting.append(i)
+                i += 1
             base = cyc * n_groups
-            for comp in waiting:
-                key = base + offset[comp.channel]
+            for j in waiting:
+                key = base + offsets[j]
                 if key in claimed:
-                    held.append(comp)
+                    held.append(j)
                 else:
                     claimed.add(key)
-                    inserted.append((key, comp))
-            if held:
-                stalls += len(held)
-                if len({comp.channel for comp in held}) < len(held):
-                    return None      # two tokens of one channel blocked at once
-        return gated, stalls, cyc, inserted
+                    keys[j] = key
+            if held and len({channels[j] for j in held}) < len(held):
+                return None          # two tokens of one channel blocked at once
+        return keys
 
-    def _accept_all(self, accepts: list, comps: list, labels: list) -> None:
-        """Stage D of :meth:`run`: :meth:`_accept` for every token in *comps*,
-        sorted as *labels* and accepted in the cycles *accepts*.
+    def _accept_all(self, accepts, t, channel, labels) -> None:
+        """Stage D of :meth:`run`: :meth:`_accept` for every token
+        (t[i], channel[i]) sorted as labels[i] and accepted in cycle accepts[i].
 
         Bank ``j`` closes in cycle ``(j + 1) * bin_len + grace_cycles``, after
         that cycle's accept, so at accept cycle ``x`` the oldest open bank is
         the number of banks that closed before ``x``.
         """
-        if not comps:
+        if not accepts.size:
             return
-        ts = [comp.t for comp in comps]
-        channels = [comp.channel for comp in comps]
-        cyc, t = np.array(accepts, dtype=np.int64), np.array(ts, dtype=np.int64)
         bin_len, n_bins = self._bin_len, self.n_bins
         k = t // bin_len
-        edge = cyc > (k + 1) * bin_len
+        edge = accepts > (k + 1) * bin_len
         k = np.minimum(k, n_bins - 1)
-        oldest_open = np.clip((cyc - 1 - self.config.grace_cycles) // bin_len,
+        oldest_open = np.clip((accepts - 1 - self.config.grace_cycles) // bin_len,
                               self._next_emit, n_bins)
         late = k < oldest_open
         k = np.where(late, oldest_open, k)
         kept = ~late | (oldest_open < n_bins)
-        cols = _pair_columns(self.ensemble.selected, channels, labels)
+        cols = _pair_columns(self.ensemble.selected, channel, labels)
         into = kept & (cols >= 0)
         np.add.at(self._banks, (k[into], cols[into]), 1)
         c = self.counters
-        c.decoder_accepts += len(comps)
+        c.decoder_accepts += accepts.size
         c.edge_crossings += int(edge.sum())
         c.late_tokens += int(late.sum())
-        events = zip(ts, channels, labels)
-        self.accepted_events.extend(
-            events if kept.all()
-            else (ev for ev, keep in zip(events, kept.tolist()) if keep))
+        self._accepted = np.column_stack((t, channel, labels))[kept]
 
 
 @dataclass
@@ -549,20 +607,22 @@ class SimResult:
 
 
 def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
-                   thresholds: dict | None = None) -> list:
-    """Detect every modeled channel of *trace* into a completion schedule.
+                   thresholds: dict | None = None) -> Tokens:
+    """Detect every modeled channel of *trace* into a token schedule.
 
     A window spanning [t0, t0+31] completes (and may enter the queue) at
     cycle t0+31. Channels without a model are left silent. The tokens are
-    those of :func:`~nsp.detect.detect_trace` on the modeled channels.
-    *config* is not read: the detector has no settings.
+    those of :func:`~nsp.detect.detect_trace` on the modeled channels, in
+    (channel, time) order. *config* is not read: the detector has no settings.
     """
-    schedule = []
-    for ch in sorted(models):
-        row = trace.data[ch]
-        thr = thresholds[ch] if thresholds is not None else estimate_threshold(row)
-        schedule.extend(channel_tokens(row, thr, ch)[1])
-    return schedule
+    channels = sorted(models)
+    data = (trace.data if channels == list(range(trace.n_channels))
+            else trace.data[channels])
+    thr = [thresholds[ch] if thresholds is not None else estimate_threshold(row)
+           for ch, row in zip(channels, data)]
+    _, tok = detect_trace(RawTrace(data, sample_rate=trace.sample_rate), thr)
+    return Tokens(tok.t, np.asarray(channels, dtype=np.int64)[tok.channel],
+                  tok.f1, tok.f2)
 
 
 def check_model_channels(models, n_channels: int) -> None:
@@ -602,14 +662,11 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
     n_samples = trace.data.shape[1]
     n_bins = max(1, math.ceil(n_samples / config.bin_len))
     schedule = build_schedule(trace, models, config, thresholds)
-    classifiers = {ch: getattr(m, "classify", m) for ch, m in models.items()}
-    sim = Simulator(config, ensemble, classifiers, schedule, n_bins).run()
+    sim = Simulator(config, ensemble, models, schedule, n_bins).run()
     sim.counters.input_bits = config.n_channels * n_samples * SAMPLE_BITS
     return SimResult(ez=sim._ez, counts=sim._banks, counters=sim.counters,
                      sorts_by_channel=sim.sorts_by_channel,
-                     accepted_events=np.array(sim.accepted_events,
-                                              dtype=np.int64).reshape(-1, 3),
-                     config=config)
+                     accepted_events=sim.accepted_events, config=config)
 
 
 def reference_ez(events, ensemble: EnsembleModel, n_bins: int, bin_len: int) -> np.ndarray:

@@ -13,7 +13,9 @@ templates in L1 distance, costing 3 add/sub per template and n-1 comparisons.
 
 Every sorter model kind (this module's tree and L1 models and the online
 model of ``sort_online``) carries a ``kind`` name, ``classify(f1, f2)``,
-``footprint_bits()`` and a ``to_json``/``from_json`` pair. ``MODEL_KINDS``
+``classify_many(f1, f2)`` over int arrays, ``footprint_bits()`` and a
+``to_json``/``from_json`` pair. ``classify_by_channel`` labels a stream of
+tokens with one ``classify_many`` call per channel. ``MODEL_KINDS``
 maps each kind name to its class, and ``store_models``/``load_models`` read
 and write per-channel model sets of any one kind through it.
 """
@@ -64,6 +66,18 @@ class ChannelSorterModel:
     def classify(self, f1: int, f2: int) -> int:
         return classify_spike(self, f1, f2)
 
+    def classify_many(self, f1, f2) -> np.ndarray:
+        """:func:`classify_spike` over int arrays: three vector compares build
+        the 3-bit code, which one table read maps to its leaf or OUTLIER."""
+        pat = self.pattern()
+        features = (np.asarray(f1, dtype=np.int64), np.asarray(f2, dtype=np.int64))
+        code = np.zeros(features[0].shape, dtype=np.int64)
+        for s in range(N_SPLITS):
+            code = (code << 1) | (features[pat.axes[s]] >= self.boundaries[s])
+        leaves = np.array([leaf if (self.valid_mask >> leaf) & 1 else OUTLIER
+                           for leaf in pat.leaf_map], dtype=np.int64)
+        return leaves[code]
+
     def footprint_bits(self) -> int:
         """Deployed size in bits: three boundary bytes and a 4-bit pattern id."""
         return TREE_MODEL_BITS
@@ -105,6 +119,14 @@ class L1TemplateModel:
 
     def classify(self, f1: int, f2: int) -> int:
         return l1_classify(self, f1, f2)
+
+    def classify_many(self, f1, f2) -> np.ndarray:
+        """:func:`l1_classify` over int arrays: the first template of least
+        L1 distance wins, as in the scalar scan."""
+        t = np.asarray(self.templates, dtype=np.int64)
+        dist = (np.abs(np.asarray(f1, dtype=np.int64)[..., None] - t[:, 0])
+                + np.abs(np.asarray(f2, dtype=np.int64)[..., None] - t[:, 1]))
+        return np.asarray(self.labels, dtype=np.int64)[dist.argmin(axis=-1)]
 
     def footprint_bits(self) -> int:
         """Deployed size in bits: one int8 (f1, f2) pair per template."""
@@ -369,6 +391,32 @@ def l1_classify(model: L1TemplateModel, f1: int, f2: int,
         if dist < best_dist:
             best_label, best_dist = model.labels[k], dist
     return best_label
+
+
+def classify_by_channel(classifiers: dict, channel, f1, f2) -> np.ndarray:
+    """Label every token (channel[i], f1[i], f2[i]) with its channel's classifier.
+
+    *classifiers* maps channel -> sorter model or plain (f1, f2) -> label
+    callable. A model labels all of its channel's tokens in one
+    ``classify_many`` call. A plain callable is called once per token, in
+    token order within its channel. Returns int64 labels in token order.
+    """
+    channel = np.asarray(channel, dtype=np.int64)
+    f1, f2 = np.asarray(f1, dtype=np.int64), np.asarray(f2, dtype=np.int64)
+    labels = np.empty(channel.size, dtype=np.int64)
+    order = np.argsort(channel, kind="stable")
+    chans, firsts = np.unique(channel[order], return_index=True)
+    for ch, lo, hi in zip(chans.tolist(), firsts.tolist(),
+                          firsts[1:].tolist() + [channel.size]):
+        at = order[lo:hi]
+        clf = classifiers[ch]
+        many = getattr(clf, "classify_many", None)
+        if many is not None:
+            labels[at] = many(f1[at], f2[at])
+        else:
+            one = getattr(clf, "classify", clf)
+            labels[at] = [int(one(a, b)) for a, b in zip(f1[at].tolist(), f2[at].tolist())]
+    return labels
 
 
 # --- model set files --------------------------------------------------------

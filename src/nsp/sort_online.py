@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
+from .detect import Tokens
 from .synthdata import PayloadError
 
 BIN_WIDTH = 2            # LSB per histogram bin
@@ -237,6 +238,8 @@ class OnlineSorterModel:
         self._table = [[_nearest_valid((i, j), valid)
                         for j in range(len(self.boundaries[1]) + 1)]
                        for i in range(len(self.boundaries[0]) + 1)]
+        self._cells = np.array(self._table, dtype=np.int64)
+        self._cuts = tuple(np.asarray(c, dtype=np.int64) for c in self.boundaries)
 
     def valid(self) -> list:
         return sorted((i, j) for i, j, s in self.cam_snapshot if s >= STATUS_WEAK)
@@ -244,6 +247,13 @@ class OnlineSorterModel:
     def classify(self, f1: int, f2: int) -> int:
         i, j = locate_partition(f1, f2, self.boundaries)
         return self._table[i][j]
+
+    def classify_many(self, f1, f2) -> np.ndarray:
+        """:meth:`classify` over int arrays: one ``searchsorted`` per axis
+        locates the partitions, then one read of the cell table."""
+        i = np.searchsorted(self._cuts[0], f1, side="right")
+        j = np.searchsorted(self._cuts[1], f2, side="right")
+        return self._cells[i, j]
 
     @property
     def n_clusters(self) -> int:
@@ -351,13 +361,22 @@ class OnlineSorter:
 def train_online(tokens, budget: int = SPIKE_BUDGET,
                  smoothing_radius: int = SMOOTHING_RADIUS,
                  decay_period: int = DECAY_PERIOD) -> dict:
-    """Train one OnlineSorterModel per channel from a token stream."""
-    sorters = {}
-    for tok in tokens:
-        sorter = sorters.get(tok.channel)
-        if sorter is None:
-            sorter = sorters[tok.channel] = OnlineSorter(
-                budget=budget, smoothing_radius=smoothing_radius,
-                decay_period=decay_period)
-        sorter.observe(tok.f1, tok.f2)
-    return {ch: sorter.finalize() for ch, sorter in sorted(sorters.items())}
+    """Train one OnlineSorterModel per channel from a token stream.
+
+    *tokens* is a :class:`~nsp.detect.Tokens` or a sequence of
+    ``Completion`` rows. Each channel's sorter observes that channel's
+    tokens in stream order.
+    """
+    tok = Tokens.of(tokens)
+    order = np.argsort(tok.channel, kind="stable")
+    f1, f2 = tok.f1[order].tolist(), tok.f2[order].tolist()
+    chans, firsts = np.unique(tok.channel[order], return_index=True)
+    models = {}
+    for ch, lo, hi in zip(chans.tolist(), firsts.tolist(),
+                          firsts[1:].tolist() + [len(tok)]):
+        sorter = OnlineSorter(budget=budget, smoothing_radius=smoothing_radius,
+                              decay_period=decay_period)
+        for a, b in zip(f1[lo:hi], f2[lo:hi]):
+            sorter.observe(a, b)
+        models[ch] = sorter.finalize()
+    return models

@@ -564,6 +564,19 @@ def load_records(path: str, what: str, fields: dict, make=lambda *values: values
     return out
 
 
+def load_channel_records(path: str, what: str, fields: dict) -> np.ndarray:
+    """The integer *fields* of a JSONL stream as an (n, len(fields)) int64 array.
+
+    Read by :func:`load_records`; a negative ``ch`` field raises
+    ``PayloadError`` as well.
+    """
+    rows = np.array(load_records(path, what, fields), dtype=np.int64).reshape(-1, len(fields))
+    channel = rows[:, list(fields).index("ch")]
+    if (channel < 0).any():
+        raise PayloadError(f"{path}: negative channel {channel.min()} in a {what} record")
+    return rows
+
+
 def store_trace(trace: RawTrace, path: str) -> None:
     header = _HEADER.pack(TRACE_MAGIC, TRACE_VERSION, trace.n_channels,
                           trace.sample_rate, trace.n_samples)
@@ -597,8 +610,8 @@ def store_labels(labels: GroundTruthLabels, path: str) -> None:
 
 
 def load_labels(path: str) -> GroundTruthLabels:
-    rows = load_records(path, "label", {"t": int, "ch": int, "nid": int})
-    return GroundTruthLabels(np.array(rows, dtype=np.int64).reshape(-1, 3))
+    return GroundTruthLabels(load_channel_records(path, "label",
+                                                  {"t": int, "ch": int, "nid": int}))
 
 
 def store_session(session: ReachSession, path: str) -> None:

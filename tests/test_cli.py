@@ -295,6 +295,17 @@ def test_out_of_range_window_sample_exits_4(tmp_path, pipeline, capfd):
     assert not (tmp_path / "sorters.json").exists()
 
 
+def test_negative_token_channel_exits_4_before_training(tmp_path, capfd):
+    tokens = tmp_path / "tokens.jsonl"
+    tokens.write_text(json.dumps({"t": 5, "ch": 0, "f1": 3, "f2": -4}) + "\n"
+                      + json.dumps({"t": 50, "ch": -1, "f1": 3, "f2": -4}) + "\n")
+    assert run("train-sorter", "--mode", "online", "--tokens", tokens,
+               "--out", tmp_path / "online.json") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "negative channel -1" in err and "Traceback" not in err
+    assert not (tmp_path / "online.json").exists()
+
+
 def test_semantic_misuse_exits_4(tmp_path, pipeline):
     # session and events are mutually exclusive inputs
     assert run("decode", "--model", pipeline / "decoder.json",

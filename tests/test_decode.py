@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsp.decode import (INT32_MAX, PHASES, DecoderBundle, EnsembleModel,
+                        _pair_columns,
                         FilterState, FixedPointFormat, ImplantAccumulator,
                         StandardObservationModel, StateTransitionModel,
                         StepOps, best_single_neuron_decoder, bin_spikes,
@@ -76,6 +77,35 @@ def test_bin_spikes_counts_any_selected_unit_id():
     events = np.array([[10, 1, 5], [20, 0, 0], [30, -2, 7], [40, 3, 2 ** 40],
                        [50, 1, 4], [60, 5, 1]])
     assert bin_spikes(events, 1, 100, sel).tolist() == [[1, 1, 1, 1]]
+
+
+_IDS = st.integers(-6, 8) | st.sampled_from([-1, 2 ** 40, -(2 ** 40)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(selected=st.lists(st.tuples(_IDS, _IDS), max_size=12),
+       repeats=st.integers(0, 3),
+       queries=st.lists(st.tuples(_IDS | st.integers(-2 ** 62, 2 ** 62), _IDS),
+                        max_size=40))
+def test_pair_columns_follow_the_dict_rule(selected, repeats, queries):
+    """Each (channel, unit) gets the last column of its pair in *selected*, -1
+    when unselected: repeated pairs, the OUTLIER unit -1 and ids far outside
+    the selected ones included."""
+    selected = selected + selected[:repeats]
+    index = {pair: j for j, pair in enumerate(selected)}
+    queries = queries + selected[:5]
+    ch = np.array([c for c, _ in queries], dtype=np.int64)
+    un = np.array([u for _, u in queries], dtype=np.int64)
+    got = _pair_columns(selected, ch, un)
+    assert got.dtype == np.int64
+    assert got.tolist() == [index.get(q, -1) for q in queries]
+
+
+def test_pair_columns_on_ids_too_far_apart_to_number():
+    selected = [(0, -(2 ** 62)), (2 ** 40, 2 ** 62), (0, -(2 ** 62))]
+    queries = [(0, -(2 ** 62)), (2 ** 40, 2 ** 62), (2 ** 40, 0), (-1, -1)]
+    got = _pair_columns(selected, [c for c, _ in queries], [u for _, u in queries])
+    assert got.tolist() == [2, 1, -1, -1]
 
 
 def test_bin_spikes_column_rule_is_the_dict_lookup():

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsp.detect import (DEFAULT_K, DEFAULT_PRE, MIN_SEGMENT, SegmentTooShort, SpikeWindow,
-                        detect_spikes, detect_trace, estimate_threshold,
-                        extract_features, gather_windows, load_tokens,
-                        load_windows, store_tokens, store_windows,
+from nsp.detect import (DEFAULT_K, DEFAULT_PRE, MIN_SEGMENT, Completion, SegmentTooShort,
+                        SpikeWindow, Tokens, detect_rows, detect_spikes, detect_trace,
+                        estimate_threshold, extract_features, gather_windows,
+                        load_tokens, load_windows, store_tokens, store_windows,
                         window_features, window_starts)
 from nsp.synthdata import gen_spike_trace, tier_config
 
@@ -171,6 +171,27 @@ def _scan_starts(trace, threshold):
     return starts
 
 
+@settings(max_examples=200, deadline=None)
+@given(n_rows=st.integers(1, 5), n_samples=st.integers(0, 300),
+       seed=st.integers(0, 2 ** 32 - 1),
+       thresholds=st.lists(st.floats(0.0, 140.0), min_size=5, max_size=5),
+       quiet=st.sampled_from([0.0, 0.5, 0.9]))
+def test_all_channel_detector_equals_the_sample_scan_row_by_row(
+        n_rows, n_samples, seed, thresholds, quiet):
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-128, 128, (n_rows, n_samples)).astype(np.int8)
+    data[rng.random(data.shape) < quiet] //= 8
+    # crossings in the first 4 samples and in the last window of every row,
+    # where a window clamps to sample 0 or cannot complete
+    data[:, :4][rng.random((n_rows, min(4, n_samples))) < 0.3] = -128
+    data[:, -WINDOW_LEN:][rng.random((n_rows, min(WINDOW_LEN, n_samples))) < 0.1] = 127
+    thr = thresholds[:n_rows]
+    rows, starts = detect_rows(data, thr)
+    assert rows.tolist() == sorted(rows.tolist())
+    for r in range(n_rows):
+        assert starts[rows == r].tolist() == _scan_starts(data[r], thr[r])
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_window_starts_equal_the_sample_scan(seed):
     rng = np.random.default_rng(seed)
@@ -216,11 +237,10 @@ def test_detect_trace_equals_per_window_detection(rate_hz):
     windows, tokens = detect_trace(trace, thr)
     ref_windows = [w for ch in range(trace.n_channels)
                    for w in detect_spikes(trace.data[ch], thr[ch], channel=ch)]
-    assert [(w.t0, w.channel) for w in windows] == [(w.t0, w.channel) for w in ref_windows]
-    assert all(np.array_equal(w.samples, r.samples) and w.samples.dtype == np.int8
-               for w, r in zip(windows, ref_windows))
-    assert tokens == [extract_features(w) for w in ref_windows]
-    assert all(type(tok.f1) is int and type(tok.f2) is int for tok in tokens)
+    assert windows.dtype == np.int8
+    assert np.array_equal(windows, np.stack([w.samples for w in ref_windows]))
+    assert list(tokens) == [extract_features(w) for w in ref_windows]
+    assert all(type(v) is int for tok in tokens for v in tok)
 
 
 # --- feature extraction -----------------------------------------------------
@@ -243,19 +263,39 @@ def test_window_must_hold_32_samples():
 # --- stream files -----------------------------------------------------------
 
 
+def test_tokens_and_completion_rows_round_trip():
+    rows = [Completion(cycle=t + WINDOW_LEN - 1, channel=ch, t=t, f1=f1, f2=f2)
+            for t, ch, f1, f2 in [(0, 2, 5, -7), (40, 0, 127, -128), (9, 2, -3, -3)]]
+    tokens = Tokens.of(rows)
+    assert len(tokens) == 3 and all(c.dtype == np.int64 for c in
+                                    (tokens.t, tokens.channel, tokens.f1, tokens.f2))
+    assert tokens.cycle.tolist() == [r.cycle for r in rows]
+    assert list(tokens) == rows
+    assert Tokens.of(tokens) is tokens
+    assert list(Tokens.of(iter(tokens))) == rows
+    assert len(Tokens.of([])) == 0 and list(Tokens.of([])) == []
+
+
+def test_tokens_reject_negative_channels_and_ragged_columns():
+    with pytest.raises(ValueError, match="negative channel"):
+        Tokens([0, 1], [0, -1], [0, 0], [0, 0])
+    with pytest.raises(ValueError, match="length"):
+        Tokens([0, 1], [0], [0, 0], [0, 0])
+
+
 def test_token_round_trip(tmp_path, easy_trace):
     trace, _ = easy_trace
     _, tokens = detect_trace(trace, 40.0)
     p = str(tmp_path / "tokens.jsonl")
     store_tokens(tokens, p)
-    assert load_tokens(p) == tokens
+    assert list(load_tokens(p)) == list(tokens)
 
 
 def test_window_round_trip(tmp_path):
     trace = _drop_pulse(_quiet_trace(), 100)
     ws = detect_spikes(trace, 30.0)
     p = str(tmp_path / "windows.jsonl")
-    store_windows(ws, p)
+    store_windows([extract_features(w) for w in ws], np.stack([w.samples for w in ws]), p)
     back = load_windows(p)
     assert len(back) == 1
     assert back[0].t0 == ws[0].t0
@@ -265,4 +305,4 @@ def test_window_round_trip(tmp_path):
 def test_empty_streams(tmp_path):
     p = str(tmp_path / "empty.jsonl")
     store_tokens([], p)
-    assert load_tokens(p) == []
+    assert len(load_tokens(p)) == 0

@@ -19,7 +19,7 @@ from nsp.cli import _load_sorted_events
 from nsp.decode import (DecoderBundle, FixedPointFormat, load_decoded,
                         load_decoder, store_decoded, store_decoder,
                         train_ensemble, train_transition)
-from nsp.detect import (Completion, SpikeWindow, load_tokens, load_windows,
+from nsp.detect import (Completion, load_tokens, load_windows,
                         store_tokens, store_windows)
 from nsp.sort_offline import (ChannelSorterModel, L1TemplateModel, load_models,
                               store_models)
@@ -88,6 +88,16 @@ def test_stream_skips_blank_lines_and_extra_keys(tmp_path, stream):
     assert len(loader(str(p))) == 1
 
 
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_stream_rejects_a_negative_channel(tmp_path, stream):
+    # a negative channel once loaded and trained into a set that sort rejects
+    loader, row, _ = STREAMS[stream]
+    p = tmp_path / "s.jsonl"
+    _write_rows(p, [row, {**row, "ch": -1}])
+    with pytest.raises(DatasetFormatError, match="negative channel"):
+        loader(str(p))
+
+
 @pytest.mark.parametrize("samples", [[300] + [0] * 31, [-129] + [0] * 31,
                                      [0] * 31, [0.5] * 32])
 def test_window_samples_must_be_32_int8_integers(tmp_path, samples):
@@ -152,7 +162,7 @@ def _valid_files(d):
                  add("labels", "l.jsonl", load_labels))
     store_tokens([Completion(36, 0, 5, 12, -40), Completion(81, 1, 50, -3, 7)],
                  add("tokens", "k.jsonl", load_tokens))
-    store_windows([SpikeWindow(5, 0, np.arange(-16, 16))],
+    store_windows([Completion(36, 0, 5, 15, -16)], np.arange(-16, 16).reshape(1, 32),
                   add("windows", "w.jsonl", load_windows))
     session = gen_reach_session(SessionConfig(n_units=2, trials_per_target=1,
                                               bins_per_phase=2), seed=3)

@@ -10,7 +10,7 @@ from nsp.sim import (Completion, ConfigMismatchError, SimConfig, Simulator,
                      build_schedule, linear_fit_r2, parse_sim_config,
                      reference_ez, run_simulation, serialize_sim_config,
                      sweep_spike_rate)
-from nsp.detect import detect_spikes, detect_trace, extract_features
+from nsp.detect import Tokens, detect_spikes, detect_trace, extract_features
 from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
                            tier_config)
 
@@ -282,7 +282,7 @@ def _outcome(sim, drive):
         err = str(exc)
     return {"err": err, "cycle": sim.cycle, "counters": sim.counters.as_dict(),
             "ez": sim._ez.tolist(), "banks": sim._banks.tolist(),
-            "accepted": list(sim.accepted_events),
+            "accepted": sim.accepted_events.tolist(),
             "sorts_by_channel": sim.sorts_by_channel.tolist()}
 
 
@@ -332,6 +332,58 @@ def test_run_equals_the_per_cycle_step_loop():
     # from held tokens, ring tokens and a non-empty decoder buffer
     assert all(count >= 5 for count in seen.values()), seen
     assert all(count >= 5 for count in resumed.values()), resumed
+
+
+def _crowded_fabric(seed):
+    """Bursts on one or two groups: each burst lines many channels up on one
+    first-choice exit (cycle + tap), so ties and busy periods of dozens of
+    tokens form; some completions fall before cycle 0, and a channel may
+    complete again while its previous token is still held."""
+    rng = np.random.default_rng(seed)
+    group_size = int(rng.choice([4, 8, 16]))
+    n = group_size * int(rng.integers(1, 3))
+    cfg = SimConfig(n_channels=n, group_size=group_size,
+                    conveyor_slots=group_size + int(rng.integers(0, 3)),
+                    decoder_buffer_depth=int(rng.integers(1, 5)),
+                    clock_hz=1000, bin_ms=100, channel_gating=bool(rng.integers(2)))
+    ens = _ensemble(range(0, n, 2), units=3, seed=seed)
+    classifiers = {ch: (lambda f1, f2, ch=ch: (7 * f1 + f2 + ch) % 3) for ch in range(n)}
+    schedule = []
+    for _ in range(int(rng.integers(1, 6))):
+        exit0 = int(rng.integers(-20, 150))
+        for ch in range(n):
+            if rng.random() < 0.7:
+                cycle = exit0 - ch % group_size + int(rng.integers(0, 3))
+                schedule.append(Completion(cycle=cycle, channel=ch, t=max(cycle - 31, 0),
+                                           f1=int(rng.integers(-128, 128)),
+                                           f2=int(rng.integers(-128, 128))))
+    return cfg, ens, classifiers, schedule, 2
+
+
+def test_run_equals_step_on_ties_long_busy_periods_and_negative_cycles():
+    seen = dict.fromkeys(("tie", "long", "negative", "rearm"), 0)
+    for seed in range(200):
+        cfg, ens, classifiers, schedule, n_bins = _crowded_fabric(seed)
+        fast = _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins), Simulator.run)
+        slow = _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins), _step_until_done)
+        assert fast == slow, seed
+        firsts = [(tok.channel // cfg.group_size, max(tok.cycle, 0) + tok.channel % cfg.group_size)
+                  for tok in schedule]
+        seen["tie"] += len(set(firsts)) < len(firsts)
+        seen["long"] += fast["counters"]["stall_cycles"] >= 40
+        seen["negative"] += any(tok.cycle < 0 for tok in schedule)
+        seen["rearm"] += fast["err"] is not None and "re-arm" in fast["err"]
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_a_token_schedule_runs_like_its_completion_rows():
+    for seed in range(40):
+        cfg, ens, classifiers, schedule, n_bins = _random_fabric(seed)
+        rows = [tok._replace(cycle=tok.t + 31) for tok in schedule]
+        tokens = Tokens.of(rows)
+        for drive in (Simulator.run, _step_until_done):
+            assert (_outcome(Simulator(cfg, ens, classifiers, tokens, n_bins), drive)
+                    == _outcome(Simulator(cfg, ens, classifiers, rows, n_bins), drive)), seed
 
 
 def test_run_reports_a_doubly_blocked_channel_like_step():
@@ -388,7 +440,7 @@ def _fabrics(draw):
     Windows of one channel start 32 or more samples apart, inside the binned
     span, and channels start close enough together to contend for slots. Now
     and then a completion is queued long after its detection, which can make
-    it late or break the re-arm rule.
+    it late or break the re-arm rule, or lands before cycle 0.
     """
     group_size = draw(st.sampled_from([1, 2, 4]))
     n = group_size * draw(st.integers(1, 3))
@@ -410,7 +462,7 @@ def _fabrics(draw):
                                  max_size=8)):
             if t + 31 >= n_bins * cfg.bin_len:
                 break
-            delay = draw(st.sampled_from([0, 0, 0, 0, 0, 0, 0, 0, 0, 150]))
+            delay = draw(st.sampled_from([0, 0, 0, 0, 0, 0, 0, 0, -40, 150]))
             schedule.append(Completion(cycle=t + 31 + delay, channel=ch, t=t,
                                        f1=draw(st.integers(-128, 127)),
                                        f2=draw(st.integers(-128, 127))))
@@ -454,10 +506,10 @@ def test_build_schedule_equals_per_window_detection():
     thresholds = {0: 30.0, 1: 28.0, 3: 35.0}
     schedule = build_schedule(trace, models, cfg, thresholds)
 
-    assert schedule == [extract_features(w) for ch in sorted(models)
-                        for w in detect_spikes(data[ch], thresholds[ch], channel=ch)]
+    assert list(schedule) == [extract_features(w) for ch in sorted(models)
+                              for w in detect_spikes(data[ch], thresholds[ch], channel=ch)]
     assert all(type(v) is int for tok in schedule for v in tok)
-    assert schedule[0].t == 0                              # the clamped window
+    assert schedule.t[0] == 0                              # the clamped window
     assert max(tok.t for tok in schedule if tok.channel == 1) < n_samples - 32
     assert {tok.channel for tok in schedule} == {0, 1, 3}  # unmodeled channel stays silent
 
@@ -476,7 +528,7 @@ def test_build_schedule_equals_detect_trace_on_modeled_channels(
     _, tokens = detect_trace(trace, threshold)
     schedule = build_schedule(trace, models, SimConfig(),
                               dict.fromkeys(models, threshold))
-    assert schedule == [tok for tok in tokens if tok.channel in models]
+    assert list(schedule) == [tok for tok in tokens if tok.channel in models]
 
 
 # --- whole-trace runs -------------------------------------------------------------

@@ -8,7 +8,8 @@ from nsp.patterns import enumerate_patterns
 from nsp.sort_offline import (KDE_BANDWIDTH, L1_BITS_PER_TEMPLATE, OUTLIER,
                               TREE_MODEL_BITS, ChannelSorterModel,
                               L1TemplateModel, SortOpCounts,
-                              boundary_candidates, classify_spike,
+                              boundary_candidates, classify_by_channel,
+                              classify_spike,
                               kde_marginals, kde_valleys, l1_classify, load_models,
                               model_footprint, pack_model, store_models,
                               train_channel_model, train_l1, unpack_model)
@@ -184,6 +185,56 @@ def test_classify_spike_returns_the_leaf_rectangle_holding_the_point(case):
     leaf = _leaf_holding(model.pattern(), model.boundaries, f1, f2)
     want = leaf if (model.valid_mask >> leaf) & 1 else OUTLIER
     assert classify_spike(model, f1, f2) == want
+
+
+_F1, _F2 = (a.ravel() for a in np.meshgrid(np.arange(-128, 128), np.arange(-128, 128),
+                                          indexing="ij"))
+
+
+def _scalar_labels(model) -> list:
+    return [model.classify(f1, f2) for f1, f2 in zip(_F1.tolist(), _F2.tolist())]
+
+
+@pytest.mark.parametrize("pattern_id", range(11))
+@pytest.mark.parametrize("boundaries,valid_mask", [((-20, 0, 20), 0b1111),
+                                                   ((30, -128, 127), 0b0101),
+                                                   ((0, 0, 0), 0b1010)])
+def test_tree_classify_many_equals_classify_on_every_int8_pair(pattern_id, boundaries,
+                                                                valid_mask):
+    model = ChannelSorterModel(pattern_id=pattern_id, boundaries=boundaries,
+                               valid_mask=valid_mask)
+    got = model.classify_many(_F1, _F2)
+    assert got.dtype == np.int64
+    assert got.tolist() == _scalar_labels(model)
+
+
+@pytest.mark.parametrize("templates,labels", [
+    (((-10, 0), (10, 0), (0, 30), (0, -30)), (3, 5, 7, 9)),   # exact ties on axes
+    (((0, 0), (0, 0)), (4, 1)),                              # duplicate templates
+    (((127, -128),), (2,)),
+])
+def test_l1_classify_many_equals_classify_on_every_int8_pair(templates, labels):
+    model = L1TemplateModel(templates=templates, labels=labels)
+    assert model.classify_many(_F1, _F2).tolist() == _scalar_labels(model)
+
+
+def test_classify_by_channel_calls_a_plain_callable_per_token_in_order():
+    tree = ChannelSorterModel(pattern_id=0, boundaries=(0, 0, 0), valid_mask=0b1111)
+    calls = []
+
+    def plain(f1, f2):
+        calls.append((f1, f2))
+        return f1 - f2
+
+    channel = np.array([3, 1, 3, 1, 3])
+    f1, f2 = np.array([5, -4, 6, 7, -8]), np.array([1, 2, 3, 4, -5])
+    labels = classify_by_channel({1: plain, 3: tree}, channel, f1, f2)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [tree.classify(5, 1), -6, tree.classify(6, 3), 3,
+                               tree.classify(-8, -5)]
+    assert calls == [(-4, 2), (7, 4)]
+    assert all(type(v) is int for call in calls for v in call)
+    assert classify_by_channel({}, [], [], []).tolist() == []
 
 
 def test_l1_classify_costs_and_ties():

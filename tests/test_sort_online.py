@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsp.detect import Completion
+from nsp.detect import Completion, Tokens
 from nsp.sort_online import (OUTLIER, STATUS_OUTLIER, STATUS_STRONG,
                              STATUS_WEAK, CamState, FeatureHistograms, OnlineSorter,
                              OnlineSorterModel, assign_cluster, cam_update,
@@ -186,6 +186,21 @@ def test_streaming_equals_batch_training():
     assert m1.cam_snapshot == m2.cam_snapshot
 
 
+def test_tokens_train_like_per_token_observe_per_channel():
+    rng = np.random.default_rng(13)
+    a = _cluster_tokens(rng, [(-60, 50), (40, -40)], n_per=300, channel=2)
+    b = _cluster_tokens(rng, [(-30, 30), (60, -60)], n_per=300, channel=0)
+    toks = [tok for pair in zip(a, b) for tok in pair]    # channels interleaved
+    models = train_online(Tokens.of(toks))
+    assert sorted(models) == [0, 2]
+    for ch, stream in ((0, b), (2, a)):
+        sorter = OnlineSorter()
+        for tok in stream:
+            sorter.observe(tok.f1, tok.f2)
+        assert models[ch] == sorter.finalize()
+    assert train_online(Tokens.of([])) == {}
+
+
 def test_train_online_keys_by_channel():
     rng = np.random.default_rng(10)
     toks = (_cluster_tokens(rng, [(-60, 50), (40, -40)], n_per=300, channel=2)
@@ -227,6 +242,10 @@ def test_table_classify_equals_brute_force(centers, decay_period):
     got = np.array([[model.classify(f1, f2) for f2 in range(-128, 128)]
                     for f1 in range(-128, 128)])
     np.testing.assert_array_equal(got, want)
+    f1, f2 = np.meshgrid(np.arange(-128, 128), np.arange(-128, 128), indexing="ij")
+    many = model.classify_many(f1.ravel(), f2.ravel())
+    assert many.dtype == np.int64
+    np.testing.assert_array_equal(many.reshape(256, 256), got)
     # the table is derived state: the serialized form carries only the model
     obj = model.to_json()
     assert set(obj) == {"kind", "boundaries", "cam"}
