@@ -19,8 +19,7 @@ from .synthdata import (ClippingError, DatasetFormatError, GroundTruthLabels,
                         store_session, store_trace, tier_config,
                         trials_to_bins)
 from .detect import (DEFAULT_K, DEFAULT_PRE, WINDOW_LEN, Completion,
-                     SegmentTooShort, SpikeWindow, Tokens, detect_spikes,
-                     detect_trace, estimate_threshold, extract_features,
+                     SegmentTooShort, Tokens, detect_trace, estimate_threshold,
                      load_tokens, load_windows, store_tokens, store_windows)
 from .patterns import SegmentationPattern, enumerate_patterns
 from .opcount import OpCounts, SingularMatrixError
@@ -59,10 +58,9 @@ __all__ = [
     "DatasetFormatError", "HeaderError", "VersionError", "PayloadError",
     "ClippingError",
     # detection
-    "WINDOW_LEN", "DEFAULT_K", "DEFAULT_PRE", "SpikeWindow",
-    "Completion", "Tokens", "SegmentTooShort", "estimate_threshold", "detect_spikes",
-    "detect_trace", "extract_features", "store_tokens", "load_tokens",
-    "store_windows", "load_windows",
+    "WINDOW_LEN", "DEFAULT_K", "DEFAULT_PRE", "Completion", "Tokens",
+    "SegmentTooShort", "estimate_threshold", "detect_trace", "store_tokens",
+    "load_tokens", "store_windows", "load_windows",
     # sorting
     "SegmentationPattern", "enumerate_patterns", "OnlineSorter",
     "OnlineSorterModel", "train_online", "ChannelSorterModel",

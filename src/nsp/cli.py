@@ -153,20 +153,6 @@ def cmd_detect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _matched_features(windows, labels) -> dict:
-    """channel -> (features, unit labels) for every channel with enough events."""
-    by_ch = {}
-    for w in windows:
-        by_ch.setdefault(w.channel, []).append(w)
-    out = {}
-    for ch, ws in sorted(by_ch.items()):
-        ws.sort(key=lambda w: w.t0)
-        feats, labs = matched_features(ws, labels.for_channel(ch))
-        if feats.shape[0] >= 2:
-            out[ch] = (feats, labs)
-    return out
-
-
 def cmd_train_sorter(args) -> int:
     if args.mode == "online":
         if not args.tokens:
@@ -178,18 +164,13 @@ def cmd_train_sorter(args) -> int:
                              "--trace or --windows")
         labels = load_labels(args.labels)
         if args.windows:
-            datasets = _matched_features(load_windows(args.windows), labels)
+            _, tokens = load_windows(args.windows)
         else:
             trace = load_trace(args.trace)
-            datasets = {}
-            for ch in range(trace.n_channels):
-                feats, labs, _, _ = channel_feature_dataset(trace, labels, ch)
-                if feats.shape[0] >= 2:
-                    datasets[ch] = (feats, labs)
-        if args.mode == "offline":
-            models = {ch: train_channel_model(f, l) for ch, (f, l) in datasets.items()}
-        else:
-            models = {ch: train_l1(f, l) for ch, (f, l) in datasets.items()}
+            _, tokens = detect_trace(trace, [estimate_threshold(row) for row in trace.data])
+        train = train_channel_model if args.mode == "offline" else train_l1
+        models = {ch: train(f, l) for ch, (f, l) in matched_features(tokens, labels).items()
+                  if f.shape[0] >= 2}
     if not models:
         raise ValueError("no channel produced enough events to train on")
     store_models(models, args.out)
@@ -230,10 +211,10 @@ def cmd_eval_sort(args) -> int:
     def eval_channel(ch):
         model = models[ch]
         feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch)
-        pred = [int(model.classify(int(f1), int(f2))) for f1, f2 in feats]
+        pred = model.classify_many(feats[:, 0], feats[:, 1])
         row = {"channel": ch, "model": model.kind,
                "n_detected": n_det, "n_truth": n_truth,
-               "n_scored": len(pred),
+               "n_scored": pred.size,
                "accuracy": permutation_accuracy(pred, labs),
                "footprint_bits": model.footprint_bits()}
         if model.kind == "l1":

@@ -39,6 +39,7 @@ DEFAULT_STATE_DIM = 2
 MAX_UNITS_PER_CHANNEL = 3
 TARGET_ENSEMBLE_RANGE = (20, 50)
 MIN_INFORMATIVE_SCORE = 0.01
+N_SECTORS = 8              # direction sectors of per_direction_stats
 INT32_MAX = 2**31 - 1
 
 PHASES = ("state_predict", "cov_predict", "gain", "state_update",
@@ -140,11 +141,11 @@ class FilterState:
         self.P = np.asarray(self.P, dtype=np.float64)
 
 
-def _ridge(X: np.ndarray, Y: np.ndarray, eps: float = RIDGE_EPS) -> np.ndarray:
+def _ridge(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Least-squares coefficient matrix (r, out) for Y ~ X @ coef."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    gram = X.T @ X + eps * np.eye(X.shape[1])
+    gram = X.T @ X + RIDGE_EPS * np.eye(X.shape[1])
     return np.linalg.solve(gram, X.T @ Y)
 
 
@@ -153,30 +154,29 @@ def _residual_cov(resid: np.ndarray) -> np.ndarray:
     return _sym(cov)
 
 
-def train_transition(velocity: np.ndarray, eps: float = RIDGE_EPS) -> StateTransitionModel:
+def train_transition(velocity: np.ndarray) -> StateTransitionModel:
     """Fit x_{k+1} = A x_k from consecutive velocity bins; W = residual cov."""
     v = np.asarray(velocity, dtype=np.float64)
     d = v.shape[1]
     if v.shape[0] < d + 1:
         raise ValueError(f"need at least {d + 1} consecutive bins")
     X, Y = v[:-1], v[1:]
-    coef = _ridge(X, Y, eps)
+    coef = _ridge(X, Y)
     return StateTransitionModel(A=coef.T, W=_residual_cov(Y - X @ coef))
 
 
-def train_observation_standard(counts: np.ndarray, velocity: np.ndarray,
-                               eps: float = RIDGE_EPS) -> StandardObservationModel:
+def train_observation_standard(counts: np.ndarray,
+                               velocity: np.ndarray) -> StandardObservationModel:
     """Fit z = H x per neuron; Q = residual covariance across neurons."""
     Z = np.asarray(counts, dtype=np.float64)
     X = np.asarray(velocity, dtype=np.float64)
     if Z.shape[0] != X.shape[0] or Z.shape[0] == 0:
         raise ValueError("counts and velocity must align bin-for-bin")
-    coef = _ridge(X, Z, eps)
+    coef = _ridge(X, Z)
     return StandardObservationModel(H=coef.T, Q=_residual_cov(Z - X @ coef))
 
 
-def neuron_scores(counts: np.ndarray, velocity: np.ndarray,
-                  eps: float = RIDGE_EPS) -> np.ndarray:
+def neuron_scores(counts: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     """Encoding score per unit: R^2 of its rate regressed on velocity.
 
     The regression includes an intercept (a baseline rate carries no
@@ -186,7 +186,7 @@ def neuron_scores(counts: np.ndarray, velocity: np.ndarray,
     Z = np.asarray(counts, dtype=np.float64)
     X = np.asarray(velocity, dtype=np.float64)
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    coef = _ridge(Xb, Z, eps)
+    coef = _ridge(Xb, Z)
     sse = ((Z - Xb @ coef) ** 2).sum(axis=0)
     sst = ((Z - Z.mean(axis=0)) ** 2).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -206,20 +206,17 @@ def within_channel_ranks(unit_channels) -> list:
 
 
 def select_neurons(counts: np.ndarray, velocity: np.ndarray, unit_channels,
-                   max_per_channel: int = MAX_UNITS_PER_CHANNEL,
-                   target_range: tuple = TARGET_ENSEMBLE_RANGE,
-                   state_dim: int | None = None) -> list:
+                   target_range: tuple = TARGET_ENSEMBLE_RANGE) -> list:
     """Pick ensemble units by encoding score.
 
     Units are ranked by neuron_scores (ties keep session order), capped at
-    max_per_channel per channel, and truncated at target_range[1]. Units
+    MAX_UNITS_PER_CHANNEL per channel, and truncated at target_range[1]. Units
     scoring at or below MIN_INFORMATIVE_SCORE are taken only if needed to
     reach target_range[0]. Returns ascending session unit indices. Raises
     when fewer informative units exist than state dimensions.
     """
     scores = neuron_scores(counts, velocity)
-    d = state_dim if state_dim is not None else np.asarray(velocity).shape[1]
-    if int((scores > MIN_INFORMATIVE_SCORE).sum()) < d:
+    if int((scores > MIN_INFORMATIVE_SCORE).sum()) < np.asarray(velocity).shape[1]:
         raise ValueError("fewer informative units than state dimensions")
     order = np.argsort(-scores, kind="stable")
     channels = [int(c) for c in unit_channels]
@@ -229,7 +226,7 @@ def select_neurons(counts: np.ndarray, velocity: np.ndarray, unit_channels,
         if scores[j] <= MIN_INFORMATIVE_SCORE and len(taken) >= lo:
             break
         ch = channels[j]
-        if per_channel.get(ch, 0) >= max_per_channel:
+        if per_channel.get(ch, 0) >= MAX_UNITS_PER_CHANNEL:
             continue
         taken.append(j)
         per_channel[ch] = per_channel.get(ch, 0) + 1
@@ -239,8 +236,6 @@ def select_neurons(counts: np.ndarray, velocity: np.ndarray, unit_channels,
 
 
 def train_ensemble(counts: np.ndarray, velocity: np.ndarray, unit_channels,
-                   eps: float = RIDGE_EPS,
-                   max_per_channel: int = MAX_UNITS_PER_CHANNEL,
                    target_range: tuple = TARGET_ENSEMBLE_RANGE,
                    unit_indices: list | None = None) -> EnsembleModel:
     """Multivariate regression of velocity on selected units' rates.
@@ -251,13 +246,10 @@ def train_ensemble(counts: np.ndarray, velocity: np.ndarray, unit_channels,
     Z = np.asarray(counts, dtype=np.float64)
     X = np.asarray(velocity, dtype=np.float64)
     if unit_indices is None:
-        unit_indices = select_neurons(Z, X, unit_channels,
-                                      max_per_channel=max_per_channel,
-                                      target_range=target_range,
-                                      state_dim=X.shape[1])
+        unit_indices = select_neurons(Z, X, unit_channels, target_range=target_range)
     unit_indices = sorted(int(j) for j in unit_indices)
     Zs = Z[:, unit_indices]
-    coef = _ridge(Zs, X, eps)
+    coef = _ridge(Zs, X)
     ranks = within_channel_ranks(unit_channels)
     return EnsembleModel(E=coef.T, Qe=_residual_cov(X - Zs @ coef),
                          selected=tuple(ranks[j] for j in unit_indices))
@@ -682,23 +674,22 @@ def evaluate_reconstruction(decoded: np.ndarray, truth: np.ndarray) -> dict:
             "speed": np.linalg.norm(T, axis=1)}
 
 
-def per_direction_stats(decoded: np.ndarray, truth: np.ndarray,
-                        n_sectors: int = 8) -> tuple:
+def per_direction_stats(decoded: np.ndarray, truth: np.ndarray) -> tuple:
     """Mean |residual| per direction sector, variance across sectors, occupancy.
 
-    Sectors are centered on k * 2pi/n so movements along the canonical
+    Sectors are centered on k * 2pi/N_SECTORS so movements along the canonical
     center-out target angles never straddle a sector edge.  Returns
     ``(means, variance, counts)`` where ``counts[s]`` is the number of bins
     that fell in sector ``s``; empty sectors contribute NaN means and are
     excluded from the variance.
     """
     ev = evaluate_reconstruction(decoded, truth)
-    width = 2 * np.pi / n_sectors
+    width = 2 * np.pi / N_SECTORS
     ang = np.mod(ev["direction"] + width / 2, 2 * np.pi)
-    sector = np.minimum((ang / width).astype(int), n_sectors - 1)
-    means = np.full(n_sectors, np.nan)
-    counts = np.zeros(n_sectors, dtype=np.int64)
-    for s in range(n_sectors):
+    sector = np.minimum((ang / width).astype(int), N_SECTORS - 1)
+    means = np.full(N_SECTORS, np.nan)
+    counts = np.zeros(N_SECTORS, dtype=np.int64)
+    for s in range(N_SECTORS):
         mask = sector == s
         counts[s] = int(mask.sum())
         if mask.any():
@@ -707,22 +698,19 @@ def per_direction_stats(decoded: np.ndarray, truth: np.ndarray,
     return means, float(filled.var()), counts
 
 
-def best_single_neuron_decoder(counts: np.ndarray, velocity: np.ndarray,
-                               intercept: bool = True,
-                               units: list | None = None) -> tuple:
+def best_single_neuron_decoder(counts: np.ndarray, velocity: np.ndarray) -> tuple:
     """Strongest single-unit linear decoder on the training data.
 
-    Fits velocity ~ rate (optionally with intercept) per unit and returns
+    Fits velocity ~ rate + intercept per unit and returns
     (unit index, predictions) of the lowest-MSE unit; ties keep the lowest
     index.
     """
     Z = np.asarray(counts, dtype=np.float64)
     X = np.asarray(velocity, dtype=np.float64)
-    cols = range(Z.shape[1]) if units is None else units
     best = None
-    for j in cols:
+    for j in range(Z.shape[1]):
         zj = Z[:, [j]]
-        F = np.hstack([zj, np.ones_like(zj)]) if intercept else zj
+        F = np.hstack([zj, np.ones_like(zj)])
         pred = F @ _ridge(F, X)
         mse = float(np.mean((pred - X) ** 2))
         if best is None or mse < best[0]:

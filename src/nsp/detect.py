@@ -13,14 +13,14 @@ the windows of every channel at once, and each window becomes one row of a
 :class:`Tokens`: int64 columns ``t``, ``channel``, ``f1`` and ``f2``, emitted
 in the cycle ``t + WINDOW_LEN - 1`` when the window's last sample arrives.
 The same columns feed the sorters, the token stream files and the fabric
-simulator. :class:`Completion` is the row type, one token as a tuple;
-:func:`detect_spikes` and :func:`extract_features` are the per-window
-reference the array path equals.
+simulator. :class:`Completion` is the row type, one token as a tuple.
+A window itself is row i of an (n, 32) int8 array beside row i of its
+Tokens; a windows file stores that pair, and :func:`load_windows` gives
+it back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,22 +37,6 @@ _INT8_VALUES = np.arange(-128.0, 128.0)   # every int8 value, ascending, as floa
 
 class SegmentTooShort(ValueError):
     """Threshold estimation needs at least MIN_SEGMENT samples."""
-
-
-@dataclass
-class SpikeWindow:
-    """One detected spike: window start sample, channel, 32 int8 samples."""
-
-    t0: int
-    channel: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.int8)
-        if self.samples.shape != (WINDOW_LEN,):
-            raise ValueError(f"window must hold exactly {WINDOW_LEN} samples")
-        if self.channel < 0:
-            raise ValueError(f"negative channel {self.channel}")
 
 
 class Completion(NamedTuple):
@@ -202,47 +186,9 @@ def detect_rows(data: np.ndarray, thresholds) -> tuple:
     return row[fired], t0[fired]
 
 
-def window_starts(channel_trace: np.ndarray, threshold: float) -> list:
-    """Start samples of the windows the detector cuts from one channel.
-
-    The one-row case of :func:`detect_rows`.
-    """
-    trace = np.asarray(channel_trace, dtype=np.int8).reshape(1, -1)
-    return detect_rows(trace, [threshold])[1].tolist()
-
-
-def detect_spikes(channel_trace: np.ndarray, threshold: float,
-                  channel: int = 0) -> list:
-    """Scan one channel and return the list of SpikeWindow detections.
-
-    Windows start where :func:`window_starts` says.
-    """
-    trace = np.asarray(channel_trace, dtype=np.int8)
-    return [SpikeWindow(t0=t0, channel=channel,
-                        samples=trace[t0:t0 + WINDOW_LEN].copy())
-            for t0 in window_starts(trace, threshold)]
-
-
-def gather_windows(channel_trace: np.ndarray, starts) -> np.ndarray:
-    """The (len(starts), 32) int8 array of the windows starting at *starts*."""
-    trace = np.asarray(channel_trace, dtype=np.int8)
-    starts = np.asarray(starts, dtype=np.intp).reshape(-1, 1)
-    return trace[starts + np.arange(WINDOW_LEN)]
-
-
 def window_features(windows: np.ndarray) -> tuple:
-    """Peak and trough of every row of a (n, 32) window array, as int8 arrays.
-
-    Row by row this equals :func:`extract_features`.
-    """
+    """Peak and trough of every row of a (n, 32) window array, as int8 arrays."""
     return windows.max(axis=1), windows.min(axis=1)
-
-
-def extract_features(window: SpikeWindow) -> Completion:
-    """Reduce a window to the token carrying its peak and trough."""
-    s = window.samples
-    return Completion(cycle=window.t0 + WINDOW_LEN - 1, channel=window.channel,
-                      t=window.t0, f1=int(s.max()), f2=int(s.min()))
 
 
 def detect_trace(trace, thresholds) -> tuple:
@@ -250,8 +196,7 @@ def detect_trace(trace, thresholds) -> tuple:
 
     *thresholds* is a scalar or a per-channel sequence. Returns (windows,
     tokens): the (n, 32) int8 array of the detected windows and their n
-    :class:`Tokens`, both ordered by (channel, time). Token by token this
-    equals :func:`detect_spikes` then :func:`extract_features`.
+    :class:`Tokens`, both ordered by (channel, time).
     """
     thr = np.broadcast_to(np.asarray(thresholds, dtype=np.float64),
                           (trace.n_channels,))
@@ -291,12 +236,25 @@ def store_windows(tokens, windows: np.ndarray, path: str) -> None:
                    zip(tok.t.tolist(), tok.channel.tolist(), windows.tolist())), path)
 
 
-def _window_record(t: int, ch: int, samples: list) -> SpikeWindow:
+def _window_record(t: int, ch: int, samples: list) -> tuple:
+    if len(samples) != WINDOW_LEN:
+        raise ValueError(f"window must hold exactly {WINDOW_LEN} samples")
     if not all(-128 <= x <= 127 for x in samples):
         raise ValueError("window samples must be int8")
-    return SpikeWindow(t0=t, channel=ch, samples=np.array(samples, dtype=np.int8))
+    if ch < 0:
+        raise ValueError(f"negative channel {ch}")
+    return t, ch, samples
 
 
-def load_windows(path: str) -> list:
-    return load_records(path, "window", {"t": int, "ch": int, "s": list},
+def load_windows(path: str) -> tuple:
+    """Read a windows file back as the (windows, tokens) pair it was stored from.
+
+    The inverse of :func:`store_windows`: row i of the (n, 32) int8 array is
+    the window of token i, whose ``f1``/``f2`` are that window's
+    :func:`window_features`. Rows keep the file's order.
+    """
+    rows = load_records(path, "window", {"t": int, "ch": int, "s": list},
                         _window_record)
+    windows = np.array([s for _, _, s in rows], dtype=np.int8).reshape(-1, WINDOW_LEN)
+    t, channel = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2).T
+    return windows, Tokens(t, channel, *window_features(windows))

@@ -4,21 +4,22 @@ confusion matrices, and the per-channel train/test benchmark protocol."""
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
-from .detect import estimate_threshold, gather_windows, window_features, window_starts
-from .sort_offline import classify_spike, l1_classify, train_channel_model, train_l1
+from .detect import Tokens, detect_rows, estimate_threshold, window_features
+from .sort_offline import train_channel_model, train_l1
 from .sort_online import OnlineSorter
 from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN
 
 MATCH_TOLERANCE = WINDOW_LEN
 
 
-def match_events(token_times, truth_times, tolerance: int = MATCH_TOLERANCE) -> np.ndarray:
+def match_events(token_times, truth_times) -> np.ndarray:
     """Pair detections with ground-truth events by time proximity.
 
     Both inputs must be ascending. Each token takes the nearest unused truth
-    event within *tolerance* samples. Returns (m, 2) rows (token_idx,
+    event within MATCH_TOLERANCE samples. Returns (m, 2) rows (token_idx,
     truth_idx).
     """
     tok = np.asarray(token_times, dtype=np.int64)
@@ -31,7 +32,7 @@ def match_events(token_times, truth_times, tolerance: int = MATCH_TOLERANCE) -> 
         for c in (k - 1, k, k + 1):
             if 0 <= c < tru.size and not used[c]:
                 d = abs(int(tru[c]) - int(t))
-                if d <= tolerance and (best is None or d < best[0]):
+                if d <= MATCH_TOLERANCE and (best is None or d < best[0]):
                     best = (d, c)
         if best is not None:
             used[best[1]] = True
@@ -39,22 +40,26 @@ def match_events(token_times, truth_times, tolerance: int = MATCH_TOLERANCE) -> 
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def matched_features(windows, truth: np.ndarray) -> tuple:
-    """Features and true unit ids of the windows matched to ground truth.
+def matched_features(tokens: Tokens, labels: GroundTruthLabels) -> dict:
+    """Features and true unit ids of the tokens matched to ground truth.
 
-    *windows* are one channel's detections in ascending start time, *truth*
-    that channel's (t, channel, unit) label rows. Returns (features (m, 2)
-    int64, unit ids (m,) int64); unmatched windows are left out.
+    Returns {channel: (features (m, 2) int64, unit ids (m,) int64)} for every
+    channel that has tokens. Each channel's tokens are matched to its label
+    rows in time order, whatever their order in *tokens*; unmatched tokens
+    are left out.
     """
-    pairs = match_events([w.t0 for w in windows], truth[:, 0])
-    rows = np.array([windows[i].samples for i in pairs[:, 0]],
-                    dtype=np.int8).reshape(-1, WINDOW_LEN)
-    return _feature_rows(rows), truth[pairs[:, 1], 2].astype(np.int64)
-
-
-def _feature_rows(windows: np.ndarray) -> np.ndarray:
-    """(n, 2) int64 features of a (n, 32) int8 window array."""
-    return np.column_stack(window_features(windows)).astype(np.int64)
+    order = np.lexsort((tokens.t, tokens.channel))
+    chans, firsts = np.unique(tokens.channel[order], return_index=True)
+    out = {}
+    for ch, lo, hi in zip(chans.tolist(), firsts.tolist(),
+                          firsts[1:].tolist() + [len(tokens)]):
+        rows = order[lo:hi]
+        truth = labels.for_channel(ch)
+        pairs = match_events(tokens.t[rows], truth[:, 0])
+        rows = rows[pairs[:, 0]]
+        out[ch] = (np.column_stack([tokens.f1[rows], tokens.f2[rows]]),
+                   truth[pairs[:, 1], 2].astype(np.int64))
+    return out
 
 
 def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels,
@@ -66,12 +71,12 @@ def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels,
     the matched windows are cut from the trace.
     """
     ch_trace = trace.data[channel]
-    starts = window_starts(ch_trace, estimate_threshold(ch_trace))
+    _, starts = detect_rows(ch_trace.reshape(1, -1), [estimate_threshold(ch_trace)])
     truth = labels.for_channel(channel)
     pairs = match_events(starts, truth[:, 0])
-    matched = np.asarray(starts, dtype=np.intp)[pairs[:, 0]]
-    feats = _feature_rows(gather_windows(ch_trace, matched))
-    return feats, truth[pairs[:, 1], 2].astype(np.int64), len(starts), truth.shape[0]
+    windows = sliding_window_view(ch_trace, WINDOW_LEN)[starts[pairs[:, 0]]]
+    feats = np.column_stack(window_features(windows)).astype(np.int64)
+    return feats, truth[pairs[:, 1], 2].astype(np.int64), starts.size, truth.shape[0]
 
 
 def confusion_matrix(pred, truth) -> tuple:
@@ -149,11 +154,11 @@ def evaluate_channel_sorters(trace: RawTrace, labels: GroundTruthLabels, channel
         raise ValueError(f"channel {channel}: too few matched events ({feats.shape[0]})")
     tr, te = split_indices(feats.shape[0], train_frac, seed)
     tree = train_channel_model(feats[tr], labs[tr])
-    tree_train_leaves = [classify_spike(tree, f1, f2) for f1, f2 in feats[tr]]
-    leaf_map = majority_leaf_labels(tree_train_leaves, labs[tr])
-    tree_test_leaves = [classify_spike(tree, f1, f2) for f1, f2 in feats[te]]
+    leaf_map = majority_leaf_labels(tree.classify_many(feats[tr, 0], feats[tr, 1]),
+                                    labs[tr])
+    tree_test_leaves = tree.classify_many(feats[te, 0], feats[te, 1])
     l1 = train_l1(feats[tr], labs[tr])
-    l1_pred = [l1_classify(l1, f1, f2) for f1, f2 in feats[te]]
+    l1_pred = l1.classify_many(feats[te, 0], feats[te, 1])
     return {"channel": channel,
             "n_detected": n_det,
             "n_truth": n_truth,
@@ -161,7 +166,7 @@ def evaluate_channel_sorters(trace: RawTrace, labels: GroundTruthLabels, channel
             "n_train": int(tr.size),
             "n_test": int(te.size),
             "tree_accuracy": mapped_accuracy(tree_test_leaves, labs[te], leaf_map),
-            "l1_accuracy": float(np.mean(np.asarray(l1_pred) == labs[te])),
+            "l1_accuracy": float(np.mean(l1_pred == labs[te])),
             "tree_model": tree,
             "l1_model": l1}
 
@@ -278,8 +283,8 @@ def evaluate_online_sorter(trace: RawTrace, labels: GroundTruthLabels, channel: 
     test_f, test_l = feats[n_train:], labs[n_train:]
     if test_f.shape[0] == 0:
         test_f, test_l = feats, labs
-    pred = [model.classify(int(f1), int(f2)) for f1, f2 in test_f]
+    pred = model.classify_many(test_f[:, 0], test_f[:, 1])
     return {"channel": channel,
-            "n_scored": len(pred),
+            "n_scored": pred.size,
             "accuracy": permutation_accuracy(pred, test_l),
             "model": model}

@@ -179,7 +179,7 @@ def unpack_model(packed: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def kde_marginals(features: np.ndarray, bandwidth: float = KDE_BANDWIDTH) -> tuple:
+def kde_marginals(features: np.ndarray) -> tuple:
     """Both marginals of a Gaussian KDE of an (n, 2) int8 feature cloud.
 
     Each is a length-256 float64 array indexed by feature value + 128, left
@@ -192,8 +192,8 @@ def kde_marginals(features: np.ndarray, bandwidth: float = KDE_BANDWIDTH) -> tup
     if pts.shape[0] == 0:
         raise ValueError("need at least one point for a density estimate")
     grid = np.arange(KDE_GRID, dtype=np.float64) - 128.0
-    ax = np.exp(-0.5 * ((grid[None, :] - pts[:, 0:1]) / bandwidth) ** 2)
-    ay = np.exp(-0.5 * ((grid[None, :] - pts[:, 1:2]) / bandwidth) ** 2)
+    ax = np.exp(-0.5 * ((grid[None, :] - pts[:, 0:1]) / KDE_BANDWIDTH) ** 2)
+    ay = np.exp(-0.5 * ((grid[None, :] - pts[:, 1:2]) / KDE_BANDWIDTH) ** 2)
     return ax.T @ ay.sum(axis=1), ay.T @ ax.sum(axis=1)
 
 
@@ -203,8 +203,7 @@ def kde_valleys(marginal: np.ndarray) -> list:
     return [int((s + e) // 2) - 128 for s, e, _ in runs]
 
 
-def boundary_candidates(features: np.ndarray, grid_step: int = GRID_STEP,
-                        bandwidth: float = KDE_BANDWIDTH) -> tuple:
+def boundary_candidates(features: np.ndarray) -> tuple:
     """Per-axis sorted candidate boundary values: KDE valleys + uniform grid.
 
     The uniform grid is clipped to the observed feature range (a boundary
@@ -212,11 +211,11 @@ def boundary_candidates(features: np.ndarray, grid_step: int = GRID_STEP,
     and the range minimum itself is always included.
     """
     pts = np.asarray(features, dtype=np.int64).reshape(-1, 2)
-    marginals = kde_marginals(pts, bandwidth)
+    marginals = kde_marginals(pts)
     out = []
     for axis in (0, 1):
         lo, hi = int(pts[:, axis].min()), int(pts[:, axis].max())
-        grid = [v for v in range(-128, 128, grid_step) if lo <= v <= hi]
+        grid = [v for v in range(-128, 128, GRID_STEP) if lo <= v <= hi]
         valleys = [v for v in kde_valleys(marginals[axis]) if lo <= v <= hi]
         out.append(sorted(set(grid) | set(valleys) | {lo}))
     return tuple(out)
@@ -235,9 +234,7 @@ def _degenerate_model(accuracy: float) -> ChannelSorterModel:
                               valid_mask=0b0001, train_accuracy=accuracy)
 
 
-def train_channel_model(features: np.ndarray, labels: np.ndarray,
-                        grid_step: int = GRID_STEP,
-                        bandwidth: float = KDE_BANDWIDTH) -> ChannelSorterModel:
+def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSorterModel:
     """Fit (pattern, boundaries) by exhaustive sweep of the candidate grid.
 
     *features* is (n, 2) int8-valued, *labels* holds 1..4 distinct unit ids.
@@ -257,7 +254,7 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray,
 
     lab_idx = np.searchsorted(uniq, labs)
     n = feats.shape[0]
-    cand_x, cand_y = boundary_candidates(feats, grid_step, bandwidth)
+    cand_x, cand_y = boundary_candidates(feats)
     mx, my = len(cand_x), len(cand_y)
 
     # label-count prefix table over the candidate-interval grid:

@@ -103,8 +103,7 @@ def _valley_depths(smoothed: np.ndarray, runs: list) -> list:
     return depths
 
 
-def find_boundaries(hist: FeatureHistograms,
-                    smoothing_radius: int = SMOOTHING_RADIUS) -> tuple:
+def find_boundaries(hist: FeatureHistograms) -> tuple:
     """Per-axis boundary values from smoothed histogram valleys.
 
     Each histogram is moving-average smoothed, interior local minima (plateau
@@ -113,7 +112,7 @@ def find_boundaries(hist: FeatureHistograms,
     Returns (boundaries_f1, boundaries_f2) as ascending int lists.
     """
     out = []
-    size = 2 * smoothing_radius + 1
+    size = 2 * SMOOTHING_RADIUS + 1
     for axis in (0, 1):
         smoothed = uniform_filter1d(hist.counts[axis].astype(np.float64),
                                     size=size, mode="nearest")
@@ -322,11 +321,8 @@ def _check_cuts(axis: int, cuts) -> None:
 class OnlineSorter:
     """Streaming per-channel trainer: histogram phase, then CAM phase."""
 
-    def __init__(self, budget: int = SPIKE_BUDGET,
-                 smoothing_radius: int = SMOOTHING_RADIUS,
-                 decay_period: int = DECAY_PERIOD):
+    def __init__(self, budget: int = SPIKE_BUDGET, decay_period: int = DECAY_PERIOD):
         self.hist = FeatureHistograms(spike_budget=budget)
-        self.smoothing_radius = smoothing_radius
         self.cam = CamState(decay_period=decay_period)
         self.boundaries = None
         self._budget_tokens = []  # kept for CAM replay when the stream is short
@@ -340,7 +336,7 @@ class OnlineSorter:
             update_histograms(self.hist, f1, f2)
             self._budget_tokens.append((f1, f2))
             if not self.in_histogram_phase:
-                self.boundaries = find_boundaries(self.hist, self.smoothing_radius)
+                self.boundaries = find_boundaries(self.hist)
         else:
             cam_update(self.cam, locate_partition(f1, f2, self.boundaries))
 
@@ -348,7 +344,7 @@ class OnlineSorter:
         """Freeze the model. If the stream ended before any CAM-phase spikes
         arrived, the histogram-phase spikes are replayed through the CAM once."""
         if self.boundaries is None:
-            self.boundaries = find_boundaries(self.hist, self.smoothing_radius)
+            self.boundaries = find_boundaries(self.hist)
         if self.cam.processed == 0:
             for f1, f2 in self._budget_tokens:
                 cam_update(self.cam, locate_partition(f1, f2, self.boundaries))
@@ -359,7 +355,6 @@ class OnlineSorter:
 
 
 def train_online(tokens, budget: int = SPIKE_BUDGET,
-                 smoothing_radius: int = SMOOTHING_RADIUS,
                  decay_period: int = DECAY_PERIOD) -> dict:
     """Train one OnlineSorterModel per channel from a token stream.
 
@@ -374,8 +369,7 @@ def train_online(tokens, budget: int = SPIKE_BUDGET,
     models = {}
     for ch, lo, hi in zip(chans.tolist(), firsts.tolist(),
                           firsts[1:].tolist() + [len(tok)]):
-        sorter = OnlineSorter(budget=budget, smoothing_radius=smoothing_radius,
-                              decay_period=decay_period)
+        sorter = OnlineSorter(budget=budget, decay_period=decay_period)
         for a, b in zip(f1[lo:hi], f2[lo:hi]):
             sorter.observe(a, b)
         models[ch] = sorter.finalize()

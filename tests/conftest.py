@@ -1,4 +1,5 @@
-"""Shared fixtures and the exhaustive split-layout oracle.
+"""Shared fixtures, the sample-scan detector oracle and the exhaustive
+split-layout oracle.
 
 The datasets here are deliberately small; anything that needs statistical
 power builds its own inside the test.
@@ -6,9 +7,11 @@ power builds its own inside the test.
 
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
-from nsp import SessionConfig, gen_reach_session, gen_spike_trace, tier_config
+from nsp import (DEFAULT_PRE, WINDOW_LEN, Completion, SessionConfig,
+                 gen_reach_session, gen_spike_trace, tier_config)
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +28,46 @@ def hard_trace():
 @pytest.fixture(scope="session")
 def small_session():
     return gen_reach_session(SessionConfig(n_units=24, trials_per_target=4), seed=5)
+
+
+# --- sample-scan detector oracle ---------------------------------------------
+#
+# The detector rule written out one sample at a time, with none of the
+# array machinery of detect_rows: the reference every detector test reads.
+
+
+def scan_starts(trace, threshold):
+    """Sample-by-sample detector: the plain form of the re-arm rule."""
+    trace = np.asarray(trace, dtype=np.int8)
+    starts, rearm = [], 0
+    for t in range(trace.size):
+        if t < rearm or abs(int(trace[t])) < threshold:
+            continue
+        t0 = max(0, t - DEFAULT_PRE)
+        if t0 + WINDOW_LEN > trace.size:
+            break
+        starts.append(t0)
+        rearm = t0 + WINDOW_LEN + DEFAULT_PRE
+    return starts
+
+
+def scan_tokens(data, thresholds, channels=None):
+    """(windows, tokens) the detector must give for rows *channels* of *data*.
+
+    *thresholds* is indexed by channel. Windows come from :func:`scan_starts`,
+    channel by channel in the order given (default: every row), and each
+    token's features are its window's max and min. Returns the (n, 32) int8
+    window array and a list of Completion rows.
+    """
+    data = np.asarray(data, dtype=np.int8)
+    windows, tokens = [], []
+    for ch in range(data.shape[0]) if channels is None else channels:
+        for t0 in scan_starts(data[ch], thresholds[ch]):
+            w = data[ch, t0:t0 + WINDOW_LEN]
+            windows.append(w)
+            tokens.append(Completion(cycle=t0 + WINDOW_LEN - 1, channel=ch, t=t0,
+                                     f1=int(w.max()), f2=int(w.min())))
+    return np.array(windows, dtype=np.int8).reshape(-1, WINDOW_LEN), tokens
 
 
 # --- exhaustive two-feature split-layout oracle -----------------------------

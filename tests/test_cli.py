@@ -197,6 +197,20 @@ def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
     assert run(*report) == EXIT_NUMERICAL
 
 
+def test_train_sorter_ignores_the_row_order_of_a_windows_file(pipeline, windows, tmp_path):
+    lines = windows.read_text().splitlines(keepends=True)
+    shuffled = [lines[i] for i in np.random.default_rng(0).permutation(len(lines))]
+    assert shuffled != lines
+    (tmp_path / "shuffled.jsonl").write_text("".join(shuffled))
+    sets = []
+    for path in (windows, tmp_path / "shuffled.jsonl"):
+        assert run("train-sorter", "--mode", "offline", "--windows", path,
+                   "--labels", pipeline / "labels.jsonl",
+                   "--out", tmp_path / "sorters.json") == EXIT_OK
+        sets.append((tmp_path / "sorters.json").read_bytes())
+    assert sets[0] == sets[1]
+
+
 # --- determinism ------------------------------------------------------------------
 
 

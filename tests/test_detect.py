@@ -1,14 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsp.detect import (DEFAULT_K, DEFAULT_PRE, MIN_SEGMENT, Completion, SegmentTooShort,
-                        SpikeWindow, Tokens, detect_rows, detect_spikes, detect_trace,
-                        estimate_threshold, extract_features, gather_windows,
-                        load_tokens, load_windows, store_tokens, store_windows,
-                        window_features, window_starts)
-from nsp.synthdata import gen_spike_trace, tier_config
+from conftest import scan_starts, scan_tokens
+from nsp.detect import (DEFAULT_K, MIN_SEGMENT, Completion, SegmentTooShort, Tokens,
+                        detect_rows, detect_trace, estimate_threshold, load_tokens,
+                        load_windows, store_tokens, store_windows, window_features)
+from nsp.synthdata import PayloadError, RawTrace, gen_spike_trace, tier_config
 
 WINDOW_LEN = 32
 
@@ -113,27 +114,36 @@ def test_int8_threshold_floor_and_short_segment():
 # --- detection ------------------------------------------------------------
 
 
+def _detect_row(trace, threshold):
+    """detect_trace on one channel, checked against the sample-scan oracle."""
+    windows, tokens = detect_trace(RawTrace(trace.reshape(1, -1)), threshold)
+    ref_windows, ref_tokens = scan_tokens(trace.reshape(1, -1), [threshold])
+    assert windows.dtype == np.int8 and np.array_equal(windows, ref_windows)
+    assert list(tokens) == ref_tokens
+    return windows, tokens
+
+
 def test_single_spike_window_placement():
     trace = _drop_pulse(_quiet_trace(), 100)
-    ws = detect_spikes(trace, threshold=30.0)
-    assert len(ws) == 1
-    assert ws[0].t0 == 96  # crossing at 100 minus 4 pre-samples
-    assert ws[0].samples.shape == (WINDOW_LEN,)
-    assert ws[0].samples[4] == -60
+    windows, tokens = _detect_row(trace, threshold=30.0)
+    assert len(tokens) == 1
+    assert tokens.t[0] == 96  # crossing at 100 minus 4 pre-samples
+    assert windows[0].shape == (WINDOW_LEN,)
+    assert windows[0][4] == -60
 
 
 def test_early_spike_clamps_to_start():
     trace = _drop_pulse(_quiet_trace(), 2)
-    ws = detect_spikes(trace, threshold=30.0)
-    assert len(ws) == 1
-    assert ws[0].t0 == 0
+    _, tokens = _detect_row(trace, threshold=30.0)
+    assert len(tokens) == 1
+    assert tokens.t[0] == 0
 
 
 def test_spike_too_close_to_end_is_dropped():
     trace = _quiet_trace(n=200)
     trace[195] = -90
-    ws = detect_spikes(trace, threshold=30.0)
-    assert ws == []
+    windows, tokens = _detect_row(trace, threshold=30.0)
+    assert len(tokens) == 0 and windows.shape == (0, WINDOW_LEN)
 
 
 def test_busy_period_blocks_overlapping_detections():
@@ -141,8 +151,8 @@ def test_busy_period_blocks_overlapping_detections():
     _drop_pulse(trace, 100)
     _drop_pulse(trace, 120)  # inside the 32-sample busy window
     _drop_pulse(trace, 200)
-    ws = detect_spikes(trace, threshold=30.0)
-    assert [w.t0 for w in ws] == [96, 196]
+    _, tokens = _detect_row(trace, threshold=30.0)
+    assert tokens.t.tolist() == [96, 196]
 
 
 def test_window_starts_at_least_window_len_apart():
@@ -150,25 +160,9 @@ def test_window_starts_at_least_window_len_apart():
     trace = _quiet_trace(30000, noise=5.0, seed=4)
     for t in rng.integers(50, 29900, size=60):
         _drop_pulse(trace, int(t), amp=-80)
-    ws = detect_spikes(trace, threshold=40.0)
-    starts = np.array([w.t0 for w in ws])
-    assert len(starts) > 10
-    assert np.diff(starts).min() >= WINDOW_LEN
-
-
-def _scan_starts(trace, threshold):
-    """Sample-by-sample detector: the plain form of the re-arm rule."""
-    trace = np.asarray(trace, dtype=np.int8)
-    starts, rearm = [], 0
-    for t in range(trace.size):
-        if t < rearm or abs(int(trace[t])) < threshold:
-            continue
-        t0 = max(0, t - DEFAULT_PRE)
-        if t0 + WINDOW_LEN > trace.size:
-            break
-        starts.append(t0)
-        rearm = t0 + WINDOW_LEN + DEFAULT_PRE
-    return starts
+    _, tokens = _detect_row(trace, threshold=40.0)
+    assert len(tokens) > 10
+    assert np.diff(tokens.t).min() >= WINDOW_LEN
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,7 +183,7 @@ def test_all_channel_detector_equals_the_sample_scan_row_by_row(
     rows, starts = detect_rows(data, thr)
     assert rows.tolist() == sorted(rows.tolist())
     for r in range(n_rows):
-        assert starts[rows == r].tolist() == _scan_starts(data[r], thr[r])
+        assert starts[rows == r].tolist() == scan_starts(data[r], thr[r])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -200,21 +194,19 @@ def test_window_starts_equal_the_sample_scan(seed):
     trace[:3] = rng.integers(-100, 100, 3)        # crossings near the start
     trace[-20:] = rng.integers(-100, 100, 20)     # and near the end
     threshold = float(rng.uniform(1.0, 60.0))
-    assert window_starts(trace, threshold) == _scan_starts(trace, threshold)
+    _, starts = detect_rows(trace.reshape(1, -1), [threshold])
+    assert starts.tolist() == scan_starts(trace, threshold)
 
 
-def test_window_array_features_equal_extract_features():
+def test_window_array_features_equal_per_window_max_min():
     trace = _quiet_trace(5000, noise=12.0, seed=5)
-    ws = detect_spikes(trace, threshold=25.0)
-    assert len(ws) > 5
-    windows = gather_windows(trace, [w.t0 for w in ws])
-    assert windows.dtype == np.int8
-    assert np.array_equal(windows, np.stack([w.samples for w in ws]))
+    windows, tokens = _detect_row(trace, threshold=25.0)
+    assert len(tokens) > 5
     f1, f2 = window_features(windows)
-    toks = [extract_features(w) for w in ws]
-    assert f1.tolist() == [tok.f1 for tok in toks]
-    assert f2.tolist() == [tok.f2 for tok in toks]
-
+    assert f1.dtype == f2.dtype == np.int8
+    assert f1.tolist() == [int(w.max()) for w in windows]
+    assert f2.tolist() == [int(w.min()) for w in windows]
+    assert np.array_equal(tokens.f1, f1) and np.array_equal(tokens.f2, f2)
 
 
 def test_detect_trace_finds_most_truth_events(easy_trace):
@@ -235,29 +227,37 @@ def test_detect_trace_equals_per_window_detection(rate_hz):
                                            firing_rate_hz=rate_hz), seed=13)
     thr = [estimate_threshold(trace.data[ch]) for ch in range(trace.n_channels)]
     windows, tokens = detect_trace(trace, thr)
-    ref_windows = [w for ch in range(trace.n_channels)
-                   for w in detect_spikes(trace.data[ch], thr[ch], channel=ch)]
+    ref_windows, ref_tokens = scan_tokens(trace.data, thr)
     assert windows.dtype == np.int8
-    assert np.array_equal(windows, np.stack([w.samples for w in ref_windows]))
-    assert list(tokens) == [extract_features(w) for w in ref_windows]
+    assert np.array_equal(windows, ref_windows)
+    assert list(tokens) == ref_tokens
     assert all(type(v) is int for tok in tokens for v in tok)
 
 
 # --- feature extraction -----------------------------------------------------
 
 
-def test_peak_trough_features():
+def _window_file(tmp_path, records):
+    p = tmp_path / "windows.jsonl"
+    p.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(p)
+
+
+def test_peak_trough_features(tmp_path):
     samples = np.zeros(WINDOW_LEN, dtype=np.int8)
     samples[5] = -70
     samples[9] = 23
-    tok = extract_features(SpikeWindow(t0=10, channel=3, samples=samples))
+    windows, tokens = load_windows(_window_file(
+        tmp_path, [{"t": 10, "ch": 3, "s": samples.tolist()}]))
+    assert np.array_equal(windows, samples.reshape(1, -1))
+    (tok,) = tokens
     assert (tok.t, tok.channel, tok.f1, tok.f2) == (10, 3, 23, -70)
     assert tok.cycle == 10 + WINDOW_LEN - 1    # the window's last sample
 
 
-def test_window_must_hold_32_samples():
-    with pytest.raises(ValueError):
-        SpikeWindow(t0=0, channel=0, samples=np.zeros(31, dtype=np.int8))
+def test_window_must_hold_32_samples(tmp_path):
+    with pytest.raises(PayloadError, match=f"exactly {WINDOW_LEN} samples"):
+        load_windows(_window_file(tmp_path, [{"t": 0, "ch": 0, "s": [0] * 31}]))
 
 
 # --- stream files -----------------------------------------------------------
@@ -292,14 +292,16 @@ def test_token_round_trip(tmp_path, easy_trace):
 
 
 def test_window_round_trip(tmp_path):
-    trace = _drop_pulse(_quiet_trace(), 100)
-    ws = detect_spikes(trace, 30.0)
+    trace, _ = gen_spike_trace(tier_config("medium", n_channels=4, duration_s=2.0), seed=5)
+    windows, tokens = detect_trace(trace, [estimate_threshold(row) for row in trace.data])
+    assert len(np.unique(tokens.channel)) == 4
     p = str(tmp_path / "windows.jsonl")
-    store_windows([extract_features(w) for w in ws], np.stack([w.samples for w in ws]), p)
-    back = load_windows(p)
-    assert len(back) == 1
-    assert back[0].t0 == ws[0].t0
-    assert np.array_equal(back[0].samples, ws[0].samples)
+    store_windows(tokens, windows, p)
+    back_windows, back = load_windows(p)
+    assert back_windows.dtype == np.int8 and np.array_equal(back_windows, windows)
+    for col in ("t", "channel", "f1", "f2"):
+        assert getattr(back, col).dtype == np.int64
+        assert np.array_equal(getattr(back, col), getattr(tokens, col))
 
 
 def test_empty_streams(tmp_path):

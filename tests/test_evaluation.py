@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nsp.detect import detect_spikes, estimate_threshold, extract_features
+from conftest import scan_tokens
+from nsp.detect import Tokens, detect_trace, estimate_threshold
 from nsp.evaluation import (DECODER_BENCHMARK, MATCH_TOLERANCE,
                             channel_feature_dataset, confusion_matrix,
                             evaluate_channel_sorters, evaluate_online_sorter,
@@ -115,15 +116,15 @@ def test_channel_feature_dataset_matches_truth(easy_trace):
 
 
 def _per_window_dataset(trace, labels, ch):
-    """channel_feature_dataset's oracle: float threshold, one SpikeWindow and
-    one extract_features call per matched detection."""
+    """channel_feature_dataset's oracle: float threshold, the sample-scan
+    detector, and each matched window's max and min."""
     thr = estimate_threshold(trace.data[ch].astype(np.float64))
-    windows = detect_spikes(trace.data[ch], thr, channel=ch)
+    _, toks = scan_tokens(trace.data, {ch: thr}, [ch])
     truth = labels.for_channel(ch)
-    pairs = match_events([w.t0 for w in windows], truth[:, 0])
-    toks = [extract_features(windows[i]) for i in pairs[:, 0]]
-    feats = np.array([(t.f1, t.f2) for t in toks], dtype=np.int64).reshape(-1, 2)
-    return feats, truth[pairs[:, 1], 2].astype(np.int64), len(windows), truth.shape[0]
+    pairs = match_events([t.t for t in toks], truth[:, 0])
+    feats = np.array([(toks[i].f1, toks[i].f2) for i in pairs[:, 0]],
+                     dtype=np.int64).reshape(-1, 2)
+    return feats, truth[pairs[:, 1], 2].astype(np.int64), len(toks), truth.shape[0]
 
 
 @pytest.fixture(scope="module")
@@ -134,16 +135,17 @@ def medium_trace():
 @pytest.mark.parametrize("which", ["easy_trace", "medium_trace"])
 def test_feature_dataset_equals_the_per_window_path(which, request):
     trace, labels = request.getfixturevalue(which)
+    _, tokens = detect_trace(trace, [estimate_threshold(row) for row in trace.data])
+    datasets = matched_features(tokens, labels)
+    assert sorted(datasets) == list(range(trace.n_channels))
     for ch in range(trace.n_channels):
         feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch)
         ref_feats, ref_labs, ref_det, ref_truth = _per_window_dataset(trace, labels, ch)
         assert feats.dtype == labs.dtype == np.int64
         assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
         assert (n_det, n_truth) == (ref_det, ref_truth)
-        windows = detect_spikes(trace.data[ch], estimate_threshold(trace.data[ch]),
-                                channel=ch)
-        feats, labs = matched_features(windows, labels.for_channel(ch))
-        assert feats.dtype == np.int64
+        feats, labs = datasets[ch]
+        assert feats.dtype == labs.dtype == np.int64
         assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
 
 
@@ -152,8 +154,9 @@ def test_feature_dataset_without_matches():
     trace, labels = gen_spike_trace(cfg, seed=0)
     feats, labs, _, n_truth = channel_feature_dataset(trace, labels, 0)
     assert feats.shape == (0, 2) and labs.shape == (0,) and n_truth == 0
-    feats, labs = matched_features([], labels.for_channel(0))
-    assert feats.shape == (0, 2) and feats.dtype == np.int64
+    assert matched_features(Tokens.of([]), labels) == {}
+    (feats, labs), = matched_features(Tokens([5], [0], [3], [-4]), labels).values()
+    assert feats.shape == (0, 2) and feats.dtype == np.int64 and labs.shape == (0,)
 
 
 def test_evaluate_channel_sorters_easy_channel(easy_trace):

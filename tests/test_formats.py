@@ -34,7 +34,8 @@ from nsp.synthdata import (DatasetFormatError, GroundTruthLabels, PayloadError,
 STREAMS = {
     "labels": (load_labels, {"t": 5, "ch": 0, "nid": 1}, "label"),
     "tokens": (load_tokens, {"t": 5, "ch": 0, "f1": 3, "f2": -4}, "token"),
-    "windows": (load_windows, {"t": 5, "ch": 0, "s": [0] * 32}, "window"),
+    "windows": (lambda p: load_windows(p)[1], {"t": 5, "ch": 0, "s": [0] * 32},
+                "window"),
     "sorted": (_load_sorted_events, {"ch": 0, "label": 1, "t": 5}, "sorted event"),
 }
 

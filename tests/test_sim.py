@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scan_tokens
 from nsp.decode import EnsembleModel
 from nsp.sim import (Completion, ConfigMismatchError, SimConfig, Simulator,
                      build_schedule, linear_fit_r2, parse_sim_config,
                      reference_ez, run_simulation, serialize_sim_config,
                      sweep_spike_rate)
-from nsp.detect import Tokens, detect_spikes, detect_trace, extract_features
+from nsp.detect import Tokens, detect_trace
 from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
                            tier_config)
 
@@ -506,8 +507,7 @@ def test_build_schedule_equals_per_window_detection():
     thresholds = {0: 30.0, 1: 28.0, 3: 35.0}
     schedule = build_schedule(trace, models, cfg, thresholds)
 
-    assert list(schedule) == [extract_features(w) for ch in sorted(models)
-                              for w in detect_spikes(data[ch], thresholds[ch], channel=ch)]
+    assert list(schedule) == scan_tokens(data, thresholds, sorted(models))[1]
     assert all(type(v) is int for tok in schedule for v in tok)
     assert schedule.t[0] == 0                              # the clamped window
     assert max(tok.t for tok in schedule if tok.channel == 1) < n_samples - 32
