@@ -23,7 +23,7 @@ from .detect import (DEFAULT_K, DEFAULT_PRE, WINDOW_LEN, Completion,
                      load_tokens, load_windows, store_tokens, store_windows)
 from .patterns import SegmentationPattern, enumerate_patterns
 from .opcount import OpCounts, SingularMatrixError
-from .sort_online import OnlineSorter, OnlineSorterModel, train_online
+from .sort_online import OnlineSorterModel, fit_online, train_online
 from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS,
                            ChannelSorterModel, L1TemplateModel, classify_spike,
                            l1_classify, load_models, model_footprint,
@@ -62,8 +62,8 @@ __all__ = [
     "SegmentTooShort", "estimate_threshold", "detect_trace", "store_tokens",
     "load_tokens", "store_windows", "load_windows",
     # sorting
-    "SegmentationPattern", "enumerate_patterns", "OnlineSorter",
-    "OnlineSorterModel", "train_online", "ChannelSorterModel",
+    "SegmentationPattern", "enumerate_patterns",
+    "OnlineSorterModel", "fit_online", "train_online", "ChannelSorterModel",
     "L1TemplateModel", "train_channel_model", "train_l1", "classify_spike",
     "l1_classify", "model_footprint", "pack_model",
     "unpack_model", "TREE_MODEL_BITS", "L1_BITS_PER_TEMPLATE", "store_models",

@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .synthdata import WINDOW_LEN, load_channel_records, load_records, store_records
+from .synthdata import (WINDOW_LEN, PayloadError, load_channel_records, load_records,
+                        store_records)
 
 MAD_SCALE = 1.4826  # MAD -> sigma for Gaussian noise
 DEFAULT_K = 4.0
@@ -218,8 +219,13 @@ def store_tokens(tokens, path: str) -> None:
 
 
 def load_tokens(path: str) -> Tokens:
-    return Tokens(*load_channel_records(path, "token", {"t": int, "ch": int,
-                                                        "f1": int, "f2": int}).T)
+    """Read a token stream; a feature outside int8 raises ``PayloadError``."""
+    rows = load_channel_records(path, "token", {"t": int, "ch": int, "f1": int, "f2": int})
+    feats = rows[:, 2:]
+    if feats.size and not -128 <= feats.min() <= feats.max() <= 127:
+        raise PayloadError(f"{path}: token features span {feats.min()}..{feats.max()}, "
+                           "outside int8")
+    return Tokens(*rows.T)
 
 
 def store_windows(tokens, windows: np.ndarray, path: str) -> None:

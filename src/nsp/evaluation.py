@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .detect import Tokens, detect_rows, estimate_threshold, window_features
 from .sort_offline import train_channel_model, train_l1
-from .sort_online import OnlineSorter
+from .sort_online import fit_online
 from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN
 
 MATCH_TOLERANCE = WINDOW_LEN
@@ -276,10 +276,7 @@ def evaluate_online_sorter(trace: RawTrace, labels: GroundTruthLabels, channel: 
     feats, labs, _, _ = channel_feature_dataset(trace, labels, channel)
     n = feats.shape[0]
     n_train = min(max(int(round(n * train_frac)), 1), max(n - 1, 1))
-    sorter = OnlineSorter()
-    for f1, f2 in feats[:n_train]:
-        sorter.observe(int(f1), int(f2))
-    model = sorter.finalize()
+    model = fit_online(feats[:n_train, 0], feats[:n_train, 1])
     test_f, test_l = feats[n_train:], labs[n_train:]
     if test_f.shape[0] == 0:
         test_f, test_l = feats, labs

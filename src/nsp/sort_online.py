@@ -1,19 +1,24 @@
 """Unsupervised on-line spike sorter.
 
-Training is streaming and per channel: per-feature histograms accumulate until
-a spike budget is reached, smoothed local minima become axis boundaries, the
-boundaries induce a small grid of feature-space partitions, and a 16-entry
-content-addressable memory (CAM) tracks a 2-bit confidence status per occupied
-partition (00 vacant, 01 outlier, 10 weak, 11 strong). Freezing the model
-applies the nearest-valid-partition rule once per grid cell: at most three
-cuts per axis give a partition -> cluster table of at most 16 cells, so
-classifying a spike is a partition lookup plus one table read, as in the CAM.
+Training reads one channel's features in stream order. The first
+SPIKE_BUDGET spikes fill two per-feature histograms; their smoothed local
+minima become axis boundaries, and the boundaries cut the feature plane into
+a grid of partitions. The spikes after the budget (or, when the stream ends
+within the budget, the budget spikes replayed) then drive the CAM, which keeps
+a 2-bit confidence status per partition (00 vacant, 01 outlier, 10 weak,
+11 strong). A hit raises the status one step up to strong, a miss inserts at
+outlier (the same step from vacant), and every DECAY_PERIOD spikes all
+statuses drop one step. At most three cuts per axis give at most 4 x 4 = 16
+partitions, which is the CAM's capacity: every partition has its own entry
+and none is ever evicted, so the CAM is exactly one status per grid cell.
+Freezing the model applies the nearest-valid-partition rule once per cell,
+so classifying a spike is a partition lookup plus one table read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -22,6 +27,7 @@ from .detect import Tokens
 from .synthdata import PayloadError
 
 BIN_WIDTH = 2            # LSB per histogram bin
+N_BINS = 256 // BIN_WIDTH  # bins over the int8 range; values beyond it clamp
 SPIKE_BUDGET = 512       # histogram-phase spikes per channel
 SMOOTHING_RADIUS = 2
 MAX_BOUNDARIES = 3       # per feature axis
@@ -33,46 +39,13 @@ CUT_BITS = 8                            # one int8 register per cut
 CELL_BITS = CAM_CAPACITY.bit_length()   # cluster ids 0..15 plus the outlier code
 
 
-@dataclass
-class FeatureHistograms:
-    """Two per-feature histograms over the int8 range with 2-LSB bins."""
-
-    lo: int = -128
-    hi: int = 127
-    bin_width: int = BIN_WIDTH
-    spike_budget: int = SPIKE_BUDGET
-    counts: np.ndarray = None
-    n_spikes: int = 0
-    n_clamped: int = 0
-
-    def __post_init__(self):
-        n_bins = (self.hi - self.lo + 1 + self.bin_width - 1) // self.bin_width
-        if self.counts is None:
-            self.counts = np.zeros((2, n_bins), dtype=np.int64)
-
-    @property
-    def n_bins(self) -> int:
-        return self.counts.shape[1]
-
-    def bin_index(self, value: int) -> tuple:
-        """(clamped bin index, whether clamping happened)."""
-        raw = (int(value) - self.lo) // self.bin_width
-        clamped = min(max(raw, 0), self.n_bins - 1)
-        return clamped, clamped != raw
-
-    def bin_value(self, index: int) -> int:
-        """Representative feature value of a bin (lower middle of its range)."""
-        return self.lo + index * self.bin_width + (self.bin_width - 1) // 2
-
-
-def update_histograms(hist: FeatureHistograms, f1: int, f2: int) -> None:
-    """Add one spike's features; out-of-range values clamp to the edge bins."""
-    for axis, value in ((0, f1), (1, f2)):
-        idx, clamped = hist.bin_index(value)
-        hist.counts[axis, idx] += 1
-        if clamped:
-            hist.n_clamped += 1
-    hist.n_spikes += 1
+def feature_histograms(f1, f2) -> np.ndarray:
+    """(2, N_BINS) counts of f1 and f2; bin b holds the values 2b - 128 and
+    2b - 127, and values outside int8 count in the edge bins."""
+    return np.stack([np.bincount((np.clip(f, -128, 127) + 128) // BIN_WIDTH,
+                                 minlength=N_BINS)
+                     for f in (np.asarray(f1, dtype=np.int64),
+                               np.asarray(f2, dtype=np.int64))])
 
 
 def _valley_runs(smoothed: np.ndarray) -> list:
@@ -103,25 +76,26 @@ def _valley_depths(smoothed: np.ndarray, runs: list) -> list:
     return depths
 
 
-def find_boundaries(hist: FeatureHistograms) -> tuple:
-    """Per-axis boundary values from smoothed histogram valleys.
+def find_boundaries(counts: np.ndarray) -> tuple:
+    """Per-axis boundary values from the valleys of :func:`feature_histograms`.
 
-    Each histogram is moving-average smoothed, interior local minima (plateau
-    runs counted once, positioned at their midpoint) become boundaries, and if
-    more than MAX_BOUNDARIES valleys exist only the deepest ones are kept.
+    Each row of *counts* is moving-average smoothed, interior local minima
+    (plateau runs counted once, positioned at their midpoint) become
+    boundaries, and if more than MAX_BOUNDARIES valleys exist only the
+    deepest ones are kept.
     Returns (boundaries_f1, boundaries_f2) as ascending int lists.
     """
     out = []
     size = 2 * SMOOTHING_RADIUS + 1
     for axis in (0, 1):
-        smoothed = uniform_filter1d(hist.counts[axis].astype(np.float64),
+        smoothed = uniform_filter1d(counts[axis].astype(np.float64),
                                     size=size, mode="nearest")
         runs = _valley_runs(smoothed)
         if len(runs) > MAX_BOUNDARIES:
             depths = _valley_depths(smoothed, runs)
             order = sorted(range(len(runs)), key=lambda k: (-depths[k], runs[k][0]))
             runs = sorted(runs[k] for k in order[:MAX_BOUNDARIES])
-        out.append([hist.bin_value((s + e) // 2) for s, e, _ in runs])
+        out.append([BIN_WIDTH * ((s + e) // 2) - 128 for s, e, _ in runs])
     return out[0], out[1]
 
 
@@ -132,78 +106,6 @@ def locate_partition(f1: int, f2: int, boundaries: tuple) -> tuple:
     Cut lists are ascending, so each count is one bisection.
     """
     return bisect_right(boundaries[0], f1), bisect_right(boundaries[1], f2)
-
-
-@dataclass
-class CamEntry:
-    key: tuple = None          # partition (i, j); None when vacant
-    status: int = STATUS_VACANT
-    last_touch: int = 0
-
-
-@dataclass
-class CamState:
-    """Fixed-capacity partition tracker with saturating 2-bit statuses."""
-
-    capacity: int = CAM_CAPACITY
-    decay_period: int = DECAY_PERIOD
-    entries: list = field(default_factory=list)
-    processed: int = 0
-
-    def __post_init__(self):
-        if not self.entries:
-            self.entries = [CamEntry() for _ in range(self.capacity)]
-
-    def lookup(self, key: tuple):
-        for entry in self.entries:
-            if entry.status != STATUS_VACANT and entry.key == key:
-                return entry
-        return None
-
-
-def cam_update(cam: CamState, idx: tuple) -> CamEntry:
-    """Process one spike's partition index through the CAM.
-
-    Hit: saturating status increment. Miss: insert at outlier status into a
-    vacant slot, evicting the minimum-status (ties: least recently touched)
-    entry when full. Every decay_period processed spikes all statuses
-    decrement one step and entries reaching vacant are freed.
-    """
-    cam.processed += 1
-    entry = cam.lookup(idx)
-    if entry is not None:
-        entry.status = min(STATUS_STRONG, entry.status + 1)
-        entry.last_touch = cam.processed
-    else:
-        entry = next((e for e in cam.entries if e.status == STATUS_VACANT), None)
-        if entry is None:
-            entry = min(cam.entries, key=lambda e: (e.status, e.last_touch))
-        entry.key = tuple(idx)
-        entry.status = STATUS_OUTLIER
-        entry.last_touch = cam.processed
-    if cam.processed % cam.decay_period == 0:
-        for e in cam.entries:
-            if e.status != STATUS_VACANT:
-                e.status -= 1
-                if e.status == STATUS_VACANT:
-                    e.key = None
-    return entry
-
-
-def valid_partitions(cam: CamState) -> list:
-    """Partitions with weak-or-better status, in ascending (i, j) order."""
-    keys = sorted(e.key for e in cam.entries if e.status >= STATUS_WEAK)
-    return keys
-
-
-def assign_cluster(idx: tuple, cam: CamState) -> int:
-    """Deployment-time cluster id for a partition index.
-
-    The id is the rank of the nearest valid partition (L1 distance on grid
-    indices, ties to the lexicographically smallest partition); OUTLIER when
-    no partition is valid.
-    """
-    return _nearest_valid(idx, valid_partitions(cam))
 
 
 def _nearest_valid(idx: tuple, valid: list) -> int:
@@ -318,59 +220,47 @@ def _check_cuts(axis: int, cuts) -> None:
         raise PayloadError(f"{where}: cuts must be strictly ascending, got {cuts!r}")
 
 
-class OnlineSorter:
-    """Streaming per-channel trainer: histogram phase, then CAM phase."""
+def fit_online(f1, f2) -> OnlineSorterModel:
+    """Train one channel's model from its features in stream order.
 
-    def __init__(self, budget: int = SPIKE_BUDGET, decay_period: int = DECAY_PERIOD):
-        self.hist = FeatureHistograms(spike_budget=budget)
-        self.cam = CamState(decay_period=decay_period)
-        self.boundaries = None
-        self._budget_tokens = []  # kept for CAM replay when the stream is short
-
-    @property
-    def in_histogram_phase(self) -> bool:
-        return self.hist.n_spikes < self.hist.spike_budget
-
-    def observe(self, f1: int, f2: int) -> None:
-        if self.in_histogram_phase:
-            update_histograms(self.hist, f1, f2)
-            self._budget_tokens.append((f1, f2))
-            if not self.in_histogram_phase:
-                self.boundaries = find_boundaries(self.hist)
-        else:
-            cam_update(self.cam, locate_partition(f1, f2, self.boundaries))
-
-    def finalize(self) -> OnlineSorterModel:
-        """Freeze the model. If the stream ended before any CAM-phase spikes
-        arrived, the histogram-phase spikes are replayed through the CAM once."""
-        if self.boundaries is None:
-            self.boundaries = find_boundaries(self.hist)
-        if self.cam.processed == 0:
-            for f1, f2 in self._budget_tokens:
-                cam_update(self.cam, locate_partition(f1, f2, self.boundaries))
-        snapshot = [(e.key[0], e.key[1], e.status)
-                    for e in self.cam.entries if e.status != STATUS_VACANT]
-        return OnlineSorterModel(boundaries=self.boundaries,
-                                 cam_snapshot=sorted(snapshot))
+    The histogram phase reads the first SPIKE_BUDGET spikes. The CAM phase
+    reads the spikes after them, or all of them when there are no more than
+    SPIKE_BUDGET. Within a DECAY_PERIOD block the saturating increments
+    commute, so a cell's status rises by its hit count, capped at strong, and
+    drops one step after each full block.
+    """
+    f1 = np.asarray(f1, dtype=np.int64)
+    f2 = np.asarray(f2, dtype=np.int64)
+    boundaries = find_boundaries(feature_histograms(f1[:SPIKE_BUDGET],
+                                                    f2[:SPIKE_BUDGET]))
+    if f1.size > SPIKE_BUDGET:
+        f1, f2 = f1[SPIKE_BUDGET:], f2[SPIKE_BUDGET:]
+    n_cols = len(boundaries[1]) + 1
+    n_cells = (len(boundaries[0]) + 1) * n_cols
+    cells = (np.searchsorted(boundaries[0], f1, side="right") * n_cols
+             + np.searchsorted(boundaries[1], f2, side="right"))
+    status = np.zeros(n_cells, dtype=np.int64)
+    for lo in range(0, cells.size, DECAY_PERIOD):
+        block = cells[lo:lo + DECAY_PERIOD]
+        status = np.minimum(status + np.bincount(block, minlength=n_cells), STATUS_STRONG)
+        if block.size == DECAY_PERIOD:
+            status = np.maximum(status - 1, STATUS_VACANT)
+    return OnlineSorterModel(
+        boundaries=boundaries,
+        cam_snapshot=[(c // n_cols, c % n_cols, s)
+                      for c, s in enumerate(status.tolist()) if s != STATUS_VACANT])
 
 
-def train_online(tokens, budget: int = SPIKE_BUDGET,
-                 decay_period: int = DECAY_PERIOD) -> dict:
+def train_online(tokens) -> dict:
     """Train one OnlineSorterModel per channel from a token stream.
 
     *tokens* is a :class:`~nsp.detect.Tokens` or a sequence of
-    ``Completion`` rows. Each channel's sorter observes that channel's
-    tokens in stream order.
+    ``Completion`` rows. Each channel's model is :func:`fit_online` of that
+    channel's tokens in stream order.
     """
     tok = Tokens.of(tokens)
     order = np.argsort(tok.channel, kind="stable")
-    f1, f2 = tok.f1[order].tolist(), tok.f2[order].tolist()
     chans, firsts = np.unique(tok.channel[order], return_index=True)
-    models = {}
-    for ch, lo, hi in zip(chans.tolist(), firsts.tolist(),
-                          firsts[1:].tolist() + [len(tok)]):
-        sorter = OnlineSorter(budget=budget, decay_period=decay_period)
-        for a, b in zip(f1[lo:hi], f2[lo:hi]):
-            sorter.observe(a, b)
-        models[ch] = sorter.finalize()
-    return models
+    return {ch: fit_online(a, b) for ch, a, b in
+            zip(chans.tolist(), np.split(tok.f1[order], firsts[1:]),
+                np.split(tok.f2[order], firsts[1:]))}

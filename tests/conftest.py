@@ -1,10 +1,11 @@
-"""Shared fixtures, the sample-scan detector oracle and the exhaustive
-split-layout oracle.
+"""Shared fixtures, the sample-scan detector oracle, the per-token online
+trainer oracle and the exhaustive split-layout oracle.
 
 The datasets here are deliberately small; anything that needs statistical
 power builds its own inside the test.
 """
 
+from dataclasses import dataclass, field
 from itertools import permutations, product
 
 import numpy as np
@@ -12,6 +13,9 @@ import pytest
 
 from nsp import (DEFAULT_PRE, WINDOW_LEN, Completion, SessionConfig,
                  gen_reach_session, gen_spike_trace, tier_config)
+from nsp.sort_online import (BIN_WIDTH, CAM_CAPACITY, DECAY_PERIOD, SPIKE_BUDGET,
+                             STATUS_OUTLIER, STATUS_STRONG, STATUS_VACANT,
+                             OnlineSorterModel, find_boundaries, locate_partition)
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +72,148 @@ def scan_tokens(data, thresholds, channels=None):
             tokens.append(Completion(cycle=t0 + WINDOW_LEN - 1, channel=ch, t=t0,
                                      f1=int(w.max()), f2=int(w.min())))
     return np.array(windows, dtype=np.int8).reshape(-1, WINDOW_LEN), tokens
+
+
+# --- per-token online trainer oracle -----------------------------------------
+#
+# The on-line trainer as the hardware runs it, one spike at a time: two
+# per-feature histograms fill until the spike budget, then a 16-entry CAM
+# inserts misses at outlier status, raises hits one step, decays every entry
+# each DECAY_PERIOD spikes and, when full, evicts the weakest (then least
+# recently touched) entry. A stream that ends within the budget replays the
+# budget spikes through the CAM. fit_online must give the same model.
+
+
+@dataclass
+class FeatureHistograms:
+    """Two per-feature histograms over the int8 range with 2-LSB bins."""
+
+    lo: int = -128
+    hi: int = 127
+    bin_width: int = BIN_WIDTH
+    spike_budget: int = SPIKE_BUDGET
+    counts: np.ndarray = None
+    n_spikes: int = 0
+
+    def __post_init__(self):
+        n_bins = (self.hi - self.lo + 1 + self.bin_width - 1) // self.bin_width
+        if self.counts is None:
+            self.counts = np.zeros((2, n_bins), dtype=np.int64)
+
+    @property
+    def n_bins(self) -> int:
+        return self.counts.shape[1]
+
+    def bin_index(self, value: int) -> int:
+        """Bin of *value*; out-of-range values clamp to the edge bins."""
+        raw = (int(value) - self.lo) // self.bin_width
+        return min(max(raw, 0), self.n_bins - 1)
+
+
+def update_histograms(hist: FeatureHistograms, f1: int, f2: int) -> None:
+    for axis, value in ((0, f1), (1, f2)):
+        hist.counts[axis, hist.bin_index(value)] += 1
+    hist.n_spikes += 1
+
+
+@dataclass
+class CamEntry:
+    key: tuple = None          # partition (i, j); None when vacant
+    status: int = STATUS_VACANT
+    last_touch: int = 0
+
+
+@dataclass
+class CamState:
+    """Fixed-capacity partition tracker with saturating 2-bit statuses."""
+
+    capacity: int = CAM_CAPACITY
+    decay_period: int = DECAY_PERIOD
+    entries: list = field(default_factory=list)
+    processed: int = 0
+
+    def __post_init__(self):
+        if not self.entries:
+            self.entries = [CamEntry() for _ in range(self.capacity)]
+
+    def lookup(self, key: tuple):
+        for entry in self.entries:
+            if entry.status != STATUS_VACANT and entry.key == key:
+                return entry
+        return None
+
+
+def cam_update(cam: CamState, idx: tuple) -> CamEntry:
+    """Process one spike's partition index through the CAM.
+
+    Hit: saturating status increment. Miss: insert at outlier status into a
+    vacant slot, evicting the minimum-status (ties: least recently touched)
+    entry when full. Every decay_period processed spikes all statuses
+    decrement one step and entries reaching vacant are freed.
+    """
+    cam.processed += 1
+    entry = cam.lookup(idx)
+    if entry is not None:
+        entry.status = min(STATUS_STRONG, entry.status + 1)
+        entry.last_touch = cam.processed
+    else:
+        entry = next((e for e in cam.entries if e.status == STATUS_VACANT), None)
+        if entry is None:
+            entry = min(cam.entries, key=lambda e: (e.status, e.last_touch))
+        entry.key = tuple(idx)
+        entry.status = STATUS_OUTLIER
+        entry.last_touch = cam.processed
+    if cam.processed % cam.decay_period == 0:
+        for e in cam.entries:
+            if e.status != STATUS_VACANT:
+                e.status -= 1
+                if e.status == STATUS_VACANT:
+                    e.key = None
+    return entry
+
+
+class OnlineSorter:
+    """Streaming per-channel trainer: histogram phase, then CAM phase."""
+
+    def __init__(self):
+        self.hist = FeatureHistograms()
+        self.cam = CamState()
+        self.boundaries = None
+        self._budget_tokens = []  # kept for CAM replay when the stream is short
+
+    @property
+    def in_histogram_phase(self) -> bool:
+        return self.hist.n_spikes < self.hist.spike_budget
+
+    def observe(self, f1: int, f2: int) -> None:
+        if self.in_histogram_phase:
+            update_histograms(self.hist, f1, f2)
+            self._budget_tokens.append((f1, f2))
+            if not self.in_histogram_phase:
+                self.boundaries = find_boundaries(self.hist.counts)
+        else:
+            cam_update(self.cam, locate_partition(f1, f2, self.boundaries))
+
+    def finalize(self) -> OnlineSorterModel:
+        """Freeze the model. If the stream ended before any CAM-phase spikes
+        arrived, the histogram-phase spikes are replayed through the CAM once."""
+        if self.boundaries is None:
+            self.boundaries = find_boundaries(self.hist.counts)
+        if self.cam.processed == 0:
+            for f1, f2 in self._budget_tokens:
+                cam_update(self.cam, locate_partition(f1, f2, self.boundaries))
+        snapshot = [(e.key[0], e.key[1], e.status)
+                    for e in self.cam.entries if e.status != STATUS_VACANT]
+        return OnlineSorterModel(boundaries=self.boundaries,
+                                 cam_snapshot=sorted(snapshot))
+
+
+def observe_online(f1s, f2s) -> OnlineSorterModel:
+    """The model the per-token trainer freezes after one channel's stream."""
+    sorter = OnlineSorter()
+    for f1, f2 in zip(f1s, f2s):
+        sorter.observe(int(f1), int(f2))
+    return sorter.finalize()
 
 
 # --- exhaustive two-feature split-layout oracle -----------------------------

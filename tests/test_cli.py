@@ -320,6 +320,22 @@ def test_negative_token_channel_exits_4_before_training(tmp_path, capfd):
     assert not (tmp_path / "online.json").exists()
 
 
+@pytest.mark.parametrize("f1,f2", [(1000, -4), (3, -129)])
+def test_token_features_outside_int8_exit_4(tmp_path, pipeline, capfd, f1, f2):
+    tokens = tmp_path / "tokens.jsonl"
+    tokens.write_text(json.dumps({"t": 5, "ch": 0, "f1": 3, "f2": -4}) + "\n"
+                      + json.dumps({"t": 50, "ch": 1, "f1": f1, "f2": f2}) + "\n")
+    assert run("train-sorter", "--mode", "online", "--tokens", tokens,
+               "--out", tmp_path / "online.json") == EXIT_SCHEMA
+    assert run("sort", "--tokens", tokens, "--models", pipeline / "sorters.json",
+               "--out", tmp_path / "sorted.jsonl") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert err.count(f"features span {min(f2, -4)}..{max(f1, 3)}, outside int8") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "online.json").exists()
+    assert not (tmp_path / "sorted.jsonl").exists()
+
+
 def test_semantic_misuse_exits_4(tmp_path, pipeline):
     # session and events are mutually exclusive inputs
     assert run("decode", "--model", pipeline / "decoder.json",
