@@ -205,22 +205,22 @@ def within_channel_ranks(unit_channels) -> list:
     return out
 
 
-def select_neurons(counts: np.ndarray, velocity: np.ndarray, unit_channels,
-                   target_range: tuple = TARGET_ENSEMBLE_RANGE) -> list:
+def select_neurons(counts: np.ndarray, velocity: np.ndarray, unit_channels) -> list:
     """Pick ensemble units by encoding score.
 
     Units are ranked by neuron_scores (ties keep session order), capped at
-    MAX_UNITS_PER_CHANNEL per channel, and truncated at target_range[1]. Units
-    scoring at or below MIN_INFORMATIVE_SCORE are taken only if needed to
-    reach target_range[0]. Returns ascending session unit indices. Raises
-    when fewer informative units exist than state dimensions.
+    MAX_UNITS_PER_CHANNEL per channel, and truncated at the upper end of
+    TARGET_ENSEMBLE_RANGE. Units scoring at or below MIN_INFORMATIVE_SCORE
+    are taken only if needed to reach its lower end. Returns ascending
+    session unit indices. Raises when fewer informative units exist than
+    state dimensions.
     """
     scores = neuron_scores(counts, velocity)
     if int((scores > MIN_INFORMATIVE_SCORE).sum()) < np.asarray(velocity).shape[1]:
         raise ValueError("fewer informative units than state dimensions")
     order = np.argsort(-scores, kind="stable")
     channels = [int(c) for c in unit_channels]
-    lo, hi = target_range
+    lo, hi = TARGET_ENSEMBLE_RANGE
     taken, per_channel = [], {}
     for j in map(int, order):
         if scores[j] <= MIN_INFORMATIVE_SCORE and len(taken) >= lo:
@@ -235,19 +235,16 @@ def select_neurons(counts: np.ndarray, velocity: np.ndarray, unit_channels,
     return sorted(taken)
 
 
-def train_ensemble(counts: np.ndarray, velocity: np.ndarray, unit_channels,
-                   target_range: tuple = TARGET_ENSEMBLE_RANGE,
-                   unit_indices: list | None = None) -> EnsembleModel:
-    """Multivariate regression of velocity on selected units' rates.
+def train_ensemble(counts: np.ndarray, velocity: np.ndarray, unit_channels) -> EnsembleModel:
+    """Multivariate regression of velocity on the rates of the units that
+    :func:`select_neurons` picks.
 
     No intercept: the ensemble estimate must be exactly E z so the implant
     can produce it by column accumulation alone.
     """
     Z = np.asarray(counts, dtype=np.float64)
     X = np.asarray(velocity, dtype=np.float64)
-    if unit_indices is None:
-        unit_indices = select_neurons(Z, X, unit_channels, target_range=target_range)
-    unit_indices = sorted(int(j) for j in unit_indices)
+    unit_indices = select_neurons(Z, X, unit_channels)
     Zs = Z[:, unit_indices]
     coef = _ridge(Zs, X)
     ranks = within_channel_ranks(unit_channels)
@@ -478,16 +475,17 @@ class FixedPointFormat:
         return 2.0 ** (-self.frac_bits)
 
     @classmethod
-    def for_matrix(cls, M: np.ndarray, bits: int = 16) -> "FixedPointFormat":
-        """Largest power-of-two scale that keeps every entry in range."""
+    def for_matrix(cls, M: np.ndarray) -> "FixedPointFormat":
+        """Largest power-of-two scale that keeps every entry of *M* in the
+        default 16-bit word."""
         a = float(np.abs(np.asarray(M, dtype=np.float64)).max(initial=0.0))
         if a == 0.0:
-            return cls(bits=bits, frac_bits=0)
-        qmax = 2 ** (bits - 1) - 1
+            return cls()
+        qmax = cls().qmax
         s = int(np.floor(np.log2(qmax / a)))
         while round(a * 2.0 ** s) > qmax:
             s -= 1
-        return cls(bits=bits, frac_bits=s)
+        return cls(frac_bits=s)
 
     def quantize(self, M: np.ndarray) -> np.ndarray:
         q = np.rint(np.asarray(M, dtype=np.float64) * 2.0 ** self.frac_bits)

@@ -13,6 +13,8 @@ from .sort_online import fit_online
 from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN
 
 MATCH_TOLERANCE = WINDOW_LEN
+SORTER_TRAIN_FRAC = 0.6    # matched events that train the tree and L1 sorters
+ONLINE_TRAIN_FRAC = 0.75   # stream prefix that trains the online sorter
 
 
 def match_events(token_times, truth_times) -> np.ndarray:
@@ -142,17 +144,18 @@ def split_indices(n: int, train_frac: float, seed: int) -> tuple:
 
 
 def evaluate_channel_sorters(trace: RawTrace, labels: GroundTruthLabels, channel: int,
-                             train_frac: float = 0.6, seed: int = 0) -> dict:
+                             seed: int = 0) -> dict:
     """Train/test comparison of the tree sorter and the L1 baseline.
 
     Detections are matched to ground truth, split at the event level, and
-    both models are trained on the train side. The tree's leaves get their
-    majority train labels; test accuracy counts exact unit matches.
+    both models are trained on the SORTER_TRAIN_FRAC train side. The tree's
+    leaves get their majority train labels; test accuracy counts exact unit
+    matches.
     """
     feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, channel)
     if feats.shape[0] < 4:
         raise ValueError(f"channel {channel}: too few matched events ({feats.shape[0]})")
-    tr, te = split_indices(feats.shape[0], train_frac, seed)
+    tr, te = split_indices(feats.shape[0], SORTER_TRAIN_FRAC, seed)
     tree = train_channel_model(feats[tr], labs[tr])
     leaf_map = majority_leaf_labels(tree.classify_many(feats[tr, 0], feats[tr, 1]),
                                     labs[tr])
@@ -189,8 +192,7 @@ def parity_benchmark_configs(duration_s: float = 40.0) -> list:
             [("hard", hard)] * 6 + [("noisy", noisy)] * 4)
 
 
-def run_parity_benchmark(seed_base: int = 500, duration_s: float = 40.0,
-                         train_frac: float = 0.6) -> dict:
+def run_parity_benchmark(seed_base: int = 500, duration_s: float = 40.0) -> dict:
     """Run the sorting benchmark and aggregate tree-vs-L1 accuracies.
 
     Returns per-channel rows plus the mean absolute accuracy difference and
@@ -201,8 +203,7 @@ def run_parity_benchmark(seed_base: int = 500, duration_s: float = 40.0,
     rows = []
     for i, (name, cfg) in enumerate(parity_benchmark_configs(duration_s)):
         trace, labels = gen_spike_trace(cfg, seed=seed_base + i)
-        res = evaluate_channel_sorters(trace, labels, 0, train_frac=train_frac,
-                                       seed=seed_base + i)
+        res = evaluate_channel_sorters(trace, labels, 0, seed=seed_base + i)
         rows.append({"tier": name, "seed": seed_base + i,
                      "tree_accuracy": res["tree_accuracy"],
                      "l1_accuracy": res["l1_accuracy"],
@@ -268,14 +269,14 @@ def run_decoder_benchmark(seed_base: int = 100, n_sessions: int = 10,
             "eokf_mean_mse": float(np.mean([r["eokf_mse"] for r in rows]))}
 
 
-def evaluate_online_sorter(trace: RawTrace, labels: GroundTruthLabels, channel: int,
-                           train_frac: float = 0.75) -> dict:
-    """Stream a prefix of one channel's detections through the online
-    trainer, freeze the model, and score it on the remaining events by
-    permutation accuracy."""
+def evaluate_online_sorter(trace: RawTrace, labels: GroundTruthLabels,
+                           channel: int) -> dict:
+    """Stream the first ONLINE_TRAIN_FRAC of one channel's detections
+    through the online trainer, freeze the model, and score it on the
+    remaining events by permutation accuracy."""
     feats, labs, _, _ = channel_feature_dataset(trace, labels, channel)
     n = feats.shape[0]
-    n_train = min(max(int(round(n * train_frac)), 1), max(n - 1, 1))
+    n_train = min(max(int(round(n * ONLINE_TRAIN_FRAC)), 1), max(n - 1, 1))
     model = fit_online(feats[:n_train, 0], feats[:n_train, 1])
     test_f, test_l = feats[n_train:], labs[n_train:]
     if test_f.shape[0] == 0:

@@ -38,6 +38,7 @@ from .sort_offline import classify_by_channel
 from .synthdata import PayloadError, RawTrace, WINDOW_LEN
 
 SAMPLE_BITS = 8
+OUTPUT_WORD_BITS = 16      # width of one E z state word leaving the implant
 
 
 class ConfigMismatchError(ValueError):
@@ -52,8 +53,6 @@ class SimConfig:
     decoder_buffer_depth: int = 4
     clock_hz: int = 30000
     bin_ms: int = 100
-    output_width_bits: int = 16
-    channel_gating: bool = True
 
     def validate(self) -> None:
         if self.n_channels < 1 or self.group_size < 1:
@@ -66,8 +65,6 @@ class SimConfig:
             raise ValueError("decoder_buffer_depth must be >= 1")
         if self.clock_hz < 1 or self.bin_ms < 1:
             raise ValueError("clock_hz and bin_ms must be positive")
-        if self.output_width_bits < 1:
-            raise ValueError("output_width_bits must be positive")
         if self.grace_cycles >= self.bin_len:
             raise ValueError(
                 f"bin length {self.bin_len} cycles is shorter than the "
@@ -98,19 +95,26 @@ class SimConfig:
                 + self.decoder_buffer_depth + 4)
 
 
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
-               "yes": True, "no": False}
+# Keys that older config files carry for settings the fabric fixes, with
+# the values (compared case-insensitively) that name the fixed setting.
+_FIXED_KEYS = {
+    "pre_samples": (str(DEFAULT_PRE),),
+    "channel_gating": ("true", "1", "yes"),
+    "output_width_bits": (str(OUTPUT_WORD_BITS),),
+}
 
 
 def parse_sim_config(text: str) -> SimConfig:
     """Parse the flat ``key = value`` simulator config format.
 
-    Blank lines and ``#`` comments are ignored; unknown keys are rejected.
-    Older files carry ``pre_samples = 4``, the detector's fixed pre-crossing
-    offset; that line is accepted and any other value rejected.
+    Blank lines and ``#`` comments are ignored; unknown and repeated keys are
+    rejected. Older files also carry the fixed settings of ``_FIXED_KEYS``:
+    the detector's pre-crossing offset, channel gating and the output word
+    width. Such a line is accepted with its fixed value and rejected with
+    any other.
     """
-    known = {f.name: f.type for f in fields(SimConfig)}
-    values = {}
+    known = {f.name for f in fields(SimConfig)}
+    values, seen = {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,34 +123,28 @@ def parse_sim_config(text: str) -> SimConfig:
             raise PayloadError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key == "pre_samples":
-            if val != str(DEFAULT_PRE):
-                raise PayloadError(f"line {lineno}: the detector opens windows "
-                                   f"{DEFAULT_PRE} samples before the crossing; "
-                                   f"pre_samples = {val} cannot be honoured")
+        if key in seen:
+            raise PayloadError(f"line {lineno}: key {key!r} given twice")
+        seen.add(key)
+        if key in _FIXED_KEYS:
+            if val.lower() not in _FIXED_KEYS[key]:
+                raise PayloadError(f"line {lineno}: {key} is fixed at "
+                                   f"{_FIXED_KEYS[key][0]}; {key} = {val} "
+                                   "cannot be honoured")
             continue
         if key not in known:
             raise PayloadError(f"line {lineno}: unknown config key {key!r}")
-        if key == "channel_gating":
-            if val.lower() not in _BOOL_WORDS:
-                raise PayloadError(f"line {lineno}: expected a boolean, got {val!r}")
-            values[key] = _BOOL_WORDS[val.lower()]
-        else:
-            try:
-                values[key] = int(val)
-            except ValueError as exc:
-                raise PayloadError(f"line {lineno}: expected an integer, got {val!r}") from exc
+        try:
+            values[key] = int(val)
+        except ValueError as exc:
+            raise PayloadError(f"line {lineno}: expected an integer, got {val!r}") from exc
     cfg = SimConfig(**values)
     cfg.validate()
     return cfg
 
 
 def serialize_sim_config(config: SimConfig) -> str:
-    lines = []
-    for f in fields(SimConfig):
-        v = getattr(config, f.name)
-        lines.append(f"{f.name} = {str(v).lower() if isinstance(v, bool) else v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(SimConfig))
 
 
 @dataclass
@@ -177,8 +175,8 @@ class Simulator:
     ``classify_many`` and ``classify``) or a plain (f1, f2) -> label
     callable; *ensemble* defines the accumulated (channel, cluster) columns.
     Channels absent from the ensemble selection are gated out after
-    detection when ``config.channel_gating`` is set. *schedule* is a
-    :class:`~nsp.detect.Tokens` or a list of ``Completion`` rows.
+    detection. *schedule* is a :class:`~nsp.detect.Tokens` or a list of
+    ``Completion`` rows.
 
     Conveyor rings are indexed by absolute cycle: slot ``e % conveyor_slots``
     of a group's ring holds the token that reaches the group's sorter in
@@ -289,7 +287,7 @@ class Simulator:
             comp = rows[self._next_comp]
             self._next_comp += 1
             self.counters.detections += 1
-            if cfg.channel_gating and comp.channel not in self._selected_channels:
+            if comp.channel not in self._selected_channels:
                 self.counters.gated_tokens += 1
                 continue
             if comp.channel in self._held:
@@ -380,7 +378,7 @@ class Simulator:
         self._next_emit = k + 1
         self._next_close = self._close_cycle(k + 1)
         self.counters.bins_emitted += 1
-        self.counters.output_bits += self.ensemble.E.shape[0] * self.config.output_width_bits
+        self.counters.output_bits += self.ensemble.E.shape[0] * OUTPUT_WORD_BITS
 
     def run(self) -> "Simulator":
         """Drain the schedule and emit every bank, stage by stage.
@@ -490,7 +488,7 @@ class Simulator:
         cfg = self.config
         n_groups = cfg.n_groups
         cycle, channel = self._cols[0], self._cols[1]
-        gated_out = np.array([cfg.channel_gating and ch not in self._selected_channels
+        gated_out = np.array([ch not in self._selected_channels
                               for ch in range(cfg.n_channels)], dtype=bool)
         ring = np.flatnonzero(~gated_out[channel])
         start = np.maximum(cycle[ring], 0)          # the first insertion attempt
@@ -696,7 +694,7 @@ SWEEP_STAGES = ("detections", "sorts", "decoder_accepts")
 
 
 def sweep_spike_rate(rates, n_channels: int = 8, duration_s: float = 2.0,
-                     seed: int = 0, config: SimConfig | None = None) -> dict:
+                     seed: int = 0) -> dict:
     """Activity counters vs input spike rate at a fixed configuration.
 
     Sorter models are trained once on a reference-rate trace (ground-truth
@@ -710,9 +708,8 @@ def sweep_spike_rate(rates, n_channels: int = 8, duration_s: float = 2.0,
     rates = [float(r) for r in rates]
     if any(r < 0 for r in rates):
         raise ValueError("rates must be non-negative")
-    config = config or SimConfig(n_channels=n_channels, group_size=n_channels,
-                                 conveyor_slots=max(n_channels, 8))
-    config.validate()
+    config = SimConfig(n_channels=n_channels, group_size=n_channels,
+                       conveyor_slots=max(n_channels, 8))
 
     def cfg_for(rate: float) -> "TraceConfig":
         return TraceConfig(n_channels=n_channels, duration_s=duration_s,

@@ -182,12 +182,18 @@ class OnlineSorterModel:
         for axis, axis_cuts in enumerate(cuts):
             _check_cuts(axis, axis_cuts)
         cam = [(e["i"], e["j"], e["status"]) for e in obj["cam"]]
-        for i, j, _ in cam:
+        for i, j, status in cam:
             if not (_is_int(i) and _is_int(j) and 0 <= i <= len(cuts[0])
                     and 0 <= j <= len(cuts[1])):
                 raise PayloadError(
                     f"CAM entry ({i!r}, {j!r}) lies outside the "
                     f"{len(cuts[0]) + 1}x{len(cuts[1]) + 1} partition grid")
+            if not (_is_int(status) and STATUS_OUTLIER <= status <= STATUS_STRONG):
+                raise PayloadError(
+                    f"CAM entry ({i}, {j}): status {status!r} is not an occupied "
+                    f"status {STATUS_OUTLIER}..{STATUS_STRONG}")
+        if len({(i, j) for i, j, _ in cam}) != len(cam):
+            raise PayloadError("CAM lists a partition more than once")
         return cls(boundaries=(list(cuts[0]), list(cuts[1])), cam_snapshot=cam)
 
 

@@ -221,14 +221,12 @@ def _draw_shape_params(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
-def make_template(rng: np.random.Generator, amplitude: float,
-                  params: np.ndarray | None = None) -> np.ndarray:
-    """One biphasic 32-sample waveform: depolarization trough, repolarization
-    peak, slow relaxation tail. Returned as float64; rounding happens at render
+def make_template(amplitude: float, params: np.ndarray) -> np.ndarray:
+    """One biphasic 32-sample waveform from the five parameters of
+    :func:`_draw_shape_params`: depolarization trough, repolarization peak,
+    slow relaxation tail. Returned as float64; rounding happens at render
     time so noise and signal are quantized together."""
     i = np.arange(WINDOW_LEN, dtype=np.float64)
-    if params is None:
-        params = _draw_shape_params(rng)
     c_t, w_t, gap, w_p, ratio = params
     trough = -np.exp(-0.5 * ((i - c_t) / w_t) ** 2)
     peak = ratio * np.exp(-0.5 * ((i - c_t - gap) / w_p) ** 2)
@@ -260,14 +258,14 @@ def make_channel_templates(rng: np.random.Generator, n_units: int, snr_db: float
     out = []
     for f in fractions:
         params = anchor + (1.0 - shape_similarity) * (_draw_shape_params(rng) - anchor)
-        out.append(make_template(rng, budget * f, params))
+        out.append(make_template(budget * f, params))
     return np.stack(out)
 
 
 def poisson_event_times(rng: np.random.Generator, rate_hz: float, n_samples: int,
-                        sample_rate: int, refractory: int = WINDOW_LEN) -> np.ndarray:
+                        sample_rate: int) -> np.ndarray:
     """Poisson arrival samples on [0, n_samples - WINDOW_LEN], thinned so that
-    consecutive events are at least *refractory* samples apart."""
+    consecutive events are at least WINDOW_LEN samples apart."""
     if rate_hz <= 0:
         return np.zeros(0, dtype=np.int64)
     mean_gap = sample_rate / rate_hz
@@ -275,7 +273,7 @@ def poisson_event_times(rng: np.random.Generator, rate_hz: float, n_samples: int
     n_draw = max(16, int(1.5 * n_samples / mean_gap) + 16)
     times = []
     t = 0.0
-    last = -refractory
+    last = -WINDOW_LEN
     while True:
         gaps = rng.exponential(mean_gap, size=n_draw)
         for g in gaps:
@@ -283,14 +281,14 @@ def poisson_event_times(rng: np.random.Generator, rate_hz: float, n_samples: int
             if t >= n_samples - WINDOW_LEN:
                 return np.array(times, dtype=np.int64)
             ti = int(t)
-            if ti - last >= refractory:
+            if ti - last >= WINDOW_LEN:
                 times.append(ti)
                 last = ti
 
 
 def render_trace(events: np.ndarray, templates_by_channel: dict, n_channels: int,
                  n_samples: int, noise_sigma: float, rng: np.random.Generator,
-                 sample_rate: int = 30000) -> RawTrace:
+                 sample_rate: int) -> RawTrace:
     """Deposit templates at labeled event times, add white noise, quantize to int8.
 
     *events* is an (n, 3) array of (t, ch, nid); *templates_by_channel* maps a
@@ -371,6 +369,11 @@ def tier_config(tier: str, n_channels: int = 1, duration_s: float = 10.0,
 # ---------------------------------------------------------------------------
 
 N_TARGETS = 8
+BINS_PER_PHASE = 10                # bins per movement, out and back each
+REACH_DISTANCE_MM = 100.0
+UNITS_PER_CHANNEL = 3              # consecutive unit columns share a channel
+BASELINE_RANGE_HZ = (5.0, 15.0)
+GAIN_RANGE_HZ_PER_MM_S = (0.04, 0.12)
 
 
 @dataclass
@@ -378,19 +381,11 @@ class SessionConfig:
     n_units: int = 30
     trials_per_target: int = 5
     bin_ms: int = 100
-    bins_per_phase: int = 10           # out and back, each
-    reach_distance_mm: float = 100.0
-    units_per_channel: int = 3
-    baseline_range: tuple = (5.0, 15.0)
-    gain_range: tuple = (0.04, 0.12)
     untuned_fraction: float = 0.0      # fraction of units firing at baseline only
-    tuning: list | None = None         # explicit list[TuningCurve] overrides the draw
 
     def validate(self) -> None:
         if self.n_units < 1 or self.trials_per_target < 1:
             raise ValueError("need at least one unit and one trial per target")
-        if self.bins_per_phase < 2:
-            raise ValueError("bins_per_phase must be >= 2")
         if not (0.0 <= self.untuned_fraction <= 1.0):
             raise ValueError("untuned_fraction must be in [0, 1]")
 
@@ -401,16 +396,16 @@ def min_jerk_speed(tau: np.ndarray, distance: float, duration_s: float) -> np.nd
     return distance * (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / duration_s
 
 
-def draw_tuning(rng: np.random.Generator, n_units: int, baseline_range: tuple,
-                gain_range: tuple, untuned_fraction: float = 0.0) -> list:
-    """Random cosine tuning; an *untuned_fraction* of units gets gain 0.
+def draw_tuning(rng: np.random.Generator, n_units: int, untuned_fraction: float) -> list:
+    """Random cosine tuning with baselines in BASELINE_RANGE_HZ and gains in
+    GAIN_RANGE_HZ_PER_MM_S; an *untuned_fraction* of units gets gain 0.
 
     Sorted populations always contain units that fire but carry no kinematic
     information; they still load the full-population observation model.
     """
     prefs = rng.uniform(0.0, 2.0 * math.pi, size=n_units)
-    baselines = rng.uniform(*baseline_range, size=n_units)
-    gains = rng.uniform(*gain_range, size=n_units)
+    baselines = rng.uniform(*BASELINE_RANGE_HZ, size=n_units)
+    gains = rng.uniform(*GAIN_RANGE_HZ_PER_MM_S, size=n_units)
     gains[rng.random(n_units) < untuned_fraction] = 0.0
     return [TuningCurve(float(b), float(g), float(p))
             for b, g, p in zip(baselines, gains, prefs)]
@@ -420,23 +415,19 @@ def gen_reach_session(config: SessionConfig, seed: int) -> ReachSession:
     """Simulate an 8-target center-out-reach-and-return session.
 
     Every trial is one outward reach followed by the return movement, each
-    spanning ``bins_per_phase`` bins with a minimum-jerk speed profile. Unit
+    spanning BINS_PER_PHASE bins with a minimum-jerk speed profile. Unit
     counts are Poisson draws from cosine-tuned rates, clamped at zero before
     the draw.
     """
     config.validate()
     rng = np.random.default_rng(seed)
-    tuning = config.tuning if config.tuning is not None else draw_tuning(
-        rng, config.n_units, config.baseline_range, config.gain_range,
-        config.untuned_fraction)
-    if len(tuning) != config.n_units:
-        raise ValueError("tuning list length must match n_units")
+    tuning = draw_tuning(rng, config.n_units, config.untuned_fraction)
 
     bin_s = config.bin_ms / 1000.0
-    phase_s = config.bins_per_phase * bin_s
+    phase_s = BINS_PER_PHASE * bin_s
     # speed evaluated at bin centers of one movement phase
-    centers = (np.arange(config.bins_per_phase) + 0.5) / config.bins_per_phase
-    speed = min_jerk_speed(centers, config.reach_distance_mm, phase_s)
+    centers = (np.arange(BINS_PER_PHASE) + 0.5) / BINS_PER_PHASE
+    speed = min_jerk_speed(centers, REACH_DISTANCE_MM, phase_s)
 
     baselines = np.array([tc.baseline_hz for tc in tuning])
     gains = np.array([tc.gain_hz_per_mm_s for tc in tuning])
@@ -457,17 +448,17 @@ def gen_reach_session(config: SessionConfig, seed: int) -> ReachSession:
                 counts = rng.poisson(rates * bin_s)
                 vel_rows.append(np.column_stack([vx, vy]))
                 count_rows.append(counts)
-            bin_cursor += 2 * config.bins_per_phase
+            bin_cursor += 2 * BINS_PER_PHASE
             trials.append(TrialInfo(target_rad=theta, start_bin=start, end_bin=bin_cursor))
 
     velocity = np.concatenate(vel_rows, axis=0)
     counts = np.concatenate(count_rows, axis=0).astype(np.int64)
-    unit_channels = [j // config.units_per_channel for j in range(config.n_units)]
+    unit_channels = [j // UNITS_PER_CHANNEL for j in range(config.n_units)]
     meta = {"seed": seed, "n_targets": N_TARGETS,
             "trials_per_target": config.trials_per_target,
-            "bins_per_phase": config.bins_per_phase}
+            "bins_per_phase": BINS_PER_PHASE}
     return ReachSession(velocity=velocity, counts=counts, bin_ms=config.bin_ms,
-                        trials=trials, tuning=list(tuning),
+                        trials=trials, tuning=tuning,
                         unit_channels=unit_channels, meta=meta)
 
 

@@ -375,6 +375,11 @@ def _online_set(cuts: str, cam: str) -> str:
         ('[[0], []]', '[{"i": 2, "j": 0, "status": 3}]'),   # CAM cell off the grid
         ('[[0], []]', '[{"i": 0, "j": -1, "status": 3}]'),
         ('[[0], []]', '[{"i": "0", "j": 0, "status": 3}]'),
+        ('[[0], []]', '[{"i": 0, "j": 0, "status": 9}]'),   # not a CAM status
+        ('[[0], []]', '[{"i": 0, "j": 0, "status": 0}]'),   # vacant is never stored
+        ('[[0], []]', '[{"i": 0, "j": 0, "status": true}]'),
+        ('[[0], []]', '[{"i": 0, "j": 0, "status": 3}, '    # one cell twice
+                      '{"i": 0, "j": 0, "status": 2}]'),
     ]),
 ])
 def test_malformed_model_set_is_a_typed_error(tmp_path, pipeline, capfd, text):
@@ -549,15 +554,22 @@ def test_detector_settings_are_not_options(tmp_path, pipeline, command, flag):
     assert not (tmp_path / "out").exists()
 
 
-def test_sim_config_pre_samples_other_than_four_exits_4(tmp_path, pipeline, capfd):
+@pytest.mark.parametrize("line,message", [
+    ("pre_samples = 6", "pre_samples = 6"),
+    ("channel_gating = false", "channel_gating = false"),
+    ("output_width_bits = 32", "output_width_bits = 32"),
+    ("n_channels = 2", "key 'n_channels' given twice"),
+])
+def test_sim_config_line_the_fabric_cannot_honour_exits_4(tmp_path, pipeline, capfd,
+                                                          line, message):
     d = pipeline
     (tmp_path / "sim.cfg").write_text(
-        "n_channels = 2\ngroup_size = 2\nconveyor_slots = 8\npre_samples = 6\n")
+        f"n_channels = 2\ngroup_size = 2\nconveyor_slots = 8\n{line}\n")
     assert run("simulate", "--trace", d / "trace.bin", "--models", d,
                "--config", tmp_path / "sim.cfg",
                "--counters", tmp_path / "sim.json") == EXIT_SCHEMA
     err = capfd.readouterr().err
-    assert "pre_samples = 6" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "sim.json").exists()
 
 

@@ -190,7 +190,7 @@ def test_ensemble_exact_recovery():
     z = rng.poisson(4.0, size=(200, 8)).astype(float)
     x = z @ E0.T
     unit_channels = [j // 3 for j in range(8)]
-    model = train_ensemble(z, x, unit_channels, unit_indices=list(range(8)))
+    model = train_ensemble(z, x, unit_channels)
     assert np.allclose(model.E, E0, atol=1e-5)
     assert len(model.selected) == 8
     assert model.selected[3] == (1, 0)  # unit 3 = channel 1, first unit
@@ -229,9 +229,9 @@ def test_select_caps_three_per_channel():
     unit_channels = [0, 0, 0, 0] + [1 + j // 3 for j in range(8)]
     counts, x, _ = _tuned_session(rng, 12, tuned=range(12),
                                   unit_channels=unit_channels)
-    picked = select_neurons(counts, x, unit_channels, target_range=(2, 50))
+    picked = select_neurons(counts, x, unit_channels)
     from_ch0 = [j for j in picked if unit_channels[j] == 0]
-    assert len(from_ch0) <= 3
+    assert len(from_ch0) == 3
 
 
 def test_select_respects_target_ceiling():
@@ -622,7 +622,7 @@ def test_split_equals_monolithic_on_random_streams(stream):
 def test_fixed_overflow_is_checked_on_running_sums_not_bin_totals():
     ens = EnsembleModel(E=[[1.0, -1.0], [0.0, 0.0]], Qe=0.05 * np.eye(2),
                         selected=((0, 0), (0, 1)))
-    fmt = FixedPointFormat.for_matrix(ens.E, bits=24)
+    fmt = FixedPointFormat(bits=24, frac_bits=22)
     qmax = int(fmt.quantize(ens.E)[0, 0])
     n = INT32_MAX // qmax + 1           # n adds of +qmax pass INT32_MAX
     up, down = [[5, 0, 0]] * n, [[7, 0, 1]] * n

@@ -165,8 +165,7 @@ def _valid_files(d):
                  add("tokens", "k.jsonl", load_tokens))
     store_windows([Completion(36, 0, 5, 15, -16)], np.arange(-16, 16).reshape(1, 32),
                   add("windows", "w.jsonl", load_windows))
-    session = gen_reach_session(SessionConfig(n_units=2, trials_per_target=1,
-                                              bins_per_phase=2), seed=3)
+    session = gen_reach_session(SessionConfig(n_units=2, trials_per_target=1), seed=3)
     csv = add("session", "s.csv", load_session)
     store_session(session, csv)
     files["session-sidecar"] = (csv, csv + ".json", load_session)

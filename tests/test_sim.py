@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import scan_tokens
 from nsp.decode import EnsembleModel
-from nsp.sim import (Completion, ConfigMismatchError, SimConfig, Simulator,
-                     build_schedule, linear_fit_r2, parse_sim_config,
-                     reference_ez, run_simulation, serialize_sim_config,
-                     sweep_spike_rate)
+from nsp.sim import (OUTPUT_WORD_BITS, Completion, ConfigMismatchError,
+                     SimConfig, Simulator, build_schedule, linear_fit_r2,
+                     parse_sim_config, reference_ez, run_simulation,
+                     serialize_sim_config, sweep_spike_rate)
 from nsp.detect import Tokens, detect_trace
 from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
                            tier_config)
@@ -56,8 +56,7 @@ def test_config_rejects_bin_shorter_than_grace():
 
 
 def test_config_text_round_trip():
-    cfg = SimConfig(n_channels=8, group_size=4, conveyor_slots=8,
-                    channel_gating=False)
+    cfg = SimConfig(n_channels=8, group_size=4, conveyor_slots=8)
     assert parse_sim_config(serialize_sim_config(cfg)) == cfg
 
 
@@ -72,21 +71,33 @@ conveyor_slots = 8
     assert cfg.n_channels == 8 and cfg.conveyor_slots == 8
 
 
-def test_config_parser_reads_files_that_name_the_fixed_pre_offset():
-    # older serialized configs end with the detector's pre offset
+@pytest.mark.parametrize("fixed", [
+    "pre_samples = 4\n",
+    "output_width_bits = 16\nchannel_gating = true\npre_samples = 4\n",
+    "channel_gating = True\n", "channel_gating = 1\n", "channel_gating = YES\n",
+])
+def test_config_parser_reads_files_that_name_the_fixed_settings(fixed):
+    # older serialized configs carry the detector's pre offset, channel
+    # gating and the output word width
     text = serialize_sim_config(SimConfig(n_channels=8, group_size=4, conveyor_slots=8))
-    assert "pre_samples" not in text
-    assert parse_sim_config(text + "pre_samples = 4\n") == parse_sim_config(text)
+    assert not any(key in text for key in
+                   ("pre_samples", "channel_gating", "output_width_bits"))
+    assert parse_sim_config(text + fixed) == parse_sim_config(text)
 
 
 @pytest.mark.parametrize("text", [
     "n_chans = 96",                 # unknown key
     "n_channels: 96",               # missing '='
     "n_channels = ninety-six",      # not an integer
-    "channel_gating = maybe",       # not a boolean
+    "channel_gating = maybe",       # not the fixed rule
     "pre_samples = 0",              # not the detector's fixed offset
     "pre_samples = 5",
     "pre_samples = four",
+    "channel_gating = false",       # gating is the fabric's fixed rule
+    "channel_gating = 0",
+    "output_width_bits = 32",       # state words are 16 bits
+    "n_channels = 8\nn_channels = 96",    # a key given twice
+    "pre_samples = 4\npre_samples = 4",
 ])
 def test_config_parser_rejects_malformed_lines(text):
     with pytest.raises(PayloadError):
@@ -201,19 +212,6 @@ def test_gated_channel_never_reaches_a_sorter():
     assert sim.sorts_by_channel[3] == 0
 
 
-def test_gating_off_sorts_but_does_not_accumulate():
-    cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4,
-                    channel_gating=False)
-    ens = _ensemble([0, 1])
-    classifiers = {ch: (lambda f1, f2: 0) for ch in range(4)}
-    sched = [Completion(cycle=0, channel=3, t=0, f1=0, f2=0)]
-    sim = Simulator(cfg, ens, classifiers, sched, n_bins=1).run()
-    assert sim.counters.gated_tokens == 0
-    assert sim.counters.sorts == 1
-    assert sim.counters.decoder_accepts == 1
-    assert not sim._banks.any()
-
-
 # --- bin attribution -------------------------------------------------------------
 
 
@@ -248,8 +246,7 @@ def _random_fabric(seed):
     cfg = SimConfig(n_channels=n, group_size=group_size,
                     conveyor_slots=group_size + int(rng.integers(0, 5)),
                     decoder_buffer_depth=int(rng.integers(1, 5)),
-                    clock_hz=1000, bin_ms=100,
-                    channel_gating=bool(rng.integers(2)))
+                    clock_hz=1000, bin_ms=100)
     n_bins = int(rng.integers(1, 5))
     pairs = [(ch, u) for ch in range(n) for u in range(3)]
     keep = rng.random(len(pairs)) < 0.5
@@ -346,7 +343,7 @@ def _crowded_fabric(seed):
     cfg = SimConfig(n_channels=n, group_size=group_size,
                     conveyor_slots=group_size + int(rng.integers(0, 3)),
                     decoder_buffer_depth=int(rng.integers(1, 5)),
-                    clock_hz=1000, bin_ms=100, channel_gating=bool(rng.integers(2)))
+                    clock_hz=1000, bin_ms=100)
     ens = _ensemble(range(0, n, 2), units=3, seed=seed)
     classifiers = {ch: (lambda f1, f2, ch=ch: (7 * f1 + f2 + ch) % 3) for ch in range(n)}
     schedule = []
@@ -448,7 +445,7 @@ def _fabrics(draw):
     cfg = SimConfig(n_channels=n, group_size=group_size,
                     conveyor_slots=group_size + draw(st.integers(0, 3)),
                     decoder_buffer_depth=draw(st.integers(1, 4)),
-                    clock_hz=1000, bin_ms=100, channel_gating=draw(st.booleans()))
+                    clock_hz=1000, bin_ms=100)
     n_bins = draw(st.integers(1, 3))
     pairs = [(ch, u) for ch in range(n) for u in range(2)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -591,7 +588,7 @@ def test_bit_rate_counters(sim_setup):
     res = run_simulation(trace, models, ens, cfg)
     n_samples = trace.data.shape[1]
     assert res.counters.input_bits == 8 * n_samples * 8
-    assert res.counters.output_bits == res.n_bins * 2 * cfg.output_width_bits
+    assert res.counters.output_bits == res.n_bins * 2 * OUTPUT_WORD_BITS
 
 
 def test_channel_count_mismatch_is_rejected(sim_setup):
