@@ -15,10 +15,11 @@ The simulator keeps it as int arrays sorted by (cycle, channel).
 reference; it reads the schedule one row at a time. ``Simulator.run`` takes
 a fresh simulator to the same end state stage by stage on the arrays: ring
 insertion, where only tokens that contend for a conveyor slot go through a
-loop; one ``classify_many`` call per channel; the decoder buffer, a loop
-over int arrival cycles; and the accumulator banks in numpy. Each stage only
-feeds the next, so no stage loops over cycles. A simulator that ``step`` has
-already advanced finishes by stepping.
+loop; one ``classify_many`` call per channel; the decoder buffer, a
+single-server queue whose accept cycles are one cumulative max, with a loop
+only over the busy periods in which the buffer fills; and the accumulator
+banks in numpy. Each stage only feeds the next, so no stage loops over
+cycles. A simulator that ``step`` has already advanced finishes by stepping.
 """
 
 from __future__ import annotations
@@ -406,7 +407,17 @@ class Simulator:
         (C) Decoder buffer. Per arrival cycle: the buffer pops one item,
             then admits that cycle's arrivals, in group order, up to its
             depth. An item is accepted one cycle after its arrival or after
-            its predecessor, whichever is later.
+            its predecessor, whichever is later. Without drops that is a
+            Lindley recursion, so arrival ``i`` of the sorted cycles ``a``
+            is accepted in cycle ``max over j <= i of (a[j] - j) + i + 1``,
+            and it finds the items ``j < i`` accepted after ``a[i]`` still
+            in the buffer. Only an arrival that finds ``depth`` of them can
+            be dropped. A drop only lightens the load behind it, so every
+            accept of the real run comes no later than in this no-drop
+            schedule: wherever the no-drop buffer runs empty, the real one
+            does too. Its busy periods are therefore independent; the
+            no-drop accepts hold in every period without a full-buffer
+            arrival, and the per-arrival rule runs over the others.
         (D) Banks. A bank closes ``grace_cycles`` after its edge, so the
             accept cycle fixes which banks are still open; binning, edge
             crossings and late spills follow in numpy, and every bank is
@@ -435,22 +446,8 @@ class Simulator:
         channel, t = channel[ring], t[ring]
         labels = classify_by_channel(self.classifiers, channel, f1[ring], f2[ring])
 
-        # (C) the decoder buffer, one arrival cycle at a time
-        depth = cfg.decoder_buffer_depth
-        accepts, taken = [], []
-        head = n_accepts = 0     # accepts[head:] are still in the buffer
-        acc = -1                 # the cycle of the latest accept
-        previous = None
-        for i, cyc in enumerate(arrival.tolist()):
-            if cyc != previous:
-                previous = cyc
-                while head < n_accepts and accepts[head] <= cyc:
-                    head += 1
-            if n_accepts - head < depth:
-                acc = (acc if acc > cyc else cyc) + 1
-                accepts.append(acc)
-                taken.append(i)
-                n_accepts += 1
+        # (C) the decoder buffer
+        accepts, taken = _buffer_accepts(arrival, cfg.decoder_buffer_depth)
 
         c = self.counters
         c.detections += cycle.size
@@ -458,17 +455,17 @@ class Simulator:
         c.stall_cycles += stalls
         c.sorts += ring.size
         c.decoder_collisions += int(np.count_nonzero(np.diff(arrival) == 0))
-        c.tokens_lost += ring.size - n_accepts
+        c.tokens_lost += ring.size - taken.size
         self.sorts_by_channel += np.bincount(channel, minlength=cfg.n_channels)
 
         # (D) bin the accepted tokens, then close every remaining bank
-        self._accept_all(np.array(accepts, dtype=np.int64), t[taken],
-                         channel[taken], labels[taken])
+        self._accept_all(accepts, t[taken], channel[taken], labels[taken])
         # step() would stop after the last cycle with a detection, insertion,
         # ring exit, accept or bank close; a ring token leaves no earlier
         # than it is inserted
         last = max(max(int(cycle[-1]), 0) if cycle.size else -1,
-                   int(arrival[-1]) if ring.size else -1, acc)
+                   int(arrival[-1]) if ring.size else -1,
+                   int(accepts[-1]) if accepts.size else -1)
         if self.n_bins:
             last = max(last, self._close_cycle(self.n_bins - 1))
         while self._next_emit < self.n_bins:
@@ -588,6 +585,55 @@ class Simulator:
         c.edge_crossings += int(edge.sum())
         c.late_tokens += int(late.sum())
         self._accepted = np.column_stack((t, channel, labels))[kept]
+
+
+def _buffer_accepts(arrival, depth: int):
+    """Stage C of :meth:`Simulator.run` on the sorted int64 *arrival* cycles.
+
+    Returns ``(accepts, taken)``: the positions *taken* of the arrivals a
+    depth-*depth* decoder buffer admits and the cycles *accepts* in which
+    they are accepted. The closed form gives the no-drop schedule;
+    :func:`_admit` runs only over the no-drop busy periods that hold an
+    arrival finding the buffer full.
+    """
+    n = arrival.size
+    k = np.arange(n)
+    accepts = np.maximum.accumulate(arrival - k) + k + 1
+    full = k - np.searchsorted(accepts, arrival, side="right") >= depth
+    taken = np.ones(n, dtype=bool)
+    if full.any():
+        opens = np.ones(n, dtype=bool)         # arrival opens a busy period
+        opens[1:] = accepts[:-1] <= arrival[1:]
+        period = np.cumsum(opens) - 1
+        overflows = np.zeros(period[-1] + 1, dtype=bool)
+        overflows[period[full]] = True
+        looped = np.flatnonzero(overflows[period])
+        admitted, kept = _admit(arrival[looped].tolist(), depth)
+        taken[looped] = False
+        taken[looped[kept]] = True
+        accepts[looped[kept]] = admitted
+    return accepts[taken], np.flatnonzero(taken)
+
+
+def _admit(arrival: list, depth: int):
+    """The decoder buffer one arrival at a time, from empty: ``(accept
+    cycles, positions)`` of the arrivals it admits.
+
+    *arrival* may join several busy periods: every accept before a period
+    comes no later than the period's first arrival, so the buffer is empty
+    there and the latest accept does not hold it back.
+    """
+    accepts, taken = [], []
+    queue, acc = deque(), -1      # accept cycles still in the buffer; latest
+    for i, cyc in enumerate(arrival):
+        while queue and queue[0] <= cyc:
+            queue.popleft()
+        if len(queue) < depth:
+            acc = (acc if acc > cyc else cyc) + 1
+            queue.append(acc)
+            accepts.append(acc)
+            taken.append(i)
+    return accepts, taken
 
 
 @dataclass

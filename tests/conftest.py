@@ -1,5 +1,6 @@
 """Shared fixtures, the sample-scan detector oracle, the per-token online
-trainer oracle and the exhaustive split-layout oracle.
+trainer oracle, the per-arrival decoder-buffer oracle and the exhaustive
+split-layout oracle.
 
 The datasets here are deliberately small; anything that needs statistical
 power builds its own inside the test.
@@ -214,6 +215,35 @@ def observe_online(f1s, f2s) -> OnlineSorterModel:
     for f1, f2 in zip(f1s, f2s):
         sorter.observe(int(f1), int(f2))
     return sorter.finalize()
+
+
+# --- per-arrival decoder-buffer oracle ---------------------------------------
+#
+# Stage C of Simulator.run written as one loop over the arrivals: per arrival
+# cycle the buffer first lets go of every item accepted by then, and an
+# arrival that finds room is accepted one cycle after its arrival or after
+# the latest accept, whichever is later. nsp.sim._buffer_accepts must give
+# the same accepts.
+
+
+def buffer_accepts(arrival, depth):
+    """(accept cycles, positions) of the arrivals a depth-*depth* decoder
+    buffer admits, for non-decreasing int *arrival* cycles."""
+    accepts, taken = [], []
+    head = n_accepts = 0     # accepts[head:] are still in the buffer
+    acc = -1                 # the cycle of the latest accept
+    previous = None
+    for i, cyc in enumerate(arrival):
+        if cyc != previous:
+            previous = cyc
+            while head < n_accepts and accepts[head] <= cyc:
+                head += 1
+        if n_accepts - head < depth:
+            acc = (acc if acc > cyc else cyc) + 1
+            accepts.append(acc)
+            taken.append(i)
+            n_accepts += 1
+    return accepts, taken
 
 
 # --- exhaustive two-feature split-layout oracle -----------------------------

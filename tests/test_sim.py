@@ -1,11 +1,13 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scan_tokens
+from conftest import buffer_accepts, scan_tokens
+from nsp import sim as sim_module
 from nsp.decode import EnsembleModel
 from nsp.sim import (OUTPUT_WORD_BITS, Completion, ConfigMismatchError,
                      SimConfig, Simulator, build_schedule, linear_fit_r2,
@@ -200,6 +202,57 @@ def test_three_group_burst_overflows_depth_four_buffer():
     assert c.detections == c.gated_tokens + c.decoder_accepts + c.tokens_lost
 
 
+def _overflowing_periods(arrival, depth):
+    """Positions of the arrivals in the no-drop busy periods that hold an
+    arrival finding *depth* items in the buffer, from the oracle alone."""
+    accepts, _ = buffer_accepts(arrival, len(arrival) + 1)
+    periods = []
+    for i, cyc in enumerate(arrival):
+        if i == 0 or accepts[i - 1] <= cyc:
+            periods.append([])
+        periods[-1].append((i, sum(acc > cyc for acc in accepts[:i]) >= depth))
+    return [i for period in periods if any(full for _, full in period)
+            for i, _ in period]
+
+
+def _check_buffer(arrival, depth):
+    """_buffer_accepts equals the oracle, and only the overflowing busy
+    periods go through the per-arrival loop."""
+    with mock.patch.object(sim_module, "_admit", wraps=sim_module._admit) as admit:
+        accepts, taken = sim_module._buffer_accepts(np.array(arrival, dtype=np.int64), depth)
+    assert (accepts.tolist(), taken.tolist()) == buffer_accepts(arrival, depth)
+    looped = _overflowing_periods(arrival, depth)
+    assert [call.args[0] for call in admit.call_args_list] == (
+        [[arrival[i] for i in looped]] if looped else [])
+    return accepts.tolist(), taken.tolist()
+
+
+@pytest.mark.parametrize("arrival, depth, expected, looped", [
+    ([], 4, ([], []), False),
+    # the second arrival comes in the cycle the first is accepted: it finds
+    # the buffer empty again
+    ([0, 1], 1, ([1, 2], [0, 1]), False),
+    ([3, 4, 4, 5], 2, ([4, 5, 6, 7], [0, 1, 2, 3]), False),
+    # the first busy period overflows
+    ([0, 0, 0, 5], 1, ([1, 6], [0, 3]), True),
+    ([2, 2, 2, 2, 2, 2, 9], 3, ([3, 4, 5, 10], [0, 1, 2, 6]), True),
+    # two overflowing busy periods with one idle cycle (3) between them
+    ([0, 0, 3, 3], 1, ([1, 4], [0, 2]), True),
+    ([0, 0, 0, 4, 4, 4], 2, ([1, 2, 5, 6], [0, 1, 3, 4]), True),
+])
+def test_decoder_buffer_closed_form_cases(arrival, depth, expected, looped):
+    assert _check_buffer(arrival, depth) == expected
+    assert bool(_overflowing_periods(arrival, depth)) == looped
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(0, 50),
+       gaps=st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, 5, 30]), max_size=400),
+       depth=st.integers(1, 8))
+def test_decoder_buffer_closed_form_equals_the_per_arrival_loop(start, gaps, depth):
+    _check_buffer((start + np.cumsum(gaps, dtype=np.int64)).tolist(), depth)
+
+
 def test_gated_channel_never_reaches_a_sorter():
     cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
     ens = _ensemble([0, 1])  # channels 2 and 3 carry no selected unit
@@ -359,7 +412,7 @@ def _crowded_fabric(seed):
 
 
 def test_run_equals_step_on_ties_long_busy_periods_and_negative_cycles():
-    seen = dict.fromkeys(("tie", "long", "negative", "rearm"), 0)
+    seen = dict.fromkeys(("tie", "long", "negative", "rearm", "lost"), 0)
     for seed in range(200):
         cfg, ens, classifiers, schedule, n_bins = _crowded_fabric(seed)
         fast = _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins), Simulator.run)
@@ -371,6 +424,7 @@ def test_run_equals_step_on_ties_long_busy_periods_and_negative_cycles():
         seen["long"] += fast["counters"]["stall_cycles"] >= 40
         seen["negative"] += any(tok.cycle < 0 for tok in schedule)
         seen["rearm"] += fast["err"] is not None and "re-arm" in fast["err"]
+        seen["lost"] += fast["counters"]["tokens_lost"] > 0
     assert all(count >= 5 for count in seen.values()), seen
 
 
