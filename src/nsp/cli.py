@@ -320,9 +320,8 @@ def cmd_decode(args) -> int:
     elif args.split == "implant":
         if events is None:
             events = _counts_to_events(counts, bin_len, ens.selected)
-        mode = "fixed" if bundle.fixed is not None else "float"
         states, _, ops, _ = run_eokf_split(bundle.transition, ens, events, n_bins,
-                                           bin_len, mode=mode, fmt=bundle.fixed,
+                                           bin_len, fmt=bundle.fixed,
                                            x0=bundle.x0, P0=bundle.P0)
     else:
         if counts is None:

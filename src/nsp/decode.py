@@ -32,7 +32,7 @@ from scipy import stats
 
 from ._util import atomic_write_text
 from .opcount import OpCounts, inv_small, ldl_solve, mat_add, mat_mul, mat_sub
-from .synthdata import PayloadError, load_document, read_text
+from .synthdata import PayloadError, _checked_int, load_document, read_text
 
 RIDGE_EPS = 1e-6
 DEFAULT_STATE_DIM = 2
@@ -501,36 +501,33 @@ class FixedPointFormat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FixedPointFormat":
-        return cls(bits=int(obj["bits"]), frac_bits=int(obj["frac_bits"]))
+        # the implant accumulator that adds these words is 32-bit
+        return cls(bits=_checked_int(obj["bits"], "bits", 2, 32),
+                   frac_bits=_checked_int(obj["frac_bits"], "frac_bits"))
 
 
 class ImplantAccumulator:
     """Implant-side half of the computation split: one add per spike event.
 
-    In float mode the accumulator keeps exact integer per-unit counts and
+    Without a format the accumulator keeps exact integer per-unit counts and
     multiplies by E only at bin emission, so the emitted vector is
-    bit-identical to E @ bin_counts no matter the event order. In fixed mode
-    it adds the quantized 16-bit E column into a 32-bit accumulator on every
-    event — the literal hardware datapath — and emission rescales by the
-    format's LSB.
+    bit-identical to E @ bin_counts no matter the event order. Given a
+    format *fmt* it works in fixed point: it adds the quantized E column into
+    a 32-bit accumulator on every event — the literal hardware datapath —
+    and emission rescales by the format's LSB.
 
     ``accumulate`` and ``emit_bin`` model that datapath one event and one bin
     at a time; they are the oracle of ``accumulate_bins``, which takes a whole
     event stream at once and gives the same bits.
     """
 
-    def __init__(self, ens: EnsembleModel, mode: str = "float",
-                 fmt: FixedPointFormat | None = None):
-        if mode not in ("float", "fixed"):
-            raise ValueError(f"unknown accumulator mode {mode!r}")
-        self.mode = mode
+    def __init__(self, ens: EnsembleModel, fmt: FixedPointFormat | None = None):
         self.ens = ens
+        self.fmt = fmt
         self._index = {pair: j for j, pair in enumerate(ens.selected)}
         d, s = ens.E.shape
-        self.fmt = None
-        if mode == "fixed":
-            self.fmt = fmt if fmt is not None else FixedPointFormat.for_matrix(ens.E)
-            self._eq = self.fmt.quantize(ens.E)
+        if fmt is not None:
+            self._eq = fmt.quantize(ens.E)
             self._acc = np.zeros(d, dtype=np.int64)
         else:
             self._counts = np.zeros(s, dtype=np.int64)
@@ -543,7 +540,7 @@ class ImplantAccumulator:
         if j is None:
             self.dropped += 1
             return False
-        if self.mode == "fixed":
+        if self.fmt is not None:
             self._acc += self._eq[:, j]
             if np.any(np.abs(self._acc) > INT32_MAX):
                 raise ArithmeticError("implant accumulator exceeded 32-bit range")
@@ -554,7 +551,7 @@ class ImplantAccumulator:
 
     def emit_bin(self) -> np.ndarray:
         """Close the bin: return the reduced observation and reset."""
-        if self.mode == "fixed":
+        if self.fmt is not None:
             ez = self.fmt.dequantize(self._acc)
             self._acc[:] = 0
         else:
@@ -569,7 +566,7 @@ class ImplantAccumulator:
         by bin, then input order) with ``emit_bin`` at each bin's end. An
         event whose pair is unselected or whose time lies outside
         [0, n_bins*bin_len) counts as dropped, as ``bin_spikes`` drops it.
-        The emission is ``ensemble_ez`` of the bin counts. Fixed mode also
+        The emission is ``ensemble_ez`` of the bin counts. Fixed point also
         raises ``ArithmeticError`` if any per-event running sum inside a
         bin leaves the 32-bit range, even one that is back in range by the
         bin's end; the counters are then left unchanged. A bin in progress
@@ -579,7 +576,7 @@ class ImplantAccumulator:
         d, s = self.ens.E.shape
         counts = _bin_counts(b, col, n_bins, s)
         per_bin = counts.sum(axis=1)
-        if self.mode == "fixed":
+        if self.fmt is not None:
             # running sums over the whole stream in accumulate order, less
             # the running sum at each bin's start: the accumulator in each bin
             keep = col >= 0
@@ -608,9 +605,15 @@ def run_eokf_split(trans: StateTransitionModel, ens: EnsembleModel, events,
     Returns (states, emitted ez per bin, StepOps, accumulator). Functionally
     interchangeable with run_eokf over bin_spikes of the same events: both
     drop unselected pairs and times outside [0, n_bins*bin_len), and
-    ``acc.events_accumulated + acc.dropped`` is the number of events.
+    ``acc.events_accumulated + acc.dropped`` is the number of events. A
+    format *fmt* makes the accumulator fixed point; ``mode="fixed"`` without
+    one takes ``FixedPointFormat.for_matrix(ens.E)``.
     """
-    acc = ImplantAccumulator(ens, mode=mode, fmt=fmt)
+    if mode == "fixed":
+        fmt = fmt if fmt is not None else FixedPointFormat.for_matrix(ens.E)
+    elif mode != "float":
+        raise ValueError(f"unknown accumulator mode {mode!r}")
+    acc = ImplantAccumulator(ens, fmt)
     ez_stream = acc.accumulate_bins(events, n_bins, bin_len)
     states, ops = run_filter(trans, ens, ez_stream, x0, P0)
     return states, ez_stream, ops, acc
@@ -791,8 +794,8 @@ class DecoderBundle:
                 fixed = FixedPointFormat.from_json(obj["fixed_point"])
             return cls(kind=obj["kind"], transition=trans, observation=obs,
                        ensemble=ens, x0=np.array(obj["x0"]), P0=np.array(obj["P0"]),
-                       bin_ms=int(obj.get("bin_ms", 100)), fixed=fixed,
-                       meta=dict(obj.get("meta", {})))
+                       bin_ms=_checked_int(obj.get("bin_ms", 100), "bin_ms", 1),
+                       fixed=fixed, meta=dict(obj.get("meta", {})))
         except (KeyError, TypeError, ValueError) as exc:
             raise PayloadError(f"bad decoder model: {exc}") from exc
 

@@ -195,9 +195,9 @@ def window_features(windows: np.ndarray) -> tuple:
 def detect_trace(trace, thresholds) -> tuple:
     """Run detection + feature extraction over all channels of a RawTrace.
 
-    *thresholds* is a scalar or a per-channel sequence. Returns (windows,
-    tokens): the (n, 32) int8 array of the detected windows and their n
-    :class:`Tokens`, both ordered by (channel, time).
+    *thresholds* is a scalar or a per-channel sequence (NaN never fires).
+    Returns (windows, tokens): the (n, 32) int8 array of the detected windows
+    and their n :class:`Tokens`, both ordered by (channel, time).
     """
     thr = np.broadcast_to(np.asarray(thresholds, dtype=np.float64),
                           (trace.n_channels,))
@@ -207,15 +207,21 @@ def detect_trace(trace, thresholds) -> tuple:
     return windows, Tokens(t0, channel, f1, f2)
 
 
+def channel_groups(channel) -> zip:
+    """``(ch, positions of ch in *channel*, in order)`` for each ch, ascending."""
+    order = np.argsort(channel, kind="stable")
+    chans, firsts = np.unique(channel[order], return_index=True)
+    return zip(chans.tolist(), np.split(order, firsts[1:]))
+
+
 # --- token / window stream files (JSONL) -----------------------------------
 
 
-def store_tokens(tokens, path: str) -> None:
-    """Write *tokens* (a Tokens or Completion rows) as ``{t, ch, f1, f2}`` records."""
-    tok = Tokens.of(tokens)
+def store_tokens(tokens: Tokens, path: str) -> None:
+    """Write *tokens* as ``{t, ch, f1, f2}`` records."""
     store_records(({"t": t, "ch": ch, "f1": f1, "f2": f2} for t, ch, f1, f2 in
-                   zip(tok.t.tolist(), tok.channel.tolist(), tok.f1.tolist(),
-                       tok.f2.tolist())), path)
+                   zip(tokens.t.tolist(), tokens.channel.tolist(),
+                       tokens.f1.tolist(), tokens.f2.tolist())), path)
 
 
 def load_tokens(path: str) -> Tokens:
@@ -228,18 +234,17 @@ def load_tokens(path: str) -> Tokens:
     return Tokens(*rows.T)
 
 
-def store_windows(tokens, windows: np.ndarray, path: str) -> None:
+def store_windows(tokens: Tokens, windows: np.ndarray, path: str) -> None:
     """Write each token's window as a ``{t, ch, s}`` record.
 
     *windows* is the (len(tokens), 32) int8 array that :func:`detect_trace`
     returns beside *tokens*.
     """
-    tok = Tokens.of(tokens)
     windows = np.asarray(windows).reshape(-1, WINDOW_LEN)
-    if windows.shape[0] != len(tok):
-        raise ValueError(f"{windows.shape[0]} windows for {len(tok)} tokens")
+    if windows.shape[0] != len(tokens):
+        raise ValueError(f"{windows.shape[0]} windows for {len(tokens)} tokens")
     store_records(({"t": t, "ch": ch, "s": s} for t, ch, s in
-                   zip(tok.t.tolist(), tok.channel.tolist(), windows.tolist())), path)
+                   zip(tokens.t.tolist(), tokens.channel.tolist(), windows.tolist())), path)
 
 
 def _window_record(t: int, ch: int, samples: list) -> tuple:

@@ -4,10 +4,9 @@ confusion matrices, and the per-channel train/test benchmark protocol."""
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
-from .detect import Tokens, detect_rows, estimate_threshold, window_features
+from .detect import Tokens, channel_groups, detect_trace, estimate_threshold
 from .sort_offline import train_channel_model, train_l1
 from .sort_online import fit_online
 from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN
@@ -42,6 +41,15 @@ def match_events(token_times, truth_times) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def _matched(tokens: Tokens, rows, truth) -> tuple:
+    """Features (m, 2) and true unit ids (m,) of the token *rows*, in time
+    order, that :func:`match_events` pairs with one channel's *truth* rows."""
+    pairs = match_events(tokens.t[rows], truth[:, 0])
+    rows = rows[pairs[:, 0]]
+    return (np.column_stack([tokens.f1[rows], tokens.f2[rows]]),
+            truth[pairs[:, 1], 2].astype(np.int64))
+
+
 def matched_features(tokens: Tokens, labels: GroundTruthLabels) -> dict:
     """Features and true unit ids of the tokens matched to ground truth.
 
@@ -50,18 +58,9 @@ def matched_features(tokens: Tokens, labels: GroundTruthLabels) -> dict:
     rows in time order, whatever their order in *tokens*; unmatched tokens
     are left out.
     """
-    order = np.lexsort((tokens.t, tokens.channel))
-    chans, firsts = np.unique(tokens.channel[order], return_index=True)
-    out = {}
-    for ch, lo, hi in zip(chans.tolist(), firsts.tolist(),
-                          firsts[1:].tolist() + [len(tokens)]):
-        rows = order[lo:hi]
-        truth = labels.for_channel(ch)
-        pairs = match_events(tokens.t[rows], truth[:, 0])
-        rows = rows[pairs[:, 0]]
-        out[ch] = (np.column_stack([tokens.f1[rows], tokens.f2[rows]]),
-                   truth[pairs[:, 1], 2].astype(np.int64))
-    return out
+    return {ch: _matched(tokens, rows[np.argsort(tokens.t[rows], kind="stable")],
+                         labels.for_channel(ch))
+            for ch, rows in channel_groups(tokens.channel)}
 
 
 def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels,
@@ -69,16 +68,15 @@ def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels,
     """Detected features with matched true unit ids for one channel.
 
     Returns (features (m, 2) int64, unit ids (m,) int64, n_detected,
-    n_truth). Unmatched detections (noise crossings) are excluded, and only
-    the matched windows are cut from the trace.
+    n_truth): :func:`~nsp.detect.detect_trace` of the channel's row at its
+    own threshold, matched as :func:`matched_features` matches a channel.
+    Unmatched detections (noise crossings) are excluded.
     """
-    ch_trace = trace.data[channel]
-    _, starts = detect_rows(ch_trace.reshape(1, -1), [estimate_threshold(ch_trace)])
+    row = trace.data[channel][np.newaxis]
+    _, tok = detect_trace(RawTrace(row, sample_rate=trace.sample_rate),
+                          estimate_threshold(row))
     truth = labels.for_channel(channel)
-    pairs = match_events(starts, truth[:, 0])
-    windows = sliding_window_view(ch_trace, WINDOW_LEN)[starts[pairs[:, 0]]]
-    feats = np.column_stack(window_features(windows)).astype(np.int64)
-    return feats, truth[pairs[:, 1], 2].astype(np.int64), starts.size, truth.shape[0]
+    return (*_matched(tok, np.arange(len(tok)), truth), len(tok), truth.shape[0])
 
 
 def confusion_matrix(pred, truth) -> tuple:

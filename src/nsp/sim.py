@@ -655,18 +655,17 @@ def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
     """Detect every modeled channel of *trace* into a token schedule.
 
     A window spanning [t0, t0+31] completes (and may enter the queue) at
-    cycle t0+31. Channels without a model are left silent. The tokens are
-    those of :func:`~nsp.detect.detect_trace` on the modeled channels, in
-    (channel, time) order. *config* is not read: the detector has no settings.
+    cycle t0+31. The tokens are those of :func:`~nsp.detect.detect_trace`
+    with a NaN threshold, which never fires, on each channel without a
+    model; a model on a channel the trace lacks raises ConfigMismatchError.
+    *config* is not read: the detector has no settings.
     """
-    channels = sorted(models)
-    data = (trace.data if channels == list(range(trace.n_channels))
-            else trace.data[channels])
-    thr = [thresholds[ch] if thresholds is not None else estimate_threshold(row)
-           for ch, row in zip(channels, data)]
-    _, tok = detect_trace(RawTrace(data, sample_rate=trace.sample_rate), thr)
-    return Tokens(tok.t, np.asarray(channels, dtype=np.int64)[tok.channel],
-                  tok.f1, tok.f2)
+    check_model_channels(models, trace.n_channels)
+    thr = np.full(trace.n_channels, np.nan)
+    for ch in models:
+        thr[ch] = (thresholds[ch] if thresholds is not None
+                   else estimate_threshold(trace.data[ch]))
+    return detect_trace(trace, thr)[1]
 
 
 def check_model_channels(models, n_channels: int) -> None:
@@ -702,7 +701,6 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
         raise ConfigMismatchError(
             f"trace is sampled at {trace.sample_rate} Hz but the fabric clock "
             f"is {config.clock_hz} Hz; one sample per cycle needs them equal")
-    check_model_channels(models, config.n_channels)
     n_samples = trace.data.shape[1]
     n_bins = max(1, math.ceil(n_samples / config.bin_len))
     schedule = build_schedule(trace, models, config, thresholds)

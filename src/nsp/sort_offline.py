@@ -29,6 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from ._util import atomic_write_text
+from .detect import channel_groups
 from .patterns import N_LEAVES, N_SPLITS, SegmentationPattern, enumerate_patterns, pattern_by_id
 from .sort_online import OUTLIER, OnlineSorterModel, _valley_runs
 from .synthdata import PayloadError, load_document
@@ -322,13 +323,10 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSort
         return _degenerate_model(majority)
 
     acc, pattern_id, boundaries = best
+    # with every leaf valid, classify_many gives each spike's leaf
     model = ChannelSorterModel(pattern_id=pattern_id, boundaries=boundaries,
-                               valid_mask=0, train_accuracy=acc)
-    pat = pattern_by_id(pattern_id)
-    mask = 0
-    for f1, f2 in feats:
-        mask |= 1 << pat.leaf_map[pat.code_of(f1, f2, boundaries)]
-    model.valid_mask = mask
+                               valid_mask=(1 << N_LEAVES) - 1, train_accuracy=acc)
+    model.valid_mask = int(np.bitwise_or.reduce(1 << model.classify_many(*feats.T)))
     return model
 
 
@@ -401,11 +399,7 @@ def classify_by_channel(classifiers: dict, channel, f1, f2) -> np.ndarray:
     channel = np.asarray(channel, dtype=np.int64)
     f1, f2 = np.asarray(f1, dtype=np.int64), np.asarray(f2, dtype=np.int64)
     labels = np.empty(channel.size, dtype=np.int64)
-    order = np.argsort(channel, kind="stable")
-    chans, firsts = np.unique(channel[order], return_index=True)
-    for ch, lo, hi in zip(chans.tolist(), firsts.tolist(),
-                          firsts[1:].tolist() + [channel.size]):
-        at = order[lo:hi]
+    for ch, at in channel_groups(channel):
         clf = classifiers[ch]
         many = getattr(clf, "classify_many", None)
         if many is not None:

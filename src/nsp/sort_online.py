@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .detect import Tokens
+from .detect import Tokens, channel_groups
 from .synthdata import PayloadError
 
 BIN_WIDTH = 2            # LSB per histogram bin
@@ -257,16 +257,11 @@ def fit_online(f1, f2) -> OnlineSorterModel:
                       for c, s in enumerate(status.tolist()) if s != STATUS_VACANT])
 
 
-def train_online(tokens) -> dict:
+def train_online(tokens: Tokens) -> dict:
     """Train one OnlineSorterModel per channel from a token stream.
 
-    *tokens* is a :class:`~nsp.detect.Tokens` or a sequence of
-    ``Completion`` rows. Each channel's model is :func:`fit_online` of that
-    channel's tokens in stream order.
+    Each channel's model is :func:`fit_online` of that channel's tokens in
+    stream order.
     """
-    tok = Tokens.of(tokens)
-    order = np.argsort(tok.channel, kind="stable")
-    chans, firsts = np.unique(tok.channel[order], return_index=True)
-    return {ch: fit_online(a, b) for ch, a, b in
-            zip(chans.tolist(), np.split(tok.f1[order], firsts[1:]),
-                np.split(tok.f2[order], firsts[1:]))}
+    return {ch: fit_online(tokens.f1[at], tokens.f2[at])
+            for ch, at in channel_groups(tokens.channel)}

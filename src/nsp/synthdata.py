@@ -499,6 +499,13 @@ def _is_int64(x) -> bool:
     return type(x) is int and _INT64_MIN <= x <= _INT64_MAX
 
 
+def _checked_int(value, name: str, lo=_INT64_MIN, hi=_INT64_MAX) -> int:
+    """*value* if it is an integer (not a bool) in lo..hi, else ValueError."""
+    if not (_is_int64(value) and lo <= value <= hi):
+        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
+    return value
+
+
 def read_text(path: str) -> str:
     """The whole file as text; bytes that are not UTF-8 raise PayloadError."""
     with open(path, "rb") as fh:
@@ -666,7 +673,7 @@ def load_session(path: str) -> ReachSession:
         return ReachSession(
             velocity=np.array(vel, dtype=np.float64).reshape(-1, 2),
             counts=np.array(counts, dtype=np.int64).reshape(-1, n_units),
-            bin_ms=int(sidecar["bin_ms"]),
+            bin_ms=_checked_int(sidecar["bin_ms"], "bin_ms", 1),
             trials=trials,
             tuning=[TuningCurve(**tc) for tc in sidecar.get("tuning", [])],
             unit_channels=unit_channels,

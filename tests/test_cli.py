@@ -465,21 +465,52 @@ def test_negative_model_channel_is_a_typed_error(tmp_path, pipeline, capfd):
     assert not (d / "out").exists()
 
 
-@pytest.mark.parametrize("bad", ["fractional start_bin", "short unit_channels"])
+@pytest.mark.parametrize("bad", ["fractional start_bin", "short unit_channels",
+                                 "fractional bin_ms", "boolean bin_ms", "zero bin_ms"])
 def test_malformed_session_sidecar_exits_4(tmp_path, pipeline, capfd, bad):
     d = pipeline
     shutil.copy(d / "session.csv", tmp_path / "session.csv")
     sidecar = json.loads((d / "session.csv.json").read_text())
     if bad == "fractional start_bin":
         sidecar["trials"][0]["start_bin"] = 1.5
-    else:
+    elif bad == "short unit_channels":
         sidecar["unit_channels"].pop()
+    else:
+        sidecar["bin_ms"] = {"fractional bin_ms": 100.9, "boolean bin_ms": True,
+                             "zero bin_ms": 0}[bad]
     (tmp_path / "session.csv.json").write_text(json.dumps(sidecar))
     assert run("train-decoder", "--session", tmp_path / "session.csv",
                "--out", tmp_path / "decoder.json") == EXIT_SCHEMA
     err = capfd.readouterr().err
     assert "malformed session sidecar" in err and "Traceback" not in err
     assert not (tmp_path / "decoder.json").exists()
+    assert run("decode", "--model", d / "decoder.json",
+               "--session", tmp_path / "session.csv",
+               "--out", tmp_path / "decoded.csv") == EXIT_SCHEMA
+    assert not (tmp_path / "decoded.csv").exists()
+
+
+@pytest.mark.parametrize("edit", [{"bin_ms": 99.7}, {"bin_ms": True}, {"bin_ms": -100},
+                                  {"fixed_point": {"bits": 100, "frac_bits": 90}},
+                                  {"fixed_point": {"bits": 16, "frac_bits": 2.5}},
+                                  {"fixed_point": {"bits": 1, "frac_bits": 0}}])
+@pytest.mark.parametrize("split", ["monolithic", "implant"])
+def test_malformed_decoder_exits_4(tmp_path, pipeline, capfd, edit, split):
+    obj = {**json.loads((pipeline / "decoder.json").read_text()), **edit}
+    (tmp_path / "decoder.json").write_text(json.dumps(obj))
+    assert run("decode", "--model", tmp_path / "decoder.json",
+               "--session", pipeline / "session.csv", "--split", split,
+               "--out", tmp_path / "decoded.csv") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "bad decoder model" in err and "Traceback" not in err
+    assert not (tmp_path / "decoded.csv").exists()
+
+
+def test_decoder_without_bin_ms_loads_as_100(tmp_path, pipeline):
+    obj = json.loads((pipeline / "decoder.json").read_text())
+    assert obj.pop("bin_ms") == 100
+    (tmp_path / "decoder.json").write_text(json.dumps(obj))
+    assert load_decoder(str(tmp_path / "decoder.json")).bin_ms == 100
 
 
 def test_simulate_clocks_the_fabric_at_the_trace_rate(tmp_path, pipeline):

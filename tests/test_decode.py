@@ -556,8 +556,8 @@ def test_split_counts_a_selected_unit_above_three():
 # at each bin's end, and events outside the binned span dropped.
 
 
-def _per_event(ens, events, n_bins, bin_len, mode, fmt=None) -> tuple:
-    acc = ImplantAccumulator(ens, mode=mode, fmt=fmt)
+def _per_event(ens, events, n_bins, bin_len, fmt=None) -> tuple:
+    acc = ImplantAccumulator(ens, fmt)
     ev = np.asarray(events, dtype=np.int64).reshape(-1, 3)
     b = ev[:, 0] // bin_len
     ez = np.empty((n_bins, ens.E.shape[0]))
@@ -591,8 +591,8 @@ def _streams(draw) -> tuple:
 def test_accumulate_bins_equals_the_per_event_oracle(stream, mode):
     events, n_bins, bin_len, ens = stream
     fmt = FixedPointFormat.for_matrix(ens.E) if mode == "fixed" else None
-    want, oracle = _per_event(ens, events, n_bins, bin_len, mode, fmt)
-    acc = ImplantAccumulator(ens, mode=mode, fmt=fmt)
+    want, oracle = _per_event(ens, events, n_bins, bin_len, fmt)
+    acc = ImplantAccumulator(ens, fmt)
     got = acc.accumulate_bins(events, n_bins, bin_len)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert ((acc.events_accumulated, acc.dropped)
@@ -629,9 +629,9 @@ def test_fixed_overflow_is_checked_on_running_sums_not_bin_totals():
     # peaks above INT32_MAX mid-bin, ends the bin at zero
     rising = np.array(up + down)
     with pytest.raises(ArithmeticError, match="32-bit"):
-        _per_event(ens, rising, 1, 100, "fixed", fmt)
+        _per_event(ens, rising, 1, 100, fmt)
     with pytest.raises(ArithmeticError, match="32-bit"):
-        ImplantAccumulator(ens, mode="fixed", fmt=fmt).accumulate_bins(rising, 1, 100)
+        ImplantAccumulator(ens, fmt).accumulate_bins(rising, 1, 100)
     with pytest.raises(ArithmeticError, match="32-bit"):
         run_eokf_split(TRANS_2D, ens, rising, 1, 100, mode="fixed", fmt=fmt)
     # the same adds interleaved never leave [-qmax, qmax]; falling first
@@ -641,8 +641,8 @@ def test_fixed_overflow_is_checked_on_running_sums_not_bin_totals():
     falling_first = np.array(down[1:] + up[1:] + up[1:])
     two_bins = np.array(up[1:] + [[105, 0, 0]] * (n - 1))
     for events, n_bins in ((interleaved, 1), (falling_first, 1), (two_bins, 2)):
-        want, _ = _per_event(ens, events, n_bins, 100, "fixed", fmt)
-        got = ImplantAccumulator(ens, mode="fixed", fmt=fmt).accumulate_bins(
+        want, _ = _per_event(ens, events, n_bins, 100, fmt)
+        got = ImplantAccumulator(ens, fmt).accumulate_bins(
             events, n_bins, 100)
         assert np.array_equal(got, want)
 
@@ -658,6 +658,34 @@ def test_accumulator_drops_unselected_and_emits_zero():
     assert np.allclose(acc.emit_bin(), ens.E[:, 1])
     # reset happened
     assert np.array_equal(acc.emit_bin(), np.zeros(2))
+
+
+def test_accumulator_is_fixed_point_exactly_when_given_a_format():
+    ens = EnsembleModel(E=[[0.3, -1.7], [0.01, 0.6]], Qe=0.05 * np.eye(2),
+                        selected=((0, 0), (0, 1)))
+    fmt = FixedPointFormat(bits=8, frac_bits=2)        # LSB 0.25: every entry rounds
+    flt, fix = ImplantAccumulator(ens), ImplantAccumulator(ens, fmt)
+    assert flt.fmt is None and fix.fmt is fmt
+    for acc in (flt, fix):
+        acc.accumulate(0, 0)
+        acc.accumulate(0, 1)
+    assert flt.emit_bin().tolist() == [0.3 - 1.7, 0.01 + 0.6]
+    assert fix.emit_bin().tolist() == [0.25 - 1.75, 0.0 + 0.5]
+
+
+def test_split_mode_is_translated_once():
+    ens = EnsembleModel(E=[[0.3, -1.7], [0.01, 0.6]], Qe=0.05 * np.eye(2),
+                        selected=((0, 0), (0, 1)))
+    ev = np.array([[10, 0, 0], [20, 0, 1]])
+    fmt = FixedPointFormat(bits=8, frac_bits=2)
+    _, ez_float, _, acc = run_eokf_split(TRANS_2D, ens, ev, 1, 100)
+    assert acc.fmt is None and np.array_equal(ez_float, [[0.3 - 1.7, 0.01 + 0.6]])
+    _, ez_fixed, _, acc = run_eokf_split(TRANS_2D, ens, ev, 1, 100, fmt=fmt)
+    assert acc.fmt is fmt and np.array_equal(ez_fixed, [[-1.5, 0.5]])
+    _, _, _, acc = run_eokf_split(TRANS_2D, ens, ev, 1, 100, mode="fixed")
+    assert acc.fmt == FixedPointFormat.for_matrix(ens.E)
+    with pytest.raises(ValueError, match="mode 'bogus'"):
+        run_eokf_split(TRANS_2D, ens, ev, 1, 100, mode="bogus")
 
 
 def test_reduce_observation_is_plain_matmul():
@@ -682,6 +710,16 @@ def test_fixed_point_for_matrix_uses_full_range():
 def test_fixed_point_round_trip_json():
     fmt = FixedPointFormat(bits=16, frac_bits=11)
     assert FixedPointFormat.from_json(fmt.to_json()) == fmt
+    for bits, frac_bits in ((2, -3), (32, 40)):
+        fmt = FixedPointFormat(bits=bits, frac_bits=frac_bits)
+        assert FixedPointFormat.from_json(fmt.to_json()) == fmt
+
+
+@pytest.mark.parametrize("bits, frac_bits", [(100, 90), (1, 0), (16.5, 11), (True, 0),
+                                             (16, 11.0), (16, "11"), (16, False)])
+def test_fixed_point_json_needs_integer_bits_in_range(bits, frac_bits):
+    with pytest.raises(ValueError, match="bits must be an integer in"):
+        FixedPointFormat.from_json({"bits": bits, "frac_bits": frac_bits})
 
 
 def test_quantize_range_check():

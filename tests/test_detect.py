@@ -306,5 +306,5 @@ def test_window_round_trip(tmp_path):
 
 def test_empty_streams(tmp_path):
     p = str(tmp_path / "empty.jsonl")
-    store_tokens([], p)
+    store_tokens(Tokens.of([]), p)
     assert len(load_tokens(p)) == 0

@@ -132,21 +132,31 @@ def medium_trace():
     return gen_spike_trace(tier_config("medium", n_channels=3, duration_s=8.0), seed=29)
 
 
-@pytest.mark.parametrize("which", ["easy_trace", "medium_trace"])
+@pytest.mark.parametrize("which", ["easy_trace", "medium_trace", "hard_trace"])
 def test_feature_dataset_equals_the_per_window_path(which, request):
+    """channel_feature_dataset is matched_features of detect_trace, channel by
+    channel, and both equal the sample-scan oracle."""
     trace, labels = request.getfixturevalue(which)
     _, tokens = detect_trace(trace, [estimate_threshold(row) for row in trace.data])
     datasets = matched_features(tokens, labels)
     assert sorted(datasets) == list(range(trace.n_channels))
+    perm = np.random.default_rng(0).permutation(len(tokens))
+    shuffled = matched_features(Tokens(tokens.t[perm], tokens.channel[perm],
+                                       tokens.f1[perm], tokens.f2[perm]), labels)
+    assert all(np.array_equal(shuffled[ch][k], datasets[ch][k])
+               for ch in datasets for k in (0, 1))
     for ch in range(trace.n_channels):
         feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch)
         ref_feats, ref_labs, ref_det, ref_truth = _per_window_dataset(trace, labels, ch)
         assert feats.dtype == labs.dtype == np.int64
         assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
         assert (n_det, n_truth) == (ref_det, ref_truth)
-        feats, labs = datasets[ch]
-        assert feats.dtype == labs.dtype == np.int64
-        assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
+        assert type(n_det) is int and type(n_truth) is int
+        assert n_det == np.count_nonzero(tokens.channel == ch)
+        assert n_truth == labels.for_channel(ch).shape[0]
+        want_feats, want_labs = datasets[ch]
+        assert want_feats.dtype == want_labs.dtype == np.int64
+        assert np.array_equal(feats, want_feats) and np.array_equal(labs, want_labs)
 
 
 def test_feature_dataset_without_matches():

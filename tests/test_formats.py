@@ -19,7 +19,7 @@ from nsp.cli import _load_sorted_events
 from nsp.decode import (DecoderBundle, FixedPointFormat, load_decoded,
                         load_decoder, store_decoded, store_decoder,
                         train_ensemble, train_transition)
-from nsp.detect import (Completion, load_tokens, load_windows,
+from nsp.detect import (Completion, Tokens, load_tokens, load_windows,
                         store_tokens, store_windows)
 from nsp.sort_offline import (ChannelSorterModel, L1TemplateModel, load_models,
                               store_models)
@@ -161,9 +161,10 @@ def _valid_files(d):
     store_trace(RawTrace(np.arange(-8, 8).reshape(2, 8)), add("trace", "t.nsp", load_trace))
     store_labels(GroundTruthLabels([[5, 0, 1], [40, 1, 0], [90, 0, 2]]),
                  add("labels", "l.jsonl", load_labels))
-    store_tokens([Completion(36, 0, 5, 12, -40), Completion(81, 1, 50, -3, 7)],
+    store_tokens(Tokens.of([Completion(36, 0, 5, 12, -40), Completion(81, 1, 50, -3, 7)]),
                  add("tokens", "k.jsonl", load_tokens))
-    store_windows([Completion(36, 0, 5, 15, -16)], np.arange(-16, 16).reshape(1, 32),
+    store_windows(Tokens.of([Completion(36, 0, 5, 15, -16)]),
+                  np.arange(-16, 16).reshape(1, 32),
                   add("windows", "w.jsonl", load_windows))
     session = gen_reach_session(SessionConfig(n_units=2, trials_per_target=1), seed=3)
     csv = add("session", "s.csv", load_session)

@@ -40,19 +40,20 @@ def test_every_name_the_benchmark_imports_exists():
 
 
 def _nsp_calls(path: Path):
-    """(where, target, keywords) for every call in *path* to a name imported
-    from nsp.<module>, or to an attribute of one, made directly or through
-    ``tr.call(span_name, fn, *args, **kwargs)``; *target* is None when the
-    attribute does not exist."""
+    """(where, target, call node, first) for every call in *path* to a name
+    imported from nsp.<module>, or to an attribute of one, made directly or
+    through ``tr.call(span_name, fn, *args, **kwargs)``; the target's
+    arguments are ``node.args[first:]`` and the keywords, and *target* is
+    None when the attribute does not exist."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     names = {local: getattr(importlib.import_module(module), name)
              for local, module, name in _nsp_imports(tree)}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
+        func, first = node.func, 0
         if isinstance(func, ast.Attribute) and func.attr == "call" and len(node.args) > 1:
-            func = node.args[1]
+            func, first = node.args[1], 2
         if isinstance(func, ast.Name) and func.id in names:
             target, label = names[func.id], func.id
         elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
@@ -61,25 +62,34 @@ def _nsp_calls(path: Path):
             label = f"{func.value.id}.{func.attr}"
         else:
             continue
-        yield (f"{path.name}:{node.lineno} {label}", target,
-               [kw.arg for kw in node.keywords if kw.arg is not None])
+        yield f"{path.name}:{node.lineno} {label}", target, node, first
 
 
-def test_every_keyword_the_benchmark_passes_is_a_parameter():
-    """Each keyword that perfbench/ and the acceptance checks pass to an nsp
-    callable or config class names a parameter of its signature, so removing
-    a parameter they use fails here rather than in a benchmark run."""
+def test_every_call_the_benchmark_makes_binds():
+    """Each call that perfbench/ and the acceptance checks make to an nsp
+    callable or config class binds to its signature, positional arguments
+    and keywords alike, so removing or reordering a parameter they use fails
+    here rather than in a benchmark run. A call with ``*args`` or
+    ``**kwargs`` cannot be bound without running it, nor can a call to a
+    builtin without a signature (``cache_clear``); those are skipped."""
     calls = [call for path in CALLERS for call in _nsp_calls(path)]
-    assert sum(len(kws) for _, _, kws in calls) > 10
-    bad = []
-    for where, target, keywords in calls:
+    bad, bound = [], 0
+    for where, target, node, first in calls:
         if target is None:
             bad.append(f"{where}: no such attribute")
-        if target is None or not keywords:
             continue
-        params = inspect.signature(target).parameters
-        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        args = node.args[first:]
+        if (any(isinstance(a, ast.Starred) for a in args)
+                or any(kw.arg is None for kw in node.keywords)):
             continue
-        bad += [f"{where}: {kw}=" for kw in keywords
-                if kw not in params or params[kw].kind is inspect.Parameter.POSITIONAL_ONLY]
+        try:
+            signature = inspect.signature(target)
+        except ValueError:
+            continue
+        try:
+            signature.bind(*args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            bad.append(f"{where}: {exc}")
+        bound += 1
+    assert bound > 100
     assert bad == []

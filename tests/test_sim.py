@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import buffer_accepts, scan_tokens
@@ -569,6 +569,8 @@ def test_build_schedule_equals_per_window_detection():
 @given(n_channels=st.integers(1, 4), n_samples=st.integers(32, 400),
        seed=st.integers(0, 2 ** 32 - 1), modeled=st.sets(st.integers(0, 3)),
        threshold=st.floats(1.0, 130.0))
+@example(n_channels=4, n_samples=400, seed=3, modeled={0, 3}, threshold=20.0)
+@example(n_channels=4, n_samples=400, seed=4, modeled={1}, threshold=20.0)
 def test_build_schedule_equals_detect_trace_on_modeled_channels(
         n_channels, n_samples, seed, modeled, threshold):
     rng = np.random.default_rng(seed)
@@ -661,6 +663,13 @@ def test_sample_rate_must_equal_the_fabric_clock():
     res = run_simulation(trace, models, ens,
                          SimConfig(n_channels=4, group_size=4, clock_hz=20000))
     assert res.config.bin_len == 2000 and res.n_bins == 5
+
+
+@pytest.mark.parametrize("channel", [4, -1])
+def test_build_schedule_rejects_a_model_channel_the_trace_lacks(channel):
+    trace = RawTrace(data=np.zeros((4, 100), dtype=np.int8))
+    with pytest.raises(ConfigMismatchError, match=rf"\[{channel}\]"):
+        build_schedule(trace, {0: None, channel: None}, SimConfig())
 
 
 def test_foreign_channel_in_schedule_is_rejected():

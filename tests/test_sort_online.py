@@ -160,7 +160,7 @@ def test_fit_online_equals_the_per_token_trainer(seed, n, n_clusters, spread, wi
 def test_two_cluster_stream_recovers_two_clusters():
     rng = np.random.default_rng(7)
     toks = _cluster_tokens(rng, [(-60, 50), (40, -40)], n_per=600)
-    models = train_online(toks)
+    models = train_online(Tokens.of(toks))
     model = models[0]
     assert model.n_clusters == 2
     # the cluster centers themselves classify into distinct ids
@@ -172,7 +172,7 @@ def test_two_cluster_stream_recovers_two_clusters():
 def test_short_stream_replays_histogram_spikes():
     rng = np.random.default_rng(8)
     toks = _cluster_tokens(rng, [(-60, 50), (40, -40)], n_per=100)  # 200 < budget
-    models = train_online(toks)
+    models = train_online(Tokens.of(toks))
     model = models[0]
     assert model.n_clusters >= 2  # replay path still yields a usable model
     assert model.classify(-60, 50) != model.classify(40, -40)
@@ -181,7 +181,7 @@ def test_short_stream_replays_histogram_spikes():
 def test_streaming_equals_batch_training():
     rng = np.random.default_rng(9)
     toks = _cluster_tokens(rng, [(-70, 60), (10, 0), (70, -60)], n_per=500)
-    m1 = train_online(toks)[0]
+    m1 = train_online(Tokens.of(toks))[0]
     m2 = observe_online([tok.f1 for tok in toks], [tok.f2 for tok in toks])
     assert m1.boundaries == m2.boundaries
     assert m1.cam_snapshot == m2.cam_snapshot
@@ -204,7 +204,7 @@ def test_train_online_keys_by_channel():
     rng = np.random.default_rng(10)
     toks = (_cluster_tokens(rng, [(-60, 50), (40, -40)], n_per=300, channel=2)
             + _cluster_tokens(rng, [(-30, 30), (60, -60)], n_per=300, channel=0))
-    models = train_online(toks)
+    models = train_online(Tokens.of(toks))
     assert sorted(models) == [0, 2]
 
 
@@ -278,7 +278,7 @@ def test_table_classify_equals_brute_force(centers):
         assert model.valid() == []
     else:
         rng = np.random.default_rng(12)
-        model = train_online(_cluster_tokens(rng, centers, n_per=400))[0]
+        model = train_online(Tokens.of(_cluster_tokens(rng, centers, n_per=400)))[0]
     want = _brute_force_labels(model)
     got = np.array([[model.classify(f1, f2) for f2 in range(-128, 128)]
                     for f1 in range(-128, 128)])
@@ -299,7 +299,7 @@ def test_table_classify_equals_brute_force(centers):
 def test_model_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     toks = _cluster_tokens(rng, [(-60, 50), (40, -40)], n_per=600)
-    models = train_online(toks)
+    models = train_online(Tokens.of(toks))
     p = str(tmp_path / "online.json")
     store_models(models, p)
     back = load_models(p)
