@@ -19,7 +19,7 @@ from . import __version__
 from ._util import atomic_write_text, canonical_json, config_hash
 from .decode import (DecoderBundle, FixedPointFormat, bin_spikes, count_ops,
                      evaluate_reconstruction, load_decoder, run_eokf,
-                     run_eokf_split, run_filter, run_kf, selection_columns,
+                     run_eokf_split, run_filter, selection_columns,
                      store_decoded, store_decoder, train_ensemble,
                      train_observation_standard, train_transition)
 from .detect import (detect_trace, estimate_threshold, load_tokens, load_windows,
@@ -249,20 +249,15 @@ def cmd_train_decoder(args) -> int:
             "config_hash": config_hash({"seed": args.seed, "filter": args.filter,
                                          "train_frac": args.train_frac,
                                          "fixed": args.fixed})}
-    if args.filter == "kf":
-        obs = train_observation_standard(counts, vel)
-        bundle = DecoderBundle(kind="kf", transition=trans, observation=obs,
-                               bin_ms=session.bin_ms, meta=meta)
-    else:
-        ens = train_ensemble(counts, vel, session.unit_channels)
-        fixed = FixedPointFormat.for_matrix(ens.E) if args.fixed else None
-        bundle = DecoderBundle(kind="eokf", transition=trans, ensemble=ens,
-                               bin_ms=session.bin_ms, fixed=fixed, meta=meta)
+    obs = (train_observation_standard(counts, vel) if args.filter == "kf"
+           else train_ensemble(counts, vel, session.unit_channels))
+    fixed = FixedPointFormat.for_matrix(obs.E) if args.fixed and obs.kind == "eokf" else None
+    bundle = DecoderBundle(transition=trans, observation=obs, bin_ms=session.bin_ms,
+                           fixed=fixed, meta=meta)
     store_decoder(bundle, args.out)
-    n_sel = len(bundle.ensemble.selected) if bundle.ensemble is not None else 0
     print(f"wrote {args.out} (filter={args.filter}, {len(train_ids)} train / "
           f"{len(test_ids)} test trials"
-          + (f", {n_sel} selected units" if n_sel else "") + ")")
+          + (f", {len(obs.selected)} selected units" if obs.kind == "eokf" else "") + ")")
     return EXIT_OK
 
 
@@ -290,7 +285,7 @@ def cmd_decode(args) -> int:
     if (args.session is None) == (args.events is None):
         raise ValueError("decode needs exactly one of --session or --events")
     bundle = load_decoder(args.model)
-    ens, bin_len = bundle.ensemble, bundle.bin_ms * 30000 // 1000
+    obs, bin_len = bundle.observation, bundle.bin_ms * 30000 // 1000
     events = counts = bins = session = None
     if args.events is not None:
         if bundle.kind != "eokf":
@@ -313,20 +308,20 @@ def cmd_decode(args) -> int:
             bins = trials_to_bins(session, ids)
         counts, n_bins = session.counts[bins], len(bins)
         if bundle.kind == "eokf":
-            counts = counts[:, selection_columns(ens.selected, session.unit_channels)]
+            counts = counts[:, selection_columns(obs.selected, session.unit_channels)]
     if bundle.kind == "kf":
-        states, ops = run_kf(bundle.transition, bundle.observation, counts,
-                             x0=bundle.x0, P0=bundle.P0)
+        states, ops = run_filter(bundle.transition, obs, counts,
+                                 x0=bundle.x0, P0=bundle.P0)
     elif args.split == "implant":
         if events is None:
-            events = _counts_to_events(counts, bin_len, ens.selected)
-        states, _, ops, _ = run_eokf_split(bundle.transition, ens, events, n_bins,
+            events = _counts_to_events(counts, bin_len, obs.selected)
+        states, _, ops, _ = run_eokf_split(bundle.transition, obs, events, n_bins,
                                            bin_len, fmt=bundle.fixed,
                                            x0=bundle.x0, P0=bundle.P0)
     else:
         if counts is None:
-            counts = bin_spikes(events, n_bins, bin_len, ens.selected)
-        states, _, ops = run_eokf(bundle.transition, ens, counts,
+            counts = bin_spikes(events, n_bins, bin_len, obs.selected)
+        states, _, ops = run_eokf(bundle.transition, obs, counts,
                                   x0=bundle.x0, P0=bundle.P0, fmt=bundle.fixed)
     store_decoded(args.out, states)
     _write_meta(args.out, vars(args), seed=bundle.meta.get("seed"),
@@ -361,7 +356,7 @@ def cmd_simulate(args) -> int:
     decoder_path = os.path.join(args.models, "decoder.json")
     models = load_models(sorters_path)
     bundle = load_decoder(decoder_path)
-    if bundle.kind != "eokf" or bundle.ensemble is None:
+    if bundle.kind != "eokf":
         raise DatasetFormatError("simulate needs an ensemble (eokf) decoder")
     if args.config:
         sim_cfg = parse_sim_config(read_text(args.config))
@@ -374,14 +369,14 @@ def cmd_simulate(args) -> int:
                             group_size=math.gcd(SimConfig.group_size,
                                                trace.n_channels),
                             clock_hz=trace.sample_rate, bin_ms=bundle.bin_ms)
-    result = run_simulation(trace, models, bundle.ensemble, sim_cfg)
+    result = run_simulation(trace, models, bundle.observation, sim_cfg)
     counters = result.counters.as_dict()
     _write_json(args.counters, {
         "kind": "sim-counters", "counters": counters,
         "config": asdict(sim_cfg),
         "provenance": provenance(vars(args))})
     if args.decoded:
-        states, _ = run_filter(bundle.transition, bundle.ensemble, result.ez,
+        states, _ = run_filter(bundle.transition, bundle.observation, result.ez,
                                x0=bundle.x0, P0=bundle.P0)
         store_decoded(args.decoded, states)
         _write_meta(args.decoded, vars(args), extra={"n_bins": int(result.n_bins)})
@@ -429,8 +424,8 @@ def cmd_bench(args) -> int:
                       if r["kind"] == "kf" and r["n_neurons"] == n)
             eo = next(r for r in out_rows
                       if r["kind"] == "eokf" and r["n_neurons"] == n)
-            kt = sum(kf["ops"]["step_total"].values())
-            et = sum(eo["ops"]["step_total"].values())
+            kt = kf["ops"]["step_total"]["total"]
+            et = eo["ops"]["step_total"]["total"]
             print(f"n={n}: eokf/kf step ratio = {et}/{kt} = {100.0 * et / kt:.3f}%")
     if args.out:
         _write_json(args.out, {"kind": "op-bench", "rows": out_rows,

@@ -18,8 +18,10 @@ plus the event-driven observe reduction), so complexity claims are measured,
 not estimated. The explicit re-symmetrization of P after the covariance
 update is numerical hygiene and is excluded from the counters.
 
-Every decode path feeds one runner, ``run_filter``, and every per-bin E z
-reduction, float or fixed point, is one function, ``ensemble_ez``.
+Each observation model names its filter in ``kind`` ("kf" or "eokf"), so the
+model alone picks the filter: every decode path feeds ``run_filter``, which
+steps the filter the model names, and a ``DecoderBundle`` stores only the
+model. Every per-bin E z reduction, float or fixed point, is ``ensemble_ez``.
 """
 
 from __future__ import annotations
@@ -103,6 +105,8 @@ class StateTransitionModel:
 
 @dataclass
 class StandardObservationModel:
+    kind = "kf"
+
     H: np.ndarray        # (n_neurons, d)
     Q: np.ndarray        # (n_neurons, n_neurons) observation covariance
 
@@ -113,6 +117,8 @@ class StandardObservationModel:
 
 @dataclass
 class EnsembleModel:
+    kind = "eokf"
+
     E: np.ndarray        # (d, n_selected) regression weights
     Qe: np.ndarray       # (d, d) residual covariance
     selected: tuple      # ((channel, within-channel unit id), ...) per E column
@@ -121,7 +127,7 @@ class EnsembleModel:
         self.E = np.asarray(self.E, dtype=np.float64)
         self.Qe = np.asarray(self.Qe, dtype=np.float64)
         self.selected = tuple((int(c), int(u)) for c, u in self.selected)
-        if self.E.shape[1] != len(self.selected):
+        if self.E.ndim != 2 or self.E.shape[1] != len(self.selected):
             raise ValueError("one selected (channel, unit) pair per E column")
         per_channel = {}
         for ch, _ in self.selected:
@@ -349,10 +355,11 @@ def run_filter(trans: StateTransitionModel, model, stream: np.ndarray,
                x0=None, P0=None) -> tuple:
     """One filter step per row of *stream*; returns (states, StepOps).
 
-    The observation model picks the step: ``kf_step`` on raw rate vectors for
-    a ``StandardObservationModel``, ``eokf_step`` on E z for an ``EnsembleModel``.
+    The observation model's ``kind`` picks the step: ``kf_step`` on raw rate
+    vectors for a ``StandardObservationModel``, ``eokf_step`` on E z for an
+    ``EnsembleModel``.
     """
-    step = {StandardObservationModel: kf_step, EnsembleModel: eokf_step}.get(type(model))
+    step = {"kf": kf_step, "eokf": eokf_step}.get(getattr(model, "kind", None))
     if step is None:
         raise TypeError(f"no filter step for a {type(model).__name__}")
     d = trans.A.shape[0]
@@ -728,12 +735,13 @@ def best_single_neuron_decoder(counts: np.ndarray, velocity: np.ndarray) -> tupl
 
 @dataclass
 class DecoderBundle:
-    """Everything needed to decode: models, start state, optional fixed point."""
+    """Everything needed to decode: models, start state, optional fixed point.
 
-    kind: str                                   # "kf" | "eokf"
+    The observation model picks the filter, as in ``run_filter``, and ``kind``
+    reads its name back: "kf" or "eokf"."""
+
     transition: StateTransitionModel
-    observation: StandardObservationModel | None = None
-    ensemble: EnsembleModel | None = None
+    observation: StandardObservationModel | EnsembleModel
     x0: np.ndarray | None = None
     P0: np.ndarray | None = None
     bin_ms: int = 100
@@ -741,12 +749,6 @@ class DecoderBundle:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("kf", "eokf"):
-            raise ValueError(f"unknown decoder kind {self.kind!r}")
-        if self.kind == "kf" and self.observation is None:
-            raise ValueError("standard decoder needs an observation model")
-        if self.kind == "eokf" and self.ensemble is None:
-            raise ValueError("ensemble decoder needs an ensemble model")
         d = self.transition.A.shape[0]
         if self.x0 is None:
             self.x0 = np.zeros(d)
@@ -756,22 +758,25 @@ class DecoderBundle:
         self.P0 = np.asarray(self.P0, dtype=np.float64)
 
     @property
+    def kind(self) -> str:
+        return self.observation.kind
+
+    @property
     def state_dim(self) -> int:
         return self.transition.A.shape[0]
 
     def to_json(self) -> dict:
+        obs = self.observation
         obj = {"kind": self.kind, "state_dim": self.state_dim,
                "bin_ms": int(self.bin_ms),
                "A": self.transition.A.tolist(), "W": self.transition.W.tolist(),
                "x0": self.x0.tolist(), "P0": self.P0.tolist(),
                "meta": dict(self.meta)}
-        if self.observation is not None:
-            obj["H"] = self.observation.H.tolist()
-            obj["Q"] = self.observation.Q.tolist()
-        if self.ensemble is not None:
-            obj["E"] = self.ensemble.E.tolist()
-            obj["Qe"] = self.ensemble.Qe.tolist()
-            obj["selected"] = [[c, u] for c, u in self.ensemble.selected]
+        if self.kind == "kf":
+            obj.update(H=obs.H.tolist(), Q=obs.Q.tolist())
+        else:
+            obj.update(E=obs.E.tolist(), Qe=obs.Qe.tolist(),
+                       selected=[[c, u] for c, u in obs.selected])
         if self.fixed is not None:
             obj["fixed_point"] = self.fixed.to_json()
         return obj
@@ -780,20 +785,18 @@ class DecoderBundle:
     def from_json(cls, obj: dict) -> "DecoderBundle":
         try:
             trans = StateTransitionModel(A=np.array(obj["A"]), W=np.array(obj["W"]))
-            obs = None
-            if "H" in obj:
-                obs = StandardObservationModel(H=np.array(obj["H"]),
-                                               Q=np.array(obj["Q"]))
-            ens = None
-            if "E" in obj:
-                ens = EnsembleModel(E=np.array(obj["E"]), Qe=np.array(obj["Qe"]),
-                                    selected=tuple((int(c), int(u))
-                                                   for c, u in obj["selected"]))
+            if obj["kind"] == "kf":
+                obs = StandardObservationModel(H=np.array(obj["H"]), Q=np.array(obj["Q"]))
+            elif obj["kind"] == "eokf":
+                obs = EnsembleModel(E=np.array(obj["E"]), Qe=np.array(obj["Qe"]),
+                                    selected=obj["selected"])
+            else:
+                raise ValueError(f"unknown decoder kind {obj['kind']!r}")
             fixed = None
             if obj.get("fixed_point") is not None:
                 fixed = FixedPointFormat.from_json(obj["fixed_point"])
-            return cls(kind=obj["kind"], transition=trans, observation=obs,
-                       ensemble=ens, x0=np.array(obj["x0"]), P0=np.array(obj["P0"]),
+            return cls(transition=trans, observation=obs,
+                       x0=np.array(obj["x0"]), P0=np.array(obj["P0"]),
                        bin_ms=_checked_int(obj.get("bin_ms", 100), "bin_ms", 1),
                        fixed=fixed, meta=dict(obj.get("meta", {})))
         except (KeyError, TypeError, ValueError) as exc:

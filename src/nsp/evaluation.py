@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from .detect import Tokens, channel_groups, detect_trace, estimate_threshold
 from .sort_offline import train_channel_model, train_l1
 from .sort_online import fit_online
-from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN
+from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN, split_indices
 
 MATCH_TOLERANCE = WINDOW_LEN
 SORTER_TRAIN_FRAC = 0.6    # matched events that train the tree and L1 sorters
@@ -131,14 +131,6 @@ def mapped_accuracy(leaves, truth, leaf_map: dict) -> float:
     hits = sum(1 for lf, tr in zip(leaves, truth)
                if lf >= 0 and leaf_map.get(int(lf)) == int(tr))
     return hits / leaves.size
-
-
-def split_indices(n: int, train_frac: float, seed: int) -> tuple:
-    """Seeded shuffle split with both sides non-empty whenever n >= 2."""
-    order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(n * train_frac))
-    n_train = min(max(n_train, 1), n - 1) if n >= 2 else n
-    return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
 def evaluate_channel_sorters(trace: RawTrace, labels: GroundTruthLabels, channel: int,

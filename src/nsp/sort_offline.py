@@ -32,7 +32,7 @@ from ._util import atomic_write_text
 from .detect import channel_groups
 from .patterns import N_LEAVES, N_SPLITS, SegmentationPattern, enumerate_patterns, pattern_by_id
 from .sort_online import OUTLIER, OnlineSorterModel, _valley_runs
-from .synthdata import PayloadError, load_document
+from .synthdata import PayloadError, _checked_int, load_document
 
 GRID_STEP = 8          # LSB pitch of the uniform boundary-candidate grid
 KDE_BANDWIDTH = 5.0    # LSB
@@ -99,9 +99,15 @@ class ChannelSorterModel:
         if not isinstance(spec, dict) or spec.get("mode") != "peak-trough":
             raise PayloadError(f"tree model trained on features {spec!r}; "
                                "only peak-trough features are sorted")
-        return cls(pattern_id=int(obj["pattern_id"]),
-                   boundaries=tuple(int(b) for b in obj["boundaries"]),
-                   valid_mask=int(obj["valid_mask"]),
+        boundaries = obj["boundaries"]
+        if not isinstance(boundaries, list) or len(boundaries) != N_SPLITS:
+            raise PayloadError(f"a tree model has {N_SPLITS} boundaries, got {boundaries!r}")
+        return cls(pattern_id=_checked_int(obj["pattern_id"], "pattern_id", 0,
+                                           len(enumerate_patterns()) - 1),
+                   boundaries=tuple(_checked_int(b, "boundary", -128, 127)
+                                    for b in boundaries),
+                   valid_mask=_checked_int(obj["valid_mask"], "valid_mask", 0,
+                                           2 ** N_LEAVES - 1),
                    train_accuracy=float(obj.get("train_accuracy", 0.0)))
 
 
@@ -142,8 +148,13 @@ class L1TemplateModel:
     def from_json(cls, obj: dict) -> "L1TemplateModel":
         if obj.get("kind") != cls.kind:
             raise PayloadError(f"not an L1 sorter model: kind={obj.get('kind')!r}")
-        return cls(templates=tuple((int(a), int(b)) for a, b in obj["templates"]),
-                   labels=tuple(int(l) for l in obj["labels"]))
+        templates, labels = obj["templates"], obj["labels"]
+        if not isinstance(labels, list) or len(labels) != len(templates):
+            raise PayloadError(f"an L1 model has one label per template, got {labels!r}")
+        return cls(templates=tuple((_checked_int(a, "template f1", -128, 127),
+                                    _checked_int(b, "template f2", -128, 127))
+                                   for a, b in templates),
+                   labels=tuple(_checked_int(l, "label") for l in labels))
 
 
 def model_footprint(model) -> int:

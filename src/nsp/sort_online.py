@@ -24,7 +24,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .detect import Tokens, channel_groups
-from .synthdata import PayloadError
+from .synthdata import PayloadError, _checked_int
 
 BIN_WIDTH = 2            # LSB per histogram bin
 N_BINS = 256 // BIN_WIDTH  # bins over the int8 range; values beyond it clamp
@@ -183,15 +183,10 @@ class OnlineSorterModel:
             _check_cuts(axis, axis_cuts)
         cam = [(e["i"], e["j"], e["status"]) for e in obj["cam"]]
         for i, j, status in cam:
-            if not (_is_int(i) and _is_int(j) and 0 <= i <= len(cuts[0])
-                    and 0 <= j <= len(cuts[1])):
-                raise PayloadError(
-                    f"CAM entry ({i!r}, {j!r}) lies outside the "
-                    f"{len(cuts[0]) + 1}x{len(cuts[1]) + 1} partition grid")
-            if not (_is_int(status) and STATUS_OUTLIER <= status <= STATUS_STRONG):
-                raise PayloadError(
-                    f"CAM entry ({i}, {j}): status {status!r} is not an occupied "
-                    f"status {STATUS_OUTLIER}..{STATUS_STRONG}")
+            _checked_int(i, "CAM entry row i", 0, len(cuts[0]))
+            _checked_int(j, "CAM entry column j", 0, len(cuts[1]))
+            _checked_int(status, f"CAM entry ({i}, {j}) status", STATUS_OUTLIER,
+                         STATUS_STRONG)
         if len({(i, j) for i, j, _ in cam}) != len(cam):
             raise PayloadError("CAM lists a partition more than once")
         return cls(boundaries=(list(cuts[0]), list(cuts[1])), cam_snapshot=cam)
@@ -209,19 +204,15 @@ def online_footprint(n_cuts_f1: int, n_cuts_f2: int) -> int:
             + CELL_BITS * (n_cuts_f1 + 1) * (n_cuts_f2 + 1))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_cuts(axis: int, cuts) -> None:
-    """Reject a cut list that classify could not use: PayloadError at load."""
+    """Reject a cut list that classify could not use, at load."""
     where = f"boundaries of feature {axis + 1}"
     if not isinstance(cuts, list):
         raise PayloadError(f"{where}: expected a list, got {cuts!r}")
     if len(cuts) > MAX_BOUNDARIES:
         raise PayloadError(f"{where}: {len(cuts)} cuts, at most {MAX_BOUNDARIES} allowed")
-    if not all(_is_int(c) and -128 <= c <= 127 for c in cuts):
-        raise PayloadError(f"{where}: cuts must be int8 integers, got {cuts!r}")
+    for c in cuts:
+        _checked_int(c, f"{where}: cut", -128, 127)
     if any(a >= b for a, b in zip(cuts, cuts[1:])):
         raise PayloadError(f"{where}: cuts must be strictly ascending, got {cuts!r}")
 

@@ -462,22 +462,27 @@ def gen_reach_session(config: SessionConfig, seed: int) -> ReachSession:
                         unit_channels=unit_channels, meta=meta)
 
 
-def split_trials(session: ReachSession, fraction: float, seed: int) -> tuple:
-    """Random trial-level split; no bin is shared across the two sides.
+def split_indices(n: int, train_frac: float, seed: int) -> tuple:
+    """Seeded shuffle split with both sides non-empty whenever n >= 2."""
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = int(round(n * train_frac))
+    n_train = min(max(n_train, 1), n - 1) if n >= 2 else n
+    return np.sort(order[:n_train]), np.sort(order[n_train:])
 
-    Returns (train_trial_ids, test_trial_ids), each sorted, together covering
-    every trial exactly once. Both sides are non-empty.
+
+def split_trials(session: ReachSession, fraction: float, seed: int) -> tuple:
+    """Random trial-level split by ``split_indices``; no bin is on both sides.
+
+    Returns (train_trial_ids, test_trial_ids), each a sorted list of ints,
+    together covering every trial exactly once. Both sides are non-empty.
     """
     n = len(session.trials)
     if n < 2:
         raise ValueError("need at least 2 trials to split")
     if not (0.0 < fraction < 1.0):
         raise ValueError("train fraction must be in (0, 1)")
-    order = np.random.default_rng(seed).permutation(n)
-    n_train = min(max(int(round(n * fraction)), 1), n - 1)
-    train = sorted(int(i) for i in order[:n_train])
-    test = sorted(int(i) for i in order[n_train:])
-    return train, test
+    train, test = split_indices(n, fraction, seed)
+    return train.tolist(), test.tolist()
 
 
 def trials_to_bins(session: ReachSession, trial_ids) -> np.ndarray:

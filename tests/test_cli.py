@@ -93,7 +93,7 @@ def test_decoder_records_its_split(pipeline):
     bundle = load_decoder(str(pipeline / "decoder.json"))
     assert bundle.kind == "eokf"
     assert len(bundle.meta["train_trials"]) + len(bundle.meta["test_trials"]) == 24
-    assert 20 <= len(bundle.ensemble.selected) <= 50
+    assert 20 <= len(bundle.observation.selected) <= 50
 
 
 def test_decode_metrics_and_ops(pipeline):
@@ -112,6 +112,12 @@ def test_bench_json_carries_both_filters(pipeline):
     eokf = next(r for r in bench["rows"] if r["kind"] == "eokf")
     assert eokf["ops"]["step_total"] == {"mult": 42, "add": 37, "div": 4,
                                          "total": 83}
+
+
+def test_bench_prints_the_step_total_ratio(capsys):
+    assert run("bench", "--filter", "both", "--neurons", "20") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "n=20: eokf/kf step ratio = 83/7826 = 1.061%" in lines
 
 
 def test_sim_counters_schema(pipeline):
@@ -180,10 +186,10 @@ def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
     bundle = load_decoder(str(m / "decoder.json"))
     cfg = parse_sim_config((d / "sim.cfg").read_text())
     res = run_simulation(load_trace(str(d / "trace.bin")),
-                         load_models(str(m / "sorters.json")), bundle.ensemble, cfg)
+                         load_models(str(m / "sorters.json")), bundle.observation, cfg)
     assert res.counters.as_dict() == counters
-    ez = reference_ez(res.accepted_events, bundle.ensemble, res.n_bins, cfg.bin_len)
-    states, _ = run_filter(bundle.transition, bundle.ensemble, ez,
+    ez = reference_ez(res.accepted_events, bundle.observation, res.n_bins, cfg.bin_len)
+    states, _ = run_filter(bundle.transition, bundle.observation, ez,
                            x0=bundle.x0, P0=bundle.P0)
     store_decoded(str(m / "ref_decoded.csv"), states)
     assert (m / "ref_decoded.csv").read_bytes() == (m / "sim_decoded.csv").read_bytes()
@@ -195,6 +201,43 @@ def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
     tampered["rows"][0]["footprint_bits"] += 1
     (m / "eval.json").write_text(json.dumps(tampered))
     assert run(*report) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("kind", ["kf", "eokf", "eokf-fixed"])
+def test_every_decoder_kind_runs_every_command(pipeline, tmp_path, capfd, kind):
+    d, m = pipeline, tmp_path
+    flags = {"kf": ("--filter", "kf"), "eokf": ("--filter", "eokf"),
+             "eokf-fixed": ("--filter", "eokf", "--fixed")}[kind]
+    assert run("train-decoder", "--session", d / "session.csv", *flags, "--seed", 9,
+               "--out", m / "decoder.json") == EXIT_OK
+    bundle = load_decoder(str(m / "decoder.json"))
+    assert bundle.kind == kind.split("-")[0]
+    assert (bundle.fixed is not None) == (kind == "eokf-fixed")
+    for split in ("monolithic", "implant"):
+        assert run("decode", "--model", m / "decoder.json", "--session", d / "session.csv",
+                   "--trials", "test", "--split", split, "--out", m / f"{split}.csv",
+                   "--ops", m / f"{split}_ops.json") == EXIT_OK
+        ops = json.loads((m / f"{split}_ops.json").read_text())
+        assert ops["filter"] == bundle.kind
+    assert (m / "monolithic.csv").read_bytes() == (m / "implant.csv").read_bytes()
+    shutil.copy(d / "sorters.json", m / "sorters.json")
+    events = ("decode", "--model", m / "decoder.json", "--events", d / "sorted.jsonl",
+              "--out", m / "ev.csv")
+    simulate = ("simulate", "--trace", d / "trace.bin", "--models", m,
+                "--config", d / "sim.cfg", "--counters", m / "sim.json",
+                "--decoded", m / "sim_decoded.csv")
+    capfd.readouterr()
+    if kind == "kf":
+        assert run(*events) == EXIT_SCHEMA
+        assert run(*simulate) == EXIT_SCHEMA
+        err = capfd.readouterr().err
+        assert err.count("ensemble (eokf) decoder") == 2 and "Traceback" not in err
+        assert not (m / "ev.csv").exists() and not (m / "sim.json").exists()
+    else:
+        assert run(*events) == EXIT_OK
+        assert run(*simulate) == EXIT_OK
+        assert np.isfinite(load_decoded(str(m / "ev.csv"))).all()
+        assert json.loads((m / "sim.json").read_text())["counters"]["decoder_accepts"] > 0
 
 
 def test_train_sorter_ignores_the_row_order_of_a_windows_file(pipeline, windows, tmp_path):
@@ -355,8 +398,33 @@ def _online_set(cuts: str, cam: str) -> str:
             f'{{"kind": "online", "boundaries": {cuts}, "cam": {cam}}}}}}}')
 
 
+def _tree_set(pattern_id="2", boundaries="[-5, 10, 100]", valid_mask="7") -> str:
+    return ('{"kind": "tree-set", "channels": {"0": {"kind": "tree", '
+            f'"pattern_id": {pattern_id}, "boundaries": {boundaries}, '
+            f'"valid_mask": {valid_mask}}}}}}}')
+
+
+def _l1_set(templates: str, labels: str) -> str:
+    return ('{"kind": "l1-set", "channels": {"0": '
+            f'{{"kind": "l1", "templates": {templates}, "labels": {labels}}}}}}}')
+
+
 @pytest.mark.parametrize("text", [
     "[1]",
+    _tree_set(boundaries="[-5, 10]"),           # two boundaries, not three
+    _tree_set(boundaries="[-5, 10, 100, 4]"),
+    _tree_set(boundaries="[-5, 1.7, 100]"),     # not an int
+    _tree_set(boundaries="[-5, 10, 300]"),      # outside int8
+    _tree_set(valid_mask="99"),                 # more than four leaves
+    _tree_set(valid_mask="-1"),
+    _tree_set(pattern_id="true"),
+    _tree_set(pattern_id="11"),                 # eleven patterns: 0..10
+    _l1_set("[[0, 0], [50, -50]]", "[1]"),      # one label for two templates
+    _l1_set("[[0, 0]]", "[1, 2]"),
+    _l1_set("[[0, 300]]", "[1]"),               # outside int8
+    _l1_set("[[0.5, 0]]", "[1]"),
+    _l1_set("[[0, 0]]", "[1.5]"),               # not an integer label
+    _l1_set("[[0, 0]]", "[true]"),
     '{"kind": "tree-set"}',
     '{"kind": "l1-set", "channels": {"0": {"kind": "l1", "templates": [[0, 0]]}}}',
     '{"kind": "l1-set", "channels": {"0": 5}}',
@@ -493,10 +561,15 @@ def test_malformed_session_sidecar_exits_4(tmp_path, pipeline, capfd, bad):
 @pytest.mark.parametrize("edit", [{"bin_ms": 99.7}, {"bin_ms": True}, {"bin_ms": -100},
                                   {"fixed_point": {"bits": 100, "frac_bits": 90}},
                                   {"fixed_point": {"bits": 16, "frac_bits": 2.5}},
-                                  {"fixed_point": {"bits": 1, "frac_bits": 0}}])
+                                  {"fixed_point": {"bits": 1, "frac_bits": 0}},
+                                  {"kind": "ukf"},
+                                  {"kind": "kf"},           # an eokf file has no H
+                                  {"E": None},              # None drops the key
+                                  {"E": [0.5, 0.25]}])
 @pytest.mark.parametrize("split", ["monolithic", "implant"])
 def test_malformed_decoder_exits_4(tmp_path, pipeline, capfd, edit, split):
     obj = {**json.loads((pipeline / "decoder.json").read_text()), **edit}
+    obj = {k: v for k, v in obj.items() if v is not None}
     (tmp_path / "decoder.json").write_text(json.dumps(obj))
     assert run("decode", "--model", tmp_path / "decoder.json",
                "--session", pipeline / "session.csv", "--split", split,

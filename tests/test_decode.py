@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -794,15 +796,15 @@ def test_decoder_bundle_round_trip_eokf(tmp_path, small_session):
     s = small_session
     trans = train_transition(s.velocity)
     ens = train_ensemble(s.counts, s.velocity, s.unit_channels)
-    bundle = DecoderBundle(kind="eokf", transition=trans, ensemble=ens,
+    bundle = DecoderBundle(transition=trans, observation=ens,
                            fixed=FixedPointFormat.for_matrix(ens.E),
                            meta={"note": "round-trip"})
     p = str(tmp_path / "eokf.json")
     store_decoder(bundle, p)
     back = load_decoder(p)
     assert back.kind == "eokf"
-    assert np.allclose(back.ensemble.E, ens.E)
-    assert back.ensemble.selected == ens.selected
+    assert np.allclose(back.observation.E, ens.E)
+    assert back.observation.selected == ens.selected
     assert back.fixed == bundle.fixed
     assert back.meta["note"] == "round-trip"
     assert np.array_equal(back.x0, np.zeros(2))
@@ -813,23 +815,28 @@ def test_decoder_bundle_round_trip_kf(tmp_path, small_session):
     s = small_session
     trans = train_transition(s.velocity)
     obs = train_observation_standard(s.counts, s.velocity)
-    bundle = DecoderBundle(kind="kf", transition=trans, observation=obs)
+    bundle = DecoderBundle(transition=trans, observation=obs)
     p = str(tmp_path / "kf.json")
     store_decoder(bundle, p)
     back = load_decoder(p)
+    assert back.kind == "kf"
     assert np.allclose(back.observation.H, obs.H)
     assert np.allclose(back.observation.Q, obs.Q)
     assert back.fixed is None
 
 
-def test_bundle_kind_validation():
-    trans = TRANS_2D
-    with pytest.raises(ValueError):
-        DecoderBundle(kind="ukf", transition=trans)
-    with pytest.raises(ValueError):
-        DecoderBundle(kind="kf", transition=trans)  # missing observation
-    with pytest.raises(ValueError):
-        DecoderBundle(kind="eokf", transition=trans)  # missing ensemble
+@pytest.mark.parametrize("edit,drop", [({"kind": "ukf"}, None),
+                                       ({"kind": "kf"}, None),   # no H in the file
+                                       ({}, "E")])
+def test_bundle_kind_validation(tmp_path, edit, drop):
+    """The kind a decoder file names must be known and carry its model's keys."""
+    ens = EnsembleModel(E=np.eye(2), Qe=np.eye(2), selected=((0, 0), (0, 1)))
+    obj = {**DecoderBundle(transition=TRANS_2D, observation=ens).to_json(), **edit}
+    obj.pop(drop, None)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(PayloadError, match="bad decoder model"):
+        load_decoder(str(p))
 
 
 def test_bad_bundle_json_raises_payload_error(tmp_path):

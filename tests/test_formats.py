@@ -181,8 +181,8 @@ def _valid_files(d):
                                cam_snapshot=[(0, 0, STATUS_STRONG), (2, 1, STATUS_WEAK)])
     store_models({0: online}, add("sorters-online", "on.json", load_models))
     ens = train_ensemble(session.counts, session.velocity, session.unit_channels)
-    store_decoder(DecoderBundle(kind="eokf", transition=train_transition(session.velocity),
-                                ensemble=ens, fixed=FixedPointFormat.for_matrix(ens.E)),
+    store_decoder(DecoderBundle(transition=train_transition(session.velocity),
+                                observation=ens, fixed=FixedPointFormat.for_matrix(ens.E)),
                   add("decoder", "dec.json", load_decoder))
     store_records([{"ch": 0, "label": 1, "t": 5}, {"ch": 1, "label": 0, "t": 9}],
                   add("sorted-events", "e.jsonl", _load_sorted_events))

@@ -9,9 +9,9 @@ from nsp.synthdata import (ClippingError, DatasetFormatError, HeaderError,
                            VersionError, gen_reach_session, gen_spike_trace,
                            load_labels, load_session, load_trace,
                            make_channel_templates, poisson_event_times,
-                           snr_amplitude_budget, split_trials, store_labels,
-                           store_session, store_trace, tier_config,
-                           trials_to_bins)
+                           snr_amplitude_budget, split_indices, split_trials,
+                           store_labels, store_session, store_trace,
+                           tier_config, trials_to_bins)
 
 WINDOW_LEN = 32
 
@@ -217,6 +217,16 @@ def test_split_trials_deterministic_and_bounded():
     assert len(train) == 1
     with pytest.raises(ValueError):
         split_trials(s, 1.2, seed=0)
+
+
+def test_split_trials_is_split_indices_over_trials():
+    s = _session_with_n_trials(10)
+    for seed in range(5):
+        train, test = split_trials(s, 0.7, seed=seed)
+        want = split_indices(10, 0.7, seed)
+        assert (train, test) == (want[0].tolist(), want[1].tolist())
+        # plain ints: the ids go into the decoder's JSON meta
+        assert all(type(i) is int for i in train + test)
 
 
 def test_trials_to_bins_covers_each_trial():
