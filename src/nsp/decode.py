@@ -749,11 +749,10 @@ class DecoderBundle:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        d = self.transition.A.shape[0]
         if self.x0 is None:
-            self.x0 = np.zeros(d)
+            self.x0 = np.zeros(self.state_dim)
         if self.P0 is None:
-            self.P0 = np.eye(d)
+            self.P0 = np.eye(self.state_dim)
         self.x0 = np.asarray(self.x0, dtype=np.float64)
         self.P0 = np.asarray(self.P0, dtype=np.float64)
 
@@ -788,19 +787,46 @@ class DecoderBundle:
             if obj["kind"] == "kf":
                 obs = StandardObservationModel(H=np.array(obj["H"]), Q=np.array(obj["Q"]))
             elif obj["kind"] == "eokf":
+                pairs = [(_checked_int(c, "selected channel", 0),
+                          _checked_int(u, "selected unit", 0)) for c, u in obj["selected"]]
                 obs = EnsembleModel(E=np.array(obj["E"]), Qe=np.array(obj["Qe"]),
-                                    selected=obj["selected"])
+                                    selected=pairs)
             else:
                 raise ValueError(f"unknown decoder kind {obj['kind']!r}")
             fixed = None
             if obj.get("fixed_point") is not None:
                 fixed = FixedPointFormat.from_json(obj["fixed_point"])
-            return cls(transition=trans, observation=obs,
-                       x0=np.array(obj["x0"]), P0=np.array(obj["P0"]),
-                       bin_ms=_checked_int(obj.get("bin_ms", 100), "bin_ms", 1),
-                       fixed=fixed, meta=dict(obj.get("meta", {})))
+            bundle = cls(transition=trans, observation=obs,
+                         x0=np.array(obj["x0"]), P0=np.array(obj["P0"]),
+                         bin_ms=_checked_int(obj.get("bin_ms", 100), "bin_ms", 1),
+                         fixed=fixed, meta=dict(obj.get("meta", {})))
+            bundle._check_shapes(obj.get("state_dim"))
+            return bundle
         except (KeyError, TypeError, ValueError) as exc:
             raise PayloadError(f"bad decoder model: {exc}") from exc
+
+    def _check_shapes(self, state_dim: int | None) -> None:
+        """ValueError unless every matrix fits one state size d: A, W, P0 and
+        (eokf) Qe are d x d, x0 is (d,), a kf H is (n, d) with an n x n Q, an
+        eokf E has d rows, and *state_dim*, when given, is d."""
+        A, obs = self.transition.A, self.observation
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ValueError(f"A has shape {A.shape}, expected a square matrix")
+        d = A.shape[0]
+        if state_dim is not None and _checked_int(state_dim, "state_dim") != d:
+            raise ValueError(f"state_dim is {state_dim} but A is {d} x {d}")
+        expected = {"W": (self.transition.W, (d, d)), "x0": (self.x0, (d,)),
+                    "P0": (self.P0, (d, d))}
+        if self.kind == "kf":
+            if obs.H.ndim != 2:
+                raise ValueError(f"H has shape {obs.H.shape}, expected (n, {d})")
+            n = obs.H.shape[0]
+            expected.update(H=(obs.H, (n, d)), Q=(obs.Q, (n, n)))
+        else:
+            expected.update(E=(obs.E, (d, len(obs.selected))), Qe=(obs.Qe, (d, d)))
+        for name, (a, shape) in expected.items():
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
 
 
 def store_decoder(bundle: DecoderBundle, path: str) -> None:

@@ -123,12 +123,20 @@ class GroundTruthLabels:
         return self.events[self.events[:, 1] == channel]
 
     def validate(self) -> None:
-        for channel in np.unique(self.ch):
-            sub = self.for_channel(int(channel))
-            if len(sub) > 1 and np.diff(sub[:, 0]).min() < WINDOW_LEN:
-                raise ValueError(f"channel {channel}: events closer than {WINDOW_LEN} samples")
-            if len(np.unique(sub[:, 2])) > 4:
-                raise ValueError(f"channel {channel}: more than 4 unit ids")
+        """Raise ValueError for the lowest channel that breaks a rule: events
+        closer than WINDOW_LEN samples (checked first), or more than 4 unit ids."""
+        ev = self.events[np.lexsort((self.t, self.ch))]
+        close = (ev[1:, 1] == ev[:-1, 1]) & (np.diff(ev[:, 0]) < WINDOW_LEN)
+        crowded = ev[1:, 1][close]
+        pairs = self.events[np.lexsort((self.nid, self.ch)), 1:]
+        first = np.ones(len(pairs), dtype=bool)    # first of each (channel, unit)
+        first[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+        channels, n_units = np.unique(pairs[first, 0], return_counts=True)
+        many = channels[n_units > 4]
+        if crowded.size and (not many.size or crowded[0] <= many[0]):
+            raise ValueError(f"channel {crowded[0]}: events closer than {WINDOW_LEN} samples")
+        if many.size:
+            raise ValueError(f"channel {many[0]}: more than 4 unit ids")
 
 
 @dataclass
@@ -265,44 +273,96 @@ def make_channel_templates(rng: np.random.Generator, n_units: int, snr_db: float
 def poisson_event_times(rng: np.random.Generator, rate_hz: float, n_samples: int,
                         sample_rate: int) -> np.ndarray:
     """Poisson arrival samples on [0, n_samples - WINDOW_LEN], thinned so that
-    consecutive events are at least WINDOW_LEN samples apart."""
+    consecutive events are at least WINDOW_LEN samples apart.
+
+    Exponential gaps are drawn in batches of ``n_draw`` until an arrival
+    reaches ``n_samples - WINDOW_LEN``; arrivals are the running sum of the
+    gaps, added one at a time, truncated to integer samples. Thinning is
+    greedy: an arrival is kept when it lies WINDOW_LEN or more after the last
+    kept one.
+    """
     if rate_hz <= 0:
         return np.zeros(0, dtype=np.int64)
     mean_gap = sample_rate / rate_hz
     # draw enough exponential gaps to cover the trace with margin
     n_draw = max(16, int(1.5 * n_samples / mean_gap) + 16)
-    times = []
-    t = 0.0
-    last = -WINDOW_LEN
+    limit = n_samples - WINDOW_LEN
+    batches, t = [], 0.0
     while True:
         gaps = rng.exponential(mean_gap, size=n_draw)
-        for g in gaps:
-            t += g
-            if t >= n_samples - WINDOW_LEN:
-                return np.array(times, dtype=np.int64)
-            ti = int(t)
-            if ti - last >= WINDOW_LEN:
-                times.append(ti)
-                last = ti
+        with np.errstate(over="ignore"):   # a huge mean gap runs to inf: past the end
+            arrivals = np.cumsum(np.concatenate(([t], gaps)))[1:]
+        end = int(np.searchsorted(arrivals, limit))   # first arrival >= limit
+        batches.append(arrivals[:end])
+        if end < n_draw:
+            break
+        t = arrivals[-1]
+    times = np.concatenate(batches).astype(np.int64)
+    return times[_thin(times)]
 
 
-def render_trace(events: np.ndarray, templates_by_channel: dict, n_channels: int,
-                 n_samples: int, noise_sigma: float, rng: np.random.Generator,
+def _thin(times: np.ndarray) -> np.ndarray:
+    """Keep-mask of the greedy WINDOW_LEN thinning of non-decreasing *times*.
+
+    An arrival WINDOW_LEN or more after the one before it is always kept, and
+    the first arrival after a kept one that is closer is always dropped. So
+    the greedy loop runs only over the later arrivals of runs of close ones.
+    """
+    keep = np.diff(times, prepend=-WINDOW_LEN) >= WINDOW_LEN
+    late = np.flatnonzero(~keep[1:] & ~keep[:-1]) + 1   # its predecessor is close too
+    t, kept = times.tolist(), keep.tolist()
+    for i in late.tolist():
+        # i - 1 is close to i - 2, so at most one of them is kept
+        if kept[i - 1]:
+            last = t[i - 1]
+        elif kept[i - 2]:
+            last = t[i - 2]
+        kept[i] = t[i] - last >= WINDOW_LEN
+    return np.array(kept, dtype=bool)
+
+
+BLOCK = 8  # channels rendered per float64 block
+
+
+def render_trace(events: np.ndarray, templates: np.ndarray, n_samples: int,
+                 noise_sigma: float, rng: np.random.Generator,
                  sample_rate: int) -> RawTrace:
     """Deposit templates at labeled event times, add white noise, quantize to int8.
 
-    *events* is an (n, 3) array of (t, ch, nid); *templates_by_channel* maps a
-    channel index to its (n_units, 32) template stack.
+    *events* is an (n, 3) array of (t, ch, nid) whose events on one channel
+    are at least WINDOW_LEN samples apart; *templates* is the
+    (n_channels, n_units, 32) template stack. Channels are rendered BLOCK at a
+    time: the block's noise (the generator fills in C order, so the block
+    draws equal one whole-array ``rng.normal(0.0, noise_sigma)``), then every
+    event's template added with one fancy-indexed ``+=``, which is exact
+    because no sample gets two.
     """
-    signal = np.zeros((n_channels, n_samples), dtype=np.float64)
-    for t, ch, nid in np.asarray(events, dtype=np.int64).reshape(-1, 3):
-        signal[ch, t:t + WINDOW_LEN] += templates_by_channel[int(ch)][int(nid)]
-    if noise_sigma > 0:
-        signal += rng.normal(0.0, noise_sigma, size=signal.shape)
-    rounded = np.round(signal)
-    clipped = int(np.count_nonzero((rounded > 127) | (rounded < -128)))
-    data = np.clip(rounded, -128, 127).astype(np.int8)
-    return RawTrace(data=data, sample_rate=sample_rate, clipped_samples=clipped)
+    n_channels = templates.shape[0]
+    ev = np.asarray(events, dtype=np.int64).reshape(-1, 3)
+    if ((ev[:, 0] < 0) | (ev[:, 0] > n_samples - WINDOW_LEN)
+            | (ev[:, 1] < 0) | (ev[:, 1] >= n_channels)).any():
+        raise ValueError("every event's window must lie inside the trace")
+    ev = ev[np.argsort(ev[:, 1], kind="stable")]
+    bounds = np.searchsorted(ev[:, 1], np.arange(0, n_channels + BLOCK, BLOCK))
+    offsets = np.arange(WINDOW_LEN)
+    data = np.empty((n_channels, n_samples), dtype=np.int8)
+    buffer = np.empty((min(BLOCK, n_channels), n_samples))
+    clipped = 0
+    for b, lo in enumerate(range(0, n_channels, BLOCK)):
+        block = buffer[:n_channels - lo]
+        if noise_sigma > 0:
+            # rng.normal(0.0, sigma) gives 0.0 + sigma * z for these very z
+            rng.standard_normal(out=block)
+            block *= noise_sigma
+        else:
+            block.fill(0.0)
+        t, ch, nid = ev[bounds[b]:bounds[b + 1]].T
+        start = (ch - lo) * n_samples + t
+        block.reshape(-1)[start[:, None] + offsets] += templates[ch, nid]
+        np.round(block, out=block)
+        clipped += np.count_nonzero(block > 127) + np.count_nonzero(block < -128)
+        data[lo:lo + len(block)] = np.clip(block, -128, 127, out=block)
+    return RawTrace(data=data, sample_rate=sample_rate, clipped_samples=int(clipped))
 
 
 def gen_spike_trace(config: TraceConfig, seed: int):
@@ -316,30 +376,28 @@ def gen_spike_trace(config: TraceConfig, seed: int):
     rng = np.random.default_rng(seed)
     n_samples = int(round(config.duration_s * config.sample_rate))
 
-    templates = {
-        ch: make_channel_templates(rng, config.neurons_per_channel, config.snr_db,
-                                   config.amp_spread, config.shape_similarity)
-        for ch in range(config.n_channels)
-    }
-    rows = []
+    templates = np.stack([
+        make_channel_templates(rng, config.neurons_per_channel, config.snr_db,
+                               config.amp_spread, config.shape_similarity)
+        for _ in range(config.n_channels)
+    ])
+    per_channel = []
     for ch in range(config.n_channels):
         times = poisson_event_times(rng, config.firing_rate_hz, n_samples,
                                     config.sample_rate)
         units = rng.integers(0, config.neurons_per_channel, size=len(times))
-        for t, u in zip(times, units):
-            rows.append((t, ch, u))
-    events = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        per_channel.append(np.column_stack([times, np.full(len(times), ch), units]))
+    events = np.concatenate(per_channel)
+    labels = GroundTruthLabels(events)
+    labels.validate()   # render_trace relies on the WINDOW_LEN spacing
 
     if math.isinf(config.snr_db) and config.snr_db > 0:
         sigma = 0.0
     else:
-        mean_extremum = float(np.mean([np.max(np.abs(tpl)) for tpl in templates.values()]))
+        mean_extremum = float(np.mean(np.abs(templates).max(axis=(1, 2))))
         sigma = mean_extremum * 10.0 ** (-config.snr_db / 20.0)
 
-    trace = render_trace(events, templates, config.n_channels, n_samples, sigma, rng,
-                         config.sample_rate)
-    labels = GroundTruthLabels(events)
-    labels.validate()
+    trace = render_trace(events, templates, n_samples, sigma, rng, config.sample_rate)
     return trace, labels
 
 

@@ -1,6 +1,6 @@
-"""Shared fixtures, the sample-scan detector oracle, the per-token online
-trainer oracle, the per-arrival decoder-buffer oracle and the exhaustive
-split-layout oracle.
+"""Shared fixtures, the per-event synthesis oracles, the sample-scan
+detector oracle, the per-token online trainer oracle, the per-arrival
+decoder-buffer oracle and the exhaustive split-layout oracle.
 
 The datasets here are deliberately small; anything that needs statistical
 power builds its own inside the test.
@@ -12,7 +12,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from nsp import (DEFAULT_PRE, WINDOW_LEN, Completion, SessionConfig,
+from nsp import (DEFAULT_PRE, WINDOW_LEN, Completion, RawTrace, SessionConfig,
                  gen_reach_session, gen_spike_trace, tier_config)
 from nsp.sort_online import (BIN_WIDTH, CAM_CAPACITY, DECAY_PERIOD, SPIKE_BUDGET,
                              STATUS_OUTLIER, STATUS_STRONG, STATUS_VACANT,
@@ -33,6 +33,59 @@ def hard_trace():
 @pytest.fixture(scope="session")
 def small_session():
     return gen_reach_session(SessionConfig(n_units=24, trials_per_target=4), seed=5)
+
+
+# --- per-event synthesis oracles ---------------------------------------------
+#
+# Trace synthesis written one event and one gap at a time. The block renderer,
+# the array-form Poisson thinning and the sorted label check in
+# nsp.synthdata must give the same bytes and raise the same messages.
+
+
+def poisson_event_times_loop(rng, rate_hz, n_samples, sample_rate):
+    """Poisson arrivals added one gap at a time, greedily thinned to
+    WINDOW_LEN spacing; gaps are drawn in the same batches."""
+    if rate_hz <= 0:
+        return np.zeros(0, dtype=np.int64)
+    mean_gap = sample_rate / rate_hz
+    n_draw = max(16, int(1.5 * n_samples / mean_gap) + 16)
+    times = []
+    t = 0.0
+    last = -WINDOW_LEN
+    while True:
+        gaps = rng.exponential(mean_gap, size=n_draw)
+        for g in gaps:
+            t += g
+            if t >= n_samples - WINDOW_LEN:
+                return np.array(times, dtype=np.int64)
+            ti = int(t)
+            if ti - last >= WINDOW_LEN:
+                times.append(ti)
+                last = ti
+
+
+def render_trace_loop(events, templates, n_samples, noise_sigma, rng, sample_rate):
+    """Every template added into one float64 array, then one noise draw, one
+    round and one clip of the whole array."""
+    signal = np.zeros((len(templates), n_samples), dtype=np.float64)
+    for t, ch, nid in np.asarray(events, dtype=np.int64).reshape(-1, 3):
+        signal[ch, t:t + WINDOW_LEN] += templates[ch][nid]
+    if noise_sigma > 0:
+        signal += rng.normal(0.0, noise_sigma, size=signal.shape)
+    rounded = np.round(signal)
+    clipped = int(np.count_nonzero((rounded > 127) | (rounded < -128)))
+    data = np.clip(rounded, -128, 127).astype(np.int8)
+    return RawTrace(data=data, sample_rate=sample_rate, clipped_samples=clipped)
+
+
+def validate_labels_loop(labels):
+    """GroundTruthLabels.validate one channel at a time, lowest first."""
+    for channel in np.unique(labels.ch):
+        sub = labels.for_channel(int(channel))
+        if len(sub) > 1 and np.diff(sub[:, 0]).min() < WINDOW_LEN:
+            raise ValueError(f"channel {channel}: events closer than {WINDOW_LEN} samples")
+        if len(np.unique(sub[:, 2])) > 4:
+            raise ValueError(f"channel {channel}: more than 4 unit ids")
 
 
 # --- sample-scan detector oracle ---------------------------------------------

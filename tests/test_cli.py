@@ -558,6 +558,16 @@ def test_malformed_session_sidecar_exits_4(tmp_path, pipeline, capfd, bad):
     assert not (tmp_path / "decoded.csv").exists()
 
 
+def _pair_edit(i, pair):
+    """An edit that puts *pair* in place of selected pair *i*; int() reads it
+    as the very pair it replaces, so only a strict integer check rejects it."""
+    return {"selected": lambda obj: obj["selected"][:i] + [pair] + obj["selected"][i + 1:]}
+
+
+EYE3 = np.eye(3).tolist()
+KF = {"kind": "kf", "H": [[0.1, 0.1]] * 30, "Q": np.eye(30).tolist()}  # 30 session units
+
+
 @pytest.mark.parametrize("edit", [{"bin_ms": 99.7}, {"bin_ms": True}, {"bin_ms": -100},
                                   {"fixed_point": {"bits": 100, "frac_bits": 90}},
                                   {"fixed_point": {"bits": 16, "frac_bits": 2.5}},
@@ -565,10 +575,25 @@ def test_malformed_session_sidecar_exits_4(tmp_path, pipeline, capfd, bad):
                                   {"kind": "ukf"},
                                   {"kind": "kf"},           # an eokf file has no H
                                   {"E": None},              # None drops the key
-                                  {"E": [0.5, 0.25]}])
+                                  {"E": [0.5, 0.25]},
+                                  {"x0": [0.0, 0.0, 0.0]},
+                                  {"A": [0.9, 0.9]},
+                                  {"A": 0.9},
+                                  {"P0": [1.0, 1.0]},
+                                  {"W": EYE3},
+                                  {"Qe": EYE3},
+                                  {"E": lambda obj: obj["E"] + obj["E"][:1]},  # 3 rows
+                                  {"state_dim": 3},
+                                  {**KF, "H": [[0.1, 0.1, 0.1]] * 30},
+                                  {**KF, "Q": np.eye(29).tolist()},
+                                  _pair_edit(1, [0.5, 1]),        # (0, 1)
+                                  _pair_edit(1, ["0", "1"]),
+                                  _pair_edit(3, [True, 0])])      # (1, 0)
 @pytest.mark.parametrize("split", ["monolithic", "implant"])
 def test_malformed_decoder_exits_4(tmp_path, pipeline, capfd, edit, split):
-    obj = {**json.loads((pipeline / "decoder.json").read_text()), **edit}
+    """A callable edit value is applied to the stored decoder object."""
+    obj = json.loads((pipeline / "decoder.json").read_text())
+    obj = {**obj, **{k: v(obj) if callable(v) else v for k, v in edit.items()}}
     obj = {k: v for k, v in obj.items() if v is not None}
     (tmp_path / "decoder.json").write_text(json.dumps(obj))
     assert run("decode", "--model", tmp_path / "decoder.json",
@@ -577,6 +602,15 @@ def test_malformed_decoder_exits_4(tmp_path, pipeline, capfd, edit, split):
     err = capfd.readouterr().err
     assert "bad decoder model" in err and "Traceback" not in err
     assert not (tmp_path / "decoded.csv").exists()
+
+
+def test_decoder_converted_to_kf_decodes(tmp_path, pipeline):
+    """The well-shaped kf edit above is a valid model: only its bad variants fail."""
+    obj = {**json.loads((pipeline / "decoder.json").read_text()), **KF}
+    (tmp_path / "decoder.json").write_text(json.dumps(obj))
+    assert run("decode", "--model", tmp_path / "decoder.json",
+               "--session", pipeline / "session.csv",
+               "--out", tmp_path / "decoded.csv") == EXIT_OK
 
 
 def test_decoder_without_bin_ms_loads_as_100(tmp_path, pipeline):

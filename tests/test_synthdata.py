@@ -1,17 +1,23 @@
+import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nsp.synthdata import (ClippingError, DatasetFormatError, HeaderError,
-                           PayloadError, SessionConfig, TraceConfig,
+from conftest import poisson_event_times_loop, render_trace_loop, validate_labels_loop
+from nsp import synthdata
+from nsp.synthdata import (ClippingError, DatasetFormatError, GroundTruthLabels,
+                           HeaderError, PayloadError, SessionConfig, TraceConfig,
                            VersionError, gen_reach_session, gen_spike_trace,
                            load_labels, load_session, load_trace,
                            make_channel_templates, poisson_event_times,
-                           snr_amplitude_budget, split_indices, split_trials,
-                           store_labels, store_session, store_trace,
-                           tier_config, trials_to_bins)
+                           render_trace, snr_amplitude_budget, split_indices,
+                           split_trials, store_labels, store_session,
+                           store_trace, tier_config, trials_to_bins)
 
 WINDOW_LEN = 32
 
@@ -66,6 +72,146 @@ def test_trace_config_validation():
         TraceConfig(duration_s=0.0).validate()
     with pytest.raises(ValueError):
         TraceConfig(shape_similarity=1.5).validate()
+
+
+def _digest(a: np.ndarray) -> str:
+    """First 16 hex digits of the sha256 of the array's little-endian bytes."""
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()[:16]
+
+
+# (tier, rate Hz, seed, channels, seconds, trace.data, labels.events, clipped_samples)
+PINNED = [
+    ("easy", 30, 1, 8, 2, "471f1e89e3e3e5a8", "7f4b293680d74fdf", 0),
+    ("easy", 30, 2, 8, 2, "fdb519e4619b5ae4", "c1c7e3fabfa49d6f", 0),
+    ("easy", 30, 3, 8, 2, "7f17f78d2104f243", "c3f97600a7a095a1", 0),
+    ("easy", 150, 1, 8, 2, "062897d6ea7dff20", "2f80b1ffeb74f836", 0),
+    ("easy", 150, 2, 8, 2, "8ba6b57b74677e01", "2a9ec0c1eb101e26", 0),
+    ("easy", 150, 3, 8, 2, "7e7c725fed92e2db", "ddd40972ce436180", 0),
+    ("medium", 30, 1, 8, 2, "7f79dbe0ca97ee53", "ea46be290afd565b", 0),
+    ("medium", 30, 2, 8, 2, "12308969512c6c3d", "da058d3c08fcbecd", 0),
+    ("medium", 30, 3, 8, 2, "76093821aaf48d61", "f0f819275817e376", 0),
+    ("medium", 150, 1, 8, 2, "2b0cc5702744d772", "d06e6234ef436c8a", 0),
+    ("medium", 150, 2, 8, 2, "851c8fa6b8418475", "469ee880e76c24d4", 0),
+    ("medium", 150, 3, 8, 2, "c6ab287487117be6", "5862529a6912f2fb", 0),
+    ("hard", 30, 1, 8, 2, "7b0e9cefce1d26f4", "fd8352b1a5e4039c", 0),
+    ("hard", 30, 2, 8, 2, "66b4499feb8f884f", "0c360c628a490d6b", 0),
+    ("hard", 30, 3, 8, 2, "52799576a18e2b61", "50a328f3966f9341", 0),
+    ("hard", 150, 1, 8, 2, "e350aeedc3406120", "54c19a4e61d958a4", 1),
+    ("hard", 150, 2, 8, 2, "825069e2e95658e6", "8924c50f06389b49", 0),
+    ("hard", 150, 3, 8, 2, "9c16151732823893", "b3231f5b3016d521", 0),
+    ("medium", 150, 1, 96, 1, "1e2644e014a4201d", "86c2a08112034c37", 0),
+    ("hard", 150, 4, 13, 1, "05574dfdfd2c631b", "801821c316047ae5", 0),
+]
+
+
+@pytest.mark.parametrize("tier,rate,seed,n_channels,seconds,data,events,clipped", PINNED)
+def test_synthesis_is_pinned(tier, rate, seed, n_channels, seconds, data, events, clipped):
+    """The synthesized bytes never change unnoticed: every downstream figure
+    and the benchmark's inputs are built from them."""
+    trace, labels = gen_spike_trace(tier_config(tier, n_channels=n_channels,
+                                                duration_s=seconds,
+                                                firing_rate_hz=rate), seed=seed)
+    assert (_digest(trace.data), _digest(labels.events), trace.clipped_samples) == (
+        data, events, clipped)
+
+
+@st.composite
+def spaced_events(draw):
+    """(events, n_channels, n_samples): per-channel times WINDOW_LEN or more
+    apart, from the first sample to the last window start of the trace."""
+    n_channels = draw(st.integers(1, 20))
+    n_samples = draw(st.integers(WINDOW_LEN, 400))
+    n_units = draw(st.integers(1, 4))
+    rows = []
+    for ch in range(n_channels):
+        t = draw(st.sampled_from([0, 1, WINDOW_LEN]))
+        for gap in draw(st.lists(st.integers(WINDOW_LEN, 2 * WINDOW_LEN), max_size=8)):
+            if t > n_samples - WINDOW_LEN:
+                break
+            rows.append((t, ch, draw(st.integers(0, n_units - 1))))
+            t += gap
+        if draw(st.booleans()) and (not rows or rows[-1][1] != ch
+                                    or rows[-1][0] <= n_samples - 2 * WINDOW_LEN):
+            rows.append((n_samples - WINDOW_LEN, ch, 0))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3), n_channels, n_samples, n_units
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaced_events(), st.sampled_from([0.0, 0.7, 3.0, 60.0]), st.integers(0, 2 ** 32))
+def test_render_trace_equals_per_event_loop(case, sigma, seed):
+    events, n_channels, n_samples, n_units = case
+    rng = np.random.default_rng(seed)
+    templates = rng.normal(0.0, 70.0, size=(n_channels, n_units, WINDOW_LEN))
+    shuffled = events[rng.permutation(len(events))]
+    got = render_trace(shuffled, templates, n_samples, sigma,
+                       np.random.default_rng(seed), 20000)
+    want = render_trace_loop(shuffled, templates, n_samples, sigma,
+                             np.random.default_rng(seed), 20000)
+    assert np.array_equal(got.data, want.data)
+    assert type(got.clipped_samples) is int
+    assert (got.clipped_samples, got.sample_rate) == (want.clipped_samples, 20000)
+
+
+def test_render_trace_rejects_events_outside_the_trace():
+    templates = np.ones((2, 1, WINDOW_LEN))
+    for bad in ([100 - WINDOW_LEN + 1, 0, 0], [-1, 1, 0], [0, 2, 0], [0, -1, 0]):
+        with pytest.raises(ValueError, match="inside the trace"):
+            render_trace(np.array([bad]), templates, 100, 0.0,
+                         np.random.default_rng(0), 30000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 900.0), st.integers(WINDOW_LEN + 1, 100_000),
+       st.sampled_from([20000, 30000]), st.integers(0, 2 ** 32))
+@example(900.0, WINDOW_LEN + 1, 30000, 0)
+@example(900.0, 100_000, 30000, 7)
+@example(9.4e-304, WINDOW_LEN + 1, 20000, 0)    # the gaps overflow to inf
+def test_poisson_event_times_equal_per_gap_loop(rate, n_samples, sample_rate, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = poisson_event_times(got_rng, rate, n_samples, sample_rate)
+    want = poisson_event_times_loop(want_rng, rate, n_samples, sample_rate)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # the same gaps were drawn: both generators are left in one state
+    assert got_rng.integers(2 ** 62) == want_rng.integers(2 ** 62)
+
+
+def _validation_error(labels, check=GroundTruthLabels.validate):
+    try:
+        check(labels)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_label_validation_reports_the_lowest_channel_spacing_first():
+    spaced = [(64 * k, 5, 0) for k in range(4)] + [(10, 5, 1)]  # too close on 5
+    five_units = [(64 * k, 2, k) for k in range(5)]               # 5 unit ids on 2
+    labels = GroundTruthLabels(np.array(spaced + five_units))
+    assert _validation_error(labels) == "channel 2: more than 4 unit ids"
+    assert _validation_error(GroundTruthLabels(np.array(spaced))) == (
+        "channel 5: events closer than 32 samples")
+    both = five_units + [(64 * 4 + 31, 2, 0)]                     # 31 after (256, 2, 4)
+    assert _validation_error(GroundTruthLabels(np.array(both + spaced))) == (
+        "channel 2: events closer than 32 samples")
+    assert _validation_error(GroundTruthLabels(np.array(five_units[:4]))) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 5), st.integers(0, 6)),
+                max_size=40))
+def test_label_validation_equals_per_channel_loop(rows):
+    labels = GroundTruthLabels(np.array(rows, dtype=np.int64).reshape(-1, 3))
+    assert _validation_error(labels) == _validation_error(labels, validate_labels_loop)
+
+
+def test_generation_validates_labels_before_rendering():
+    close = lambda *args: np.array([0, WINDOW_LEN - 1], dtype=np.int64)
+    with mock.patch.object(synthdata, "poisson_event_times", close), \
+            mock.patch.object(synthdata, "render_trace") as render:
+        with pytest.raises(ValueError, match="closer than"):
+            gen_spike_trace(tier_config("easy", n_channels=2, duration_s=0.1), seed=1)
+    render.assert_not_called()
 
 
 # --- amplitude budget ---------------------------------------------------------
