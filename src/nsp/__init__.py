@@ -41,11 +41,10 @@ from .decode import (DecoderBundle, EnsembleModel, FilterState,
                      train_transition)
 from .sim import (ConfigMismatchError, SimConfig, SimCounters, SimResult,
                   Simulator, build_schedule, parse_sim_config, reference_ez,
-                  run_simulation, serialize_sim_config, sweep_spike_rate)
-from .evaluation import (evaluate_channel_sorters, evaluate_online_sorter,
-                         mapped_accuracy, match_events, permutation_accuracy,
-                         run_decoder_benchmark, run_parity_benchmark,
-                         split_indices)
+                  run_simulation, sweep_spike_rate)
+from .evaluation import (evaluate_channel_sorters, mapped_accuracy, match_events,
+                         permutation_accuracy, run_decoder_benchmark,
+                         run_parity_benchmark, split_indices)
 
 __all__ = [
     "__version__",
@@ -80,10 +79,10 @@ __all__ = [
     "load_decoder", "store_decoded", "load_decoded",
     # simulation
     "SimConfig", "SimCounters", "SimResult", "Simulator", "ConfigMismatchError",
-    "parse_sim_config", "serialize_sim_config", "build_schedule",
+    "parse_sim_config", "build_schedule",
     "run_simulation", "reference_ez", "sweep_spike_rate",
     # evaluation
     "match_events", "permutation_accuracy", "mapped_accuracy", "split_indices",
-    "evaluate_channel_sorters", "evaluate_online_sorter",
+    "evaluate_channel_sorters",
     "run_parity_benchmark", "run_decoder_benchmark",
 ]

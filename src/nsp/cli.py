@@ -17,13 +17,13 @@ import numpy as np
 
 from . import __version__
 from ._util import atomic_write_text, canonical_json, config_hash
-from .decode import (DecoderBundle, FixedPointFormat, bin_spikes, count_ops,
+from .decode import (DecoderBundle, FixedPointFormat, count_ops,
                      evaluate_reconstruction, load_decoder, run_eokf,
                      run_eokf_split, run_filter, selection_columns,
                      store_decoded, store_decoder, train_ensemble,
                      train_observation_standard, train_transition)
-from .detect import (detect_trace, estimate_threshold, load_tokens, load_windows,
-                     store_tokens, store_windows)
+from .detect import (detect_trace, estimate_threshold, load_tokens, store_tokens,
+                     store_windows)
 from .evaluation import (channel_feature_dataset, matched_features,
                          permutation_accuracy)
 from .opcount import SingularMatrixError
@@ -154,28 +154,20 @@ def cmd_detect(args) -> int:
 
 
 def cmd_train_sorter(args) -> int:
+    if args.mode != "online" and not args.labels:
+        raise ValueError("train-sorter --mode offline/l1 needs --labels")
+    tokens = load_tokens(args.tokens)
     if args.mode == "online":
-        if not args.tokens:
-            raise ValueError("train-sorter --mode online needs --tokens")
-        models = train_online(load_tokens(args.tokens))
+        models = train_online(tokens)
     else:
-        if not args.labels or not (args.windows or args.trace):
-            raise ValueError("train-sorter --mode offline/l1 needs --labels and "
-                             "--trace or --windows")
-        labels = load_labels(args.labels)
-        if args.windows:
-            _, tokens = load_windows(args.windows)
-        else:
-            trace = load_trace(args.trace)
-            _, tokens = detect_trace(trace, [estimate_threshold(row) for row in trace.data])
         train = train_channel_model if args.mode == "offline" else train_l1
-        models = {ch: train(f, l) for ch, (f, l) in matched_features(tokens, labels).items()
+        models = {ch: train(f, l) for ch, (f, l) in
+                  matched_features(tokens, load_labels(args.labels)).items()
                   if f.shape[0] >= 2}
     if not models:
         raise ValueError("no channel produced enough events to train on")
     store_models(models, args.out)
-    _write_meta(args.out, vars(args), seed=getattr(args, "seed", None),
-                extra={"n_channels": len(models)})
+    _write_meta(args.out, vars(args), extra={"n_channels": len(models)})
     print(f"wrote {args.out} ({len(models)} channel models, mode={args.mode})")
     return EXIT_OK
 
@@ -261,32 +253,19 @@ def cmd_train_decoder(args) -> int:
     return EXIT_OK
 
 
-def _counts_to_events(counts_selected: np.ndarray, bin_len: int,
-                      selected) -> np.ndarray:
-    """Expand per-bin selected-unit counts into (t, ch, unit) event rows.
-
-    Rows come bin-major, then in *selected* column order; each bin's events
-    sit at the bin's first sample.
-    """
-    counts = np.asarray(counts_selected, dtype=np.int64)
-    n_bins, s = counts.shape
-    pairs = np.asarray(selected, dtype=np.int64).reshape(s, 2)
-    rows = np.column_stack([np.repeat(np.arange(n_bins, dtype=np.int64) * bin_len, s),
-                            np.tile(pairs, (n_bins, 1))])
-    return np.repeat(rows, counts.ravel(), axis=0)
-
-
 def _load_sorted_events(path: str) -> np.ndarray:
     """Sorted-event JSONL ({"ch","label","t"} rows) as an (n, 3) (t, ch, label) array."""
     return load_channel_records(path, "sorted event", {"t": int, "ch": int, "label": int})
 
 
 def cmd_decode(args) -> int:
+    """Binned session counts go through ``run_filter``/``run_eokf``; a sorted
+    event stream goes through the implant split, ``run_eokf_split``, whose
+    fixed-point accumulator checks every running sum against 32 bits."""
     if (args.session is None) == (args.events is None):
         raise ValueError("decode needs exactly one of --session or --events")
     bundle = load_decoder(args.model)
-    obs, bin_len = bundle.observation, bundle.bin_ms * 30000 // 1000
-    events = counts = bins = session = None
+    obs, bins = bundle.observation, None
     if args.events is not None:
         if bundle.kind != "eokf":
             raise ValueError("decoding a sorted event stream needs an "
@@ -294,7 +273,11 @@ def cmd_decode(args) -> int:
         if args.trials != "all" or args.metrics:
             raise ValueError("--trials/--metrics need --session ground truth")
         events = _load_sorted_events(args.events)
+        bin_len = bundle.bin_ms * 30000 // 1000
         n_bins = max(1, -(-int(events[:, 0].max() + 1) // bin_len)) if events.size else 1
+        states, _, ops, _ = run_eokf_split(bundle.transition, obs, events, n_bins,
+                                           bin_len, fmt=bundle.fixed,
+                                           x0=bundle.x0, P0=bundle.P0)
     else:
         session = load_session(args.session)
         if args.trials == "all":
@@ -306,28 +289,18 @@ def cmd_decode(args) -> int:
                 raise DatasetFormatError(
                     f"decoder has no recorded {key}; retrain or use --trials all")
             bins = trials_to_bins(session, ids)
-        counts, n_bins = session.counts[bins], len(bins)
-        if bundle.kind == "eokf":
+        counts = session.counts[bins]
+        if bundle.kind == "kf":
+            states, ops = run_filter(bundle.transition, obs, counts,
+                                     x0=bundle.x0, P0=bundle.P0)
+        else:
             counts = counts[:, selection_columns(obs.selected, session.unit_channels)]
-    if bundle.kind == "kf":
-        states, ops = run_filter(bundle.transition, obs, counts,
-                                 x0=bundle.x0, P0=bundle.P0)
-    elif args.split == "implant":
-        if events is None:
-            events = _counts_to_events(counts, bin_len, obs.selected)
-        states, _, ops, _ = run_eokf_split(bundle.transition, obs, events, n_bins,
-                                           bin_len, fmt=bundle.fixed,
-                                           x0=bundle.x0, P0=bundle.P0)
-    else:
-        if counts is None:
-            counts = bin_spikes(events, n_bins, bin_len, obs.selected)
-        states, _, ops = run_eokf(bundle.transition, obs, counts,
-                                  x0=bundle.x0, P0=bundle.P0, fmt=bundle.fixed)
+            states, _, ops = run_eokf(bundle.transition, obs, counts,
+                                      x0=bundle.x0, P0=bundle.P0, fmt=bundle.fixed)
     store_decoded(args.out, states)
     _write_meta(args.out, vars(args), seed=bundle.meta.get("seed"),
                 extra={"bins": None if bins is None else [int(b) for b in bins],
-                       "filter": bundle.kind,
-                       "split": args.split if bundle.kind == "eokf" else None})
+                       "filter": bundle.kind})
     if args.ops:
         _write_json(args.ops, {"kind": "decode-ops", "filter": bundle.kind,
                                "n_steps": int(states.shape[0]),
@@ -595,10 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-sorter", help="fit per-channel sorter models")
     p.add_argument("--mode", choices=("online", "offline", "l1"), required=True)
-    p.add_argument("--trace")
-    p.add_argument("--labels")
-    p.add_argument("--windows", help="windows JSONL instead of raw trace")
-    p.add_argument("--tokens", help="token stream (online mode)")
+    p.add_argument("--tokens", required=True, help="token stream (JSONL)")
+    p.add_argument("--labels", help="ground-truth labels (offline and l1 modes)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_sorter)
 
@@ -630,8 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session", help="binned session CSV to decode")
     p.add_argument("--events", help="sorted event stream (JSONL) to decode")
     p.add_argument("--trials", choices=("all", "train", "test"), default="all")
-    p.add_argument("--split", choices=("monolithic", "implant"),
-                   default="monolithic")
     p.add_argument("--out", required=True, help="decoded kinematics CSV")
     p.add_argument("--ops", help="also write instrumented op counters (JSON)")
     p.add_argument("--metrics", help="also write reconstruction metrics (JSON)")

@@ -508,9 +508,10 @@ class FixedPointFormat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FixedPointFormat":
-        # the implant accumulator that adds these words is 32-bit
+        # the implant accumulator that adds these words is 32-bit, and
+        # 2.0 ** frac_bits overflows a float past 1023
         return cls(bits=_checked_int(obj["bits"], "bits", 2, 32),
-                   frac_bits=_checked_int(obj["frac_bits"], "frac_bits"))
+                   frac_bits=_checked_int(obj["frac_bits"], "frac_bits", -1023, 1023))
 
 
 class ImplantAccumulator:
@@ -808,15 +809,16 @@ class DecoderBundle:
     def _check_shapes(self, state_dim: int | None) -> None:
         """ValueError unless every matrix fits one state size d: A, W, P0 and
         (eokf) Qe are d x d, x0 is (d,), a kf H is (n, d) with an n x n Q, an
-        eokf E has d rows, and *state_dim*, when given, is d."""
+        eokf E has d rows, and *state_dim*, when given, is d; and unless every
+        entry is finite (JSON readers take NaN and Infinity literals)."""
         A, obs = self.transition.A, self.observation
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
             raise ValueError(f"A has shape {A.shape}, expected a square matrix")
         d = A.shape[0]
         if state_dim is not None and _checked_int(state_dim, "state_dim") != d:
             raise ValueError(f"state_dim is {state_dim} but A is {d} x {d}")
-        expected = {"W": (self.transition.W, (d, d)), "x0": (self.x0, (d,)),
-                    "P0": (self.P0, (d, d))}
+        expected = {"A": (A, (d, d)), "W": (self.transition.W, (d, d)),
+                    "x0": (self.x0, (d,)), "P0": (self.P0, (d, d))}
         if self.kind == "kf":
             if obs.H.ndim != 2:
                 raise ValueError(f"H has shape {obs.H.shape}, expected (n, {d})")
@@ -827,6 +829,8 @@ class DecoderBundle:
         for name, (a, shape) in expected.items():
             if a.shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} has a non-finite entry")
 
 
 def store_decoder(bundle: DecoderBundle, path: str) -> None:

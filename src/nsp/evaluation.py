@@ -8,12 +8,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .detect import Tokens, channel_groups, detect_trace, estimate_threshold
 from .sort_offline import train_channel_model, train_l1
-from .sort_online import fit_online
 from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN, split_indices
 
 MATCH_TOLERANCE = WINDOW_LEN
 SORTER_TRAIN_FRAC = 0.6    # matched events that train the tree and L1 sorters
-ONLINE_TRAIN_FRAC = 0.75   # stream prefix that trains the online sorter
 
 
 def match_events(token_times, truth_times) -> np.ndarray:
@@ -257,22 +255,3 @@ def run_decoder_benchmark(seed_base: int = 100, n_sessions: int = 10,
     return {"rows": rows,
             "kf_mean_mse": float(np.mean([r["kf_mse"] for r in rows])),
             "eokf_mean_mse": float(np.mean([r["eokf_mse"] for r in rows]))}
-
-
-def evaluate_online_sorter(trace: RawTrace, labels: GroundTruthLabels,
-                           channel: int) -> dict:
-    """Stream the first ONLINE_TRAIN_FRAC of one channel's detections
-    through the online trainer, freeze the model, and score it on the
-    remaining events by permutation accuracy."""
-    feats, labs, _, _ = channel_feature_dataset(trace, labels, channel)
-    n = feats.shape[0]
-    n_train = min(max(int(round(n * ONLINE_TRAIN_FRAC)), 1), max(n - 1, 1))
-    model = fit_online(feats[:n_train, 0], feats[:n_train, 1])
-    test_f, test_l = feats[n_train:], labs[n_train:]
-    if test_f.shape[0] == 0:
-        test_f, test_l = feats, labs
-    pred = model.classify_many(test_f[:, 0], test_f[:, 1])
-    return {"channel": channel,
-            "n_scored": pred.size,
-            "accuracy": permutation_accuracy(pred, test_l),
-            "model": model}

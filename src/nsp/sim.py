@@ -144,10 +144,6 @@ def parse_sim_config(text: str) -> SimConfig:
     return cfg
 
 
-def serialize_sim_config(config: SimConfig) -> str:
-    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(SimConfig))
-
-
 @dataclass
 class SimCounters:
     cycles: int = 0

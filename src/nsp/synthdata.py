@@ -205,6 +205,10 @@ class TraceConfig:
             raise ValueError("firing_rate_hz must be >= 0")
         if not (0.0 <= self.shape_similarity <= 1.0):
             raise ValueError("shape_similarity must be in [0, 1]")
+        if math.isnan(self.snr_db):
+            raise ValueError("snr_db must be a number; +inf means no noise")
+        if not all(map(math.isfinite, self.amp_spread)):
+            raise ValueError(f"amp_spread must be finite, got {self.amp_spread}")
 
 
 def snr_amplitude_budget(snr_db: float) -> float:
@@ -711,6 +715,8 @@ def load_session(path: str) -> ReachSession:
             counts.append([int(c) for c in parts[3:]])
         except ValueError as exc:
             raise PayloadError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, vel[-1])):
+            raise PayloadError(f"{path}:{lineno}: non-finite velocity")
         if min(counts[-1]) < 0:
             raise PayloadError(f"{path}:{lineno}: negative unit count")
         if max(counts[-1]) > _INT64_MAX:

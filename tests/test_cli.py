@@ -1,16 +1,19 @@
+import hashlib
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
 
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                     EXIT_USAGE, _counts_to_events, main)
-from nsp.decode import load_decoded, load_decoder, run_filter, store_decoded
+                     EXIT_USAGE, main)
+from nsp.decode import (load_decoded, load_decoder, run_filter, store_decoded,
+                        within_channel_ranks)
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
 from nsp.sort_offline import TREE_MODEL_BITS, load_models
 from nsp.synthdata import (PayloadError, TraceConfig, gen_spike_trace,
-                           load_session, load_trace, store_trace)
+                           load_session, load_trace, store_records, store_trace)
 
 
 def run(*argv) -> int:
@@ -26,7 +29,7 @@ def pipeline(tmp_path_factory):
                "--duration", 6.0, "--seed", 42,
                "--trace", trace, "--labels", labels) == EXIT_OK
     assert run("detect", "--trace", trace, "--out", d / "tokens.jsonl") == EXIT_OK
-    assert run("train-sorter", "--mode", "offline", "--trace", trace,
+    assert run("train-sorter", "--mode", "offline", "--tokens", d / "tokens.jsonl",
                "--labels", labels, "--out", d / "sorters.json") == EXIT_OK
     assert run("sort", "--tokens", d / "tokens.jsonl",
                "--models", d / "sorters.json",
@@ -143,29 +146,12 @@ def test_report_aggregates_and_cross_checks(pipeline):
                for line in csv)
 
 
-@pytest.fixture(scope="module")
-def windows(pipeline, tmp_path_factory):
-    d = tmp_path_factory.mktemp("windows")
-    assert run("detect", "--trace", pipeline / "trace.bin", "--out", d / "tokens.jsonl",
-               "--windows", d / "windows.jsonl") == EXIT_OK
-    return d / "windows.jsonl"
-
-
 @pytest.mark.parametrize("mode", ["offline", "l1", "online"])
-def test_every_model_kind_runs_every_command(pipeline, windows, tmp_path, mode):
+def test_every_model_kind_runs_every_command(pipeline, tmp_path, mode):
     d, m = pipeline, tmp_path
-    if mode == "online":
-        train = ("--tokens", d / "tokens.jsonl")
-    else:
-        train = ("--trace", d / "trace.bin", "--labels", d / "labels.jsonl")
-    assert run("train-sorter", "--mode", mode, *train,
+    labels = () if mode == "online" else ("--labels", d / "labels.jsonl")
+    assert run("train-sorter", "--mode", mode, "--tokens", d / "tokens.jsonl", *labels,
                "--out", m / "sorters.json") == EXIT_OK
-    if mode != "online":
-        # training from stored windows is the same computation as from the trace
-        assert run("train-sorter", "--mode", mode, "--windows", windows,
-                   "--labels", d / "labels.jsonl",
-                   "--out", m / "sorters_w.json") == EXIT_OK
-        assert (m / "sorters_w.json").read_bytes() == (m / "sorters.json").read_bytes()
     assert run("sort", "--tokens", d / "tokens.jsonl", "--models", m / "sorters.json",
                "--out", m / "sorted.jsonl") == EXIT_OK
     assert run("eval-sort", "--trace", d / "trace.bin", "--labels", d / "labels.jsonl",
@@ -213,13 +199,10 @@ def test_every_decoder_kind_runs_every_command(pipeline, tmp_path, capfd, kind):
     bundle = load_decoder(str(m / "decoder.json"))
     assert bundle.kind == kind.split("-")[0]
     assert (bundle.fixed is not None) == (kind == "eokf-fixed")
-    for split in ("monolithic", "implant"):
-        assert run("decode", "--model", m / "decoder.json", "--session", d / "session.csv",
-                   "--trials", "test", "--split", split, "--out", m / f"{split}.csv",
-                   "--ops", m / f"{split}_ops.json") == EXIT_OK
-        ops = json.loads((m / f"{split}_ops.json").read_text())
-        assert ops["filter"] == bundle.kind
-    assert (m / "monolithic.csv").read_bytes() == (m / "implant.csv").read_bytes()
+    assert run("decode", "--model", m / "decoder.json", "--session", d / "session.csv",
+               "--trials", "test", "--out", m / "decoded.csv",
+               "--ops", m / "ops.json") == EXIT_OK
+    assert json.loads((m / "ops.json").read_text())["filter"] == bundle.kind
     shutil.copy(d / "sorters.json", m / "sorters.json")
     events = ("decode", "--model", m / "decoder.json", "--events", d / "sorted.jsonl",
               "--out", m / "ev.csv")
@@ -240,14 +223,15 @@ def test_every_decoder_kind_runs_every_command(pipeline, tmp_path, capfd, kind):
         assert json.loads((m / "sim.json").read_text())["counters"]["decoder_accepts"] > 0
 
 
-def test_train_sorter_ignores_the_row_order_of_a_windows_file(pipeline, windows, tmp_path):
-    lines = windows.read_text().splitlines(keepends=True)
+def test_train_sorter_ignores_the_row_order_of_a_token_file(pipeline, tmp_path):
+    tokens = pipeline / "tokens.jsonl"
+    lines = tokens.read_text().splitlines(keepends=True)
     shuffled = [lines[i] for i in np.random.default_rng(0).permutation(len(lines))]
     assert shuffled != lines
     (tmp_path / "shuffled.jsonl").write_text("".join(shuffled))
     sets = []
-    for path in (windows, tmp_path / "shuffled.jsonl"):
-        assert run("train-sorter", "--mode", "offline", "--windows", path,
+    for path in (tokens, tmp_path / "shuffled.jsonl"):
+        assert run("train-sorter", "--mode", "offline", "--tokens", path,
                    "--labels", pipeline / "labels.jsonl",
                    "--out", tmp_path / "sorters.json") == EXIT_OK
         sets.append((tmp_path / "sorters.json").read_bytes())
@@ -283,14 +267,26 @@ def test_gen_rerun_is_byte_identical(pipeline, tmp_path):
     assert again.read_bytes() == (pipeline / "trace.bin").read_bytes()
 
 
-def test_implant_split_decode_matches_monolithic(pipeline, tmp_path):
+@pytest.mark.parametrize("fixed", [False, True])
+def test_events_decode_of_the_session_counts_matches_session_decode(pipeline, tmp_path,
+                                                                    fixed):
+    """The implant split on the session's own spikes, one event per count at
+    each bin's last sample, writes the bytes of the binned session route."""
     d = pipeline
-    for split in ("monolithic", "implant"):
-        assert run("decode", "--model", d / "decoder.json",
-                   "--session", d / "session.csv", "--trials", "test",
-                   "--split", split, "--out", tmp_path / f"{split}.csv") == EXIT_OK
-    assert ((tmp_path / "monolithic.csv").read_bytes()
-            == (tmp_path / "implant.csv").read_bytes())
+    assert run("train-decoder", "--session", d / "session.csv", "--seed", 9,
+               *(("--fixed",) if fixed else ()), "--out", tmp_path / "decoder.json") == EXIT_OK
+    session = load_session(str(d / "session.csv"))
+    assert session.counts[-1].any()             # so the events span every bin
+    pairs = within_channel_ranks(session.unit_channels)
+    bin_len = session.bin_ms * 30
+    store_records(({"ch": pairs[j][0], "label": pairs[j][1], "t": (k + 1) * bin_len - 1}
+                   for k, j in np.argwhere(session.counts).tolist()
+                   for _ in range(session.counts[k, j])), str(tmp_path / "events.jsonl"))
+    decode = ("decode", "--model", tmp_path / "decoder.json")
+    assert run(*decode, "--session", d / "session.csv", "--out", tmp_path / "s.csv") == EXIT_OK
+    assert run(*decode, "--events", tmp_path / "events.jsonl",
+               "--out", tmp_path / "e.csv") == EXIT_OK
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
 
 
 def test_events_decode_accepts_the_sorted_stream(pipeline, tmp_path):
@@ -302,8 +298,40 @@ def test_events_decode_accepts_the_sorted_stream(pipeline, tmp_path):
     assert states.shape[1] == 2 and np.isfinite(states).all()
 
 
-@pytest.mark.parametrize("split", ["monolithic", "implant"])
-def test_negative_session_count_exits_4(pipeline, tmp_path, capfd, split):
+def test_events_decode_checks_the_implant_32_bit_accumulator(pipeline, tmp_path, capfd):
+    """A fixed decoder whose largest quantized E entry is about 2**30: two
+    events on that column in one bin leave the implant's 32-bit range."""
+    obj = json.loads((pipeline / "decoder.json").read_text())
+    E = np.array(obj["E"])
+    i, j = np.unravel_index(np.abs(E).argmax(), E.shape)
+    frac_bits = int(np.floor(np.log2(2.0 ** 31 / abs(E[i, j]))))
+    assert 2 ** 30 <= round(abs(E[i, j]) * 2.0 ** frac_bits) < 2 ** 31
+    obj["fixed_point"] = {"bits": 32, "frac_bits": frac_bits}
+    (tmp_path / "decoder.json").write_text(json.dumps(obj))
+    ch, unit = obj["selected"][j]
+    store_records([{"ch": ch, "label": unit, "t": t} for t in (0, 1)],
+                  str(tmp_path / "events.jsonl"))
+    assert run("decode", "--model", tmp_path / "decoder.json",
+               "--events", tmp_path / "events.jsonl",
+               "--out", tmp_path / "decoded.csv") == EXIT_NUMERICAL
+    err = capfd.readouterr().err
+    assert "32-bit" in err and "Traceback" not in err
+    assert not (tmp_path / "decoded.csv").exists()
+
+
+def test_each_command_has_one_input_route(pipeline, tmp_path):
+    d = pipeline
+    train = ("train-sorter", "--mode", "offline", "--tokens", d / "tokens.jsonl",
+             "--labels", d / "labels.jsonl")
+    decode = ("decode", "--model", d / "decoder.json", "--session", d / "session.csv")
+    for argv in ((*train, "--trace", d / "trace.bin"), (*train, "--windows", d / "w.jsonl"),
+                 (*decode, "--split", "implant")):
+        assert run(*argv, "--out", tmp_path / "out") == EXIT_USAGE
+    assert run(*train[:-2], "--out", tmp_path / "out") == EXIT_SCHEMA   # no --labels
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_session_count_exits_4(pipeline, tmp_path, capfd):
     d = pipeline
     lines = (d / "session.csv").read_text().splitlines()
     cells = lines[5].split(",")
@@ -314,10 +342,91 @@ def test_negative_session_count_exits_4(pipeline, tmp_path, capfd, split):
     with pytest.raises(PayloadError, match="negative unit count"):
         load_session(str(tmp_path / "session.csv"))
     assert run("decode", "--model", d / "decoder.json",
-               "--session", tmp_path / "session.csv", "--split", split,
+               "--session", tmp_path / "session.csv",
                "--out", tmp_path / "decoded.csv") == EXIT_SCHEMA
     assert not (tmp_path / "decoded.csv").exists()
     assert "Traceback" not in capfd.readouterr().err
+
+
+def _data_digest(path) -> str:
+    """sha256 prefix of a data output; of an ops file, its step_total block."""
+    data = path.read_bytes()
+    if path.name.startswith("ops-"):
+        data = json.dumps(json.loads(data)["ops"]["step_total"], sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """The command pipeline for every sorter and decoder kind, run with
+    relative paths in a fresh directory; returns that directory."""
+    d = tmp_path_factory.mktemp("pinned")
+    cwd = os.getcwd()
+    os.chdir(d)
+    try:
+        assert run("gen", "--kind", "trace", "--tier", "easy", "--channels", 2,
+                   "--duration", 6.0, "--seed", 42,
+                   "--trace", "trace.bin", "--labels", "labels.jsonl") == EXIT_OK
+        assert run("detect", "--trace", "trace.bin", "--out", "tokens.jsonl") == EXIT_OK
+        for mode, name in (("offline", "tree"), ("l1", "l1"), ("online", "online")):
+            labels = () if mode == "online" else ("--labels", "labels.jsonl")
+            assert run("train-sorter", "--mode", mode, "--tokens", "tokens.jsonl", *labels,
+                       "--out", f"sorters-{name}.json") == EXIT_OK
+            assert run("sort", "--tokens", "tokens.jsonl", "--models", f"sorters-{name}.json",
+                       "--out", f"sorted-{name}.jsonl") == EXIT_OK
+        assert run("gen", "--kind", "session", "--units", 30, "--trials-per-target", 3,
+                   "--seed", 9, "--out", "session.csv") == EXIT_OK
+        for kind, flags in (("kf", ("--filter", "kf")), ("eokf", ()),
+                            ("eokf-fixed", ("--fixed",))):
+            assert run("train-decoder", "--session", "session.csv", *flags, "--seed", 9,
+                       "--out", f"decoder-{kind}.json") == EXIT_OK
+            inputs = [("session", ("--session", "session.csv", "--trials", "test"))]
+            if kind != "kf":
+                inputs.append(("events", ("--events", "sorted-tree.jsonl")))
+            for source, argv in inputs:
+                assert run("decode", "--model", f"decoder-{kind}.json", *argv,
+                           "--out", f"decoded-{kind}-{source}.csv",
+                           "--ops", f"ops-{kind}-{source}.json") == EXIT_OK
+    finally:
+        os.chdir(cwd)
+    return d
+
+
+# sha256 prefixes of every data output of pinned_run. Meta, ops and metrics
+# files hash the argument dict into their provenance, so of an ops file only
+# the step_total block is pinned.
+PINNED_OUTPUTS = {
+    "decoded-eokf-events.csv": "0dce48f83e4f6036",
+    "decoded-eokf-fixed-events.csv": "35d94b49454274bb",
+    "decoded-eokf-fixed-session.csv": "c172d16089224240",
+    "decoded-eokf-session.csv": "9cca6d952ce70b82",
+    "decoded-kf-session.csv": "6616206fc58eb094",
+    "decoder-eokf-fixed.json": "7edfbb4a2a565948",
+    "decoder-eokf.json": "9321e00e12f056bc",
+    "decoder-kf.json": "7b50fba05541a610",
+    "ops-eokf-events.json": "d313f0a26229c1c9",
+    "ops-eokf-fixed-events.json": "d313f0a26229c1c9",
+    "ops-eokf-fixed-session.json": "ac7029c23529af7d",
+    "ops-eokf-session.json": "ac7029c23529af7d",
+    "ops-kf-session.json": "227f4a9348dbc3fa",
+    "sorted-l1.jsonl": "05ca88bfb555d1e1",
+    "sorted-online.jsonl": "c600afc52632e207",
+    "sorted-tree.jsonl": "71ee28a3715b9db8",
+    "sorters-l1.json": "a6cc01d8b9c40dbc",
+    "sorters-online.json": "5da807612ff1b9b1",
+    "sorters-tree.json": "21d39c2c307883e6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_cli_data_outputs_are_pinned(pinned_run, name):
+    assert _data_digest(pinned_run / name) == PINNED_OUTPUTS[name]
+
+
+def test_cli_pins_cover_every_data_output(pinned_run):
+    inputs = {"trace.bin", "labels.jsonl", "tokens.jsonl", "session.csv", "session.csv.json"}
+    assert {p.name for p in pinned_run.iterdir()
+            if not p.name.endswith(".meta.json")} - inputs == set(PINNED_OUTPUTS)
 
 
 # --- exit codes ---------------------------------------------------------------------
@@ -338,18 +447,6 @@ def test_corrupt_input_exits_4(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a trace at all")
     assert run("detect", "--trace", bad, "--out", tmp_path / "t.jsonl") == EXIT_SCHEMA
-
-
-def test_out_of_range_window_sample_exits_4(tmp_path, pipeline, capfd):
-    windows = tmp_path / "windows.jsonl"
-    windows.write_text(json.dumps({"t": 100, "ch": 0, "s": [300] + [0] * 31}) + "\n")
-    assert run("train-sorter", "--mode", "offline", "--windows", windows,
-               "--labels", pipeline / "labels.jsonl",
-               "--out", tmp_path / "sorters.json") == EXIT_SCHEMA
-    err = capfd.readouterr().err
-    assert "windows.jsonl:1: bad window record" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "sorters.json").exists()
 
 
 def test_negative_token_channel_exits_4_before_training(tmp_path, capfd):
@@ -564,6 +661,15 @@ def _pair_edit(i, pair):
     return {"selected": lambda obj: obj["selected"][:i] + [pair] + obj["selected"][i + 1:]}
 
 
+def _nan_at(key):
+    """An edit that puts NaN in the first entry of matrix or vector *key*."""
+    def edit(obj):
+        a = np.array(obj[key], dtype=np.float64)
+        a.flat[0] = np.nan
+        return a.tolist()
+    return {key: edit}
+
+
 EYE3 = np.eye(3).tolist()
 KF = {"kind": "kf", "H": [[0.1, 0.1]] * 30, "Q": np.eye(30).tolist()}  # 30 session units
 
@@ -588,16 +694,20 @@ KF = {"kind": "kf", "H": [[0.1, 0.1]] * 30, "Q": np.eye(30).tolist()}  # 30 sess
                                   {**KF, "Q": np.eye(29).tolist()},
                                   _pair_edit(1, [0.5, 1]),        # (0, 1)
                                   _pair_edit(1, ["0", "1"]),
-                                  _pair_edit(3, [True, 0])])      # (1, 0)
-@pytest.mark.parametrize("split", ["monolithic", "implant"])
-def test_malformed_decoder_exits_4(tmp_path, pipeline, capfd, edit, split):
+                                  _pair_edit(3, [True, 0]),       # (1, 0)
+                                  _nan_at("E"), _nan_at("x0"), _nan_at("W"),
+                                  _nan_at("Qe"), _nan_at("P0"),
+                                  {"A": [[np.inf, 0.0], [0.0, 1.0]]},
+                                  {"fixed_point": {"bits": 16, "frac_bits": 1024}},
+                                  {"fixed_point": {"bits": 16, "frac_bits": -1024}}])
+def test_malformed_decoder_exits_4(tmp_path, pipeline, capfd, edit):
     """A callable edit value is applied to the stored decoder object."""
     obj = json.loads((pipeline / "decoder.json").read_text())
     obj = {**obj, **{k: v(obj) if callable(v) else v for k, v in edit.items()}}
     obj = {k: v for k, v in obj.items() if v is not None}
     (tmp_path / "decoder.json").write_text(json.dumps(obj))
     assert run("decode", "--model", tmp_path / "decoder.json",
-               "--session", pipeline / "session.csv", "--split", split,
+               "--session", pipeline / "session.csv",
                "--out", tmp_path / "decoded.csv") == EXIT_SCHEMA
     err = capfd.readouterr().err
     assert "bad decoder model" in err and "Traceback" not in err
@@ -684,8 +794,8 @@ def test_simulate_config_bin_width_must_match_the_decoder(tmp_path, pipeline, ca
 def test_detector_settings_are_not_options(tmp_path, pipeline, command, flag):
     d = pipeline
     argv = {"detect": ("detect", "--trace", d / "trace.bin"),
-            "train-sorter": ("train-sorter", "--mode", "offline", "--trace",
-                             d / "trace.bin", "--labels", d / "labels.jsonl"),
+            "train-sorter": ("train-sorter", "--mode", "offline", "--tokens",
+                             d / "tokens.jsonl", "--labels", d / "labels.jsonl"),
             "eval-sort": ("eval-sort", "--trace", d / "trace.bin", "--labels",
                           d / "labels.jsonl", "--models", d / "sorters.json")}[command]
     assert run(*argv, flag, 5, "--out", tmp_path / "out") == EXIT_USAGE
@@ -711,19 +821,29 @@ def test_sim_config_line_the_fabric_cannot_honour_exits_4(tmp_path, pipeline, ca
     assert not (tmp_path / "sim.json").exists()
 
 
-def test_counts_expand_to_bin_major_event_rows():
-    rng = np.random.default_rng(4)
-    counts = rng.poisson(1.5, size=(7, 5))
-    counts[2] = 0
-    selected = [(0, 0), (0, 2), (3, 1), (9, 4), (11, 0)]
-    rows = []
-    for k in range(counts.shape[0]):
-        for j, (ch, un) in enumerate(selected):
-            rows.extend([[k * 300, ch, un]] * int(counts[k, j]))
-    events = _counts_to_events(counts, 300, selected)
-    assert events.dtype == np.int64
-    assert events.tolist() == rows
-    assert _counts_to_events(counts[:, :0], 300, []).shape == (0, 3)
+@pytest.mark.parametrize("flag,value", [("--snr", "nan"), ("--spread", "nan,1"),
+                                        ("--spread", "0.5,inf")])
+def test_gen_rejects_non_finite_trace_settings(tmp_path, capfd, flag, value):
+    trace = tmp_path / "t.bin"
+    assert run("gen", "--kind", "trace", "--channels", 1, "--duration", 1.0, flag, value,
+               "--trace", trace, "--labels", tmp_path / "l.jsonl") == EXIT_SCHEMA
+    assert "Traceback" not in capfd.readouterr().err
+    assert not trace.exists() and not (tmp_path / "l.jsonl").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_session_velocity_exits_4(pipeline, tmp_path, capfd, cell):
+    lines = (pipeline / "session.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = cell
+    lines[5] = ",".join(cells)
+    (tmp_path / "session.csv").write_text("\n".join(lines) + "\n")
+    shutil.copy(pipeline / "session.csv.json", tmp_path / "session.csv.json")
+    assert run("train-decoder", "--session", tmp_path / "session.csv", "--filter", "kf",
+               "--out", tmp_path / "decoder.json") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "session.csv:6: non-finite velocity" in err and "Traceback" not in err
+    assert not (tmp_path / "decoder.json").exists()
 
 
 def test_numerical_failure_exits_5_without_partial_outputs(tmp_path):

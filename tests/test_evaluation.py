@@ -5,13 +5,14 @@ from conftest import scan_tokens
 from nsp.detect import Tokens, detect_trace, estimate_threshold
 from nsp.evaluation import (DECODER_BENCHMARK, MATCH_TOLERANCE,
                             channel_feature_dataset, confusion_matrix,
-                            evaluate_channel_sorters, evaluate_online_sorter,
+                            evaluate_channel_sorters,
                             majority_leaf_labels, mapped_accuracy,
                             match_events, matched_features,
                             parity_benchmark_configs,
                             permutation_accuracy, run_decoder_benchmark,
                             run_parity_benchmark, split_indices)
 from nsp.sort_offline import ChannelSorterModel, L1TemplateModel
+from nsp.sort_online import fit_online
 from nsp.synthdata import TraceConfig, gen_spike_trace, tier_config
 
 
@@ -188,10 +189,15 @@ def test_evaluate_channel_sorters_needs_events():
 
 
 def test_online_sorter_evaluation(easy_trace):
+    """Streamed over the first 3/4 of one channel's matched detections and
+    then frozen, the online sorter sorts the rest."""
     trace, labels = easy_trace
-    res = evaluate_online_sorter(trace, labels, 0)
-    assert res["n_scored"] > 0
-    assert res["accuracy"] >= 0.9
+    feats, labs, _, _ = channel_feature_dataset(trace, labels, 0)
+    n_train = round(0.75 * feats.shape[0])
+    model = fit_online(feats[:n_train, 0], feats[:n_train, 1])
+    pred = model.classify_many(feats[n_train:, 0], feats[n_train:, 1])
+    assert pred.size > 0
+    assert permutation_accuracy(pred, labs[n_train:]) >= 0.9
 
 
 # --- benchmark protocols ------------------------------------------------------------

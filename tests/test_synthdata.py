@@ -74,6 +74,16 @@ def test_trace_config_validation():
         TraceConfig(shape_similarity=1.5).validate()
 
 
+@pytest.mark.parametrize("field,value", [("snr_db", math.nan),
+                                         ("amp_spread", (math.nan, 1.0)),
+                                         ("amp_spread", (0.5, math.inf))])
+def test_trace_config_rejects_nan_snr_and_non_finite_spread(field, value):
+    """A NaN SNR would render a noiseless trace, as +inf does on purpose."""
+    with pytest.raises(ValueError, match=field):
+        TraceConfig(**{field: value}).validate()
+    TraceConfig(snr_db=math.inf).validate()
+
+
 def _digest(a: np.ndarray) -> str:
     """First 16 hex digits of the sha256 of the array's little-endian bytes."""
     a = np.ascontiguousarray(a)
