@@ -27,6 +27,7 @@ model. Every per-bin E z reduction, float or fixed point, is ``ensemble_ez``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ from .synthdata import PayloadError, _checked_int, load_document, read_text
 RIDGE_EPS = 1e-6
 DEFAULT_STATE_DIM = 2
 MAX_UNITS_PER_CHANNEL = 3
+PAIR_ID_BITS = 31          # channel and unit ids of a selected pair lie in 0..2**31-1
 TARGET_ENSEMBLE_RANGE = (20, 50)
 MIN_INFORMATIVE_SCORE = 0.01
 N_SECTORS = 8              # direction sectors of per_direction_stats
@@ -115,6 +117,41 @@ class StandardObservationModel:
         self.Q = np.asarray(self.Q, dtype=np.float64)
 
 
+class Selection:
+    """The selected (channel, unit) pairs, one E column each: the one lookup
+    between the sorters and the E z accumulator. ``column`` maps a pair to
+    its column for the per-event paths, ``columns`` looks up whole id arrays
+    for the batched ones, and ``channels`` holds the channels with a unit.
+    Pairs must be distinct, at most MAX_UNITS_PER_CHANNEL per channel, with
+    both ids in 0..2**PAIR_ID_BITS-1, so one int64 numbers each pair.
+    """
+
+    def __init__(self, selected):
+        self.pairs = tuple((int(c), int(u)) for c, u in selected)
+        self.column = {pair: j for j, pair in enumerate(self.pairs)}
+        if len(self.column) < len(self.pairs):
+            raise ValueError("a selected (channel, unit) pair is repeated")
+        for c, u in self.pairs:
+            if (c | u) >> PAIR_ID_BITS:         # nonzero for a negative id too
+                raise ValueError(f"selected id outside 0..2**{PAIR_ID_BITS}-1: ({c}, {u})")
+        per_channel = Counter(c for c, _ in self.pairs)
+        if max(per_channel.values(), default=0) > MAX_UNITS_PER_CHANNEL:
+            raise ValueError(f"more than {MAX_UNITS_PER_CHANNEL} units on one channel")
+        self.channels = frozenset(per_channel)
+        # sorted pair numbers, closed by a sentinel that no pair number reaches
+        number = np.array([c << PAIR_ID_BITS | u for c, u in self.pairs], dtype=np.int64)
+        order = np.argsort(number)
+        self._numbers = np.append(number[order], np.iinfo(np.int64).max)
+        self._columns = np.append(order, -1)
+
+    def columns(self, channel, unit) -> np.ndarray:
+        """int64 column of each (channel[i], unit[i]) pair; -1 if unselected."""
+        ch, un = np.asarray(channel, dtype=np.int64), np.asarray(unit, dtype=np.int64)
+        number = np.where((ch | un) >> PAIR_ID_BITS == 0, ch << PAIR_ID_BITS | un, -1)
+        at = np.searchsorted(self._numbers, number)
+        return np.where(self._numbers[at] == number, self._columns[at], -1)
+
+
 @dataclass
 class EnsembleModel:
     kind = "eokf"
@@ -122,18 +159,15 @@ class EnsembleModel:
     E: np.ndarray        # (d, n_selected) regression weights
     Qe: np.ndarray       # (d, d) residual covariance
     selected: tuple      # ((channel, within-channel unit id), ...) per E column
+    selection: Selection = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=np.float64)
         self.Qe = np.asarray(self.Qe, dtype=np.float64)
-        self.selected = tuple((int(c), int(u)) for c, u in self.selected)
+        self.selection = Selection(self.selected)
+        self.selected = self.selection.pairs
         if self.E.ndim != 2 or self.E.shape[1] != len(self.selected):
             raise ValueError("one selected (channel, unit) pair per E column")
-        per_channel = {}
-        for ch, _ in self.selected:
-            per_channel[ch] = per_channel.get(ch, 0) + 1
-        if per_channel and max(per_channel.values()) > MAX_UNITS_PER_CHANNEL:
-            raise ValueError(f"more than {MAX_UNITS_PER_CHANNEL} units on one channel")
 
 
 @dataclass
@@ -401,49 +435,17 @@ def run_eokf(trans: StateTransitionModel, ens: EnsembleModel,
 # ---------------------------------------------------------------------------
 
 
-def _pair_columns(selected, channel, unit) -> np.ndarray:
-    """Column of each (channel, unit) pair in *selected*; -1 if unselected.
-
-    The rule of a ``{pair: column}`` dict over *selected* (a repeated pair
-    maps to its last column), for any integer channel and unit ids. Each
-    pair inside the bounding box of the selected pairs is numbered row by
-    row, and one ``searchsorted`` over the sorted numbers of the selected
-    pairs finds it.
-    """
-    index = {(int(c), int(u)): j for j, (c, u) in enumerate(selected)}
-    ch = np.asarray(channel, dtype=np.int64)
-    un = np.asarray(unit, dtype=np.int64)
-    col = np.full(ch.shape, -1, dtype=np.int64)
-    if not index:
-        return col
-    pairs = sorted(index)
-    c0, c1 = pairs[0][0], pairs[-1][0]
-    u0, u1 = min(u for _, u in pairs), max(u for _, u in pairs)
-    width = u1 - u0 + 1
-    if (c1 - c0 + 1) * width >= 2 ** 63:   # the numbers would overflow int64
-        col.flat[:] = [index.get(p, -1) for p in zip(ch.flat, un.flat)]
-        return col
-    inside = (ch >= c0) & (ch <= c1) & (un >= u0) & (un <= u1)
-    number = (ch[inside] - c0) * width + (un[inside] - u0)
-    numbers = np.array([(c - c0) * width + (u - u0) for c, u in pairs], dtype=np.int64)
-    at = np.minimum(np.searchsorted(numbers, number), len(pairs) - 1)
-    hit = numbers[at] == number
-    cols = np.array([index[p] for p in pairs], dtype=np.int64)
-    col[inside] = np.where(hit, cols[at], -1)
-    return col
-
-
-def _bin_columns(events, n_bins: int, bin_len: int, selected) -> tuple:
+def _bin_columns(events, n_bins: int, bin_len: int, selection: Selection) -> tuple:
     """(bin, column) of every (t, channel, unit) event row.
 
-    The column is -1 for an unselected pair and for a time outside the binned
-    span [0, n_bins*bin_len).
+    The column is -1 for a pair *selection* lacks and for a time outside the
+    binned span [0, n_bins*bin_len).
     """
     if bin_len < 1:
         raise ValueError("bin_len must be positive")
     ev = np.asarray(events, dtype=np.int64).reshape(-1, 3)
     b = ev[:, 0] // bin_len
-    col = _pair_columns(selected, ev[:, 1], ev[:, 2])
+    col = selection.columns(ev[:, 1], ev[:, 2])
     col[(b < 0) | (b >= n_bins)] = -1
     return b, col
 
@@ -459,11 +461,12 @@ def bin_spikes(events, n_bins: int, bin_len: int, selected) -> np.ndarray:
     """Count sorted events into half-open bins [k*bin_len, (k+1)*bin_len).
 
     *events* rows are (t, channel, unit); only (channel, unit) pairs in
-    *selected* are counted, in the column order of *selected*. Event order is
-    irrelevant. Events outside the binned span are dropped.
+    *selected*, a valid :class:`Selection`, are counted in its column order.
+    Event order is irrelevant. Events outside the binned span are dropped.
     """
-    b, col = _bin_columns(events, n_bins, bin_len, selected)
-    return _bin_counts(b, col, n_bins, len(selected))
+    selection = Selection(selected)
+    b, col = _bin_columns(events, n_bins, bin_len, selection)
+    return _bin_counts(b, col, n_bins, len(selection.pairs))
 
 
 @dataclass(frozen=True)
@@ -532,7 +535,6 @@ class ImplantAccumulator:
     def __init__(self, ens: EnsembleModel, fmt: FixedPointFormat | None = None):
         self.ens = ens
         self.fmt = fmt
-        self._index = {pair: j for j, pair in enumerate(ens.selected)}
         d, s = ens.E.shape
         if fmt is not None:
             self._eq = fmt.quantize(ens.E)
@@ -544,7 +546,7 @@ class ImplantAccumulator:
 
     def accumulate(self, channel: int, unit: int) -> bool:
         """Add one spike event; returns False (and counts it) if unselected."""
-        j = self._index.get((int(channel), int(unit)))
+        j = self.ens.selection.column.get((int(channel), int(unit)))
         if j is None:
             self.dropped += 1
             return False
@@ -580,7 +582,7 @@ class ImplantAccumulator:
         bin's end; the counters are then left unchanged. A bin in progress
         from ``accumulate`` is neither read nor reset.
         """
-        b, col = _bin_columns(events, n_bins, bin_len, self.ens.selected)
+        b, col = _bin_columns(events, n_bins, bin_len, self.ens.selection)
         d, s = self.ens.E.shape
         counts = _bin_counts(b, col, n_bins, s)
         per_bin = counts.sum(axis=1)

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decode import EnsembleModel, _pair_columns, bin_spikes, ensemble_ez
+from .decode import EnsembleModel, _bin_counts, bin_spikes, ensemble_ez
 from .detect import (DEFAULT_PRE, Completion, Tokens, detect_trace,
                      estimate_threshold)
 from .sort_offline import classify_by_channel
@@ -215,8 +215,6 @@ class Simulator:
         self._exits = []          # min-heap: exit cycle of every ring token
         self._held = {}
         self._fifo = deque()
-        self._selected_channels = {ch for ch, _ in ensemble.selected}
-        self._colmap = {pair: j for j, pair in enumerate(ensemble.selected)}
         d = ensemble.E.shape[0]
         self._banks = np.zeros((n_bins, len(ensemble.selected)), dtype=np.int64)
         self._ez = np.zeros((n_bins, d), dtype=np.float64)
@@ -284,7 +282,7 @@ class Simulator:
             comp = rows[self._next_comp]
             self._next_comp += 1
             self.counters.detections += 1
-            if comp.channel not in self._selected_channels:
+            if comp.channel not in self.ensemble.selection.channels:
                 self.counters.gated_tokens += 1
                 continue
             if comp.channel in self._held:
@@ -364,7 +362,7 @@ class Simulator:
             if self._next_emit >= self.n_bins:
                 return
             k = self._next_emit
-        col = self._colmap.get((comp.channel, label))
+        col = self.ensemble.selection.column.get((comp.channel, label))
         if col is not None:
             self._banks[k, col] += 1
         self._accepted.append((comp.t, comp.channel, label))
@@ -481,9 +479,7 @@ class Simulator:
         cfg = self.config
         n_groups = cfg.n_groups
         cycle, channel = self._cols[0], self._cols[1]
-        gated_out = np.array([ch not in self._selected_channels
-                              for ch in range(cfg.n_channels)], dtype=bool)
-        ring = np.flatnonzero(~gated_out[channel])
+        ring = np.flatnonzero(np.isin(channel, [*self.ensemble.selection.channels]))
         start = np.maximum(cycle[ring], 0)          # the first insertion attempt
         group, tap = np.divmod(channel[ring], cfg.group_size)
         first = start + tap                          # the first-choice exit
@@ -573,9 +569,8 @@ class Simulator:
         late = k < oldest_open
         k = np.where(late, oldest_open, k)
         kept = ~late | (oldest_open < n_bins)
-        cols = _pair_columns(self.ensemble.selected, channel, labels)
-        into = kept & (cols >= 0)
-        np.add.at(self._banks, (k[into], cols[into]), 1)
+        cols = np.where(kept, self.ensemble.selection.columns(channel, labels), -1)
+        self._banks += _bin_counts(k, cols, n_bins, self._banks.shape[1])
         c = self.counters
         c.decoder_accepts += accepts.size
         c.edge_crossings += int(edge.sum())

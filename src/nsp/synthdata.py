@@ -199,16 +199,18 @@ class TraceConfig:
     def validate(self) -> None:
         if not (2 <= self.neurons_per_channel <= 4):
             raise ValueError("neurons_per_channel must be in 2..4")
-        if self.n_channels < 1 or self.duration_s <= 0:
-            raise ValueError("need at least one channel and positive duration")
-        if self.firing_rate_hz < 0:
-            raise ValueError("firing_rate_hz must be >= 0")
+        if self.n_channels < 1:
+            raise ValueError("need at least one channel")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        if not (math.isfinite(self.firing_rate_hz) and self.firing_rate_hz >= 0):
+            raise ValueError(f"firing_rate_hz must be finite and >= 0, got {self.firing_rate_hz}")
         if not (0.0 <= self.shape_similarity <= 1.0):
             raise ValueError("shape_similarity must be in [0, 1]")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number; +inf means no noise")
-        if not all(map(math.isfinite, self.amp_spread)):
-            raise ValueError(f"amp_spread must be finite, got {self.amp_spread}")
+        if not all(0.0 < f <= 1.0 for f in self.amp_spread):
+            raise ValueError(f"amp_spread fractions must lie in (0, 1], got {self.amp_spread}")
 
 
 def snr_amplitude_budget(snr_db: float) -> float:
@@ -736,9 +738,9 @@ def load_session(path: str) -> ReachSession:
                                  f"0 <= start < end <= {len(vel)}")
         unit_channels = sidecar.get("unit_channels", [])
         if not (type(unit_channels) is list and len(unit_channels) == n_units
-                and all(map(_is_int64, unit_channels))):
-            raise ValueError("unit_channels must hold one integer channel for "
-                             f"each of the {n_units} unit columns")
+                and all(_is_int64(ch) and ch >= 0 for ch in unit_channels)):
+            raise ValueError("unit_channels must hold one non-negative integer "
+                             f"channel for each of the {n_units} unit columns")
         return ReachSession(
             velocity=np.array(vel, dtype=np.float64).reshape(-1, 2),
             counts=np.array(counts, dtype=np.int64).reshape(-1, n_units),

@@ -1,4 +1,4 @@
-"""Shared fixtures, the per-event synthesis oracles, the sample-scan
+"""Shared fixtures, the digest of pinned outputs, the per-event synthesis oracles, the sample-scan
 detector oracle, the per-token online trainer oracle, the per-arrival
 decoder-buffer oracle and the exhaustive split-layout oracle.
 
@@ -6,6 +6,8 @@ The datasets here are deliberately small; anything that needs statistical
 power builds its own inside the test.
 """
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
@@ -40,6 +42,15 @@ def small_session():
 # Trace synthesis written one event and one gap at a time. The block renderer,
 # the array-form Poisson thinning and the sorted label check in
 # nsp.synthdata must give the same bytes and raise the same messages.
+
+
+def digest(a) -> str:
+    """First 16 hex digits of the sha256 of an array's little-endian bytes,
+    or of a dict's sorted JSON."""
+    if isinstance(a, dict):
+        return hashlib.sha256(json.dumps(a, sort_keys=True).encode()).hexdigest()[:16]
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()[:16]
 
 
 def poisson_event_times_loop(rng, rate_hz, n_samples, sample_rate):

@@ -631,7 +631,8 @@ def test_negative_model_channel_is_a_typed_error(tmp_path, pipeline, capfd):
 
 
 @pytest.mark.parametrize("bad", ["fractional start_bin", "short unit_channels",
-                                 "fractional bin_ms", "boolean bin_ms", "zero bin_ms"])
+                                 "negative unit channel", "fractional bin_ms",
+                                 "boolean bin_ms", "zero bin_ms"])
 def test_malformed_session_sidecar_exits_4(tmp_path, pipeline, capfd, bad):
     d = pipeline
     shutil.copy(d / "session.csv", tmp_path / "session.csv")
@@ -640,6 +641,8 @@ def test_malformed_session_sidecar_exits_4(tmp_path, pipeline, capfd, bad):
         sidecar["trials"][0]["start_bin"] = 1.5
     elif bad == "short unit_channels":
         sidecar["unit_channels"].pop()
+    elif bad == "negative unit channel":
+        sidecar["unit_channels"][0] = -1
     else:
         sidecar["bin_ms"] = {"fractional bin_ms": 100.9, "boolean bin_ms": True,
                              "zero bin_ms": 0}[bad]
@@ -721,6 +724,28 @@ def test_decoder_converted_to_kf_decodes(tmp_path, pipeline):
     assert run("decode", "--model", tmp_path / "decoder.json",
                "--session", pipeline / "session.csv",
                "--out", tmp_path / "decoded.csv") == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["decode-session", "decode-events", "simulate"])
+def test_repeated_selected_pair_exits_4(tmp_path, pipeline, capfd, command):
+    """A pair listed twice would address two E columns through the session's
+    unit columns but one through the event lookup, so every command rejects it."""
+    obj = json.loads((pipeline / "decoder.json").read_text())
+    obj["selected"][1] = obj["selected"][0]
+    (tmp_path / "decoder.json").write_text(json.dumps(obj))
+    shutil.copy(pipeline / "sorters.json", tmp_path / "sorters.json")
+    out = tmp_path / "out"
+    argv = {"decode-session": ("decode", "--model", tmp_path / "decoder.json",
+                               "--session", pipeline / "session.csv", "--out", out),
+            "decode-events": ("decode", "--model", tmp_path / "decoder.json",
+                              "--events", pipeline / "sorted.jsonl", "--out", out),
+            "simulate": ("simulate", "--trace", pipeline / "trace.bin",
+                         "--models", tmp_path, "--config", pipeline / "sim.cfg",
+                         "--counters", out)}[command]
+    assert run(*argv) == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "pair is repeated" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_decoder_without_bin_ms_loads_as_100(tmp_path, pipeline):
@@ -821,13 +846,19 @@ def test_sim_config_line_the_fabric_cannot_honour_exits_4(tmp_path, pipeline, ca
     assert not (tmp_path / "sim.json").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--snr", "nan"), ("--spread", "nan,1"),
-                                        ("--spread", "0.5,inf")])
-def test_gen_rejects_non_finite_trace_settings(tmp_path, capfd, flag, value):
+@pytest.mark.parametrize("flag,value,setting", [
+    ("--snr", "nan", "snr_db"), ("--spread", "nan,1", "amp_spread"),
+    ("--spread", "0.5,inf", "amp_spread"), ("--spread", "2,3", "amp_spread"),
+    ("--spread", "-1,-0.5", "amp_spread"), ("--rate", "inf", "firing_rate_hz"),
+    ("--rate", "nan", "firing_rate_hz"), ("--duration", "inf", "duration_s"),
+    ("--duration", "nan", "duration_s")])
+def test_gen_rejects_trace_settings_out_of_range(tmp_path, capfd, flag, value, setting):
     trace = tmp_path / "t.bin"
-    assert run("gen", "--kind", "trace", "--channels", 1, "--duration", 1.0, flag, value,
-               "--trace", trace, "--labels", tmp_path / "l.jsonl") == EXIT_SCHEMA
-    assert "Traceback" not in capfd.readouterr().err
+    assert run("gen", "--kind", "trace", "--channels", 1, "--duration", 1.0,
+               f"{flag}={value}", "--trace", trace,
+               "--labels", tmp_path / "l.jsonl") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert setting in err and "Traceback" not in err
     assert not trace.exists() and not (tmp_path / "l.jsonl").exists()
 
 

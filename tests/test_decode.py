@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsp.decode import (INT32_MAX, PHASES, DecoderBundle, EnsembleModel,
-                        _pair_columns,
-                        FilterState, FixedPointFormat, ImplantAccumulator,
+from nsp.decode import (INT32_MAX, PAIR_ID_BITS, PHASES, DecoderBundle,
+                        EnsembleModel, FilterState, FixedPointFormat, ImplantAccumulator,
                         StandardObservationModel, StateTransitionModel,
                         StepOps, best_single_neuron_decoder, bin_spikes,
                         count_ops, ensemble_ez, eokf_step,
                         evaluate_reconstruction, kf_step, load_decoded,
                         load_decoder, neuron_scores, per_direction_stats,
                         reduce_observation, run_eokf, run_eokf_split,
-                        run_filter, run_kf, select_neurons, selection_columns,
-                        store_decoded, store_decoder, train_ensemble,
+                        run_filter, run_kf, select_neurons, Selection,
+                        selection_columns, store_decoded, store_decoder, train_ensemble,
                         train_observation_standard, train_transition)
 from nsp.opcount import OpCounts, SingularMatrixError
 from nsp.synthdata import PayloadError
@@ -75,45 +74,68 @@ def test_bin_spikes_order_invariant():
 
 def test_bin_spikes_counts_any_selected_unit_id():
     # unit ids are not limited to the tree sorter's four leaves
-    sel = [(1, 5), (0, 0), (-2, 7), (3, 2 ** 40)]
-    events = np.array([[10, 1, 5], [20, 0, 0], [30, -2, 7], [40, 3, 2 ** 40],
-                       [50, 1, 4], [60, 5, 1]])
+    top = 2 ** PAIR_ID_BITS - 1
+    sel = [(1, 5), (0, 0), (2, 7), (3, top)]
+    events = np.array([[10, 1, 5], [20, 0, 0], [30, 2, 7], [40, 3, top],
+                       [50, 1, 4], [60, 5, 1], [70, -2, 7], [80, 3, top + 1]])
     assert bin_spikes(events, 1, 100, sel).tolist() == [[1, 1, 1, 1]]
 
 
-_IDS = st.integers(-6, 8) | st.sampled_from([-1, 2 ** 40, -(2 ** 40)])
+TOP_ID = 2 ** PAIR_ID_BITS - 1
+_IDS = st.integers(0, 8) | st.sampled_from([TOP_ID - 1, TOP_ID])
+_QUERY_IDS = (_IDS | st.integers(-(2 ** 63), 2 ** 63 - 1)
+              | st.sampled_from([-1, TOP_ID + 1, 2 ** 62, -(2 ** 62)]))
+
+
+def _valid_pairs(pairs) -> list:
+    """*pairs* without repeats and past MAX_UNITS_PER_CHANNEL per channel."""
+    out, per_channel = [], {}
+    for c, u in dict.fromkeys(pairs):
+        if per_channel.get(c, 0) < 3:
+            per_channel[c] = per_channel.get(c, 0) + 1
+            out.append((c, u))
+    return out
 
 
 @settings(max_examples=150, deadline=None)
-@given(selected=st.lists(st.tuples(_IDS, _IDS), max_size=12),
-       repeats=st.integers(0, 3),
-       queries=st.lists(st.tuples(_IDS | st.integers(-2 ** 62, 2 ** 62), _IDS),
-                        max_size=40))
-def test_pair_columns_follow_the_dict_rule(selected, repeats, queries):
-    """Each (channel, unit) gets the last column of its pair in *selected*, -1
-    when unselected: repeated pairs, the OUTLIER unit -1 and ids far outside
-    the selected ones included."""
-    selected = selected + selected[:repeats]
-    index = {pair: j for j, pair in enumerate(selected)}
-    queries = queries + selected[:5]
-    ch = np.array([c for c, _ in queries], dtype=np.int64)
-    un = np.array([u for _, u in queries], dtype=np.int64)
-    got = _pair_columns(selected, ch, un)
+@given(selected=st.lists(st.tuples(_IDS, _IDS), max_size=16),
+       queries=st.lists(st.tuples(_QUERY_IDS, _QUERY_IDS), max_size=40))
+def test_selection_columns_follow_the_dict(selected, queries):
+    """Each (channel, unit) gets its pair's column, -1 when unselected: the
+    OUTLIER unit -1 and any other int64 ids included."""
+    sel = Selection(_valid_pairs(selected))
+    queries = queries + list(sel.pairs[:5])
+    got = sel.columns([c for c, _ in queries], [u for _, u in queries])
     assert got.dtype == np.int64
-    assert got.tolist() == [index.get(q, -1) for q in queries]
+    assert got.tolist() == [sel.column.get(q, -1) for q in queries]
+    assert sel.column == {pair: j for j, pair in enumerate(sel.pairs)}
+    assert sel.channels == {c for c, _ in sel.pairs}
 
 
-def test_pair_columns_on_ids_too_far_apart_to_number():
-    selected = [(0, -(2 ** 62)), (2 ** 40, 2 ** 62), (0, -(2 ** 62))]
-    queries = [(0, -(2 ** 62)), (2 ** 40, 2 ** 62), (2 ** 40, 0), (-1, -1)]
-    got = _pair_columns(selected, [c for c, _ in queries], [u for _, u in queries])
-    assert got.tolist() == [2, 1, -1, -1]
+def test_selection_ids_end_at_the_bound():
+    sel = Selection([(0, 0), (0, TOP_ID), (TOP_ID, 0), (TOP_ID, TOP_ID)])
+    queries = [(0, 0), (0, TOP_ID), (TOP_ID, 0), (TOP_ID, TOP_ID),
+               (0, TOP_ID + 1), (TOP_ID + 1, 0), (-1, 0), (0, -1)]
+    got = sel.columns([c for c, _ in queries], [u for _, u in queries])
+    assert got.tolist() == [0, 1, 2, 3, -1, -1, -1, -1]
+    for pair in [(TOP_ID + 1, 0), (0, TOP_ID + 1), (-1, 0), (0, -1), (2 ** 40, 0)]:
+        with pytest.raises(ValueError, match="outside"):
+            Selection([(0, 0), pair])
+
+
+def test_selection_rejects_a_repeated_pair_and_a_crowded_channel():
+    with pytest.raises(ValueError, match="repeated"):
+        Selection([(0, 1), (2, 0), (0, 1)])
+    with pytest.raises(ValueError, match="more than 3 units"):
+        Selection([(5, 0), (5, 1), (5, 2), (5, 9)])
+    with pytest.raises(ValueError, match="repeated"):
+        bin_spikes(np.zeros((0, 3)), 1, 100, [(0, 0), (0, 0)])
+    Selection([])
 
 
 def test_bin_spikes_column_rule_is_the_dict_lookup():
     rng = np.random.default_rng(3)
-    sel = [(int(c), int(u)) for c, u in rng.integers(-3, 6, size=(15, 2))]
-    sel.append(sel[0])  # a repeated pair maps to its last column
+    sel = _valid_pairs([(int(c), int(u)) for c, u in rng.integers(0, 6, size=(30, 2))])
     index = {pair: j for j, pair in enumerate(sel)}
     ev = np.column_stack([rng.integers(0, 400, 2000),
                           rng.integers(-4, 7, 2000), rng.integers(-4, 7, 2000)])
@@ -582,7 +604,7 @@ def _streams(draw) -> tuple:
                                    st.integers(-1, 4), st.integers(-1, 6)),
                          max_size=150))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    selected = ((0, 0), (0, 2), (1, 1), (1, 5), (3, 0), (3, 6), (-1, 3))
+    selected = ((0, 0), (0, 2), (1, 1), (1, 5), (3, 0), (3, 6), (4, 3))
     ens = EnsembleModel(E=rng.standard_normal((2, len(selected))),
                         Qe=0.05 * np.eye(2), selected=selected)
     return np.array(rows, dtype=np.int64).reshape(-1, 3), n_bins, bin_len, ens

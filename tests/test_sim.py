@@ -6,16 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import buffer_accepts, scan_tokens
+from conftest import buffer_accepts, digest, scan_tokens
 from nsp import sim as sim_module
-from nsp.decode import EnsembleModel
+from nsp.decode import (EnsembleModel, FixedPointFormat, StateTransitionModel,
+                        run_eokf_split, train_ensemble)
 from nsp.sim import (OUTPUT_WORD_BITS, Completion, ConfigMismatchError,
                      SimConfig, Simulator, build_schedule, linear_fit_r2,
                      parse_sim_config, reference_ez, run_simulation,
                      sweep_spike_rate)
-from nsp.detect import Tokens, detect_trace
-from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
-                           tier_config)
+from nsp.detect import Tokens, detect_trace, estimate_threshold
+from nsp.synthdata import (PayloadError, RawTrace, SessionConfig, TraceConfig,
+                           gen_reach_session, gen_spike_trace, tier_config)
 
 
 def _ensemble(channels, units=1, d=2, seed=0):
@@ -670,6 +671,85 @@ def test_foreign_channel_in_schedule_is_rejected():
     sched = [Completion(cycle=0, channel=9, t=0, f1=0, f2=0)]
     with pytest.raises(ConfigMismatchError):
         _sim(cfg, range(4), sched)
+
+
+# --- pinned stream outputs -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stream_inputs():
+    """(trace, sorters, ensemble) shaped like the two fabric benchmark workloads
+    at 16 channels x 2 s. "chain": medium tier at 30 Hz, tree sorters trained
+    on matched ground truth, a trained ensemble that gates channels 3 and 11
+    and leaves some units of the others unselected. "fabric": 150 Hz, online
+    sorters, and a seeded ensemble over every (channel, 0..2) pair."""
+    from nsp.sort_online import train_online
+
+    trace, labels = gen_spike_trace(
+        tier_config("medium", n_channels=16, duration_s=2.0, firing_rate_hz=30.0), seed=5)
+    session = gen_reach_session(SessionConfig(n_units=48, untuned_fraction=0.5), seed=5)
+    chain = (trace, _small_models(trace, labels, range(16)),
+             train_ensemble(session.counts, session.velocity, session.unit_channels))
+    trace, _ = gen_spike_trace(
+        tier_config("medium", n_channels=16, duration_s=2.0, firing_rate_hz=150.0), seed=6)
+    _, tokens = detect_trace(trace, [estimate_threshold(row) for row in trace.data])
+    selected = [(ch, u) for ch in range(16) for u in range(3)]
+    E = np.random.default_rng(6).normal(0.0, 0.05, (2, len(selected)))
+    fabric = (trace, train_online(tokens),
+              EnsembleModel(E=E, Qe=0.1 * np.eye(2), selected=selected))
+    return {"chain": chain, "fabric": fabric}
+
+
+# (input, config settings, counters, ez, counts, accepted_events, sorts_by_channel);
+# a change that alters an output on purpose re-records its digests
+PINNED_STREAMS = {
+    "chain": ("chain", {}, "3659b02d81828cee", "7eccb7ab11c3837b",
+              "21aa7111028688c8", "1b393af46b5b7a96", "803201198778dd55"),
+    "chain-group-1": ("chain", dict(group_size=1), "b0f288ecfb81c87d",
+                      "7eccb7ab11c3837b", "21aa7111028688c8", "f8d0b658172ea3e9",
+                      "803201198778dd55"),
+    "fabric": ("fabric", dict(group_size=4), "5b1ab15586cb1cd5", "127da17f67c62c04",
+               "68b91baff7118a3b", "d48facc34f97bd71", "92ee35bc1aa2427b"),
+    "fabric-depth-1-loses": ("fabric", dict(group_size=4, decoder_buffer_depth=1),
+                             "514bdd0a08479a6a", "0b9b222d259a9654",
+                             "e04abbf240431cba", "82e0efc8cfc2e060",
+                             "92ee35bc1aa2427b"),
+    "fabric-group-1": ("fabric", dict(group_size=1), "ece4c0d7df21273d",
+                       "127da17f67c62c04", "68b91baff7118a3b", "54c6dcb13d65959a",
+                       "92ee35bc1aa2427b"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_STREAMS)
+def test_stream_outputs_are_pinned(stream_inputs, case):
+    name, settings_, *want = PINNED_STREAMS[case]
+    trace, sorters, ens = stream_inputs[name]
+    cfg = SimConfig(**{"n_channels": 16, "group_size": 16, "conveyor_slots": 16,
+                       **settings_})
+    res = run_simulation(trace, sorters, ens, cfg)
+    got = [digest(x) for x in (res.counters.as_dict(), res.ez, res.counts,
+                                res.accepted_events, res.sorts_by_channel)]
+    assert got == want
+    assert (res.counters.tokens_lost > 0) == (case == "fabric-depth-1-loses")
+
+
+# (states, ez, events accumulated, events dropped) of the implant split over
+# the "chain" stream's accepted events
+PINNED_SPLIT = {"float": ("0d393d22f6c3cc03", "7eccb7ab11c3837b", 393, 632),
+                "fixed": ("bb2be323ba4a4e59", "7c32b31421fba58d", 393, 632)}
+
+
+@pytest.mark.parametrize("mode", PINNED_SPLIT)
+def test_split_decode_of_the_stream_is_pinned(stream_inputs, mode):
+    trace, sorters, ens = stream_inputs["chain"]
+    cfg = SimConfig(n_channels=16, group_size=16, conveyor_slots=16)
+    res = run_simulation(trace, sorters, ens, cfg)
+    fmt = FixedPointFormat.for_matrix(ens.E) if mode == "fixed" else None
+    trans = StateTransitionModel(A=0.9 * np.eye(2), W=0.1 * np.eye(2))
+    states, ez, _, acc = run_eokf_split(trans, ens, res.accepted_events, res.n_bins,
+                                        cfg.bin_len, fmt=fmt)
+    got = (digest(states), digest(ez), acc.events_accumulated, acc.dropped)
+    assert got == PINNED_SPLIT[mode]
 
 
 # --- rate sweep -------------------------------------------------------------------

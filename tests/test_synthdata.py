@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 from unittest import mock
@@ -8,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import poisson_event_times_loop, render_trace_loop, validate_labels_loop
+from conftest import (digest, poisson_event_times_loop, render_trace_loop,
+                      validate_labels_loop)
 from nsp import synthdata
 from nsp.synthdata import (ClippingError, DatasetFormatError, GroundTruthLabels,
                            HeaderError, PayloadError, SessionConfig, TraceConfig,
@@ -84,10 +84,24 @@ def test_trace_config_rejects_nan_snr_and_non_finite_spread(field, value):
     TraceConfig(snr_db=math.inf).validate()
 
 
-def _digest(a: np.ndarray) -> str:
-    """First 16 hex digits of the sha256 of the array's little-endian bytes."""
-    a = np.ascontiguousarray(a)
-    return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()[:16]
+@pytest.mark.parametrize("field,value", [
+    ("firing_rate_hz", math.inf), ("firing_rate_hz", math.nan),
+    ("duration_s", math.inf), ("duration_s", math.nan),
+    ("amp_spread", (2.0, 3.0)), ("amp_spread", (-1.0, -0.5)),
+    ("amp_spread", (0.0, 1.0)), ("amp_spread", (0.5, 1.0 + 1e-9))])
+def test_trace_config_rejects_settings_outside_their_range(field, value):
+    """The rate and duration size the event draw and the trace; the spread is
+    a fraction of the int8 amplitude budget, so past 1 it clips and below 0
+    it flips every template's sign."""
+    with pytest.raises(ValueError, match=field):
+        TraceConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("tier", ["easy", "medium", "hard"])
+def test_tier_presets_and_defaults_are_legal(tier):
+    TraceConfig().validate()
+    tier_config(tier, n_channels=96, duration_s=0.5, firing_rate_hz=0.0).validate()
+    TraceConfig(amp_spread=(1.0, 1.0)).validate()
 
 
 # (tier, rate Hz, seed, channels, seconds, trace.data, labels.events, clipped_samples)
@@ -122,7 +136,7 @@ def test_synthesis_is_pinned(tier, rate, seed, n_channels, seconds, data, events
     trace, labels = gen_spike_trace(tier_config(tier, n_channels=n_channels,
                                                 duration_s=seconds,
                                                 firing_rate_hz=rate), seed=seed)
-    assert (_digest(trace.data), _digest(labels.events), trace.clipped_samples) == (
+    assert (digest(trace.data), digest(labels.events), trace.clipped_samples) == (
         data, events, clipped)
 
 
@@ -466,11 +480,12 @@ def test_corrupt_files_raise_schema_errors(tmp_path):
     lambda side, n_bins: side.update(unit_channels=side["unit_channels"] + [0]),
     lambda side, n_bins: side.update(unit_channels=[1.0] + side["unit_channels"][1:]),
     lambda side, n_bins: side.update(unit_channels=[False] + side["unit_channels"][1:]),
+    lambda side, n_bins: side.update(unit_channels=[-1] + side["unit_channels"][1:]),
     lambda side, n_bins: side.update(unit_channels="0" * len(side["unit_channels"])),
     lambda side, n_bins: side.pop("unit_channels"),
 ], ids=["start-float", "start-bool", "start-str", "start-negative", "empty-trial",
         "end-before-start", "end-past-last-bin", "end-null", "channels-short",
-        "channels-long", "channel-float", "channel-bool", "channels-str",
+        "channels-long", "channel-float", "channel-bool", "channel-negative", "channels-str",
         "channels-missing"])
 def test_session_sidecar_bounds_and_channels_are_checked(tmp_path, small_session, edit):
     p = tmp_path / "s.csv"
