@@ -33,6 +33,7 @@ WINDOW_LEN = 32  # samples per spike waveform everywhere in the pipeline
 TRACE_MAGIC = b"NSPT"
 TRACE_VERSION = 1
 _HEADER = struct.Struct("<4sHHIQ")  # magic, version, n_channels, sample_rate, n_samples
+MAX_TRACE_CHANNELS = 2 ** 16 - 1    # the header's n_channels field is 16 bits
 
 
 class DatasetFormatError(Exception):
@@ -201,6 +202,9 @@ class TraceConfig:
             raise ValueError("neurons_per_channel must be in 2..4")
         if self.n_channels < 1:
             raise ValueError("need at least one channel")
+        if self.n_channels > MAX_TRACE_CHANNELS:
+            raise ValueError(f"n_channels must be at most {MAX_TRACE_CHANNELS}, the trace "
+                             f"header's limit, got {self.n_channels}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
         if not (math.isfinite(self.firing_rate_hz) and self.firing_rate_hz >= 0):

@@ -106,11 +106,14 @@ def validate_labels_loop(labels):
 
 
 def scan_starts(trace, threshold):
-    """Sample-by-sample detector: the plain form of the re-arm rule."""
+    """Sample-by-sample detector: the plain form of the re-arm rule.
+
+    A sample fires when |v| >= *threshold*, so a NaN threshold never fires.
+    """
     trace = np.asarray(trace, dtype=np.int8)
     starts, rearm = [], 0
     for t in range(trace.size):
-        if t < rearm or abs(int(trace[t])) < threshold:
+        if t < rearm or not abs(int(trace[t])) >= threshold:
             continue
         t0 = max(0, t - DEFAULT_PRE)
         if t0 + WINDOW_LEN > trace.size:

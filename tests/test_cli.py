@@ -443,6 +443,15 @@ def test_missing_input_exits_3(tmp_path):
                "--out", tmp_path / "t.jsonl") == EXIT_IO
 
 
+def test_more_channels_than_the_trace_header_holds_exits_4(tmp_path, capfd):
+    trace = tmp_path / "trace.bin"
+    assert run("gen", "--kind", "trace", "--channels", 70000, "--duration", 0.02,
+               "--trace", trace, "--labels", tmp_path / "labels.jsonl") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "n_channels must be at most 65535" in err and "Traceback" not in err
+    assert not trace.exists()
+
+
 def test_corrupt_input_exits_4(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a trace at all")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,10 +166,17 @@ def test_window_starts_at_least_window_len_apart():
     assert np.diff(tokens.t).min() >= WINDOW_LEN
 
 
+# the limits of the byte comparison: below 0, the integers around 0, 1, 127,
+# 128 and 129, and thresholds no sample reaches
+EDGE_THRESHOLDS = [-np.inf, -1.0, 0.0, 0.5, 1.0, 127.0, 127.5, 128.0, 128.5, 129.0,
+                   1e9, np.inf, np.nan]
+
+
 @settings(max_examples=200, deadline=None)
-@given(n_rows=st.integers(1, 5), n_samples=st.integers(0, 300),
+@given(n_rows=st.integers(1, 20), n_samples=st.integers(0, 300),
        seed=st.integers(0, 2 ** 32 - 1),
-       thresholds=st.lists(st.floats(0.0, 140.0), min_size=5, max_size=5),
+       thresholds=st.lists(st.floats(0.0, 140.0) | st.sampled_from(EDGE_THRESHOLDS),
+                           min_size=20, max_size=20),
        quiet=st.sampled_from([0.0, 0.5, 0.9]))
 def test_all_channel_detector_equals_the_sample_scan_row_by_row(
         n_rows, n_samples, seed, thresholds, quiet):
@@ -184,6 +192,28 @@ def test_all_channel_detector_equals_the_sample_scan_row_by_row(
     assert rows.tolist() == sorted(rows.tolist())
     for r in range(n_rows):
         assert starts[rows == r].tolist() == scan_starts(data[r], thr[r])
+
+
+@pytest.mark.parametrize("shape", [(0, 100), (0, 0), (3, 0), (9, 10)])
+def test_detector_without_windows(shape):
+    # no rows, no samples, or 9 rows (across a scan block) too short for a window
+    rows, starts = detect_rows(np.full(shape, -128, dtype=np.int8), [0.0] * shape[0])
+    assert rows.dtype == starts.dtype == np.int64
+    assert rows.size == starts.size == 0
+
+
+def test_detector_scan_makes_no_copy_of_the_trace():
+    # a quiet 96-channel, 3 s trace: the scan buffers are a few 8-row blocks,
+    # while an int16 copy of the trace alone would take 17 MB
+    data = np.zeros((96, 90000), dtype=np.int8)
+    tracemalloc.start()
+    try:
+        rows, _ = detect_rows(data, [10.0] * 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.size == 0
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -207,6 +237,8 @@ def test_window_array_features_equal_per_window_max_min():
     assert f1.tolist() == [int(w.max()) for w in windows]
     assert f2.tolist() == [int(w.min()) for w in windows]
     assert np.array_equal(tokens.f1, f1) and np.array_equal(tokens.f2, f2)
+    f1, f2 = window_features(np.zeros((0, WINDOW_LEN), dtype=np.int8))
+    assert f1.dtype == f2.dtype == np.int8 and f1.size == f2.size == 0
 
 
 def test_detect_trace_finds_most_truth_events(easy_trace):

@@ -72,6 +72,9 @@ def test_trace_config_validation():
         TraceConfig(duration_s=0.0).validate()
     with pytest.raises(ValueError):
         TraceConfig(shape_similarity=1.5).validate()
+    TraceConfig(n_channels=65535).validate()
+    with pytest.raises(ValueError, match="n_channels must be at most 65535"):
+        TraceConfig(n_channels=65536).validate()
 
 
 @pytest.mark.parametrize("field,value", [("snr_db", math.nan),
