@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from ._util import atomic_write_text, canonical_json, config_hash
-from .decode import (DecoderBundle, FixedPointFormat, count_ops,
+from .decode import (DecoderBundle, FixedPointFormat, count_ops, ensemble_ez,
                      evaluate_reconstruction, load_decoder, run_eokf,
                      run_eokf_split, run_filter, selection_columns,
                      store_decoded, store_decoder, train_ensemble,
@@ -27,14 +27,13 @@ from .detect import (detect_trace, estimate_threshold, load_tokens, store_tokens
 from .evaluation import (channel_feature_dataset, matched_features,
                          permutation_accuracy)
 from .opcount import SingularMatrixError
-from .sort_offline import (L1_BITS_PER_TEMPLATE, TREE_MODEL_BITS,
-                           classify_by_channel, load_models, store_models,
-                           train_channel_model, train_l1)
-from .sort_online import online_footprint, train_online
+from .sort_offline import (MODEL_KINDS, classify_by_channel, load_models,
+                           store_models, train_channel_model, train_l1)
+from .sort_online import train_online
 from .sim import (ConfigMismatchError, SimConfig, check_model_channels,
                   parse_sim_config, run_simulation)
 from .synthdata import (ClippingError, DatasetFormatError, PayloadError,
-                        SessionConfig, TraceConfig, gen_reach_session,
+                        SessionConfig, TraceConfig, _checked_int, gen_reach_session,
                         gen_spike_trace, load_channel_records, load_document,
                         load_labels, load_session, load_trace, read_text,
                         split_trials, store_labels, store_records,
@@ -204,16 +203,11 @@ def cmd_eval_sort(args) -> int:
         model = models[ch]
         feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch)
         pred = model.classify_many(feats[:, 0], feats[:, 1])
-        row = {"channel": ch, "model": model.kind,
-               "n_detected": n_det, "n_truth": n_truth,
-               "n_scored": pred.size,
-               "accuracy": permutation_accuracy(pred, labs),
-               "footprint_bits": model.footprint_bits()}
-        if model.kind == "l1":
-            row["n_templates"] = len(model.templates)
-        if model.kind == "online":
-            row["n_cuts"] = [len(cuts) for cuts in model.boundaries]
-        return row
+        return {"channel": ch, "model": model.kind, "params": model.to_json(),
+                "n_detected": n_det, "n_truth": n_truth,
+                "n_scored": pred.size,
+                "accuracy": permutation_accuracy(pred, labs),
+                "footprint_bits": model.footprint_bits()}
 
     rows = [eval_channel(ch) for ch in sorted(models)]
     mean_acc = float(np.mean([r["accuracy"] for r in rows])) if rows else 0.0
@@ -349,7 +343,8 @@ def cmd_simulate(args) -> int:
         "config": asdict(sim_cfg),
         "provenance": provenance(vars(args))})
     if args.decoded:
-        states, _ = run_filter(bundle.transition, bundle.observation, result.ez,
+        ez = ensemble_ez(bundle.observation, result.counts, bundle.fixed)
+        states, _ = run_filter(bundle.transition, bundle.observation, ez,
                                x0=bundle.x0, P0=bundle.P0)
         store_decoded(args.decoded, states)
         _write_meta(args.decoded, vars(args), extra={"n_bins": int(result.n_bins)})
@@ -412,29 +407,19 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _crosscheck_footprints(name: str, rows) -> None:
-    """Reported footprints must equal what the model rules give."""
-    for row in rows:
-        bits = row.get("footprint_bits")
-        if bits is None:
-            continue
-        if row.get("model") == "tree" and bits != TREE_MODEL_BITS:
-            raise ArithmeticError(
-                f"{name}: channel {row.get('channel')} reports a {bits}-bit "
-                f"tree model; the format is {TREE_MODEL_BITS} bits")
-        if row.get("model") == "l1":
-            want = L1_BITS_PER_TEMPLATE * int(row.get("n_templates", 0))
-            if bits != want:
-                raise ArithmeticError(
-                    f"{name}: channel {row.get('channel')} reports {bits} "
-                    f"L1 bits; templates say {want}")
-        if row.get("model") == "online":
-            n1, n2 = row.get("n_cuts", (0, 0))
-            want = online_footprint(int(n1), int(n2))
-            if bits != want:
-                raise ArithmeticError(
-                    f"{name}: channel {row.get('channel')} reports {bits} "
-                    f"online bits; its cuts say {want}")
+def _check_footprint(name: str, row: dict) -> None:
+    """A sort-eval row's footprint must be what its model, rebuilt from the
+    row's params through ``MODEL_KINDS``, gives."""
+    bits = _checked_int(row["footprint_bits"], "footprint_bits")
+    cls = MODEL_KINDS.get(row["model"])
+    if cls is None or "params" not in row:
+        raise ValueError(f"channel {row['channel']}: no params of a known sorter kind "
+                         f"(model {row['model']!r}); re-run eval-sort")
+    want = cls.from_json(row["params"]).footprint_bits()
+    if bits != want:
+        raise ArithmeticError(
+            f"{name}: channel {row['channel']} reports {bits} footprint bits; "
+            f"its {cls.kind} model has {want}")
 
 
 def _crosscheck_opcounts(name: str, rows) -> None:
@@ -448,79 +433,97 @@ def _crosscheck_opcounts(name: str, rows) -> None:
                 f"{fresh['step_total']}")
 
 
+def _number(value):
+    """*value* if it is a JSON number (not a bool), else TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _step_total(ops: dict) -> str:
+    t = ops["step_total"]
+    return "+".join(str(_checked_int(t[k], k)) for k in ("mult", "add", "div"))
+
+
+def _report_sections(name: str, kind, obj: dict) -> dict:
+    """Report section -> (entries, CSV lines) of one artifact; empty for a
+    kind the report does not read. A malformed artifact raises a lookup,
+    type or format error, a failed cross-check ArithmeticError."""
+    if kind == "sort-eval":
+        rows = obj["rows"]
+        for row in rows:
+            _check_footprint(name, row)
+        mean = _number(obj["mean_accuracy"])
+        return {"accuracy_tables": (
+                    [{"source": name, "mean_accuracy": mean, "rows": rows}],
+                    [f"accuracy,{name},mean_accuracy,{mean!r}"]
+                    + [f"accuracy,{name},channel_{_checked_int(r['channel'], 'channel')},"
+                       f"{_number(r['accuracy'])!r}" for r in rows]),
+                "footprints": (
+                    [{"source": name, "channel": r["channel"], "model": r["model"],
+                      "footprint_bits": r["footprint_bits"]} for r in rows], [])}
+    if kind == "op-bench":
+        rows = obj["rows"]
+        lines = [f"ops,{name},{r['kind']}_n{r['n_neurons']}_step_total,"
+                 f"{_step_total(r['ops'])}" for r in rows]
+        _crosscheck_opcounts(name, rows)
+        return {"op_tables": ([{"source": name, "rows": rows}], lines)}
+    if kind == "decode-ops":
+        return {"op_tables": (
+            [{"source": name, "filter": obj["filter"], "n_steps": obj.get("n_steps"),
+              "ops": obj["ops"]}],
+            [f"ops,{name},{obj['filter']}_step_total,{_step_total(obj['ops'])}"])}
+    if kind == "reconstruction":
+        metrics = obj["metrics"]
+        return {"reconstruction": (
+            [{"source": name, "filter": obj.get("filter"), "metrics": metrics}],
+            [f"reconstruction,{name},{key},{val!r}" for key, val in metrics.items()
+             if isinstance(val, (int, float))])}
+    if kind == "sim-counters":
+        counters = obj["counters"]
+        return {"sim_counters": (
+            [{"source": name, "counters": counters, "config": obj.get("config")}],
+            [f"sim,{name},{key},{_checked_int(val, key)}" for key, val in counters.items()])}
+    return {}
+
+
 def cmd_report(args) -> int:
+    """Aggregate the artifacts in a directory. Every artifact is read and
+    checked before either output is written."""
     if not os.path.isdir(args.dir):
         raise FileNotFoundError(f"{args.dir}: not a directory")
-    report = {"kind": "report", "accuracy_tables": [], "op_tables": [],
-              "footprints": [], "reconstruction": [], "sim_counters": []}
+    # in CSV table order; footprints have no CSV lines
+    sections = {s: ([], []) for s in ("accuracy_tables", "op_tables", "footprints",
+                                      "reconstruction", "sim_counters")}
     inputs = {}
     for name in sorted(os.listdir(args.dir)):
         if not name.endswith(".json") or name.endswith(".meta.json"):
             continue
-        path = os.path.join(args.dir, name)
         try:
-            obj = load_document(path)
+            obj = load_document(os.path.join(args.dir, name))
         except PayloadError:
             continue
         kind = obj.get("kind")
-        if kind == "sort-eval":
-            _crosscheck_footprints(name, obj.get("rows", []))
-            report["accuracy_tables"].append({"source": name,
-                                              "mean_accuracy": obj.get("mean_accuracy"),
-                                              "rows": obj.get("rows", [])})
-            report["footprints"].extend(
-                {"source": name, "channel": r.get("channel"),
-                 "model": r.get("model"), "footprint_bits": r["footprint_bits"]}
-                for r in obj.get("rows", []) if "footprint_bits" in r)
-        elif kind == "op-bench":
-            _crosscheck_opcounts(name, obj.get("rows", []))
-            report["op_tables"].append({"source": name, "rows": obj.get("rows", [])})
-        elif kind == "decode-ops":
-            report["op_tables"].append({"source": name, "filter": obj.get("filter"),
-                                        "n_steps": obj.get("n_steps"),
-                                        "ops": obj.get("ops")})
-        elif kind == "reconstruction":
-            report["reconstruction"].append({"source": name,
-                                             "filter": obj.get("filter"),
-                                             "metrics": obj.get("metrics")})
-        elif kind == "sim-counters":
-            report["sim_counters"].append({"source": name,
-                                           "counters": obj.get("counters"),
-                                           "config": obj.get("config")})
-        else:
-            continue
-        inputs[name] = kind
+        try:
+            found = _report_sections(name, kind, obj)
+        except (PayloadError, AttributeError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
+            raise PayloadError(f"{name}: malformed {kind} artifact: {exc!r}") from exc
+        for section, (entries, lines) in found.items():
+            sections[section][0].extend(entries)
+            sections[section][1].extend(lines)
+        if found:
+            inputs[name] = kind
     if not inputs:
         raise FileNotFoundError(
             f"{args.dir}: no report-able artifacts (sort-eval, op-bench, "
             "decode-ops, reconstruction, sim-counters)")
-    report["provenance"] = {"inputs": inputs, "config_hash": config_hash(inputs),
-                            "tool": f"nsp {__version__}"}
+    report = {"kind": "report", **{s: entries for s, (entries, _) in sections.items()},
+              "provenance": {"inputs": inputs, "config_hash": config_hash(inputs),
+                             "tool": f"nsp {__version__}"}}
+    csv_lines = ["table,source,key,value"] + [
+        line for _, lines in sections.values() for line in lines]
     _write_json(args.out, report)
-    csv_lines = ["table,source,key,value"]
-    for tab in report["accuracy_tables"]:
-        csv_lines.append(f"accuracy,{tab['source']},mean_accuracy,{tab['mean_accuracy']!r}")
-        for r in tab["rows"]:
-            csv_lines.append(f"accuracy,{tab['source']},"
-                             f"channel_{r['channel']},{r['accuracy']!r}")
-    for tab in report["op_tables"]:
-        if "rows" in tab:
-            for r in tab["rows"]:
-                t = r["ops"]["step_total"]
-                csv_lines.append(
-                    f"ops,{tab['source']},{r['kind']}_n{r['n_neurons']}_step_total,"
-                    f"{t['mult']}+{t['add']}+{t['div']}")
-        else:
-            t = tab["ops"]["step_total"]
-            csv_lines.append(f"ops,{tab['source']},{tab['filter']}_step_total,"
-                             f"{t['mult']}+{t['add']}+{t['div']}")
-    for rec in report["reconstruction"]:
-        for key, val in rec["metrics"].items():
-            if isinstance(val, (int, float)):
-                csv_lines.append(f"reconstruction,{rec['source']},{key},{val!r}")
-    for sc in report["sim_counters"]:
-        for key, val in sc["counters"].items():
-            csv_lines.append(f"sim,{sc['source']},{key},{val}")
     atomic_write_text(args.csv, "\n".join(csv_lines) + "\n")
     print(f"wrote {args.out} and {args.csv} ({len(inputs)} artifacts)")
     return EXIT_OK

@@ -62,6 +62,10 @@ class SimConfig:
             raise ValueError("n_channels must be divisible by group_size")
         if self.conveyor_slots < self.group_size:
             raise ValueError("conveyor_slots must be >= group_size (one tap per channel)")
+        if self.group_size > WINDOW_LEN:
+            # a tap waits up to group_size - 1 cycles for a slot; its detector
+            # re-arms WINDOW_LEN samples after a window starts
+            raise ValueError(f"group_size must be <= {WINDOW_LEN}, the detector re-arm period")
         if self.decoder_buffer_depth < 1:
             raise ValueError("decoder_buffer_depth must be >= 1")
         if self.clock_hz < 1 or self.bin_ms < 1:

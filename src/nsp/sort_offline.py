@@ -16,8 +16,9 @@ model of ``sort_online``) carries a ``kind`` name, ``classify(f1, f2)``,
 ``classify_many(f1, f2)`` over int arrays, ``footprint_bits()`` and a
 ``to_json``/``from_json`` pair. ``classify_by_channel`` labels a stream of
 tokens with one ``classify_many`` call per channel. ``MODEL_KINDS``
-maps each kind name to its class, and ``store_models``/``load_models`` read
-and write per-channel model sets of any one kind through it.
+maps each kind name to its class. ``store_models``/``load_models`` read and
+write per-channel model sets of any one kind through it, and ``nsp report``
+rebuilds each ``eval-sort`` row's model through it to check its footprint.
 """
 
 from __future__ import annotations

@@ -161,9 +161,12 @@ class OnlineSorterModel:
         return len(self.valid())
 
     def footprint_bits(self) -> int:
-        """Deployed size in bits: the cut registers plus the partition
-        table of at most 16 cells, counted by :func:`online_footprint`."""
-        return online_footprint(len(self.boundaries[0]), len(self.boundaries[1]))
+        """Deployed size in bits: one int8 register (CUT_BITS) per cut, and
+        one CELL_BITS = 5-bit cell per grid partition (at most 16 of them)
+        that holds a valid partition's rank (0..15) or the outlier code.
+        With three cuts per axis that is 6 * 8 + 16 * 5 = 128."""
+        n1, n2 = len(self.boundaries[0]), len(self.boundaries[1])
+        return CUT_BITS * (n1 + n2) + CELL_BITS * (n1 + 1) * (n2 + 1)
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -190,18 +193,6 @@ class OnlineSorterModel:
         if len({(i, j) for i, j, _ in cam}) != len(cam):
             raise PayloadError("CAM lists a partition more than once")
         return cls(boundaries=(list(cuts[0]), list(cuts[1])), cam_snapshot=cam)
-
-
-def online_footprint(n_cuts_f1: int, n_cuts_f2: int) -> int:
-    """Deployed size in bits of a frozen online model with these cut counts.
-
-    Each cut is one int8 register (CUT_BITS). The frozen table has one cell
-    per grid partition, (n_cuts_f1 + 1) * (n_cuts_f2 + 1) <= 16 of them, and a
-    cell holds the rank of a valid partition (0..15) or the outlier code,
-    CELL_BITS = 5 bits. With three cuts per axis that is 6 * 8 + 16 * 5 = 128.
-    """
-    return (CUT_BITS * (n_cuts_f1 + n_cuts_f2)
-            + CELL_BITS * (n_cuts_f1 + 1) * (n_cuts_f2 + 1))
 
 
 def _check_cuts(axis: int, cuts) -> None:

@@ -8,11 +8,12 @@ import pytest
 
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                      EXIT_USAGE, main)
-from nsp.decode import (load_decoded, load_decoder, run_filter, store_decoded,
-                        within_channel_ranks)
+from nsp.decode import (ensemble_ez, load_decoded, load_decoder, run_filter,
+                        store_decoded, within_channel_ranks)
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
-from nsp.sort_offline import TREE_MODEL_BITS, load_models
-from nsp.synthdata import (PayloadError, TraceConfig, gen_spike_trace,
+from nsp.sort_offline import (MODEL_KINDS, TREE_MODEL_BITS, L1TemplateModel,
+                              load_models, store_models)
+from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
                            load_session, load_trace, store_records, store_trace)
 
 
@@ -180,14 +181,6 @@ def test_every_model_kind_runs_every_command(pipeline, tmp_path, mode):
     store_decoded(str(m / "ref_decoded.csv"), states)
     assert (m / "ref_decoded.csv").read_bytes() == (m / "sim_decoded.csv").read_bytes()
 
-    # the report re-derives every kind's footprint and rejects a tampered one
-    report = ("report", "--dir", m, "--out", m / "report.json", "--csv", m / "report.csv")
-    assert run(*report) == EXIT_OK
-    tampered = json.loads((m / "eval.json").read_text())
-    tampered["rows"][0]["footprint_bits"] += 1
-    (m / "eval.json").write_text(json.dumps(tampered))
-    assert run(*report) == EXIT_NUMERICAL
-
 
 @pytest.mark.parametrize("kind", ["kf", "eokf", "eokf-fixed"])
 def test_every_decoder_kind_runs_every_command(pipeline, tmp_path, capfd, kind):
@@ -221,6 +214,15 @@ def test_every_decoder_kind_runs_every_command(pipeline, tmp_path, capfd, kind):
         assert run(*simulate) == EXIT_OK
         assert np.isfinite(load_decoded(str(m / "ev.csv"))).all()
         assert json.loads((m / "sim.json").read_text())["counters"]["decoder_accepts"] > 0
+        # simulate decodes E z in the decoder's own number format
+        res = run_simulation(load_trace(str(d / "trace.bin")),
+                             load_models(str(m / "sorters.json")), bundle.observation,
+                             parse_sim_config((d / "sim.cfg").read_text()))
+        states, _ = run_filter(bundle.transition, bundle.observation,
+                               ensemble_ez(bundle.observation, res.counts, bundle.fixed),
+                               x0=bundle.x0, P0=bundle.P0)
+        store_decoded(str(m / "ref.csv"), states)
+        assert (m / "ref.csv").read_bytes() == (m / "sim_decoded.csv").read_bytes()
 
 
 def test_train_sorter_ignores_the_row_order_of_a_token_file(pipeline, tmp_path):
@@ -374,6 +376,9 @@ def pinned_run(tmp_path_factory):
                        "--out", f"sorters-{name}.json") == EXIT_OK
             assert run("sort", "--tokens", "tokens.jsonl", "--models", f"sorters-{name}.json",
                        "--out", f"sorted-{name}.jsonl") == EXIT_OK
+            assert run("eval-sort", "--trace", "trace.bin", "--labels", "labels.jsonl",
+                       "--models", f"sorters-{name}.json",
+                       "--out", f"eval-{name}.json") == EXIT_OK
         assert run("gen", "--kind", "session", "--units", 30, "--trials-per-target", 3,
                    "--seed", 9, "--out", "session.csv") == EXIT_OK
         for kind, flags in (("kf", ("--filter", "kf")), ("eokf", ()),
@@ -387,6 +392,17 @@ def pinned_run(tmp_path_factory):
                 assert run("decode", "--model", f"decoder-{kind}.json", *argv,
                            "--out", f"decoded-{kind}-{source}.csv",
                            "--ops", f"ops-{kind}-{source}.json") == EXIT_OK
+            if kind != "kf":
+                # the model directory holds copies of inputs, not outputs
+                os.mkdir(kind)
+                shutil.copy("sorters-tree.json", f"{kind}/sorters.json")
+                shutil.copy(f"decoder-{kind}.json", f"{kind}/decoder.json")
+                assert run("simulate", "--trace", "trace.bin", "--models", kind,
+                           "--counters", f"sim-{kind}.json",
+                           "--decoded", f"sim-decoded-{kind}.csv") == EXIT_OK
+                shutil.rmtree(kind)
+        assert run("report", "--dir", ".", "--out", "report.json",
+                   "--csv", "report.csv") == EXIT_OK
     finally:
         os.chdir(cwd)
     return d
@@ -404,11 +420,22 @@ PINNED_OUTPUTS = {
     "decoder-eokf-fixed.json": "7edfbb4a2a565948",
     "decoder-eokf.json": "9321e00e12f056bc",
     "decoder-kf.json": "7b50fba05541a610",
+    "eval-l1.json": "c19d11710e241b93",
+    "eval-online.json": "fd5b7173ce5fae40",
+    "eval-tree.json": "fe427d411c75792f",
     "ops-eokf-events.json": "d313f0a26229c1c9",
     "ops-eokf-fixed-events.json": "d313f0a26229c1c9",
     "ops-eokf-fixed-session.json": "ac7029c23529af7d",
     "ops-eokf-session.json": "ac7029c23529af7d",
     "ops-kf-session.json": "227f4a9348dbc3fa",
+    "report.csv": "1420c13c983fa8ae",
+    "report.json": "2573088921d02386",
+    # the fabric loses no token here, so each simulate decode equals its
+    # decoder's --events decode of the sorted stream
+    "sim-decoded-eokf-fixed.csv": "35d94b49454274bb",
+    "sim-decoded-eokf.csv": "0dce48f83e4f6036",
+    "sim-eokf-fixed.json": "c2be0d51bcb97e70",
+    "sim-eokf.json": "7aa307bcfbea04b8",
     "sorted-l1.jsonl": "05ca88bfb555d1e1",
     "sorted-online.jsonl": "c600afc52632e207",
     "sorted-tree.jsonl": "71ee28a3715b9db8",
@@ -427,6 +454,67 @@ def test_cli_pins_cover_every_data_output(pinned_run):
     inputs = {"trace.bin", "labels.jsonl", "tokens.jsonl", "session.csv", "session.csv.json"}
     assert {p.name for p in pinned_run.iterdir()
             if not p.name.endswith(".meta.json")} - inputs == set(PINNED_OUTPUTS)
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_report_rebuilds_each_footprint_through_the_model_registry(pinned_run, tmp_path,
+                                                                   capfd, kind):
+    """A sort-eval row carries its model; the report rebuilds it by kind and
+    fails, writing nothing, on a row it cannot rebuild or whose footprint
+    disagrees."""
+    d, src = pinned_run, tmp_path / "src"
+    src.mkdir()
+    assert run("eval-sort", "--trace", d / "trace.bin", "--labels", d / "labels.jsonl",
+               "--models", d / f"sorters-{kind}.json", "--out", src / "eval.json") == EXIT_OK
+    outputs = (tmp_path / "report.json", tmp_path / "report.csv")
+    report = ("report", "--dir", src, "--out", outputs[0], "--csv", outputs[1])
+    assert run(*report) == EXIT_OK
+    good = (src / "eval.json").read_text()
+    other = next(k for k in sorted(MODEL_KINDS) if k != kind)
+    other_params = json.loads((d / f"eval-{other}.json").read_text())["rows"][0]["params"]
+    edits = {"footprint + 1": (EXIT_NUMERICAL, lambda r: r.update(
+                 footprint_bits=r["footprint_bits"] + 1)),
+             "unknown kind": (EXIT_SCHEMA, lambda r: r.update(model="bogus")),
+             "no params": (EXIT_SCHEMA, lambda r: r.pop("params")),
+             f"{other} params": (EXIT_SCHEMA, lambda r: r.update(params=other_params))}
+    for edit, (code, apply) in edits.items():
+        for out in outputs:
+            out.unlink(missing_ok=True)
+        doc = json.loads(good)
+        apply(doc["rows"][0])
+        (src / "eval.json").write_text(json.dumps(doc))
+        capfd.readouterr()
+        assert run(*report) == code, edit
+        err = capfd.readouterr().err
+        assert "eval.json" in err and "Traceback" not in err, edit
+        assert not any(out.exists() for out in outputs), edit
+
+
+@pytest.mark.parametrize("source,edit", [
+    ("metrics.json", lambda o: o.update(metrics=[1])),
+    ("sim.json", lambda o: o.update(counters=[1])),
+    ("sim.json", lambda o: o["counters"].update(sorts="12")),
+    ("eval.json", lambda o: o["rows"][0].pop("accuracy")),
+    ("eval.json", lambda o: o["rows"][0].update(accuracy=[0.9])),
+    ("eval.json", lambda o: o["rows"][0].update(footprint_bits="28")),
+    ("bench.json", lambda o: o["rows"][0]["ops"].update(step_total=[1])),
+    ("ops.json", lambda o: o.pop("ops")),
+], ids=["metrics-list", "counters-list", "counter-string", "no-accuracy",
+        "accuracy-list", "footprint-string", "step-total-list", "no-ops"])
+def test_malformed_artifact_fails_report_before_any_output(pipeline, tmp_path, capfd,
+                                                           source, edit):
+    src = tmp_path / "src"
+    src.mkdir()
+    for name in ("bench.json", "eval.json", "metrics.json", "ops.json", "sim.json"):
+        shutil.copy(pipeline / name, src / name)
+    doc = json.loads((src / source).read_text())
+    edit(doc)
+    (src / source).write_text(json.dumps(doc))
+    assert run("report", "--dir", src, "--out", tmp_path / "report.json",
+               "--csv", tmp_path / "report.csv") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert source in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "report.csv").exists()
 
 
 # --- exit codes ---------------------------------------------------------------------
@@ -809,6 +897,30 @@ def test_simulate_bins_at_the_decoder_bin_width(tmp_path, pipeline):
     assert out["config"]["bin_ms"] == 50
     assert out["counters"]["bins_emitted"] == 120          # 6 s in 50 ms bins
     assert json.loads((tmp_path / "sim.csv.meta.json").read_text())["n_bins"] == 120
+
+
+def test_simulate_group_wider_than_the_re_arm_period_exits_4(tmp_path, pipeline, capfd):
+    """Channels 1-32 cross at sample 4 and channel 0 at samples 5 and 37: in
+    a 33-tap group, channel 0's first token waits for a slot past its
+    detector's re-arm."""
+    n = 33
+    data = np.zeros((n, 3000), dtype=np.int8)
+    data[1:, 4] = 100
+    data[0, [5, 37]] = 100
+    store_trace(RawTrace(data=data), str(tmp_path / "t.bin"))
+    store_models({ch: L1TemplateModel(((0, 0),), (0,)) for ch in range(n)},
+                 str(tmp_path / "sorters.json"))
+    decoder = json.loads((pipeline / "decoder.json").read_text())
+    decoder.update(selected=[[ch, 0] for ch in range(n)], E=[[0.01] * n, [0.02] * n])
+    (tmp_path / "decoder.json").write_text(json.dumps(decoder))
+    (tmp_path / "sim.cfg").write_text(
+        f"n_channels = {n}\ngroup_size = {n}\nconveyor_slots = {n}\n")
+    assert run("simulate", "--trace", tmp_path / "t.bin", "--models", tmp_path,
+               "--config", tmp_path / "sim.cfg",
+               "--counters", tmp_path / "sim.json") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "group_size must be <= 32" in err and "Traceback" not in err
+    assert not (tmp_path / "sim.json").exists()
 
 
 def test_simulate_config_bin_width_must_match_the_decoder(tmp_path, pipeline, capfd):

@@ -51,6 +51,9 @@ def test_config_rejects_bad_grouping():
         SimConfig(group_size=32, conveyor_slots=16).validate()
     with pytest.raises(ValueError):
         SimConfig(decoder_buffer_depth=0).validate()
+    # the default group of 32 taps is the widest a detector re-arm allows
+    with pytest.raises(ValueError, match="re-arm"):
+        SimConfig(n_channels=33, group_size=33, conveyor_slots=33).validate()
 
 
 def test_config_rejects_bin_shorter_than_grace():
