@@ -17,11 +17,12 @@ import numpy as np
 
 from . import __version__
 from ._util import atomic_write_text, canonical_json, config_hash
-from .decode import (DecoderBundle, FixedPointFormat, count_ops, ensemble_ez,
-                     evaluate_reconstruction, load_decoder, run_eokf,
-                     run_eokf_split, run_filter, selection_columns,
-                     store_decoded, store_decoder, train_ensemble,
-                     train_observation_standard, train_transition)
+from .decode import (DecoderBundle, FixedPointFormat, ImplantAccumulator,
+                     count_ops, ensemble_ez, evaluate_reconstruction,
+                     load_decoder, run_eokf, run_eokf_split, run_filter,
+                     selection_columns, store_decoded, store_decoder,
+                     train_ensemble, train_observation_standard,
+                     train_transition)
 from .detect import (detect_trace, estimate_threshold, load_tokens, store_tokens,
                      store_windows)
 from .evaluation import (channel_feature_dataset, matched_features,
@@ -337,6 +338,12 @@ def cmd_simulate(args) -> int:
                                                trace.n_channels),
                             clock_hz=trace.sample_rate, bin_ms=bundle.bin_ms)
     result = run_simulation(trace, models, bundle.observation, sim_cfg)
+    if args.decoded and bundle.fixed is not None:
+        # the implant adds each accepted event's quantized E column into a
+        # 32-bit accumulator: the running-sum check of decode --events, with
+        # each event in the bin of its time
+        ImplantAccumulator(bundle.observation, bundle.fixed).accumulate_bins(
+            result.accepted_events, result.n_bins, sim_cfg.bin_len)
     counters = result.counters.as_dict()
     _write_json(args.counters, {
         "kind": "sim-counters", "counters": counters,

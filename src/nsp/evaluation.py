@@ -17,26 +17,41 @@ SORTER_TRAIN_FRAC = 0.6    # matched events that train the tree and L1 sorters
 def match_events(token_times, truth_times) -> np.ndarray:
     """Pair detections with ground-truth events by time proximity.
 
-    Both inputs must be ascending. Each token takes the nearest unused truth
-    event within MATCH_TOLERANCE samples. Returns (m, 2) rows (token_idx,
-    truth_idx).
+    Both inputs must be ascending. Each token, in order, takes the nearest
+    unused truth event within MATCH_TOLERANCE samples among the three around
+    its insertion point (ties: the earlier event). Returns (m, 2) rows
+    (token_idx, truth_idx).
+
+    Tokens whose candidate events overlap those of no earlier token form
+    separate segments, which cannot take each other's events. In a segment
+    whose tokens' nearest events strictly increase, each token gets its
+    nearest event; only the other segments are paired one token at a time.
     """
     tok = np.asarray(token_times, dtype=np.int64)
     tru = np.asarray(truth_times, dtype=np.int64)
-    used = np.zeros(tru.size, dtype=bool)
-    pairs = []
-    for i, t in enumerate(tok):
-        k = int(np.searchsorted(tru, t))
-        best = None
-        for c in (k - 1, k, k + 1):
-            if 0 <= c < tru.size and not used[c]:
-                d = abs(int(tru[c]) - int(t))
-                if d <= MATCH_TOLERANCE and (best is None or d < best[0]):
-                    best = (d, c)
-        if best is not None:
-            used[best[1]] = True
-            pairs.append((i, best[1]))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if tok.size == 0 or tru.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    cand = np.searchsorted(tru, tok)[:, None] + np.arange(-1, 2)
+    dist = np.abs(tru[np.clip(cand, 0, tru.size - 1)] - tok[:, None])
+    ok = (cand >= 0) & (cand < tru.size) & (dist <= MATCH_TOLERANCE)
+    rows = np.flatnonzero(ok.any(axis=1))
+    cand, dist, ok = cand[rows], dist[rows], ok[rows]
+    nearest = cand[np.arange(rows.size), np.where(ok, dist, MATCH_TOLERANCE + 1).argmin(axis=1)]
+    lo = cand[np.arange(rows.size), ok.argmax(axis=1)]
+    hi = cand[np.arange(rows.size), 2 - ok[:, ::-1].argmax(axis=1)]
+    # hi never decreases along ascending tokens
+    segment = np.cumsum(np.r_[True, lo[1:] > hi[:-1]])
+    clash = np.unique(segment[1:][(nearest[1:] <= nearest[:-1])
+                                  & (segment[1:] == segment[:-1])])
+    match = nearest.copy()
+    used = set()
+    for r in np.flatnonzero(np.isin(segment, clash)).tolist():
+        free = [(d, c) for c, d, good in zip(cand[r].tolist(), dist[r].tolist(),
+                                             ok[r].tolist()) if good and c not in used]
+        match[r] = min(free)[1] if free else -1
+        used.add(match[r])
+    kept = match >= 0
+    return np.column_stack([rows[kept], match[kept]])
 
 
 def _matched(tokens: Tokens, rows, truth) -> tuple:
@@ -109,26 +124,22 @@ def permutation_accuracy(pred, truth) -> float:
 
 def majority_leaf_labels(leaves, truth) -> dict:
     """Map each leaf/cluster index to its majority true unit (ties: smaller unit)."""
-    out = {}
-    leaves = np.asarray(leaves, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    for leaf in np.unique(leaves):
-        if leaf < 0:
-            continue
-        vals, counts = np.unique(truth[leaves == leaf], return_counts=True)
-        out[int(leaf)] = int(vals[np.argmax(counts)])
-    return out
+    mat, pv, tv = confusion_matrix(leaves, truth)
+    if mat.size == 0:
+        return {}
+    return {leaf: unit for leaf, unit in zip(pv.tolist(), tv[mat.argmax(axis=1)].tolist())
+            if leaf >= 0}
 
 
 def mapped_accuracy(leaves, truth, leaf_map: dict) -> float:
     """Fraction of events whose mapped leaf label equals the true unit."""
-    leaves = np.asarray(leaves, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if leaves.size == 0:
+    mat, pv, tv = confusion_matrix(leaves, truth)
+    if mat.size == 0:
         return 0.0
-    hits = sum(1 for lf, tr in zip(leaves, truth)
-               if lf >= 0 and leaf_map.get(int(lf)) == int(tr))
-    return hits / leaves.size
+    column = {unit: j for j, unit in enumerate(tv.tolist())}
+    hits = sum(int(mat[i, column[leaf_map[leaf]]]) for i, leaf in enumerate(pv.tolist())
+               if leaf >= 0 and leaf_map.get(leaf) in column)
+    return hits / int(mat.sum())
 
 
 def evaluate_channel_sorters(trace: RawTrace, labels: GroundTruthLabels, channel: int,

@@ -8,6 +8,12 @@ training accuracy. Deployment classifies a spike with exactly three scalar
 comparisons and one table lookup, and the whole model packs into 28 bits
 (3 boundary bytes + a 4-bit pattern id).
 
+The sweep reads one rectangle table per channel: for every pair of
+candidate-interval bounds lo < hi on each axis, the largest one-label count
+in that rectangle (int32, built one label at a time). Every leaf of every
+pattern is such a rectangle, so a pattern scores all its (slot ordering,
+boundary combination) cells with four gathers and three adds.
+
 The baseline assigns a spike to the nearest of up to four stored feature
 templates in L1 distance, costing 3 add/sub per template and n-1 comparisons.
 
@@ -25,7 +31,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -192,6 +200,15 @@ def unpack_model(packed: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _kde_table() -> tuple:
+    """Gaussian kernel rows of every int8 value over the value grid, and
+    their sums: row v + 128 is the kernel of a point at v."""
+    grid = np.arange(KDE_GRID, dtype=np.float64) - 128.0
+    rows = np.exp(-0.5 * ((grid[None, :] - grid[:, None]) / KDE_BANDWIDTH) ** 2)
+    return rows, rows.sum(axis=1)
+
+
 def kde_marginals(features: np.ndarray) -> tuple:
     """Both marginals of a Gaussian KDE of an (n, 2) int8 feature cloud.
 
@@ -199,15 +216,18 @@ def kde_marginals(features: np.ndarray) -> tuple:
     unnormalised. The 2-D density on the 256x256 value grid is Ax^T @ Ay for
     the per-point Gaussian rows Ax, Ay (a separable kernel), so its row sums
     are Ax^T @ (Ay summed over the grid) and its column sums likewise; this
-    costs O(n * 256) instead of the density's O(n * 256^2).
+    costs O(n * 256) instead of the density's O(n * 256^2). Each point's row
+    and its sum are read from one table of all 256 values.
     """
-    pts = np.asarray(features, dtype=np.float64).reshape(-1, 2)
+    pts = np.asarray(features).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("need at least one point for a density estimate")
-    grid = np.arange(KDE_GRID, dtype=np.float64) - 128.0
-    ax = np.exp(-0.5 * ((grid[None, :] - pts[:, 0:1]) / KDE_BANDWIDTH) ** 2)
-    ay = np.exp(-0.5 * ((grid[None, :] - pts[:, 1:2]) / KDE_BANDWIDTH) ** 2)
-    return ax.T @ ay.sum(axis=1), ay.T @ ax.sum(axis=1)
+    at = pts.astype(np.int64) + 128
+    if not (np.array_equal(at - 128, pts) and 0 <= at.min() and at.max() < KDE_GRID):
+        raise ValueError("density features must be int8 values")
+    rows, sums = _kde_table()
+    ax, ay = rows[at[:, 0]], rows[at[:, 1]]
+    return ax.T @ sums[at[:, 1]], ay.T @ sums[at[:, 0]]
 
 
 def kde_valleys(marginal: np.ndarray) -> list:
@@ -247,13 +267,76 @@ def _degenerate_model(accuracy: float) -> ChannelSorterModel:
                               valid_mask=0b0001, train_accuracy=accuracy)
 
 
+def _pair_index(lo, hi):
+    """Position of the interval-index pair lo < hi on a rectangle-table axis.
+
+    Pairs run hi-major with lo ascending, as ``np.tril_indices(m + 2, -1)``
+    lists them, so an axis of m candidates holds (m + 2)(m + 1) / 2 pairs.
+    """
+    return hi * (hi - 1) // 2 + lo
+
+
+def _rect_table(prefix: np.ndarray) -> np.ndarray:
+    """rect[pair(xlo, xhi), pair(ylo, yhi)]: the largest one-label count of
+    the spikes with x interval in [xlo, xhi) and y interval in [ylo, yhi).
+
+    *prefix* is the (mx + 2, my + 2, L) label-count prefix table. The table
+    is int32 and built one label at a time, so its peak is a few copies of
+    one (pairs_x, pairs_y) plane, not a plane per label.
+    """
+    xhi, xlo = np.tril_indices(prefix.shape[0], -1)
+    yhi, ylo = np.tril_indices(prefix.shape[1], -1)
+    rect = np.zeros((xhi.size, yhi.size), dtype=np.int32)
+    for label in range(prefix.shape[2]):
+        plane = prefix[:, :, label].astype(np.int32)
+        strip = plane[xhi] - plane[xlo]
+        counts = np.take(strip, yhi, axis=1)
+        counts -= np.take(strip, ylo, axis=1)
+        np.maximum(rect, counts, out=rect)
+    return rect
+
+
+@lru_cache(maxsize=512)
+def _axis_leaf_pairs(pattern_id: int, axis: int, m: int) -> tuple:
+    """One axis of a pattern's leaves over m candidates, in sweep order.
+
+    Returns (combos, pairs): combos is the (c, k) array of ascending
+    candidate-index combinations for the pattern's k cuts on *axis*, and
+    pairs[leaf] is the (orderings, c) array of the leaf's rectangle-table
+    pair index on that axis, for each admissible slot ordering (in the
+    pattern's order) and each combination. A cut at candidate index i bounds
+    a leaf at interval index i + 1; an open side is 0 below, m + 1 above.
+    """
+    pat = pattern_by_id(pattern_id)
+    k = (pat.n_x, pat.n_y)[axis]
+    combos = np.array(list(combinations(range(m), k)), dtype=np.int64).reshape(comb(m, k), k)
+    orderings = (pat.x_orderings, pat.y_orderings)[axis]
+    pairs = []
+    for leaf in range(N_LEAVES):
+        lo_cut, hi_cut = pat.leaf_bounds[leaf][axis]
+        rows = []
+        for order in orderings:
+            lo = 0 if lo_cut is None else combos[:, order.index(lo_cut)] + 1
+            hi = m + 1 if hi_cut is None else combos[:, order.index(hi_cut)] + 1
+            rows.append(np.broadcast_to(_pair_index(lo, hi), combos.shape[:1]))
+        pairs.append(np.stack(rows))
+    return combos, tuple(pairs)
+
+
 def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSorterModel:
     """Fit (pattern, boundaries) by exhaustive sweep of the candidate grid.
 
     *features* is (n, 2) int8-valued, *labels* holds 1..4 distinct unit ids.
     Training accuracy of a configuration counts each leaf's majority label as
     correct; the sweep keeps the first configuration reaching the maximum
-    (patterns in id order, boundary combinations in ascending value order).
+    (patterns in id order, then slot orderings in the pattern's order, then
+    boundary combinations in ascending value order).
+
+    Every leaf is an axis-aligned rectangle of candidate intervals, so one
+    table, built once per channel, holds each candidate rectangle's
+    majority-label count. A pattern scores all its (ordering, combination)
+    cells with one gather per leaf from that table, and its first best cell
+    replaces the running best only with strictly more correct spikes.
     """
     feats = np.asarray(features, dtype=np.int64).reshape(-1, 2)
     labs = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -275,69 +358,43 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSort
     # becomes "interval index >= pos(b) + 1"
     ix = np.searchsorted(cand_x, feats[:, 0], side="right")
     iy = np.searchsorted(cand_y, feats[:, 1], side="right")
-    # prefix[i, j, l]: label-l spikes with x interval < i and y interval < j,
-    # so one fancy index gathers a corner's counts for every label at once
+    # prefix[i, j, l]: label-l spikes with x interval < i and y interval < j
     counts = np.zeros((mx + 1, my + 1, len(uniq)), dtype=np.int64)
     np.add.at(counts, (ix, iy, lab_idx), 1)
     prefix = np.zeros((mx + 2, my + 2, len(uniq)), dtype=np.int64)
     prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
+    rect = _rect_table(prefix)
+    flat_rect, row_len = rect.ravel(), rect.shape[1]
 
-    def combo_array(m, k):
-        if k == 0:
-            return np.zeros((1, 0), dtype=np.int64)
-        return np.array(list(combinations(range(m), k)), dtype=np.int64)
-
-    def bound(cut, m, sel, ranks, upper):
-        # interval-index bound of one leaf side: (nx, 1) over x combinations,
-        # (1, ny) over y combinations, or a scalar for an open side
-        if cut is None:
-            return m + 1 if upper else 0
-        return sel[..., ranks[cut]] + 1
-
-    best = None  # (accuracy, pattern_id, boundaries)
+    best = None  # (correct, pattern_id, boundaries)
     for pat in enumerate_patterns():
-        kx, ky = pat.n_x, pat.n_y
-        if kx > mx or ky > my:
+        if pat.n_x > mx or pat.n_y > my:
             continue
-        xcombos = combo_array(mx, kx)
-        ycombos = combo_array(my, ky)
-        XI = xcombos[:, None, :]   # (nx, 1, kx) candidate indices, ascending
-        YI = ycombos[None, :, :]   # (1, ny, ky)
-        shape = (xcombos.shape[0], ycombos.shape[0])
-        for xord in pat.x_orderings:
-            rank_x = {cid: r for r, cid in enumerate(xord)}
-            for yord in pat.y_orderings:
-                rank_y = {cid: r for r, cid in enumerate(yord)}
-
-                correct = np.zeros(shape, dtype=np.int64)
-                for leaf in range(N_LEAVES):
-                    (xlo_c, xhi_c), (ylo_c, yhi_c) = pat.leaf_bounds[leaf]
-                    xlo = bound(xlo_c, mx, XI, rank_x, False)
-                    xhi = bound(xhi_c, mx, XI, rank_x, True)
-                    ylo = bound(ylo_c, my, YI, rank_y, False)
-                    yhi = bound(yhi_c, my, YI, rank_y, True)
-                    leaf_counts = (prefix[xhi, yhi] - prefix[xlo, yhi]
-                                   - prefix[xhi, ylo] + prefix[xlo, ylo])
-                    correct += leaf_counts.max(axis=-1)
-                flat = int(np.argmax(correct))
-                acc = float(correct.flat[flat]) / n
-                if best is None or acc > best[0] + 1e-12:
-                    ci, cj = divmod(flat, shape[1])
-                    slot_vals = [0] * N_SPLITS
-                    for r, cid in enumerate(xord):
-                        slot_vals[cid] = int(cand_x[xcombos[ci][r]])
-                    for r, cid in enumerate(yord):
-                        slot_vals[cid] = int(cand_y[ycombos[cj][r]])
-                    best = (acc, pat.pattern_id, tuple(slot_vals))
+        xcombos, xpairs = _axis_leaf_pairs(pat.pattern_id, 0, mx)
+        ycombos, ypairs = _axis_leaf_pairs(pat.pattern_id, 1, my)
+        # correct[ox, oy, ci, cj] over x ordering, y ordering and combinations
+        leaves = [flat_rect[xp[:, None, :, None] * row_len + yp[None, :, None, :]]
+                  for xp, yp in zip(xpairs, ypairs)]
+        correct = sum(leaves[1:], leaves[0])
+        flat = int(np.argmax(correct))
+        if best is None or correct.flat[flat] > best[0]:
+            ox, oy, ci, cj = np.unravel_index(flat, correct.shape)
+            slot_vals = [0] * N_SPLITS
+            for r, cid in enumerate(pat.x_orderings[ox]):
+                slot_vals[cid] = int(cand_x[xcombos[ci, r]])
+            for r, cid in enumerate(pat.y_orderings[oy]):
+                slot_vals[cid] = int(cand_y[ycombos[cj, r]])
+            best = (int(correct.flat[flat]), pat.pattern_id, tuple(slot_vals))
 
     if best is None:
         majority = float(np.bincount(lab_idx).max()) / n
         return _degenerate_model(majority)
 
-    acc, pattern_id, boundaries = best
+    n_correct, pattern_id, boundaries = best
     # with every leaf valid, classify_many gives each spike's leaf
     model = ChannelSorterModel(pattern_id=pattern_id, boundaries=boundaries,
-                               valid_mask=(1 << N_LEAVES) - 1, train_accuracy=acc)
+                               valid_mask=(1 << N_LEAVES) - 1,
+                               train_accuracy=float(n_correct) / n)
     model.valid_mask = int(np.bitwise_or.reduce(1 << model.classify_many(*feats.T)))
     return model
 

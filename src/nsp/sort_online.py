@@ -49,19 +49,17 @@ def feature_histograms(f1, f2) -> np.ndarray:
 
 
 def _valley_runs(smoothed: np.ndarray) -> list:
-    """Maximal constant runs strictly below both neighbors; [(start, end, value)]."""
-    n = smoothed.size
-    runs = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and smoothed[j + 1] == smoothed[i]:
-            j += 1
-        if i > 0 and j < n - 1 and smoothed[i - 1] > smoothed[i] \
-                and smoothed[j + 1] > smoothed[i]:
-            runs.append((i, j, smoothed[i]))
-        i = j + 1
-    return runs
+    """Maximal constant runs strictly below both neighbors; [(start, end, value)].
+
+    A run starts wherever a value differs from the one before it, so a NaN,
+    equal to nothing, is a run of its own and never a valley.
+    """
+    s = np.asarray(smoothed)
+    starts = np.flatnonzero(s[1:] != s[:-1]) + 1
+    # the runs with a neighbor on both sides: from starts[r] to starts[r + 1] - 1
+    lo, hi = starts[:-1], starts[1:] - 1
+    keep = (s[lo - 1] > s[lo]) & (s[hi + 1] > s[lo])
+    return [(i, j, s[i]) for i, j in zip(lo[keep].tolist(), hi[keep].tolist())]
 
 
 def _valley_depths(smoothed: np.ndarray, runs: list) -> list:

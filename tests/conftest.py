@@ -1,6 +1,8 @@
 """Shared fixtures, the digest of pinned outputs, the per-event synthesis oracles, the sample-scan
 detector oracle, the per-token online trainer oracle, the per-arrival
-decoder-buffer oracle and the exhaustive split-layout oracle.
+decoder-buffer oracle, the per-ordering tree-sweep oracle, the per-token
+matching, per-run valley and per-point density oracles and the exhaustive
+split-layout oracle.
 
 The datasets here are deliberately small; anything that needs statistical
 power builds its own inside the test.
@@ -9,13 +11,17 @@ power builds its own inside the test.
 import hashlib
 import json
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 from nsp import (DEFAULT_PRE, WINDOW_LEN, Completion, RawTrace, SessionConfig,
                  gen_reach_session, gen_spike_trace, tier_config)
+from nsp.evaluation import MATCH_TOLERANCE
+from nsp.patterns import N_LEAVES, N_SPLITS, enumerate_patterns
+from nsp.sort_offline import (KDE_BANDWIDTH, KDE_GRID, ChannelSorterModel,
+                              _degenerate_model, boundary_candidates)
 from nsp.sort_online import (BIN_WIDTH, CAM_CAPACITY, DECAY_PERIOD, SPIKE_BUDGET,
                              STATUS_OUTLIER, STATUS_STRONG, STATUS_VACANT,
                              OnlineSorterModel, find_boundaries, locate_partition)
@@ -311,6 +317,140 @@ def buffer_accepts(arrival, depth):
             taken.append(i)
             n_accepts += 1
     return accepts, taken
+
+
+# --- per-ordering tree-sweep oracle -----------------------------------------
+#
+# The tree trainer's sweep scored one (pattern, x ordering, y ordering) at a
+# time: four corner gathers of the label-count prefix table per leaf, the
+# largest label count per leaf summed, the first best cell kept and a later
+# one taken only with a strictly higher accuracy. train_channel_model must
+# give the same model.
+
+
+def sweep_channel_model(features, labels) -> ChannelSorterModel:
+    """The model the per-ordering sweep fits to one channel's labelled cloud."""
+    feats = np.asarray(features, dtype=np.int64).reshape(-1, 2)
+    labs = np.asarray(labels, dtype=np.int64).reshape(-1)
+    uniq = np.unique(labs)
+    if len(uniq) == 1:
+        return _degenerate_model(1.0)
+    lab_idx = np.searchsorted(uniq, labs)
+    n = feats.shape[0]
+    cand_x, cand_y = boundary_candidates(feats)
+    mx, my = len(cand_x), len(cand_y)
+    ix = np.searchsorted(cand_x, feats[:, 0], side="right")
+    iy = np.searchsorted(cand_y, feats[:, 1], side="right")
+    counts = np.zeros((mx + 1, my + 1, len(uniq)), dtype=np.int64)
+    np.add.at(counts, (ix, iy, lab_idx), 1)
+    prefix = np.zeros((mx + 2, my + 2, len(uniq)), dtype=np.int64)
+    prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
+
+    def combo_array(m, k):
+        if k == 0:
+            return np.zeros((1, 0), dtype=np.int64)
+        return np.array(list(combinations(range(m), k)), dtype=np.int64)
+
+    def bound(cut, m, sel, ranks, upper):
+        if cut is None:
+            return m + 1 if upper else 0
+        return sel[..., ranks[cut]] + 1
+
+    best = None  # (accuracy, pattern_id, boundaries)
+    for pat in enumerate_patterns():
+        kx, ky = pat.n_x, pat.n_y
+        if kx > mx or ky > my:
+            continue
+        xcombos = combo_array(mx, kx)
+        ycombos = combo_array(my, ky)
+        XI = xcombos[:, None, :]
+        YI = ycombos[None, :, :]
+        shape = (xcombos.shape[0], ycombos.shape[0])
+        for xord in pat.x_orderings:
+            rank_x = {cid: r for r, cid in enumerate(xord)}
+            for yord in pat.y_orderings:
+                rank_y = {cid: r for r, cid in enumerate(yord)}
+                correct = np.zeros(shape, dtype=np.int64)
+                for leaf in range(N_LEAVES):
+                    (xlo_c, xhi_c), (ylo_c, yhi_c) = pat.leaf_bounds[leaf]
+                    xlo = bound(xlo_c, mx, XI, rank_x, False)
+                    xhi = bound(xhi_c, mx, XI, rank_x, True)
+                    ylo = bound(ylo_c, my, YI, rank_y, False)
+                    yhi = bound(yhi_c, my, YI, rank_y, True)
+                    leaf_counts = (prefix[xhi, yhi] - prefix[xlo, yhi]
+                                   - prefix[xhi, ylo] + prefix[xlo, ylo])
+                    correct += leaf_counts.max(axis=-1)
+                flat = int(np.argmax(correct))
+                acc = float(correct.flat[flat]) / n
+                if best is None or acc > best[0] + 1e-12:
+                    ci, cj = divmod(flat, shape[1])
+                    slot_vals = [0] * N_SPLITS
+                    for r, cid in enumerate(xord):
+                        slot_vals[cid] = int(cand_x[xcombos[ci][r]])
+                    for r, cid in enumerate(yord):
+                        slot_vals[cid] = int(cand_y[ycombos[cj][r]])
+                    best = (acc, pat.pattern_id, tuple(slot_vals))
+
+    if best is None:
+        return _degenerate_model(float(np.bincount(lab_idx).max()) / n)
+    acc, pattern_id, boundaries = best
+    model = ChannelSorterModel(pattern_id=pattern_id, boundaries=boundaries,
+                               valid_mask=(1 << N_LEAVES) - 1, train_accuracy=acc)
+    model.valid_mask = int(np.bitwise_or.reduce(1 << model.classify_many(*feats.T)))
+    return model
+
+
+# --- per-token matching, per-run valley and per-point density oracles --------
+#
+# Event matching one token at a time against a used-truth mask, valley runs
+# found by walking the array, and the density marginals from an exp of every
+# point's offsets. match_events, _valley_runs and kde_marginals must give the
+# same pairs, runs and bits.
+
+
+def match_events_loop(token_times, truth_times):
+    """(m, 2) rows (token_idx, truth_idx) of the per-token greedy matcher."""
+    tok = np.asarray(token_times, dtype=np.int64)
+    tru = np.asarray(truth_times, dtype=np.int64)
+    used = np.zeros(tru.size, dtype=bool)
+    pairs = []
+    for i, t in enumerate(tok):
+        k = int(np.searchsorted(tru, t))
+        best = None
+        for c in (k - 1, k, k + 1):
+            if 0 <= c < tru.size and not used[c]:
+                d = abs(int(tru[c]) - int(t))
+                if d <= MATCH_TOLERANCE and (best is None or d < best[0]):
+                    best = (d, c)
+        if best is not None:
+            used[best[1]] = True
+            pairs.append((i, best[1]))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def valley_runs_loop(smoothed):
+    """Maximal constant runs strictly below both neighbors, found by a walk."""
+    n = smoothed.size
+    runs = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and smoothed[j + 1] == smoothed[i]:
+            j += 1
+        if i > 0 and j < n - 1 and smoothed[i - 1] > smoothed[i] \
+                and smoothed[j + 1] > smoothed[i]:
+            runs.append((i, j, smoothed[i]))
+        i = j + 1
+    return runs
+
+
+def kde_marginals_exp(features):
+    """Both density marginals with every point's Gaussian row from its own exp."""
+    pts = np.asarray(features, dtype=np.float64).reshape(-1, 2)
+    grid = np.arange(KDE_GRID, dtype=np.float64) - 128.0
+    ax = np.exp(-0.5 * ((grid[None, :] - pts[:, 0:1]) / KDE_BANDWIDTH) ** 2)
+    ay = np.exp(-0.5 * ((grid[None, :] - pts[:, 1:2]) / KDE_BANDWIDTH) ** 2)
+    return ax.T @ ay.sum(axis=1), ay.T @ ax.sum(axis=1)
 
 
 # --- exhaustive two-feature split-layout oracle -----------------------------

@@ -456,6 +456,28 @@ def test_cli_pins_cover_every_data_output(pinned_run):
             if not p.name.endswith(".meta.json")} - inputs == set(PINNED_OUTPUTS)
 
 
+def test_simulate_checks_the_implant_32_bit_accumulator(pinned_run, tmp_path, capfd):
+    """With 27 fraction bits the pinned eokf decoder's running sums leave 32
+    bits: simulate --decoded fails as decode --events does, writing nothing."""
+    obj = json.loads((pinned_run / "decoder-eokf.json").read_text())
+    obj["fixed_point"] = {"bits": 32, "frac_bits": 27}
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "decoder.json").write_text(json.dumps(obj))
+    shutil.copy(pinned_run / "sorters-tree.json", models / "sorters.json")
+    capfd.readouterr()
+    assert run("decode", "--model", models / "decoder.json",
+               "--events", pinned_run / "sorted-tree.jsonl",
+               "--out", tmp_path / "decoded.csv") == EXIT_NUMERICAL
+    decode_err = capfd.readouterr().err
+    assert run("simulate", "--trace", pinned_run / "trace.bin", "--models", models,
+               "--counters", tmp_path / "sim.json",
+               "--decoded", tmp_path / "sim-decoded.csv") == EXIT_NUMERICAL
+    err = capfd.readouterr().err
+    assert err == decode_err and "32-bit" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["models"]
+
+
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_report_rebuilds_each_footprint_through_the_model_registry(pinned_run, tmp_path,
                                                                    capfd, kind):

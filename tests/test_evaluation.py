@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import scan_tokens
+from conftest import match_events_loop, scan_tokens
 from nsp.detect import Tokens, detect_trace, estimate_threshold
 from nsp.evaluation import (DECODER_BENCHMARK, MATCH_TOLERANCE,
                             channel_feature_dataset, confusion_matrix,
@@ -46,6 +48,27 @@ def test_match_empty_inputs():
 # --- scoring primitives -------------------------------------------------------
 
 
+_GAPS = st.one_of(st.integers(0, 6), st.integers(0, 2 * MATCH_TOLERANCE + 2),
+                  st.sampled_from([MATCH_TOLERANCE, MATCH_TOLERANCE + 1,
+                                   2 * MATCH_TOLERANCE]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tok_gaps=st.lists(_GAPS, max_size=40), tru_gaps=st.lists(_GAPS, max_size=40),
+       shift=st.integers(-MATCH_TOLERANCE - 1, MATCH_TOLERANCE + 1))
+@example(tok_gaps=[0, 1, 1, 1, 1], tru_gaps=[0, 2], shift=0)            # dense contention
+@example(tok_gaps=[10, 0, 0], tru_gaps=[0, 20, 20], shift=0)            # equal distances
+@example(tok_gaps=[0], tru_gaps=[0, MATCH_TOLERANCE + 1], shift=-MATCH_TOLERANCE)
+@example(tok_gaps=[0], tru_gaps=[0, 2 * MATCH_TOLERANCE + 1], shift=-MATCH_TOLERANCE - 1)
+def test_match_events_equals_the_per_token_loop(tok_gaps, tru_gaps, shift):
+    """Ascending streams with runs of tokens contending for the same events,
+    events equally far from a token and gaps at the tolerance's edge."""
+    tok, tru = np.cumsum(tok_gaps, dtype=np.int64), np.cumsum(tru_gaps, dtype=np.int64) + shift
+    got = match_events(tok, tru)
+    assert got.dtype == np.int64 and got.shape[1] == 2
+    assert np.array_equal(got, match_events_loop(tok, tru))
+
+
 def test_confusion_matrix_counts():
     mat, pv, tv = confusion_matrix([0, 0, 1, 2], [5, 5, 6, 6])
     assert mat.tolist() == [[2, 0], [0, 1], [0, 1]]
@@ -85,6 +108,22 @@ def test_mapped_accuracy():
 
 
 # --- splits -------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 5)), max_size=40),
+       leaf_map=st.none() | st.dictionaries(st.integers(-1, 5), st.integers(0, 6)))
+def test_leaf_labels_and_mapped_accuracy_count_every_event(rows, leaf_map):
+    """Both against a count over the (leaf, unit) rows one event at a time."""
+    leaves, truth = [lf for lf, _ in rows], [u for _, u in rows]
+    majority = {}
+    for leaf in sorted(set(leaves) - {-1}):
+        units = [u for lf, u in rows if lf == leaf]
+        majority[leaf] = min(set(units), key=lambda u: (-units.count(u), u))
+    assert majority_leaf_labels(leaves, truth) == majority
+    leaf_map = majority if leaf_map is None else leaf_map
+    hits = sum(1 for lf, u in rows if lf >= 0 and leaf_map.get(lf) == u)
+    assert mapped_accuracy(leaves, truth, leaf_map) == (hits / len(rows) if rows else 0.0)
 
 
 def test_split_indices_partition():

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import kde_marginals_exp, sweep_channel_model
 from nsp.evaluation import channel_feature_dataset
 from nsp.patterns import enumerate_patterns
 from nsp.sort_offline import (KDE_BANDWIDTH, L1_BITS_PER_TEMPLATE, OUTLIER,
@@ -330,6 +333,51 @@ def test_trainer_hits_global_optimum_on_separated_data():
         assert model.train_accuracy == pytest.approx(optimum)
 
 
+# --- the rectangle-table sweep against the per-ordering oracle ----------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150), n_units=st.integers(1, 4),
+       step=st.sampled_from([8, 16, 24, 40]), n_values=st.integers(1, 6),
+       flat=st.sampled_from(["", "x", "y", "xy"]))
+@example(seed=0, n=40, n_units=1, step=16, n_values=4, flat="")
+@example(seed=1, n=150, n_units=4, step=8, n_values=6, flat="")
+@example(seed=2, n=30, n_units=3, step=24, n_values=3, flat="x")
+@example(seed=3, n=30, n_units=3, step=24, n_values=3, flat="y")
+@example(seed=4, n=12, n_units=2, step=16, n_values=2, flat="xy")
+def test_rectangle_sweep_equals_the_per_ordering_oracle(seed, n, n_units, step, n_values,
+                                                        flat):
+    """Points on a coarse lattice of n_values per axis, so many configurations
+    tie on accuracy; a flat axis has fewer candidates than some patterns
+    have cuts on it, and a flat cloud fits no pattern at all."""
+    rng = np.random.default_rng(seed)
+    origin = rng.integers(-128, 128 - step * (n_values - 1), size=2)
+    feats = origin + step * rng.integers(0, n_values, (n, 2))
+    for axis in (0, 1):
+        if "xy"[axis] in flat:
+            feats[:, axis] = feats[0, axis]
+    labs = rng.choice(10, n_units, replace=False)[rng.integers(0, n_units, n)]
+    assert train_channel_model(feats, labs) == sweep_channel_model(feats, labs)
+
+
+def test_tree_sweep_memory_is_bounded():
+    """An 11-LSB lattice puts a density valley between every two lattice
+    lines, 51 x 49 candidates: the sweep's rectangle table stays near 22 MB
+    where a table of every label's rectangle counts would take ~300 MB."""
+    xs, ys = np.arange(-128, 128, 11), np.arange(-125, 128, 11)
+    feats = np.array(np.meshgrid(xs, ys, indexing="ij")).reshape(2, -1).T
+    labs = np.arange(len(feats)) % 4
+    assert [len(c) for c in boundary_candidates(feats)] == [51, 49]
+    tracemalloc.start()
+    try:
+        model = train_channel_model(feats, labs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    assert model == sweep_channel_model(feats, labs)
+
+
 def test_boundary_candidates_cover_range():
     feats = np.array([[-40, 10], [-38, 12], [30, 90], [33, 88]])
     cx, cy = boundary_candidates(feats)
@@ -363,6 +411,23 @@ def test_marginal_valleys_equal_full_density_valleys(seed):
     # the marginals are the density's, up to normalisation and rounding
     assert np.allclose(mx / mx.sum(), density.sum(axis=1), rtol=1e-9, atol=1e-300)
     assert np.allclose(my / my.sum(), density.sum(axis=0), rtol=1e-9, atol=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), spread=st.integers(0, 60))
+@example(seed=0, n=1, spread=0)
+def test_kde_marginals_equal_the_per_point_exp(seed, n, spread):
+    rng = np.random.default_rng(seed)
+    center = rng.integers(-128, 128, size=2)
+    feats = np.clip(center + rng.integers(-spread, spread + 1, (n, 2)), -128, 127)
+    for got, want in zip(kde_marginals(feats), kde_marginals_exp(feats)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("feats", [[[0, 128]], [[-129, 0]], [[0.5, 0]]])
+def test_kde_marginals_reject_non_int8_features(feats):
+    with pytest.raises(ValueError, match="int8"):
+        kde_marginals(np.array(feats))
 
 
 # Models trained on three medium-tier channels (seed 41, 10 s), recorded

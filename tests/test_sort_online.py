@@ -3,12 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import observe_online
+from conftest import observe_online, valley_runs_loop
 from nsp import detect_trace, estimate_threshold, gen_spike_trace, tier_config
 from nsp.detect import Completion, Tokens
 from nsp.sort_online import (DECAY_PERIOD, OUTLIER, SPIKE_BUDGET, STATUS_STRONG,
                              STATUS_WEAK, OnlineSorterModel, _nearest_valid,
-                             feature_histograms, find_boundaries, fit_online,
+                             _valley_runs, feature_histograms, find_boundaries, fit_online,
                              locate_partition, train_online)
 from nsp.sort_offline import load_models, model_footprint, store_models
 
@@ -108,6 +108,20 @@ def test_cam_phase_reads_only_the_spikes_after_the_budget():
     after = fit_online(f1 + [40] * 3, [0] * (SPIKE_BUDGET + 3))
     assert after.boundaries == replayed.boundaries
     assert after.cam_snapshot == [(1, 0, STATUS_STRONG)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, float("nan")]), max_size=12))
+@example(values=[])
+@example(values=[1.0])
+@example(values=[1.0, 0.0])
+@example(values=[1.0, 0.0, 1.0])
+@example(values=[2.0, 1.0, 1.0, 1.0, 2.0])
+@example(values=[2.0, float("nan"), 2.0])
+@example(values=[2.0, 1.0, float("nan"), 1.0, 2.0])
+def test_valley_runs_equal_the_walk(values):
+    smoothed = np.array(values, dtype=np.float64)
+    assert _valley_runs(smoothed) == valley_runs_loop(smoothed)
 
 
 def test_nearest_valid_partition():
