@@ -42,8 +42,8 @@ from .decode import (DecoderBundle, EnsembleModel, FilterState,
 from .sim import (ConfigMismatchError, SimConfig, SimCounters, SimResult,
                   Simulator, build_schedule, parse_sim_config, reference_ez,
                   run_simulation, sweep_spike_rate)
-from .evaluation import (evaluate_channel_sorters, mapped_accuracy, match_events,
-                         permutation_accuracy, run_decoder_benchmark,
+from .evaluation import (calibrate, evaluate_channel_sorters, mapped_accuracy,
+                         match_events, permutation_accuracy, run_decoder_benchmark,
                          run_parity_benchmark, split_indices)
 
 __all__ = [
@@ -82,7 +82,7 @@ __all__ = [
     "parse_sim_config", "build_schedule",
     "run_simulation", "reference_ez", "sweep_spike_rate",
     # evaluation
-    "match_events", "permutation_accuracy", "mapped_accuracy", "split_indices",
-    "evaluate_channel_sorters",
+    "calibrate", "match_events", "permutation_accuracy", "mapped_accuracy",
+    "split_indices", "evaluate_channel_sorters",
     "run_parity_benchmark", "run_decoder_benchmark",
 ]

@@ -25,8 +25,7 @@ from .decode import (DecoderBundle, FixedPointFormat, ImplantAccumulator,
                      train_transition)
 from .detect import (detect_trace, estimate_threshold, load_tokens, store_tokens,
                      store_windows)
-from .evaluation import (channel_feature_dataset, matched_features,
-                         permutation_accuracy)
+from .evaluation import calibrate, matched_features, permutation_accuracy
 from .opcount import SingularMatrixError
 from .sort_offline import (MODEL_KINDS, classify_by_channel, load_models,
                            store_models, train_channel_model, train_l1)
@@ -199,18 +198,15 @@ def cmd_eval_sort(args) -> int:
     labels = load_labels(args.labels)
     models = load_models(args.models)
     check_model_channels(models, trace.n_channels)
-
-    def eval_channel(ch):
-        model = models[ch]
-        feats, labs, n_det, n_truth = channel_feature_dataset(trace, labels, ch)
+    _, _, channels = calibrate(trace, labels)
+    rows = []
+    for ch, model in sorted(models.items()):
+        feats, labs, n_det, n_truth = channels[ch]
         pred = model.classify_many(feats[:, 0], feats[:, 1])
-        return {"channel": ch, "model": model.kind, "params": model.to_json(),
-                "n_detected": n_det, "n_truth": n_truth,
-                "n_scored": pred.size,
-                "accuracy": permutation_accuracy(pred, labs),
-                "footprint_bits": model.footprint_bits()}
-
-    rows = [eval_channel(ch) for ch in sorted(models)]
+        rows.append({"channel": ch, "model": model.kind, "params": model.to_json(),
+                     "n_detected": n_det, "n_truth": n_truth, "n_scored": pred.size,
+                     "accuracy": permutation_accuracy(pred, labs),
+                     "footprint_bits": model.footprint_bits()})
     mean_acc = float(np.mean([r["accuracy"] for r in rows])) if rows else 0.0
     report = {"kind": "sort-eval", "rows": rows, "mean_accuracy": mean_acc,
               "provenance": provenance(vars(args))}

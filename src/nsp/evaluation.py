@@ -1,5 +1,5 @@
-"""Scoring sorters against ground truth: event matching, label assignment,
-confusion matrices, and the per-channel train/test benchmark protocol."""
+"""Scoring sorters against ground truth: the calibration pass, event matching,
+label assignment, confusion matrices, and the per-channel benchmark protocol."""
 
 from __future__ import annotations
 
@@ -76,20 +76,41 @@ def matched_features(tokens: Tokens, labels: GroundTruthLabels) -> dict:
             for ch, rows in channel_groups(tokens.channel)}
 
 
+def calibrate(trace: RawTrace, labels: GroundTruthLabels) -> tuple:
+    """One calibration pass over *trace*: (thresholds, tokens, channels).
+
+    Each row's threshold is estimated once, :func:`~nsp.detect.detect_trace`
+    runs once at those thresholds, and each channel's tokens are matched to
+    its label rows as :func:`matched_features` matches them. ``channels[ch]``
+    is (features (m, 2) int64, unit ids (m,) int64, n_detected, n_truth) for
+    every channel of the trace, quiet ones too; unmatched detections and
+    label rows on other channels are left out.
+    """
+    truth = labels.events[np.argsort(labels.ch, kind="stable")]
+    bounds = np.searchsorted(truth[:, 1], np.arange(trace.n_channels + 1)).tolist()
+    return _calibrate(trace, [truth[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+
+
+def _calibrate(trace: RawTrace, truths: list) -> tuple:
+    """:func:`calibrate` given each row's own label rows, in time order."""
+    thresholds = np.array([estimate_threshold(row) for row in trace.data])
+    _, tokens = detect_trace(trace, thresholds)
+    bounds = np.searchsorted(tokens.channel, np.arange(trace.n_channels + 1)).tolist()
+    return thresholds, tokens, [
+        (*_matched(tokens, np.arange(lo, hi), truth), hi - lo, truth.shape[0])
+        for lo, hi, truth in zip(bounds, bounds[1:], truths)]
+
+
 def channel_feature_dataset(trace: RawTrace, labels: GroundTruthLabels,
                             channel: int) -> tuple:
-    """Detected features with matched true unit ids for one channel.
-
-    Returns (features (m, 2) int64, unit ids (m,) int64, n_detected,
-    n_truth): :func:`~nsp.detect.detect_trace` of the channel's row at its
-    own threshold, matched as :func:`matched_features` matches a channel.
-    Unmatched detections (noise crossings) are excluded.
+    """Detected features with matched true unit ids for one channel: the
+    one-row case of :func:`calibrate`, (features (m, 2) int64, unit ids (m,)
+    int64, n_detected, n_truth). A channel the trace lacks raises ValueError.
     """
-    row = trace.data[channel][np.newaxis]
-    _, tok = detect_trace(RawTrace(row, sample_rate=trace.sample_rate),
-                          estimate_threshold(row))
-    truth = labels.for_channel(channel)
-    return (*_matched(tok, np.arange(len(tok)), truth), len(tok), truth.shape[0])
+    if not 0 <= channel < trace.n_channels:
+        raise ValueError(f"channel {channel}: the trace has channels 0..{trace.n_channels - 1}")
+    row = RawTrace(trace.data[channel][np.newaxis], sample_rate=trace.sample_rate)
+    return _calibrate(row, [labels.for_channel(channel)])[2][0]
 
 
 def confusion_matrix(pred, truth) -> tuple:

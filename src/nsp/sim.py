@@ -35,8 +35,9 @@ import numpy as np
 from .decode import EnsembleModel, _bin_counts, bin_spikes, ensemble_ez
 from .detect import (DEFAULT_PRE, Completion, Tokens, detect_trace,
                      estimate_threshold)
-from .sort_offline import classify_by_channel
-from .synthdata import PayloadError, RawTrace, WINDOW_LEN
+from .evaluation import calibrate
+from .sort_offline import classify_by_channel, train_channel_model
+from .synthdata import PayloadError, RawTrace, TraceConfig, WINDOW_LEN, gen_spike_trace
 
 SAMPLE_BITS = 8
 OUTPUT_WORD_BITS = 16      # width of one E z state word leaving the implant
@@ -736,30 +737,24 @@ def sweep_spike_rate(rates, n_channels: int = 8, duration_s: float = 2.0,
                      seed: int = 0) -> dict:
     """Activity counters vs input spike rate at a fixed configuration.
 
-    Sorter models are trained once on a reference-rate trace (ground-truth
-    matched features); each rate then gets its own trace and simulator run.
-    Returns per-rate counter rows and the per-stage linear-fit R².
+    Sorter models are trained once, on one :func:`~nsp.evaluation.calibrate`
+    pass over a reference-rate trace; each rate then gets its own trace and
+    simulator run. Returns per-rate counter rows and the per-stage linear-fit R².
     """
-    from .evaluation import channel_feature_dataset
-    from .sort_offline import train_channel_model
-    from .synthdata import TraceConfig, gen_spike_trace
-
     rates = [float(r) for r in rates]
     if any(r < 0 for r in rates):
         raise ValueError("rates must be non-negative")
     config = SimConfig(n_channels=n_channels, group_size=n_channels,
                        conveyor_slots=max(n_channels, 8))
 
-    def cfg_for(rate: float) -> "TraceConfig":
+    def cfg_for(rate: float) -> TraceConfig:
         return TraceConfig(n_channels=n_channels, duration_s=duration_s,
                            neurons_per_channel=3, firing_rate_hz=rate,
                            snr_db=24.0, amp_spread=(0.5, 1.0))
 
     train_trace, train_labels = gen_spike_trace(cfg_for(30.0), seed=seed)
-    models = {}
-    for ch in range(n_channels):
-        feats, labs, _, _ = channel_feature_dataset(train_trace, train_labels, ch)
-        models[ch] = train_channel_model(feats, labs)
+    models = {ch: train_channel_model(feats, labs) for ch, (feats, labs, _, _)
+              in enumerate(calibrate(train_trace, train_labels)[2])}
 
     selected = [(ch, u) for ch in range(n_channels) for u in range(3)]
     rng = np.random.default_rng(seed)

@@ -1,8 +1,8 @@
 """Shared fixtures, the digest of pinned outputs, the per-event synthesis oracles, the sample-scan
 detector oracle, the per-token online trainer oracle, the per-arrival
 decoder-buffer oracle, the per-ordering tree-sweep oracle, the per-token
-matching, per-run valley and per-point density oracles and the exhaustive
-split-layout oracle.
+matching, per-run valley and per-point density oracles, the per-row
+calibration oracle and the exhaustive split-layout oracle.
 
 The datasets here are deliberately small; anything that needs statistical
 power builds its own inside the test.
@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from nsp import (DEFAULT_PRE, WINDOW_LEN, Completion, RawTrace, SessionConfig,
-                 gen_reach_session, gen_spike_trace, tier_config)
+                 detect_trace, estimate_threshold, gen_reach_session, gen_spike_trace,
+                 match_events, tier_config)
 from nsp.evaluation import MATCH_TOLERANCE
 from nsp.patterns import N_LEAVES, N_SPLITS, enumerate_patterns
 from nsp.sort_offline import (KDE_BANDWIDTH, KDE_GRID, ChannelSorterModel,
@@ -451,6 +452,25 @@ def kde_marginals_exp(features):
     ax = np.exp(-0.5 * ((grid[None, :] - pts[:, 0:1]) / KDE_BANDWIDTH) ** 2)
     ay = np.exp(-0.5 * ((grid[None, :] - pts[:, 1:2]) / KDE_BANDWIDTH) ** 2)
     return ax.T @ ay.sum(axis=1), ay.T @ ax.sum(axis=1)
+
+
+# --- per-row calibration oracle ----------------------------------------------
+#
+# Matched features one channel at a time: the channel's row thresholded on
+# its own, detected as a one-row trace and matched to its label rows. One
+# calibrate pass over the whole trace must give every channel the same entry.
+
+
+def feature_dataset_per_row(trace, labels, channel):
+    """(features (m, 2) int64, unit ids (m,) int64, n_detected, n_truth) of
+    *channel*, detected and matched on its own."""
+    row = trace.data[channel][np.newaxis]
+    _, tok = detect_trace(RawTrace(row, sample_rate=trace.sample_rate),
+                          estimate_threshold(row))
+    truth = labels.for_channel(channel)
+    pairs = match_events(tok.t, truth[:, 0])
+    return (np.column_stack([tok.f1, tok.f2])[pairs[:, 0]],
+            truth[pairs[:, 1], 2].astype(np.int64), len(tok), truth.shape[0])
 
 
 # --- exhaustive two-feature split-layout oracle -----------------------------

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import match_events_loop, scan_tokens
+from conftest import feature_dataset_per_row, match_events_loop, scan_tokens
 from nsp.detect import Tokens, detect_trace, estimate_threshold
-from nsp.evaluation import (DECODER_BENCHMARK, MATCH_TOLERANCE,
+from nsp.evaluation import (DECODER_BENCHMARK, MATCH_TOLERANCE, calibrate,
                             channel_feature_dataset, confusion_matrix,
                             evaluate_channel_sorters,
                             majority_leaf_labels, mapped_accuracy,
@@ -13,9 +13,10 @@ from nsp.evaluation import (DECODER_BENCHMARK, MATCH_TOLERANCE,
                             parity_benchmark_configs,
                             permutation_accuracy, run_decoder_benchmark,
                             run_parity_benchmark, split_indices)
-from nsp.sort_offline import ChannelSorterModel, L1TemplateModel
+from nsp.sort_offline import ChannelSorterModel, L1TemplateModel, train_channel_model
 from nsp.sort_online import fit_online
-from nsp.synthdata import TraceConfig, gen_spike_trace, tier_config
+from nsp.synthdata import (GroundTruthLabels, RawTrace, TraceConfig, gen_spike_trace,
+                           tier_config)
 
 
 # --- event matching ---------------------------------------------------------
@@ -175,10 +176,11 @@ def medium_trace():
 @pytest.mark.parametrize("which", ["easy_trace", "medium_trace", "hard_trace"])
 def test_feature_dataset_equals_the_per_window_path(which, request):
     """channel_feature_dataset is matched_features of detect_trace, channel by
-    channel, and both equal the sample-scan oracle."""
+    channel, and both equal the sample-scan oracle and the calibrate pass."""
     trace, labels = request.getfixturevalue(which)
     _, tokens = detect_trace(trace, [estimate_threshold(row) for row in trace.data])
     datasets = matched_features(tokens, labels)
+    _, _, channels = calibrate(trace, labels)
     assert sorted(datasets) == list(range(trace.n_channels))
     perm = np.random.default_rng(0).permutation(len(tokens))
     shuffled = matched_features(Tokens(tokens.t[perm], tokens.channel[perm],
@@ -197,6 +199,9 @@ def test_feature_dataset_equals_the_per_window_path(which, request):
         want_feats, want_labs = datasets[ch]
         assert want_feats.dtype == want_labs.dtype == np.int64
         assert np.array_equal(feats, want_feats) and np.array_equal(labs, want_labs)
+        got_feats, got_labs, *counts = channels[ch]
+        assert np.array_equal(feats, got_feats) and np.array_equal(labs, got_labs)
+        assert counts == [n_det, n_truth]
 
 
 def test_feature_dataset_without_matches():
@@ -207,6 +212,60 @@ def test_feature_dataset_without_matches():
     assert matched_features(Tokens.of([]), labels) == {}
     (feats, labs), = matched_features(Tokens([5], [0], [3], [-4]), labels).values()
     assert feats.shape == (0, 2) and feats.dtype == np.int64 and labs.shape == (0,)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_calibrate_equals_the_per_row_oracle_on_chain_traces(seed):
+    """A chain-shaped calibration recording, 96 medium-tier channels at 30 Hz:
+    one pass gives every channel the features, unit ids and counts of
+    detecting and matching that channel alone, and so the same tree."""
+    trace, labels = gen_spike_trace(tier_config("medium", n_channels=96, duration_s=3.0,
+                                                firing_rate_hz=30.0), seed=seed)
+    thresholds, tokens, channels = calibrate(trace, labels)
+    assert np.array_equal(thresholds, [estimate_threshold(row) for row in trace.data])
+    assert len(channels) == 96
+    assert len(tokens) == sum(n_det for *_, n_det, _ in channels)
+    for ch, (feats, labs, n_det, n_truth) in enumerate(channels):
+        ref_feats, ref_labs, ref_det, ref_truth = feature_dataset_per_row(trace, labels, ch)
+        assert feats.dtype == labs.dtype == np.int64
+        assert np.array_equal(feats, ref_feats) and np.array_equal(labs, ref_labs)
+        assert (n_det, n_truth) == (ref_det, ref_truth)
+        assert (train_channel_model(feats, labs).to_json()
+                == train_channel_model(ref_feats, ref_labs).to_json())
+
+
+def test_calibrate_gives_every_channel_an_entry(easy_trace):
+    """A quiet row with label events but no detection, a row with detections
+    but no label events, and label events on a channel the trace lacks."""
+    trace, labels = easy_trace
+    quiet, unlabelled = 1, 2
+    data = trace.data.copy()
+    data[quiet] = 0
+    trace = RawTrace(data, sample_rate=trace.sample_rate)
+    labels = GroundTruthLabels(np.vstack([labels.events[labels.ch != unlabelled],
+                                          [[100, trace.n_channels, 0]]]))
+    _, tokens, channels = calibrate(trace, labels)
+    assert len(channels) == trace.n_channels
+    n_quiet_truth = labels.for_channel(quiet).shape[0]
+    n_unlabelled_det = int(np.count_nonzero(tokens.channel == unlabelled))
+    assert n_quiet_truth > 0 and n_unlabelled_det > 0
+    for ch, counts in [(quiet, (0, n_quiet_truth)), (unlabelled, (n_unlabelled_det, 0))]:
+        feats, labs, n_det, n_truth = channels[ch]
+        assert feats.shape == (0, 2) and labs.shape == (0,)
+        assert feats.dtype == labs.dtype == np.int64
+        assert (n_det, n_truth) == counts
+    for ch, entry in enumerate(channels):
+        want = channel_feature_dataset(trace, labels, ch)
+        assert all(np.array_equal(a, b) for a, b in zip(entry[:2], want[:2]))
+        assert entry[2:] == want[2:]
+
+
+@pytest.mark.parametrize("channel", [-1, 2, 7])
+def test_a_channel_the_trace_lacks_is_rejected(channel):
+    trace, labels = gen_spike_trace(tier_config("easy", n_channels=2, duration_s=2.0), seed=5)
+    for evaluate in (channel_feature_dataset, evaluate_channel_sorters):
+        with pytest.raises(ValueError, match=rf"channel {channel}: the trace has channels 0\.\.1"):
+            evaluate(trace, labels, channel)
 
 
 def test_evaluate_channel_sorters_easy_channel(easy_trace):

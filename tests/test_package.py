@@ -93,3 +93,21 @@ def test_every_call_the_benchmark_makes_binds():
         bound += 1
     assert bound > 100
     assert bad == []
+
+
+def test_only_the_calibration_pass_and_the_stream_detect():
+    """Inside the package, thresholds are estimated and traces detected only
+    by the calibration pass, ``nsp detect`` and the stream's token schedule,
+    so a further trace-to-features route fails here instead of drifting."""
+    detecting = {"estimate_threshold", "detect_trace"}
+    callers = set()
+    for path in sorted((ROOT / "src" / "nsp").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in detecting:
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"evaluation._calibrate", "cli.cmd_detect", "sim.build_schedule"}
