@@ -12,11 +12,15 @@ x_{k+1} = A x_k + w:
   column-add per spike event — cheap enough to run on the implant while the
   filter runs on the prosthesis side.
 
-All step arithmetic goes through the counted kernels in opcount, grouped into
-named phases (state_predict, cov_predict, gain, state_update, cov_update,
-plus the event-driven observe reduction), so complexity claims are measured,
-not estimated. The explicit re-symmetrization of P after the covariance
-update is numerical hygiene and is excluded from the counters.
+Every op count is measured, not estimated: the counted kernels in opcount
+tally each filter step by named phase (state_predict, cov_predict, gain,
+state_update, cov_update, plus the event-driven observe reduction). The
+explicit re-symmetrization of P after the covariance update is numerical
+hygiene and is excluded from the counters. The counted ``eokf_step`` is also
+the oracle of the lean EOKF kernel, ``_eokf_rows``, which runs the ensemble
+filter bin by bin: the same ``np.matmul`` calls on the same operands, so the
+same bits, without a counting wrapper per op. Its per-step counts depend only
+on the shapes, so a run counts one step and scales it by the bin count.
 
 Each observation model names its filter in ``kind`` ("kf" or "eokf"), so the
 model alone picks the filter: every decode path feeds ``run_filter``, which
@@ -334,18 +338,28 @@ def kf_step(fs: FilterState, trans: StateTransitionModel,
     return FilterState(x=x, P=P, K=K)
 
 
+_EOKF_S = "innovation covariance (P + Qe)"
+
+
 def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
               ez: np.ndarray, ops: StepOps | None = None) -> FilterState:
     """One cycle of the ensemble-observation filter.
 
     *ez* is the already-reduced observation (the implant accumulator's bin
     emission). Every matrix here is state_dim-sized; the gain needs only a
-    closed-form small inverse.
+    closed-form small inverse. With *ops* this is the counted step: the
+    source of every EOKF op count and the oracle of the lean kernel,
+    ``_eokf_rows``, which runs the step when *ops* is None.
     """
+    if ops is None:
+        x, P, K = _eokf_rows(trans, ens, fs.x, fs.P,
+                             np.asarray(ez, dtype=np.float64)[None],
+                             np.empty((1, trans.A.shape[0])))
+        return FilterState(x=x, P=P, K=K)
     x, P = _predict(fs, trans, ops)
     g = _phase(ops, "gain")
     S = mat_add(P, ens.Qe, g)
-    Sinv = inv_small(S, g, name="innovation covariance (P + Qe)")
+    Sinv = inv_small(S, g, name=_EOKF_S)
     K = mat_mul(P, Sinv, g)
     su = _phase(ops, "state_update")
     v = mat_sub(np.asarray(ez, dtype=np.float64), x, su)
@@ -354,6 +368,31 @@ def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
     M = mat_sub(np.eye(P.shape[0]), K, cu)
     P = _sym(mat_mul(M, P, cu))
     return FilterState(x=x, P=P, K=K)
+
+
+def _eokf_rows(trans: StateTransitionModel, ens: EnsembleModel, x: np.ndarray,
+               P: np.ndarray, Z: np.ndarray, out: np.ndarray) -> tuple:
+    """The lean EOKF kernel: one uncounted step per row of *Z* from (x, P),
+    each state into *out*; returns the last (x, P, K).
+
+    Bit for bit the counted ``eokf_step``: the same ``np.matmul`` calls on
+    the same operands and layouts (a vector as a one-column matrix, as
+    ``mat_mul`` passes it), the same ``inv_small`` and re-symmetrization,
+    without the counting wrappers or a FilterState per row.
+    """
+    A, AT, W, Qe = trans.A, trans.A.T, trans.W, ens.Qe
+    eye = np.eye(A.shape[0])
+    K = None
+    for k in range(Z.shape[0]):
+        x = np.matmul(A, x[:, None])[:, 0]
+        P = np.matmul(np.matmul(A, P), AT) + W
+        P = (P + P.T) / 2.0
+        K = np.matmul(P, inv_small(P + Qe, None, name=_EOKF_S))
+        x = x + np.matmul(K, (Z[k] - x)[:, None])[:, 0]
+        P = np.matmul(eye - K, P)
+        P = (P + P.T) / 2.0
+        out[k] = x
+    return x, P, K
 
 
 def reduce_observation(ens: EnsembleModel, z: np.ndarray,
@@ -367,10 +406,14 @@ def ensemble_ez(ens: EnsembleModel, counts: np.ndarray,
                 ops: OpCounts | None = None) -> np.ndarray:
     """Per-bin E z of an (n_bins, n_selected) count stream.
 
-    Float mode is ``E @ counts[k]`` bin by bin, the expression of ``emit_bin``
-    (one product over all bins could sum in another order). With *fmt*, each
-    bin is an exact integer sum of quantized columns scaled by the LSB, the
-    fixed-point implant datapath. *ops* gets the ``mat_mul`` cost of every bin.
+    This is the per-bin path; the counted ``reduce_observation`` measures
+    the cost, and ``emit_bin``'s ``E @ counts[k]`` is the oracle of its bits.
+    Float mode is one stacked ``np.matmul`` of E with each bin's counts as a
+    column (one product over all bins could sum in another order), read from
+    a C-ordered float copy so that every bin is a BLAS matrix-vector product
+    whatever the input's layout. With *fmt*, each bin is an exact integer
+    sum of quantized columns scaled by the LSB, the fixed-point implant
+    datapath. *ops* gets ``reduce_observation``'s count for every bin.
     """
     Z = np.asarray(counts, dtype=np.int64)
     (n, _), (d, s) = Z.shape, ens.E.shape
@@ -379,10 +422,8 @@ def ensemble_ez(ens: EnsembleModel, counts: np.ndarray,
         ops.add += n * d * (s - 1)
     if fmt is not None:
         return fmt.dequantize(Z @ fmt.quantize(ens.E).T)
-    ez = np.empty((n, d))
-    for k in range(n):
-        ez[k] = ens.E @ Z[k].astype(np.float64)
-    return ez
+    columns = np.ascontiguousarray(Z, dtype=np.float64)[:, :, None]
+    return np.matmul(ens.E, columns)[:, :, 0]
 
 
 def run_filter(trans: StateTransitionModel, model, stream: np.ndarray,
@@ -390,21 +431,39 @@ def run_filter(trans: StateTransitionModel, model, stream: np.ndarray,
     """One filter step per row of *stream*; returns (states, StepOps).
 
     The observation model's ``kind`` picks the step: ``kf_step`` on raw rate
-    vectors for a ``StandardObservationModel``, ``eokf_step`` on E z for an
-    ``EnsembleModel``.
+    vectors for a ``StandardObservationModel``, the EOKF on E z for an
+    ``EnsembleModel``. Each row must be as wide as the filter's observation,
+    H's rows for kf and the state size d for eokf, or ValueError.
+
+    The standard filter runs the counted ``kf_step`` on every row. The
+    ensemble filter runs its first row through the counted ``eokf_step`` and
+    the rest through the lean kernel, which gives the same bits; since its
+    per-step counts depend only on the shapes, the StepOps are that one
+    step's counts times the row count.
     """
-    step = {"kf": kf_step, "eokf": eokf_step}.get(getattr(model, "kind", None))
-    if step is None:
+    kind = getattr(model, "kind", None)
+    if kind not in ("kf", "eokf"):
         raise TypeError(f"no filter step for a {type(model).__name__}")
     d = trans.A.shape[0]
+    width = model.H.shape[0] if kind == "kf" else d
+    Z = np.asarray(stream, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != width:
+        raise ValueError(f"stream has shape {Z.shape}; the {kind} filter "
+                         f"needs rows of width {width}")
     fs = FilterState(x=np.zeros(d) if x0 is None else np.array(x0, dtype=np.float64),
                      P=np.eye(d) if P0 is None else np.array(P0, dtype=np.float64))
-    Z = np.asarray(stream, dtype=np.float64)
     ops = StepOps()
-    out = np.empty((Z.shape[0], d))
-    for k in range(Z.shape[0]):
-        fs = step(fs, trans, model, Z[k], ops)
-        out[k] = fs.x
+    n = Z.shape[0]
+    out = np.empty((n, d))
+    if kind == "kf":
+        for k in range(n):
+            fs = kf_step(fs, trans, model, Z[k], ops)
+            out[k] = fs.x
+    elif n:
+        fs = eokf_step(fs, trans, model, Z[0], ops)
+        out[0] = fs.x
+        _eokf_rows(trans, model, fs.x, fs.P, Z[1:], out[1:])
+        ops.phases = {p: c * n for p, c in ops.phases.items()}
     return out, ops
 
 

@@ -11,6 +11,7 @@ Sign flips (negation) are not counted; in hardware they are free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class OpCounts:
     def __add__(self, other: "OpCounts") -> "OpCounts":
         return OpCounts(self.mult + other.mult, self.add + other.add,
                         self.div + other.div)
+
+    def __mul__(self, n: int) -> "OpCounts":
+        return OpCounts(n * self.mult, n * self.add, n * self.div)
 
     def __iadd__(self, other: "OpCounts") -> "OpCounts":
         self.mult += other.mult
@@ -149,6 +153,22 @@ def inv_small(M: np.ndarray, ops: OpCounts | None = None,
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
+    if n == 2:
+        # the entries as float64 scalars, row-major whatever M's layout
+        a, b, c, e = M.flat
+        det = a * e - b * c
+        if ops is not None:
+            ops.mult += 2
+            ops.add += 1
+        # a non-finite entry makes det non-finite, so the threshold is read
+        # only when every entry, and so this scale, is finite
+        scale = max(1.0, abs(a), abs(b), abs(c), abs(e))
+        if not math.isfinite(det) or abs(det) <= 1e-12 * scale * scale:
+            raise SingularMatrixError(name)
+        out = np.array([[e, -b], [-c, a]]) / det
+        if ops is not None:
+            ops.div += 4
+        return out
     scale = max(1.0, float(np.abs(M).max()))
     if n == 1:
         if not np.isfinite(M[0, 0]) or abs(M[0, 0]) <= 1e-12 * scale:
@@ -156,17 +176,6 @@ def inv_small(M: np.ndarray, ops: OpCounts | None = None,
         if ops is not None:
             ops.div += 1
         return np.array([[1.0 / M[0, 0]]])
-    if n == 2:
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if ops is not None:
-            ops.mult += 2
-            ops.add += 1
-        if not np.isfinite(det) or abs(det) <= 1e-12 * scale * scale:
-            raise SingularMatrixError(name)
-        out = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-        if ops is not None:
-            ops.div += 4
-        return out
     if n == 3:
         cof = np.empty((3, 3))
         for i in range(3):

@@ -321,6 +321,26 @@ def test_events_decode_checks_the_implant_32_bit_accumulator(pipeline, tmp_path,
     assert not (tmp_path / "decoded.csv").exists()
 
 
+def test_decode_rejects_a_session_narrower_than_the_kf_decoder(tmp_path, capfd):
+    """A kf decoder trained on 8 units, given a 1-unit or 3-unit session,
+    exits 4 naming both widths and writes nothing; a 1-unit stream used to
+    broadcast through the filter and decode."""
+    assert run("gen", "--kind", "session", "--units", 8, "--trials-per-target", 2,
+               "--seed", 1, "--out", tmp_path / "s8.json") == EXIT_OK
+    assert run("train-decoder", "--session", tmp_path / "s8.json", "--filter", "kf",
+               "--out", tmp_path / "kf8.json") == EXIT_OK
+    for units in (1, 3):
+        session = tmp_path / f"s{units}.json"
+        assert run("gen", "--kind", "session", "--units", units,
+                   "--trials-per-target", 2, "--seed", 2, "--out", session) == EXIT_OK
+        capfd.readouterr()
+        assert run("decode", "--model", tmp_path / "kf8.json", "--session", session,
+                   "--out", tmp_path / "d.csv") == EXIT_SCHEMA
+        err = capfd.readouterr().err
+        assert f", {units});" in err and "width 8" in err and "Traceback" not in err
+        assert not (tmp_path / "d.csv").exists()
+
+
 def test_each_command_has_one_input_route(pipeline, tmp_path):
     d = pipeline
     train = ("train-sorter", "--mode", "offline", "--tokens", d / "tokens.jsonl",

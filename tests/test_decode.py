@@ -16,7 +16,7 @@ from nsp.decode import (INT32_MAX, PAIR_ID_BITS, PHASES, DecoderBundle,
                         run_filter, run_kf, select_neurons, Selection,
                         selection_columns, store_decoded, store_decoder, train_ensemble,
                         train_observation_standard, train_transition)
-from nsp.opcount import OpCounts, SingularMatrixError
+from nsp.opcount import OpCounts, SingularMatrixError, mat_mul
 from nsp.synthdata import PayloadError
 
 
@@ -457,6 +457,121 @@ def test_run_filter_equals_the_per_step_loop(kind):
     assert empty.shape == (0, 2) and no_ops.total_with_observe().total() == 0
 
 
+# The counted eokf_step is the oracle of the lean kernel that run_filter and
+# eokf_step(ops=None) run: the same states, covariances and gains, bit for bit.
+
+
+def _layout(draw, M: np.ndarray) -> np.ndarray:
+    return np.asfortranarray(M) if draw(st.booleans()) else np.ascontiguousarray(M)
+
+
+@st.composite
+def _eokf_cases(draw) -> tuple:
+    """(trans, ens, x0, P0, stream): d in 1..3, each of A, W, Qe and the
+    stream C- or F-ordered (the trained matrices are transposes), 0..60 rows."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def spd(scale):
+        X = rng.standard_normal((d, d))
+        return scale * (X @ X.T + d * np.eye(d))
+
+    trans = StateTransitionModel(A=_layout(draw, rng.uniform(-0.7, 0.7, (d, d))),
+                                 W=_layout(draw, spd(0.05)))
+    ens = EnsembleModel(E=rng.standard_normal((d, 4)), Qe=_layout(draw, spd(0.1)),
+                        selected=((0, 0), (0, 1), (1, 0), (2, 2)))
+    stream = _layout(draw, 3.0 * rng.standard_normal((draw(st.integers(0, 60)), d)))
+    return trans, ens, rng.standard_normal(d), spd(0.5), stream
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_eokf_cases())
+def test_lean_eokf_kernel_is_the_counted_step(case):
+    trans, ens, x0, P0, stream = case
+    states, _ = run_filter(trans, ens, stream, x0=x0, P0=P0)
+    assert states.shape == stream.shape
+    counted = lean = FilterState(x=x0, P=P0)
+    for k, row in enumerate(stream):
+        counted = eokf_step(counted, trans, ens, row, StepOps())
+        lean = eokf_step(lean, trans, ens, row)
+        for got, want in ((lean.x, counted.x), (lean.P, counted.P), (lean.K, counted.K)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert states[k].tobytes() == counted.x.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), m=st.integers(1, 20), c_exp=st.integers(-3, 3))
+def test_lean_and_counted_eokf_fail_alike_on_a_singular_innovation(d, m, c_exp):
+    """A = I, W = 0, Qe = -c I and P0 = c I / (m + 1): each step takes 1/c
+    off 1/P, so P + Qe turns singular at step m, mid-stream."""
+    c = 2.0 ** c_exp
+    trans = StateTransitionModel(A=np.eye(d), W=np.zeros((d, d)))
+    ens = EnsembleModel(E=np.ones((d, 1)), Qe=-c * np.eye(d), selected=((0, 0),))
+    stream, P0 = np.ones((m + 5, d)), c * np.eye(d) / (m + 1)
+    with pytest.raises(SingularMatrixError, match=r"\(P \+ Qe\)"):
+        run_filter(trans, ens, stream, P0=P0)
+    counted = lean = FilterState(x=np.zeros(d), P=P0)
+    for row in stream[:m]:
+        counted = eokf_step(counted, trans, ens, row, StepOps())
+        lean = eokf_step(lean, trans, ens, row)
+    assert lean.P.tobytes() == counted.P.tobytes()
+    for fs, ops in ((counted, StepOps()), (lean, None)):
+        with pytest.raises(SingularMatrixError, match=r"\(P \+ Qe\)"):
+            eokf_step(fs, trans, ens, stream[m], ops)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eokf_runs_tally_one_counted_step_per_row(d):
+    rng = np.random.default_rng(23)
+    s, n = 7, 25
+    trans = StateTransitionModel(A=0.9 * np.eye(d), W=0.1 * np.eye(d))
+    ens = EnsembleModel(E=rng.standard_normal((d, s)), Qe=0.1 * np.eye(d),
+                        selected=tuple((j // 3, j % 3) for j in range(s)))
+    per_step = count_ops("eokf", s, state_dim=d)["phases"]
+
+    def n_steps(phase):
+        return {k: n * v for k, v in per_step[phase].items()}
+
+    _, ops = run_filter(trans, ens, rng.standard_normal((n, d)))
+    for phase in PHASES:
+        want = n_steps(phase) if phase != "observe" else OpCounts().as_dict()
+        assert ops.phase(phase).as_dict() == want, phase
+    _, _, ops = run_eokf(trans, ens, rng.poisson(2.0, size=(n, s)))
+    for phase in PHASES:
+        assert ops.phase(phase).as_dict() == n_steps(phase), phase
+    _, none = run_filter(trans, ens, np.zeros((0, d)))
+    assert all(c == OpCounts() for c in none.phases.values())
+
+
+def test_eokf_run_filter_counts_a_fixed_number_of_products(monkeypatch):
+    """Counting does not grow with the stream: 10 rows and 200 rows make the
+    same number of counted mat_mul calls."""
+    calls = []
+    monkeypatch.setattr("nsp.decode.mat_mul",
+                        lambda *a, **k: calls.append(1) or mat_mul(*a, **k))
+    rng = np.random.default_rng(24)
+    ens, stream = _toy_ensemble(rng), rng.normal(size=(200, 2))
+    made = []
+    for n in (10, 200):
+        calls.clear()
+        run_filter(TRANS_2D, ens, stream[:n])
+        made.append(len(calls))
+    assert made[0] == made[1] > 0
+
+
+def test_run_filter_checks_the_stream_width():
+    rng = np.random.default_rng(25)
+    obs = StandardObservationModel(H=rng.normal(size=(8, 2)), Q=np.eye(8))
+    for model, width, wrong in ((obs, 8, (np.ones((4, 1)), np.ones((4, 3)))),
+                                (_toy_ensemble(rng), 2, (np.ones((4, 1)), np.ones((4, 12))))):
+        for Z in wrong:
+            with pytest.raises(ValueError, match=rf"shape \(4, {Z.shape[1]}\).*width {width}"):
+                run_filter(TRANS_2D, model, Z)
+        with pytest.raises(ValueError, match=f"width {width}"):
+            run_filter(TRANS_2D, model, np.ones(width))
+        assert run_filter(TRANS_2D, model, np.ones((4, width)))[0].shape == (4, 2)
+
+
 def test_run_filter_needs_an_observation_model():
     with pytest.raises(TypeError, match="no filter step"):
         run_filter(TRANS_2D, np.eye(2), np.zeros((3, 2)))
@@ -465,11 +580,20 @@ def test_run_filter_needs_an_observation_model():
 def test_ensemble_ez_is_the_per_bin_emission():
     rng = np.random.default_rng(21)
     ens = _toy_ensemble(rng, n=12)
-    counts = rng.poisson(2.0, size=(30, 12))
+    trained = EnsembleModel(E=np.asfortranarray(ens.E), Qe=ens.Qe, selected=ens.selected)
+    wide = rng.poisson(2.0, size=(60, 25))
+    counts = np.ascontiguousarray(wide[:30, :12])
+    # C-ordered, F-ordered and strided counts, with E in C and F order (the
+    # trained E is a transpose): each bin is emit_bin's E @ z, bit for bit
+    for model in (ens, trained):
+        for Z in (counts, np.asfortranarray(counts), wide[::2, 1::2][:, :12]):
+            ez = ensemble_ez(model, Z)
+            assert ez.shape == (30, 2)
+            for k, row in enumerate(Z):
+                assert ez[k].tobytes() == (model.E @ row.astype(np.float64)).tobytes()
     ops, want_ops = OpCounts(), OpCounts()
-    ez = ensemble_ez(ens, counts, ops=ops)
-    for k, row in enumerate(counts):
-        assert ez[k].tobytes() == (ens.E @ row.astype(np.float64)).tobytes()
+    ensemble_ez(ens, counts, ops=ops)
+    for row in counts:
         reduce_observation(ens, row, want_ops)      # the textbook mat_mul cost
     assert ops == want_ops
     fmt = FixedPointFormat.for_matrix(ens.E)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsp.opcount import (OpCounts, SingularMatrixError, inv_small, ldl_factor,
                          ldl_solve, mat_add, mat_mul, mat_sub)
@@ -9,6 +11,7 @@ def test_opcounts_arithmetic():
     a = OpCounts(1, 2, 3)
     b = OpCounts(10, 20, 30)
     assert (a + b) == OpCounts(11, 22, 33)
+    assert a * 4 == OpCounts(4, 8, 12) and a * 0 == OpCounts()
     a += b
     assert a.total() == 66
     assert a.as_dict() == {"mult": 11, "add": 22, "div": 33, "total": 66}
@@ -127,6 +130,39 @@ def test_inv_small_costs():
     ops = OpCounts()
     inv_small(np.diag([1.0, 2.0, 3.0]), ops)
     assert (ops.mult, ops.add, ops.div) == (21, 11, 9)
+
+
+def _adjugate_2x2(M: np.ndarray):
+    """The textbook 2x2 inverse in float64 scalars, or None where inv_small
+    must call M singular."""
+    scale = max(1.0, float(np.abs(M).max()))
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if not np.isfinite(det) or abs(det) <= 1e-12 * scale * scale:
+        return None
+    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+
+
+_entries = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.one_of(_entries, st.sampled_from([0.0, 1.0, -2.0, 1e-7])),
+                        min_size=4, max_size=4),
+       fortran=st.booleans(), singular=st.booleans())
+def test_inv_small_2x2_is_the_textbook_adjugate_bit_for_bit(entries, fortran, singular):
+    M = np.array(entries, dtype=np.float64).reshape(2, 2)
+    if singular and M[0, 0] != 0:
+        with np.errstate(all="ignore"):
+            M[1, 1] = M[0, 1] * M[1, 0] / M[0, 0]
+    if fortran:
+        M = np.asfortranarray(M)
+    with np.errstate(all="ignore"):
+        want = _adjugate_2x2(M)
+        if want is None:
+            with pytest.raises(SingularMatrixError, match="S"):
+                inv_small(M, name="S")
+        else:
+            assert inv_small(M).tobytes() == want.tobytes()
 
 
 def test_inv_small_rejects_singular_and_large():
