@@ -17,10 +17,16 @@ tally each filter step by named phase (state_predict, cov_predict, gain,
 state_update, cov_update, plus the event-driven observe reduction). The
 explicit re-symmetrization of P after the covariance update is numerical
 hygiene and is excluded from the counters. The counted ``eokf_step`` is also
-the oracle of the lean EOKF kernel, ``_eokf_rows``, which runs the ensemble
-filter bin by bin: the same ``np.matmul`` calls on the same operands, so the
-same bits, without a counting wrapper per op. Its per-step counts depend only
-on the shapes, so a run counts one step and scales it by the bin count.
+the oracle of the lean EOKF kernel, ``_eokf_lean``: the same ``np.matmul``
+calls on the same operands, so the same bits, without a counting wrapper per
+op. Per-step counts depend only on the shapes, so a run counts one step and
+scales it by the bin count.
+
+A run reaches the steady-state gain bit for bit. The covariance and gain
+recursion of both filters never reads the observation, so once a posterior
+P repeats one held before, byte for byte, every later gain is one already
+computed: ``run_filter`` then replays the gain cycle and updates only the
+state, with the full step's own ``np.matmul`` calls and so its bits.
 
 Each observation model names its filter in ``kind`` ("kf" or "eokf"), so the
 model alone picks the filter: every decode path feeds ``run_filter``, which
@@ -319,17 +325,30 @@ def _predict(fs: FilterState, trans: StateTransitionModel,
     return x, P
 
 
+def _observations(z, kind: str, width: int, ndim: int = 1) -> np.ndarray:
+    """*z* as float64: one observation (*ndim* 1) or a stream of them, one
+    per row (*ndim* 2). ValueError unless each is *width* wide, for a filter
+    step would broadcast a narrower one through its innovation."""
+    Z = np.asarray(z, dtype=np.float64)
+    if Z.ndim != ndim or Z.shape[-1] != width:
+        what = "stream" if ndim == 2 else "observation"
+        raise ValueError(f"{what} has shape {Z.shape}; the {kind} filter "
+                         f"needs rows of width {width}")
+    return Z
+
+
 def kf_step(fs: FilterState, trans: StateTransitionModel,
             obs: StandardObservationModel, z: np.ndarray,
             ops: StepOps | None = None) -> FilterState:
-    """One predict/update cycle of the standard filter on a raw rate vector."""
+    """One predict/update cycle of the standard filter on a raw rate vector,
+    as wide as H has rows, or ValueError."""
+    z = _observations(z, "kf", obs.H.shape[0])
     x, P = _predict(fs, trans, ops)
     g = _phase(ops, "gain")
     PHt = mat_mul(P, obs.H.T, g)
     S = mat_add(mat_mul(obs.H, PHt, g), obs.Q, g)
     K = ldl_solve(S, PHt.T, g, name="innovation covariance (H P H' + Q)").T
     su = _phase(ops, "state_update")
-    z = np.asarray(z, dtype=np.float64)
     v = mat_sub(z, mat_mul(obs.H, x, su), su)
     x = mat_add(x, mat_mul(K, v, su), su)
     cu = _phase(ops, "cov_update")
@@ -346,15 +365,14 @@ def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
     """One cycle of the ensemble-observation filter.
 
     *ez* is the already-reduced observation (the implant accumulator's bin
-    emission). Every matrix here is state_dim-sized; the gain needs only a
-    closed-form small inverse. With *ops* this is the counted step: the
-    source of every EOKF op count and the oracle of the lean kernel,
-    ``_eokf_rows``, which runs the step when *ops* is None.
+    emission), d wide, or ValueError. Every matrix here is state_dim-sized;
+    the gain needs only a closed-form small inverse. With *ops* this is the
+    counted step: the source of every EOKF op count and the oracle of the
+    lean kernel, ``_eokf_lean``, which runs the step when *ops* is None.
     """
+    ez = _observations(ez, "eokf", trans.A.shape[0])
     if ops is None:
-        x, P, K = _eokf_rows(trans, ens, fs.x, fs.P,
-                             np.asarray(ez, dtype=np.float64)[None],
-                             np.empty((1, trans.A.shape[0])))
+        x, P, K = _eokf_lean(trans, ens, fs.x, fs.P, ez)
         return FilterState(x=x, P=P, K=K)
     x, P = _predict(fs, trans, ops)
     g = _phase(ops, "gain")
@@ -362,7 +380,7 @@ def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
     Sinv = inv_small(S, g, name=_EOKF_S)
     K = mat_mul(P, Sinv, g)
     su = _phase(ops, "state_update")
-    v = mat_sub(np.asarray(ez, dtype=np.float64), x, su)
+    v = mat_sub(ez, x, su)
     x = mat_add(x, mat_mul(K, v, su), su)
     cu = _phase(ops, "cov_update")
     M = mat_sub(np.eye(P.shape[0]), K, cu)
@@ -370,29 +388,41 @@ def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
     return FilterState(x=x, P=P, K=K)
 
 
-def _eokf_rows(trans: StateTransitionModel, ens: EnsembleModel, x: np.ndarray,
-               P: np.ndarray, Z: np.ndarray, out: np.ndarray) -> tuple:
-    """The lean EOKF kernel: one uncounted step per row of *Z* from (x, P),
-    each state into *out*; returns the last (x, P, K).
+def _eokf_lean(trans: StateTransitionModel, ens: EnsembleModel, x: np.ndarray,
+               P: np.ndarray, ez: np.ndarray) -> tuple:
+    """The lean EOKF kernel: one uncounted step from (x, P) on *ez*; returns
+    (x, P, K).
 
     Bit for bit the counted ``eokf_step``: the same ``np.matmul`` calls on
     the same operands and layouts (a vector as a one-column matrix, as
     ``mat_mul`` passes it), the same ``inv_small`` and re-symmetrization,
-    without the counting wrappers or a FilterState per row.
+    without the counting wrappers.
     """
-    A, AT, W, Qe = trans.A, trans.A.T, trans.W, ens.Qe
-    eye = np.eye(A.shape[0])
-    K = None
-    for k in range(Z.shape[0]):
+    A = trans.A
+    x = np.matmul(A, x[:, None])[:, 0]
+    P = np.matmul(np.matmul(A, P), A.T) + trans.W
+    P = (P + P.T) / 2.0
+    K = np.matmul(P, inv_small(P + ens.Qe, None, name=_EOKF_S))
+    x = x + np.matmul(K, (ez - x)[:, None])[:, 0]
+    P = np.matmul(np.eye(A.shape[0]) - K, P)
+    return x, (P + P.T) / 2.0, K
+
+
+def _replay_gains(A: np.ndarray, H: np.ndarray | None, x: np.ndarray,
+                  gains: list, start: int, Z: np.ndarray, out: np.ndarray) -> None:
+    """State-only steps from *x* on rows ``len(gains)`` onward of *Z*, each
+    state into *out*: row j takes ``gains[start + (j - start) % period]``,
+    period = ``len(gains) - start``. The state update of ``kf_step`` (with
+    *H*) or of the EOKF (H None), with the same ``np.matmul`` calls on the
+    same operand layouts, so the same bits as the full step given that gain.
+    """
+    period = len(gains) - start
+    for j in range(len(gains), Z.shape[0]):
+        K = gains[start + (j - start) % period]
         x = np.matmul(A, x[:, None])[:, 0]
-        P = np.matmul(np.matmul(A, P), AT) + W
-        P = (P + P.T) / 2.0
-        K = np.matmul(P, inv_small(P + Qe, None, name=_EOKF_S))
-        x = x + np.matmul(K, (Z[k] - x)[:, None])[:, 0]
-        P = np.matmul(eye - K, P)
-        P = (P + P.T) / 2.0
-        out[k] = x
-    return x, P, K
+        v = Z[j] - (x if H is None else np.matmul(H, x[:, None])[:, 0])
+        x = x + np.matmul(K, v[:, None])[:, 0]
+        out[j] = x
 
 
 def reduce_observation(ens: EnsembleModel, z: np.ndarray,
@@ -431,39 +461,45 @@ def run_filter(trans: StateTransitionModel, model, stream: np.ndarray,
     """One filter step per row of *stream*; returns (states, StepOps).
 
     The observation model's ``kind`` picks the step: ``kf_step`` on raw rate
-    vectors for a ``StandardObservationModel``, the EOKF on E z for an
+    vectors for a ``StandardObservationModel``, ``eokf_step`` on E z for an
     ``EnsembleModel``. Each row must be as wide as the filter's observation,
     H's rows for kf and the state size d for eokf, or ValueError.
 
-    The standard filter runs the counted ``kf_step`` on every row. The
-    ensemble filter runs its first row through the counted ``eokf_step`` and
-    the rest through the lean kernel, which gives the same bits; since its
-    per-step counts depend only on the shapes, the StepOps are that one
-    step's counts times the row count.
+    The first row runs the counted step; since the per-step counts depend
+    only on the shapes, the StepOps are its counts times the row count. Later
+    rows run the uncounted step (for eokf the lean kernel, the same bits)
+    until a row's posterior P repeats an earlier row's, byte for byte. From
+    there on the gains cycle, exactly: the covariance and gain recursion
+    never reads the observation, so a row's P and K are functions of the
+    posterior P before it alone, and that P is always a fresh C-ordered
+    result of the re-symmetrization, so its bytes fix every later P and K.
+    If row k's P equals row i's, the gains of rows i+1..k repeat with period
+    k - i from row k+1 on, and every remaining row updates only the state
+    with its gain, through the full step's own ``np.matmul`` calls, so with
+    the full step's bits. A P that never repeats, as under A = I and W = 0,
+    where it shrinks every step, runs the full step on every row.
     """
     kind = getattr(model, "kind", None)
     if kind not in ("kf", "eokf"):
         raise TypeError(f"no filter step for a {type(model).__name__}")
     d = trans.A.shape[0]
-    width = model.H.shape[0] if kind == "kf" else d
-    Z = np.asarray(stream, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != width:
-        raise ValueError(f"stream has shape {Z.shape}; the {kind} filter "
-                         f"needs rows of width {width}")
+    step, H = (kf_step, model.H) if kind == "kf" else (eokf_step, None)
+    Z = _observations(stream, kind, d if H is None else H.shape[0], ndim=2)
     fs = FilterState(x=np.zeros(d) if x0 is None else np.array(x0, dtype=np.float64),
                      P=np.eye(d) if P0 is None else np.array(P0, dtype=np.float64))
     ops = StepOps()
     n = Z.shape[0]
     out = np.empty((n, d))
-    if kind == "kf":
-        for k in range(n):
-            fs = kf_step(fs, trans, model, Z[k], ops)
-            out[k] = fs.x
-    elif n:
-        fs = eokf_step(fs, trans, model, Z[0], ops)
-        out[0] = fs.x
-        _eokf_rows(trans, model, fs.x, fs.P, Z[1:], out[1:])
-        ops.phases = {p: c * n for p, c in ops.phases.items()}
+    gains, seen = [], {}
+    for k in range(n):
+        fs = step(fs, trans, model, Z[k], None if k else ops)
+        out[k] = fs.x
+        gains.append(fs.K)
+        first = seen.setdefault(fs.P.tobytes(), k)
+        if first < k:
+            _replay_gains(trans.A, H, fs.x, gains, first + 1, Z, out)
+            break
+    ops.phases = {p: c * n for p, c in ops.phases.items()}
     return out, ops
 
 

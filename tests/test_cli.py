@@ -8,13 +8,15 @@ import pytest
 
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                      EXIT_USAGE, main)
-from nsp.decode import (ensemble_ez, load_decoded, load_decoder, run_filter,
+from nsp.decode import (FilterState, StepOps, ensemble_ez, eokf_step, kf_step,
+                        load_decoded, load_decoder, run_filter, selection_columns,
                         store_decoded, within_channel_ranks)
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
 from nsp.sort_offline import (MODEL_KINDS, TREE_MODEL_BITS, L1TemplateModel,
                               load_models, store_models)
 from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
-                           load_session, load_trace, store_records, store_trace)
+                           load_session, load_trace, store_records, store_trace,
+                           trials_to_bins)
 
 
 def run(*argv) -> int:
@@ -223,6 +225,33 @@ def test_every_decoder_kind_runs_every_command(pipeline, tmp_path, capfd, kind):
                                x0=bundle.x0, P0=bundle.P0)
         store_decoded(str(m / "ref.csv"), states)
         assert (m / "ref.csv").read_bytes() == (m / "sim_decoded.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["kf", "eokf"])
+def test_session_decode_writes_the_counted_per_row_loop(pipeline, tmp_path, kind):
+    """The held-out trials run well past the bin where the posterior P
+    repeats, and decode writes the bytes of one counted step per bin from the
+    bundle's x0 and P0."""
+    d, m = pipeline, tmp_path
+    assert run("train-decoder", "--session", d / "session.csv", "--filter", kind,
+               "--seed", 9, "--out", m / "decoder.json") == EXIT_OK
+    assert run("decode", "--model", m / "decoder.json", "--session", d / "session.csv",
+               "--trials", "test", "--out", m / "decoded.csv") == EXIT_OK
+    bundle, session = load_decoder(str(m / "decoder.json")), load_session(str(d / "session.csv"))
+    obs = bundle.observation
+    stream = session.counts[trials_to_bins(session, bundle.meta["test_trials"])]
+    if kind == "eokf":
+        stream = ensemble_ez(obs, stream[:, selection_columns(obs.selected,
+                                                              session.unit_channels)])
+    step = kf_step if kind == "kf" else eokf_step
+    fs, seen, states = FilterState(x=bundle.x0, P=bundle.P0), set(), []
+    for row in stream:
+        fs = step(fs, bundle.transition, obs, row, StepOps())
+        states.append(fs.x)
+        seen.add(fs.P.tobytes())
+    assert len(seen) < len(stream) - 20      # over 20 bins repeat an earlier P
+    store_decoded(str(m / "want.csv"), np.array(states))
+    assert (m / "want.csv").read_bytes() == (m / "decoded.csv").read_bytes()
 
 
 def test_train_sorter_ignores_the_row_order_of_a_token_file(pipeline, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from nsp.decode import (INT32_MAX, PAIR_ID_BITS, PHASES, DecoderBundle,
                         run_filter, run_kf, select_neurons, Selection,
                         selection_columns, store_decoded, store_decoder, train_ensemble,
                         train_observation_standard, train_transition)
-from nsp.opcount import OpCounts, SingularMatrixError, mat_mul
+from nsp.opcount import OpCounts, SingularMatrixError, inv_small, ldl_factor, mat_mul
 from nsp.synthdata import PayloadError
 
 
@@ -418,43 +419,92 @@ def test_count_ops_rejects_unknown_kind():
 # --- whole-session runs and the computation split ------------------------------
 
 
+def _posterior_cycle(step, trans, model, P0, stream):
+    """(row, period) of the first posterior P that repeats, bit for bit, one
+    that an earlier uncounted per-row step left; None if none repeats."""
+    fs, seen = FilterState(x=np.zeros(trans.A.shape[0]), P=P0), {}
+    for k, row in enumerate(stream):
+        fs = step(fs, trans, model, row)
+        first = seen.setdefault(fs.P.tobytes(), k)
+        if first < k:
+            return k, k - first
+    return None
+
+
 def test_run_kf_shapes_and_monotone_ops():
+    """Past the row where P repeats, the counts are still one counted step's
+    counts per row."""
     rng = np.random.default_rng(8)
     obs = StandardObservationModel(H=rng.normal(size=(6, 2)), Q=np.eye(6))
-    counts = rng.poisson(3.0, size=(30, 6)).astype(float)
+    counts = rng.poisson(3.0, size=(300, 6)).astype(float)
+    assert _posterior_cycle(kf_step, TRANS_2D, obs, np.eye(2), counts)[0] < 100
     states, ops = run_kf(TRANS_2D, obs, counts)
-    assert states.shape == (30, 2)
-    assert ops.step_total().total() == 30 * count_ops("kf", 6)["step_total"]["total"]
+    assert states.shape == (300, 2)
+    per_step = count_ops("kf", 6)["phases"]
+    for phase in PHASES:
+        want = {k: 300 * v for k, v in per_step[phase].items()}
+        assert ops.phase(phase).as_dict() == want, phase
 
 
-def _step_loop(step, model, stream, x0, P0) -> tuple:
+def _filter_case(kind: str, seed: int, n: int = 400) -> tuple:
+    """(trans, model, x0, F-ordered P0, n-row stream) of a random 2-state
+    filter: a kf over 6 Poisson rates or an eokf over E z."""
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((2, 2, 2))
+    trans = StateTransitionModel(A=rng.uniform(-0.9, 0.9, (2, 2)),
+                                 W=0.05 * (X @ X.T + np.eye(2)))
+    if kind == "kf":
+        model = StandardObservationModel(H=rng.normal(size=(6, 2)), Q=np.eye(6))
+        stream = rng.poisson(3.0, size=(n, 6))
+    else:
+        model = EnsembleModel(E=rng.standard_normal((2, 9)), Qe=0.1 * (Y @ Y.T + np.eye(2)),
+                              selected=tuple((j // 3, j % 3) for j in range(9)))
+        stream = 3.0 * rng.standard_normal((n, 2))
+    return trans, model, rng.normal(size=2), np.asfortranarray(0.5 * (X.T @ X + np.eye(2))), stream
+
+
+# (kind, period) -> a _filter_case seed whose posterior P cycles with that period
+CYCLE_SEEDS = {("kf", 1): 1, ("kf", 2): 22, ("kf", 3): 13,
+               ("eokf", 1): 1, ("eokf", 2): 11, ("eokf", 3): 52}
+
+
+def _per_row_loop(step, trans, model, stream, x0, P0, ops) -> tuple:
+    """States of one *step* per row, and the last FilterState."""
     fs = FilterState(x=x0, P=P0)
-    ops = StepOps()
     states = np.empty((len(stream), 2))
     for k, row in enumerate(stream):
-        fs = step(fs, TRANS_2D, model, row, ops)
+        fs = step(fs, trans, model, row, ops)
         states[k] = fs.x
-    return states, ops
+    return states, fs
 
 
 @pytest.mark.parametrize("kind", ["kf", "eokf"])
-def test_run_filter_equals_the_per_step_loop(kind):
-    rng = np.random.default_rng(20)
-    x0, P0 = rng.normal(size=2), 0.5 * np.eye(2)
-    if kind == "kf":
-        model = StandardObservationModel(H=rng.normal(size=(6, 2)), Q=np.eye(6))
-        step, stream = kf_step, rng.poisson(3.0, size=(40, 6))
-    else:
-        model = _toy_ensemble(rng, n=9)
-        step, stream = eokf_step, rng.normal(size=(40, 2))
-    states, ops = run_filter(TRANS_2D, model, stream, x0=x0, P0=P0)
-    want, want_ops = _step_loop(step, model, stream.astype(np.float64), x0, P0)
-    assert np.array_equal(states, want)
-    for phase in PHASES:
-        assert ops.phase(phase) == want_ops.phase(phase), phase
-    assert ops.step_total().total() > 0
-    empty, no_ops = run_filter(TRANS_2D, model, stream[:0])
-    assert empty.shape == (0, 2) and no_ops.total_with_observe().total() == 0
+@pytest.mark.parametrize("period", [1, 2, 3, None])
+def test_run_filter_equals_the_per_step_loop(kind, period):
+    """run_filter's states, and the last (x, P, K) of the uncounted per-row
+    steps, are those of the counted per-row loop, bit for bit: on streams of
+    0, 1 and 2 rows, and on 400 rows, far past the row where P repeats with
+    *period*. Period None is A = I and W = 0, where P shrinks every step and
+    never repeats, so every row runs the full step."""
+    step = kf_step if kind == "kf" else eokf_step
+    trans, model, x0, P0, stream = _filter_case(kind, CYCLE_SEEDS.get((kind, period), 0))
+    if period is None:
+        trans = StateTransitionModel(A=np.eye(2), W=np.zeros((2, 2)))
+    cycle = _posterior_cycle(step, trans, model, P0, stream)
+    assert (cycle[1] if cycle else None) == period
+    assert cycle is None or cycle[0] < 60
+    for n in (0, 1, 2, len(stream)):
+        states, ops = run_filter(trans, model, stream[:n], x0=x0, P0=P0)
+        want_ops = StepOps()
+        want, counted = _per_row_loop(step, trans, model, stream[:n], x0, P0, want_ops)
+        assert states.shape == (n, 2) and states.tobytes() == want.tobytes()
+        for phase in PHASES:
+            assert ops.phase(phase) == want_ops.phase(phase), phase
+        assert (ops.step_total().total() > 0) == (n > 0)
+        if n:
+            _, lean = _per_row_loop(step, trans, model, stream[:n], x0, P0, None)
+            for got, want in ((lean.x, counted.x), (lean.P, counted.P), (lean.K, counted.K)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # The counted eokf_step is the oracle of the lean kernel that run_filter and
@@ -468,7 +518,8 @@ def _layout(draw, M: np.ndarray) -> np.ndarray:
 @st.composite
 def _eokf_cases(draw) -> tuple:
     """(trans, ens, x0, P0, stream): d in 1..3, each of A, W, Qe and the
-    stream C- or F-ordered (the trained matrices are transposes), 0..60 rows."""
+    stream C- or F-ordered (the trained matrices are transposes), 0..400 rows,
+    most of them far past the row where P repeats."""
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
@@ -480,7 +531,7 @@ def _eokf_cases(draw) -> tuple:
                                  W=_layout(draw, spd(0.05)))
     ens = EnsembleModel(E=rng.standard_normal((d, 4)), Qe=_layout(draw, spd(0.1)),
                         selected=((0, 0), (0, 1), (1, 0), (2, 2)))
-    stream = _layout(draw, 3.0 * rng.standard_normal((draw(st.integers(0, 60)), d)))
+    stream = _layout(draw, 3.0 * rng.standard_normal((draw(st.integers(0, 400)), d)))
     return trans, ens, rng.standard_normal(d), spd(0.5), stream
 
 
@@ -557,6 +608,39 @@ def test_eokf_run_filter_counts_a_fixed_number_of_products(monkeypatch):
         run_filter(TRANS_2D, ens, stream[:n])
         made.append(len(calls))
     assert made[0] == made[1] > 0
+
+
+@pytest.mark.parametrize("kind, factor", [("kf", "nsp.opcount.ldl_factor"),
+                                          ("eokf", "nsp.decode.inv_small")])
+def test_run_filter_makes_a_bounded_number_of_full_steps(monkeypatch, kind, factor):
+    """Once P repeats, no row factors the innovation covariance: 60 and 600
+    rows of a cycling model make equally many calls."""
+    original = {"kf": ldl_factor, "eokf": inv_small}[kind]
+    calls = []
+    monkeypatch.setattr(factor, lambda *a, **k: calls.append(1) or original(*a, **k))
+    trans, model, x0, P0, stream = _filter_case(kind, CYCLE_SEEDS[(kind, 2)], n=600)
+    made = []
+    for n in (60, 600):
+        calls.clear()
+        run_filter(trans, model, stream[:n], x0=x0, P0=P0)
+        made.append(len(calls))
+    assert made[0] == made[1] > 0
+
+
+def test_both_steps_reject_a_wrong_width_observation():
+    """A z narrower than the observation used to broadcast through the
+    innovation, so eokf_step with d = 2 took z = [5.0] for [5.0, 5.0]. Both
+    steps, counted or not, raise run_filter's ValueError."""
+    rng = np.random.default_rng(26)
+    obs = StandardObservationModel(H=rng.normal(size=(4, 2)), Q=np.eye(4))
+    fs = FilterState(x=np.zeros(2), P=np.eye(2))
+    for step, model, width in ((kf_step, obs, 4), (eokf_step, _toy_ensemble(rng), 2)):
+        for z in (np.array([5.0]), np.ones(width + 1), np.ones((1, width))):
+            for ops in (None, StepOps()):
+                with pytest.raises(ValueError, match=re.escape(f"shape {z.shape};")
+                                   + f".*width {width}"):
+                    step(fs, TRANS_2D, model, z, ops)
+        assert step(fs, TRANS_2D, model, np.ones(width)).x.shape == (2,)
 
 
 def test_run_filter_checks_the_stream_width():
