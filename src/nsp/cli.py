@@ -32,13 +32,12 @@ from .sort_offline import (MODEL_KINDS, classify_by_channel, load_models,
 from .sort_online import train_online
 from .sim import (ConfigMismatchError, SimConfig, check_model_channels,
                   parse_sim_config, run_simulation)
-from .synthdata import (ClippingError, DatasetFormatError, PayloadError,
-                        SessionConfig, TraceConfig, _checked_int, gen_reach_session,
-                        gen_spike_trace, load_channel_records, load_document,
-                        load_labels, load_session, load_trace, read_text,
-                        split_trials, store_labels, store_records,
-                        store_session, store_trace, tier_config,
-                        trials_to_bins)
+from .synthdata import (ClippingError, DatasetFormatError, Int, List, Map, Num, Obj,
+                        PayloadError, RawTrace, SessionConfig, TraceConfig, check,
+                        gen_reach_session, gen_spike_trace, load_channel_records,
+                        load_document, load_labels, load_session, load_trace,
+                        read_text, split_trials, store_labels, store_records,
+                        store_session, store_trace, tier_config, trials_to_bins)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,6 +66,15 @@ def _write_meta(path: str, args_dict: dict, seed: int | None = None,
     _write_json(path + ".meta.json", obj)
 
 
+def _recorded_rate(stream: str) -> dict:
+    """``{"sample_rate": rate}`` as *stream*'s .meta.json sidecar records it,
+    checked against its declared table; empty when it records none."""
+    path = stream + ".meta.json"
+    meta = load_document(path) if os.path.exists(path) else {}
+    check(meta, Obj({}, {"sample_rate": Int(1)}), path)
+    return {"sample_rate": meta["sample_rate"]} if "sample_rate" in meta else {}
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -89,17 +97,10 @@ def cmd_gen(args) -> int:
         else:
             cfg = TraceConfig(n_channels=args.channels, duration_s=args.duration,
                               firing_rate_hz=args.rate)
-        overrides = {}
-        if args.neurons is not None:
-            overrides["neurons_per_channel"] = args.neurons
-        if args.snr is not None:
-            overrides["snr_db"] = args.snr
-        if args.spread is not None:
-            overrides["amp_spread"] = _parse_spread(args.spread)
-        if args.similarity is not None:
-            overrides["shape_similarity"] = args.similarity
-        if overrides:
-            cfg = replace(cfg, **overrides)
+        overrides = {"neurons_per_channel": args.neurons, "snr_db": args.snr,
+                     "amp_spread": None if args.spread is None else _parse_spread(args.spread),
+                     "shape_similarity": args.similarity}
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         cfg.validate()
         trace, labels = gen_spike_trace(cfg, seed=args.seed)
         store_trace(trace, args.trace)
@@ -118,10 +119,7 @@ def cmd_gen(args) -> int:
     session = gen_reach_session(scfg, seed=args.seed)
     store_session(session, args.out)
     _write_meta(args.out, vars(args), seed=args.seed,
-                extra={"config": {"kind": "session", "n_units": scfg.n_units,
-                                  "trials_per_target": scfg.trials_per_target,
-                                  "bin_ms": scfg.bin_ms,
-                                  "untuned_fraction": scfg.untuned_fraction}})
+                extra={"config": {"kind": "session", **asdict(scfg)}})
     print(f"wrote {args.out} ({session.n_bins} bins x {session.n_units} units, "
           f"{len(session.trials)} trials)")
     return EXIT_OK
@@ -139,7 +137,7 @@ def cmd_detect(args) -> int:
     store_tokens(tokens, args.out)
     _write_meta(args.out, vars(args),
                 extra={"thresholds": [float(t) for t in thresholds],
-                       "n_tokens": len(tokens)})
+                       "n_tokens": len(tokens), "sample_rate": trace.sample_rate})
     if args.windows:
         store_windows(tokens, windows, args.windows)
         _write_meta(args.windows, vars(args))
@@ -188,7 +186,8 @@ def cmd_sort(args) -> int:
     skipped = len(tokens) - len(rows)
     store_records(rows, args.out)
     _write_meta(args.out, vars(args),
-                extra={"n_sorted": len(rows), "n_unmodeled": skipped})
+                extra={"n_sorted": len(rows), "n_unmodeled": skipped,
+                       **_recorded_rate(args.tokens)})
     print(f"wrote {args.out} ({len(rows)} sorted events, {skipped} skipped)")
     return EXIT_OK
 
@@ -246,13 +245,15 @@ def cmd_train_decoder(args) -> int:
 
 def _load_sorted_events(path: str) -> np.ndarray:
     """Sorted-event JSONL ({"ch","label","t"} rows) as an (n, 3) (t, ch, label) array."""
-    return load_channel_records(path, "sorted event", {"t": int, "ch": int, "label": int})
+    return load_channel_records(path, "sorted event", dict.fromkeys(("t", "ch", "label"), Int()))
 
 
 def cmd_decode(args) -> int:
     """Binned session counts go through ``run_filter``/``run_eokf``; a sorted
     event stream goes through the implant split, ``run_eokf_split``, whose
-    fixed-point accumulator checks every running sum against 32 bits."""
+    fixed-point accumulator checks every running sum against 32 bits. Events
+    are binned at the sample rate the stream's sidecar records, 30 kHz when
+    it records none."""
     if (args.session is None) == (args.events is None):
         raise ValueError("decode needs exactly one of --session or --events")
     bundle = load_decoder(args.model)
@@ -264,7 +265,8 @@ def cmd_decode(args) -> int:
         if args.trials != "all" or args.metrics:
             raise ValueError("--trials/--metrics need --session ground truth")
         events = _load_sorted_events(args.events)
-        bin_len = bundle.bin_ms * 30000 // 1000
+        rate = _recorded_rate(args.events).get("sample_rate", RawTrace.sample_rate)
+        bin_len = bundle.bin_ms * rate // 1000
         n_bins = max(1, -(-int(events[:, 0].max() + 1) // bin_len)) if events.size else 1
         states, _, ops, _ = run_eokf_split(bundle.transition, obs, events, n_bins,
                                            bin_len, fmt=bundle.fixed,
@@ -389,15 +391,11 @@ def cmd_bench(args) -> int:
                          "total_with_observe": r["total_with_observe"]}}
                 for r in rows]
     _print_bench_table(out_rows)
-    if args.filter == "both":
-        for n in neuron_counts:
-            kf = next(r for r in out_rows
-                      if r["kind"] == "kf" and r["n_neurons"] == n)
-            eo = next(r for r in out_rows
-                      if r["kind"] == "eokf" and r["n_neurons"] == n)
-            kt = kf["ops"]["step_total"]["total"]
-            et = eo["ops"]["step_total"]["total"]
-            print(f"n={n}: eokf/kf step ratio = {et}/{kt} = {100.0 * et / kt:.3f}%")
+    if args.filter == "both":   # rows alternate kf, eokf for each neuron count
+        for kf, eo in zip(out_rows[::2], out_rows[1::2]):
+            kt, et = kf["ops"]["step_total"]["total"], eo["ops"]["step_total"]["total"]
+            print(f"n={kf['n_neurons']}: eokf/kf step ratio = {et}/{kt} = "
+                  f"{100.0 * et / kt:.3f}%")
     if args.out:
         _write_json(args.out, {"kind": "op-bench", "rows": out_rows,
                                "provenance": provenance(vars(args))})
@@ -410,67 +408,63 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_footprint(name: str, row: dict) -> None:
-    """A sort-eval row's footprint must be what its model, rebuilt from the
-    row's params through ``MODEL_KINDS``, gives."""
-    bits = _checked_int(row["footprint_bits"], "footprint_bits")
-    cls = MODEL_KINDS.get(row["model"])
-    if cls is None or "params" not in row:
-        raise ValueError(f"channel {row['channel']}: no params of a known sorter kind "
-                         f"(model {row['model']!r}); re-run eval-sort")
-    want = cls.from_json(row["params"]).footprint_bits()
-    if bits != want:
-        raise ArithmeticError(
-            f"{name}: channel {row['channel']} reports {bits} footprint bits; "
-            f"its {cls.kind} model has {want}")
-
-
-def _crosscheck_opcounts(name: str, rows) -> None:
-    """Benched op counts must match a fresh instrumented run (no drift)."""
-    for row in rows:
-        fresh = count_ops(row["kind"], row["n_neurons"], row["state_dim"])
-        if fresh["step_total"] != row["ops"]["step_total"]:
-            raise ArithmeticError(
-                f"{name}: {row['kind']} n={row['n_neurons']} op counts "
-                f"{row['ops']['step_total']} do not match instrumented "
-                f"{fresh['step_total']}")
-
-
-def _number(value):
-    """*value* if it is a JSON number (not a bool), else TypeError."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return value
-
-
 def _step_total(ops: dict) -> str:
-    t = ops["step_total"]
-    return "+".join(str(_checked_int(t[k], k)) for k in ("mult", "add", "div"))
+    return "+".join(str(ops["step_total"][k]) for k in ("mult", "add", "div"))
 
 
-def _report_sections(name: str, kind, obj: dict) -> dict:
-    """Report section -> (entries, CSV lines) of one artifact; empty for a
-    kind the report does not read. A malformed artifact raises a lookup,
-    type or format error, a failed cross-check ArithmeticError."""
+# The declared table of each artifact kind the report reads; other keys and
+# other kinds are ignored.
+_OPS = Obj({"step_total": Obj(dict.fromkeys(("mult", "add", "div"), Int()))})
+_FILTER = {"kf", "eokf"}
+REPORT_SCHEMAS = {
+    "sort-eval": Obj({"rows": List(Obj({"channel": Int(0), "model": set(MODEL_KINDS),
+                                        "params": Map(), "accuracy": Num(),
+                                        "footprint_bits": Int()})),
+                      "mean_accuracy": Num()}),
+    "op-bench": Obj({"rows": List(Obj({"kind": _FILTER, "n_neurons": Int(1),
+                                       "state_dim": Int(1), "ops": _OPS}))}),
+    "decode-ops": Obj({"filter": _FILTER, "ops": _OPS}, {"n_steps": Int(0)}),
+    "reconstruction": Obj({"metrics": Map(Num())}, {"filter": _FILTER}),
+    "sim-counters": Obj({"counters": Map(Int())}, {"config": Map()}),
+}
+
+
+def _report_sections(name: str, kind: str, obj: dict) -> dict:
+    """Report section -> (entries, CSV lines) of one artifact, checked against
+    its kind's table and each row's params against its model kind's, so that
+    an error names the file. A footprint that the rebuilt model does not give,
+    or op counts that a fresh instrumented run does not match, raise
+    ArithmeticError."""
+    check(obj, REPORT_SCHEMAS[kind], name)
     if kind == "sort-eval":
-        rows = obj["rows"]
-        for row in rows:
-            _check_footprint(name, row)
-        mean = _number(obj["mean_accuracy"])
+        rows, mean = obj["rows"], obj["mean_accuracy"]
+        for i, row in enumerate(rows):
+            cls = MODEL_KINDS[row["model"]]
+            check(row["params"], cls.SCHEMA, f"{name}: rows[{i}].params")
+            want = cls.from_json(row["params"]).footprint_bits()
+            if row["footprint_bits"] != want:
+                raise ArithmeticError(
+                    f"{name}: channel {row['channel']} reports {row['footprint_bits']} "
+                    f"footprint bits; its {cls.kind} model has {want}")
         return {"accuracy_tables": (
                     [{"source": name, "mean_accuracy": mean, "rows": rows}],
                     [f"accuracy,{name},mean_accuracy,{mean!r}"]
-                    + [f"accuracy,{name},channel_{_checked_int(r['channel'], 'channel')},"
-                       f"{_number(r['accuracy'])!r}" for r in rows]),
+                    + [f"accuracy,{name},channel_{r['channel']},{r['accuracy']!r}"
+                       for r in rows]),
                 "footprints": (
                     [{"source": name, "channel": r["channel"], "model": r["model"],
                       "footprint_bits": r["footprint_bits"]} for r in rows], [])}
     if kind == "op-bench":
         rows = obj["rows"]
-        lines = [f"ops,{name},{r['kind']}_n{r['n_neurons']}_step_total,"
-                 f"{_step_total(r['ops'])}" for r in rows]
-        _crosscheck_opcounts(name, rows)
-        return {"op_tables": ([{"source": name, "rows": rows}], lines)}
+        for r in rows:
+            fresh = count_ops(r["kind"], r["n_neurons"], r["state_dim"])["step_total"]
+            if fresh != r["ops"]["step_total"]:
+                raise ArithmeticError(
+                    f"{name}: {r['kind']} n={r['n_neurons']} op counts "
+                    f"{r['ops']['step_total']} do not match instrumented {fresh}")
+        return {"op_tables": ([{"source": name, "rows": rows}],
+                              [f"ops,{name},{r['kind']}_n{r['n_neurons']}_step_total,"
+                               f"{_step_total(r['ops'])}" for r in rows])}
     if kind == "decode-ops":
         return {"op_tables": (
             [{"source": name, "filter": obj["filter"], "n_steps": obj.get("n_steps"),
@@ -480,14 +474,11 @@ def _report_sections(name: str, kind, obj: dict) -> dict:
         metrics = obj["metrics"]
         return {"reconstruction": (
             [{"source": name, "filter": obj.get("filter"), "metrics": metrics}],
-            [f"reconstruction,{name},{key},{val!r}" for key, val in metrics.items()
-             if isinstance(val, (int, float))])}
-    if kind == "sim-counters":
-        counters = obj["counters"]
-        return {"sim_counters": (
-            [{"source": name, "counters": counters, "config": obj.get("config")}],
-            [f"sim,{name},{key},{_checked_int(val, key)}" for key, val in counters.items()])}
-    return {}
+            [f"reconstruction,{name},{key},{val!r}" for key, val in metrics.items()])}
+    counters = obj["counters"]
+    return {"sim_counters": (
+        [{"source": name, "counters": counters, "config": obj.get("config")}],
+        [f"sim,{name},{key},{val}" for key, val in counters.items()])}
 
 
 def cmd_report(args) -> int:
@@ -507,20 +498,15 @@ def cmd_report(args) -> int:
         except PayloadError:
             continue
         kind = obj.get("kind")
-        try:
-            found = _report_sections(name, kind, obj)
-        except (PayloadError, AttributeError, KeyError, TypeError, ValueError,
-                OverflowError) as exc:
-            raise PayloadError(f"{name}: malformed {kind} artifact: {exc!r}") from exc
-        for section, (entries, lines) in found.items():
+        if type(kind) is not str or kind not in REPORT_SCHEMAS:
+            continue
+        for section, (entries, lines) in _report_sections(name, kind, obj).items():
             sections[section][0].extend(entries)
             sections[section][1].extend(lines)
-        if found:
-            inputs[name] = kind
+        inputs[name] = kind
     if not inputs:
         raise FileNotFoundError(
-            f"{args.dir}: no report-able artifacts (sort-eval, op-bench, "
-            "decode-ops, reconstruction, sim-counters)")
+            f"{args.dir}: no report-able artifacts ({', '.join(REPORT_SCHEMAS)})")
     report = {"kind": "report", **{s: entries for s, (entries, _) in sections.items()},
               "provenance": {"inputs": inputs, "config_hash": config_hash(inputs),
                              "tool": f"nsp {__version__}"}}

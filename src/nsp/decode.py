@@ -45,7 +45,8 @@ from scipy import stats
 
 from ._util import atomic_write_text
 from .opcount import OpCounts, inv_small, ldl_solve, mat_add, mat_mul, mat_sub
-from .synthdata import PayloadError, _checked_int, load_document, read_text
+from .synthdata import (Array, Int, List, Map, Obj, PayloadError, check,
+                        load_document, read_text)
 
 RIDGE_EPS = 1e-6
 DEFAULT_STATE_DIM = 2
@@ -133,20 +134,21 @@ class Selection:
     its column for the per-event paths, ``columns`` looks up whole id arrays
     for the batched ones, and ``channels`` holds the channels with a unit.
     Pairs must be distinct, at most MAX_UNITS_PER_CHANNEL per channel, with
-    both ids in 0..2**PAIR_ID_BITS-1, so one int64 numbers each pair.
+    both ids in 0..2**PAIR_ID_BITS-1, so one int64 numbers each pair; a
+    selection that breaks a rule is a malformed model, a PayloadError.
     """
 
     def __init__(self, selected):
         self.pairs = tuple((int(c), int(u)) for c, u in selected)
         self.column = {pair: j for j, pair in enumerate(self.pairs)}
         if len(self.column) < len(self.pairs):
-            raise ValueError("a selected (channel, unit) pair is repeated")
+            raise PayloadError("a selected (channel, unit) pair is repeated")
         for c, u in self.pairs:
             if (c | u) >> PAIR_ID_BITS:         # nonzero for a negative id too
-                raise ValueError(f"selected id outside 0..2**{PAIR_ID_BITS}-1: ({c}, {u})")
+                raise PayloadError(f"selected id outside 0..2**{PAIR_ID_BITS}-1: ({c}, {u})")
         per_channel = Counter(c for c, _ in self.pairs)
         if max(per_channel.values(), default=0) > MAX_UNITS_PER_CHANNEL:
-            raise ValueError(f"more than {MAX_UNITS_PER_CHANNEL} units on one channel")
+            raise PayloadError(f"more than {MAX_UNITS_PER_CHANNEL} units on one channel")
         self.channels = frozenset(per_channel)
         # sorted pair numbers, closed by a sentinel that no pair number reaches
         number = np.array([c << PAIR_ID_BITS | u for c, u in self.pairs], dtype=np.int64)
@@ -568,6 +570,10 @@ def bin_spikes(events, n_bins: int, bin_len: int, selected) -> np.ndarray:
 class FixedPointFormat:
     """Signed fixed-point layout: value = integer * 2**(-frac_bits)."""
 
+    # the declared document table: the implant accumulator that adds these
+    # words is 32-bit, and 2.0 ** frac_bits overflows a float past 1023
+    SCHEMA = Obj({"bits": Int(2, 32), "frac_bits": Int(-1023, 1023)})
+
     bits: int = 16
     frac_bits: int = 0
 
@@ -606,10 +612,9 @@ class FixedPointFormat:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FixedPointFormat":
-        # the implant accumulator that adds these words is 32-bit, and
-        # 2.0 ** frac_bits overflows a float past 1023
-        return cls(bits=_checked_int(obj["bits"], "bits", 2, 32),
-                   frac_bits=_checked_int(obj["frac_bits"], "frac_bits", -1023, 1023))
+        """The format of a document checked against ``SCHEMA``."""
+        check(obj, cls.SCHEMA, "fixed-point format")
+        return cls(bits=obj["bits"], frac_bits=obj["frac_bits"])
 
 
 class ImplantAccumulator:
@@ -880,54 +885,37 @@ class DecoderBundle:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecoderBundle":
-        try:
-            trans = StateTransitionModel(A=np.array(obj["A"]), W=np.array(obj["W"]))
-            if obj["kind"] == "kf":
-                obs = StandardObservationModel(H=np.array(obj["H"]), Q=np.array(obj["Q"]))
-            elif obj["kind"] == "eokf":
-                pairs = [(_checked_int(c, "selected channel", 0),
-                          _checked_int(u, "selected unit", 0)) for c, u in obj["selected"]]
-                obs = EnsembleModel(E=np.array(obj["E"]), Qe=np.array(obj["Qe"]),
-                                    selected=pairs)
-            else:
-                raise ValueError(f"unknown decoder kind {obj['kind']!r}")
-            fixed = None
-            if obj.get("fixed_point") is not None:
-                fixed = FixedPointFormat.from_json(obj["fixed_point"])
-            bundle = cls(transition=trans, observation=obs,
-                         x0=np.array(obj["x0"]), P0=np.array(obj["P0"]),
-                         bin_ms=_checked_int(obj.get("bin_ms", 100), "bin_ms", 1),
-                         fixed=fixed, meta=dict(obj.get("meta", {})))
-            bundle._check_shapes(obj.get("state_dim"))
-            return bundle
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PayloadError(f"bad decoder model: {exc}") from exc
+        """The bundle of a document checked against its kind's table in
+        ``DECODER_SCHEMAS``, whose every matrix is non-empty."""
+        where = "bad decoder model"
+        check(obj, Obj({"kind": set(DECODER_SCHEMAS)}), where)
+        sizes = check(obj, DECODER_SCHEMAS[obj["kind"]], where)
+        if 0 in sizes.values():
+            raise PayloadError(f"{where}: every matrix must be non-empty, got sizes {sizes}")
+        obs = (StandardObservationModel(H=obj["H"], Q=obj["Q"]) if obj["kind"] == "kf" else
+               EnsembleModel(E=obj["E"], Qe=obj["Qe"], selected=obj["selected"]))
+        fixed = obj.get("fixed_point")
+        return cls(transition=StateTransitionModel(A=obj["A"], W=obj["W"]),
+                   observation=obs, x0=obj["x0"], P0=obj["P0"],
+                   bin_ms=obj.get("bin_ms", 100),
+                   fixed=None if fixed is None else FixedPointFormat.from_json(fixed),
+                   meta=dict(obj.get("meta", {})))
 
-    def _check_shapes(self, state_dim: int | None) -> None:
-        """ValueError unless every matrix fits one state size d: A, W, P0 and
-        (eokf) Qe are d x d, x0 is (d,), a kf H is (n, d) with an n x n Q, an
-        eokf E has d rows, and *state_dim*, when given, is d; and unless every
-        entry is finite (JSON readers take NaN and Infinity literals)."""
-        A, obs = self.transition.A, self.observation
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-            raise ValueError(f"A has shape {A.shape}, expected a square matrix")
-        d = A.shape[0]
-        if state_dim is not None and _checked_int(state_dim, "state_dim") != d:
-            raise ValueError(f"state_dim is {state_dim} but A is {d} x {d}")
-        expected = {"A": (A, (d, d)), "W": (self.transition.W, (d, d)),
-                    "x0": (self.x0, (d,)), "P0": (self.P0, (d, d))}
-        if self.kind == "kf":
-            if obs.H.ndim != 2:
-                raise ValueError(f"H has shape {obs.H.shape}, expected (n, {d})")
-            n = obs.H.shape[0]
-            expected.update(H=(obs.H, (n, d)), Q=(obs.Q, (n, n)))
-        else:
-            expected.update(E=(obs.E, (d, len(obs.selected))), Qe=(obs.Qe, (d, d)))
-        for name, (a, shape) in expected.items():
-            if a.shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} has a non-finite entry")
+
+# The declared decoder table of each kind: "states" is the state size d, "neurons"
+# a kf's observed units, "pairs" an eokf's selected (channel, unit) pairs.
+_SQUARE = Array("states", "states")
+_DECODER_FIELDS = {"A": _SQUARE, "W": _SQUARE, "x0": Array("states"), "P0": _SQUARE}
+_DECODER_OPTIONAL = {"state_dim": Int("states", "states"), "bin_ms": Int(1), "meta": Map(),
+                     "fixed_point": FixedPointFormat.SCHEMA}
+DECODER_SCHEMAS = {
+    "kf": Obj({"kind": {"kf"}, **_DECODER_FIELDS, "H": Array("neurons", "states"),
+               "Q": Array("neurons", "neurons")}, _DECODER_OPTIONAL),
+    "eokf": Obj({"kind": {"eokf"}, **_DECODER_FIELDS, "E": Array("states", "pairs"),
+                 "Qe": _SQUARE,
+                 "selected": List(List(Int(0, 2 ** PAIR_ID_BITS - 1), 2), "pairs")},
+                _DECODER_OPTIONAL),
+}
 
 
 def store_decoder(bundle: DecoderBundle, path: str) -> None:
@@ -935,6 +923,7 @@ def store_decoder(bundle: DecoderBundle, path: str) -> None:
 
 
 def load_decoder(path: str) -> DecoderBundle:
+    """A decoder file, checked against its kind's table by ``from_json``."""
     return DecoderBundle.from_json(load_document(path))
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .synthdata import (WINDOW_LEN, PayloadError, load_channel_records, load_records,
+from .synthdata import (WINDOW_LEN, Int, List, PayloadError, load_channel_records, load_records,
                         store_records)
 
 MAD_SCALE = 1.4826  # MAD -> sigma for Gaussian noise
@@ -261,9 +261,14 @@ def store_tokens(tokens: Tokens, path: str) -> None:
                        tokens.f1.tolist(), tokens.f2.tolist())), path)
 
 
+TOKEN_FIELDS = dict.fromkeys(("t", "ch", "f1", "f2"), Int())
+WINDOW_FIELDS = {"t": Int(), "ch": Int(), "s": List(Int(-128, 127), "samples")}
+
+
 def load_tokens(path: str) -> Tokens:
-    """Read a token stream; a feature outside int8 raises ``PayloadError``."""
-    rows = load_channel_records(path, "token", {"t": int, "ch": int, "f1": int, "f2": int})
+    """Read a token stream, each record checked against ``TOKEN_FIELDS``; a
+    feature outside int8 raises ``PayloadError``."""
+    rows = load_channel_records(path, "token", TOKEN_FIELDS)
     feats = rows[:, 2:]
     if feats.size and not -128 <= feats.min() <= feats.max() <= 127:
         raise PayloadError(f"{path}: token features span {feats.min()}..{feats.max()}, "
@@ -284,25 +289,15 @@ def store_windows(tokens: Tokens, windows: np.ndarray, path: str) -> None:
                    zip(tokens.t.tolist(), tokens.channel.tolist(), windows.tolist())), path)
 
 
-def _window_record(t: int, ch: int, samples: list) -> tuple:
-    if len(samples) != WINDOW_LEN:
-        raise ValueError(f"window must hold exactly {WINDOW_LEN} samples")
-    if not all(-128 <= x <= 127 for x in samples):
-        raise ValueError("window samples must be int8")
-    if ch < 0:
-        raise ValueError(f"negative channel {ch}")
-    return t, ch, samples
-
-
 def load_windows(path: str) -> tuple:
     """Read a windows file back as the (windows, tokens) pair it was stored from.
 
     The inverse of :func:`store_windows`: row i of the (n, 32) int8 array is
     the window of token i, whose ``f1``/``f2`` are that window's
-    :func:`window_features`. Rows keep the file's order.
+    :func:`window_features`. Rows keep the file's order, and each record is
+    checked against ``WINDOW_FIELDS``: ``s`` holds WINDOW_LEN int8 samples.
     """
-    rows = load_records(path, "window", {"t": int, "ch": int, "s": list},
-                        _window_record)
+    rows = load_records(path, "window", WINDOW_FIELDS)
     windows = np.array([s for _, _, s in rows], dtype=np.int8).reshape(-1, WINDOW_LEN)
     t, channel = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2).T
     return windows, Tokens(t, channel, *window_features(windows))

@@ -19,9 +19,9 @@ templates in L1 distance, costing 3 add/sub per template and n-1 comparisons.
 
 Every sorter model kind (this module's tree and L1 models and the online
 model of ``sort_online``) carries a ``kind`` name, ``classify(f1, f2)``,
-``classify_many(f1, f2)`` over int arrays, ``footprint_bits()`` and a
-``to_json``/``from_json`` pair. ``classify_by_channel`` labels a stream of
-tokens with one ``classify_many`` call per channel. ``MODEL_KINDS``
+``classify_many(f1, f2)`` over int arrays, ``footprint_bits()``, a declared
+document table ``SCHEMA`` and a ``to_json``/``from_json`` pair.
+``classify_by_channel`` labels tokens with one ``classify_many`` per channel. ``MODEL_KINDS``
 maps each kind name to its class. ``store_models``/``load_models`` read and
 write per-channel model sets of any one kind through it, and ``nsp report``
 rebuilds each ``eval-sort`` row's model through it to check its footprint.
@@ -41,7 +41,7 @@ from ._util import atomic_write_text
 from .detect import channel_groups
 from .patterns import N_LEAVES, N_SPLITS, SegmentationPattern, enumerate_patterns, pattern_by_id
 from .sort_online import OUTLIER, OnlineSorterModel, _valley_runs
-from .synthdata import PayloadError, _checked_int, load_document
+from .synthdata import Int, List, Map, Num, Obj, PayloadError, check, load_document
 
 GRID_STEP = 8          # LSB pitch of the uniform boundary-candidate grid
 KDE_BANDWIDTH = 5.0    # LSB
@@ -64,6 +64,11 @@ class ChannelSorterModel:
     """Trained tree sorter for one channel."""
 
     kind = "tree"
+    # the declared document table; older sets name peak-trough, the one feature rule
+    SCHEMA = Obj({"kind": {kind}, "pattern_id": Int(0, len(enumerate_patterns()) - 1),
+                  "boundaries": List(Int(-128, 127), N_SPLITS),
+                  "valid_mask": Int(0, 2 ** N_LEAVES - 1)},
+                 {"train_accuracy": Num(), "feature_spec": Obj({"mode": {"peak-trough"}})})
 
     pattern_id: int
     boundaries: tuple          # (B0, B1, B2) int8 values, one per comparison slot
@@ -101,22 +106,10 @@ class ChannelSorterModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChannelSorterModel":
-        if obj.get("kind") != cls.kind:
-            raise PayloadError(f"not a tree sorter model: kind={obj.get('kind')!r}")
-        # older sets name their feature rule; peak-trough is the only one sorted
-        spec = obj.get("feature_spec", {"mode": "peak-trough"})
-        if not isinstance(spec, dict) or spec.get("mode") != "peak-trough":
-            raise PayloadError(f"tree model trained on features {spec!r}; "
-                               "only peak-trough features are sorted")
-        boundaries = obj["boundaries"]
-        if not isinstance(boundaries, list) or len(boundaries) != N_SPLITS:
-            raise PayloadError(f"a tree model has {N_SPLITS} boundaries, got {boundaries!r}")
-        return cls(pattern_id=_checked_int(obj["pattern_id"], "pattern_id", 0,
-                                           len(enumerate_patterns()) - 1),
-                   boundaries=tuple(_checked_int(b, "boundary", -128, 127)
-                                    for b in boundaries),
-                   valid_mask=_checked_int(obj["valid_mask"], "valid_mask", 0,
-                                           2 ** N_LEAVES - 1),
+        """The model of a document checked against ``SCHEMA``."""
+        check(obj, cls.SCHEMA, "tree model")
+        return cls(pattern_id=obj["pattern_id"], boundaries=tuple(obj["boundaries"]),
+                   valid_mask=obj["valid_mask"],
                    train_accuracy=float(obj.get("train_accuracy", 0.0)))
 
 
@@ -125,13 +118,15 @@ class L1TemplateModel:
     """Baseline: up to four stored (f1, f2) templates, nearest-in-L1 wins."""
 
     kind = "l1"
+    SCHEMA = Obj({"kind": {kind}, "templates": List(List(Int(-128, 127), 2), "labels"),
+                  "labels": List(Int(), "labels")})
 
     templates: tuple           # ((t1, t2), ...) int8 pairs
     labels: tuple              # unit id emitted per template
 
     def __post_init__(self):
         if not (1 <= len(self.templates) <= N_LEAVES):
-            raise ValueError("L1 model holds 1..4 templates")
+            raise PayloadError(f"L1 model holds 1..4 templates, got {len(self.templates)}")
 
     def classify(self, f1: int, f2: int) -> int:
         return l1_classify(self, f1, f2)
@@ -155,15 +150,9 @@ class L1TemplateModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "L1TemplateModel":
-        if obj.get("kind") != cls.kind:
-            raise PayloadError(f"not an L1 sorter model: kind={obj.get('kind')!r}")
-        templates, labels = obj["templates"], obj["labels"]
-        if not isinstance(labels, list) or len(labels) != len(templates):
-            raise PayloadError(f"an L1 model has one label per template, got {labels!r}")
-        return cls(templates=tuple((_checked_int(a, "template f1", -128, 127),
-                                    _checked_int(b, "template f2", -128, 127))
-                                   for a, b in templates),
-                   labels=tuple(_checked_int(l, "label") for l in labels))
+        """The model of a document checked against ``SCHEMA``."""
+        check(obj, cls.SCHEMA, "l1 model")
+        return cls(templates=tuple(map(tuple, obj["templates"])), labels=tuple(obj["labels"]))
 
 
 def model_footprint(model) -> int:
@@ -484,6 +473,7 @@ def classify_by_channel(classifiers: dict, channel, f1, f2) -> np.ndarray:
 
 MODEL_KINDS = {cls.kind: cls for cls in
                (ChannelSorterModel, L1TemplateModel, OnlineSorterModel)}
+SET_KINDS = {f"{kind}-set": cls for kind, cls in MODEL_KINDS.items()}
 
 
 def store_models(models: dict, path: str) -> None:
@@ -498,18 +488,14 @@ def store_models(models: dict, path: str) -> None:
 
 
 def load_models(path: str) -> dict:
-    """Read a set written by store_models; malformed files raise PayloadError."""
+    """Read a set written by store_models, checked against its kind's table:
+    every channel key a canonical decimal integer, not negative, and every
+    model its kind's ``SCHEMA``. Malformed files raise PayloadError."""
     obj = load_document(path)
-    if not isinstance(obj.get("channels"), dict):
-        raise PayloadError(f"{path}: not a sorter model set")
-    cls = next((c for c in MODEL_KINDS.values() if obj.get("kind") == f"{c.kind}-set"),
-               None)
-    if cls is None:
-        raise PayloadError(f"{path}: unknown sorter model set kind {obj.get('kind')!r}")
-    try:
-        models = {int(ch): cls.from_json(m) for ch, m in obj["channels"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise PayloadError(f"{path}: malformed {cls.kind} model: {exc!r}") from exc
+    check(obj, Obj({"kind": set(SET_KINDS)}), path)
+    cls = SET_KINDS[obj["kind"]]
+    check(obj, Obj({"channels": Map(cls.SCHEMA, int_keys=True)}), path)
+    models = {int(ch): cls.from_json(m) for ch, m in obj["channels"].items()}
     if any(ch < 0 for ch in models):
         raise PayloadError(f"{path}: negative channel in {sorted(models)}")
     return models

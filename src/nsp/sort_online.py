@@ -24,7 +24,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .detect import Tokens, channel_groups
-from .synthdata import PayloadError, _checked_int
+from .synthdata import Int, List, Obj, PayloadError, check
 
 BIN_WIDTH = 2            # LSB per histogram bin
 N_BINS = 256 // BIN_WIDTH  # bins over the int8 range; values beyond it clamp
@@ -124,15 +124,28 @@ class OnlineSorterModel:
     """Frozen per-channel model: boundaries plus the CAM snapshot.
 
     Construction derives the partition -> cluster table that ``classify``
-    reads; the table is not serialized.
+    reads; the table is not serialized. Cuts that do not ascend strictly, or
+    a CAM that lists a cell twice, raise PayloadError (a ValueError).
     """
 
     kind = "online"
+    SCHEMA = Obj({
+        "kind": {kind},
+        "boundaries": List((List(Int(-128, 127), "f1 cuts", MAX_BOUNDARIES),
+                            List(Int(-128, 127), "f2 cuts", MAX_BOUNDARIES))),
+        "cam": List(Obj({"i": Int(0, "f1 cuts"), "j": Int(0, "f2 cuts"),
+                         "status": Int(STATUS_OUTLIER, STATUS_STRONG)}))})
 
     boundaries: tuple            # ([f1 cuts], [f2 cuts])
     cam_snapshot: list           # [(i, j, status)] for occupied entries
 
     def __post_init__(self):
+        for axis, cuts in enumerate(self.boundaries):
+            if any(a >= b for a, b in zip(cuts, cuts[1:])):
+                raise PayloadError(f"online model: boundaries[{axis}] must be strictly "
+                                   f"ascending, got {cuts}")
+        if len({(i, j) for i, j, _ in self.cam_snapshot}) != len(self.cam_snapshot):
+            raise PayloadError("online model: CAM lists a partition more than once")
         valid = self.valid()
         self._table = [[_nearest_valid((i, j), valid)
                         for j in range(len(self.boundaries[1]) + 1)]
@@ -175,35 +188,10 @@ class OnlineSorterModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OnlineSorterModel":
-        if obj.get("kind") != cls.kind:
-            raise PayloadError(f"not an online sorter model: kind={obj.get('kind')!r}")
-        cuts = obj["boundaries"]
-        if not isinstance(cuts, list) or len(cuts) != 2:
-            raise PayloadError("boundaries must be a pair of cut lists")
-        for axis, axis_cuts in enumerate(cuts):
-            _check_cuts(axis, axis_cuts)
-        cam = [(e["i"], e["j"], e["status"]) for e in obj["cam"]]
-        for i, j, status in cam:
-            _checked_int(i, "CAM entry row i", 0, len(cuts[0]))
-            _checked_int(j, "CAM entry column j", 0, len(cuts[1]))
-            _checked_int(status, f"CAM entry ({i}, {j}) status", STATUS_OUTLIER,
-                         STATUS_STRONG)
-        if len({(i, j) for i, j, _ in cam}) != len(cam):
-            raise PayloadError("CAM lists a partition more than once")
-        return cls(boundaries=(list(cuts[0]), list(cuts[1])), cam_snapshot=cam)
-
-
-def _check_cuts(axis: int, cuts) -> None:
-    """Reject a cut list that classify could not use, at load."""
-    where = f"boundaries of feature {axis + 1}"
-    if not isinstance(cuts, list):
-        raise PayloadError(f"{where}: expected a list, got {cuts!r}")
-    if len(cuts) > MAX_BOUNDARIES:
-        raise PayloadError(f"{where}: {len(cuts)} cuts, at most {MAX_BOUNDARIES} allowed")
-    for c in cuts:
-        _checked_int(c, f"{where}: cut", -128, 127)
-    if any(a >= b for a, b in zip(cuts, cuts[1:])):
-        raise PayloadError(f"{where}: cuts must be strictly ascending, got {cuts!r}")
+        """The model of a document checked against ``SCHEMA``."""
+        check(obj, cls.SCHEMA, "online model")
+        return cls(boundaries=tuple(map(list, obj["boundaries"])),
+                   cam_snapshot=[(e["i"], e["j"], e["status"]) for e in obj["cam"]])
 
 
 def fit_online(f1, f2) -> OnlineSorterModel:

@@ -8,12 +8,13 @@ Two generator families:
 * center-out reach sessions: binned 2-D hand velocities with cosine-tuned
   Poisson unit counts, used to train and evaluate intention decoders.
 
-The module also owns the on-disk formats and their one codec. The binary
-trace and the CSV session have loaders of their own. Every JSONL stream
-(labels here; tokens, windows and sorted events elsewhere) goes through
-``store_records``/``load_records``: one compact JSON object per line, every
-field a 64-bit JSON integer or a list of them. Every JSON document (model
-sets, decoder bundles, the session sidecar) is read by ``load_document``.
+The module also owns the on-disk formats and their one checker. The binary
+trace and the CSV session have parsers of their own. Every JSON document
+(model sets, decoder bundles, the session sidecar, the report's inputs) and
+every record of a JSONL stream (``store_records``/``load_records``: labels
+here; tokens, windows and sorted events elsewhere) is checked by ``check``
+against its declared table of fields, with their JSON types, integer ranges,
+finiteness and shapes; loaders build objects only from checked values.
 Malformed files, undecodable bytes included, raise a ``DatasetFormatError``.
 """
 
@@ -21,8 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import reprlib
 import struct
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, asdict
+from functools import reduce
 
 import numpy as np
 
@@ -48,7 +54,7 @@ class VersionError(DatasetFormatError):
     """File declares a format version this code does not speak."""
 
 
-class PayloadError(DatasetFormatError):
+class PayloadError(DatasetFormatError, ValueError):
     """Header parsed fine but the payload is truncated or inconsistent."""
 
 
@@ -567,17 +573,71 @@ def trials_to_bins(session: ReachSession, trial_ids) -> np.ndarray:
 
 
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+_FLOAT_MAX = sys.float_info.max
+_DECIMAL = re.compile(r"-?[1-9][0-9]{0,17}|0")   # an int64 of at most 18 digits
+
+# The rule kinds of a declared document table, besides a set of strings, which
+# takes one of them. An Int bound or a List length may name a size, which binds
+# to the first length it measures.
+Int = namedtuple("Int", "lo hi", defaults=(_INT64_MIN, _INT64_MAX))   # not a bool
+Num = namedtuple("Num", "")                     # a finite number, not a bool
+# one rule per entry when *item* is a tuple of rules
+List = namedtuple("List", "item length max_len", defaults=(None, None))
+Obj = namedtuple("Obj", "required optional", defaults=({},))   # other keys ignored
+# any object; with *int_keys* every key is a canonical decimal integer
+Map = namedtuple("Map", "values int_keys", defaults=(None, False))
 
 
-def _is_int64(x) -> bool:
-    return type(x) is int and _INT64_MIN <= x <= _INT64_MAX
+def Array(*sizes) -> List:
+    """A finite number array of the given sizes."""
+    return reduce(List, reversed(sizes), Num())
 
 
-def _checked_int(value, name: str, lo=_INT64_MIN, hi=_INT64_MAX) -> int:
-    """*value* if it is an integer (not a bool) in lo..hi, else ValueError."""
-    if not (_is_int64(value) and lo <= value <= hi):
-        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
-    return value
+def check(v, rule, where: str, sizes: dict | None = None, field: str = "") -> dict:
+    """Check the parsed JSON *v* against its declared *rule* and return the
+    sizes bound; *sizes* pre-binds names. A mismatch raises
+    ``PayloadError("<where>: <field> ...")``, naming the field."""
+    sizes = {} if sizes is None else sizes
+    kind = type(rule)
+    if kind is Int:
+        lo, hi = (sizes[b] if type(b) is str else b for b in rule)
+        ok, want = type(v) is int and lo <= v <= hi, f"an integer in {lo}..{hi}"
+    elif kind is Num:
+        ok, want = type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX, "a finite number"
+    elif kind is set:
+        ok, want = type(v) is str and v in rule, f"one of {sorted(rule)}"
+    else:
+        ok = type(v) is (list if kind is List else dict)
+        want = "a list" if kind is List else "an object"
+    if not ok:
+        raise PayloadError(f"{where}: {field or 'top level'} must be {want}, "
+                           f"got {reprlib.repr(v)}")
+    if kind is List:
+        fixed = type(rule.item) is tuple
+        want, unit = (len(rule.item) if fixed else rule.length), "entries"
+        if type(want) is str:
+            want, unit = sizes.setdefault(want, len(v)), want
+        over = rule.max_len is not None and len(v) > rule.max_len
+        if over or want is not None and len(v) != want:
+            limit = f"at most {rule.max_len} entries" if over else f"exactly {want} {unit}"
+            raise PayloadError(f"{where}: {field} must hold {limit}, got {len(v)}")
+        for i, (x, r) in enumerate(zip(v, rule.item if fixed else [rule.item] * len(v))):
+            check(x, r, where, sizes, f"{field}[{i}]")
+    elif kind is Obj:
+        for key, r in {**rule.required, **rule.optional}.items():
+            at = f"{field}.{key}" if field else key
+            if key in v:
+                check(v[key], r, where, sizes, at)
+            elif key in rule.required:
+                raise PayloadError(f"{where}: {at} is missing")
+    elif kind is Map:
+        for key, x in v.items():
+            at = f"{field}.{key}" if field else key
+            if rule.int_keys and not _DECIMAL.fullmatch(key):
+                raise PayloadError(f"{where}: {field} key {key!r} is not a canonical integer")
+            if rule.values is not None:
+                check(x, rule.values, where, dict(sizes), at)
+    return sizes
 
 
 def read_text(path: str) -> str:
@@ -592,9 +652,10 @@ def read_text(path: str) -> str:
 
 def load_document(path: str) -> dict:
     """A JSON document whose top level is an object."""
+    text = read_text(path)
     try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text)
+    except ValueError as exc:   # a JSONDecodeError, or an integer of too many digits
         raise PayloadError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise PayloadError(f"{path}: top level is not a JSON object")
@@ -607,46 +668,34 @@ def store_records(rows, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_records(path: str, what: str, fields: dict, make=lambda *values: values) -> list:
-    """``make(*values)`` for every non-blank line of a JSONL stream, in order.
+def load_records(path: str, what: str, fields: dict) -> list:
+    """The *fields* of every non-blank line of a JSONL stream, one tuple per
+    line in file order.
 
-    *fields* maps each field name to ``int`` or ``list`` (a list of integers);
-    integers must be JSON integers that fit in 64 bits. A missing or mistyped
-    field, or an error from *make*, raises ``PayloadError("path:line: bad
-    <what> record: ...")``.
+    Each line is an object checked against the declared table *fields*
+    (field name -> rule; other keys are ignored; the size ``samples`` is
+    WINDOW_LEN), whose channel ``ch`` must not be negative. A bad line
+    raises ``PayloadError("path:line: bad <what> record: ...")``.
     """
-    out = []
+    rule, out = Obj(fields), []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}: bad {what} record"
         try:
             obj = json.loads(line)
-            values = [obj[name] for name in fields]
-            for (name, kind), value in zip(fields.items(), values):
-                if kind is list:
-                    ok = type(value) is list and all(map(_is_int64, value))
-                else:
-                    ok = _is_int64(value)
-                if not ok:
-                    raise TypeError(f"field {name!r} must be an integer"
-                                    f"{' list' if kind is list else ''}, got {value!r}")
-            out.append(make(*values))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise PayloadError(f"{path}:{lineno}: bad {what} record: {exc}") from exc
+        except ValueError as exc:
+            raise PayloadError(f"{where}: {exc}") from exc
+        check(obj, rule, where, {"samples": WINDOW_LEN})
+        if obj["ch"] < 0:
+            raise PayloadError(f"{where}: negative channel {obj['ch']}")
+        out.append(tuple(obj[name] for name in fields))
     return out
 
 
 def load_channel_records(path: str, what: str, fields: dict) -> np.ndarray:
-    """The integer *fields* of a JSONL stream as an (n, len(fields)) int64 array.
-
-    Read by :func:`load_records`; a negative ``ch`` field raises
-    ``PayloadError`` as well.
-    """
-    rows = np.array(load_records(path, what, fields), dtype=np.int64).reshape(-1, len(fields))
-    channel = rows[:, list(fields).index("ch")]
-    if (channel < 0).any():
-        raise PayloadError(f"{path}: negative channel {channel.min()} in a {what} record")
-    return rows
+    """The integer *fields* of :func:`load_records` as an (n, len(fields)) int64 array."""
+    return np.array(load_records(path, what, fields), dtype=np.int64).reshape(-1, len(fields))
 
 
 def store_trace(trace: RawTrace, path: str) -> None:
@@ -682,8 +731,19 @@ def store_labels(labels: GroundTruthLabels, path: str) -> None:
 
 
 def load_labels(path: str) -> GroundTruthLabels:
+    """A labels stream, each record checked against its declared fields."""
     return GroundTruthLabels(load_channel_records(path, "label",
-                                                  {"t": int, "ch": int, "nid": int}))
+                                                  dict.fromkeys(("t", "ch", "nid"), Int())))
+
+
+# the session CSV's sidecar; "units" is the CSV's unit columns, "bins" its rows
+SESSION_SIDECAR = Obj(
+    {"bin_ms": Int(1), "unit_channels": List(Int(0), "units")},
+    {"trials": List(Obj({"target_rad": Num(), "start_bin": Int(0, "bins"),
+                         "end_bin": Int(0, "bins")})),
+     "tuning": List(Obj(dict.fromkeys(("baseline_hz", "gain_hz_per_mm_s", "preferred_rad"),
+                                      Num()))),
+     "meta": Map()})
 
 
 def store_session(session: ReachSession, path: str) -> None:
@@ -697,8 +757,7 @@ def store_session(session: ReachSession, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
     sidecar = {
         "bin_ms": session.bin_ms,
-        "trials": [{"target_rad": tr.target_rad, "start_bin": tr.start_bin,
-                    "end_bin": tr.end_bin} for tr in session.trials],
+        "trials": [asdict(tr) for tr in session.trials],
         "tuning": [asdict(tc) for tc in session.tuning],
         "unit_channels": list(session.unit_channels),
         "meta": session.meta,
@@ -707,6 +766,7 @@ def store_session(session: ReachSession, path: str) -> None:
 
 
 def load_session(path: str) -> ReachSession:
+    """The session CSV and its sidecar, checked against ``SESSION_SIDECAR``."""
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("bin,vx,vy,"):
         raise HeaderError(f"{path}: missing 'bin,vx,vy,...' header row")
@@ -732,28 +792,21 @@ def load_session(path: str) -> ReachSession:
         sidecar = load_document(path + ".json")
     except FileNotFoundError:
         raise PayloadError(f"{path}: sidecar {path}.json is missing")
-    try:
-        trials = [TrialInfo(tr["target_rad"], tr["start_bin"], tr["end_bin"])
-                  for tr in sidecar.get("trials", [])]
-        for i, tr in enumerate(trials):
-            if not (_is_int64(tr.start_bin) and _is_int64(tr.end_bin)
-                    and 0 <= tr.start_bin < tr.end_bin <= len(vel)):
-                raise ValueError(f"trial {i} spans bins [{tr.start_bin!r}, "
-                                 f"{tr.end_bin!r}), not integers with "
-                                 f"0 <= start < end <= {len(vel)}")
-        unit_channels = sidecar.get("unit_channels", [])
-        if not (type(unit_channels) is list and len(unit_channels) == n_units
-                and all(_is_int64(ch) and ch >= 0 for ch in unit_channels)):
-            raise ValueError("unit_channels must hold one non-negative integer "
-                             f"channel for each of the {n_units} unit columns")
-        return ReachSession(
-            velocity=np.array(vel, dtype=np.float64).reshape(-1, 2),
-            counts=np.array(counts, dtype=np.int64).reshape(-1, n_units),
-            bin_ms=_checked_int(sidecar["bin_ms"], "bin_ms", 1),
-            trials=trials,
-            tuning=[TuningCurve(**tc) for tc in sidecar.get("tuning", [])],
-            unit_channels=unit_channels,
-            meta=dict(sidecar.get("meta", {})),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise PayloadError(f"{path}.json: malformed session sidecar: {exc!r}") from exc
+    where = f"{path}.json: malformed session sidecar"
+    check(sidecar, SESSION_SIDECAR, where, {"units": n_units, "bins": len(vel)})
+    trials = [TrialInfo(tr["target_rad"], tr["start_bin"], tr["end_bin"])
+              for tr in sidecar.get("trials", [])]
+    for i, tr in enumerate(trials):
+        if tr.start_bin >= tr.end_bin:
+            raise PayloadError(f"{where}: trial {i} spans bins [{tr.start_bin}, "
+                               f"{tr.end_bin}), not start < end")
+    return ReachSession(
+        velocity=np.array(vel, dtype=np.float64).reshape(-1, 2),
+        counts=np.array(counts, dtype=np.int64).reshape(-1, n_units),
+        bin_ms=sidecar["bin_ms"],
+        trials=trials,
+        tuning=[TuningCurve(tc["baseline_hz"], tc["gain_hz_per_mm_s"], tc["preferred_rad"])
+                for tc in sidecar.get("tuning", [])],
+        unit_channels=sidecar["unit_channels"],
+        meta=dict(sidecar.get("meta", {})),
+    )

@@ -2,21 +2,22 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
-                     EXIT_USAGE, main)
+                     EXIT_USAGE, _load_sorted_events, main)
 from nsp.decode import (FilterState, StepOps, ensemble_ez, eokf_step, kf_step,
-                        load_decoded, load_decoder, run_filter, selection_columns,
-                        store_decoded, within_channel_ranks)
+                        load_decoded, load_decoder, run_eokf_split, run_filter,
+                        selection_columns, store_decoded, within_channel_ranks)
 from nsp.sim import parse_sim_config, reference_ez, run_simulation
 from nsp.sort_offline import (MODEL_KINDS, TREE_MODEL_BITS, L1TemplateModel,
                               load_models, store_models)
 from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
-                           load_session, load_trace, store_records, store_trace,
-                           trials_to_bins)
+                           load_session, load_trace, store_labels, store_records,
+                           store_trace, tier_config, trials_to_bins)
 
 
 def run(*argv) -> int:
@@ -327,6 +328,35 @@ def test_events_decode_accepts_the_sorted_stream(pipeline, tmp_path):
                "--out", tmp_path / "ev.csv") == EXIT_OK
     states = load_decoded(str(tmp_path / "ev.csv"))
     assert states.shape[1] == 2 and np.isfinite(states).all()
+
+
+def test_events_decode_bins_at_the_recorded_sample_rate(pipeline, tmp_path):
+    """detect records a 20 kHz trace's rate, sort carries it to the sorted
+    stream's sidecar, and decode --events bins at it: 2000-sample bins, as
+    run_eokf_split gives them. The same stream without a sidecar bins at the
+    30 kHz default."""
+    m = tmp_path
+    trace, labels = gen_spike_trace(replace(tier_config("easy", 2, 6.0), sample_rate=20000),
+                                    seed=42)
+    store_trace(trace, str(m / "trace.bin"))
+    store_labels(labels, str(m / "labels.jsonl"))
+    assert run("detect", "--trace", m / "trace.bin", "--out", m / "tokens.jsonl") == EXIT_OK
+    assert run("train-sorter", "--mode", "offline", "--tokens", m / "tokens.jsonl",
+               "--labels", m / "labels.jsonl", "--out", m / "sorters.json") == EXIT_OK
+    assert run("sort", "--tokens", m / "tokens.jsonl", "--models", m / "sorters.json",
+               "--out", m / "sorted.jsonl") == EXIT_OK
+    assert json.loads((m / "sorted.jsonl.meta.json").read_text())["sample_rate"] == 20000
+    shutil.copy(m / "sorted.jsonl", m / "bare.jsonl")
+    bundle = load_decoder(str(pipeline / "decoder.json"))
+    events = _load_sorted_events(str(m / "sorted.jsonl"))
+    for name, rate, n_bins in (("sorted", 20000, 60), ("bare", 30000, 40)):
+        assert run("decode", "--model", pipeline / "decoder.json",
+                   "--events", m / f"{name}.jsonl", "--out", m / f"{name}.csv") == EXIT_OK
+        states, *_ = run_eokf_split(bundle.transition, bundle.observation, events, n_bins,
+                                    bundle.bin_ms * rate // 1000, fmt=bundle.fixed,
+                                    x0=bundle.x0, P0=bundle.P0)
+        store_decoded(str(m / "want.csv"), states)
+        assert (m / "want.csv").read_bytes() == (m / f"{name}.csv").read_bytes(), name
 
 
 def test_events_decode_checks_the_implant_32_bit_accumulator(pipeline, tmp_path, capfd):
@@ -663,6 +693,9 @@ def _online_set(cuts: str, cam: str) -> str:
             f'{{"kind": "online", "boundaries": {cuts}, "cam": {cam}}}}}}}')
 
 
+_TREE = '{"kind": "tree", "pattern_id": 2, "boundaries": [-5, 10, 100], "valid_mask": 7}'
+
+
 def _tree_set(pattern_id="2", boundaries="[-5, 10, 100]", valid_mask="7") -> str:
     return ('{"kind": "tree-set", "channels": {"0": {"kind": "tree", '
             f'"pattern_id": {pattern_id}, "boundaries": {boundaries}, '
@@ -714,6 +747,11 @@ def _l1_set(templates: str, labels: str) -> str:
         ('[[0], []]', '[{"i": 0, "j": 0, "status": 3}, '    # one cell twice
                       '{"i": 0, "j": 0, "status": 2}]'),
     ]),
+    _tree_set(valid_mask='7, "train_accuracy": "0.5"'),    # read as 0.5
+    _tree_set(valid_mask='7, "train_accuracy": true'),     # read as 1.0
+    # channel 3 under two spellings, the later replacing the earlier; " 4" read as 4
+    *('{"kind": "tree-set", "channels": {%s}}' % ", ".join(f'"{key}": {_TREE}' for key in keys)
+      for keys in (("3", "03"), (" 4",))),
 ])
 def test_malformed_model_set_is_a_typed_error(tmp_path, pipeline, capfd, text):
     bad = tmp_path / "sorters.json"
@@ -870,7 +908,12 @@ KF = {"kind": "kf", "H": [[0.1, 0.1]] * 30, "Q": np.eye(30).tolist()}  # 30 sess
                                   _nan_at("Qe"), _nan_at("P0"),
                                   {"A": [[np.inf, 0.0], [0.0, 1.0]]},
                                   {"fixed_point": {"bits": 16, "frac_bits": 1024}},
-                                  {"fixed_point": {"bits": 16, "frac_bits": -1024}}])
+                                  {"fixed_point": {"bits": 16, "frac_bits": -1024}},
+                                  # strings and booleans read as numbers
+                                  {"A": [["0.9", "0"], ["0", "0.9"]]},
+                                  {"x0": ["0", "0"]},
+                                  {"W": [[True, False], [False, True]]},
+                                  {"meta": [["seed", 9]]}])     # read as a dict
 def test_malformed_decoder_exits_4(tmp_path, pipeline, capfd, edit):
     """A callable edit value is applied to the stored decoder object."""
     obj = json.loads((pipeline / "decoder.json").read_text())

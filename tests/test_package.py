@@ -111,3 +111,20 @@ def test_only_the_calibration_pass_and_the_stream_detect():
                 if name in detecting:
                     callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == {"evaluation._calibrate", "cli.cmd_detect", "sim.build_schedule"}
+
+
+def test_only_synthdata_owns_the_json_type_rules():
+    """Every JSON document is checked by ``synthdata.check`` against its
+    declared table, so no other module reaches for a hand-rolled integer
+    check of its own."""
+    helpers, found = {"_checked_int", "_is_int64"}, []
+    for path in sorted((ROOT / "src" / "nsp").glob("*.py")):
+        if path.name == "synthdata.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in helpers:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

@@ -486,10 +486,13 @@ def test_corrupt_files_raise_schema_errors(tmp_path):
     lambda side, n_bins: side.update(unit_channels=[-1] + side["unit_channels"][1:]),
     lambda side, n_bins: side.update(unit_channels="0" * len(side["unit_channels"])),
     lambda side, n_bins: side.pop("unit_channels"),
+    lambda side, n_bins: side.update(meta=list(side["meta"].items())),
+    lambda side, n_bins: side["trials"][0].update(target_rad=None),
+    lambda side, n_bins: side["tuning"][0].update(baseline_hz="fast"),
 ], ids=["start-float", "start-bool", "start-str", "start-negative", "empty-trial",
         "end-before-start", "end-past-last-bin", "end-null", "channels-short",
         "channels-long", "channel-float", "channel-bool", "channel-negative", "channels-str",
-        "channels-missing"])
+        "channels-missing", "meta-pairs", "target-null", "baseline-str"])
 def test_session_sidecar_bounds_and_channels_are_checked(tmp_path, small_session, edit):
     p = tmp_path / "s.csv"
     store_session(small_session, str(p))
