@@ -281,6 +281,9 @@ def cmd_decode(args) -> int:
             if ids is None:
                 raise DatasetFormatError(
                     f"decoder has no recorded {key}; retrain or use --trials all")
+            if not ids or len(set(ids)) < len(ids) or max(ids) >= len(session.trials):
+                raise DatasetFormatError(f"decoder meta.{key} {ids} must name distinct "
+                                         f"trials of the session's {len(session.trials)}")
             bins = trials_to_bins(session, ids)
         counts = session.counts[bins]
         if bundle.kind == "kf":

@@ -45,7 +45,7 @@ from scipy import stats
 
 from ._util import atomic_write_text
 from .opcount import OpCounts, inv_small, ldl_solve, mat_add, mat_mul, mat_sub
-from .synthdata import (Array, Int, List, Map, Obj, PayloadError, check,
+from .synthdata import (Array, Int, List, Obj, PayloadError, check,
                         load_document, read_text)
 
 RIDGE_EPS = 1e-6
@@ -906,7 +906,8 @@ class DecoderBundle:
 # a kf's observed units, "pairs" an eokf's selected (channel, unit) pairs.
 _SQUARE = Array("states", "states")
 _DECODER_FIELDS = {"A": _SQUARE, "W": _SQUARE, "x0": Array("states"), "P0": _SQUARE}
-_DECODER_OPTIONAL = {"state_dim": Int("states", "states"), "bin_ms": Int(1), "meta": Map(),
+_DECODER_OPTIONAL = {"state_dim": Int("states", "states"), "bin_ms": Int(1),
+                     "meta": Obj({}, {"train_trials": List(Int(0)), "test_trials": List(Int(0))}),
                      "fixed_point": FixedPointFormat.SCHEMA}
 DECODER_SCHEMAS = {
     "kf": Obj({"kind": {"kf"}, **_DECODER_FIELDS, "H": Array("neurons", "states"),

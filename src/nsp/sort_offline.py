@@ -11,8 +11,12 @@ comparisons and one table lookup, and the whole model packs into 28 bits
 The sweep reads one rectangle table per channel: for every pair of
 candidate-interval bounds lo < hi on each axis, the largest one-label count
 in that rectangle (int32, built one label at a time). Every leaf of every
-pattern is such a rectangle, so a pattern scores all its (slot ordering,
-boundary combination) cells with four gathers and three adds.
+pattern is such a rectangle, and which entry a leaf reads depends only on the
+channel's candidate shape (mx, my). So a cache keyed by that shape holds, per
+leaf, one int32 index over every (pattern, slot ordering, boundary
+combination) cell, and keeps the most recently used shapes within
+``SWEEP_CACHE_BYTES``. A channel scores all its cells with four gathers and
+three adds, and one ``argmax`` picks its configuration.
 
 The baseline assigns a spike to the nearest of up to four stored feature
 templates in L1 distance, costing 3 add/sub per template and n-1 comparisons.
@@ -30,10 +34,12 @@ rebuilds each ``eval-sort`` row's model through it to check its footprint.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb
+from itertools import accumulate, chain, combinations
+from math import comb, prod
 
 import numpy as np
 
@@ -265,16 +271,16 @@ def _pair_index(lo, hi):
     return hi * (hi - 1) // 2 + lo
 
 
-def _rect_table(prefix: np.ndarray) -> np.ndarray:
+def _rect_table(prefix: np.ndarray, pairs: tuple) -> np.ndarray:
     """rect[pair(xlo, xhi), pair(ylo, yhi)]: the largest one-label count of
     the spikes with x interval in [xlo, xhi) and y interval in [ylo, yhi).
 
-    *prefix* is the (mx + 2, my + 2, L) label-count prefix table. The table
-    is int32 and built one label at a time, so its peak is a few copies of
-    one (pairs_x, pairs_y) plane, not a plane per label.
+    *prefix* is the (mx + 2, my + 2, L) label-count prefix table and *pairs*
+    its axes' (xhi, xlo, yhi, ylo) pair lists. The table is int32 and built
+    one label at a time, so its peak is a few copies of one
+    (pairs_x, pairs_y) plane, not a plane per label.
     """
-    xhi, xlo = np.tril_indices(prefix.shape[0], -1)
-    yhi, ylo = np.tril_indices(prefix.shape[1], -1)
+    xhi, xlo, yhi, ylo = pairs
     rect = np.zeros((xhi.size, yhi.size), dtype=np.int32)
     for label in range(prefix.shape[2]):
         plane = prefix[:, :, label].astype(np.int32)
@@ -285,31 +291,76 @@ def _rect_table(prefix: np.ndarray) -> np.ndarray:
     return rect
 
 
-@lru_cache(maxsize=512)
-def _axis_leaf_pairs(pattern_id: int, axis: int, m: int) -> tuple:
-    """One axis of a pattern's leaves over m candidates, in sweep order.
+def _interval_bounds(m: int, k: int) -> np.ndarray:
+    """bounds[:, i]: the interval-index bounds of the i-th ascending combination
+    of k of m candidates: 0 (the open low side), each cut's candidate index + 1
+    in ascending order, then m + 1 (the open high side)."""
+    n = comb(m, k)
+    cuts = np.fromiter(chain.from_iterable(combinations(range(m), k)), np.int64, n * k)
+    return np.vstack([np.zeros(n, np.int64), cuts.reshape(n, k).T + 1, np.full(n, m + 1)])
 
-    Returns (combos, pairs): combos is the (c, k) array of ascending
-    candidate-index combinations for the pattern's k cuts on *axis*, and
-    pairs[leaf] is the (orderings, c) array of the leaf's rectangle-table
-    pair index on that axis, for each admissible slot ordering (in the
-    pattern's order) and each combination. A cut at candidate index i bounds
-    a leaf at interval index i + 1; an open side is 0 below, m + 1 above.
-    """
+
+@lru_cache(maxsize=None)
+def _leaf_sides(pattern_id: int, axis: int) -> np.ndarray:
+    """sides[0 | 1, leaf, o]: the :func:`_interval_bounds` row bounding the
+    leaf below | above on *axis* under the pattern's o-th admissible slot
+    ordering: 0 open below, k + 1 open above, r + 1 at the rank-r cut."""
     pat = pattern_by_id(pattern_id)
-    k = (pat.n_x, pat.n_y)[axis]
-    combos = np.array(list(combinations(range(m), k)), dtype=np.int64).reshape(comb(m, k), k)
-    orderings = (pat.x_orderings, pat.y_orderings)[axis]
-    pairs = []
-    for leaf in range(N_LEAVES):
-        lo_cut, hi_cut = pat.leaf_bounds[leaf][axis]
-        rows = []
-        for order in orderings:
-            lo = 0 if lo_cut is None else combos[:, order.index(lo_cut)] + 1
-            hi = m + 1 if hi_cut is None else combos[:, order.index(hi_cut)] + 1
-            rows.append(np.broadcast_to(_pair_index(lo, hi), combos.shape[:1]))
-        pairs.append(np.stack(rows))
-    return combos, tuple(pairs)
+    orderings, k = ((pat.x_orderings, pat.n_x), (pat.y_orderings, pat.n_y))[axis]
+    sides = [leaf[axis] for leaf in pat.leaf_bounds]
+    rows = np.array([[[0 if lo is None else o.index(lo) + 1 for o in orderings]
+                      for lo, _ in sides],
+                     [[k + 1 if hi is None else o.index(hi) + 1 for o in orderings]
+                      for _, hi in sides]])
+    rows.flags.writeable = False   # the cache hands the one array to every caller
+    return rows
+
+
+# The sweep index of one candidate shape (mx, my). leaves[leaf] holds each
+# sweep cell's flat rectangle-table index for the leaf: every admissible
+# pattern's cells in id order, one block each, in its C order (x ordering,
+# y ordering, x combination, y combination). Block b is pattern blocks[b] =
+# (pattern_id, block shape), its cells from offsets[b] up to offsets[b + 1];
+# bounds[axis, k] is the axis' _interval_bounds of k cuts; pairs the rectangle
+# table's (xhi, xlo, yhi, ylo) pair lists; nbytes the bytes of all these arrays.
+_SweepIndex = namedtuple("_SweepIndex", "leaves offsets blocks bounds pairs nbytes")
+SWEEP_CACHE_BYTES = 16 * 2 ** 20   # the 51 x 49 lattice takes ~12 MB, chain's shapes ~2.5 MB
+_SWEEP_CACHE = {}                  # (mx, my) -> _SweepIndex, least recently used first
+
+
+def _build_sweep_index(mx: int, my: int) -> _SweepIndex:
+    pats = [p for p in enumerate_patterns() if p.n_x <= mx and p.n_y <= my]
+    keys = {(axis, k) for p in pats for axis, k in enumerate((p.n_x, p.n_y))}
+    bounds = {(axis, k): _interval_bounds((mx, my)[axis], k) for axis, k in keys}
+    shapes = [(len(p.x_orderings), len(p.y_orderings), comb(mx, p.n_x), comb(my, p.n_y))
+              for p in pats]
+    offsets = list(accumulate(map(prod, shapes), initial=0))
+    leaves = np.empty((N_LEAVES, offsets[-1]), dtype=np.int32)
+    row_len = (my + 2) * (my + 1) // 2
+    for pat, shape, at, end in zip(pats, shapes, offsets, offsets[1:]):
+        # per leaf, ordering and combination: the leaf's pair index on each axis
+        xp, yp = (_pair_index(*bounds[axis, k][_leaf_sides(pat.pattern_id, axis)])
+                  for axis, k in enumerate((pat.n_x, pat.n_y)))
+        np.add(xp[:, :, None, :, None] * row_len, yp[:, None, :, None, :],
+               out=leaves[:, at:end].reshape(N_LEAVES, *shape), casting="unsafe")
+    pairs = (*np.tril_indices(mx + 2, -1), *np.tril_indices(my + 2, -1))
+    arrays = (leaves, *pairs, *bounds.values())
+    for a in arrays:
+        a.flags.writeable = False   # every channel of this shape reads them
+    nbytes = sum(a.nbytes for a in arrays)
+    blocks = tuple((p.pattern_id, shape) for p, shape in zip(pats, shapes))
+    return _SweepIndex(leaves, offsets, blocks, bounds, pairs, nbytes)
+
+
+def _sweep_index(mx: int, my: int) -> _SweepIndex:
+    """The sweep index of a candidate shape, from a cache that keeps the most
+    recently used shapes within SWEEP_CACHE_BYTES (a larger one is not kept).
+    It holds pattern ids and arrays only, so it outlives the pattern cache."""
+    index = _SWEEP_CACHE.pop((mx, my), None) or _build_sweep_index(mx, my)
+    _SWEEP_CACHE[(mx, my)] = index
+    while sum(i.nbytes for i in _SWEEP_CACHE.values()) > SWEEP_CACHE_BYTES:
+        del _SWEEP_CACHE[next(iter(_SWEEP_CACHE))]
+    return index
 
 
 def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSorterModel:
@@ -323,9 +374,13 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSort
 
     Every leaf is an axis-aligned rectangle of candidate intervals, so one
     table, built once per channel, holds each candidate rectangle's
-    majority-label count. A pattern scores all its (ordering, combination)
-    cells with one gather per leaf from that table, and its first best cell
-    replaces the running best only with strictly more correct spikes.
+    majority-label count. Which entry each leaf of each cell reads depends
+    only on the candidate shape (mx, my), so it comes from a shape-keyed
+    cache bounded by ``SWEEP_CACHE_BYTES``. The channel scores every cell
+    with four gathers and three adds. The cells lie in sweep order, each
+    pattern's block in its C order and the blocks in id order, so the first
+    maximum of the one ``argmax`` is the first best cell of the first
+    pattern reaching the overall maximum: no later pattern ties its way in.
     """
     feats = np.asarray(features, dtype=np.int64).reshape(-1, 2)
     labs = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -341,6 +396,10 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSort
     n = feats.shape[0]
     cand_x, cand_y = boundary_candidates(feats)
     mx, my = len(cand_x), len(cand_y)
+    index = _sweep_index(mx, my)
+    if not index.blocks:
+        majority = float(np.bincount(lab_idx).max()) / n
+        return _degenerate_model(majority)
 
     # label-count prefix table over the candidate-interval grid:
     # interval index of f = number of candidates <= f, so "f >= boundary b"
@@ -352,38 +411,27 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSort
     np.add.at(counts, (ix, iy, lab_idx), 1)
     prefix = np.zeros((mx + 2, my + 2, len(uniq)), dtype=np.int64)
     prefix[1:, 1:] = counts.cumsum(axis=0).cumsum(axis=1)
-    rect = _rect_table(prefix)
-    flat_rect, row_len = rect.ravel(), rect.shape[1]
+    flat_rect = _rect_table(prefix, index.pairs).ravel()
 
-    best = None  # (correct, pattern_id, boundaries)
-    for pat in enumerate_patterns():
-        if pat.n_x > mx or pat.n_y > my:
-            continue
-        xcombos, xpairs = _axis_leaf_pairs(pat.pattern_id, 0, mx)
-        ycombos, ypairs = _axis_leaf_pairs(pat.pattern_id, 1, my)
-        # correct[ox, oy, ci, cj] over x ordering, y ordering and combinations
-        leaves = [flat_rect[xp[:, None, :, None] * row_len + yp[None, :, None, :]]
-                  for xp, yp in zip(xpairs, ypairs)]
-        correct = sum(leaves[1:], leaves[0])
-        flat = int(np.argmax(correct))
-        if best is None or correct.flat[flat] > best[0]:
-            ox, oy, ci, cj = np.unravel_index(flat, correct.shape)
-            slot_vals = [0] * N_SPLITS
-            for r, cid in enumerate(pat.x_orderings[ox]):
-                slot_vals[cid] = int(cand_x[xcombos[ci, r]])
-            for r, cid in enumerate(pat.y_orderings[oy]):
-                slot_vals[cid] = int(cand_y[ycombos[cj, r]])
-            best = (int(correct.flat[flat]), pat.pattern_id, tuple(slot_vals))
+    correct = np.take(flat_rect, index.leaves[0])
+    for leaf in index.leaves[1:]:
+        correct += np.take(flat_rect, leaf)
+    cell = int(np.argmax(correct))
+    b = bisect_right(index.offsets, cell) - 1
+    pattern_id, shape = index.blocks[b]
+    ox, oy, ci, cj = np.unravel_index(cell - index.offsets[b], shape)
+    pat = pattern_by_id(pattern_id)
+    slot_vals = [0] * N_SPLITS
+    # the rank-r cut of a combination bounds interval candidate index + 1
+    for r, cid in enumerate(pat.x_orderings[ox]):
+        slot_vals[cid] = int(cand_x[index.bounds[0, pat.n_x][r + 1, ci] - 1])
+    for r, cid in enumerate(pat.y_orderings[oy]):
+        slot_vals[cid] = int(cand_y[index.bounds[1, pat.n_y][r + 1, cj] - 1])
 
-    if best is None:
-        majority = float(np.bincount(lab_idx).max()) / n
-        return _degenerate_model(majority)
-
-    n_correct, pattern_id, boundaries = best
     # with every leaf valid, classify_many gives each spike's leaf
-    model = ChannelSorterModel(pattern_id=pattern_id, boundaries=boundaries,
+    model = ChannelSorterModel(pattern_id=pattern_id, boundaries=tuple(slot_vals),
                                valid_mask=(1 << N_LEAVES) - 1,
-                               train_accuracy=float(n_correct) / n)
+                               train_accuracy=float(correct[cell]) / n)
     model.valid_mask = int(np.bitwise_or.reduce(1 << model.classify_many(*feats.T)))
     return model
 

@@ -928,6 +928,22 @@ def test_malformed_decoder_exits_4(tmp_path, pipeline, capfd, edit):
     assert not (tmp_path / "decoded.csv").exists()
 
 
+@pytest.mark.parametrize("ids", [[99], [-1], ["1"], [1, 1], []])
+def test_decoder_trial_ids_must_be_distinct_session_trials(tmp_path, pipeline, capfd, ids):
+    """A recorded test trial past the session's trials used to end in an
+    IndexError traceback, -1 silently decoded the last trial, a repeated id
+    decoded its trial twice and no id wrote an empty decode with NaN metrics."""
+    obj = json.loads((pipeline / "decoder.json").read_text())
+    obj["meta"]["test_trials"] = ids
+    (tmp_path / "decoder.json").write_text(json.dumps(obj))
+    assert run("decode", "--model", tmp_path / "decoder.json",
+               "--session", pipeline / "session.csv", "--trials", "test",
+               "--out", tmp_path / "decoded.csv") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "meta.test_trials" in err and "Traceback" not in err
+    assert not (tmp_path / "decoded.csv").exists()
+
+
 def test_decoder_converted_to_kf_decodes(tmp_path, pipeline):
     """The well-shaped kf edit above is a valid model: only its bad variants fail."""
     obj = {**json.loads((pipeline / "decoder.json").read_text()), **KF}

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import kde_marginals_exp, sweep_channel_model
-from nsp.evaluation import channel_feature_dataset
+from nsp.evaluation import calibrate, channel_feature_dataset
 from nsp.patterns import enumerate_patterns
-from nsp.sort_offline import (KDE_BANDWIDTH, L1_BITS_PER_TEMPLATE, OUTLIER,
-                              TREE_MODEL_BITS, ChannelSorterModel,
+from nsp.sort_offline import (_SWEEP_CACHE, KDE_BANDWIDTH, L1_BITS_PER_TEMPLATE,
+                              OUTLIER, SWEEP_CACHE_BYTES, TREE_MODEL_BITS,
+                              ChannelSorterModel,
                               L1TemplateModel, SortOpCounts,
                               boundary_candidates, classify_by_channel,
                               classify_spike,
@@ -345,29 +346,64 @@ def test_trainer_hits_global_optimum_on_separated_data():
 @example(seed=2, n=30, n_units=3, step=24, n_values=3, flat="x")
 @example(seed=3, n=30, n_units=3, step=24, n_values=3, flat="y")
 @example(seed=4, n=12, n_units=2, step=16, n_values=2, flat="xy")
+@example(seed=6, n=60, n_units=3, step=16, n_values=5, flat="")   # both clouds 13 x 12
 def test_rectangle_sweep_equals_the_per_ordering_oracle(seed, n, n_units, step, n_values,
                                                         flat):
     """Points on a coarse lattice of n_values per axis, so many configurations
     tie on accuracy; a flat axis has fewer candidates than some patterns
-    have cuts on it, and a flat cloud fits no pattern at all."""
+    have cuts on it, and a flat cloud fits no pattern at all. Two clouds on
+    one lattice are swept back to back: where they share a candidate shape,
+    the second reads the index the first one cached."""
     rng = np.random.default_rng(seed)
     origin = rng.integers(-128, 128 - step * (n_values - 1), size=2)
-    feats = origin + step * rng.integers(0, n_values, (n, 2))
-    for axis in (0, 1):
-        if "xy"[axis] in flat:
-            feats[:, axis] = feats[0, axis]
-    labs = rng.choice(10, n_units, replace=False)[rng.integers(0, n_units, n)]
-    assert train_channel_model(feats, labs) == sweep_channel_model(feats, labs)
+    for _ in range(2):
+        feats = origin + step * rng.integers(0, n_values, (n, 2))
+        for axis in (0, 1):
+            if "xy"[axis] in flat:
+                feats[:, axis] = feats[0, axis]
+        labs = rng.choice(10, n_units, replace=False)[rng.integers(0, n_units, n)]
+        assert train_channel_model(feats, labs) == sweep_channel_model(feats, labs)
 
 
-def test_tree_sweep_memory_is_bounded():
+@pytest.fixture(scope="module")
+def chain_calibration():
+    """Every channel's (features, unit ids) of one calibration block shaped
+    like the benchmark's chain: 96 medium-tier channels at 30 Hz, 3 s."""
+    trace, labels = gen_spike_trace(tier_config("medium", n_channels=96, duration_s=3.0),
+                                    seed=1)
+    return [(feats, labs) for feats, labs, _, _ in calibrate(trace, labels)[2]]
+
+
+def test_chain_calibration_sweep_equals_the_oracle_on_every_channel(chain_calibration):
+    for feats, labs in chain_calibration:
+        assert train_channel_model(feats, labs) == sweep_channel_model(feats, labs)
+
+
+def test_cold_and_warm_sweep_index_give_one_model(chain_calibration):
+    """A built index, one read back from the cache, one read after the
+    pattern cache is cleared and one rebuilt after the sweep cache is
+    cleared all fit the same model."""
+    for feats, labs in chain_calibration[:8]:
+        _SWEEP_CACHE.clear()
+        cold = train_channel_model(feats, labs)
+        assert train_channel_model(feats, labs) == cold
+        enumerate_patterns.cache_clear()
+        assert train_channel_model(feats, labs) == cold
+        _SWEEP_CACHE.clear()
+        assert train_channel_model(feats, labs) == cold == sweep_channel_model(feats, labs)
+
+
+def test_tree_sweep_memory_is_bounded(chain_calibration):
     """An 11-LSB lattice puts a density valley between every two lattice
-    lines, 51 x 49 candidates: the sweep's rectangle table stays near 22 MB
-    where a table of every label's rectangle counts would take ~300 MB."""
+    lines, 51 x 49 candidates: building its sweep index and rectangle table
+    peaks near 34 MB where a table of every label's rectangle counts would
+    take ~300 MB. The sweep cache keeps that index (~12 MB) and then the
+    chain's shapes within its byte budget."""
     xs, ys = np.arange(-128, 128, 11), np.arange(-125, 128, 11)
     feats = np.array(np.meshgrid(xs, ys, indexing="ij")).reshape(2, -1).T
     labs = np.arange(len(feats)) % 4
     assert [len(c) for c in boundary_candidates(feats)] == [51, 49]
+    _SWEEP_CACHE.clear()
     tracemalloc.start()
     try:
         model = train_channel_model(feats, labs)
@@ -376,6 +412,10 @@ def test_tree_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 48e6
     assert model == sweep_channel_model(feats, labs)
+    for feats, labs in chain_calibration:
+        train_channel_model(feats, labs)
+    kept = [index.nbytes for index in _SWEEP_CACHE.values()]
+    assert len(kept) > 30 and sum(kept) <= SWEEP_CACHE_BYTES
 
 
 def test_boundary_candidates_cover_range():
