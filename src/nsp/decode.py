@@ -16,17 +16,14 @@ Every op count is measured, not estimated: the counted kernels in opcount
 tally each filter step by named phase (state_predict, cov_predict, gain,
 state_update, cov_update, plus the event-driven observe reduction). The
 explicit re-symmetrization of P after the covariance update is numerical
-hygiene and is excluded from the counters. The counted ``eokf_step`` is also
-the oracle of the lean EOKF kernel, ``_eokf_lean``: the same ``np.matmul``
-calls on the same operands, so the same bits, without a counting wrapper per
-op. Per-step counts depend only on the shapes, so a run counts one step and
-scales it by the bin count.
+hygiene and is excluded from the counters. Per-step counts depend only on
+the shapes, so a run counts one step and scales it by the bin count.
 
-A run reaches the steady-state gain bit for bit. The covariance and gain
-recursion of both filters never reads the observation, so once a posterior
-P repeats one held before, byte for byte, every later gain is one already
-computed: ``run_filter`` then replays the gain cycle and updates only the
-state, with the full step's own ``np.matmul`` calls and so its bits.
+The counted step is the oracle of the uncounted one, ``_gain_step``, which
+remembers its gains: the covariance and gain recursion never reads the
+observation, so the bytes of the posterior P the filter computed fix a step's
+(P, K). Once P repeats, the step updates only the state, with the counted
+step's ``np.matmul`` calls, in ``run_filter`` and bin by bin alike.
 
 Each observation model names its filter in ``kind`` ("kf" or "eokf"), so the
 model alone picks the filter: every decode path feeds ``run_filter``, which
@@ -56,6 +53,7 @@ TARGET_ENSEMBLE_RANGE = (20, 50)
 MIN_INFORMATIVE_SCORE = 0.01
 N_SECTORS = 8              # direction sectors of per_direction_stats
 INT32_MAX = 2**31 - 1
+GAIN_MEMO_CAP = 4096       # posteriors one gain memo records at most
 
 PHASES = ("state_predict", "cov_predict", "gain", "state_update",
           "cov_update", "observe")
@@ -184,9 +182,13 @@ class EnsembleModel:
 
 @dataclass
 class FilterState:
+    """``memo`` is the gain memo that ``_gain_step`` passes on, for the one
+    (trans, model) pair it was built under, which must not change in place;
+    a state built by hand has none."""
     x: np.ndarray                 # (d,) velocity estimate
     P: np.ndarray                 # (d_obs-appropriate) error covariance
     K: np.ndarray | None = None   # gain from the last update
+    memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -318,13 +320,9 @@ def selection_columns(selected, unit_channels) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _predict(fs: FilterState, trans: StateTransitionModel,
-             ops: StepOps | None) -> tuple:
-    x = mat_mul(trans.A, fs.x, _phase(ops, "state_predict"))
+def _predict_cov(P: np.ndarray, trans: StateTransitionModel, ops: StepOps | None) -> np.ndarray:
     cp = _phase(ops, "cov_predict")
-    P = mat_mul(mat_mul(trans.A, fs.P, cp), trans.A.T, cp)
-    P = _sym(mat_add(P, trans.W, cp))
-    return x, P
+    return _sym(mat_add(mat_mul(mat_mul(trans.A, P, cp), trans.A.T, cp), trans.W, cp))
 
 
 def _observations(z, kind: str, width: int, ndim: int = 1) -> np.ndarray:
@@ -343,20 +341,29 @@ def kf_step(fs: FilterState, trans: StateTransitionModel,
             obs: StandardObservationModel, z: np.ndarray,
             ops: StepOps | None = None) -> FilterState:
     """One predict/update cycle of the standard filter on a raw rate vector,
-    as wide as H has rows, or ValueError."""
+    as wide as H has rows, or ValueError. With *ops* this is the counted
+    step; without, ``_gain_step``, whose state carries the gain memo."""
     z = _observations(z, "kf", obs.H.shape[0])
-    x, P = _predict(fs, trans, ops)
+    if ops is None:
+        return _carry_step(fs, trans, obs, z)
+    x = mat_mul(trans.A, fs.x, _phase(ops, "state_predict"))
+    P, K = _kf_gain(trans, obs, fs.P, ops)
+    su = _phase(ops, "state_update")
+    v = mat_sub(z, mat_mul(obs.H, x, su), su)
+    return FilterState(x=mat_add(x, mat_mul(K, v, su), su), P=P, K=K)
+
+
+def _kf_gain(trans: StateTransitionModel, obs: StandardObservationModel,
+             P: np.ndarray, ops: StepOps | None = None) -> tuple:
+    """(P, K) of the standard filter's step from posterior *P*."""
+    P = _predict_cov(P, trans, ops)
     g = _phase(ops, "gain")
     PHt = mat_mul(P, obs.H.T, g)
     S = mat_add(mat_mul(obs.H, PHt, g), obs.Q, g)
     K = ldl_solve(S, PHt.T, g, name="innovation covariance (H P H' + Q)").T
-    su = _phase(ops, "state_update")
-    v = mat_sub(z, mat_mul(obs.H, x, su), su)
-    x = mat_add(x, mat_mul(K, v, su), su)
     cu = _phase(ops, "cov_update")
     M = mat_sub(np.eye(P.shape[0]), mat_mul(K, obs.H, cu), cu)
-    P = _sym(mat_mul(M, P, cu))
-    return FilterState(x=x, P=P, K=K)
+    return _sym(mat_mul(M, P, cu)), K
 
 
 _EOKF_S = "innovation covariance (P + Qe)"
@@ -370,13 +377,13 @@ def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
     emission), d wide, or ValueError. Every matrix here is state_dim-sized;
     the gain needs only a closed-form small inverse. With *ops* this is the
     counted step: the source of every EOKF op count and the oracle of the
-    lean kernel, ``_eokf_lean``, which runs the step when *ops* is None.
+    uncounted ``_gain_step`` over ``_eokf_lean``, which carries the gain memo.
     """
     ez = _observations(ez, "eokf", trans.A.shape[0])
     if ops is None:
-        x, P, K = _eokf_lean(trans, ens, fs.x, fs.P, ez)
-        return FilterState(x=x, P=P, K=K)
-    x, P = _predict(fs, trans, ops)
+        return _carry_step(fs, trans, ens, ez)
+    x = mat_mul(trans.A, fs.x, _phase(ops, "state_predict"))
+    P = _predict_cov(fs.P, trans, ops)
     g = _phase(ops, "gain")
     S = mat_add(P, ens.Qe, g)
     Sinv = inv_small(S, g, name=_EOKF_S)
@@ -390,41 +397,46 @@ def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
     return FilterState(x=x, P=P, K=K)
 
 
-def _eokf_lean(trans: StateTransitionModel, ens: EnsembleModel, x: np.ndarray,
-               P: np.ndarray, ez: np.ndarray) -> tuple:
-    """The lean EOKF kernel: one uncounted step from (x, P) on *ez*; returns
-    (x, P, K).
-
-    Bit for bit the counted ``eokf_step``: the same ``np.matmul`` calls on
-    the same operands and layouts (a vector as a one-column matrix, as
-    ``mat_mul`` passes it), the same ``inv_small`` and re-symmetrization,
-    without the counting wrappers.
-    """
+def _eokf_lean(trans: StateTransitionModel, ens: EnsembleModel, P: np.ndarray) -> tuple:
+    """The lean EOKF kernel: (P, K) of one uncounted step from posterior *P*,
+    with the counted ``eokf_step``'s ``np.matmul`` calls on the same operands
+    and layouts, its ``inv_small`` and re-symmetrization, so with its bits."""
     A = trans.A
-    x = np.matmul(A, x[:, None])[:, 0]
     P = np.matmul(np.matmul(A, P), A.T) + trans.W
     P = (P + P.T) / 2.0
     K = np.matmul(P, inv_small(P + ens.Qe, None, name=_EOKF_S))
-    x = x + np.matmul(K, (ez - x)[:, None])[:, 0]
     P = np.matmul(np.eye(A.shape[0]) - K, P)
-    return x, (P + P.T) / 2.0, K
+    return (P + P.T) / 2.0, K
 
 
-def _replay_gains(A: np.ndarray, H: np.ndarray | None, x: np.ndarray,
-                  gains: list, start: int, Z: np.ndarray, out: np.ndarray) -> None:
-    """State-only steps from *x* on rows ``len(gains)`` onward of *Z*, each
-    state into *out*: row j takes ``gains[start + (j - start) % period]``,
-    period = ``len(gains) - start``. The state update of ``kf_step`` (with
-    *H*) or of the EOKF (H None), with the same ``np.matmul`` calls on the
-    same operand layouts, so the same bits as the full step given that gain.
-    """
-    period = len(gains) - start
-    for j in range(len(gains), Z.shape[0]):
-        K = gains[start + (j - start) % period]
-        x = np.matmul(A, x[:, None])[:, 0]
-        v = Z[j] - (x if H is None else np.matmul(H, x[:, None])[:, 0])
-        x = x + np.matmul(K, v[:, None])[:, 0]
-        out[j] = x
+def _gain_step(trans: StateTransitionModel, model, x: np.ndarray, P: np.ndarray,
+               z: np.ndarray, memo: tuple | None) -> tuple:
+    """The uncounted step of the model's ``kind`` from (x, P) on *z*; returns
+    (x, P, K, memo). *memo* is (trans, model, table), the table mapping a
+    posterior P's bytes to the read-only (P, K) its step gave, up to
+    GAIN_MEMO_CAP entries. A memo of another pair, or None, becomes an empty
+    one, and *P*, perhaps a caller's in another layout, is not a key. The
+    state update is the counted step's, with the same ``np.matmul`` calls."""
+    own = memo is not None and memo[0] is trans and memo[1] is model
+    key, memo = (P.tobytes(), memo) if own else (None, (trans, model, {}))
+    gain = memo[2].get(key)
+    if gain is None:
+        gain = _kf_gain(trans, model, P) if model.kind == "kf" else _eokf_lean(trans, model, P)
+        if key is not None and len(memo[2]) < GAIN_MEMO_CAP:
+            gain[0].flags.writeable = gain[1].flags.writeable = False
+            memo[2][key] = gain
+    P, K = gain
+    x = np.matmul(trans.A, x[:, None])[:, 0]
+    v = z - (x if model.kind == "eokf" else np.matmul(model.H, x[:, None])[:, 0])
+    return x + np.matmul(K, v[:, None])[:, 0], P, K, memo
+
+
+def _carry_step(fs: FilterState, trans: StateTransitionModel, model, z) -> FilterState:
+    """``_gain_step`` on the state's (x, P, memo), carried to the next."""
+    x, P, K, memo = _gain_step(trans, model, fs.x, fs.P, z, fs.memo)
+    out = FilterState(x=x, P=P, K=K)
+    out.memo = memo
+    return out
 
 
 def reduce_observation(ens: EnsembleModel, z: np.ndarray,
@@ -467,40 +479,28 @@ def run_filter(trans: StateTransitionModel, model, stream: np.ndarray,
     ``EnsembleModel``. Each row must be as wide as the filter's observation,
     H's rows for kf and the state size d for eokf, or ValueError.
 
-    The first row runs the counted step; since the per-step counts depend
-    only on the shapes, the StepOps are its counts times the row count. Later
-    rows run the uncounted step (for eokf the lean kernel, the same bits)
-    until a row's posterior P repeats an earlier row's, byte for byte. From
-    there on the gains cycle, exactly: the covariance and gain recursion
-    never reads the observation, so a row's P and K are functions of the
-    posterior P before it alone, and that P is always a fresh C-ordered
-    result of the re-symmetrization, so its bytes fix every later P and K.
-    If row k's P equals row i's, the gains of rows i+1..k repeat with period
-    k - i from row k+1 on, and every remaining row updates only the state
-    with its gain, through the full step's own ``np.matmul`` calls, so with
-    the full step's bits. A P that never repeats, as under A = I and W = 0,
-    where it shrinks every step, runs the full step on every row.
+    The first row runs the counted step, whose counts times the row count
+    are the StepOps. Later rows run ``_gain_step`` on local (x, P, memo), the
+    step of ``kf_step`` and ``eokf_step`` without *ops*, with their bits. A P
+    that never repeats, as under A = I and W = 0, runs the full step each row.
     """
     kind = getattr(model, "kind", None)
     if kind not in ("kf", "eokf"):
         raise TypeError(f"no filter step for a {type(model).__name__}")
     d = trans.A.shape[0]
-    step, H = (kf_step, model.H) if kind == "kf" else (eokf_step, None)
-    Z = _observations(stream, kind, d if H is None else H.shape[0], ndim=2)
+    Z = _observations(stream, kind, d if kind == "eokf" else model.H.shape[0], ndim=2)
     fs = FilterState(x=np.zeros(d) if x0 is None else np.array(x0, dtype=np.float64),
                      P=np.eye(d) if P0 is None else np.array(P0, dtype=np.float64))
     ops = StepOps()
     n = Z.shape[0]
     out = np.empty((n, d))
-    gains, seen = [], {}
-    for k in range(n):
-        fs = step(fs, trans, model, Z[k], None if k else ops)
-        out[k] = fs.x
-        gains.append(fs.K)
-        first = seen.setdefault(fs.P.tobytes(), k)
-        if first < k:
-            _replay_gains(trans.A, H, fs.x, gains, first + 1, Z, out)
-            break
+    if n:
+        fs = (kf_step if kind == "kf" else eokf_step)(fs, trans, model, Z[0], ops)
+        out[0] = fs.x
+    x, P, memo = fs.x, fs.P, None
+    for k in range(1, n):
+        x, P, _, memo = _gain_step(trans, model, x, P, Z[k], memo)
+        out[k] = x
     ops.phases = {p: c * n for p, c in ops.phases.items()}
     return out, ops
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsp.decode import (INT32_MAX, PAIR_ID_BITS, PHASES, DecoderBundle,
+from nsp.decode import (GAIN_MEMO_CAP, INT32_MAX, PAIR_ID_BITS, PHASES, DecoderBundle,
                         EnsembleModel, FilterState, FixedPointFormat, ImplantAccumulator,
                         StandardObservationModel, StateTransitionModel,
                         StepOps, best_single_neuron_decoder, bin_spikes,
@@ -16,7 +16,8 @@ from nsp.decode import (INT32_MAX, PAIR_ID_BITS, PHASES, DecoderBundle,
                         reduce_observation, run_eokf, run_eokf_split,
                         run_filter, run_kf, select_neurons, Selection,
                         selection_columns, store_decoded, store_decoder, train_ensemble,
-                        train_observation_standard, train_transition)
+                        train_observation_standard, train_transition, _eokf_lean,
+                        _kf_gain)
 from nsp.opcount import OpCounts, SingularMatrixError, inv_small, ldl_factor, mat_mul
 from nsp.synthdata import PayloadError
 
@@ -610,21 +611,159 @@ def test_eokf_run_filter_counts_a_fixed_number_of_products(monkeypatch):
     assert made[0] == made[1] > 0
 
 
+# The uncounted step remembers the gain cycle in the state it returns, so a
+# caller that steps one bin at a time reaches it too, with the counted bits.
+
+
+def _cycle_case(kind: str, period: int | None, n: int = 400) -> tuple:
+    """(step, trans, model, x0, P0, stream) of the CYCLE_SEEDS case whose
+    posterior P cycles with *period*; None is A = I and W = 0."""
+    trans, model, x0, P0, stream = _filter_case(kind, CYCLE_SEEDS.get((kind, period), 0), n)
+    if period is None:
+        trans = StateTransitionModel(A=np.eye(2), W=np.zeros((2, 2)))
+    return (kf_step if kind == "kf" else eokf_step), trans, model, x0, P0, stream
+
+
+def _same_state(got: FilterState, want: FilterState) -> None:
+    for a, b in ((got.x, want.x), (got.P, want.P), (got.K, want.K)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("kind, factor", [("kf", "nsp.opcount.ldl_factor"),
                                           ("eokf", "nsp.decode.inv_small")])
 def test_run_filter_makes_a_bounded_number_of_full_steps(monkeypatch, kind, factor):
     """Once P repeats, no row factors the innovation covariance: 60 and 600
-    rows of a cycling model make equally many calls."""
+    rows of a cycling model make equally many calls, through run_filter and
+    through the uncounted step bin by bin."""
     original = {"kf": ldl_factor, "eokf": inv_small}[kind]
     calls = []
     monkeypatch.setattr(factor, lambda *a, **k: calls.append(1) or original(*a, **k))
-    trans, model, x0, P0, stream = _filter_case(kind, CYCLE_SEEDS[(kind, 2)], n=600)
-    made = []
-    for n in (60, 600):
-        calls.clear()
-        run_filter(trans, model, stream[:n], x0=x0, P0=P0)
-        made.append(len(calls))
-    assert made[0] == made[1] > 0
+    step, trans, model, x0, P0, stream = _cycle_case(kind, 2, n=600)
+
+    def per_bin(rows):
+        fs = FilterState(x=x0, P=P0)
+        for row in rows:
+            fs = step(fs, trans, model, row)
+
+    for run in (lambda rows: run_filter(trans, model, rows, x0=x0, P0=P0), per_bin):
+        made = []
+        for n in (60, 600):
+            calls.clear()
+            run(stream[:n])
+            made.append(len(calls))
+        assert made[0] == made[1] > 0
+
+
+@pytest.mark.parametrize("kind", ["kf", "eokf"])
+@pytest.mark.parametrize("period", [1, 2, 3, None])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_stream_fed_bin_by_bin_gives_run_filters_states(kind, period, data):
+    """The stream goes bin by bin through the uncounted step, the state
+    carried from bin to bin. At each drawn cut the state is rebuilt by hand
+    from its parts (so without a memo), or a discarded branch first steps
+    it on other bins (sharing its memo). The states are run_filter's, byte
+    for byte."""
+    step, trans, model, x0, P0, stream = _cycle_case(kind, period)
+    want, _ = run_filter(trans, model, stream, x0=x0, P0=P0)
+    cuts = data.draw(st.dictionaries(st.integers(1, len(stream) - 1),
+                                     st.sampled_from(["rebuild", "branch"]),
+                                     max_size=8))
+    fs, got = FilterState(x=x0, P=P0), np.empty_like(want)
+    for k, row in enumerate(stream):
+        if cuts.get(k) == "rebuild":
+            fs = FilterState(x=fs.x.copy(), P=fs.P.copy(), K=fs.K)
+        elif cuts.get(k) == "branch":
+            side = fs
+            for other in 1.0 + stream[k:k + 5][::-1]:
+                side = step(side, trans, model, other)
+        fs = step(fs, trans, model, row)
+        got[k] = fs.x
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["kf", "eokf"])
+def test_a_memo_serves_only_its_own_models(kind):
+    """A state settled under one (trans, model) pair and then stepped under
+    others of the same shapes, with Q or Qe doubled, then W doubled, gives
+    the counted bits: no pair reads another pair's gains."""
+    step, trans, model, x0, P0, stream = _cycle_case(kind, 2)
+    other = (StandardObservationModel(H=model.H, Q=2 * model.Q) if kind == "kf" else
+             EnsembleModel(E=model.E, Qe=2 * model.Qe, selected=model.selected))
+    pairs = ((trans, model), (trans, other),
+             (StateTransitionModel(A=trans.A, W=2 * trans.W), other), (trans, model))
+    lean = counted = FilterState(x=x0, P=P0)
+    for (trans_k, model_k), rows in zip(pairs, np.split(stream, 4)):
+        for row in rows:
+            lean = step(lean, trans_k, model_k, row)
+            counted = step(counted, trans_k, model_k, row, StepOps())
+            _same_state(lean, counted)
+
+
+@pytest.mark.parametrize("kind", ["kf", "eokf"])
+def test_branches_from_one_state_each_give_the_counted_bits(kind):
+    """Two branches from one settled state, stepped in turn on different
+    bins, share its memo and each give the counted loop's bits."""
+    step, trans, model, x0, P0, stream = _cycle_case(kind, 3)
+    root = FilterState(x=x0, P=P0)
+    for row in stream[:100]:
+        root = step(root, trans, model, row)
+    lean, counted = [root, root], [root, root]
+    for rows in zip(stream[100:250], stream[250:]):
+        for b, row in enumerate(rows):
+            lean[b] = step(lean[b], trans, model, row)
+            counted[b] = step(counted[b], trans, model, row, StepOps())
+            _same_state(lean[b], counted[b])
+
+
+@pytest.mark.parametrize("kind", ["kf", "eokf"])
+def test_a_callers_P0_is_never_a_key(monkeypatch, kind):
+    """P0 is the period-1 case's settled posterior, F-ordered, so its bytes
+    are those of the posterior the filter reaches again. The full steps here
+    give the same bits from either layout, so they are patched to mark a step
+    from an F-ordered P, one ulp up in K, as a BLAS whose bits follow the
+    layout could. The uncounted loop then takes the mark once, from P0, and
+    goes on with the counted bits; had P0 become a key, the settled
+    posterior would take the marked gain again. run_filter, whose first row
+    is counted, gives the counted loop's bits."""
+    def marked(full):
+        def step(trans, model, P, *ops):
+            P1, K = full(trans, model, P, *ops)
+            return (P1, np.nextafter(K, np.inf)) if not P.flags.c_contiguous else (P1, K)
+        return step
+
+    for name, full in (("_kf_gain", _kf_gain), ("_eokf_lean", _eokf_lean)):
+        monkeypatch.setattr(f"nsp.decode.{name}", marked(full))
+    step, trans, model, x0, P0, stream = _cycle_case(kind, 1)
+    _, settled = _per_row_loop(step, trans, model, stream[:60], x0, P0, StepOps())
+    P0 = np.asfortranarray(settled.P)
+    states, _ = run_filter(trans, model, stream, x0=x0, P0=P0)
+    want, _ = _per_row_loop(step, trans, model, stream, x0, P0, StepOps())
+    assert states.tobytes() == want.tobytes()
+    lean = counted = step(FilterState(x=x0, P=P0), trans, model, stream[0])
+    for row in stream[1:]:
+        lean = step(lean, trans, model, row)
+        counted = step(counted, trans, model, row, StepOps())
+        _same_state(lean, counted)
+
+
+def test_the_memo_stops_at_its_cap_and_holds_read_only_gains():
+    """A kf whose P never repeats (A = I, W = 0), over more rows than
+    GAIN_MEMO_CAP: the per-bin memo stops growing at the cap, both loops give
+    the counted loop's bytes, and a remembered P or K cannot be written."""
+    step, trans, model, x0, P0, stream = _cycle_case("kf", None, n=GAIN_MEMO_CAP + 100)
+    states, _ = run_filter(trans, model, stream, x0=x0, P0=P0)
+    want, counted = _per_row_loop(step, trans, model, stream, x0, P0, StepOps())
+    fs = early = FilterState(x=x0, P=P0)
+    for k, row in enumerate(stream):
+        fs = step(fs, trans, model, row)
+        early = fs if k == 10 else early
+    assert len(fs.memo[2]) == GAIN_MEMO_CAP
+    assert states.tobytes() == want.tobytes()
+    _same_state(fs, counted)
+    for M in (early.P, early.K):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 1.0
 
 
 def test_both_steps_reject_a_wrong_width_observation():

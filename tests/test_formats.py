@@ -10,6 +10,7 @@ import json
 import os
 import shutil
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from nsp.detect import (TOKEN_FIELDS, WINDOW_FIELDS, Completion, Tokens, load_to
                         load_windows, store_tokens, store_windows)
 from nsp.sort_offline import (MODEL_KINDS, ChannelSorterModel, L1TemplateModel,
                               load_models, store_models)
+from nsp.sim import SimConfig, parse_sim_config
 from nsp.sort_online import STATUS_STRONG, STATUS_WEAK, OnlineSorterModel
 from nsp.synthdata import (SESSION_SIDECAR, DatasetFormatError, GroundTruthLabels, Int,
                            List, Map, Obj, PayloadError, RawTrace, SessionConfig,
@@ -432,3 +434,47 @@ def test_structural_edit_exits_0_or_4_and_round_trips(fuzz_docs, capfd, name, da
     if path is not None:
         stored = [json.loads(line) for line in text.splitlines()] if depth else json.loads(text)
         assert _same(_at(edited, path), _at(stored, path)), (path, _at(stored, path))
+
+
+# --- the flat simulator config -----------------------------------------------
+# Not JSON, so not in the structural fuzzer above: one edit of a valid file's
+# ``key = value`` lines, parsed and validated only. No Simulator is built, so
+# a drawn size allocates nothing.
+
+_SIM_FIELDS = [f.name for f in fields(SimConfig)]
+_SIM_VALUES = st.one_of(st.integers(-10 ** 4, 10 ** 4).map(str),
+                        st.sampled_from(["", "x", "1.5", "2e3", "0x10", "true", "YES", "16"]))
+
+
+@st.composite
+def sim_config_edits(draw) -> list:
+    """(key, value) lines of a valid config with one line added, dropped,
+    repeated or given another value."""
+    lines = [("n_channels", "2"), ("group_size", "2"), ("conveyor_slots", "8"),
+             ("bin_ms", "100"), ("channel_gating", "true")]
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["add", "drop", "repeat", "revalue"]))
+    if op == "add":
+        keys = _SIM_FIELDS + ["pre_samples", "channel_gating", "output_width_bits", "n_chans"]
+        lines.insert(i, (draw(st.sampled_from(keys)), draw(_SIM_VALUES)))
+    elif op == "drop":
+        del lines[i]
+    elif op == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    else:
+        lines[i] = (lines[i][0], draw(_SIM_VALUES))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=sim_config_edits())
+def test_sim_config_edit_parses_to_a_valid_config_or_raises_a_value_error(lines):
+    """Each edit either parses to a validated SimConfig that holds every
+    value the file gives, or raises ValueError (PayloadError is one), never
+    anything else."""
+    try:
+        cfg = parse_sim_config("".join(f"{key} = {value}\n" for key, value in lines))
+    except ValueError:
+        return
+    cfg.validate()
+    assert all(getattr(cfg, key) == int(value) for key, value in lines if key in _SIM_FIELDS)

@@ -128,3 +128,30 @@ def test_only_synthdata_owns_the_json_type_rules():
             if name in helpers:
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_only_the_gain_step_remembers_gains():
+    """In nsp.decode only the uncounted step kernel, ``_gain_step``, keys the
+    gain memo by a P's bytes, reads its table, marks remembered gains
+    read-only and makes the uncounted state update (``np.matmul`` besides
+    the lean covariance step and the E z reduction); only ``_carry_step``
+    moves the memo from state to state; and the gain-cycle replay
+    ``_replay_gains`` is gone. So a second route to the settled gain fails
+    here."""
+    uses = {}
+    for top in ast.parse((ROOT / "src" / "nsp" / "decode.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                key = "." + node.attr
+            elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+                key = node.value.id + "[]"
+            elif isinstance(node, (ast.Name, ast.FunctionDef)):
+                key = getattr(node, "id", None) or node.name
+            else:
+                continue
+            uses.setdefault(key, set()).add(getattr(top, "name", "<module>"))
+    watched = (".tobytes", ".flags", "memo[]", ".memo", ".matmul", "_replay_gains")
+    assert {key: uses.get(key, set()) for key in watched} == {
+        ".tobytes": {"_gain_step"}, ".flags": {"_gain_step"}, "memo[]": {"_gain_step"},
+        ".memo": {"_carry_step"}, ".matmul": {"_eokf_lean", "_gain_step", "ensemble_ez"},
+        "_replay_gains": set()}
