@@ -44,7 +44,7 @@ from .sim import (ConfigMismatchError, SimConfig, SimCounters, SimResult,
                   run_simulation, sweep_spike_rate)
 from .evaluation import (calibrate, evaluate_channel_sorters, mapped_accuracy,
                          match_events, permutation_accuracy, run_decoder_benchmark,
-                         run_parity_benchmark, split_indices)
+                         run_parity_benchmark, split_indices, train_channels)
 
 __all__ = [
     "__version__",
@@ -83,6 +83,6 @@ __all__ = [
     "run_simulation", "reference_ez", "sweep_spike_rate",
     # evaluation
     "calibrate", "match_events", "permutation_accuracy", "mapped_accuracy",
-    "split_indices", "evaluate_channel_sorters",
+    "split_indices", "evaluate_channel_sorters", "train_channels",
     "run_parity_benchmark", "run_decoder_benchmark",
 ]

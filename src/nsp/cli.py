@@ -25,7 +25,8 @@ from .decode import (DecoderBundle, FixedPointFormat, ImplantAccumulator,
                      train_transition)
 from .detect import (detect_trace, estimate_threshold, load_tokens, store_tokens,
                      store_windows)
-from .evaluation import calibrate, matched_features, permutation_accuracy
+from .evaluation import (calibrate, matched_features, permutation_accuracy,
+                         train_channels)
 from .opcount import SingularMatrixError
 from .sort_offline import (MODEL_KINDS, classify_by_channel, load_models,
                            store_models, train_channel_model, train_l1)
@@ -158,9 +159,7 @@ def cmd_train_sorter(args) -> int:
         models = train_online(tokens)
     else:
         train = train_channel_model if args.mode == "offline" else train_l1
-        models = {ch: train(f, l) for ch, (f, l) in
-                  matched_features(tokens, load_labels(args.labels)).items()
-                  if f.shape[0] >= 2}
+        models = train_channels(train, matched_features(tokens, load_labels(args.labels)))
     if not models:
         raise ValueError("no channel produced enough events to train on")
     store_models(models, args.out)

@@ -54,6 +54,7 @@ MIN_INFORMATIVE_SCORE = 0.01
 N_SECTORS = 8              # direction sectors of per_direction_stats
 INT32_MAX = 2**31 - 1
 GAIN_MEMO_CAP = 4096       # posteriors one gain memo records at most
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)   # 2**64 / golden ratio, odd: Selection's hash
 
 PHASES = ("state_predict", "cov_predict", "gain", "state_update",
           "cov_update", "observe")
@@ -132,8 +133,18 @@ class Selection:
     its column for the per-event paths, ``columns`` looks up whole id arrays
     for the batched ones, and ``channels`` holds the channels with a unit.
     Pairs must be distinct, at most MAX_UNITS_PER_CHANNEL per channel, with
-    both ids in 0..2**PAIR_ID_BITS-1, so one int64 numbers each pair; a
-    selection that breaks a rule is a malformed model, a PayloadError.
+    both ids in 0..2**PAIR_ID_BITS-1, so one int64 ``c << PAIR_ID_BITS | u``
+    numbers each pair; a selection that breaks a rule is a malformed model, a
+    PayloadError.
+
+    ``columns`` reads an open-addressing table of the pair numbers: a power of
+    two of at least 8 slots per pair, so the load is 1/8 or below, homed by
+    Fibonacci hashing (the top bits of ``number * 0x9E3779B97F4A7C15`` mod
+    2**64) and probed linearly. Every lookup makes as many gather-and-compare
+    rounds as the longest probe chain of the build, one or two on the
+    selections the benchmark trains. A decoder file picks its own ids, so a
+    chain, and with it every lookup, can take as many probes as there are
+    pairs; the table's memory follows the pair count, never the ids.
     """
 
     def __init__(self, selected):
@@ -148,18 +159,36 @@ class Selection:
         if max(per_channel.values(), default=0) > MAX_UNITS_PER_CHANNEL:
             raise PayloadError(f"more than {MAX_UNITS_PER_CHANNEL} units on one channel")
         self.channels = frozenset(per_channel)
-        # sorted pair numbers, closed by a sentinel that no pair number reaches
         number = np.array([c << PAIR_ID_BITS | u for c, u in self.pairs], dtype=np.int64)
-        order = np.argsort(number)
-        self._numbers = np.append(number[order], np.iinfo(np.int64).max)
-        self._columns = np.append(order, -1)
+        bits = max(3, (8 * len(number) - 1).bit_length())
+        self._shift, self._mask = np.uint64(64 - bits), (1 << bits) - 1
+        stored, self._probes = {}, 0         # slot -> column of the pair stored there
+        for j, at in enumerate(self._home(number).tolist()):
+            probes = 1
+            while at in stored:
+                at, probes = (at + 1) & self._mask, probes + 1
+            stored[at] = j
+            self._probes = max(self._probes, probes)
+        slot, j = list(stored), list(stored.values())
+        # an empty slot holds a key below -1, the number of any query out of range
+        self._keys = np.full(1 << bits, -2, dtype=np.int64)
+        self._keys[slot] = number[j]
+        self._slots = np.full(1 << bits, -1, dtype=np.int64)
+        self._slots[slot] = j
+
+    def _home(self, number: np.ndarray) -> np.ndarray:
+        """First table slot (intp) of each int64 pair number."""
+        return ((number.view(np.uint64) * _FIBONACCI) >> self._shift).view(np.intp)
 
     def columns(self, channel, unit) -> np.ndarray:
         """int64 column of each (channel[i], unit[i]) pair; -1 if unselected."""
         ch, un = np.asarray(channel, dtype=np.int64), np.asarray(unit, dtype=np.int64)
         number = np.where((ch | un) >> PAIR_ID_BITS == 0, ch << PAIR_ID_BITS | un, -1)
-        at = np.searchsorted(self._numbers, number)
-        return np.where(self._numbers[at] == number, self._columns[at], -1)
+        at, col = self._home(number), np.full(number.shape, -1, dtype=np.int64)
+        for _ in range(self._probes):
+            col = np.where(self._keys[at] == number, self._slots[at], col)
+            at = (at + 1) & self._mask
+        return col
 
 
 @dataclass

@@ -12,6 +12,7 @@ from .synthdata import GroundTruthLabels, RawTrace, WINDOW_LEN, split_indices
 
 MATCH_TOLERANCE = WINDOW_LEN
 SORTER_TRAIN_FRAC = 0.6    # matched events that train the tree and L1 sorters
+MIN_TRAINING_EVENTS = 2    # matched events a channel needs for a tree or L1 model
 
 
 def match_events(token_times, truth_times) -> np.ndarray:
@@ -74,6 +75,15 @@ def matched_features(tokens: Tokens, labels: GroundTruthLabels) -> dict:
     return {ch: _matched(tokens, rows[np.argsort(tokens.t[rows], kind="stable")],
                          labels.for_channel(ch))
             for ch, rows in channel_groups(tokens.channel)}
+
+
+def train_channels(train, channels: dict) -> dict:
+    """{channel: train(features, unit ids)} for each entry of *channels*,
+    {channel: (features, unit ids, ...)}, with at least MIN_TRAINING_EVENTS
+    matched events; a quieter channel stays unmodeled, so it is never sorted.
+    """
+    return {ch: train(feats, labs) for ch, (feats, labs, *_) in channels.items()
+            if feats.shape[0] >= MIN_TRAINING_EVENTS}
 
 
 def calibrate(trace: RawTrace, labels: GroundTruthLabels) -> tuple:

@@ -35,7 +35,7 @@ import numpy as np
 from .decode import EnsembleModel, _bin_counts, bin_spikes, ensemble_ez
 from .detect import (DEFAULT_PRE, Completion, Tokens, detect_trace,
                      estimate_threshold)
-from .evaluation import calibrate
+from .evaluation import calibrate, train_channels
 from .sort_offline import classify_by_channel, train_channel_model
 from .synthdata import PayloadError, RawTrace, TraceConfig, WINDOW_LEN, gen_spike_trace
 
@@ -737,9 +737,11 @@ def sweep_spike_rate(rates, n_channels: int = 8, duration_s: float = 2.0,
                      seed: int = 0) -> dict:
     """Activity counters vs input spike rate at a fixed configuration.
 
-    Sorter models are trained once, on one :func:`~nsp.evaluation.calibrate`
-    pass over a reference-rate trace; each rate then gets its own trace and
-    simulator run. Returns per-rate counter rows and the per-stage linear-fit R².
+    Sorter models are trained once, by :func:`~nsp.evaluation.train_channels`
+    on one :func:`~nsp.evaluation.calibrate` pass over a reference-rate trace,
+    so a channel too quiet to train stays unmodeled; each rate then gets its
+    own trace and simulator run. Returns per-rate counter rows and the
+    per-stage linear-fit R².
     """
     rates = [float(r) for r in rates]
     if any(r < 0 for r in rates):
@@ -753,8 +755,8 @@ def sweep_spike_rate(rates, n_channels: int = 8, duration_s: float = 2.0,
                            snr_db=24.0, amp_spread=(0.5, 1.0))
 
     train_trace, train_labels = gen_spike_trace(cfg_for(30.0), seed=seed)
-    models = {ch: train_channel_model(feats, labs) for ch, (feats, labs, _, _)
-              in enumerate(calibrate(train_trace, train_labels)[2])}
+    models = train_channels(train_channel_model,
+                            dict(enumerate(calibrate(train_trace, train_labels)[2])))
 
     selected = [(ch, u) for ch in range(n_channels) for u in range(3)]
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ from nsp.decode import (GAIN_MEMO_CAP, INT32_MAX, PAIR_ID_BITS, PHASES, DecoderB
                         train_observation_standard, train_transition, _eokf_lean,
                         _kf_gain)
 from nsp.opcount import OpCounts, SingularMatrixError, inv_small, ldl_factor, mat_mul
-from nsp.synthdata import PayloadError
+from nsp.synthdata import PayloadError, SessionConfig, gen_reach_session
 
 
 def _random_events(rng, n_events, n_channels=10, n_bins=50, bin_len=3000):
@@ -84,9 +84,12 @@ def test_bin_spikes_counts_any_selected_unit_id():
 
 
 TOP_ID = 2 ** PAIR_ID_BITS - 1
-_IDS = st.integers(0, 8) | st.sampled_from([TOP_ID - 1, TOP_ID])
-_QUERY_IDS = (_IDS | st.integers(-(2 ** 63), 2 ** 63 - 1)
-              | st.sampled_from([-1, TOP_ID + 1, 2 ** 62, -(2 ** 62)]))
+_TOP_IDS = st.sampled_from([TOP_ID - 1, TOP_ID])
+# the 96-channel x 3-unit grid next to the top ids: up to 64 pairs crowd the
+# table enough that probe chains form
+_CHANNELS, _UNITS = st.integers(0, 95) | _TOP_IDS, st.integers(0, 2) | _TOP_IDS
+_QUERY_IDS = (st.integers(-1, 96) | _TOP_IDS | st.integers(-(2 ** 63), 2 ** 63 - 1)
+              | st.sampled_from([TOP_ID + 1, 2 ** 62, -(2 ** 62)]))
 
 
 def _valid_pairs(pairs) -> list:
@@ -100,13 +103,13 @@ def _valid_pairs(pairs) -> list:
 
 
 @settings(max_examples=150, deadline=None)
-@given(selected=st.lists(st.tuples(_IDS, _IDS), max_size=16),
+@given(selected=st.lists(st.tuples(_CHANNELS, _UNITS), max_size=64),
        queries=st.lists(st.tuples(_QUERY_IDS, _QUERY_IDS), max_size=40))
 def test_selection_columns_follow_the_dict(selected, queries):
     """Each (channel, unit) gets its pair's column, -1 when unselected: the
     OUTLIER unit -1 and any other int64 ids included."""
     sel = Selection(_valid_pairs(selected))
-    queries = queries + list(sel.pairs[:5])
+    queries = queries + list(sel.pairs)
     got = sel.columns([c for c, _ in queries], [u for _, u in queries])
     assert got.dtype == np.int64
     assert got.tolist() == [sel.column.get(q, -1) for q in queries]
@@ -120,9 +123,31 @@ def test_selection_ids_end_at_the_bound():
                (0, TOP_ID + 1), (TOP_ID + 1, 0), (-1, 0), (0, -1)]
     got = sel.columns([c for c, _ in queries], [u for _, u in queries])
     assert got.tolist() == [0, 1, 2, 3, -1, -1, -1, -1]
+    # (1, 2), (4, 0) and (5, 2) hash to the last of the 32 slots and (0, 0)
+    # to the first, so the chain wraps and (5, 2) takes four probes
+    sel = Selection([(1, 2), (4, 0), (0, 0), (5, 2)])
+    assert (len(sel._keys), sel._probes) == (32, 4)
+    assert sel._keys[[31, 0, 1, 2]].tolist() == [1 << PAIR_ID_BITS | 2, 4 << PAIR_ID_BITS,
+                                                 0, 5 << PAIR_ID_BITS | 2]
+    queries = [(1, 2), (4, 0), (0, 0), (5, 2), (8, 0), (66, 1), (4, 1), (-1, 0)]
+    got = sel.columns([c for c, _ in queries], [u for _, u in queries])
+    assert got.tolist() == [sel.column.get(q, -1) for q in queries] == [0, 1, 2, 3] + [-1] * 4
     for pair in [(TOP_ID + 1, 0), (0, TOP_ID + 1), (-1, 0), (0, -1), (2 ** 40, 0)]:
         with pytest.raises(ValueError, match="outside"):
             Selection([(0, 0), pair])
+
+
+def test_selection_table_is_small_on_the_benchmark_shapes():
+    """The 96 x 3 grid that the fabric workloads select and the ensembles
+    train_ensemble picks from 96-unit sessions need at most two probes and
+    16 slots per pair."""
+    sessions = (gen_reach_session(SessionConfig(n_units=96), seed=seed) for seed in (1, 2, 3))
+    for pairs in [[(c, u) for c in range(96) for u in range(3)],
+                  *(train_ensemble(s.counts, s.velocity, s.unit_channels).selected
+                    for s in sessions)]:
+        sel = Selection(pairs)
+        assert sel._probes <= 2
+        assert len(sel._keys) <= 16 * len(pairs)
 
 
 def test_selection_rejects_a_repeated_pair_and_a_crowded_channel():

@@ -155,3 +155,23 @@ def test_only_the_gain_step_remembers_gains():
         ".tobytes": {"_gain_step"}, ".flags": {"_gain_step"}, "memo[]": {"_gain_step"},
         ".memo": {"_carry_step"}, ".matmul": {"_eokf_lean", "_gain_step", "ensemble_ez"},
         "_replay_gains": set()}
+
+
+def test_only_the_selection_numbers_pairs():
+    """Inside ``src/nsp`` only ``decode.Selection`` forms a pair number
+    (``<< PAIR_ID_BITS``), and it finds a column through its hash table, with
+    no ``searchsorted``. So a second pair-to-column lookup fails here."""
+    shifts, sorted_lookups = set(), []
+    for path in sorted((ROOT / "src" / "nsp").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.name}:{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                        and "PAIR_ID_BITS" in ast.dump(node.right)):
+                    shifts.add(owner)
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if owner == "decode.py:Selection" and name == "searchsorted":
+                    sorted_lookups.append(node.lineno)
+    assert shifts == {"decode.py:Selection"}
+    assert sorted_lookups == []

@@ -788,6 +788,14 @@ def test_rate_zero_leaves_only_the_noise_crossing_floor():
     assert quiet["tokens_lost"] == 0
 
 
+def test_rate_sweep_leaves_a_channel_too_quiet_to_train_unmodeled():
+    # 0.1 s at 30 Hz gives some channel fewer than MIN_TRAINING_EVENTS
+    # matched events; it stays unmodeled, as under `nsp train-sorter`
+    out = sweep_spike_rate([10.0, 20.0], duration_s=0.1)
+    assert [r["rate_hz"] for r in out["rows"]] == [10.0, 20.0]
+    assert all(r["sorts"] == r["detections"] for r in out["rows"])
+
+
 def test_rate_sweep_rejects_negative_rates():
     with pytest.raises(ValueError):
         sweep_spike_rate([-1.0], n_channels=4)
