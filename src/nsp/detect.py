@@ -14,6 +14,16 @@ the ones inside the threshold, to the bottom of the byte range below 2L - 1
 and leaves |v| >= L at 2L - 1..255. So the detector is one wrapping uint8
 add and one compare per sample, with no widening.
 
+After the compare, the detector reads its mask 8 samples at a time, as
+little-endian uint64 words, and its bookkeeping scales with the hot words,
+not the hot samples. A word's first and last hot samples come from the
+exponents of its bits, and they group the words into clusters: a cluster
+ends where the next hot sample lies at or past the point where the last
+one would re-arm the detector. A cluster too short to re-arm the detector
+fires once, at its first hot sample; only the few crowded clusters that
+fire again are expanded into samples and walked window by window
+(:func:`detect_rows`).
+
 The stream from detector to fabric is columnar. :func:`detect_rows` finds
 the windows of every channel at once, and each window becomes one row of a
 :class:`Tokens`: int64 columns ``t``, ``channel``, ``f1`` and ``f2``, emitted
@@ -146,76 +156,109 @@ def detect_rows(data: np.ndarray, thresholds) -> tuple:
     """Row index and start sample of every window cut from the rows of *data*.
 
     *data* is a (rows, samples) int8 array and *thresholds* holds one
-    threshold per row. A window opens at the first sample t with
-    |v| >= threshold while the detector is idle and spans [t - 4, t + 27];
-    the detector then stays busy for 32 samples, so the window starts of one
-    row are always at least 32 samples apart. A crossing in the first 4
-    samples clamps the window start to sample 0; a window that cannot
-    complete before the end of its row is dropped (so is every later one:
-    their starts are later still).
+    threshold per row, or one for every row; any other count raises
+    ValueError. A window opens at the first sample t with |v| >= threshold
+    while the detector is idle and spans [t - 4, t + 27]; the detector then
+    stays busy for 32 samples, so the window starts of one row are always at
+    least 32 samples apart. After firing at sample c it re-arms at
+    max(c - 4, 0) + 36. A crossing in the first 4 samples clamps the window
+    start to sample 0; a window that cannot complete before the end of its
+    row is dropped (so is every later one: their starts are later still).
 
-    The hot samples come from a byte scan in blocks of ``_SCAN_ROWS`` rows.
-    With L the threshold rounded up, each block adds its rows' L - 1 to
-    their bytes with wrapping uint8 arithmetic and compares the sums with
-    2L - 1 (see the module docstring), into two buffers reused from block
-    to block; one ``flatnonzero`` then lists the block's hot samples. L = 0
-    fires on every sample and L = 128 only on -128. A threshold above 128,
-    +inf or NaN gives L = 129, which no int8 sample reaches: such a row is
-    masked to never fire.
+    The byte scan runs in blocks of ``_SCAN_ROWS`` rows. With L the
+    threshold rounded up, each block adds its rows' L - 1 to their bytes
+    with wrapping uint8 arithmetic and compares the sums with 2L - 1 (see
+    the module docstring), into buffers reused from block to block.
+    L = 0 fires on every sample and L = 128 only on -128. A threshold above
+    128, +inf or NaN is one no int8 sample reaches: such a row is masked to
+    never fire.
 
-    A hot sample that no earlier crossing of its row could mask opens a
-    cluster, and always fires. Most clusters end before their first window
-    re-arms the detector; in the rest, one ``searchsorted`` links each hot
-    sample to the next crossing past the re-arm point it would set, and the
-    only Python loop walks those links from window to window. Windows come
-    out ordered by (row, start).
+    Everything after the scan works on 8-sample words. Each row of the
+    compare buffer is padded with False bytes to whole words and read as
+    little-endian uint64, so byte k of word w is sample 8w + k, and one
+    ``nonzero`` lists the hot words. A word's first and last hot samples
+    are the exponents of its lowest set bit and of its value (``frexp``).
+    No sample can re-arm the detector within its own word, so a word opens
+    a cluster when it starts a row or its first hot sample is at or past
+    the re-arm point of the previous word's last. A cluster that ends
+    before the re-arm point of its first hot sample fires once, there.
+
+    Only the words of crowded clusters, the ones that fire again, are
+    expanded to hot samples. One ``searchsorted`` links each of them to the
+    next hot sample past the re-arm point it would set, and the only Python
+    loop walks those links from window to window inside each cluster.
+    Windows come out ordered by (row, start).
     """
     data = np.asarray(data, dtype=np.int8)
     rows, n = data.shape
     # |v| is an integer in 0..128, so |v| >= thr exactly when |v| >= ceil(thr)
     lim = np.ceil(np.asarray(thresholds, dtype=np.float64).reshape(-1))
-    lim = np.clip(np.nan_to_num(lim, nan=129.0), 0, 129).astype(np.int64)
-    lim = np.broadcast_to(lim, (rows,))
-    never = lim > 128
+    if lim.size not in (1, rows):
+        raise ValueError(f"{lim.size} thresholds for {rows} rows")
+    if lim.size != rows:
+        lim = lim.repeat(rows)
+    never = ~(lim <= 128)      # NaN too
+    lim = np.fmin(np.fmax(lim, 0), 128).astype(np.int64)
     shift = ((lim - 1) % 256).astype(np.uint8)[:, None]
     # L = 0 compares with 0, so every sample fires
-    floor = np.clip(2 * lim - 1, 0, 255).astype(np.uint8)[:, None]
+    floor = np.maximum(2 * lim - 1, 0).astype(np.uint8)[:, None]
     samples = data.view(np.uint8)
+    n_words = -(-n // 8)
     shifted = np.empty((min(_SCAN_ROWS, rows), n), dtype=np.uint8)
-    over = np.empty(shifted.shape, dtype=bool)
-    hot = [np.empty(0, dtype=np.intp)]
+    over = np.zeros((shifted.shape[0], 8 * n_words), dtype=bool)   # pads stay False
+    words = over.view("<u8")
+    lit = np.empty(words.shape, dtype=bool)
+    index, value = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype="<u8")]
     for lo in range(0, rows, _SCAN_ROWS):
         hi = min(lo + _SCAN_ROWS, rows)
-        s, o = shifted[:hi - lo], over[:hi - lo]
+        s, o, w = shifted[:hi - lo], over[:hi - lo, :n], words[:hi - lo].reshape(-1)
         np.add(samples[lo:hi], shift[lo:hi], out=s)
         np.greater_equal(s, floor[lo:hi], out=o)
         o[never[lo:hi]] = False
-        hot.append(np.flatnonzero(o) + lo * n)
-    hot = np.concatenate(hot)
-    row, col = np.divmod(hot, n)
-    t0 = np.maximum(col - DEFAULT_PRE, 0)
-    # where the detector re-arms after firing at each hot sample, as a flat
-    # index: t + 32 unless the start was clamped to 0
-    rearm = hot - col + t0 + WINDOW_LEN + DEFAULT_PRE
-    fires = np.ones(hot.size, dtype=bool)
-    fires[1:] = (row[1:] != row[:-1]) | (hot[1:] >= rearm[:-1])
-    first = np.flatnonzero(fires)
-    last = np.append(first[1:], hot.size)[:first.size] - 1
-    crowded = hot[last] >= rearm[first]      # clusters that fire again
+        # nonzero lists the bool copy ~5x faster than the words themselves
+        k = np.not_equal(w, 0, out=lit[:hi - lo].reshape(-1)).nonzero()[0]
+        index.append(k + lo * n_words)
+        value.append(w[k])
+    word, value = np.concatenate(index), np.concatenate(value)
+    row, col = np.divmod(word, n_words)
+    col <<= 3
+    # v & -v is the lowest set bit, a power of two, and v < 2^(8k + 1) for
+    # the last hot byte k: both convert exactly, and bit 8k has exponent 8k + 1
+    first = col + (np.frexp(value & -value)[1] >> 3)
+    last = col + (np.frexp(value)[1] >> 3)
+    fires = np.ones(word.size, dtype=bool)
+    fires[1:] = (row[1:] != row[:-1]) | (first[1:] >= _rearm(last[:-1]))
+    head = fires.nonzero()[0]
+    size = np.diff(np.append(head, word.size))
+    crowded = last[head + size - 1] >= _rearm(first[head])
     if crowded.any():
-        sizes = last[crowded] - first[crowded] + 1
-        ends = np.cumsum(sizes)
-        inside = np.arange(ends[-1]) + np.repeat(first[crowded] - (ends - sizes), sizes)
-        following = np.searchsorted(hot[inside], rearm[inside]).tolist()
+        crowd, span = head[crowded], size[crowded]
+        end = np.cumsum(span)
+        inside = np.arange(end[-1]) + (crowd - end + span).repeat(span)
+        hot = value[inside].view(bool).nonzero()[0]
+        owner, byte = inside[hot >> 3], hot & 7
+        hot_col = col[owner] + byte
+        key = (word[owner] << 3) + byte     # row-major, so ascending
+        following = np.searchsorted(key, key - hot_col + _rearm(hot_col)).tolist()
+        starts = np.searchsorted(hot, (end - span) << 3).tolist()
         again = []
-        for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        for lo, hi in zip(starts, starts[1:] + [owner.size]):
             j = following[lo]
             while j < hi:
                 again.append(j)
                 j = following[j]
-        fires[inside[again]] = True
-    fired = np.flatnonzero(fires & (t0 <= n - WINDOW_LEN))
+        # no two windows of a row start in one word: mark them on the words
+        fires[owner[again]] = True
+        first[owner[again]] = hot_col[again]
+    t0 = np.maximum(first - DEFAULT_PRE, 0)
+    fired = (fires & (t0 <= n - WINDOW_LEN)).nonzero()[0]
     return row[fired], t0[fired]
+
+
+def _rearm(col):
+    """Column where firing at column *col* re-arms the detector:
+    max(col - 4, 0) + 36, which is col + 32 unless the window start clamps to 0."""
+    return np.maximum(col, DEFAULT_PRE) + WINDOW_LEN
 
 
 def window_features(windows: np.ndarray) -> tuple:
@@ -232,13 +275,12 @@ def window_features(windows: np.ndarray) -> tuple:
 def detect_trace(trace, thresholds) -> tuple:
     """Run detection + feature extraction over all channels of a RawTrace.
 
-    *thresholds* is a scalar or a per-channel sequence (NaN never fires).
+    *thresholds* is a scalar or a per-channel sequence (NaN never fires);
+    any other count raises ValueError.
     Returns (windows, tokens): the (n, 32) int8 array of the detected windows
     and their n :class:`Tokens`, both ordered by (channel, time).
     """
-    thr = np.broadcast_to(np.asarray(thresholds, dtype=np.float64),
-                          (trace.n_channels,))
-    channel, t0 = detect_rows(trace.data, thr)
+    channel, t0 = detect_rows(trace.data, thresholds)
     windows = sliding_window_view(trace.data, WINDOW_LEN, axis=1)[channel, t0]
     f1, f2 = window_features(windows)
     return windows, Tokens(t0, channel, f1, f2)

@@ -653,14 +653,20 @@ def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
     A window spanning [t0, t0+31] completes (and may enter the queue) at
     cycle t0+31. The tokens are those of :func:`~nsp.detect.detect_trace`
     with a NaN threshold, which never fires, on each channel without a
-    model; a model on a channel the trace lacks raises ConfigMismatchError.
+    model; a model on a channel the trace lacks, or one that *thresholds*
+    gives no level for, raises ConfigMismatchError.
     *config* is not read: the detector has no settings.
     """
     check_model_channels(models, trace.n_channels)
+    if thresholds is None:
+        thresholds = {ch: estimate_threshold(trace.data[ch]) for ch in models}
+    unset = sorted(set(models) - set(thresholds))
+    if unset:
+        raise ConfigMismatchError(f"sorter models name channels {unset} but "
+                                  "the thresholds give them no level")
     thr = np.full(trace.n_channels, np.nan)
     for ch in models:
-        thr[ch] = (thresholds[ch] if thresholds is not None
-                   else estimate_threshold(trace.data[ch]))
+        thr[ch] = thresholds[ch]
     return detect_trace(trace, thr)[1]
 
 

@@ -93,6 +93,8 @@ def _int8_segment(n, kind, seed):
        seed=st.integers(0, 2**32 - 1))
 @example(half=500, odd=False, kind="constant", seed=0)
 @example(half=500, odd=True, kind="extremes", seed=1)
+@example(half=500, odd=True, kind="outliers", seed=2)     # 1001 samples
+@example(half=501, odd=True, kind="gauss", seed=3)        # 1003 samples
 def test_int8_threshold_equals_the_float_median_expression(half, odd, kind, seed):
     """The int8 histogram path is exact: == against the float np.median oracle."""
     n = min(2 * half + odd, 5000)
@@ -177,9 +179,11 @@ EDGE_THRESHOLDS = [-np.inf, -1.0, 0.0, 0.5, 1.0, 127.0, 127.5, 128.0, 128.5, 129
        seed=st.integers(0, 2 ** 32 - 1),
        thresholds=st.lists(st.floats(0.0, 140.0) | st.sampled_from(EDGE_THRESHOLDS),
                            min_size=20, max_size=20),
-       quiet=st.sampled_from([0.0, 0.5, 0.9]))
+       quiet=st.sampled_from([0.0, 0.5, 0.9]),
+       runs=st.lists(st.tuples(st.integers(0, 299), st.integers(1, 120),
+                               st.sampled_from([-127, 127])), max_size=4))
 def test_all_channel_detector_equals_the_sample_scan_row_by_row(
-        n_rows, n_samples, seed, thresholds, quiet):
+        n_rows, n_samples, seed, thresholds, quiet, runs):
     rng = np.random.default_rng(seed)
     data = rng.integers(-128, 128, (n_rows, n_samples)).astype(np.int8)
     data[rng.random(data.shape) < quiet] //= 8
@@ -187,11 +191,81 @@ def test_all_channel_detector_equals_the_sample_scan_row_by_row(
     # where a window clamps to sample 0 or cannot complete
     data[:, :4][rng.random((n_rows, min(4, n_samples))) < 0.3] = -128
     data[:, -WINDOW_LEN:][rng.random((n_rows, min(WINDOW_LEN, n_samples))) < 0.1] = 127
+    # long constant runs at the rails: clusters over many words that re-arm
+    # inside the run
+    for start, length, v in runs:
+        data[rng.integers(n_rows), start:start + length] = v
     thr = thresholds[:n_rows]
     rows, starts = detect_rows(data, thr)
     assert rows.tolist() == sorted(rows.tolist())
     for r in range(n_rows):
         assert starts[rows == r].tolist() == scan_starts(data[r], thr[r])
+
+
+def _hot_row(n, *runs):
+    """A quiet row of *n* samples, -100 on each [start, stop) run."""
+    row = np.zeros(n, dtype=np.int8)
+    for start, stop in runs:
+        row[start:stop] = -100
+    return row
+
+
+# the detector reads 8-sample words: byte k of word w is sample 8w + k, and
+# firing at c re-arms it at max(c - 4, 0) + 36
+WORD_EDGES = {
+    "run from a word's last byte": _hot_row(200, (7, 12), (47, 60)),
+    "re-arm on a word's first byte": _hot_row(200, (40, 41), (71, 73), (104, 105)),
+    "re-arm one sample short of a word": _hot_row(200, (40, 41), (71, 72), (103, 104)),
+    "re-arm inside a hot run": _hot_row(200, (10, 100)),
+    "clamped re-arm at 36": _hot_row(100, (1, 2), (33, 34), (35, 37)),
+    "crowded over many words": _hot_row(300, *((t, t + 1) for t in range(5, 290, 21))),
+    "hot last byte of a row": _hot_row(71, (39, 40), (70, 71)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_EDGES))
+def test_word_edges_equal_the_sample_scan(name):
+    row = WORD_EDGES[name]
+    _, starts = detect_rows(row[None], [50.0])
+    assert starts.tolist() == scan_starts(row, 50.0)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 31, 32, 33, 95, 96, 97])
+def test_rows_around_whole_words_equal_the_sample_scan(n):
+    # 9 rows, across a scan block: random rows, a row hot on its last
+    # sample and a row hot on its last 8 samples
+    rng = np.random.default_rng(n)
+    data = rng.integers(-128, 128, (9, n)).astype(np.int8)
+    data[rng.random(data.shape) < 0.7] //= 8
+    data[7] = _hot_row(n, (n - 1, n))
+    data[8] = _hot_row(n, (n - 8, n))
+    rows, starts = detect_rows(data, [40.0] * 9)
+    for r in range(9):
+        assert starts[rows == r].tolist() == scan_starts(data[r], 40.0)
+
+
+@pytest.mark.parametrize("n", range(31, 42))
+def test_railed_row_equals_the_sample_scan(n):
+    # every sample hot: one window at 0 from 32 samples on; the second, from
+    # the crossing at the re-arm point 36, would start at 32 and need 64
+    for threshold in (0.0, 100.0):
+        row = np.full(n, -128, dtype=np.int8)
+        _, starts = detect_rows(row[None], [threshold])
+        assert starts.tolist() == scan_starts(row, threshold) == ([0] if n >= 32 else [])
+
+
+def test_threshold_count_must_match_the_rows():
+    data = np.zeros((4, 100), dtype=np.int8)
+    data[:, 50] = -90
+    with pytest.raises(ValueError, match="^3 thresholds for 4 rows$"):
+        detect_rows(data, [30.0] * 3)
+    with pytest.raises(ValueError, match="^3 thresholds for 4 rows$"):
+        detect_trace(RawTrace(data), [30.0] * 3)
+    # a scalar or a single threshold covers every row
+    every = detect_rows(data, [30.0] * 4)
+    for thr in (30.0, [30.0], np.array([30.0])):
+        assert all(np.array_equal(a, b) for a, b in zip(detect_rows(data, thr), every))
+    assert every[0].tolist() == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("shape", [(0, 100), (0, 0), (3, 0), (9, 10)])
@@ -214,6 +288,24 @@ def test_detector_scan_makes_no_copy_of_the_trace():
         tracemalloc.stop()
     assert rows.size == 0
     assert peak < 4e6
+
+
+def test_detector_scratch_stays_per_word_on_a_dense_trace():
+    # 96 channels, 3 s at 150 Hz per channel: ~37k windows over ~280k hot
+    # samples. Listing every hot sample peaked at 16.0 MB on this input; the
+    # word scan keeps a few arrays per hot word and expands only crowded
+    # clusters (11.2 MB)
+    cfg = tier_config("medium", n_channels=96, duration_s=3.0, firing_rate_hz=150.0)
+    trace, _ = gen_spike_trace(cfg, seed=1)
+    thr = [estimate_threshold(row) for row in trace.data]
+    tracemalloc.start()
+    try:
+        rows, _ = detect_rows(trace.data, thr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.size > 30000
+    assert peak < 13e6
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -175,3 +175,23 @@ def test_only_the_selection_numbers_pairs():
                     sorted_lookups.append(node.lineno)
     assert shifts == {"decode.py:Selection"}
     assert sorted_lookups == []
+
+
+def test_only_detect_rows_reads_mask_words():
+    """Inside ``src/nsp`` only ``detect.detect_rows`` views a buffer as
+    ``'<u8'`` words, and no module calls ``bitwise_count``, which needs
+    numpy >= 2.0 where ``pyproject.toml`` allows 1.24."""
+    word_views, counts = set(), []
+    for path in sorted((ROOT / "src" / "nsp").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.name}:{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "view"
+                        and any(isinstance(a, ast.Constant) and a.value == "<u8"
+                                for a in node.args)):
+                    word_views.add(owner)
+                if "bitwise_count" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    counts.append(f"{owner}:{node.lineno}")
+    assert word_views == {"detect.py:detect_rows"}
+    assert counts == []

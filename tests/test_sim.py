@@ -669,6 +669,18 @@ def test_build_schedule_rejects_a_model_channel_the_trace_lacks(channel):
         build_schedule(trace, {0: None, channel: None}, SimConfig())
 
 
+def test_build_schedule_rejects_models_the_thresholds_do_not_cover():
+    data = np.zeros((4, 100), dtype=np.int8)
+    data[:, 50] = -90
+    trace = RawTrace(data=data)
+    models = dict.fromkeys((0, 1, 2))
+    with pytest.raises(ConfigMismatchError, match=r"channels \[2\] but the thresholds"):
+        build_schedule(trace, models, SimConfig(), {0: 20.0, 1: 20.0})
+    # a threshold without a model is not read
+    schedule = build_schedule(trace, {0: None}, SimConfig(), {0: 20.0, 3: 20.0})
+    assert schedule.channel.tolist() == [0]
+
+
 def test_foreign_channel_in_schedule_is_rejected():
     cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
     sched = [Completion(cycle=0, channel=9, t=0, f1=0, f2=0)]
