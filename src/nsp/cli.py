@@ -18,11 +18,10 @@ import numpy as np
 from . import __version__
 from ._util import atomic_write_text, canonical_json, config_hash
 from .decode import (DecoderBundle, FixedPointFormat, ImplantAccumulator,
-                     count_ops, ensemble_ez, evaluate_reconstruction,
-                     load_decoder, run_eokf, run_eokf_split, run_filter,
-                     selection_columns, store_decoded, store_decoder,
-                     train_ensemble, train_observation_standard,
-                     train_transition)
+                     count_ops, evaluate_reconstruction, load_decoder,
+                     run_eokf, run_eokf_split, run_filter, selection_columns,
+                     store_decoded, store_decoder, train_ensemble,
+                     train_observation_standard, train_transition)
 from .detect import (detect_trace, estimate_threshold, load_tokens, store_tokens,
                      store_windows)
 from .evaluation import (calibrate, matched_features, permutation_accuracy,
@@ -31,7 +30,7 @@ from .opcount import SingularMatrixError
 from .sort_offline import (MODEL_KINDS, classify_by_channel, load_models,
                            store_models, train_channel_model, train_l1)
 from .sort_online import train_online
-from .sim import (ConfigMismatchError, SimConfig, check_model_channels,
+from .sim import (ConfigMismatchError, SimConfig, bin_length, check_model_channels,
                   parse_sim_config, run_simulation)
 from .synthdata import (ClippingError, DatasetFormatError, Int, List, Map, Num, Obj,
                         PayloadError, RawTrace, SessionConfig, TraceConfig, check,
@@ -252,7 +251,7 @@ def cmd_decode(args) -> int:
     event stream goes through the implant split, ``run_eokf_split``, whose
     fixed-point accumulator checks every running sum against 32 bits. Events
     are binned at the sample rate the stream's sidecar records, 30 kHz when
-    it records none."""
+    it records none, by the fabric's ``bin_length`` rule."""
     if (args.session is None) == (args.events is None):
         raise ValueError("decode needs exactly one of --session or --events")
     bundle = load_decoder(args.model)
@@ -265,7 +264,7 @@ def cmd_decode(args) -> int:
             raise ValueError("--trials/--metrics need --session ground truth")
         events = _load_sorted_events(args.events)
         rate = _recorded_rate(args.events).get("sample_rate", RawTrace.sample_rate)
-        bin_len = bundle.bin_ms * rate // 1000
+        bin_len = bin_length(rate, bundle.bin_ms)
         n_bins = max(1, -(-int(events[:, 0].max() + 1) // bin_len)) if events.size else 1
         states, _, ops, _ = run_eokf_split(bundle.transition, obs, events, n_bins,
                                            bin_len, fmt=bundle.fixed,
@@ -350,9 +349,8 @@ def cmd_simulate(args) -> int:
         "config": asdict(sim_cfg),
         "provenance": provenance(vars(args))})
     if args.decoded:
-        ez = ensemble_ez(bundle.observation, result.counts, bundle.fixed)
-        states, _ = run_filter(bundle.transition, bundle.observation, ez,
-                               x0=bundle.x0, P0=bundle.P0)
+        states, _, _ = run_eokf(bundle.transition, bundle.observation, result.counts,
+                                x0=bundle.x0, P0=bundle.P0, fmt=bundle.fixed)
         store_decoded(args.decoded, states)
         _write_meta(args.decoded, vars(args), extra={"n_bins": int(result.n_bins)})
     print(f"wrote {args.counters} (loss={counters['tokens_lost']}, "

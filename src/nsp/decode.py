@@ -19,11 +19,15 @@ explicit re-symmetrization of P after the covariance update is numerical
 hygiene and is excluded from the counters. Per-step counts depend only on
 the shapes, so a run counts one step and scales it by the bin count.
 
-The counted step is the oracle of the uncounted one, ``_gain_step``, which
-remembers its gains: the covariance and gain recursion never reads the
-observation, so the bytes of the posterior P the filter computed fix a step's
-(P, K). Once P repeats, the step updates only the state, with the counted
-step's ``np.matmul`` calls, in ``run_filter`` and bin by bin alike.
+Each filter kind has one gain function, ``_kf_gain`` or ``_eokf_gain``,
+mapping a posterior P to the next step's (P, K), with op counts or without;
+it is the only covariance and gain code. The counted step calls it with
+counts; the uncounted one, ``_gain_step``, calls it without and remembers
+its gains: the covariance and gain recursion never reads the observation, so
+the bytes of the posterior P the filter computed fix a step's (P, K). Once P
+repeats, the memo holds the gain and the step updates only the state, with
+the counted step's ``np.matmul`` calls, in ``run_filter`` and bin by bin
+alike; the counted step is the oracle of that update.
 
 Each observation model names its filter in ``kind`` ("kf" or "eokf"), so the
 model alone picks the filter: every decode path feeds ``run_filter``, which
@@ -370,16 +374,20 @@ def kf_step(fs: FilterState, trans: StateTransitionModel,
             obs: StandardObservationModel, z: np.ndarray,
             ops: StepOps | None = None) -> FilterState:
     """One predict/update cycle of the standard filter on a raw rate vector,
-    as wide as H has rows, or ValueError. With *ops* this is the counted
-    step; without, ``_gain_step``, whose state carries the gain memo."""
-    z = _observations(z, "kf", obs.H.shape[0])
-    if ops is None:
-        return _carry_step(fs, trans, obs, z)
-    x = mat_mul(trans.A, fs.x, _phase(ops, "state_predict"))
-    P, K = _kf_gain(trans, obs, fs.P, ops)
-    su = _phase(ops, "state_update")
-    v = mat_sub(z, mat_mul(obs.H, x, su), su)
-    return FilterState(x=mat_add(x, mat_mul(K, v, su), su), P=P, K=K)
+    as wide as H has rows, or ValueError: ``_step`` with or without *ops*."""
+    return _step(fs, trans, obs, _observations(z, "kf", obs.H.shape[0]), ops)
+
+
+def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
+              ez: np.ndarray, ops: StepOps | None = None) -> FilterState:
+    """One cycle of the ensemble-observation filter: ``_step`` with or
+    without *ops*.
+
+    *ez* is the already-reduced observation (the implant accumulator's bin
+    emission), d wide, or ValueError. Every matrix here is state_dim-sized;
+    the gain needs only a closed-form small inverse.
+    """
+    return _step(fs, trans, ens, _observations(ez, "eokf", trans.A.shape[0]), ops)
 
 
 def _kf_gain(trans: StateTransitionModel, obs: StandardObservationModel,
@@ -395,47 +403,39 @@ def _kf_gain(trans: StateTransitionModel, obs: StandardObservationModel,
     return _sym(mat_mul(M, P, cu)), K
 
 
-_EOKF_S = "innovation covariance (P + Qe)"
-
-
-def eokf_step(fs: FilterState, trans: StateTransitionModel, ens: EnsembleModel,
-              ez: np.ndarray, ops: StepOps | None = None) -> FilterState:
-    """One cycle of the ensemble-observation filter.
-
-    *ez* is the already-reduced observation (the implant accumulator's bin
-    emission), d wide, or ValueError. Every matrix here is state_dim-sized;
-    the gain needs only a closed-form small inverse. With *ops* this is the
-    counted step: the source of every EOKF op count and the oracle of the
-    uncounted ``_gain_step`` over ``_eokf_lean``, which carries the gain memo.
-    """
-    ez = _observations(ez, "eokf", trans.A.shape[0])
-    if ops is None:
-        return _carry_step(fs, trans, ens, ez)
-    x = mat_mul(trans.A, fs.x, _phase(ops, "state_predict"))
-    P = _predict_cov(fs.P, trans, ops)
+def _eokf_gain(trans: StateTransitionModel, ens: EnsembleModel,
+               P: np.ndarray, ops: StepOps | None = None) -> tuple:
+    """(P, K) of the ensemble filter's step from posterior *P*: H is the
+    identity, so the gain is P (P + Qe)^-1."""
+    P = _predict_cov(P, trans, ops)
     g = _phase(ops, "gain")
     S = mat_add(P, ens.Qe, g)
-    Sinv = inv_small(S, g, name=_EOKF_S)
+    Sinv = inv_small(S, g, name="innovation covariance (P + Qe)")
     K = mat_mul(P, Sinv, g)
-    su = _phase(ops, "state_update")
-    v = mat_sub(ez, x, su)
-    x = mat_add(x, mat_mul(K, v, su), su)
     cu = _phase(ops, "cov_update")
     M = mat_sub(np.eye(P.shape[0]), K, cu)
-    P = _sym(mat_mul(M, P, cu))
-    return FilterState(x=x, P=P, K=K)
+    return _sym(mat_mul(M, P, cu)), K
 
 
-def _eokf_lean(trans: StateTransitionModel, ens: EnsembleModel, P: np.ndarray) -> tuple:
-    """The lean EOKF kernel: (P, K) of one uncounted step from posterior *P*,
-    with the counted ``eokf_step``'s ``np.matmul`` calls on the same operands
-    and layouts, its ``inv_small`` and re-symmetrization, so with its bits."""
-    A = trans.A
-    P = np.matmul(np.matmul(A, P), A.T) + trans.W
-    P = (P + P.T) / 2.0
-    K = np.matmul(P, inv_small(P + ens.Qe, None, name=_EOKF_S))
-    P = np.matmul(np.eye(A.shape[0]) - K, P)
-    return (P + P.T) / 2.0, K
+def _step(fs: FilterState, trans: StateTransitionModel, model, z: np.ndarray,
+          ops: StepOps | None) -> FilterState:
+    """The step of the model's ``kind`` from *fs* on a checked *z*.
+
+    With *ops* this is the counted step, the source of every op count and
+    the oracle of the uncounted one: predict x, take (P, K) from the kind's
+    gain function, then update x. Without, it is ``_gain_step`` on the
+    state's (x, P, memo), the memo carried to the state it returns.
+    """
+    if ops is None:
+        x, P, K, memo = _gain_step(trans, model, fs.x, fs.P, z, fs.memo)
+        out = FilterState(x=x, P=P, K=K)
+        out.memo = memo
+        return out
+    x = mat_mul(trans.A, fs.x, _phase(ops, "state_predict"))
+    P, K = (_kf_gain if model.kind == "kf" else _eokf_gain)(trans, model, fs.P, ops)
+    su = _phase(ops, "state_update")
+    v = mat_sub(z, x if model.kind == "eokf" else mat_mul(model.H, x, su), su)
+    return FilterState(x=mat_add(x, mat_mul(K, v, su), su), P=P, K=K)
 
 
 def _gain_step(trans: StateTransitionModel, model, x: np.ndarray, P: np.ndarray,
@@ -444,13 +444,15 @@ def _gain_step(trans: StateTransitionModel, model, x: np.ndarray, P: np.ndarray,
     (x, P, K, memo). *memo* is (trans, model, table), the table mapping a
     posterior P's bytes to the read-only (P, K) its step gave, up to
     GAIN_MEMO_CAP entries. A memo of another pair, or None, becomes an empty
-    one, and *P*, perhaps a caller's in another layout, is not a key. The
-    state update is the counted step's, with the same ``np.matmul`` calls."""
+    one, and *P*, perhaps a caller's in another layout, is not a key. A P
+    the table lacks goes through the kind's gain function without counts.
+    The state update is the counted step's, with the same ``np.matmul``
+    calls."""
     own = memo is not None and memo[0] is trans and memo[1] is model
     key, memo = (P.tobytes(), memo) if own else (None, (trans, model, {}))
     gain = memo[2].get(key)
     if gain is None:
-        gain = _kf_gain(trans, model, P) if model.kind == "kf" else _eokf_lean(trans, model, P)
+        gain = (_kf_gain if model.kind == "kf" else _eokf_gain)(trans, model, P)
         if key is not None and len(memo[2]) < GAIN_MEMO_CAP:
             gain[0].flags.writeable = gain[1].flags.writeable = False
             memo[2][key] = gain
@@ -458,14 +460,6 @@ def _gain_step(trans: StateTransitionModel, model, x: np.ndarray, P: np.ndarray,
     x = np.matmul(trans.A, x[:, None])[:, 0]
     v = z - (x if model.kind == "eokf" else np.matmul(model.H, x[:, None])[:, 0])
     return x + np.matmul(K, v[:, None])[:, 0], P, K, memo
-
-
-def _carry_step(fs: FilterState, trans: StateTransitionModel, model, z) -> FilterState:
-    """``_gain_step`` on the state's (x, P, memo), carried to the next."""
-    x, P, K, memo = _gain_step(trans, model, fs.x, fs.P, z, fs.memo)
-    out = FilterState(x=x, P=P, K=K)
-    out.memo = memo
-    return out
 
 
 def reduce_observation(ens: EnsembleModel, z: np.ndarray,
@@ -524,7 +518,7 @@ def run_filter(trans: StateTransitionModel, model, stream: np.ndarray,
     n = Z.shape[0]
     out = np.empty((n, d))
     if n:
-        fs = (kf_step if kind == "kf" else eokf_step)(fs, trans, model, Z[0], ops)
+        fs = _step(fs, trans, model, Z[0], ops)
         out[0] = fs.x
     x, P, memo = fs.x, fs.P, None
     for k in range(1, n):

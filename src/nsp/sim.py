@@ -43,6 +43,16 @@ SAMPLE_BITS = 8
 OUTPUT_WORD_BITS = 16      # width of one E z state word leaving the implant
 
 
+def bin_length(rate_hz: int, bin_ms: int) -> int:
+    """Samples per *bin_ms* bin at *rate_hz*, to the nearest sample: the one
+    rule for the fabric's bins and the decoder's. ValueError for a bin
+    shorter than one sample."""
+    n = int(round(rate_hz * bin_ms / 1000.0))
+    if n < 1:
+        raise ValueError(f"bin_ms = {bin_ms} at {rate_hz} Hz is shorter than one sample")
+    return n
+
+
 class ConfigMismatchError(ValueError):
     """Trace shape and simulator configuration disagree."""
 
@@ -84,7 +94,7 @@ class SimConfig:
     @property
     def bin_len(self) -> int:
         """Samples (= cycles) per accumulator bin."""
-        return int(round(self.clock_hz * self.bin_ms / 1000.0))
+        return bin_length(self.clock_hz, self.bin_ms)
 
     @property
     def grace_cycles(self) -> int:

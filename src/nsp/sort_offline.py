@@ -438,21 +438,16 @@ def train_channel_model(features: np.ndarray, labels: np.ndarray) -> ChannelSort
 
 def classify_spike(model: ChannelSorterModel, f1: int, f2: int,
                    ops: SortOpCounts | None = None) -> int:
-    """Leaf index for a feature pair: three comparisons, one table lookup.
+    """Leaf index for a feature pair: the three comparisons of the pattern's
+    ``code_of``, one table lookup.
 
     A feature equal to a boundary compares to the upper side. Spikes landing
     in a leaf that saw no training data are reported as OUTLIER.
     """
     pat = model.pattern()
-    features = (f1, f2)
-    code = 0
-    for s in range(N_SPLITS):
-        bit = 1 if features[pat.axes[s]] >= model.boundaries[s] else 0
-        code = (code << 1) | bit
-        if ops is not None:
-            ops.compares += 1
-    leaf = pat.leaf_map[code]
+    leaf = pat.leaf_map[pat.code_of(f1, f2, model.boundaries)]
     if ops is not None:
+        ops.compares += N_SPLITS
         ops.lookups += 1
     return leaf if (model.valid_mask >> leaf) & 1 else OUTLIER
 

@@ -463,6 +463,8 @@ class SessionConfig:
             raise ValueError("need at least one unit and one trial per target")
         if not (0.0 <= self.untuned_fraction <= 1.0):
             raise ValueError("untuned_fraction must be in [0, 1]")
+        if self.bin_ms < 1:
+            raise ValueError(f"bin_ms must be at least 1, got {self.bin_ms}")
 
 
 def min_jerk_speed(tau: np.ndarray, distance: float, duration_s: float) -> np.ndarray:

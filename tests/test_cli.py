@@ -359,6 +359,45 @@ def test_events_decode_bins_at_the_recorded_sample_rate(pipeline, tmp_path):
         assert (m / "want.csv").read_bytes() == (m / f"{name}.csv").read_bytes(), name
 
 
+@pytest.mark.parametrize("rate", [30000, 25007])
+def test_simulate_and_events_decode_bin_alike(pipeline, tmp_path, rate):
+    """A 4-channel, 10 s trace goes detect -> sort -> decode --events and
+    through simulate --decoded; both bin at the trace's rate by one rule, so
+    they write the same CSV. At 25,007 Hz a 100 ms bin is 2,501 samples,
+    where the decoder used to floor it to 2,500."""
+    m = tmp_path
+    trace, labels = gen_spike_trace(replace(tier_config("easy", 4, 10.0), sample_rate=rate),
+                                    seed=42)
+    store_trace(trace, str(m / "trace.bin"))
+    store_labels(labels, str(m / "labels.jsonl"))
+    assert run("detect", "--trace", m / "trace.bin", "--out", m / "tokens.jsonl") == EXIT_OK
+    assert run("train-sorter", "--mode", "offline", "--tokens", m / "tokens.jsonl",
+               "--labels", m / "labels.jsonl", "--out", m / "sorters.json") == EXIT_OK
+    assert run("sort", "--tokens", m / "tokens.jsonl", "--models", m / "sorters.json",
+               "--out", m / "sorted.jsonl") == EXIT_OK
+    shutil.copy(pipeline / "decoder.json", m / "decoder.json")
+    assert run("decode", "--model", m / "decoder.json", "--events", m / "sorted.jsonl",
+               "--out", m / "events.csv") == EXIT_OK
+    assert run("simulate", "--trace", m / "trace.bin", "--models", m,
+               "--counters", m / "sim.json", "--decoded", m / "sim.csv") == EXIT_OK
+    assert json.loads((m / "sim.json").read_text())["counters"]["tokens_lost"] == 0
+    assert (m / "events.csv").read_bytes() == (m / "sim.csv").read_bytes()
+
+
+def test_events_decode_of_a_bin_under_one_sample_exits_4(pipeline, tmp_path, capfd):
+    """A sidecar rate of 5 Hz makes a 100 ms bin half a sample: decode names
+    bin_ms and the rate and exits 4, where it used to divide by zero."""
+    shutil.copy(pipeline / "sorted.jsonl", tmp_path / "sorted.jsonl")
+    (tmp_path / "sorted.jsonl.meta.json").write_text(json.dumps({"sample_rate": 5}))
+    capfd.readouterr()
+    assert run("decode", "--model", pipeline / "decoder.json",
+               "--events", tmp_path / "sorted.jsonl",
+               "--out", tmp_path / "d.csv") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert "bin_ms" in err and "5 Hz" in err and "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_events_decode_checks_the_implant_32_bit_accumulator(pipeline, tmp_path, capfd):
     """A fixed decoder whose largest quantized E entry is about 2**30: two
     events on that column in one bin leave the implant's 32-bit range."""

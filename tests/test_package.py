@@ -134,10 +134,9 @@ def test_only_the_gain_step_remembers_gains():
     """In nsp.decode only the uncounted step kernel, ``_gain_step``, keys the
     gain memo by a P's bytes, reads its table, marks remembered gains
     read-only and makes the uncounted state update (``np.matmul`` besides
-    the lean covariance step and the E z reduction); only ``_carry_step``
-    moves the memo from state to state; and the gain-cycle replay
-    ``_replay_gains`` is gone. So a second route to the settled gain fails
-    here."""
+    the E z reduction); only ``_step`` moves the memo from state to state;
+    and the gain-cycle replay ``_replay_gains`` is gone. So a second route
+    to the settled gain fails here."""
     uses = {}
     for top in ast.parse((ROOT / "src" / "nsp" / "decode.py").read_text(encoding="utf-8")).body:
         for node in ast.walk(top):
@@ -153,8 +152,22 @@ def test_only_the_gain_step_remembers_gains():
     watched = (".tobytes", ".flags", "memo[]", ".memo", ".matmul", "_replay_gains")
     assert {key: uses.get(key, set()) for key in watched} == {
         ".tobytes": {"_gain_step"}, ".flags": {"_gain_step"}, "memo[]": {"_gain_step"},
-        ".memo": {"_carry_step"}, ".matmul": {"_eokf_lean", "_gain_step", "ensemble_ez"},
+        ".memo": {"_step"}, ".matmul": {"_gain_step", "ensemble_ez"},
         "_replay_gains": set()}
+
+
+def test_only_the_gain_functions_factor_the_innovation():
+    """In nsp.decode only the gain function of each filter kind, ``_kf_gain``
+    or ``_eokf_gain``, calls ``ldl_solve`` or ``inv_small``, so the counted
+    and uncounted steps share one covariance and gain recursion, and a
+    second copy of it fails here."""
+    callers = set()
+    for top in ast.parse((ROOT / "src" / "nsp" / "decode.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("ldl_solve", "inv_small")):
+                callers.add(getattr(top, "name", "<module>"))
+    assert callers == {"_kf_gain", "_eokf_gain"}
 
 
 def test_only_the_selection_numbers_pairs():

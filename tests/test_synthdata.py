@@ -349,6 +349,10 @@ def test_untuned_fraction_zeroes_gains():
     assert 10 <= n_flat <= 30  # binomial around 20
     with pytest.raises(ValueError):
         SessionConfig(untuned_fraction=1.5).validate()
+    # a bin under 1 ms used to reach numpy's Poisson draw as a huge or negative lam
+    for bin_ms in (0, -100):
+        with pytest.raises(ValueError, match="bin_ms"):
+            SessionConfig(bin_ms=bin_ms).validate()
 
 
 # --- train/test split ---------------------------------------------------------
