@@ -66,13 +66,18 @@ def _write_meta(path: str, args_dict: dict, seed: int | None = None,
     _write_json(path + ".meta.json", obj)
 
 
-def _recorded_rate(stream: str) -> dict:
-    """``{"sample_rate": rate}`` as *stream*'s .meta.json sidecar records it,
-    checked against its declared table; empty when it records none."""
+# what a token or sorted-event sidecar records of the trace it came from
+RECORDED_FIELDS = {"sample_rate": Int(1), "n_samples": Int(0)}
+
+
+def _recorded_trace(stream: str) -> dict:
+    """The trace's ``sample_rate`` and ``n_samples`` as *stream*'s .meta.json
+    sidecar records them, checked against ``RECORDED_FIELDS``; a key it does
+    not record is left out."""
     path = stream + ".meta.json"
     meta = load_document(path) if os.path.exists(path) else {}
-    check(meta, Obj({}, {"sample_rate": Int(1)}), path)
-    return {"sample_rate": meta["sample_rate"]} if "sample_rate" in meta else {}
+    check(meta, Obj({}, RECORDED_FIELDS), path)
+    return {key: meta[key] for key in RECORDED_FIELDS if key in meta}
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,8 @@ def cmd_detect(args) -> int:
     store_tokens(tokens, args.out)
     _write_meta(args.out, vars(args),
                 extra={"thresholds": [float(t) for t in thresholds],
-                       "n_tokens": len(tokens), "sample_rate": trace.sample_rate})
+                       "n_tokens": len(tokens), "sample_rate": trace.sample_rate,
+                       "n_samples": trace.n_samples})
     if args.windows:
         store_windows(tokens, windows, args.windows)
         _write_meta(args.windows, vars(args))
@@ -185,7 +191,7 @@ def cmd_sort(args) -> int:
     store_records(rows, args.out)
     _write_meta(args.out, vars(args),
                 extra={"n_sorted": len(rows), "n_unmodeled": skipped,
-                       **_recorded_rate(args.tokens)})
+                       **_recorded_trace(args.tokens)})
     print(f"wrote {args.out} ({len(rows)} sorted events, {skipped} skipped)")
     return EXIT_OK
 
@@ -251,7 +257,10 @@ def cmd_decode(args) -> int:
     event stream goes through the implant split, ``run_eokf_split``, whose
     fixed-point accumulator checks every running sum against 32 bits. Events
     are binned at the sample rate the stream's sidecar records, 30 kHz when
-    it records none, by the fabric's ``bin_length`` rule."""
+    it records none, by the fabric's ``bin_length`` rule. The run covers the
+    sidecar's ``n_samples``, as ``simulate --decoded`` covers the trace; a
+    stream without it ends with the bin of its last event, and an event at
+    or past it raises DatasetFormatError."""
     if (args.session is None) == (args.events is None):
         raise ValueError("decode needs exactly one of --session or --events")
     bundle = load_decoder(args.model)
@@ -263,9 +272,16 @@ def cmd_decode(args) -> int:
         if args.trials != "all" or args.metrics:
             raise ValueError("--trials/--metrics need --session ground truth")
         events = _load_sorted_events(args.events)
-        rate = _recorded_rate(args.events).get("sample_rate", RawTrace.sample_rate)
-        bin_len = bin_length(rate, bundle.bin_ms)
-        n_bins = max(1, -(-int(events[:, 0].max() + 1) // bin_len)) if events.size else 1
+        recorded = _recorded_trace(args.events)
+        bin_len = bin_length(recorded.get("sample_rate", RawTrace.sample_rate), bundle.bin_ms)
+        end = int(events[:, 0].max() + 1) if events.size else 0
+        if "n_samples" in recorded:
+            if end > recorded["n_samples"]:
+                raise DatasetFormatError(
+                    f"{args.events}: event at t = {end - 1} lies past the "
+                    f"recorded n_samples = {recorded['n_samples']}")
+            end = recorded["n_samples"]
+        n_bins = max(1, -(-end // bin_len))
         states, _, ops, _ = run_eokf_split(bundle.transition, obs, events, n_bins,
                                            bin_len, fmt=bundle.fixed,
                                            x0=bundle.x0, P0=bundle.P0)

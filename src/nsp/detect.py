@@ -287,10 +287,17 @@ def detect_trace(trace, thresholds) -> tuple:
 
 
 def channel_groups(channel) -> zip:
-    """``(ch, positions of ch in *channel*, in order)`` for each ch, ascending."""
+    """``(ch, positions of ch in *channel*, in order)`` for each ch, ascending.
+
+    One stable sort, which costs little on input already grouped by channel,
+    as the detector emits it; each group starts where the sorted channel
+    changes."""
     order = np.argsort(channel, kind="stable")
-    chans, firsts = np.unique(channel[order], return_index=True)
-    return zip(chans.tolist(), np.split(order, firsts[1:]))
+    ch = np.asarray(channel)[order]
+    opens = np.ones(ch.size, dtype=bool)
+    opens[1:] = ch[1:] != ch[:-1]
+    firsts = np.flatnonzero(opens)
+    return zip(ch[firsts].tolist(), np.split(order, firsts[1:]))
 
 
 # --- token / window stream files (JSONL) -----------------------------------

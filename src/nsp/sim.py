@@ -9,10 +9,12 @@ machine: identical inputs give identical counters and outputs.
 The schedule is the detector's token stream, a :class:`~nsp.detect.Tokens`
 (int columns, as :func:`build_schedule` returns it) or a list of
 :class:`~nsp.detect.Completion` rows, which may carry any completion cycle.
-The simulator keeps it as int arrays sorted by (cycle, channel).
+The simulator keeps it as int arrays in the detector's (channel, cycle)
+order, sorting only a schedule given in another order.
 
 ``Simulator.step`` advances one clock cycle through every stage and is the
-reference; it reads the schedule one row at a time. ``Simulator.run`` takes
+reference; it reads the schedule one row at a time, in (cycle, channel)
+order. ``Simulator.run`` takes
 a fresh simulator to the same end state stage by stage on the arrays: ring
 insertion, where only tokens that contend for a conveyor slot go through a
 loop; one ``classify_many`` call per channel; the decoder buffer, a
@@ -214,10 +216,15 @@ class Simulator:
                     schedule.f2)
         else:
             cols = np.array(schedule, dtype=np.int64).reshape(-1, len(Completion._fields)).T
-        # the schedule as (cycle, channel, t, f1, f2) columns in (cycle, channel) order
-        order = np.lexsort((cols[1], cols[0]))
-        self._cols = tuple(c[order] for c in cols)
-        channel = self._cols[1]
+        # the schedule as (cycle, channel, t, f1, f2) columns in (channel, cycle)
+        # order, the order detect_trace emits them in
+        cycle, channel = cols[0], cols[1]
+        if not np.all((channel[1:] > channel[:-1])
+                      | ((channel[1:] == channel[:-1]) & (cycle[1:] >= cycle[:-1]))):
+            order = np.lexsort((cycle, channel))
+            cols = tuple(c[order] for c in cols)
+            channel = cols[1]
+        self._cols = tuple(cols)
         foreign = channel[(channel < 0) | (channel >= config.n_channels)]
         if foreign.size:
             raise ConfigMismatchError(
@@ -249,8 +256,10 @@ class Simulator:
 
     @cached_property
     def _rows(self) -> list:
-        """The sorted schedule as Completion rows, which :meth:`step` reads."""
-        return list(map(Completion, *(c.tolist() for c in self._cols)))
+        """The schedule as Completion rows in (cycle, channel) order, which
+        :meth:`step` reads."""
+        order = np.argsort(self._cols[0], kind="stable")
+        return list(map(Completion, *(c[order].tolist() for c in self._cols)))
 
     @property
     def pipeline_empty(self) -> bool:
@@ -408,11 +417,17 @@ class Simulator:
             and no exit is ever claimed by tokens of two periods. A token
             alone in its period takes its first-choice exit without a
             stall; only the tokens of longer periods go through the greedy
-            claim loop, which also checks the detector re-arm rule.
+            claim loop, in order of their first insertion attempt. One
+            check then applies the detector re-arm rule: each of a
+            channel's tokens enters its ring before the channel's next
+            token completes.
         (B) Sorter. Every ring token is labelled by its channel's
-            classifier, one ``classify_many`` call per channel; a plain
-            callable is called once per token, in the order tokens reach
-            that channel's sorter.
+            classifier, one ``classify_many`` call per channel, on the
+            schedule's (channel, cycle) order; a plain callable is called
+            once per token, in that order. Under the re-arm rule a
+            channel's exits rise with its completions, so that is the order
+            tokens reach the channel's sorter. The labels then follow the
+            tokens into exit order.
         (C) Decoder buffer. Per arrival cycle: the buffer pops one item,
             then admits that cycle's arrivals, in group order, up to its
             depth. An item is accepted one cycle after its arrival or after
@@ -434,9 +449,9 @@ class Simulator:
 
         A simulator that :meth:`step` has already advanced finishes by
         stepping. So does a schedule that breaks the detector re-arm rule (a
-        channel completing while its previous token is held): stage A gives
-        up, and the error raised and the state left behind are exactly those
-        of :meth:`step`.
+        channel completing while its previous token is held, or twice in
+        one cycle): stage A gives up, and the error raised, if any, and the
+        state left behind are exactly those of :meth:`step`.
         """
         staged = None if self.cycle else self._insert_tokens()
         if staged is None:
@@ -448,12 +463,14 @@ class Simulator:
         n_groups = cfg.n_groups
         cycle, channel, t, f1, f2 = self._cols
 
-        # (B) the ring tokens in the order they reach the sorters
+        # (B) label the ring tokens in schedule order, where each channel's
+        # tokens reach its sorter in time order, then put them in the order
+        # they reach the sorters
+        labels = classify_by_channel(self.classifiers, channel[ring], f1[ring], f2[ring])
         by_key = np.argsort(key)
-        ring = ring[by_key]
+        ring, labels = ring[by_key], labels[by_key]
         arrival = key[by_key] // n_groups
         channel, t = channel[ring], t[ring]
-        labels = classify_by_channel(self.classifiers, channel, f1[ring], f2[ring])
 
         # (C) the decoder buffer
         accepts, taken = _buffer_accepts(arrival, cfg.decoder_buffer_depth)
@@ -472,7 +489,7 @@ class Simulator:
         # step() would stop after the last cycle with a detection, insertion,
         # ring exit, accept or bank close; a ring token leaves no earlier
         # than it is inserted
-        last = max(max(int(cycle[-1]), 0) if cycle.size else -1,
+        last = max(max(int(cycle.max()), 0) if cycle.size else -1,
                    int(arrival[-1]) if ring.size else -1,
                    int(accepts[-1]) if accepts.size else -1)
         if self.n_bins:
@@ -502,11 +519,12 @@ class Simulator:
         # k + 1 tokens fill the exits up to leave[k] = max over j <= k of
         # first[j] + (k - j), and a token whose first choice lies past its
         # predecessor's leave opens a new period; the offset per group
-        # restarts the cumulative max at each group
-        by_exit = np.lexsort((first, group))
-        g, e = group[by_exit], first[by_exit]
+        # restarts the cumulative max at each group. Tokens with equal
+        # (group, first) give equal rows, so their order does not matter.
         k = np.arange(ring.size)
-        span = int(e.max()) + ring.size + 1 if ring.size else 0
+        span = int(first.max()) + ring.size + 1 if ring.size else 0
+        by_exit = np.argsort(group * span + first)
+        g, e = group[by_exit], first[by_exit]
         leave = np.maximum.accumulate(e - k + g * span) - g * span + k
         opens = np.ones(ring.size, dtype=bool)    # token opens a busy period
         opens[1:] = (g[1:] != g[:-1]) | (e[1:] > leave[:-1])
@@ -515,24 +533,25 @@ class Simulator:
 
         key = first * n_groups + group
         busy = np.flatnonzero(~alone)
-        claims = self._claim(n_groups, start[busy].tolist(), channel[ring[busy]].tolist(),
-                             (tap[busy] * n_groups + group[busy]).tolist())
-        if claims is None:
+        by_start = busy[np.argsort(start[busy], kind="stable")]
+        key[by_start] = self._claim(n_groups, start[by_start].tolist(),
+                                    (tap[by_start] * n_groups + group[by_start]).tolist())
+        # the re-arm rule: a channel's busy token enters its ring before the
+        # channel's next busy token completes (an alone token keeps it anyway)
+        entry = key[busy] // n_groups - tap[busy]
+        owner = channel[ring[busy]]
+        if np.any((owner[1:] == owner[:-1]) & (entry[:-1] >= start[busy[1:]])):
             return None
-        key[busy] = claims
-        stalls = int((key[busy] // n_groups - first[busy]).sum())
-        return ring, key, stalls
+        return ring, key, int((entry - start[busy]).sum())
 
     @staticmethod
-    def _claim(n_groups: int, starts: list, channels: list, offsets: list):
-        """The greedy claim loop of stage A over tokens in schedule order.
+    def _claim(n_groups: int, starts: list, offsets: list) -> list:
+        """The greedy claim loop of stage A over tokens sorted by start.
 
-        A token of channel ``channels[i]`` first tries to insert in cycle
-        ``starts[i]``; inserting in cycle ``c`` claims the key
-        ``c * n_groups + offsets[i]``, and a claimed key blocks the token
-        until the next cycle. Returns every token's claimed key, or None
-        when a channel completes while its previous token is held or two of
-        its tokens are held at once.
+        Token ``i`` first tries to insert in cycle ``starts[i]``; inserting
+        in cycle ``c`` claims the key ``c * n_groups + offsets[i]``, and a
+        claimed key blocks the token until the next cycle. Returns every
+        token's claimed key.
         """
         n = len(starts)
         keys = [0] * n
@@ -540,17 +559,11 @@ class Simulator:
         i, cyc = 0, -1
         while held or i < n:
             # one cycle: held tokens retry, then this cycle's completions
-            # join them; distinct channels never contend for one key
+            # join them; distinct channels never contend for one key, and
+            # two tokens of one channel only where stage A then gives up
             waiting, held = held, []
-            if waiting:
-                cyc += 1
-                held_channels = {channels[j] for j in waiting}
-            else:
-                cyc = starts[i]
-                held_channels = ()
+            cyc = cyc + 1 if waiting else starts[i]
             while i < n and starts[i] <= cyc:
-                if channels[i] in held_channels:
-                    return None
                 waiting.append(i)
                 i += 1
             base = cyc * n_groups
@@ -561,8 +574,6 @@ class Simulator:
                 else:
                     claimed.add(key)
                     keys[j] = key
-            if held and len({channels[j] for j in held}) < len(held):
-                return None          # two tokens of one channel blocked at once
         return keys
 
     def _accept_all(self, accepts, t, channel, labels) -> None:

@@ -384,6 +384,55 @@ def test_simulate_and_events_decode_bin_alike(pipeline, tmp_path, rate):
     assert (m / "events.csv").read_bytes() == (m / "sim.csv").read_bytes()
 
 
+def test_events_decode_bins_the_whole_recording(pipeline, tmp_path):
+    """A 4-channel, 10 s trace whose last 0.5 s is silent: detect records its
+    length, sort carries it on, and decode --events bins the whole recording,
+    100 rows as simulate --decoded writes them, where it used to stop at the
+    bin of the last event (95 rows). Without the length the stream keeps the
+    last-event rule."""
+    m = tmp_path
+    trace, labels = gen_spike_trace(tier_config("easy", 4, 10.0), seed=42)
+    trace.data[:, -trace.sample_rate // 2:] = 0
+    store_trace(trace, str(m / "trace.bin"))
+    store_labels(labels, str(m / "labels.jsonl"))
+    assert run("detect", "--trace", m / "trace.bin", "--out", m / "tokens.jsonl") == EXIT_OK
+    assert json.loads((m / "tokens.jsonl.meta.json").read_text())["n_samples"] == 300000
+    assert run("train-sorter", "--mode", "offline", "--tokens", m / "tokens.jsonl",
+               "--labels", m / "labels.jsonl", "--out", m / "sorters.json") == EXIT_OK
+    assert run("sort", "--tokens", m / "tokens.jsonl", "--models", m / "sorters.json",
+               "--out", m / "sorted.jsonl") == EXIT_OK
+    assert json.loads((m / "sorted.jsonl.meta.json").read_text())["n_samples"] == 300000
+    shutil.copy(pipeline / "decoder.json", m / "decoder.json")
+    assert run("decode", "--model", m / "decoder.json", "--events", m / "sorted.jsonl",
+               "--out", m / "events.csv") == EXIT_OK
+    assert run("simulate", "--trace", m / "trace.bin", "--models", m,
+               "--counters", m / "sim.json", "--decoded", m / "sim.csv") == EXIT_OK
+    assert json.loads((m / "sim.json").read_text())["counters"]["tokens_lost"] == 0
+    assert load_decoded(str(m / "events.csv")).shape[0] == 100
+    assert (m / "events.csv").read_bytes() == (m / "sim.csv").read_bytes()
+    shutil.copy(m / "sorted.jsonl", m / "bare.jsonl")
+    assert run("decode", "--model", m / "decoder.json", "--events", m / "bare.jsonl",
+               "--out", m / "bare.csv") == EXIT_OK
+    bare = load_decoded(str(m / "bare.csv"))
+    assert bare.shape[0] == 95
+    assert np.array_equal(bare, load_decoded(str(m / "events.csv"))[:95])
+
+
+def test_events_decode_rejects_an_event_past_the_recorded_length(pipeline, tmp_path, capfd):
+    """A sidecar whose n_samples ends before the stream's last event exits 4
+    naming both, and writes nothing."""
+    shutil.copy(pipeline / "sorted.jsonl", tmp_path / "sorted.jsonl")
+    last = int(_load_sorted_events(str(pipeline / "sorted.jsonl"))[:, 0].max())
+    (tmp_path / "sorted.jsonl.meta.json").write_text(json.dumps({"n_samples": last}))
+    capfd.readouterr()
+    assert run("decode", "--model", pipeline / "decoder.json",
+               "--events", tmp_path / "sorted.jsonl",
+               "--out", tmp_path / "d.csv") == EXIT_SCHEMA
+    err = capfd.readouterr().err
+    assert f"t = {last}" in err and f"n_samples = {last}" in err and "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_events_decode_of_a_bin_under_one_sample_exits_4(pipeline, tmp_path, capfd):
     """A sidecar rate of 5 Hz makes a 100 ms bin half a sample: decode names
     bin_ms and the rate and exits 4, where it used to divide by zero."""

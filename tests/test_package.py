@@ -170,6 +170,22 @@ def test_only_the_gain_functions_factor_the_innovation():
     assert callers == {"_kf_gain", "_eokf_gain"}
 
 
+def test_only_the_simulator_constructor_sorts_the_schedule():
+    """Inside ``nsp.sim`` only ``Simulator.__init__`` calls ``lexsort``, and
+    only on a schedule out of the detector's (channel, cycle) order; each
+    stage keeps that order and sorts by a single key where it needs
+    another. So a stage that sorts the schedule back into cycle order
+    fails here."""
+    callers = set()
+    for top in ast.parse((ROOT / "src" / "nsp" / "sim.py").read_text(encoding="utf-8")).body:
+        prefix = top.name + "." if isinstance(top, ast.ClassDef) else ""
+        for member in (top.body if prefix else [top]):
+            for node in ast.walk(member):
+                if "lexsort" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    callers.add(prefix + getattr(member, "name", "<body>"))
+    assert callers == {"Simulator.__init__"}
+
+
 def test_only_the_selection_numbers_pairs():
     """Inside ``src/nsp`` only ``decode.Selection`` forms a pair number
     (``<< PAIR_ID_BITS``), and it finds a column through its hash table, with

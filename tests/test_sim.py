@@ -425,14 +425,99 @@ def test_run_equals_step_on_ties_long_busy_periods_and_negative_cycles():
     assert all(count >= 5 for count in seen.values()), seen
 
 
+def _shuffled(rows, seed):
+    return [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+
+
 def test_a_token_schedule_runs_like_its_completion_rows():
+    """A Tokens schedule in the detector's (channel, time) order, its
+    Completion rows and the rows shuffled give one outcome through run() and
+    through step()."""
     for seed in range(40):
         cfg, ens, classifiers, schedule, n_bins = _random_fabric(seed)
         rows = [tok._replace(cycle=tok.t + 31) for tok in schedule]
         tokens = Tokens.of(rows)
+        want = _outcome(Simulator(cfg, ens, classifiers, tokens, n_bins), _step_until_done)
+        for sched in (tokens, rows, _shuffled(rows, seed)):
+            for drive in (Simulator.run, _step_until_done):
+                assert _outcome(Simulator(cfg, ens, classifiers, sched, n_bins),
+                                drive) == want, seed
+
+
+def test_schedule_order_does_not_matter_at_extreme_cycles():
+    """Completion cycles from -2**62 to 2**62 are sorted without a composite
+    key that could overflow: every order of the rows gives the simulator the
+    same (channel, cycle) columns, and the staged run the same outcome.
+    Without the far-future cycles step() is the oracle too."""
+    cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
+    in_order = [Completion(cycle=c, channel=ch, t=0, f1=ch, f2=i)
+                for ch in range(4)
+                for i, c in enumerate(((-2 ** 62, -2 ** 41, -5, -1)[ch], 40 + 7 * ch,
+                                       (2 ** 41, 2 ** 62, 2 ** 40 + 3, 2 ** 62 - 1)[ch]))]
+    near = [r for r in in_order if r.cycle < 2 ** 40]
+    for seed in range(10):
+        for sched in (in_order, near):
+            got = _shuffled(sched, seed)
+            sim = _sim(cfg, range(4), got)
+            assert [c.tolist() for c in sim._cols] == [list(c) for c in zip(*sched)]
+            sim.step = lambda: pytest.fail("run() stepped a schedule that keeps the re-arm rule")
+            fast = _outcome(sim, Simulator.run)
+            assert fast["err"] is None
+            assert fast == _outcome(_sim(cfg, range(4), sched), Simulator.run), seed
+            if sched is near:
+                assert fast == _outcome(_sim(cfg, range(4), got), _step_until_done)
+
+
+def test_two_completions_of_one_channel_in_one_cycle_run_like_step():
+    # channel 0 completes twice in cycle 5 and nothing else blocks its tap:
+    # run() hands the schedule to step(), which inserts one and holds one
+    cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
+    sched = [Completion(cycle=5, channel=0, t=0, f1=1, f2=0),
+             Completion(cycle=5, channel=0, t=1, f1=2, f2=0),
+             Completion(cycle=9, channel=2, t=0, f1=3, f2=0)]
+    fast = _outcome(_sim(cfg, range(4), sched), Simulator.run)
+    assert fast["err"] is None and fast["counters"]["stall_cycles"] == 1
+    assert fast == _outcome(_sim(cfg, range(4), sched), _step_until_done)
+
+
+def test_plain_callables_see_each_channels_tokens_in_step_order():
+    """Under run() a plain classifier callable is called, channel by channel,
+    with the same tokens in the same order as under step()."""
+    for seed in range(300):
+        cfg, ens, _, schedule, n_bins = _random_fabric(seed)
+        per_channel = []
         for drive in (Simulator.run, _step_until_done):
-            assert (_outcome(Simulator(cfg, ens, classifiers, tokens, n_bins), drive)
-                    == _outcome(Simulator(cfg, ens, classifiers, rows, n_bins), drive)), seed
+            log = {ch: [] for ch in range(cfg.n_channels)}
+            classifiers = {ch: (lambda f1, f2, ch=ch: log[ch].append((f1, f2)) or (f1 - f2) % 3)
+                           for ch in log}
+            _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins), drive)
+            per_channel.append(log)
+        assert per_channel[0] == per_channel[1], seed
+
+
+@pytest.mark.parametrize("rate_hz", [30.0, 150.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_detector_schedules_run_staged(rate_hz, seed):
+    """build_schedule output, shaped like the chain (30 Hz, some channels
+    gated) and dense (150 Hz, none gated) fabric workloads, never sends run()
+    down the per-cycle path: the detector's re-arm rule holds on every
+    token, so the stages take the whole run without a step."""
+    n = 32
+    trace, _ = gen_spike_trace(tier_config("medium", n_channels=n, duration_s=2.0,
+                                           firing_rate_hz=rate_hz), seed=seed)
+    cfg = SimConfig(n_channels=n, group_size=32)
+    channels = range(0, n, 2) if rate_hz < 100 else range(n)
+    ens = _ensemble(channels, units=3, seed=seed)
+    classifiers = {ch: (lambda f1, f2: (f1 + f2) % 3) for ch in range(n)}
+    schedule = build_schedule(trace, classifiers, cfg)
+    sim = Simulator(cfg, ens, classifiers, schedule, 20)
+    sim.step = lambda: pytest.fail("run() stepped a detector schedule")
+    sim.run()
+    c = sim.counters
+    assert c.detections == len(schedule) > 0 and c.stall_cycles > 0
+    oracle = Simulator(cfg, ens, classifiers, schedule, 20)
+    _step_until_done(oracle)
+    assert c == oracle.counters
 
 
 def test_run_reports_a_doubly_blocked_channel_like_step():
