@@ -39,9 +39,9 @@ from .decode import (DecoderBundle, EnsembleModel, FilterState,
                      run_kf, select_neurons, selection_columns, store_decoded,
                      store_decoder, train_ensemble, train_observation_standard,
                      train_transition)
-from .sim import (ConfigMismatchError, SimConfig, SimCounters, SimResult,
-                  Simulator, build_schedule, parse_sim_config, reference_ez,
-                  run_simulation, sweep_spike_rate)
+from .sim import (ConfigMismatchError, SimConfig, SimCounters, Simulator,
+                  build_schedule, parse_sim_config, reference_ez, run_simulation,
+                  sweep_spike_rate)
 from .evaluation import (calibrate, evaluate_channel_sorters, mapped_accuracy,
                          match_events, permutation_accuracy, run_decoder_benchmark,
                          run_parity_benchmark, split_indices, train_channels)
@@ -78,7 +78,7 @@ __all__ = [
     "best_single_neuron_decoder", "DecoderBundle", "store_decoder",
     "load_decoder", "store_decoded", "load_decoded",
     # simulation
-    "SimConfig", "SimCounters", "SimResult", "Simulator", "ConfigMismatchError",
+    "SimConfig", "SimCounters", "Simulator", "ConfigMismatchError",
     "parse_sim_config", "build_schedule",
     "run_simulation", "reference_ez", "sweep_spike_rate",
     # evaluation

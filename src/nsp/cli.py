@@ -30,8 +30,8 @@ from .opcount import SingularMatrixError
 from .sort_offline import (MODEL_KINDS, classify_by_channel, load_models,
                            store_models, train_channel_model, train_l1)
 from .sort_online import train_online
-from .sim import (ConfigMismatchError, SimConfig, bin_length, check_model_channels,
-                  parse_sim_config, run_simulation)
+from .sim import (ConfigMismatchError, SimConfig, bin_length, bins_spanning,
+                  check_model_channels, parse_sim_config, run_simulation)
 from .synthdata import (ClippingError, DatasetFormatError, Int, List, Map, Num, Obj,
                         PayloadError, RawTrace, SessionConfig, TraceConfig, check,
                         gen_reach_session, gen_spike_trace, load_channel_records,
@@ -247,9 +247,13 @@ def cmd_train_decoder(args) -> int:
     return EXIT_OK
 
 
+SORTED_EVENT_FIELDS = {"t": Int(0), "ch": Int(), "label": Int()}
+
+
 def _load_sorted_events(path: str) -> np.ndarray:
-    """Sorted-event JSONL ({"ch","label","t"} rows) as an (n, 3) (t, ch, label) array."""
-    return load_channel_records(path, "sorted event", dict.fromkeys(("t", "ch", "label"), Int()))
+    """Sorted-event JSONL ({"ch","label","t"} rows, checked against
+    ``SORTED_EVENT_FIELDS``) as an (n, 3) (t, ch, label) array."""
+    return load_channel_records(path, "sorted event", SORTED_EVENT_FIELDS)
 
 
 def cmd_decode(args) -> int:
@@ -259,8 +263,8 @@ def cmd_decode(args) -> int:
     are binned at the sample rate the stream's sidecar records, 30 kHz when
     it records none, by the fabric's ``bin_length`` rule. The run covers the
     sidecar's ``n_samples``, as ``simulate --decoded`` covers the trace; a
-    stream without it ends with the bin of its last event, and an event at
-    or past it raises DatasetFormatError."""
+    stream without it ends with the bin of its last event. An event time
+    outside [0, n_samples) raises DatasetFormatError (exit 4)."""
     if (args.session is None) == (args.events is None):
         raise ValueError("decode needs exactly one of --session or --events")
     bundle = load_decoder(args.model)
@@ -274,15 +278,13 @@ def cmd_decode(args) -> int:
         events = _load_sorted_events(args.events)
         recorded = _recorded_trace(args.events)
         bin_len = bin_length(recorded.get("sample_rate", RawTrace.sample_rate), bundle.bin_ms)
-        end = int(events[:, 0].max() + 1) if events.size else 0
-        if "n_samples" in recorded:
-            if end > recorded["n_samples"]:
-                raise DatasetFormatError(
-                    f"{args.events}: event at t = {end - 1} lies past the "
-                    f"recorded n_samples = {recorded['n_samples']}")
-            end = recorded["n_samples"]
-        n_bins = max(1, -(-end // bin_len))
-        states, _, ops, _ = run_eokf_split(bundle.transition, obs, events, n_bins,
+        last = int(events[:, 0].max()) if events.size else -1
+        n_samples = recorded.get("n_samples", last + 1)
+        if last >= n_samples:
+            raise DatasetFormatError(f"{args.events}: event at t = {last} lies past "
+                                     f"the recorded n_samples = {n_samples}")
+        states, _, ops, _ = run_eokf_split(bundle.transition, obs, events,
+                                           bins_spanning(n_samples, bin_len),
                                            bin_len, fmt=bundle.fixed,
                                            x0=bundle.x0, P0=bundle.P0)
     else:

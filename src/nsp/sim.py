@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +53,12 @@ def bin_length(rate_hz: int, bin_ms: int) -> int:
     if n < 1:
         raise ValueError(f"bin_ms = {bin_ms} at {rate_hz} Hz is shorter than one sample")
     return n
+
+
+def bins_spanning(n_samples: int, bin_len: int) -> int:
+    """Bins of *bin_len* samples that cover *n_samples* samples, at least one:
+    the one rule for how many bins a recording spans."""
+    return max(1, -(-n_samples // bin_len))
 
 
 class ConfigMismatchError(ValueError):
@@ -183,7 +189,9 @@ class SimCounters:
 
 class Simulator:
     """One fabric instance. Feed it a schedule of detector tokens, then either
-    step cycles or :meth:`run` it from fresh.
+    step cycles or :meth:`run` it from fresh. The finished simulator is the
+    record of its run: :attr:`ez` and :attr:`counts` are its per-bin outputs,
+    beside ``counters``, ``sorts_by_channel`` and :attr:`accepted_events`.
 
     *classifiers* maps channel -> sorter model (anything with
     ``classify_many`` and ``classify``) or a plain (f1, f2) -> label
@@ -230,6 +238,14 @@ class Simulator:
             raise ConfigMismatchError(
                 f"completion on channel {foreign[0]} outside the "
                 f"configured {config.n_channels} channels")
+        # run() keys a token by exit cycle * n_groups + group in int64; no
+        # exit or accept comes more than group_size + 2 * tokens cycles after
+        # the last completion
+        bound = np.iinfo(np.int64).max // config.n_groups - config.group_size - 2 * cycle.size
+        if cycle.size and int(cycle.max()) > bound:
+            raise ConfigMismatchError(f"completion cycle {int(cycle.max())} lies past cycle "
+                                      f"{bound}, the last that {config.n_groups} groups "
+                                      "can key in int64")
         self.n_bins = n_bins
         self.cycle = 0
         self._next_comp = 0
@@ -238,7 +254,7 @@ class Simulator:
         self._held = {}
         self._fifo = deque()
         d = ensemble.E.shape[0]
-        self._banks = np.zeros((n_bins, len(ensemble.selected)), dtype=np.int64)
+        self.counts = np.zeros((n_bins, len(ensemble.selected)), dtype=np.int64)
         self._ez = np.zeros((n_bins, d), dtype=np.float64)
         self._bin_len = config.bin_len
         self._next_emit = 0
@@ -247,6 +263,11 @@ class Simulator:
         self._accepted = []       # (t, channel, label) per accept
 
     # -- state inspection ---------------------------------------------------
+
+    @property
+    def ez(self) -> np.ndarray:
+        """(n_bins, state_dim) E z of each emitted bin, zero until it is emitted."""
+        return self._ez
 
     @property
     def accepted_events(self) -> np.ndarray:
@@ -388,12 +409,12 @@ class Simulator:
             k = self._next_emit
         col = self.ensemble.selection.column.get((comp.channel, label))
         if col is not None:
-            self._banks[k, col] += 1
+            self.counts[k, col] += 1
         self._accepted.append((comp.t, comp.channel, label))
 
     def _emit_bank(self) -> None:
         k = self._next_emit
-        self._ez[k] = self.ensemble.E @ self._banks[k].astype(np.float64)
+        self._ez[k] = self.ensemble.E @ self.counts[k].astype(np.float64)
         self._next_emit = k + 1
         self._next_close = self._close_cycle(k + 1)
         self.counters.bins_emitted += 1
@@ -596,7 +617,7 @@ class Simulator:
         k = np.where(late, oldest_open, k)
         kept = ~late | (oldest_open < n_bins)
         cols = np.where(kept, self.ensemble.selection.columns(channel, labels), -1)
-        self._banks += _bin_counts(k, cols, n_bins, self._banks.shape[1])
+        self.counts += _bin_counts(k, cols, n_bins, self.counts.shape[1])
         c = self.counters
         c.decoder_accepts += accepts.size
         c.edge_crossings += int(edge.sum())
@@ -653,20 +674,6 @@ def _admit(arrival: list, depth: int):
     return accepts, taken
 
 
-@dataclass
-class SimResult:
-    ez: np.ndarray                 # (n_bins, state_dim) per-bin reduced observation
-    counts: np.ndarray             # (n_bins, n_selected) accumulated event counts
-    counters: SimCounters
-    sorts_by_channel: np.ndarray   # (n_channels,) int64
-    accepted_events: np.ndarray    # (n, 3) rows (t, channel, label)
-    config: SimConfig = field(repr=False, default=None)
-
-    @property
-    def n_bins(self) -> int:
-        return self.ez.shape[0]
-
-
 def build_schedule(trace: RawTrace, models: dict, config: SimConfig,
                    thresholds: dict | None = None) -> Tokens:
     """Detect every modeled channel of *trace* into a token schedule.
@@ -700,9 +707,11 @@ def check_model_channels(models, n_channels: int) -> None:
 
 
 def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
-                   config: SimConfig | None = None,
-                   thresholds: dict | None = None) -> SimResult:
-    """Drive the fabric over a full trace and return outputs plus counters.
+                   config: SimConfig,
+                   thresholds: dict | None = None) -> Simulator:
+    """Drive the fabric over a full trace and return the simulator it ran:
+    the record of the run, over the trace's :func:`bins_spanning` bins, with
+    its input bits counted.
 
     *models* maps channel -> sorter model (anything with ``classify(f1, f2)``)
     or a plain (f1, f2) -> label callable; a model on a channel the trace
@@ -714,7 +723,6 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
     ``ez`` equals the reference computed outside the simulator (count the
     sorted events into bins, multiply by the ensemble matrix once per bin).
     """
-    config = config or SimConfig()
     config.validate()
     if trace.data.shape[0] != config.n_channels:
         raise ConfigMismatchError(
@@ -725,13 +733,11 @@ def run_simulation(trace: RawTrace, models: dict, ensemble: EnsembleModel,
             f"trace is sampled at {trace.sample_rate} Hz but the fabric clock "
             f"is {config.clock_hz} Hz; one sample per cycle needs them equal")
     n_samples = trace.data.shape[1]
-    n_bins = max(1, math.ceil(n_samples / config.bin_len))
     schedule = build_schedule(trace, models, config, thresholds)
-    sim = Simulator(config, ensemble, models, schedule, n_bins).run()
+    sim = Simulator(config, ensemble, models, schedule,
+                    bins_spanning(n_samples, config.bin_len)).run()
     sim.counters.input_bits = config.n_channels * n_samples * SAMPLE_BITS
-    return SimResult(ez=sim._ez, counts=sim._banks, counters=sim.counters,
-                     sorts_by_channel=sim.sorts_by_channel,
-                     accepted_events=sim.accepted_events, config=config)
+    return sim
 
 
 def reference_ez(events, ensemble: EnsembleModel, n_bins: int, bin_len: int) -> np.ndarray:

@@ -10,13 +10,15 @@ import pytest
 from nsp.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA,
                      EXIT_USAGE, _load_sorted_events, main)
 from nsp.decode import (FilterState, StepOps, ensemble_ez, eokf_step, kf_step,
-                        load_decoded, load_decoder, run_eokf_split, run_filter,
+                        load_decoded, load_decoder, run_eokf, run_eokf_split, run_filter,
                         selection_columns, store_decoded, within_channel_ranks)
-from nsp.sim import parse_sim_config, reference_ez, run_simulation
+from nsp.evaluation import calibrate, train_channels
+from nsp.sim import bin_length, bins_spanning, parse_sim_config, reference_ez, run_simulation
 from nsp.sort_offline import (MODEL_KINDS, TREE_MODEL_BITS, L1TemplateModel,
-                              load_models, store_models)
-from nsp.synthdata import (PayloadError, RawTrace, TraceConfig, gen_spike_trace,
-                           load_session, load_trace, store_labels, store_records,
+                              load_models, store_models, train_channel_model)
+from nsp.synthdata import (GroundTruthLabels, PayloadError, RawTrace, SessionConfig,
+                           TraceConfig, gen_reach_session, gen_spike_trace, load_session,
+                           load_trace, store_labels, store_records, store_session,
                            store_trace, tier_config, trials_to_bins)
 
 
@@ -270,6 +272,65 @@ def test_train_sorter_ignores_the_row_order_of_a_token_file(pipeline, tmp_path):
     assert sets[0] == sets[1]
 
 
+# --- the CLI chain against the library chain ----------------------------------------
+
+
+def test_the_cli_chain_writes_the_library_chains_bytes(tmp_path):
+    """An 8-channel, 4 s medium trace, split into a calibration and a stream
+    half, goes detect -> train-sorter -> train-decoder (float and fixed) ->
+    simulate --config, and through calibrate -> train_channels ->
+    run_simulation -> run_eokf. The sorter sets, the counters and the
+    decoded CSVs are equal byte for byte. Channel 5 is silent and unlabeled,
+    and channel 2 keeps one matched event: both routes leave both
+    unmodeled."""
+    m, silent, sparse = tmp_path, 5, 2
+    trace, labels = gen_spike_trace(tier_config("medium", 8, 4.0), seed=5)
+    trace.data[silent] = 0
+    half = trace.n_samples // 2
+    cal = RawTrace(trace.data[:, :half], sample_rate=trace.sample_rate)
+    ev = labels.events[(labels.ch != silent) & (labels.t < half)]
+    ev = ev[(ev[:, 1] != sparse) | (ev[:, 0] == ev[ev[:, 1] == sparse][0, 0])]   # its first
+    cal_labels = GroundTruthLabels(ev)
+    store_trace(cal, str(m / "cal.bin"))
+    store_labels(cal_labels, str(m / "cal.jsonl"))
+    store_trace(RawTrace(trace.data[:, half:], sample_rate=trace.sample_rate),
+                str(m / "stream.bin"))
+    store_session(gen_reach_session(SessionConfig(n_units=24, trials_per_target=2), seed=9),
+                  str(m / "session.csv"))
+    (m / "sim.cfg").write_text("n_channels = 8\ngroup_size = 4\nconveyor_slots = 8\n")
+
+    assert run("detect", "--trace", m / "cal.bin", "--out", m / "tokens.jsonl") == EXIT_OK
+    assert run("train-sorter", "--mode", "offline", "--tokens", m / "tokens.jsonl",
+               "--labels", m / "cal.jsonl", "--out", m / "sorters.json") == EXIT_OK
+    channels = calibrate(cal, cal_labels)[2]
+    models = train_channels(train_channel_model, dict(enumerate(channels)))
+    assert channels[silent][2] == 0 and channels[sparse][0].shape[0] == 1
+    assert sorted(models) == [0, 1, 3, 4, 6, 7]
+    store_models(models, str(m / "library-sorters.json"))
+    assert (m / "sorters.json").read_bytes() == (m / "library-sorters.json").read_bytes()
+
+    stream = load_trace(str(m / "stream.bin"))
+    cfg = parse_sim_config((m / "sim.cfg").read_text())
+    for flags in ((), ("--fixed",)):
+        d = m / ("fixed" if flags else "float")
+        d.mkdir()
+        shutil.copy(m / "sorters.json", d / "sorters.json")
+        assert run("train-decoder", "--session", m / "session.csv", "--seed", 9, *flags,
+                   "--out", d / "decoder.json") == EXIT_OK
+        assert run("simulate", "--trace", m / "stream.bin", "--models", d,
+                   "--config", m / "sim.cfg", "--counters", d / "sim.json",
+                   "--decoded", d / "sim.csv") == EXIT_OK
+        bundle = load_decoder(str(d / "decoder.json"))
+        assert (bundle.fixed is not None) == bool(flags)
+        sim = run_simulation(stream, models, bundle.observation, cfg)
+        assert json.loads((d / "sim.json").read_text())["counters"] == sim.counters.as_dict()
+        assert sim.counters.decoder_accepts > 0
+        states, _, _ = run_eokf(bundle.transition, bundle.observation, sim.counts,
+                                x0=bundle.x0, P0=bundle.P0, fmt=bundle.fixed)
+        store_decoded(str(d / "library.csv"), states)
+        assert (d / "sim.csv").read_bytes() == (d / "library.csv").read_bytes()
+
+
 # --- determinism ------------------------------------------------------------------
 
 
@@ -359,15 +420,20 @@ def test_events_decode_bins_at_the_recorded_sample_rate(pipeline, tmp_path):
         assert (m / "want.csv").read_bytes() == (m / f"{name}.csv").read_bytes(), name
 
 
-@pytest.mark.parametrize("rate", [30000, 25007])
-def test_simulate_and_events_decode_bin_alike(pipeline, tmp_path, rate):
-    """A 4-channel, 10 s trace goes detect -> sort -> decode --events and
-    through simulate --decoded; both bin at the trace's rate by one rule, so
-    they write the same CSV. At 25,007 Hz a 100 ms bin is 2,501 samples,
+@pytest.mark.parametrize("rate,n_samples", [(30000, 300000),     # 100 bins exactly
+                                             (30000, 297001),     # 99 bins + 1 sample
+                                             (25007, 250070)])    # 99 bins + 2,471
+def test_simulate_and_events_decode_bin_alike(pipeline, tmp_path, rate, n_samples):
+    """A 4-channel trace of up to 10 s goes detect -> sort -> decode --events
+    and through simulate --decoded; both bin at the trace's rate by one rule,
+    so they write the same CSV, of bins_spanning rows: 100 for an exact
+    multiple of the bin and for one sample over a multiple, and one row for
+    a recording of no samples. At 25,007 Hz a 100 ms bin is 2,501 samples,
     where the decoder used to floor it to 2,500."""
     m = tmp_path
     trace, labels = gen_spike_trace(replace(tier_config("easy", 4, 10.0), sample_rate=rate),
                                     seed=42)
+    trace = RawTrace(trace.data[:, :n_samples], sample_rate=rate)
     store_trace(trace, str(m / "trace.bin"))
     store_labels(labels, str(m / "labels.jsonl"))
     assert run("detect", "--trace", m / "trace.bin", "--out", m / "tokens.jsonl") == EXIT_OK
@@ -382,6 +448,13 @@ def test_simulate_and_events_decode_bin_alike(pipeline, tmp_path, rate):
                "--counters", m / "sim.json", "--decoded", m / "sim.csv") == EXIT_OK
     assert json.loads((m / "sim.json").read_text())["counters"]["tokens_lost"] == 0
     assert (m / "events.csv").read_bytes() == (m / "sim.csv").read_bytes()
+    bin_len = bin_length(rate, 100)
+    assert load_decoded(str(m / "sim.csv")).shape[0] == bins_spanning(n_samples, bin_len) == 100
+    (m / "none.jsonl").write_text("")
+    (m / "none.jsonl.meta.json").write_text(json.dumps({"sample_rate": rate, "n_samples": 0}))
+    assert run("decode", "--model", m / "decoder.json", "--events", m / "none.jsonl",
+               "--out", m / "none.csv") == EXIT_OK
+    assert load_decoded(str(m / "none.csv")).shape[0] == bins_spanning(0, bin_len) == 1
 
 
 def test_events_decode_bins_the_whole_recording(pipeline, tmp_path):
@@ -418,18 +491,23 @@ def test_events_decode_bins_the_whole_recording(pipeline, tmp_path):
     assert np.array_equal(bare, load_decoded(str(m / "events.csv"))[:95])
 
 
-def test_events_decode_rejects_an_event_past_the_recorded_length(pipeline, tmp_path, capfd):
-    """A sidecar whose n_samples ends before the stream's last event exits 4
-    naming both, and writes nothing."""
-    shutil.copy(pipeline / "sorted.jsonl", tmp_path / "sorted.jsonl")
-    last = int(_load_sorted_events(str(pipeline / "sorted.jsonl"))[:, 0].max())
-    (tmp_path / "sorted.jsonl.meta.json").write_text(json.dumps({"n_samples": last}))
+@pytest.mark.parametrize("t", [30000, 2 ** 63 - 1, -5])
+def test_events_decode_rejects_a_time_outside_the_recording(pipeline, tmp_path, capfd, t):
+    """An event at or past the n_samples = 30000 its sidecar records, even at
+    the largest int64 time, whose + 1 used to wrap past the check, fails the
+    check, and a negative time fails the stream's table: each exits 4 naming
+    the time and writes nothing, where the last two used to be dropped with
+    exit 0."""
+    store_records([{"ch": 0, "label": 0, "t": 100}, {"ch": 0, "label": 0, "t": t}],
+                  str(tmp_path / "events.jsonl"))
+    (tmp_path / "events.jsonl.meta.json").write_text(json.dumps({"n_samples": 30000}))
     capfd.readouterr()
     assert run("decode", "--model", pipeline / "decoder.json",
-               "--events", tmp_path / "sorted.jsonl",
+               "--events", tmp_path / "events.jsonl",
                "--out", tmp_path / "d.csv") == EXIT_SCHEMA
     err = capfd.readouterr().err
-    assert f"t = {last}" in err and f"n_samples = {last}" in err and "Traceback" not in err
+    assert str(t) in err and "Traceback" not in err and "Warning" not in err
+    assert (t >= 0) == ("n_samples = 30000" in err)
     assert not (tmp_path / "d.csv").exists()
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nsp.cli import EXIT_OK, EXIT_SCHEMA, _load_sorted_events, main
+from nsp.cli import EXIT_OK, EXIT_SCHEMA, SORTED_EVENT_FIELDS, _load_sorted_events, main
 from nsp.decode import (DECODER_SCHEMAS, DecoderBundle, FixedPointFormat, load_decoded,
                         load_decoder, store_decoded, store_decoder,
                         train_ensemble, train_transition)
@@ -391,7 +391,7 @@ def fuzz_docs(tmp_path_factory):
         "windows": ("w.jsonl", doc("w.jsonl"), List(Obj(WINDOW_FIELDS)), 1, None,
                     load_windows, lambda wt, p: store_windows(wt[1], wt[0], p)),
         "sorted-events": ("e.jsonl", doc("e.jsonl"),
-                          List(Obj(dict.fromkeys(("t", "ch", "label"), Int()))), 1,
+                          List(Obj(SORTED_EVENT_FIELDS)), 1,
                           lambda p: ("decode", "--model", d / "dec.json", "--events", p,
                                      "--out", p + ".out"),
                           _load_sorted_events, store_events)})

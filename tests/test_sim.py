@@ -113,7 +113,7 @@ def test_quiet_fabric_emits_zero_vectors():
     assert c.detections == c.sorts == c.decoder_accepts == 0
     assert c.stall_cycles == c.tokens_lost == 0
     assert c.bins_emitted == 3
-    assert not sim._ez.any()
+    assert not sim.ez.any()
 
 
 def test_tap_to_head_latency_equals_tap_distance():
@@ -272,7 +272,7 @@ def test_token_is_binned_by_detection_time():
     sim = _sim(cfg, range(4), sched, n_bins=2).run()
     assert sim.counters.edge_crossings == 1
     assert sim.counters.late_tokens == 0
-    assert sim._banks[0].sum() == 1 and sim._banks[1].sum() == 0
+    assert sim.counts[0].sum() == 1 and sim.counts[1].sum() == 0
 
 
 def test_hopelessly_delayed_token_spills_into_oldest_open_bank():
@@ -282,7 +282,7 @@ def test_hopelessly_delayed_token_spills_into_oldest_open_bank():
     sched = [Completion(cycle=4000, channel=1, t=10, f1=0, f2=0)]
     sim = _sim(cfg, range(4), sched, n_bins=3).run()
     assert sim.counters.late_tokens == 1
-    assert sim._banks[1].sum() == 1   # oldest bank still open when it landed
+    assert sim.counts[1].sum() == 1   # oldest bank still open when it landed
 
 
 # --- staged run() vs the per-cycle step() oracle ----------------------------------
@@ -329,7 +329,7 @@ def _outcome(sim, drive):
     except AssertionError as exc:
         err = str(exc)
     return {"err": err, "cycle": sim.cycle, "counters": sim.counters.as_dict(),
-            "ez": sim._ez.tolist(), "banks": sim._banks.tolist(),
+            "ez": sim.ez.tolist(), "banks": sim.counts.tolist(),
             "accepted": sim.accepted_events.tolist(),
             "sorts_by_channel": sim.sorts_by_channel.tolist()}
 
@@ -468,6 +468,35 @@ def test_schedule_order_does_not_matter_at_extreme_cycles():
                 assert fast == _outcome(_sim(cfg, range(4), got), _step_until_done)
 
 
+def test_far_future_cycles_of_several_groups_are_a_config_mismatch():
+    """Stage A keys a token by exit cycle * n_groups + group in int64. In
+    two groups of four taps that all aim at one exit cycle, the taps stall
+    3 + 2 + 1 cycles per group, staged, at any cycle up to the bound; past
+    it the constructor raises ConfigMismatchError naming the bound, where
+    run() used to raise a raw OverflowError."""
+    cfg = SimConfig(n_channels=8, group_size=4, conveyor_slots=4)
+    bound = (2 ** 63 - 1) // 2 - 4 - 2 * 8
+
+    def stalling(base):      # every tap of a group aims at the exit cycle base
+        return [Completion(cycle=base - ch % 4, channel=ch, t=0, f1=ch, f2=0)
+                for ch in range(8)]
+
+    fabric = ("sorts", "decoder_accepts", "decoder_collisions", "tokens_lost")
+    near = _outcome(_sim(cfg, range(8), stalling(1000)), Simulator.run)
+    assert near == _outcome(_sim(cfg, range(8), stalling(1000)), _step_until_done)
+    for base in (1000, 2 ** 62 - 100, bound):
+        sim = _sim(cfg, range(8), stalling(base))
+        sim.step = lambda: pytest.fail("run() stepped a schedule that keeps the re-arm rule")
+        fast = _outcome(sim, Simulator.run)
+        assert fast["err"] is None and fast["counters"]["stall_cycles"] == 12
+        assert ([fast["counters"][k] for k in fabric]
+                == [near["counters"][k] for k in fabric]), base
+    with pytest.raises(ConfigMismatchError, match=f"past cycle {bound}"):
+        _sim(cfg, range(8), stalling(bound + 1))
+    with pytest.raises(ConfigMismatchError, match="2 groups"):
+        _sim(cfg, range(8), stalling(2 ** 62))
+
+
 def test_two_completions_of_one_channel_in_one_cycle_run_like_step():
     # channel 0 completes twice in cycle 5 and nothing else blocks its tap:
     # run() hands the schedule to step(), which inserts one and holds one
@@ -543,7 +572,7 @@ def test_a_bank_still_accepts_in_its_close_cycle(late):
     _step_until_done(slow)
     assert fast.counters == slow.counters
     assert fast.counters.late_tokens == late
-    assert fast._banks[:, 0].tolist() == ([0, 1] if late else [1, 0])
+    assert fast.counts[:, 0].tolist() == ([0, 1] if late else [1, 0])
 
 
 def test_run_makes_no_step_calls():
@@ -621,7 +650,7 @@ def test_random_fabrics_conserve_tokens_and_match_the_oracle(fabric):
     assert c.detections == c.gated_tokens + c.decoder_accepts + c.tokens_lost
     if c.late_tokens == 0:
         events = np.array(sim.accepted_events, dtype=np.int64).reshape(-1, 3)
-        assert np.array_equal(sim._ez, reference_ez(events, ens, n_bins, cfg.bin_len))
+        assert np.array_equal(sim.ez, reference_ez(events, ens, n_bins, cfg.bin_len))
 
 
 # --- schedule building ------------------------------------------------------------
