@@ -21,8 +21,8 @@ exponents of its bits, and they group the words into clusters: a cluster
 ends where the next hot sample lies at or past the point where the last
 one would re-arm the detector. A cluster too short to re-arm the detector
 fires once, at its first hot sample; only the few crowded clusters that
-fire again are expanded into samples and walked window by window
-(:func:`detect_rows`).
+fire again are expanded into samples, and they are walked all at once, one
+window per round (:func:`detect_rows`).
 
 The stream from detector to fabric is columnar. :func:`detect_rows` finds
 the windows of every channel at once, and each window becomes one row of a
@@ -184,10 +184,14 @@ def detect_rows(data: np.ndarray, thresholds) -> tuple:
     before the re-arm point of its first hot sample fires once, there.
 
     Only the words of crowded clusters, the ones that fire again, are
-    expanded to hot samples. One ``searchsorted`` links each of them to the
-    next hot sample past the re-arm point it would set, and the only Python
-    loop walks those links from window to window inside each cluster.
-    Windows come out ordered by (row, start).
+    expanded to hot samples, and the clusters are walked together in
+    rounds. Each round takes every cluster that is still firing from its
+    latest window to the first hot sample at or past that window's re-arm
+    point, with one ``searchsorted`` over just those clusters; a cluster
+    whose next sample lies past its end stops. This is the test that marks
+    a cluster crowded, repeated until nothing fires again, so the number of
+    rounds is the most windows of one cluster: a few on spike traffic, and
+    one per window on a railed row. Windows come out ordered by (row, start).
     """
     data = np.asarray(data, dtype=np.int8)
     rows, n = data.shape
@@ -239,14 +243,20 @@ def detect_rows(data: np.ndarray, thresholds) -> tuple:
         owner, byte = inside[hot >> 3], hot & 7
         hot_col = col[owner] + byte
         key = (word[owner] << 3) + byte     # row-major, so ascending
-        following = np.searchsorted(key, key - hot_col + _rearm(hot_col)).tolist()
-        starts = np.searchsorted(hot, (end - span) << 3).tolist()
+        # one round per window: every cluster still firing moves from its
+        # latest window to the first hot sample at or past that window's
+        # re-arm point (keyed like the samples), and stops once that lies
+        # past the cluster's end
+        rearm = key - hot_col + _rearm(hot_col)
+        cur = np.searchsorted(hot, (end - span) << 3)   # each cluster's first window
+        hi = np.append(cur[1:], owner.size)
         again = []
-        for lo, hi in zip(starts, starts[1:] + [owner.size]):
-            j = following[lo]
-            while j < hi:
-                again.append(j)
-                j = following[j]
+        while cur.size:
+            cur = np.searchsorted(key, rearm[cur])
+            live = cur < hi
+            cur, hi = cur[live], hi[live]
+            again.append(cur)
+        again = np.concatenate(again)
         # no two windows of a row start in one word: mark them on the words
         fires[owner[again]] = True
         first[owner[again]] = hot_col[again]

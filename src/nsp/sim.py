@@ -14,14 +14,14 @@ order, sorting only a schedule given in another order.
 
 ``Simulator.step`` advances one clock cycle through every stage and is the
 reference; it reads the schedule one row at a time, in (cycle, channel)
-order. ``Simulator.run`` takes
-a fresh simulator to the same end state stage by stage on the arrays: ring
-insertion, where only tokens that contend for a conveyor slot go through a
-loop; one ``classify_many`` call per channel; the decoder buffer, a
-single-server queue whose accept cycles are one cumulative max, with a loop
-only over the busy periods in which the buffer fills; and the accumulator
-banks in numpy. Each stage only feeds the next, so no stage loops over
-cycles. A simulator that ``step`` has already advanced finishes by stepping.
+order. ``Simulator.run`` takes a fresh simulator to the same end state
+stage by stage on the arrays: ring insertion, where only the tokens of busy
+periods of three or more go through a loop; one ``classify_many`` call per
+channel; the decoder buffer, a single-server queue whose accept cycles are
+one cumulative max, with a loop only over the busy periods in which the
+buffer fills; and the accumulator banks in numpy. Each stage only feeds the
+next, so no stage loops over cycles. A simulator that ``step`` has already
+advanced finishes by stepping.
 """
 
 from __future__ import annotations
@@ -437,11 +437,14 @@ class Simulator:
             tokens fall into busy periods (one cumulative max finds them),
             and no exit is ever claimed by tokens of two periods. A token
             alone in its period takes its first-choice exit without a
-            stall; only the tokens of longer periods go through the greedy
-            claim loop, in order of their first insertion attempt. One
-            check then applies the detector re-arm rule: each of a
-            channel's tokens enters its ring before the channel's next
-            token completes.
+            stall. The two tokens of a pair share their first-choice exit
+            ``e``: the one at the larger tap asks for it first and takes
+            it, and the other takes ``e + 1`` after one stall. Only the
+            tokens of periods of three or more go through the greedy claim
+            loop, in order of their first insertion attempt. One check
+            over every token of a period of two or more then applies the
+            detector re-arm rule: each of a channel's tokens enters its
+            ring before the channel's next token completes.
         (B) Sorter. Every ring token is labelled by its channel's
             classifier, one ``classify_many`` call per channel, on the
             schedule's (channel, cycle) order; a plain callable is called
@@ -456,13 +459,17 @@ class Simulator:
             Lindley recursion, so arrival ``i`` of the sorted cycles ``a``
             is accepted in cycle ``max over j <= i of (a[j] - j) + i + 1``,
             and it finds the items ``j < i`` accepted after ``a[i]`` still
-            in the buffer. Only an arrival that finds ``depth`` of them can
-            be dropped. A drop only lightens the load behind it, so every
-            accept of the real run comes no later than in this no-drop
-            schedule: wherever the no-drop buffer runs empty, the real one
-            does too. Its busy periods are therefore independent; the
-            no-drop accepts hold in every period without a full-buffer
-            arrival, and the per-arrival rule runs over the others.
+            in the buffer. Those accepts rise strictly, so the items form a
+            suffix, and arrival ``i`` finds ``depth`` of them exactly when
+            item ``i - depth`` is accepted after ``a[i]``: one compare of
+            the accepts with the arrivals shifted by ``depth``. Only an
+            arrival that finds the buffer full can be dropped. A drop only
+            lightens the load behind it, so every accept of the real run
+            comes no later than in this no-drop schedule: wherever the
+            no-drop buffer runs empty, the real one does too. Its busy
+            periods are therefore independent; the no-drop accepts hold in
+            every period without a full-buffer arrival, and the per-arrival
+            rule runs over the others.
         (D) Banks. A bank closes ``grace_cycles`` after its edge, so the
             accept cycle fixes which banks are still open; binning, edge
             crossings and late spills follow in numpy, and every bank is
@@ -532,7 +539,8 @@ class Simulator:
         cfg = self.config
         n_groups = cfg.n_groups
         cycle, channel = self._cols[0], self._cols[1]
-        ring = np.flatnonzero(np.isin(channel, [*self.ensemble.selection.channels]))
+        selected = np.isin(np.arange(cfg.n_channels), [*self.ensemble.selection.channels])
+        ring = np.flatnonzero(selected[channel])
         start = np.maximum(cycle[ring], 0)          # the first insertion attempt
         group, tap = np.divmod(channel[ring], cfg.group_size)
         first = start + tap                          # the first-choice exit
@@ -549,12 +557,24 @@ class Simulator:
         leave = np.maximum.accumulate(e - k + g * span) - g * span + k
         opens = np.ones(ring.size, dtype=bool)    # token opens a busy period
         opens[1:] = (g[1:] != g[:-1]) | (e[1:] > leave[:-1])
-        alone = np.empty(ring.size, dtype=bool)
-        alone[by_exit] = opens & np.append(opens[1:], True)
+        heads = np.flatnonzero(opens)
+        size = np.diff(np.append(heads, ring.size))
 
+        # a token alone in its period takes its first-choice exit. The two
+        # tokens of a pair share one first-choice exit, or the second would
+        # open a period of its own: the larger tap asks for it one cycle
+        # earlier and takes it, and the other takes the next exit after one
+        # stall. Equal taps are one channel completing twice in one cycle,
+        # which the re-arm check below rejects.
         key = first * n_groups + group
-        busy = np.flatnonzero(~alone)
-        by_start = busy[np.argsort(start[busy], kind="stable")]
+        pair = heads[size == 2]
+        a, b = by_exit[pair], by_exit[pair + 1]
+        key[np.where(tap[a] < tap[b], a, b)] += n_groups
+        period_size = np.empty(ring.size, dtype=np.int64)
+        period_size[by_exit] = size.repeat(size)
+        busy = np.flatnonzero(period_size > 1)
+        crowd = busy[period_size[busy] > 2]
+        by_start = crowd[np.argsort(start[crowd], kind="stable")]
         key[by_start] = self._claim(n_groups, start[by_start].tolist(),
                                     (tap[by_start] * n_groups + group[by_start]).tolist())
         # the re-arm rule: a channel's busy token enters its ring before the
@@ -609,7 +629,7 @@ class Simulator:
             return
         bin_len, n_bins = self._bin_len, self.n_bins
         k = t // bin_len
-        edge = accepts > (k + 1) * bin_len
+        edge = accepts - bin_len > k * bin_len     # k * bin_len <= t: no wrap
         k = np.minimum(k, n_bins - 1)
         oldest_open = np.clip((accepts - 1 - self.config.grace_cycles) // bin_len,
                               self._next_emit, n_bins)
@@ -622,7 +642,7 @@ class Simulator:
         c.decoder_accepts += accepts.size
         c.edge_crossings += int(edge.sum())
         c.late_tokens += int(late.sum())
-        self._accepted = np.column_stack((t, channel, labels))[kept]
+        self._accepted = np.compress(kept, np.column_stack((t, channel, labels)), axis=0)
 
 
 def _buffer_accepts(arrival, depth: int):
@@ -637,14 +657,16 @@ def _buffer_accepts(arrival, depth: int):
     n = arrival.size
     k = np.arange(n)
     accepts = np.maximum.accumulate(arrival - k) + k + 1
-    full = k - np.searchsorted(accepts, arrival, side="right") >= depth
+    # arrival depth + i finds the buffer full exactly when item i is still
+    # in it (see Simulator.run, stage C)
+    full = accepts[:max(n - depth, 0)] > arrival[depth:]
     taken = np.ones(n, dtype=bool)
     if full.any():
         opens = np.ones(n, dtype=bool)         # arrival opens a busy period
         opens[1:] = accepts[:-1] <= arrival[1:]
         period = np.cumsum(opens) - 1
         overflows = np.zeros(period[-1] + 1, dtype=bool)
-        overflows[period[full]] = True
+        overflows[period[depth:][full]] = True
         looped = np.flatnonzero(overflows[period])
         admitted, kept = _admit(arrival[looped].tolist(), depth)
         taken[looped] = False

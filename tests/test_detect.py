@@ -220,6 +220,16 @@ WORD_EDGES = {
     "clamped re-arm at 36": _hot_row(100, (1, 2), (33, 34), (35, 37)),
     "crowded over many words": _hot_row(300, *((t, t + 1) for t in range(5, 290, 21))),
     "hot last byte of a row": _hot_row(71, (39, 40), (70, 71)),
+    # long crowded clusters, walked one window per round: a hot sample
+    # every 31 chains the row into one cluster that fires on every other
+    # sample; from 32 on, each sample past the clamped start is a cluster
+    **{f"hot every {gap} samples": _hot_row(20000, *((t, t + 1) for t in range(0, 20000, gap)))
+       for gap in (31, 32, 33)},
+    # runs firing 1, 2, 3, 22, 2, 1, 3 and 10 windows: the rounds drop the
+    # clusters one by one, and the row ends inside the last run
+    "runs that fire once, twice, thrice and many times": _hot_row(
+        1640, (5, 15), (66, 106), (160, 230), (281, 981), (1033, 1073), (1128, 1138),
+        (1189, 1259), (1310, 1643)),
 }
 
 
@@ -252,6 +262,17 @@ def test_railed_row_equals_the_sample_scan(n):
         row = np.full(n, -128, dtype=np.int8)
         _, starts = detect_rows(row[None], [threshold])
         assert starts.tolist() == scan_starts(row, threshold) == ([0] if n >= 32 else [])
+
+
+@pytest.mark.parametrize("threshold", [0.0, 100.0, 128.0])
+def test_long_railed_row_equals_the_sample_scan(threshold):
+    # one cluster over the whole row: the detector walks it one window per
+    # round, ~2,500 rounds, and must stop exactly where the row ends
+    row = np.full(90000, -128, dtype=np.int8)
+    _, starts = detect_rows(row[None], [threshold])
+    want = scan_starts(row, threshold)
+    assert len(want) > 2000
+    assert starts.tolist() == want
 
 
 def test_threshold_count_must_match_the_rows():

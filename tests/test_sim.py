@@ -236,6 +236,13 @@ def _check_buffer(arrival, depth):
     # two overflowing busy periods with one idle cycle (3) between them
     ([0, 0, 3, 3], 1, ([1, 4], [0, 2]), True),
     ([0, 0, 0, 4, 4, 4], 2, ([1, 2, 5, 6], [0, 1, 3, 4]), True),
+    # a buffer as deep as the arrivals, or deeper, is never full
+    ([0, 0, 0], 3, ([1, 2, 3], [0, 1, 2]), False),
+    ([0, 0, 0], 5, ([1, 2, 3], [0, 1, 2]), False),
+    # the first full arrival is the one at index depth
+    ([0, 0, 0, 1, 5], 2, ([1, 2, 3, 6], [0, 1, 3, 4]), True),
+    # depth 1 saturated by two arrivals a cycle: every second one is dropped
+    ([i // 2 for i in range(400)], 1, (list(range(1, 201)), list(range(0, 400, 2))), True),
 ])
 def test_decoder_buffer_closed_form_cases(arrival, depth, expected, looped):
     assert _check_buffer(arrival, depth) == expected
@@ -248,6 +255,13 @@ def test_decoder_buffer_closed_form_cases(arrival, depth, expected, looped):
        depth=st.integers(1, 8))
 def test_decoder_buffer_closed_form_equals_the_per_arrival_loop(start, gaps, depth):
     _check_buffer((start + np.cumsum(gaps, dtype=np.int64)).tolist(), depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrival=st.lists(st.integers(0, 60), max_size=80).map(sorted),
+       depth=st.integers(1, 6))
+def test_decoder_buffer_on_sorted_draws_equals_the_per_arrival_loop(arrival, depth):
+    _check_buffer(arrival, depth)
 
 
 def test_gated_channel_never_reaches_a_sorter():
@@ -273,6 +287,18 @@ def test_token_is_binned_by_detection_time():
     assert sim.counters.edge_crossings == 1
     assert sim.counters.late_tokens == 0
     assert sim.counts[0].sum() == 1 and sim.counts[1].sum() == 0
+
+
+@pytest.mark.parametrize("before_wrap", [1, 3000])
+def test_edge_crossings_do_not_wrap_at_the_last_int64_sample(before_wrap):
+    # a token detected at t = 2**63 - 1 lies in bin t // bin_len, whose end
+    # (k + 1) * bin_len is past int64: it crosses no edge, as in step()
+    cfg = SimConfig(n_channels=4, group_size=4, conveyor_slots=4)
+    sched = [Completion(cycle=5, channel=0, t=2 ** 63 - before_wrap, f1=0, f2=0)]
+    fast = _outcome(_sim(cfg, range(4), sched), Simulator.run)
+    assert fast == _outcome(_sim(cfg, range(4), sched), _step_until_done)
+    assert fast["counters"]["edge_crossings"] == 0
+    assert fast["counters"]["decoder_accepts"] == 1
 
 
 def test_hopelessly_delayed_token_spills_into_oldest_open_bank():
@@ -507,6 +533,97 @@ def test_two_completions_of_one_channel_in_one_cycle_run_like_step():
     fast = _outcome(_sim(cfg, range(4), sched), Simulator.run)
     assert fast["err"] is None and fast["counters"]["stall_cycles"] == 1
     assert fast == _outcome(_sim(cfg, range(4), sched), _step_until_done)
+
+
+def _claimed_tokens(cfg, ens, schedule):
+    """(start, tap * n_groups + group) of every ring token in a busy period
+    of three or more, from the periods built one token at a time."""
+    by_group = {}
+    for tok in schedule:
+        if tok.channel in ens.selection.channels:
+            group, tap = divmod(tok.channel, cfg.group_size)
+            start = max(tok.cycle, 0)
+            by_group.setdefault(group, []).append((start + tap, start, tap))
+    claimed = []
+    for group, tokens in by_group.items():
+        periods, leave = [], None
+        for first, start, tap in sorted(tokens):
+            if leave is None or first > leave:
+                periods.append([])
+                leave = first
+            else:
+                leave += 1
+            periods[-1].append((start, tap * cfg.n_groups + group))
+        claimed += [tok for period in periods if len(period) > 2 for tok in period]
+    return sorted(claimed)
+
+
+def _check_claim_split(cfg, ens, classifiers, schedule, n_bins):
+    """run() equals step(), and stage A's claim loop sees exactly the tokens
+    of the busy periods of three or more, in order of their first attempt.
+    Returns whether run() fell back to step()."""
+    sim = Simulator(cfg, ens, classifiers, schedule, n_bins)
+    with mock.patch.object(Simulator, "_claim", wraps=Simulator._claim) as claim, \
+            mock.patch.object(sim, "step", wraps=sim.step) as step:
+        fast = _outcome(sim, Simulator.run)
+    assert fast == _outcome(Simulator(cfg, ens, classifiers, schedule, n_bins),
+                            _step_until_done)
+    (n_groups, starts, offsets), = [call.args for call in claim.call_args_list]
+    assert n_groups == cfg.n_groups and starts == sorted(starts)
+    assert sorted(zip(starts, offsets)) == _claimed_tokens(cfg, ens, schedule)
+    return step.called
+
+
+@st.composite
+def _pair_fabrics(draw):
+    """Busy periods of mostly two tokens: in one group or in several at once,
+    with the larger tap listed first or second, a pair whose second exit
+    borders the next period, and a channel completing twice in one cycle.
+    Each burst aims at one exit cycle, bursts 40 cycles apart."""
+    group_size = draw(st.sampled_from([4, 8]))
+    n_groups = draw(st.integers(1, 3))
+    cfg = SimConfig(n_channels=group_size * n_groups, group_size=group_size,
+                    conveyor_slots=group_size + draw(st.integers(0, 2)),
+                    decoder_buffer_depth=draw(st.integers(1, 4)),
+                    clock_hz=1000, bin_ms=100)
+    schedule, kinds = [], set()
+    for burst in range(draw(st.integers(1, 6))):
+        for group in sorted(draw(st.sets(st.integers(0, n_groups - 1), min_size=1))):
+            e = group_size + 40 * burst + draw(st.integers(0, 3))
+            taps = draw(st.permutations(range(group_size)))[:3]
+            kind = draw(st.sampled_from(["pair", "pair", "border", "triple", "alone", "twice"]))
+            kinds.add(kind)
+            aims = {"pair": [(taps[0], e), (taps[1], e)],
+                    "border": [(taps[0], e), (taps[1], e), (taps[2], e + 2)],
+                    "triple": [(tap, e) for tap in taps],
+                    "alone": [(taps[0], e)],
+                    "twice": [(taps[0], e), (taps[0], e)]}[kind]
+            for i, (tap, exit_) in enumerate(aims):
+                cycle = exit_ - tap
+                schedule.append(Completion(cycle=cycle, channel=group * group_size + tap,
+                                           t=max(cycle - 31, 0), f1=i, f2=burst))
+    return cfg, schedule, "twice" in kinds
+
+
+@settings(max_examples=200, deadline=None)
+@given(fabric=_pair_fabrics())
+def test_pairs_run_in_closed_form_like_step(fabric):
+    cfg, schedule, twice = fabric
+    ens = _ensemble(range(cfg.n_channels), units=3)
+    classifiers = {ch: (lambda f1, f2, ch=ch: (f1 + f2 + ch) % 3)
+                   for ch in range(cfg.n_channels)}
+    # only a channel completing twice in one cycle sends run() to step()
+    assert _check_claim_split(cfg, ens, classifiers, schedule, 3) == twice
+
+
+def test_the_claim_loop_sees_only_periods_of_three_or_more():
+    claimed = 0
+    for fabric in (_crowded_fabric, _random_fabric):
+        for seed in range(100):
+            cfg, ens, classifiers, schedule, n_bins = fabric(seed)
+            _check_claim_split(cfg, ens, classifiers, schedule, n_bins)
+            claimed += bool(_claimed_tokens(cfg, ens, schedule))
+    assert claimed >= 50
 
 
 def test_plain_callables_see_each_channels_tokens_in_step_order():
